@@ -8,6 +8,8 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -71,6 +73,16 @@ func BenchmarkTable1Classes(b *testing.B) {
 	}
 }
 
+// touchScript is the omap read-modify-write class the class-call
+// benchmarks install.
+const touchScript = `
+function touch(cls)
+	local v = tonumber(cls.omap_get("n")) or 0
+	cls.omap_set("n", tostring(v + 1))
+	return tostring(v + 1)
+end
+`
+
 // BenchmarkFig2ScriptClassCall measures dynamically installed (script)
 // interface calls — the programmability whose adoption Figure 2 plots.
 func BenchmarkFig2ScriptClassCall(b *testing.B) {
@@ -78,14 +90,7 @@ func BenchmarkFig2ScriptClassCall(b *testing.B) {
 	ctx := context.Background()
 	rc := cluster.NewRadosClient("client.bench")
 	monc := cluster.NewMonClient("client.bench.mon")
-	script := `
-function touch(cls)
-	local v = tonumber(cls.omap_get("n")) or 0
-	cls.omap_set("n", tostring(v + 1))
-	return tostring(v + 1)
-end
-`
-	if err := monc.InstallClass(ctx, "bench", script, "other"); err != nil {
+	if err := monc.InstallClass(ctx, "bench", touchScript, "other"); err != nil {
 		b.Fatal(err)
 	}
 	if err := rc.RefreshMap(ctx); err != nil {
@@ -445,6 +450,68 @@ func BenchmarkRadosWriteSerial(b *testing.B) {
 // locking plus parallel replica fan-out off the lock.
 func BenchmarkRadosWritePipelined(b *testing.B) {
 	benchRadosWrite(b, rados.ReplicatePipelined)
+}
+
+// BenchmarkRadosOpsR3Delay0 is the CPU-bound replicated op mix of the
+// rados-mem workload (bench/): replicas=3, no fabric delay, one client
+// per CPU doing 50% WriteFull 4 KiB / 30% Read / 20% script-class Call
+// over its own 1,024 objects. With no delay to hide behind, ns/op and
+// allocs/op are the op path's own fixed cost; profile it with
+//
+//	go test -run '^$' -bench RadosOpsR3Delay0 -benchmem -cpuprofile cpu.out .
+func BenchmarkRadosOpsR3Delay0(b *testing.B) {
+	cluster := bootB(b, core.Options{OSDs: 3, Pools: []string{"data"}, Replicas: 3})
+	ctx := context.Background()
+	if err := cluster.NewMonClient("client.bench.mon").InstallClass(ctx, "bench", touchScript, "other"); err != nil {
+		b.Fatal(err)
+	}
+	const objects = 1024
+	payload := make([]byte, 4<<10)
+	// One client per RunParallel worker, each over its own objects,
+	// created before the timer starts.
+	type client struct {
+		rc    *rados.Client
+		names []string
+	}
+	clients := make([]client, runtime.GOMAXPROCS(0))
+	for c := range clients {
+		rc := cluster.NewRadosClient(fmt.Sprintf("client.bench.%d", c))
+		if err := rc.RefreshMap(ctx); err != nil {
+			b.Fatal(err)
+		}
+		names := make([]string, objects)
+		for o := range names {
+			names[o] = fmt.Sprintf("c%d-o%04d", c, o)
+			if err := rc.WriteFull(ctx, "data", names[o], payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+		clients[c] = client{rc: rc, names: names}
+	}
+	var worker atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := worker.Add(1) - 1
+		cl := clients[id]
+		rng := rand.New(rand.NewSource(id))
+		for pb.Next() {
+			var err error
+			name := cl.names[rng.Intn(objects)]
+			switch p := rng.Intn(100); {
+			case p < 50:
+				err = cl.rc.WriteFull(ctx, "data", name, payload)
+			case p < 80:
+				_, err = cl.rc.Read(ctx, "data", name)
+			default:
+				_, err = cl.rc.Call(ctx, "data", name, "bench", "touch", nil)
+			}
+			if err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkZLogAppendReplicated is the end-to-end check that the OSD

@@ -162,12 +162,14 @@ type Chunk struct {
 
 // Split chunks data in one pass and returns the extents in order.
 // Offsets are contiguous and cover the input exactly. An empty input
-// yields no chunks. cfg may be nil for the defaults.
+// yields no chunks. cfg may be nil for the defaults. Split normalizes a
+// copy, so goroutines may share one *Config, normalized or not.
 func Split(data []byte, cfg *Config) ([]Chunk, error) {
 	var local Config
-	if cfg == nil {
-		cfg = &local
+	if cfg != nil {
+		local = *cfg
 	}
+	cfg = &local
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,8 @@ package cdc
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -357,5 +359,39 @@ func TestPrefixStability(t *testing.T) {
 	}
 	if i == 0 {
 		t.Fatal("edit point too early to test prefix stability")
+	}
+}
+
+// TestSplitSharedConfigConcurrent: Split must not write through the
+// caller's *Config, so clients sharing one (un-normalized) config can
+// split concurrently — under -race a write to the shared struct fails
+// the test — and still get the cut points of a private normalized copy.
+func TestSplitSharedConfigConcurrent(t *testing.T) {
+	shared := &Config{MinSize: 256, AvgSize: 1024, MaxSize: 4096}
+	before := *shared
+	data := randBytes(rand.New(rand.NewSource(9)), 1<<20)
+	want := refSplit(data, mustConfig(t, before))
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				got, err := Split(data, shared)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("shared-config split diverged from the reference: %d vs %d chunks", len(got), len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if *shared != before {
+		t.Fatalf("Split rewrote the caller's config: %+v, was %+v", *shared, before)
 	}
 }

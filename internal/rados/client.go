@@ -26,9 +26,11 @@ type Client struct {
 	// with the client's own address it forms the duplicate-detection key.
 	opSeq atomic.Uint64
 
-	mu     sync.Mutex
-	osdMap *types.OSDMap // guarded by mu
+	// view is the cached OSD map with its placement table (mapView),
+	// read without a lock; RefreshMap swaps in a newer one under mu.
+	view atomic.Pointer[mapView]
 
+	mu sync.Mutex
 	// watch/notify state (see watch.go).
 	watches   map[uint64]*WatchHandle // guarded by mu
 	watchSeq  uint64                  // guarded by mu
@@ -44,11 +46,11 @@ var clientIncarnation atomic.Uint64
 // NewClient builds a client identified as self on the fabric.
 func NewClient(net *wire.Network, self wire.Addr, mons []int) *Client {
 	c := &Client{
-		net:    net,
-		self:   self,
-		monc:   mon.NewClient(net, self, mons),
-		osdMap: types.NewOSDMap(),
+		net:  net,
+		self: self,
+		monc: mon.NewClient(net, self, mons),
 	}
+	c.view.Store(newMapView(types.NewOSDMap()))
 	c.opSeq.Store(clientIncarnation.Add(1) << 40)
 	return c
 }
@@ -64,27 +66,19 @@ func (c *Client) RefreshMap(ctx context.Context) error {
 		return err
 	}
 	c.mu.Lock()
-	if m.Epoch > c.osdMap.Epoch {
-		c.osdMap = m
+	if m.Epoch > c.view.Load().m.Epoch {
+		c.view.Store(newMapView(m))
 	}
 	c.mu.Unlock()
 	return nil
 }
 
 // MapEpoch returns the client's cached map epoch.
-func (c *Client) MapEpoch() types.Epoch {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.osdMap.Epoch
-}
+func (c *Client) MapEpoch() types.Epoch { return c.view.Load().m.Epoch }
 
 // CachedMap returns the client's cached OSD map (shared; treat as
 // read-only).
-func (c *Client) CachedMap() *types.OSDMap {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.osdMap
-}
+func (c *Client) CachedMap() *types.OSDMap { return c.view.Load().m }
 
 // do routes req to the primary OSD, retrying through map refreshes on
 // staleness or placement movement. The first retry is immediate — the
@@ -103,25 +97,20 @@ func (c *Client) do(ctx context.Context, req OpRequest) (OpReply, error) {
 				return last, ctx.Err()
 			}
 		}
-		c.mu.Lock()
-		m := c.osdMap
-		c.mu.Unlock()
-
-		_, acting, err := Locate(m, req.Pool, req.Object)
+		v := c.view.Load()
+		_, acting, err := v.locate(req.Pool, req.Object)
 		if err != nil {
 			// Unknown pool or empty cluster: refresh once and retry.
 			if rerr := c.RefreshMap(ctx); rerr != nil {
 				return OpReply{}, rerr
 			}
-			c.mu.Lock()
-			m = c.osdMap
-			c.mu.Unlock()
-			_, acting, err = Locate(m, req.Pool, req.Object)
+			v = c.view.Load()
+			_, acting, err = v.locate(req.Pool, req.Object)
 			if err != nil {
 				return OpReply{}, err
 			}
 		}
-		req.Epoch = m.Epoch
+		req.Epoch = v.m.Epoch
 		resp, err := c.net.Call(ctx, c.self, OSDAddr(acting[0]), req)
 		if err != nil {
 			// Primary unreachable: refresh the map (it may be down) and

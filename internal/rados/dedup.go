@@ -352,12 +352,10 @@ func (c *Client) WriteDeduped(ctx context.Context, pool, object string, data []b
 // and is rewritten — OpBlockWrite on an existing block is an ack, so a
 // stale map costs wire bytes, never correctness.
 func (c *Client) statBlocks(ctx context.Context, pool string, content map[string][]byte) (map[string]bool, error) {
-	c.mu.Lock()
-	m := c.osdMap
-	c.mu.Unlock()
+	v := c.view.Load()
 	groups := make(map[int][]string)
 	for name := range content {
-		_, acting, err := Locate(m, pool, name)
+		_, acting, err := v.locate(pool, name)
 		if err != nil || len(acting) == 0 {
 			// No placement yet: treat as absent; the write path will
 			// locate it with retries.
@@ -580,21 +578,12 @@ func AuditDedup(osds []*OSD, pool string) DedupAudit {
 func (o *OSD) dedupCensus(pool string) (manifests map[string]map[string]bool, blocks map[string]int64) {
 	manifests = make(map[string]map[string]bool)
 	blocks = make(map[string]int64)
-	o.mu.Lock()
-	m := o.osdMap
-	pgids := make([]PGID, 0, len(o.pgs))
-	for id := range o.pgs {
-		if id.Pool == pool {
-			pgids = append(pgids, id)
+	v := o.view.Load()
+	for _, id := range o.heldPGs() {
+		if id.Pool != pool {
+			continue
 		}
-	}
-	o.mu.Unlock()
-	pi, ok := m.Pools[pool]
-	if !ok {
-		return manifests, blocks
-	}
-	for _, id := range pgids {
-		acting := OSDsForPG(m, id.Pool, id.PG, pi.Replicas)
+		acting := v.actingFor(id)
 		if len(acting) == 0 || acting[0] != o.cfg.ID {
 			continue
 		}

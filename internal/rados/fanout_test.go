@@ -1,0 +1,154 @@
+package rados
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/wire"
+)
+
+// forwarderGoroutines counts live replica-forwarder goroutines in the
+// process, from their stacks.
+func forwarderGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("rados.(*OSD).forwarder("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// replicaState reads one daemon's copy of an object in pool "data"
+// (PGNum 8 in these tests).
+func replicaState(o *OSD, name string) (string, uint64) {
+	e := o.getPG(PGID{Pool: "data", PG: PGForObject(name, 8)}).entry(name)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.obj == nil {
+		return "<tombstone>", e.ver
+	}
+	return string(e.obj.Data), e.ver
+}
+
+// TestForwarderLifecycle drives the reused fan-out goroutines through a
+// daemon's whole life: concurrent writers to one object on a jittered
+// fabric (forwards of different writes cross, and each fan-out must
+// still overlap its two peers), then Stop leaves no forwarder behind,
+// and a restarted daemon replicates again.
+func TestForwarderLifecycle(t *testing.T) {
+	if n := forwarderGoroutines(); n != 0 {
+		t.Fatalf("%d forwarder goroutines alive before the test", n)
+	}
+	tc := bootClusterOpts(t, clusterOpts{
+		osds: 3, replicas: 3,
+		netOpts: []wire.Option{wire.WithLatency(200*time.Microsecond, 300*time.Microsecond)},
+		osd:     OSDConfig{GossipInterval: time.Hour},
+	})
+	ctx := ctxT(t, 60*time.Second)
+
+	const writers, opsPerWriter = 4, 10
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := NewClient(tc.net, wire.Addr(fmt.Sprintf("client.w%d", w)), []int{0})
+			if err := cl.RefreshMap(ctx); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < opsPerWriter; i++ {
+				if err := cl.Append(ctx, "data", "hot", []byte(fmt.Sprintf("[w%d:%d]", w, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	_, acting, err := tc.client.view.Load().locate("data", "hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConverged := func(wantVer uint64) {
+		t.Helper()
+		wantData, ver := replicaState(tc.osds[acting[0]], "hot")
+		if ver != wantVer {
+			t.Fatalf("primary at version %d, want %d", ver, wantVer)
+		}
+		for _, rep := range acting[1:] {
+			if data, ver := replicaState(tc.osds[rep], "hot"); ver != wantVer || data != wantData {
+				t.Errorf("osd.%d holds version %d (%d bytes), primary version %d (%d bytes)", rep, ver, len(data), wantVer, len(wantData))
+			}
+		}
+	}
+	checkConverged(writers * opsPerWriter)
+	if got := tc.net.Stats().Outbound[OSDAddr(acting[0])].MaxInflight; got < 2 {
+		t.Errorf("primary outbound MaxInflight = %d, want >= 2: the two forwards of a fan-out must overlap", got)
+	}
+	if forwarderGoroutines() == 0 {
+		t.Error("no forwarder goroutine outlived the writes; the fan-out is not reusing them")
+	}
+
+	for _, o := range tc.osds {
+		o.Stop()
+	}
+	if n := forwarderGoroutines(); n != 0 {
+		t.Fatalf("%d forwarder goroutines alive after every OSD stopped", n)
+	}
+
+	for _, o := range tc.osds {
+		if err := o.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tc.client.Append(ctx, "data", "hot", []byte("[after restart]")); err != nil {
+		t.Fatal(err)
+	}
+	checkConverged(writers*opsPerWriter + 1)
+}
+
+// TestOpPathAllocations pins the allocation count of a replicas=3
+// WriteFull and of a Read on the in-process cluster. At the commit
+// before placement was memoized and the fan-out goroutines reused they
+// cost 74 and 24 allocations and now cost 20 and 3; the guard leaves
+// room for the runtime's background noise but not for a goroutine per
+// peer or an acting-set computation per op to come back.
+func TestOpPathAllocations(t *testing.T) {
+	tc := bootClusterOpts(t, clusterOpts{osds: 3, replicas: 3, osd: OSDConfig{GossipInterval: time.Hour}})
+	ctx := ctxT(t, 30*time.Second)
+	data := make([]byte, 4<<10)
+	write := func() {
+		if err := tc.client.WriteFull(ctx, "data", "probe", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() {
+		if _, err := tc.client.Read(ctx, "data", "probe"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // settle the client's epoch and start the forwarder
+	const maxWrite, maxRead = 26, 7
+	if got := testing.AllocsPerRun(200, write); got >= maxWrite {
+		t.Errorf("replicas=3 WriteFull: %.1f allocs/op, want < %d", got, maxWrite)
+	} else {
+		t.Logf("replicas=3 WriteFull: %.1f allocs/op", got)
+	}
+	if got := testing.AllocsPerRun(200, read); got >= maxRead {
+		t.Errorf("Read: %.1f allocs/op, want < %d", got, maxRead)
+	} else {
+		t.Logf("Read: %.1f allocs/op", got)
+	}
+}

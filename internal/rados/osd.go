@@ -108,6 +108,7 @@ func (c *OSDConfig) defaults() {
 // scrubs in the background.
 type OSD struct {
 	cfg      OSDConfig
+	addr     wire.Addr // OSDAddr(cfg.ID)
 	net      *wire.Network
 	monc     *mon.Client
 	rt       *classRuntime
@@ -121,9 +122,18 @@ type OSD struct {
 	backend Backend
 	durable bool
 
-	mu     sync.Mutex
-	osdMap *types.OSDMap // guarded by mu
-	pgs    map[PGID]*pg  // guarded by mu
+	// view is the current OSD map with its placement table (mapView).
+	// Readers load it without a lock; updateMap swaps in a newer one
+	// while holding mu, which serializes installs so epochs only rise.
+	view atomic.Pointer[mapView]
+
+	// fwdCh hands replica forwards to idle forwarder goroutines
+	// (osd_ops.go); unbuffered, so a send succeeds only when a forwarder
+	// is parked in receive.
+	fwdCh chan fwdJob
+
+	mu  sync.Mutex
+	pgs map[PGID]*pg // guarded by mu
 	// classLive tracks the highest class version made live, for the
 	// propagation-latency instrumentation (Figure 8).
 	classLive   map[string]uint64                 // guarded by mu
@@ -177,14 +187,16 @@ type OSD struct {
 // NewOSD constructs an OSD bound to the fabric.
 func NewOSD(net *wire.Network, cfg OSDConfig) *OSD {
 	cfg.defaults()
+	addr := OSDAddr(cfg.ID)
 	o := &OSD{
 		cfg:       cfg,
+		addr:      addr,
 		net:       net,
-		monc:      mon.NewClient(net, OSDAddr(cfg.ID), cfg.Mons),
+		monc:      mon.NewClient(net, addr, cfg.Mons),
 		rt:        newClassRuntime(cfg.ClassExec),
 		rng:       rand.New(rand.NewSource(int64(cfg.ID)*7919 + 17)),
 		watchers:  newWatcherTable(),
-		osdMap:    types.NewOSDMap(),
+		fwdCh:     make(chan fwdJob),
 		pgs:       make(map[PGID]*pg),
 		replay:    make(map[replayKey]OpReply),
 		classLive: make(map[string]uint64),
@@ -196,12 +208,13 @@ func NewOSD(net *wire.Network, cfg OSDConfig) *OSD {
 		o.backend = MemBackend{}
 	}
 	o.durable = o.backend.Durable()
+	o.view.Store(newMapView(types.NewOSDMap()))
 	o.gcSeq.Store(clientIncarnation.Add(1) << 40)
 	return o
 }
 
 // Addr returns this OSD's wire address.
-func (o *OSD) Addr() wire.Addr { return OSDAddr(o.cfg.ID) }
+func (o *OSD) Addr() wire.Addr { return o.addr }
 
 // OnClassLive registers a hook invoked whenever a new class version
 // becomes live on this daemon (benchmark instrumentation).
@@ -319,11 +332,7 @@ func (o *OSD) Stop() {
 }
 
 // Epoch returns the daemon's current map epoch.
-func (o *OSD) Epoch() types.Epoch {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.osdMap.Epoch
-}
+func (o *OSD) Epoch() types.Epoch { return o.view.Load().m.Epoch }
 
 // handle is the single fabric endpoint.
 func (o *OSD) handle(ctx context.Context, from wire.Addr, req any) (any, error) {
@@ -357,12 +366,13 @@ func (o *OSD) handle(ctx context.Context, from wire.Addr, req any) (any, error) 
 // backfill for PGs whose acting sets changed.
 func (o *OSD) updateMap(m *types.OSDMap) {
 	o.mu.Lock()
-	if m.Epoch <= o.osdMap.Epoch {
+	old := o.view.Load().m
+	if m.Epoch <= old.Epoch {
 		o.mu.Unlock()
 		return
 	}
-	old := o.osdMap
-	o.osdMap = m
+	v := newMapView(m)
+	o.view.Store(v)
 	// Detect pool growth: those pools re-shard in the background
 	// ("placement group splitting", §4.4).
 	var splitPools []string
@@ -379,11 +389,8 @@ func (o *OSD) updateMap(m *types.OSDMap) {
 		}
 	}
 	hook := o.onClassLive
-	pgids := make([]PGID, 0, len(o.pgs))
-	for id := range o.pgs {
-		pgids = append(pgids, id)
-	}
 	o.mu.Unlock()
+	held := o.heldPGs() // before the split below creates new ones
 
 	if hook != nil {
 		for _, def := range liveEvents {
@@ -393,22 +400,19 @@ func (o *OSD) updateMap(m *types.OSDMap) {
 	// Re-shard resized pools first: objects whose PG changed move to the
 	// new PG's acting set via direct daemon-to-daemon pushes.
 	for _, pool := range splitPools {
-		o.splitPool(pool, m)
+		o.splitPool(v.pools[pool], m.Epoch)
 	}
 	// Re-replicate any PG data we hold to the (possibly new) acting set.
-	for _, id := range pgids {
-		o.backfillPG(id, m)
+	for _, id := range held {
+		o.backfillPG(id, v)
 	}
 }
 
 // splitPool moves objects whose placement group changed under the new
 // PG count to their new homes. Daemons converge pairwise, without the
 // monitor in the loop, exactly as the paper describes the mechanism.
-func (o *OSD) splitPool(pool string, m *types.OSDMap) {
-	pi, ok := m.Pools[pool]
-	if !ok {
-		return
-	}
+func (o *OSD) splitPool(pv *poolView, epoch types.Epoch) {
+	pool, pi := pv.name, pv.info
 	o.mu.Lock()
 	var held []*pg
 	for id, p := range o.pgs {
@@ -441,9 +445,8 @@ func (o *OSD) splitPool(pool string, m *types.OSDMap) {
 		p.mu.Unlock()
 
 		for npg, objs := range moved {
-			acting := OSDsForPG(m, pool, npg, pi.Replicas)
-			for _, peer := range acting {
-				msg := backfillMsg{Pool: pool, PG: npg, Objects: objs, Epoch: m.Epoch}
+			for _, peer := range pv.actingFor(npg) {
+				msg := backfillMsg{Pool: pool, PG: npg, Objects: objs, Epoch: epoch}
 				if peer == o.cfg.ID {
 					o.applyBackfill(msg)
 				} else {
@@ -456,12 +459,8 @@ func (o *OSD) splitPool(pool string, m *types.OSDMap) {
 }
 
 // backfillPG pushes this daemon's copy of a PG to acting-set members.
-func (o *OSD) backfillPG(id PGID, m *types.OSDMap) {
-	pi, ok := m.Pools[id.Pool]
-	if !ok {
-		return
-	}
-	acting := OSDsForPG(m, id.Pool, id.PG, pi.Replicas)
+func (o *OSD) backfillPG(id PGID, v *mapView) {
+	acting := v.actingFor(id)
 	o.mu.Lock()
 	p := o.pgs[id]
 	o.mu.Unlock()
@@ -477,7 +476,7 @@ func (o *OSD) backfillPG(id PGID, m *types.OSDMap) {
 			continue
 		}
 		o.net.Send(o.Addr(), OSDAddr(peer), backfillMsg{
-			Pool: id.Pool, PG: id.PG, Objects: objs, Epoch: m.Epoch,
+			Pool: id.Pool, PG: id.PG, Objects: objs, Epoch: v.m.Epoch,
 		})
 	}
 }
@@ -603,6 +602,17 @@ func (o *OSD) replayPut(from wire.Addr, id uint64, rep OpReply) {
 	o.replayLog = append(o.replayLog, k)
 }
 
+// heldPGs snapshots the ids of the placement groups this daemon holds.
+func (o *OSD) heldPGs() []PGID {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	ids := make([]PGID, 0, len(o.pgs))
+	for id := range o.pgs {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
 func (o *OSD) getPG(id PGID) *pg {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -633,13 +643,8 @@ func (o *OSD) gossipLoop(stop chan struct{}) {
 // gossipOnce exchanges epochs with random up peers; whichever side is
 // behind receives the full map.
 func (o *OSD) gossipOnce(stop chan struct{}) {
-	o.mu.Lock()
-	m := o.osdMap
-	peers := m.UpOSDs()
-	o.mu.Unlock()
-
 	var candidates []int
-	for _, p := range peers {
+	for _, p := range o.view.Load().up {
 		if p != o.cfg.ID {
 			candidates = append(candidates, p)
 		}
@@ -675,9 +680,7 @@ func (o *OSD) gossipOnce(stop chan struct{}) {
 				o.updateMap(g.Map)
 			} else if g.Epoch < o.Epoch() {
 				// Peer is behind: push our map.
-				o.mu.Lock()
-				push := o.osdMap.Clone()
-				o.mu.Unlock()
+				push := o.view.Load().m.Clone()
 				o.net.Send(o.Addr(), OSDAddr(peer), gossipMsg{From: o.cfg.ID, Epoch: push.Epoch, Map: push})
 			}
 		}()
@@ -689,9 +692,7 @@ func (o *OSD) handleGossip(g gossipMsg) gossipMsg {
 		o.updateMap(g.Map)
 		return gossipMsg{From: o.cfg.ID, Epoch: o.Epoch()}
 	}
-	o.mu.Lock()
-	mine := o.osdMap
-	o.mu.Unlock()
+	mine := o.view.Load().m
 	if g.Epoch < mine.Epoch {
 		// Sender is behind: attach our map to the reply.
 		return gossipMsg{From: o.cfg.ID, Epoch: mine.Epoch, Map: mine.Clone()}
@@ -741,20 +742,9 @@ func (o *OSD) scrubLoop(stop chan struct{}) {
 // scrubOnce compares replica digests for each PG this daemon leads and
 // repairs divergent replicas by pushing its authoritative copy.
 func (o *OSD) scrubOnce() {
-	o.mu.Lock()
-	m := o.osdMap
-	pgids := make([]PGID, 0, len(o.pgs))
-	for id := range o.pgs {
-		pgids = append(pgids, id)
-	}
-	o.mu.Unlock()
-
-	for _, id := range pgids {
-		pi, ok := m.Pools[id.Pool]
-		if !ok {
-			continue
-		}
-		acting := OSDsForPG(m, id.Pool, id.PG, pi.Replicas)
+	v := o.view.Load()
+	for _, id := range o.heldPGs() {
+		acting := v.actingFor(id)
 		if len(acting) == 0 || acting[0] != o.cfg.ID {
 			continue
 		}
@@ -776,7 +766,7 @@ func (o *OSD) scrubOnce() {
 				o.mu.Unlock()
 				p := o.getPG(id)
 				o.net.Send(o.Addr(), OSDAddr(peer), backfillMsg{
-					Pool: id.Pool, PG: id.PG, Objects: p.snapshot(), Epoch: m.Epoch,
+					Pool: id.Pool, PG: id.PG, Objects: p.snapshot(), Epoch: v.m.Epoch,
 					Force: true, Tombstones: p.tombstones(),
 				})
 				ctx2, cancel2 := context.WithTimeout(context.Background(), time.Second)

@@ -92,13 +92,8 @@ func (o *OSD) gcLoop(stop chan struct{}) {
 		// by an abandoned history (failover double-applies the sweep's
 		// anchors cannot expire) heal without operator action.
 		if tick%8 == 7 {
-			o.mu.Lock()
-			m := o.osdMap
-			o.mu.Unlock()
-			if m != nil {
-				for pool := range m.Pools {
-					o.RefScrub(pool)
-				}
+			for pool := range o.view.Load().pools {
+				o.RefScrub(pool)
 			}
 		}
 	}
@@ -184,22 +179,13 @@ type reclaimCand struct {
 // two-sweep rule: it is the quiesced-cluster mode harnesses drive
 // explicitly, where no write can be in flight.
 func (o *OSD) reclaimCandidates(grace time.Duration) []reclaimCand {
-	o.mu.Lock()
-	m := o.osdMap
-	pgids := make([]PGID, 0, len(o.pgs))
-	for id := range o.pgs {
-		pgids = append(pgids, id)
-	}
-	o.mu.Unlock()
+	v := o.view.Load()
+	epoch := v.m.Epoch
 	sweep := o.gcSweepN.Add(1)
 
 	var out []reclaimCand
-	for _, id := range pgids {
-		pi, ok := m.Pools[id.Pool]
-		if !ok {
-			continue
-		}
-		acting := OSDsForPG(m, id.Pool, id.PG, pi.Replicas)
+	for _, id := range o.heldPGs() {
+		acting := v.actingFor(id)
 		if len(acting) == 0 || acting[0] != o.cfg.ID {
 			continue
 		}
@@ -209,10 +195,10 @@ func (o *OSD) reclaimCandidates(grace time.Duration) []reclaimCand {
 				switch {
 				case blockRefs(e.obj) != 0 || time.Since(e.touch) < grace:
 					e.gcSweep = 0 // disqualified; any future reclaim starts over
-				case grace == 0 || (e.gcEpoch == m.Epoch && e.gcSweep > 0 && e.gcSweep < sweep):
+				case grace == 0 || (e.gcEpoch == epoch && e.gcSweep > 0 && e.gcSweep < sweep):
 					out = append(out, reclaimCand{pool: id.Pool, block: e.obj.Name})
 				default:
-					e.gcSweep, e.gcEpoch = sweep, m.Epoch
+					e.gcSweep, e.gcEpoch = sweep, epoch
 				}
 			}
 			e.mu.Unlock()
@@ -242,19 +228,12 @@ func (o *OSD) RefScrub(pool string) (repaired int) {
 		present  bool
 	}
 	var work []cited
-	o.mu.Lock()
-	m := o.osdMap
-	pgids := make([]PGID, 0, len(o.pgs))
-	for id := range o.pgs {
-		pgids = append(pgids, id)
-	}
-	o.mu.Unlock()
-	for _, id := range pgids {
-		pi, ok := m.Pools[id.Pool]
-		if !ok || id.Pool != pool {
+	v := o.view.Load()
+	for _, id := range o.heldPGs() {
+		if id.Pool != pool {
 			continue
 		}
-		acting := OSDsForPG(m, id.Pool, id.PG, pi.Replicas)
+		acting := v.actingFor(id)
 		if len(acting) == 0 || acting[0] != o.cfg.ID {
 			continue
 		}
@@ -325,14 +304,12 @@ func (o *OSD) sendBlockOp(req OpRequest) (OpReply, error) {
 				return last, ctx.Err()
 			}
 		}
-		o.mu.Lock()
-		m := o.osdMap
-		o.mu.Unlock()
-		_, acting, err := Locate(m, req.Pool, req.Object)
+		v := o.view.Load()
+		_, acting, err := v.locate(req.Pool, req.Object)
 		if err != nil {
 			return OpReply{}, err
 		}
-		req.Epoch = m.Epoch
+		req.Epoch = v.m.Epoch
 		var rep OpReply
 		if acting[0] == o.cfg.ID {
 			rep = o.handleOp(ctx, o.Addr(), req)

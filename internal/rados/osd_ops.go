@@ -21,9 +21,8 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 			o.updateMap(m)
 		}
 	}
-	o.mu.Lock()
-	m := o.osdMap
-	o.mu.Unlock()
+	v := o.view.Load()
+	m := v.m
 
 	// A call against a class this daemon does not know may be racing a
 	// just-committed install; pull the latest map once before failing.
@@ -31,9 +30,8 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 		if _, ok := m.Classes[req.Class]; !ok {
 			if fresh, err := o.monc.GetOSDMap(ctx); err == nil {
 				o.updateMap(fresh)
-				o.mu.Lock()
-				m = o.osdMap
-				o.mu.Unlock()
+				v = o.view.Load()
+				m = v.m
 			}
 		}
 	}
@@ -42,12 +40,12 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 		return OpReply{Result: EMapStale, Detail: "client map epoch out of date", Epoch: m.Epoch}
 	}
 
-	pi, ok := m.Pools[req.Pool]
-	if !ok {
+	pv := v.pools[req.Pool]
+	if pv == nil {
 		return OpReply{Result: ENOENT, Detail: "no such pool", Epoch: m.Epoch}
 	}
-	pgnum := PGForObject(req.Object, pi.PGNum)
-	acting := OSDsForPG(m, req.Pool, pgnum, pi.Replicas)
+	pgnum := PGForObject(req.Object, pv.info.PGNum)
+	acting := pv.actingFor(pgnum)
 	if len(acting) == 0 {
 		return OpReply{Result: EIO, Detail: "no OSDs up", Epoch: m.Epoch}
 	}
@@ -70,7 +68,7 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	// The single-name form (no Keys) falls through to applyOp like any
 	// read.
 	if req.Op == OpBlockStat && len(req.Keys) > 0 {
-		return o.blockStatBatch(req, m)
+		return o.blockStatBatch(req, pv, m.Epoch)
 	}
 
 	p := o.getPG(PGID{Pool: req.Pool, PG: pgnum})
@@ -119,15 +117,11 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 // write. Names whose primary is not this daemon (the client grouped
 // with a stale map) are simply not reported; the client rewrites them,
 // and OpBlockWrite on an existing block is an ack.
-func (o *OSD) blockStatBatch(req OpRequest, m *types.OSDMap) OpReply {
-	pi, ok := m.Pools[req.Pool]
-	if !ok {
-		return OpReply{Result: ENOENT, Detail: "no such pool", Epoch: m.Epoch}
-	}
+func (o *OSD) blockStatBatch(req OpRequest, pv *poolView, epoch types.Epoch) OpReply {
 	var present []string
 	for _, name := range req.Keys {
-		pgnum := PGForObject(name, pi.PGNum)
-		acting := OSDsForPG(m, req.Pool, pgnum, pi.Replicas)
+		pgnum := PGForObject(name, pv.info.PGNum)
+		acting := pv.actingFor(pgnum)
 		if len(acting) == 0 || acting[0] != o.cfg.ID {
 			continue
 		}
@@ -139,39 +133,104 @@ func (o *OSD) blockStatBatch(req OpRequest, m *types.OSDMap) OpReply {
 		}
 		e.mu.Unlock()
 	}
-	return OpReply{Result: OK, Keys: present, Epoch: m.Epoch}
+	return OpReply{Result: OK, Keys: present, Epoch: epoch}
 }
 
 // replicate forwards a committed mutation to every replica concurrently
 // and waits for all acks, so the fan-out leg costs ~1 RTT regardless of
-// replica count (primary-copy replication, §4.4).
+// replica count (primary-copy replication, §4.4). No goroutine is
+// started per op: every peer but the last is handed to a forwarder that
+// is idle right now, or to a newly started one, and the last peer's
+// forward runs here on the handler goroutine, overlapped with the
+// others because they were launched first. A forward is never queued
+// behind a busy forwarder: it can block up to ReplicaWaitTimeout on its
+// PrevVersion predecessor, and queueing that predecessor behind it
+// would turn the ~1 RTT fan-out into a timeout stall.
 func (o *OSD) replicate(ctx context.Context, req OpRequest, peers []int, epoch types.Epoch, prev, next uint64) {
 	if len(peers) == 0 {
 		return
 	}
-	fwd := req
-	fwd.Replica = true
-	fwd.Epoch = epoch
-	fwd.PrevVersion = prev
-	fwd.NewVersion = next
-	var wg sync.WaitGroup
-	for _, peer := range peers {
-		peer := peer
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			if _, err := o.net.Call(rctx, o.Addr(), OSDAddr(peer), fwd); err != nil {
-				// The replica is unreachable; durability is degraded until
-				// the beacon timeout marks it down and backfill repairs.
-				lctx, lcancel := context.WithTimeout(context.Background(), time.Second)
-				defer lcancel()
-				o.monc.Log(lctx, "warn", "replica write to "+string(OSDAddr(peer))+" failed: "+err.Error()) //nolint:errcheck
+	rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	f := &fanout{ctx: rctx, req: req}
+	f.req.Replica = true
+	f.req.Epoch = epoch
+	f.req.PrevVersion = prev
+	f.req.NewVersion = next
+	f.wg.Add(len(peers))
+	last := len(peers) - 1
+	for _, peer := range peers[:last] {
+		job := fwdJob{f: f, peer: peer}
+		select {
+		case o.fwdCh <- job:
+		default:
+			if !o.startForwarder(job) {
+				// Daemon stopping: no forwarder may start, so this peer
+				// is served in line.
+				o.forward(job)
 			}
-		}()
+		}
 	}
-	wg.Wait()
+	o.forward(fwdJob{f: f, peer: peers[last]})
+	f.wg.Wait()
+}
+
+// fanout is one replicated mutation being forwarded: the request every
+// peer receives, the deadline covering the whole fan-out, and the count
+// of forwards still outstanding.
+type fanout struct {
+	ctx context.Context
+	req OpRequest
+	wg  sync.WaitGroup
+}
+
+// fwdJob is one peer's forward of a fanout, as handed to a forwarder.
+type fwdJob struct {
+	f    *fanout
+	peer int
+}
+
+// forward sends the fan-out's request to one replica, waits for its
+// ack, and reports the job done.
+func (o *OSD) forward(job fwdJob) {
+	defer job.f.wg.Done()
+	to := OSDAddr(job.peer)
+	if _, err := o.net.Call(job.f.ctx, o.Addr(), to, job.f.req); err != nil {
+		// The replica is unreachable; durability is degraded until
+		// the beacon timeout marks it down and backfill repairs.
+		lctx, lcancel := context.WithTimeout(context.Background(), time.Second)
+		defer lcancel()
+		o.monc.Log(lctx, "warn", "replica write to "+string(to)+" failed: "+err.Error()) //nolint:errcheck
+	}
+}
+
+// startForwarder starts a forwarder goroutine of the current incarnation
+// with job as its first; false when the daemon is not running. lifeMu
+// orders the wg.Add before Stop's wg.Wait.
+func (o *OSD) startForwarder(job fwdJob) bool {
+	o.lifeMu.Lock()
+	defer o.lifeMu.Unlock()
+	if !o.running {
+		return false
+	}
+	o.wg.Add(1)
+	go o.forwarder(o.stopCh, job)
+	return true
+}
+
+// forwarder serves replica forwards until the daemon stops. Its stack,
+// grown once inside the replica's apply path, is reused by every later
+// forward — the cost a goroutine per peer per op paid each time.
+func (o *OSD) forwarder(stop chan struct{}, job fwdJob) {
+	defer o.wg.Done()
+	for {
+		o.forward(job)
+		select {
+		case job = <-o.fwdCh:
+		case <-stop:
+			return
+		}
+	}
 }
 
 // doSerialOp is the measured baseline (ReplicateSerial): one

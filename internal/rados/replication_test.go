@@ -301,22 +301,12 @@ func TestReplicaConvergenceConcurrentWriters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pgid := PGID{Pool: "data", PG: PGForObject(name, pgnum)}
-		read := func(osd *OSD) (string, uint64) {
-			e := osd.getPG(pgid).entry(name)
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			if e.obj == nil {
-				return "<tombstone>", e.ver
-			}
-			return string(e.obj.Data), e.ver
-		}
-		wantData, wantVer := read(tc.osds[acting[0]])
+		wantData, wantVer := replicaState(tc.osds[acting[0]], name)
 		if name == hot && wantVer != writers*opsPerWriter {
 			t.Errorf("%s: primary version = %d, want %d", name, wantVer, writers*opsPerWriter)
 		}
 		for _, rep := range acting[1:] {
-			gotData, gotVer := read(tc.osds[rep])
+			gotData, gotVer := replicaState(tc.osds[rep], name)
 			if gotVer != wantVer {
 				t.Errorf("%s: osd.%d version = %d, primary has %d", name, rep, gotVer, wantVer)
 			}

@@ -176,10 +176,7 @@ func (h *WatchHandle) Cancel(ctx context.Context) error {
 // the watch was lost (primary change) and should be re-registered.
 func (h *WatchHandle) Check(ctx context.Context) (bool, error) {
 	c := h.c
-	c.mu.Lock()
-	m := c.osdMap
-	c.mu.Unlock()
-	_, acting, err := Locate(m, h.pool, h.object)
+	_, acting, err := c.view.Load().locate(h.pool, h.object)
 	if err != nil {
 		return false, err
 	}
@@ -224,18 +221,12 @@ func (c *Client) Watch(ctx context.Context, pool, object string) (*WatchHandle, 
 
 // doWatch routes a watch registration to the object's primary.
 func (c *Client) doWatch(ctx context.Context, r watchReq) (OpReply, error) {
-	c.mu.Lock()
-	m := c.osdMap
-	c.mu.Unlock()
-	_, acting, err := Locate(m, r.Pool, r.Object)
+	_, acting, err := c.view.Load().locate(r.Pool, r.Object)
 	if err != nil {
 		if rerr := c.RefreshMap(ctx); rerr != nil {
 			return OpReply{}, rerr
 		}
-		c.mu.Lock()
-		m = c.osdMap
-		c.mu.Unlock()
-		_, acting, err = Locate(m, r.Pool, r.Object)
+		_, acting, err = c.view.Load().locate(r.Pool, r.Object)
 		if err != nil {
 			return OpReply{}, err
 		}
@@ -254,10 +245,7 @@ func (c *Client) doWatch(ctx context.Context, r watchReq) (OpReply, error) {
 // Notify sends payload to every watcher of the object, returning the
 // number that acknowledged.
 func (c *Client) Notify(ctx context.Context, pool, object string, payload []byte) (int, error) {
-	c.mu.Lock()
-	m := c.osdMap
-	c.mu.Unlock()
-	_, acting, err := Locate(m, pool, object)
+	_, acting, err := c.view.Load().locate(pool, object)
 	if err != nil {
 		return 0, err
 	}

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Epoch is a monotonically increasing version for a cluster map. Clients
@@ -27,7 +28,7 @@ const (
 
 // EntityName renders "kind.id", the address form used on the wire.
 func EntityName(kind string, id int) string {
-	return fmt.Sprintf("%s.%d", kind, id)
+	return kind + "." + strconv.Itoa(id)
 }
 
 // DaemonState is the lifecycle state of a daemon in a map.

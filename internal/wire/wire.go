@@ -52,10 +52,11 @@ type EndpointStats struct {
 	MaxInflight uint64
 }
 
+// endpointStat is one caller's live counters, updated without a lock.
 type endpointStat struct {
-	calls       uint64
-	inflight    uint64
-	maxInflight uint64
+	calls       atomic.Uint64
+	inflight    atomic.Uint64
+	maxInflight atomic.Uint64
 }
 
 // FaultEvent describes one runtime change to the fabric's fault state:
@@ -89,8 +90,11 @@ type Network struct {
 	drops   atomic.Uint64
 	refused atomic.Uint64
 
+	// outbound is copy-on-write: Call reads the current map with one
+	// atomic load, and only the first Call from a new address takes
+	// outMu to publish a copy holding its entry.
 	outMu    sync.Mutex
-	outbound map[Addr]*endpointStat // guarded by outMu
+	outbound atomic.Pointer[map[Addr]*endpointStat]
 }
 
 // Option configures a Network.
@@ -123,8 +127,8 @@ func NewNetwork(opts ...Option) *Network {
 		partitions: make(map[[2]Addr]bool),
 		linkDrop:   make(map[[2]Addr]float64),
 		rng:        rand.New(rand.NewSource(1)),
-		outbound:   make(map[Addr]*endpointStat),
 	}
+	n.outbound.Store(&map[Addr]*endpointStat{})
 	for _, o := range opts {
 		o(n)
 	}
@@ -229,42 +233,54 @@ func (n *Network) Stats() Stats {
 		Drops:   n.drops.Load(),
 		Refused: n.refused.Load(),
 	}
-	n.outMu.Lock()
-	defer n.outMu.Unlock()
-	s.Outbound = make(map[Addr]EndpointStats, len(n.outbound))
-	for a, e := range n.outbound {
+	out := *n.outbound.Load()
+	s.Outbound = make(map[Addr]EndpointStats, len(out))
+	for a, e := range out {
 		s.Outbound[a] = EndpointStats{
-			Calls:       e.calls,
-			Inflight:    e.inflight,
-			MaxInflight: e.maxInflight,
+			Calls:       e.calls.Load(),
+			Inflight:    e.inflight.Load(),
+			MaxInflight: e.maxInflight.Load(),
 		}
 	}
 	return s
 }
 
 // callBegin marks a Call leaving from and updates its inflight high-water
-// mark; callEnd must follow once the Call completes.
-func (n *Network) callBegin(from Addr) {
-	n.outMu.Lock()
-	defer n.outMu.Unlock()
-	e := n.outbound[from]
+// mark; callEnd on the returned entry must follow once the Call completes.
+func (n *Network) callBegin(from Addr) *endpointStat {
+	e := (*n.outbound.Load())[from]
 	if e == nil {
-		e = &endpointStat{}
-		n.outbound[from] = e
+		e = n.addOutbound(from)
 	}
-	e.calls++
-	e.inflight++
-	if e.inflight > e.maxInflight {
-		e.maxInflight = e.inflight
+	e.calls.Add(1)
+	cur := e.inflight.Add(1)
+	for {
+		hi := e.maxInflight.Load()
+		if cur <= hi || e.maxInflight.CompareAndSwap(hi, cur) {
+			return e
+		}
 	}
 }
 
-func (n *Network) callEnd(from Addr) {
+func (n *Network) callEnd(e *endpointStat) { e.inflight.Add(^uint64(0)) }
+
+// addOutbound publishes a counters entry for an address seen for the
+// first time (or returns the one a racing Call just published).
+func (n *Network) addOutbound(from Addr) *endpointStat {
 	n.outMu.Lock()
 	defer n.outMu.Unlock()
-	if e := n.outbound[from]; e != nil && e.inflight > 0 {
-		e.inflight--
+	old := *n.outbound.Load()
+	if e := old[from]; e != nil {
+		return e
 	}
+	grown := make(map[Addr]*endpointStat, len(old)+1)
+	for a, e := range old {
+		grown[a] = e
+	}
+	e := &endpointStat{}
+	grown[from] = e
+	n.outbound.Store(&grown)
+	return e
 }
 
 func pairKey(a, b Addr) [2]Addr {
@@ -334,8 +350,7 @@ func (n *Network) Call(ctx context.Context, from, to Addr, req any) (any, error)
 		return nil, err
 	}
 	n.calls.Add(1)
-	n.callBegin(from)
-	defer n.callEnd(from)
+	defer n.callEnd(n.callBegin(from))
 	if err := sleepCtx(ctx, d); err != nil {
 		return nil, err
 	}
