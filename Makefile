@@ -10,7 +10,7 @@ SEED ?= 1
 BASE ?= HEAD~1
 
 .PHONY: build test race vet lint lint-json lint-sarif lint-diff lint-fixtures \
-	bench bench-smoke bench-json chaos chaos-race cover bench-compare ci
+	bench bench-smoke bench-module bench-json chaos chaos-race cover bench-compare ci
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,11 @@ bench:
 # replay benches.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/script/ ./internal/cdc/ ./internal/wal/
+
+# The repository's benchmark (bench/) is a nested module that the root
+# module's vet and test runs do not see; vet and test it from inside.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Record the serial-vs-batched append comparison (PR 2's acceptance
 # numbers) in BENCH_pr2.json, the serial-vs-pipelined replicated
@@ -144,4 +149,4 @@ bench-compare:
 		| $(GO) run ./cmd/benchjson -compare BENCH_pr10.json -tolerance 0.30 \
 			-floor wal_group_commit_speedup=3.0 -floor wal_replay_mbps=100
 
-ci: build vet lint-sarif lint-fixtures race bench-smoke chaos cover bench-compare
+ci: build vet lint-sarif lint-fixtures race bench-smoke bench-module chaos cover bench-compare

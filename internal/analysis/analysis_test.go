@@ -374,6 +374,12 @@ func TestCrossPackageFacts(t *testing.T) {
 		t.Error("rados.(*OSD).sendBlockOp not recognized as a retry wrapper (Backoff + wire Call)")
 	}
 
+	// So does the client's batched block path: what a round of per-primary
+	// requests leaves unreported is re-sent after a map refresh.
+	if _, ok := wrappers["(*repro/internal/rados.Client).blockBatchAll"]; !ok {
+		t.Error("rados.(*Client).blockBatchAll not recognized as a retry wrapper (Backoff + wire Call)")
+	}
+
 	facts := classifyOps(idx)
 	// These expectations double as the worst-wins merge test: the WAL
 	// backend's recordOp encoder switches over the same op enum with
@@ -385,12 +391,15 @@ func TestCrossPackageFacts(t *testing.T) {
 	// The dedup block ops are resent by both retry wrappers (the client
 	// stamps OpBlockWrite, the GC sweeper stamps incref/decref/reclaim),
 	// so each must classify retry-safe on its own shape where possible:
-	// OpBlockWrite's duplicate branch makes it an absolute overwrite,
 	// incref/decref lead with existence guards and mutate through
 	// helpers (versioned), and reclaim reads the slot it tombstones
-	// (RMW), relying on the gateway upgrade below.
+	// (RMW), relying on the gateway upgrade below. OpBlockWrite's applyOp
+	// case is an absolute overwrite, but handleOp's own dispatch hands
+	// the op — a batch of such writes — to blockWriteBatch, which the
+	// case-level classifier cannot see through; worst wins, so it too
+	// rests on the gateway, as a batch's one replay-cache entry intends.
 	preClasses := map[string]opClass{
-		"OpBlockWrite":   classOverwrite,
+		"OpBlockWrite":   classDelegate,
 		"OpBlockIncref":  classVersioned,
 		"OpBlockDecref":  classVersioned,
 		"OpBlockReclaim": classRMW,
@@ -409,7 +418,7 @@ func TestCrossPackageFacts(t *testing.T) {
 	if f := facts["repro/internal/rados.OpAppend"]; f.class != classVersioned {
 		t.Errorf("OpAppend post-upgrade class = %v, want %v (handleOp's OpID replay gateway must cover applyOp)", f.class, classVersioned)
 	}
-	for _, op := range []string{"OpBlockWrite", "OpBlockDecref", "OpBlockIncref", "OpBlockReclaim", "OpBlockStat"} {
+	for _, op := range []string{"OpBlockWrite", "OpBlockDecref", "OpBlockIncref", "OpBlockReclaim", "OpBlockStat", "OpBlockRead"} {
 		f, ok := facts["repro/internal/rados."+op]
 		if !ok {
 			t.Errorf("%s not classified (missing from the applyOp dispatch?)", op)

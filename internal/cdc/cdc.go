@@ -102,6 +102,14 @@ func (c *Config) Normalize() error {
 // and hosts: a chunk boundary is part of the on-disk format.
 var gear = buildGear()
 
+// gearLS is gear shifted left one bit, for the two-byte roll in Cut.
+var gearLS = func() (t [256]uint64) {
+	for i, g := range gear {
+		t[i] = g << 1
+	}
+	return t
+}()
+
 func buildGear() [256]uint64 {
 	// splitmix64 over a pinned seed: deterministic, well-mixed 64-bit
 	// constants without carrying a 2 KiB literal table in source.
@@ -133,21 +141,50 @@ func Cut(data []byte, cfg *Config) int {
 	if norm > n {
 		norm = n
 	}
+	// Two bytes per iteration (FastCDC-2020): with gearLS = gear<<1, the
+	// first byte's fingerprint is formed already shifted for the second
+	// byte's roll — fp' = (fp<<2) + gearLS[b0] is the one-byte fp<<1, so
+	// it is tested against mask<<1 — and adding gear[b1] completes the
+	// second roll. The cut points are those of the one-byte loops below,
+	// which take the odd byte each phase may end on.
+	data = data[:n]
+	hard, easy := cfg.maskHard, cfg.maskEasy
+	hardLS, easyLS := hard<<1, easy<<1
 	var fp uint64
 	i := cfg.MinSize
 	// Below the average size: the hard mask makes cuts rare, pushing
 	// short chunks toward the average.
+	for ; i+1 < norm; i += 2 {
+		fp = (fp << 2) + gearLS[data[i]]
+		if fp&hardLS == 0 {
+			return i + 1
+		}
+		fp += gear[data[i+1]]
+		if fp&hard == 0 {
+			return i + 2
+		}
+	}
 	for ; i < norm; i++ {
 		fp = (fp << 1) + gear[data[i]]
-		if fp&cfg.maskHard == 0 {
+		if fp&hard == 0 {
 			return i + 1
 		}
 	}
 	// Past the average: the easy mask makes cuts likely, pulling long
 	// chunks back toward the average before the MaxSize backstop.
+	for ; i+1 < n; i += 2 {
+		fp = (fp << 2) + gearLS[data[i]]
+		if fp&easyLS == 0 {
+			return i + 1
+		}
+		fp += gear[data[i+1]]
+		if fp&easy == 0 {
+			return i + 2
+		}
+	}
 	for ; i < n; i++ {
 		fp = (fp << 1) + gear[data[i]]
-		if fp&cfg.maskEasy == 0 {
+		if fp&easy == 0 {
 			return i + 1
 		}
 	}

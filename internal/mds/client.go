@@ -61,8 +61,10 @@ type Client struct {
 	earlyRecall map[string]bool // guarded by mu
 	mdsMap      *types.MDSMap   // guarded by mu
 
-	// LocalOps counts operations served from a cached capability;
-	// benchmark instrumentation for Figures 5-7.
+	// localOps counts operations served from a held capability,
+	// remoteOps those a round trip served itself — a plain Next, or the
+	// acquire that fetched the capability; benchmark instrumentation
+	// for Figures 5-7.
 	localOps  int64 // guarded by mu
 	remoteOps int64 // guarded by mu
 }
@@ -465,7 +467,9 @@ func (c *Client) acquireAndNext(ctx context.Context, path string) (v uint64, ret
 	cs.value++
 	cs.used++
 	v = cs.value
-	c.localOps++
+	// The acquire round trip served this value: a remote op, like the
+	// round trip of remoteNext.
+	c.remoteOps++
 	// A best-effort grant that was already recalled yields after this
 	// one operation; delay/quota grants run to their boundary.
 	mustRelease := cs.expired(time.Now()) ||

@@ -251,8 +251,11 @@ func TestSetPolicySwitchesMode(t *testing.T) {
 	if err := cl.Open(ctx, "/seq", mds.TypeSequencer, &pol); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Next(ctx, "/seq"); err != nil {
-		t.Fatal(err)
+	// The first Next fetches the capability; the second is served from it.
+	for i := 0; i < 2; i++ {
+		if _, err := cl.Next(ctx, "/seq"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	local1, _ := cl.Stats()
 	if local1 == 0 {
@@ -268,6 +271,30 @@ func TestSetPolicySwitchesMode(t *testing.T) {
 	_, remote := cl.Stats()
 	if remote == 0 {
 		t.Fatal("expected a remote op after switching to round-trip")
+	}
+}
+
+// TestStatsCountAcquireAsRemote pins the accounting of the value an
+// acquire round trip serves: with quota-1 grants every Next crosses the
+// fabric to fetch a capability it exhausts at once, so no op is local.
+func TestStatsCountAcquireAsRemote(t *testing.T) {
+	c := boot(t, core.Options{MDSs: 1, OSDs: 2})
+	cl := newClient(t, c, "client.1")
+	ctx := ctxT(t, 10*time.Second)
+
+	pol := mds.CapPolicy{Cacheable: true, Quota: 1, Delay: 5 * time.Second}
+	if err := cl.Open(ctx, "/seq", mds.TypeSequencer, &pol); err != nil {
+		t.Fatal(err)
+	}
+	const ops = 6
+	for want := uint64(1); want <= ops; want++ {
+		v, err := cl.Next(ctx, "/seq")
+		if err != nil || v != want {
+			t.Fatalf("next = %d, %v; want %d", v, err, want)
+		}
+	}
+	if local, remote := cl.Stats(); local != 0 || remote != ops {
+		t.Fatalf("local=%d remote=%d, want 0/%d: every value came with a fresh grant", local, remote, ops)
 	}
 }
 

@@ -80,18 +80,21 @@ func (c *Client) MapEpoch() types.Epoch { return c.view.Load().m.Epoch }
 // read-only).
 func (c *Client) CachedMap() *types.OSDMap { return c.view.Load().m }
 
+// maxOpRetries is how often a client op is (re)sent through map
+// refreshes before it fails with ErrRetriesExhausted.
+const maxOpRetries = 5
+
 // do routes req to the primary OSD, retrying through map refreshes on
 // staleness or placement movement. The first retry is immediate — the
 // common case is a single EMapStale resync — and later ones back off
 // with jitter so a cluster mid-reconfiguration is not hammered.
 func (c *Client) do(ctx context.Context, req OpRequest) (OpReply, error) {
-	const maxRetries = 5
 	// One OpID for every resend of this logical operation: a retry after
 	// a lost ack becomes a replay-cache hit on the primary, not a second
 	// application of a non-idempotent op (append, class call).
 	req.OpID = c.opSeq.Add(1)
 	var last OpReply
-	for attempt := 0; attempt < maxRetries; attempt++ {
+	for attempt := 0; attempt < maxOpRetries; attempt++ {
 		if attempt > 1 {
 			if !retry.Backoff(ctx, attempt-2, 5*time.Millisecond, 80*time.Millisecond) {
 				return last, ctx.Err()

@@ -11,8 +11,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/cdc"
+	"repro/internal/retry"
 )
 
 // Content-addressed dedup data path. A deduped object is stored as a
@@ -60,7 +62,15 @@ const maxManifestLen = 1<<31 - 1
 // BlockName returns the object name addressing content.
 func BlockName(content []byte) string {
 	sum := sha256.Sum256(content)
-	return blockPrefix + hex.EncodeToString(sum[:])
+	return hashBlockName(&sum)
+}
+
+// hashBlockName returns the block object name for a content hash.
+func hashBlockName(sum *[HashSize]byte) string {
+	var name [len(blockPrefix) + 2*HashSize]byte
+	copy(name[:], blockPrefix)
+	hex.Encode(name[len(blockPrefix):], sum[:])
+	return string(name[:])
 }
 
 // IsBlockName reports whether an object name addresses a dedup block.
@@ -164,7 +174,7 @@ func DecodeManifest(data []byte) (m *Manifest, ok bool, err error) {
 func (m *Manifest) blockNames() map[string]bool {
 	set := make(map[string]bool, len(m.Chunks))
 	for i := range m.Chunks {
-		set[blockPrefix+hex.EncodeToString(m.Chunks[i].Hash[:])] = true
+		set[hashBlockName(&m.Chunks[i].Hash)] = true
 	}
 	return set
 }
@@ -285,15 +295,23 @@ type DedupStats struct {
 	StoredBytes int
 }
 
-// dedupWriteFanout bounds the concurrent missing-block writes of one
-// WriteDeduped (mirroring the replica fan-out bound of the PR-3 write
-// pipeline: enough to hide per-block RTTs, not enough to stampede).
-const dedupWriteFanout = 8
+// maxBlockBatchBytes bounds the block payload one batched block write
+// (or one batched read's reply) covers; a primary's share beyond it
+// goes out as further requests, one after another. A stat carries only
+// names and is never split.
+const maxBlockBatchBytes = 4 << 20
+
+// dedupBlock is one unique block of a deduped object, client side.
+type dedupBlock struct {
+	name string
+	data []byte // nil until fetched, on the read path
+	size int
+}
 
 // WriteDeduped stores data under object as a content-addressed
 // manifest: the payload is FastCDC-chunked, one batched OpBlockStat per
-// primary discovers which blocks the cluster already holds, only the
-// missing blocks are written (bounded parallel fan-out), and a compact
+// primary discovers which blocks the cluster already holds, the missing
+// blocks go out as one batched OpBlockWrite per primary, and a compact
 // manifest lands last — so a crash mid-write leaves orphaned refs=0
 // blocks for the GC grace sweep, never a manifest with missing blocks.
 // cfg may be nil for the default chunking parameters.
@@ -302,38 +320,43 @@ func (c *Client) WriteDeduped(ctx context.Context, pool, object string, data []b
 	if err != nil {
 		return DedupStats{}, err
 	}
-	man := &Manifest{TotalLen: len(data)}
-	content := make(map[string][]byte, len(chunks)) // unique block -> bytes
-	for _, ch := range chunks {
+	man := &Manifest{TotalLen: len(data), Chunks: make([]ManifestChunk, len(chunks))}
+	seen := make(map[[HashSize]byte]struct{}, len(chunks))
+	blocks := make([]dedupBlock, 0, len(chunks))
+	for i, ch := range chunks {
 		piece := data[ch.Off : ch.Off+ch.Len]
-		var mc ManifestChunk
+		mc := &man.Chunks[i]
 		mc.Hash = sha256.Sum256(piece)
 		mc.Len = ch.Len
-		man.Chunks = append(man.Chunks, mc)
-		name := blockPrefix + hex.EncodeToString(mc.Hash[:])
-		if _, ok := content[name]; !ok {
-			content[name] = piece
+		if _, dup := seen[mc.Hash]; !dup {
+			seen[mc.Hash] = struct{}{}
+			blocks = append(blocks, dedupBlock{name: hashBlockName(&mc.Hash), data: piece, size: ch.Len})
 		}
 	}
-	stats := DedupStats{TotalBytes: len(data), Chunks: len(chunks), UniqueBlocks: len(content)}
+	stats := DedupStats{TotalBytes: len(data), Chunks: len(chunks), UniqueBlocks: len(blocks)}
 
-	present, err := c.statBlocks(ctx, pool, content)
-	if err != nil {
-		return stats, err
+	// A block no primary reports — absent, or grouped with a stale map —
+	// is written: OpBlockWrite on an existing block is an ack, so a stale
+	// map costs wire bytes, never correctness.
+	all := make([]int, len(blocks))
+	for i := range all {
+		all[i] = i
 	}
-	var missing []string
-	for name := range content {
-		if !present[name] {
-			missing = append(missing, name)
+	present := make([]bool, len(blocks))
+	if _, err := c.blockBatch(ctx, OpRequest{Pool: pool, Op: OpBlockStat}, blocks, all,
+		func(i int, _ *OpReply, _ int) { present[i] = true }); err != nil {
+		return stats, fmt.Errorf("rados: %s: %w", object, err)
+	}
+	missing := all[:0]
+	for i := range blocks {
+		if !present[i] {
+			missing = append(missing, i)
+			stats.WireBytes += blocks[i].size
 		}
 	}
-	sort.Strings(missing)
-	if err := c.writeBlocks(ctx, pool, missing, content); err != nil {
-		return stats, err
-	}
-	for _, name := range missing {
-		stats.NewBlocks++
-		stats.WireBytes += len(content[name])
+	stats.NewBlocks = len(missing)
+	if err := c.blockBatchAll(ctx, OpRequest{Pool: pool, Op: OpBlockWrite}, blocks, missing, nil); err != nil {
+		return stats, fmt.Errorf("rados: %s: %w", object, err)
 	}
 
 	enc := EncodeManifest(man)
@@ -346,101 +369,126 @@ func (c *Client) WriteDeduped(ctx context.Context, pool, object string, data []b
 	return stats, nil
 }
 
-// statBlocks asks, with one batched OpBlockStat per primary OSD, which
-// block names already exist. Grouping uses the cached map as a routing
-// hint; a block whose primary moved mid-flight simply goes unreported
-// and is rewritten — OpBlockWrite on an existing block is an ack, so a
-// stale map costs wire bytes, never correctness.
-func (c *Client) statBlocks(ctx context.Context, pool string, content map[string][]byte) (map[string]bool, error) {
+// blockBatch sends the block op req describes (its Pool and Op) for
+// blocks[i], i in idx: one request per primary the cached map names,
+// carrying everything that primary gets — block names, plus contents
+// for OpBlockWrite — with the groups in flight together and the last on
+// the caller's goroutine. Every primary answers with the names it
+// handled, in request order; handled (if not nil, never concurrently)
+// is called for each with the reply and the name's position in it. The
+// indices no primary reported are returned: blocks the cached map
+// places nowhere or, when the map is stale, on a daemon that no longer
+// leads them.
+func (c *Client) blockBatch(ctx context.Context, req OpRequest, blocks []dedupBlock, idx []int,
+	handled func(i int, rep *OpReply, at int)) (unreported []int, err error) {
 	v := c.view.Load()
-	groups := make(map[int][]string)
-	for name := range content {
-		_, acting, err := v.locate(pool, name)
-		if err != nil || len(acting) == 0 {
-			// No placement yet: treat as absent; the write path will
-			// locate it with retries.
+	groups := make(map[int][]int) // primary -> indices into blocks
+	for _, i := range idx {
+		_, acting, lerr := v.locate(req.Pool, blocks[i].name)
+		if lerr != nil || len(acting) == 0 {
+			unreported = append(unreported, i)
 			continue
 		}
-		groups[acting[0]] = append(groups[acting[0]], name)
+		groups[acting[0]] = append(groups[acting[0]], i)
 	}
-	present := make(map[string]bool, len(content))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errs := make(chan error, len(groups))
-	for _, names := range groups {
-		names := names
-		sort.Strings(names)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rep, err := c.do(ctx, OpRequest{Pool: pool, Object: names[0], Op: OpBlockStat, Keys: names})
-			if err != nil {
-				errs <- err
-				return
+
+	var mu sync.Mutex // guards unreported, err and calls of handled
+	send := func(ctx context.Context, group []int) {
+		for len(group) > 0 {
+			n := len(group)
+			if req.Op != OpBlockStat {
+				n = 0
+				for size := 0; n < len(group) && (n == 0 || size+blocks[group[n]].size <= maxBlockBatchBytes); n++ {
+					size += blocks[group[n]].size
+				}
 			}
-			if err := ErrFor(rep.Result, rep.Detail); err != nil {
-				errs <- err
-				return
+			r := req
+			r.Object = blocks[group[0]].name
+			if r.Op == OpBlockWrite {
+				r.Blocks = make([]BlockOp, n)
+				for k, i := range group[:n] {
+					r.Blocks[k] = BlockOp{Name: blocks[i].name, Data: blocks[i].data}
+				}
+			} else {
+				r.Keys = make([]string, n)
+				for k, i := range group[:n] {
+					r.Keys[k] = blocks[i].name
+				}
+			}
+			rep, derr := c.do(ctx, r)
+			if derr == nil {
+				derr = ErrFor(rep.Result, rep.Detail)
 			}
 			mu.Lock()
-			for _, name := range rep.Keys {
-				present[name] = true
+			if derr != nil {
+				if err == nil {
+					err = fmt.Errorf("%s %s: %w", r.Op, r.Object, derr)
+				}
+				mu.Unlock()
+				return
+			}
+			at := 0
+			for _, i := range group[:n] {
+				if at == len(rep.Keys) || rep.Keys[at] != blocks[i].name {
+					unreported = append(unreported, i)
+					continue
+				}
+				if handled != nil {
+					handled(i, &rep, at)
+				}
+				at++
 			}
 			mu.Unlock()
-		}()
+			group = group[n:]
+		}
 	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, err
-	}
-	return present, nil
-}
-
-// writeBlocks ships the missing blocks with a bounded worker fan-out.
-func (c *Client) writeBlocks(ctx context.Context, pool string, missing []string, content map[string][]byte) error {
-	if len(missing) == 0 {
-		return nil
-	}
-	workers := dedupWriteFanout
-	if workers > len(missing) {
-		workers = len(missing)
-	}
-	work := make(chan string, len(missing))
-	for _, name := range missing {
-		work <- name
-	}
-	close(work)
-	errs := make(chan error, workers)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	left := len(groups)
+	for _, group := range groups {
+		if left--; left == 0 {
+			send(ctx, group)
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for name := range work {
-				rep, err := c.do(ctx, OpRequest{Pool: pool, Object: name, Op: OpBlockWrite, Data: content[name]})
-				if err == nil {
-					err = ErrFor(rep.Result, rep.Detail)
-				}
-				if err != nil {
-					errs <- fmt.Errorf("rados: write block %s: %w", name, err)
-					return
-				}
-			}
+			send(ctx, group)
 		}()
 	}
 	wg.Wait()
-	close(errs)
-	return <-errs
+	return unreported, err
+}
+
+// blockBatchAll is blockBatch for the ops that must reach every block
+// (write, read): what a round leaves unreported is re-sent after a map
+// refresh, within the retry budget of any client op.
+func (c *Client) blockBatchAll(ctx context.Context, req OpRequest, blocks []dedupBlock, idx []int,
+	handled func(i int, rep *OpReply, at int)) error {
+	for attempt := 0; ; attempt++ {
+		rest, err := c.blockBatch(ctx, req, blocks, idx, handled)
+		if err != nil || len(rest) == 0 {
+			return err
+		}
+		if attempt == maxOpRetries-1 {
+			return fmt.Errorf("%s %s: %w", req.Op, blocks[rest[0]].name, ErrRetriesExhausted)
+		}
+		if attempt > 0 && !retry.Backoff(ctx, attempt-1, 5*time.Millisecond, 80*time.Millisecond) {
+			return ctx.Err()
+		}
+		if err := c.RefreshMap(ctx); err != nil {
+			return err
+		}
+		idx = rest
+	}
 }
 
 // ReadDeduped returns the logical bytestream of an object written by
-// WriteDeduped, fetching each unique block once (in parallel) and
-// reassembling extents in manifest order. An object that is not a
-// manifest is returned as-is, so ReadDeduped is safe on any object.
-// The per-block reads alias the OSD's stored slices end to end on the
-// in-process fabric; the single copy is the reassembly into the
-// contiguous result.
+// WriteDeduped, fetching each unique block once — one batched
+// OpBlockRead per primary — and reassembling extents in manifest order.
+// An object that is not a manifest is returned as-is, so ReadDeduped is
+// safe on any object. The block reads alias the OSD's stored slices end
+// to end on the in-process fabric; the single copy is the reassembly
+// into the contiguous result.
 func (c *Client) ReadDeduped(ctx context.Context, pool, object string) ([]byte, error) {
 	raw, err := c.Read(ctx, pool, object)
 	if err != nil {
@@ -454,57 +502,38 @@ func (c *Client) ReadDeduped(ctx context.Context, pool, object string) ([]byte, 
 		return nil, fmt.Errorf("rados: %s: corrupt manifest: %w", object, err)
 	}
 
-	blocks := make(map[string][]byte, len(man.Chunks))
-	for name := range man.blockNames() {
-		blocks[name] = nil
+	index := make(map[[HashSize]byte]int, len(man.Chunks)) // hash -> position in blocks
+	blocks := make([]dedupBlock, 0, len(man.Chunks))
+	all := make([]int, 0, len(man.Chunks))
+	extent := make([]int, len(man.Chunks)) // chunk -> position in blocks
+	for i := range man.Chunks {
+		ch := &man.Chunks[i]
+		at, dup := index[ch.Hash]
+		if !dup {
+			at = len(blocks)
+			index[ch.Hash] = at
+			all = append(all, at)
+			blocks = append(blocks, dedupBlock{name: hashBlockName(&ch.Hash), size: ch.Len})
+		}
+		extent[i] = at
 	}
-	names := make([]string, 0, len(blocks))
-	for name := range blocks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	workers := dedupWriteFanout
-	if workers > len(names) {
-		workers = len(names)
-	}
-	work := make(chan string, len(names))
-	for _, name := range names {
-		work <- name
-	}
-	close(work)
-	errs := make(chan error, workers)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for name := range work {
-				data, err := c.Read(ctx, pool, name)
-				if err != nil {
-					errs <- fmt.Errorf("rados: %s: block %s: %w", object, name, err)
-					return
-				}
-				mu.Lock()
-				blocks[name] = data
-				mu.Unlock()
+	err = c.blockBatchAll(ctx, OpRequest{Pool: pool, Op: OpBlockRead}, blocks, all,
+		func(i int, rep *OpReply, at int) {
+			if at < len(rep.Blocks) {
+				blocks[i].data = rep.Blocks[at]
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, err
+		})
+	if err != nil {
+		return nil, fmt.Errorf("rados: %s: %w", object, err)
 	}
 
 	out := make([]byte, 0, man.TotalLen)
 	for i := range man.Chunks {
-		name := blockPrefix + hex.EncodeToString(man.Chunks[i].Hash[:])
-		b := blocks[name]
-		if len(b) != man.Chunks[i].Len {
-			return nil, fmt.Errorf("rados: %s: block %s is %d bytes, manifest says %d", object, name, len(b), man.Chunks[i].Len)
+		b := &blocks[extent[i]]
+		if len(b.data) != man.Chunks[i].Len {
+			return nil, fmt.Errorf("rados: %s: block %s is %d bytes, manifest says %d", object, b.name, len(b.data), man.Chunks[i].Len)
 		}
-		out = append(out, b...)
+		out = append(out, b.data...)
 	}
 	return out, nil
 }

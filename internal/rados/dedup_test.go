@@ -341,10 +341,10 @@ func TestBlockStatBatch(t *testing.T) {
 		}
 	}
 	absent := BlockName([]byte("never written"))
-	present, err := tc.client.statBlocks(ctx, "data", map[string][]byte{
-		names[0]: nil, names[5] + "": nil, names[11]: nil, absent: nil,
-	})
-	if err != nil {
+	blocks := []dedupBlock{{name: names[0]}, {name: names[5]}, {name: names[11]}, {name: absent}}
+	present := make(map[string]bool)
+	if _, err := tc.client.blockBatch(ctx, OpRequest{Pool: "data", Op: OpBlockStat}, blocks, []int{0, 1, 2, 3},
+		func(i int, _ *OpReply, _ int) { present[blocks[i].name] = true }); err != nil {
 		t.Fatal(err)
 	}
 	if !present[names[0]] || !present[names[5]] || !present[names[11]] {

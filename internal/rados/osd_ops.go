@@ -63,17 +63,23 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 		}
 	}
 
-	// Batched block presence probe: req.Keys spans many objects (and so
-	// many PGs of this primary), so it cannot ride the per-object path.
-	// The single-name form (no Keys) falls through to applyOp like any
-	// read.
-	if req.Op == OpBlockStat && len(req.Keys) > 0 {
-		return o.blockStatBatch(req, pv, m.Epoch)
+	// Block batches name many objects (and so many PGs of this daemon),
+	// so they cannot ride the per-object path below. OpBlockStat's
+	// single-name form (no Keys) falls through to applyOp like any read.
+	switch req.Op {
+	case OpBlockStat:
+		if len(req.Keys) > 0 {
+			return o.blockStatBatch(req, pv, m.Epoch)
+		}
+	case OpBlockRead:
+		return o.blockReadBatch(req, pv, m.Epoch)
+	case OpBlockWrite:
+		return o.blockWriteBatch(ctx, from, req, pv, m)
 	}
 
 	p := o.getPG(PGID{Pool: req.Pool, PG: pgnum})
 	if req.Replica {
-		rep := o.applyReplicaOp(ctx, p, req, m)
+		rep := o.applyReplicaOp(ctx, p, req, m, time.Now().Add(o.cfg.ReplicaWaitTimeout))
 		if rep.Result == OK {
 			if err := o.commitDurable(); err != nil {
 				return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
@@ -111,21 +117,33 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	return reply
 }
 
+// ledPG returns the placement group holding name and its acting set
+// when this daemon is the PG's primary, and a nil PG otherwise. The
+// block batch handlers skip names they do not lead: the client grouped
+// them with a stale map, sees them missing from the reply, and re-sends
+// them to their real primary after a refresh.
+func (o *OSD) ledPG(pv *poolView, name string) (*pg, []int) {
+	pgnum := PGForObject(name, pv.info.PGNum)
+	acting := pv.actingFor(pgnum)
+	if len(acting) == 0 || acting[0] != o.cfg.ID {
+		return nil, nil
+	}
+	return o.getPG(PGID{Pool: pv.name, PG: pgnum}), acting
+}
+
 // blockStatBatch answers which of req.Keys exist on this daemon,
 // touching each found block's reclaim clock so the caller's grace
 // window opens from "you told me it exists", not from the block's last
-// write. Names whose primary is not this daemon (the client grouped
-// with a stale map) are simply not reported; the client rewrites them,
-// and OpBlockWrite on an existing block is an ack.
+// write. A name this daemon does not lead is simply not reported; the
+// client writes it, and OpBlockWrite on an existing block is an ack.
 func (o *OSD) blockStatBatch(req OpRequest, pv *poolView, epoch types.Epoch) OpReply {
 	var present []string
 	for _, name := range req.Keys {
-		pgnum := PGForObject(name, pv.info.PGNum)
-		acting := pv.actingFor(pgnum)
-		if len(acting) == 0 || acting[0] != o.cfg.ID {
+		p, _ := o.ledPG(pv, name)
+		if p == nil {
 			continue
 		}
-		e := o.getPG(PGID{Pool: req.Pool, PG: pgnum}).entry(name)
+		e := p.entry(name)
 		e.mu.Lock()
 		if e.obj != nil {
 			e.touch = time.Now()
@@ -134,6 +152,125 @@ func (o *OSD) blockStatBatch(req OpRequest, pv *poolView, epoch types.Epoch) OpR
 		e.mu.Unlock()
 	}
 	return OpReply{Result: OK, Keys: present, Epoch: epoch}
+}
+
+// blockReadBatch returns, in one reply, the bytes of every block of
+// req.Keys this daemon leads: reply.Keys names them in request order
+// and reply.Blocks[i] aliases the stored slice of reply.Keys[i], as a
+// single read's Data does. A led block that does not exist fails the
+// whole batch ENOENT, named in Detail — the reader cannot assemble its
+// object without it.
+func (o *OSD) blockReadBatch(req OpRequest, pv *poolView, epoch types.Epoch) OpReply {
+	names := make([]string, 0, len(req.Keys))
+	blocks := make([][]byte, 0, len(req.Keys))
+	for _, name := range req.Keys {
+		p, _ := o.ledPG(pv, name)
+		if p == nil {
+			continue
+		}
+		e := p.entry(name)
+		e.mu.Lock()
+		found := e.obj != nil
+		var data []byte
+		if found {
+			data = e.obj.Data // under the lock, as OpRead: the name need not be a block's
+		}
+		e.mu.Unlock()
+		if !found {
+			return OpReply{Result: ENOENT, Detail: "block " + name, Epoch: epoch}
+		}
+		names = append(names, name)
+		blocks = append(blocks, data)
+	}
+	return OpReply{Result: OK, Keys: names, Blocks: blocks, Epoch: epoch}
+}
+
+// blockWriteBatch is OpBlockWrite: a batch of create-if-absent block
+// writes, of which a client's single-block form (Object/Data, no
+// Blocks) is the batch of one. On the primary every entry's content hash is
+// checked before anything is stored, so a bad entry rejects the whole
+// batch EINVAL. Then each entry this daemon leads takes the ordinary
+// per-object step — slot lock, apply, journal record — and the batch
+// as a whole takes one journal commit, one replay-cache entry and one
+// forward per replica peer, carrying the entries whose acting set holds
+// that peer with their version stamps. reply.Keys names the entries
+// stored or already present.
+func (o *OSD) blockWriteBatch(ctx context.Context, from wire.Addr, req OpRequest, pv *poolView, m *types.OSDMap) OpReply {
+	blocks := req.Blocks
+	if len(blocks) == 0 {
+		blocks = []BlockOp{{Name: req.Object, Data: req.Data}}
+	}
+	if req.Replica {
+		return o.applyReplicaBlocks(ctx, blocks, pv, m)
+	}
+	for i := range blocks {
+		if BlockName(blocks[i].Data) != blocks[i].Name {
+			return OpReply{Result: EINVAL, Detail: "block content does not match its name: " + blocks[i].Name, Epoch: m.Epoch}
+		}
+	}
+
+	entry := OpRequest{Pool: req.Pool, Op: OpBlockWrite}
+	reply := OpReply{Result: OK, Keys: make([]string, 0, len(blocks)), Epoch: m.Epoch}
+	var forwards map[int][]BlockOp // replica peer -> the entries it must apply
+	mutated := false
+	for i := range blocks {
+		p, acting := o.ledPG(pv, blocks[i].Name)
+		if p == nil {
+			continue
+		}
+		entry.Object, entry.Data = blocks[i].Name, blocks[i].Data
+		e := p.entry(entry.Object)
+		e.mu.Lock()
+		prev := e.ver
+		rep, created := o.applyOp(e, entry, m)
+		if created {
+			o.recordOp(p, e, entry)
+		}
+		e.mu.Unlock()
+		reply.Keys = append(reply.Keys, entry.Object)
+		reply.Version = rep.Version // the single-block form's stamp
+		if !created {
+			continue
+		}
+		mutated = true
+		for _, peer := range acting[1:] {
+			if forwards == nil {
+				forwards = make(map[int][]BlockOp)
+			}
+			forwards[peer] = append(forwards[peer], BlockOp{
+				Name: entry.Object, Data: entry.Data, PrevVersion: prev, NewVersion: rep.Version,
+			})
+		}
+	}
+	if !mutated {
+		return reply
+	}
+	if err := o.commitDurable(); err != nil {
+		return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
+	}
+	if req.OpID != 0 {
+		o.replayPut(from, req.OpID, reply)
+	}
+	o.replicateBlocks(ctx, req.Pool, forwards, m.Epoch)
+	return reply
+}
+
+// applyReplicaBlocks applies a primary's block sub-batch: each entry
+// under applyReplicaOp's ordering rule on its own slot, all against one
+// wait deadline, then one journal commit and one ack for the batch.
+func (o *OSD) applyReplicaBlocks(ctx context.Context, blocks []BlockOp, pv *poolView, m *types.OSDMap) OpReply {
+	deadline := time.Now().Add(o.cfg.ReplicaWaitTimeout)
+	entry := OpRequest{Pool: pv.name, Op: OpBlockWrite, Replica: true}
+	for i := range blocks {
+		entry.Object, entry.Data = blocks[i].Name, blocks[i].Data
+		entry.PrevVersion, entry.NewVersion = blocks[i].PrevVersion, blocks[i].NewVersion
+		p := o.getPG(PGID{Pool: pv.name, PG: PGForObject(entry.Object, pv.info.PGNum)})
+		o.applyReplicaOp(ctx, p, entry, m, deadline)
+	}
+	if err := o.commitDurable(); err != nil {
+		return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
+	}
+	return OpReply{Result: OK, Epoch: m.Epoch}
 }
 
 // replicate forwards a committed mutation to every replica concurrently
@@ -159,25 +296,58 @@ func (o *OSD) replicate(ctx context.Context, req OpRequest, peers []int, epoch t
 	f.req.NewVersion = next
 	f.wg.Add(len(peers))
 	last := len(peers) - 1
-	for _, peer := range peers[:last] {
-		job := fwdJob{f: f, peer: peer}
-		select {
-		case o.fwdCh <- job:
-		default:
-			if !o.startForwarder(job) {
-				// Daemon stopping: no forwarder may start, so this peer
-				// is served in line.
-				o.forward(job)
-			}
-		}
+	for i, peer := range peers {
+		o.dispatch(fwdJob{f: f, peer: peer, req: &f.req}, i == last)
 	}
-	o.forward(fwdJob{f: f, peer: peers[last]})
 	f.wg.Wait()
 }
 
-// fanout is one replicated mutation being forwarded: the request every
-// peer receives, the deadline covering the whole fan-out, and the count
-// of forwards still outstanding.
+// replicateBlocks is replicate for a block batch: every peer receives
+// its own request, holding only the entries it replicates. Under
+// ReplicateSerial the peers are contacted one after another, as
+// doSerialOp does; the per-PG admission window does not apply, because a
+// batch spans PGs and create-if-absent blocks have no order to pin.
+func (o *OSD) replicateBlocks(ctx context.Context, pool string, forwards map[int][]BlockOp, epoch types.Epoch) {
+	if len(forwards) == 0 {
+		return
+	}
+	rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	f := &fanout{ctx: rctx}
+	f.wg.Add(len(forwards))
+	left := len(forwards)
+	for peer, blocks := range forwards {
+		left--
+		o.dispatch(fwdJob{f: f, peer: peer, req: &OpRequest{
+			Pool: pool, Object: blocks[0].Name, Epoch: epoch, Op: OpBlockWrite,
+			Blocks: blocks, Replica: true,
+		}}, left == 0 || o.cfg.Replication == ReplicateSerial)
+	}
+	f.wg.Wait()
+}
+
+// dispatch starts one forward of a fan-out: in line for the last peer,
+// otherwise on a forwarder that is idle right now or a newly started
+// one.
+func (o *OSD) dispatch(job fwdJob, last bool) {
+	if last {
+		o.forward(job)
+		return
+	}
+	select {
+	case o.fwdCh <- job:
+	default:
+		if !o.startForwarder(job) {
+			// Daemon stopping: no forwarder may start, so this peer
+			// is served in line.
+			o.forward(job)
+		}
+	}
+}
+
+// fanout is one replicated mutation being forwarded: the deadline
+// covering the whole fan-out, the count of forwards still outstanding,
+// and — when every peer receives the same request — that request.
 type fanout struct {
 	ctx context.Context
 	req OpRequest
@@ -188,6 +358,7 @@ type fanout struct {
 type fwdJob struct {
 	f    *fanout
 	peer int
+	req  *OpRequest
 }
 
 // forward sends the fan-out's request to one replica, waits for its
@@ -195,7 +366,7 @@ type fwdJob struct {
 func (o *OSD) forward(job fwdJob) {
 	defer job.f.wg.Done()
 	to := OSDAddr(job.peer)
-	if _, err := o.net.Call(job.f.ctx, o.Addr(), to, job.f.req); err != nil {
+	if _, err := o.net.Call(job.f.ctx, o.Addr(), to, *job.req); err != nil {
 		// The replica is unreachable; durability is degraded until
 		// the beacon timeout marks it down and backfill repairs.
 		lctx, lcancel := context.WithTimeout(context.Background(), time.Second)
@@ -286,15 +457,15 @@ func (o *OSD) doSerialOp(ctx context.Context, from wire.Addr, p *pg, req OpReque
 // version order. A forward that arrives ahead of its predecessor (the
 // parallel fan-outs of two writes to one object can cross on the
 // fabric) buffers on the slot's applied channel until the local version
-// catches up to PrevVersion, bounded by ReplicaWaitTimeout; on expiry
+// catches up to PrevVersion, bounded by deadline (ReplicaWaitTimeout
+// from the forward's arrival); on expiry
 // it applies anyway — the primary's stamp still lands via NewVersion
 // and scrub repairs any residual divergence. A forward that arrives
 // after a newer mutation already applied is dropped as a stale
 // duplicate rather than regressing state.
-func (o *OSD) applyReplicaOp(ctx context.Context, p *pg, req OpRequest, m *types.OSDMap) OpReply {
+func (o *OSD) applyReplicaOp(ctx context.Context, p *pg, req OpRequest, m *types.OSDMap, deadline time.Time) OpReply {
 	e := p.entry(req.Object)
 	e.mu.Lock()
-	deadline := time.Now().Add(o.cfg.ReplicaWaitTimeout)
 	for e.ver < req.PrevVersion {
 		ch := e.applied
 		e.mu.Unlock()
@@ -508,9 +679,8 @@ func (o *OSD) applyOp(e *objEntry, req OpRequest, m *types.OSDMap) (OpReply, boo
 			e.touch = time.Now()
 			return OpReply{Result: OK, Version: e.ver}, false
 		}
-		if !req.Replica && BlockName(req.Data) != req.Object {
-			return OpReply{Result: EINVAL, Detail: "block content does not match its name"}, false
-		}
+		// blockWriteBatch, the only caller, has checked the content
+		// against the name.
 		obj := e.materializeLocked(req.Object)
 		obj.Data = append([]byte(nil), req.Data...)
 		e.bumpLocked()

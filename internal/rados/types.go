@@ -39,17 +39,18 @@ const (
 	// Dedup block operations (content-addressed immutable blocks named
 	// by their SHA-256; see dedup.go).
 	OpBlockStat    // which of req.Keys exist here (batched presence probe; read-touches the reclaim clock)
-	OpBlockWrite   // create-if-absent write of one block; a duplicate is an ack + touch, never a rewrite
+	OpBlockWrite   // create-if-absent write of req.Blocks (or the one block Object/Data); a duplicate is an ack + touch, never a rewrite
 	OpBlockIncref  // add req.Count manifest references to a block
 	OpBlockDecref  // drop req.Count manifest references from a block
 	OpBlockReclaim // remove the block iff unreferenced and outside the grace window (req.Count ns)
+	OpBlockRead    // the bytes of every block of req.Keys this primary leads, in one reply
 )
 
 func (o OpCode) String() string {
 	names := [...]string{"read", "write-full", "append", "stat", "remove",
 		"create", "omap-get", "omap-set", "omap-del", "omap-list",
 		"getxattr", "setxattr", "call",
-		"block-stat", "block-write", "block-incref", "block-decref", "block-reclaim"}
+		"block-stat", "block-write", "block-incref", "block-decref", "block-reclaim", "block-read"}
 	if int(o) < len(names) {
 		return names[o]
 	}
@@ -151,6 +152,9 @@ type OpRequest struct {
 	// OpBlockReclaim (re-checked under the block's slot lock so a
 	// concurrent stat or incref wins the race against the sweeper).
 	Count int64
+	// Blocks is the batched form of OpBlockWrite: every block the sender
+	// has for this daemon, in one request (see BlockOp).
+	Blocks []BlockOp
 
 	// Replica marks a primary-to-replica forward; replicas apply without
 	// re-forwarding.
@@ -161,9 +165,18 @@ type OpRequest struct {
 	// the parallel fan-out) and lands on NewVersion afterwards.
 	PrevVersion uint64
 	NewVersion  uint64
-	// ExpectedVersion, when > 0 with OpCall/writes, is reserved for
-	// optimistic guards (unused by the shipped classes).
-	ExpectedVersion uint64
+}
+
+// BlockOp is one entry of a batched OpBlockWrite. A client fills Name
+// and Data; on a primary-to-replica forward each entry also carries the
+// primary's version stamps for that block, with the meaning of
+// OpRequest.PrevVersion/NewVersion — the entries of one batch are
+// independent objects, each ordered on its own slot.
+type BlockOp struct {
+	Name        string
+	Data        []byte
+	PrevVersion uint64
+	NewVersion  uint64
 }
 
 // OpReply carries the result of an OpRequest.
@@ -174,11 +187,14 @@ type OpRequest struct {
 // written in place — a handler that wants a scratch buffer must clone
 // first (the cowalias pass machine-checks this).
 type OpReply struct {
-	Result  ResultCode
-	Detail  string
-	Data    []byte
-	KV      map[string][]byte
-	Keys    []string
+	Result ResultCode
+	Detail string
+	Data   []byte
+	KV     map[string][]byte
+	Keys   []string
+	// Blocks is OpBlockRead's payload: Blocks[i] holds the bytes of the
+	// block Keys[i] names.
+	Blocks  [][]byte
 	Version uint64      // object version after the op
 	Size    int64       // OpStat
 	Epoch   types.Epoch // daemon's map epoch (lets stale clients resync)

@@ -191,11 +191,17 @@ func walCluster(t *testing.T, dir string) (*wire.Network, *mon.Client, *OSD, *Cl
 
 func startWALOSD(t *testing.T, net *wire.Network, dir string) *OSD {
 	t.Helper()
+	return startWALOSDAs(t, net, 0, dir)
+}
+
+// startWALOSDAs starts osd.<id> over the WAL directory dir.
+func startWALOSDAs(t *testing.T, net *wire.Network, id int, dir string) *OSD {
+	t.Helper()
 	be, err := OpenWALBackend(dir, WALBackendOptions{})
 	if err != nil {
 		t.Fatalf("open backend: %v", err)
 	}
-	o := NewOSD(net, OSDConfig{ID: 0, Mons: []int{0}, GossipInterval: 20 * time.Millisecond, Backend: be})
+	o := NewOSD(net, OSDConfig{ID: id, Mons: []int{0}, GossipInterval: 20 * time.Millisecond, Backend: be})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := o.Start(ctx); err != nil {
