@@ -1,7 +1,7 @@
 // Fixture for the retrysafe pass: ops resent by a retry wrapper must
 // be idempotent, versioned, or explicitly justified. The store's
-// dispatch exercises every classification (read, overwrite,
-// read-modify-write, delegate); the gstore's dispatch sits behind an
+// dispatch exercises every classification (read, overwrite, write-set
+// overwrite, read-modify-write, delegate); the gstore's dispatch sits behind an
 // OpID-style replay guard and is upgraded to versioned wholesale.
 package retrysafe
 
@@ -35,12 +35,19 @@ const (
 	opPut
 	opBump
 	opExec
+	opTxn
 )
+
+type write struct {
+	Key string
+	Val []byte // nil deletes
+}
 
 type request struct {
 	Op  opKind
 	Key string
 	Val []byte
+	Set []write
 }
 
 type store struct {
@@ -60,6 +67,17 @@ func (s *store) apply(req request) (string, bool) {
 		return "", true
 	case opExec:
 		return s.exec(req)
+	case opTxn:
+		// The final values some earlier execution left: installed without
+		// reading what they replace.
+		for _, w := range req.Set {
+			if w.Val == nil {
+				delete(s.data, w.Key)
+			} else {
+				s.data[w.Key] = w.Val
+			}
+		}
+		return "", true
 	}
 	return "", false
 }
@@ -102,6 +120,12 @@ func readIt(ctx context.Context, c *client) {
 // Good: an absolute overwrite converges on any number of deliveries.
 func putIt(ctx context.Context, c *client) {
 	c.do(ctx, request{Op: opPut, Key: "k", Val: []byte("v")})
+}
+
+// Good: a write-set of final values is an overwrite however many keys
+// it carries — the shape a replicated class call takes.
+func txnIt(ctx context.Context, c *client) {
+	c.do(ctx, request{Op: opTxn, Set: []write{{Key: "k", Val: []byte("v")}, {Key: "gone"}}})
 }
 
 // Good: the delegate is non-idempotent to the classifier, but the call

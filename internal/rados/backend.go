@@ -42,9 +42,12 @@ type MutKind uint8
 
 // Journal record kinds. RecData carries the object's post-state
 // bytestream (not the op's delta), making replay idempotent; RecSnapshot
-// carries a whole object (class calls and backfill merges, where a
-// delta would need op semantics to replay); RecVerPin is a version-only
-// advance (a replica no-op apply that pinned the primary's stamp).
+// carries a whole object (backfill merges and checkpoints, which replace
+// the copy wholesale); RecVerPin is a version-only advance (a replica
+// no-op apply that pinned the primary's stamp); RecTxn carries a class
+// call's write-set — the final value of each thing the method touched,
+// the same entries its replicas were sent — so its size follows the
+// call, not the object.
 const (
 	RecCreate MutKind = iota
 	RecData
@@ -55,11 +58,12 @@ const (
 	RecXattrSet
 	RecSnapshot
 	RecVerPin
+	RecTxn
 )
 
 func (k MutKind) String() string {
 	names := [...]string{"create", "data", "remove", "purge", "omap-set",
-		"omap-del", "xattr-set", "snapshot", "ver-pin"}
+		"omap-del", "xattr-set", "snapshot", "ver-pin", "txn"}
 	if int(k) < len(names) {
 		return names[k]
 	}
@@ -83,6 +87,7 @@ type Mutation struct {
 	Keys []string          // RecOmapDel keys
 	KV   map[string][]byte // RecOmapSet pairs
 	Obj  *Object           // RecSnapshot payload
+	Txn  []TxnOp           // RecTxn write-set
 }
 
 // ReplayStats summarizes one startup replay.

@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/script"
 	"repro/internal/types"
@@ -18,84 +20,193 @@ import (
 //     the monitor's Service Metadata interface and propagated in the
 //     OSDMap — no daemon restart, an order of magnitude less code.
 //
-// Methods run atomically per object: they execute under the target
-// object's slot lock (script classes on the live object with an undo
-// log; native classes on a clone swapped in only on success), so a
-// method never observes or publishes a half-applied state — and never
-// blocks operations on other objects in the same PG.
+// Methods run atomically per object: they execute once, on the
+// primary, on the live object under its slot lock, and every write goes
+// through ClassCtx, which remembers what the key held before. A failed
+// method is rolled back from that record; a successful one is
+// replicated and journaled as its write-set, the final value of
+// everything it touched. A method never observes or publishes a
+// half-applied state, never blocks operations on other objects in the
+// same PG, and never runs on a replica.
+
+// touchKind names the keyed part of an object a touch covers.
+type touchKind uint8
+
+const (
+	touchOmap touchKind = iota
+	touchXattr
+)
+
+// touch is one key a call wrote, with what it held before the call.
+type touch struct {
+	kind    touchKind
+	key     string
+	old     []byte
+	existed bool
+}
+
+type touchKey struct {
+	kind touchKind
+	key  string
+}
+
+const (
+	// touchInline touches live inside the ClassCtx allocation; the
+	// common method writes one to three keys.
+	touchInline = 4
+	// touchIndexAt is the list length past which "already captured?"
+	// turns from a linear scan into a map lookup (a ZLog writev touches
+	// 64 keys and more).
+	touchIndexAt = 8
+)
 
 // ClassCtx is the execution context handed to a class method: the
-// target object plus the method input. Script-class mutations are
-// journaled in an undo log so a failed method rolls back in O(touched
-// state) — critical for hot objects like ZLog stripe objects, whose
-// omaps grow without bound. (Native classes run on a clone instead;
-// they are compiled-in and rare.)
+// target object plus the method input. Methods read Obj directly and
+// write through the set/del helpers, which capture each key's (and the
+// bytestream's) prior state once per call in one list. That list is the
+// undo log of a failed call — rollback costs O(touched state), which
+// matters for hot objects like ZLog stripe objects, whose omaps grow
+// without bound — and the source of a successful call's write-set.
 type ClassCtx struct {
 	Obj   *Object
 	Input []byte
 
-	mutated   bool
-	undo      []func()
 	savedData bool
-	savedOmap map[string]bool
-	savedXatt map[string]bool
+	oldData   []byte
+	touches   []touch
+	inline    [touchInline]touch
+	index     map[touchKey]struct{} // over touches, once longer than touchIndexAt
 }
 
-// saveData captures the bytestream once per call.
-func (c *ClassCtx) saveData() {
-	if c.savedData {
-		return
+// slots returns the map a touch kind lives in.
+func (c *ClassCtx) slots(kind touchKind) map[string][]byte {
+	if kind == touchXattr {
+		return c.Obj.Xattrs
 	}
-	c.savedData = true
-	old := c.Obj.Data
-	c.undo = append(c.undo, func() { c.Obj.Data = old })
+	return c.Obj.Omap
 }
 
-// saveOmap captures one omap key once per call.
-func (c *ClassCtx) saveOmap(k string) {
-	if c.savedOmap == nil {
-		c.savedOmap = make(map[string]bool)
-	}
-	if c.savedOmap[k] {
-		return
-	}
-	c.savedOmap[k] = true
-	old, existed := c.Obj.Omap[k]
-	c.undo = append(c.undo, func() {
-		if existed {
-			c.Obj.Omap[k] = old
-		} else {
-			delete(c.Obj.Omap, k)
+// capture records one key's prior state, once per call, ahead of a
+// write to it.
+func (c *ClassCtx) capture(kind touchKind, key string) {
+	if c.index != nil {
+		if _, seen := c.index[touchKey{kind, key}]; seen {
+			return
 		}
-	})
-}
-
-// saveXattr captures one xattr once per call.
-func (c *ClassCtx) saveXattr(k string) {
-	if c.savedXatt == nil {
-		c.savedXatt = make(map[string]bool)
-	}
-	if c.savedXatt[k] {
-		return
-	}
-	c.savedXatt[k] = true
-	old, existed := c.Obj.Xattrs[k]
-	c.undo = append(c.undo, func() {
-		if existed {
-			c.Obj.Xattrs[k] = old
-		} else {
-			delete(c.Obj.Xattrs, k)
+		c.index[touchKey{kind, key}] = struct{}{}
+	} else {
+		for i := range c.touches {
+			if c.touches[i].key == key && c.touches[i].kind == kind {
+				return
+			}
 		}
-	})
+	}
+	if c.touches == nil {
+		c.touches = c.inline[:0]
+	}
+	old, existed := c.slots(kind)[key]
+	c.touches = append(c.touches, touch{kind: kind, key: key, old: old, existed: existed})
+	if c.index == nil && len(c.touches) > touchIndexAt {
+		c.index = make(map[touchKey]struct{}, 4*touchIndexAt)
+		for i := range c.touches {
+			c.index[touchKey{c.touches[i].kind, c.touches[i].key}] = struct{}{}
+		}
+	}
 }
 
-// rollback undoes every recorded mutation, newest first.
+// The write helpers take values as strings: a string cannot be written
+// after the call, so the stored slice is always a fresh copy that no
+// caller aliases (the copy-on-write rule on Object).
+
+// setOmap writes one omap key.
+func (c *ClassCtx) setOmap(k, v string) {
+	c.capture(touchOmap, k)
+	c.Obj.Omap[k] = []byte(v)
+}
+
+// delOmap removes one omap key.
+func (c *ClassCtx) delOmap(k string) {
+	c.capture(touchOmap, k)
+	delete(c.Obj.Omap, k)
+}
+
+// setXattr writes one extended attribute.
+func (c *ClassCtx) setXattr(k, v string) {
+	c.capture(touchXattr, k)
+	c.Obj.Xattrs[k] = []byte(v)
+}
+
+// delXattr removes one extended attribute.
+func (c *ClassCtx) delXattr(k string) {
+	c.capture(touchXattr, k)
+	delete(c.Obj.Xattrs, k)
+}
+
+// captureData records the bytestream's prior state once per call.
+func (c *ClassCtx) captureData() {
+	if !c.savedData {
+		c.savedData = true
+		c.oldData = c.Obj.Data
+	}
+}
+
+// setData replaces the bytestream.
+func (c *ClassCtx) setData(v string) {
+	c.captureData()
+	c.Obj.Data = []byte(v)
+}
+
+// appendData extends the bytestream (into a fresh allocation: readers
+// may hold the old slice).
+func (c *ClassCtx) appendData(v string) {
+	c.captureData()
+	grown := make([]byte, 0, len(c.Obj.Data)+len(v))
+	c.Obj.Data = append(append(grown, c.Obj.Data...), v...)
+}
+
+// rollback restores everything the call wrote.
 func (c *ClassCtx) rollback() {
-	for i := len(c.undo) - 1; i >= 0; i-- {
-		c.undo[i]()
+	for i := range c.touches {
+		t := &c.touches[i]
+		if t.existed {
+			c.slots(t.kind)[t.key] = t.old
+		} else {
+			delete(c.slots(t.kind), t.key)
+		}
 	}
-	c.undo = nil
-	c.mutated = false
+	if c.savedData {
+		c.Obj.Data = c.oldData
+	}
+}
+
+// wrote reports whether the method called any write helper.
+func (c *ClassCtx) wrote() bool { return c.savedData || len(c.touches) > 0 }
+
+// writeSet returns the call's effect as final values: the bytestream if
+// the method wrote it, and for every key it touched the value the key
+// holds now, or its removal. Values alias the object's stored slices.
+func (c *ClassCtx) writeSet() []TxnOp {
+	n := len(c.touches)
+	if c.savedData {
+		n++
+	}
+	txn := make([]TxnOp, 0, n)
+	if c.savedData {
+		txn = append(txn, TxnOp{Kind: TxnData, Val: c.Obj.Data})
+	}
+	for i := range c.touches {
+		t := &c.touches[i]
+		set, del := TxnOmapSet, TxnOmapDel
+		if t.kind == touchXattr {
+			set, del = TxnXattrSet, TxnXattrDel
+		}
+		if v, ok := c.slots(t.kind)[t.key]; ok {
+			txn = append(txn, TxnOp{Kind: set, Key: t.key, Val: v})
+		} else {
+			txn = append(txn, TxnOp{Kind: del, Key: t.key})
+		}
+	}
+	return txn
 }
 
 // NativeMethod is a compiled-in class method.
@@ -142,19 +253,36 @@ type classVM struct {
 	binding *clsBinding
 }
 
+// namedClass is the compilation last served under one class name,
+// with the exact source it was compiled from.
+type namedClass struct {
+	source string
+	cc     *compiledClass
+}
+
 // classRuntime resolves and executes class calls for one OSD.
 type classRuntime struct {
-	mode   ClassExecMode
-	mu     sync.Mutex
+	mode ClassExecMode
+	// native is filled by newClassRuntime and never written again, so
+	// calls read it without a lock.
 	native map[string]*NativeClass
+	// byName is the per-call fast path in front of compiled: a
+	// copy-on-write table from class name to the compilation last served
+	// under it. A hit requires the stored source to equal the caller's
+	// byte for byte (a pointer comparison when both come from the same
+	// OSD map), so a re-register under the same name misses and takes the
+	// hashed path — stale code can never be served from here either.
+	byName atomic.Pointer[map[string]namedClass]
+
+	mu sync.Mutex
 	// parsed caches tree-walker ASTs keyed by class name + version
 	// (legacy engine only).
-	parsed map[string]*script.Block
+	parsed map[string]*script.Block // guarded by mu
 	// compiled caches bytecode keyed by the script's content hash: a
 	// re-register under the same name with different source is a
 	// different key, so stale code can never be served.
-	compiled  map[[32]byte]*compiledClass
-	hashOrder [][32]byte // FIFO eviction order for compiled
+	compiled  map[[32]byte]*compiledClass // guarded by mu
+	hashOrder [][32]byte                  // guarded by mu; FIFO eviction order for compiled
 }
 
 func newClassRuntime(mode ClassExecMode) *classRuntime {
@@ -172,8 +300,6 @@ func newClassRuntime(mode ClassExecMode) *classRuntime {
 
 // isNative reports whether a compiled-in class with this name exists.
 func (rt *classRuntime) isNative(cls string) bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	_, ok := rt.native[cls]
 	return ok
 }
@@ -181,9 +307,7 @@ func (rt *classRuntime) isNative(cls string) bool {
 // callNative executes a native method if the class exists; found=false
 // defers to script classes.
 func (rt *classRuntime) callNative(cls, method string, ctx *ClassCtx) (out []byte, rc ResultCode, found bool) {
-	rt.mu.Lock()
 	c, ok := rt.native[cls]
-	rt.mu.Unlock()
 	if !ok {
 		return nil, 0, false
 	}
@@ -233,9 +357,17 @@ func (rt *classRuntime) callScript(def types.ClassDef, method string, ctx *Class
 // compiledFor returns the cached compilation of def's source, compiling
 // on first sight of this exact content.
 func (rt *classRuntime) compiledFor(def types.ClassDef) (*compiledClass, error) {
+	if tbl := rt.byName.Load(); tbl != nil {
+		if nc, ok := (*tbl)[def.Name]; ok && nc.source == def.Script {
+			return nc.cc, nil
+		}
+	}
 	h := sha256.Sum256([]byte(def.Script))
 	rt.mu.Lock()
 	cc, ok := rt.compiled[h]
+	if ok {
+		rt.publishLocked(def, cc)
+	}
 	rt.mu.Unlock()
 	if ok {
 		return cc, nil
@@ -256,8 +388,22 @@ func (rt *classRuntime) compiledFor(def types.ClassDef) (*compiledClass, error) 
 			rt.hashOrder = rt.hashOrder[1:]
 		}
 	}
+	rt.publishLocked(def, cc)
 	rt.mu.Unlock()
 	return cc, nil
+}
+
+// publishLocked makes cc the compilation byName serves for def's name
+// and source. Caller holds rt.mu, which serializes the table copies.
+func (rt *classRuntime) publishLocked(def types.ClassDef, cc *compiledClass) {
+	next := make(map[string]namedClass)
+	if tbl := rt.byName.Load(); tbl != nil && len(*tbl) < maxCompiledClasses {
+		for name, nc := range *tbl {
+			next[name] = nc
+		}
+	} // else: a table grown past the cache bound starts over
+	next[def.Name] = namedClass{source: def.Script, cc: cc}
+	rt.byName.Store(&next)
 }
 
 // callScriptLegacy is the pre-bytecode engine: cached AST, fresh
@@ -294,28 +440,29 @@ func (rt *classRuntime) callScriptLegacy(def types.ClassDef, method string, ctx 
 	return decodeScriptResult(vals)
 }
 
-// codeFromError lets scripts abort with a specific result code by
-// calling error("ENOENT: ...") etc.; anything else maps to EIO.
-func codeFromError(err error) ResultCode {
-	msg := err.Error()
-	for name, rc := range map[string]ResultCode{
-		"ENOENT": ENOENT, "EEXIST": EEXIST, "ESTALE": ESTALE,
-		"EINVAL": EINVAL, "ECANCELED": ECANCELED,
-	} {
-		if containsWord(msg, name) {
-			return rc
-		}
-	}
-	return EIO
+// scriptCodes are the result codes a script can name, in error text
+// (codeFromError) or as a second return value (decodeScriptResult).
+var scriptCodes = [...]struct {
+	name string
+	rc   ResultCode
+}{
+	{"ENOENT", ENOENT}, {"EEXIST", EEXIST}, {"ESTALE", ESTALE},
+	{"EINVAL", EINVAL}, {"ECANCELED", ECANCELED},
 }
 
-func containsWord(s, w string) bool {
-	for i := 0; i+len(w) <= len(s); i++ {
-		if s[i:i+len(w)] == w {
-			return true
+// codeFromError lets scripts abort with a specific result code by
+// calling error("ENOENT: ...") etc.; anything else maps to EIO. When the
+// message names several codes, the one named first is the code — the
+// rest is the script's own prose.
+func codeFromError(err error) ResultCode {
+	msg := err.Error()
+	rc, first := EIO, len(msg)
+	for _, c := range scriptCodes {
+		if i := strings.Index(msg, c.name); i >= 0 && i < first {
+			rc, first = c.rc, i
 		}
 	}
-	return false
+	return rc
 }
 
 // decodeScriptResult maps script return values to (payload, code):
@@ -341,21 +488,12 @@ func decodeScriptResult(vals []script.Value) ([]byte, ResultCode) {
 		}
 	}
 	if len(vals) > 1 {
-		if name, ok := vals[1].(string); ok {
-			switch name {
-			case "OK", "":
-			case "ENOENT":
-				rc = ENOENT
-			case "EEXIST":
-				rc = EEXIST
-			case "ESTALE":
-				rc = ESTALE
-			case "EINVAL":
-				rc = EINVAL
-			case "ECANCELED":
-				rc = ECANCELED
-			default:
-				rc = EIO
+		if name, ok := vals[1].(string); ok && name != "OK" && name != "" {
+			rc = EIO
+			for _, c := range scriptCodes {
+				if name == c.name {
+					rc = c.rc
+				}
 			}
 		}
 	}
@@ -403,9 +541,7 @@ func newClsBinding() *clsBinding {
 		if !ok {
 			return nil, fmt.Errorf("EINVAL: cls.write expects a string")
 		}
-		b.ctx.saveData()
-		b.ctx.mutated = true
-		b.ctx.Obj.Data = []byte(s)
+		b.ctx.setData(s)
 		return nil, nil
 	}))
 	set("append", script.GoFunc(func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
@@ -413,9 +549,7 @@ func newClsBinding() *clsBinding {
 		if !ok {
 			return nil, fmt.Errorf("EINVAL: cls.append expects a string")
 		}
-		b.ctx.saveData()
-		b.ctx.mutated = true
-		b.ctx.Obj.Data = append(append([]byte(nil), b.ctx.Obj.Data...), s...)
+		b.ctx.appendData(s)
 		return nil, nil
 	}))
 	set("size", script.GoFunc(func(_ *script.Interp, _ []script.Value) ([]script.Value, error) {
@@ -439,9 +573,7 @@ func newClsBinding() *clsBinding {
 		if !kok || !vok {
 			return nil, fmt.Errorf("EINVAL: cls.omap_set expects key, value")
 		}
-		b.ctx.saveOmap(k)
-		b.ctx.mutated = true
-		b.ctx.Obj.Omap[k] = []byte(v)
+		b.ctx.setOmap(k, v)
 		return nil, nil
 	}))
 	set("omap_del", script.GoFunc(func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
@@ -449,9 +581,7 @@ func newClsBinding() *clsBinding {
 		if !ok {
 			return nil, fmt.Errorf("EINVAL: cls.omap_del expects a key")
 		}
-		b.ctx.saveOmap(k)
-		b.ctx.mutated = true
-		delete(b.ctx.Obj.Omap, k)
+		b.ctx.delOmap(k)
 		return nil, nil
 	}))
 	set("omap_keys", script.GoFunc(func(_ *script.Interp, args []script.Value) ([]script.Value, error) {
@@ -481,9 +611,7 @@ func newClsBinding() *clsBinding {
 		if !kok || !vok {
 			return nil, fmt.Errorf("EINVAL: cls.setxattr expects key, value")
 		}
-		b.ctx.saveXattr(k)
-		b.ctx.mutated = true
-		b.ctx.Obj.Xattrs[k] = []byte(v)
+		b.ctx.setXattr(k, v)
 		return nil, nil
 	}))
 	set("version", script.GoFunc(func(_ *script.Interp, _ []script.Value) ([]script.Value, error) {

@@ -43,8 +43,8 @@ func clsLog() *NativeClass {
 					return []byte("corrupt log.seq counter: " + err.Error()), EIO
 				}
 				key := fmt.Sprintf("log.%020d", seq)
-				ctx.Obj.Omap[key] = append([]byte(nil), ctx.Input...)
-				setOmapCounter(ctx.Obj, "log.seq", seq+1)
+				ctx.setOmap(key, string(ctx.Input))
+				setOmapCounter(ctx, "log.seq", seq+1)
 				return []byte(strconv.FormatUint(seq, 10)), OK
 			},
 			// tail returns the last N entries, N parsed from input.
@@ -100,7 +100,7 @@ func clsSnapMeta() *NativeClass {
 				if _, ok := ctx.Obj.Omap[key]; ok {
 					return []byte("snapshot exists"), EEXIST
 				}
-				ctx.Obj.Omap[key] = append([]byte(nil), ctx.Obj.Data...)
+				ctx.setOmap(key, string(ctx.Obj.Data))
 				return nil, OK
 			},
 			"rollback_snap": func(ctx *ClassCtx) ([]byte, ResultCode) {
@@ -109,7 +109,7 @@ func clsSnapMeta() *NativeClass {
 				if !ok {
 					return []byte("no such snapshot"), ENOENT
 				}
-				ctx.Obj.Data = append([]byte(nil), v...)
+				ctx.setData(string(v))
 				return nil, OK
 			},
 			"remove_snap": func(ctx *ClassCtx) ([]byte, ResultCode) {
@@ -118,7 +118,7 @@ func clsSnapMeta() *NativeClass {
 				if _, ok := ctx.Obj.Omap[key]; !ok {
 					return []byte("no such snapshot"), ENOENT
 				}
-				delete(ctx.Obj.Omap, key)
+				ctx.delOmap(key)
 				return nil, OK
 			},
 			"list_snaps": func(ctx *ClassCtx) ([]byte, ResultCode) {
@@ -192,10 +192,10 @@ func clsChecksum() *NativeClass {
 				}
 				h := fnv.New64a()
 				h.Write(ctx.Obj.Data) //nolint:errcheck
-				val := []byte(strconv.FormatUint(h.Sum64(), 16))
-				ctx.Obj.Xattrs["cksum.ver"] = []byte(ver)
-				ctx.Obj.Xattrs["cksum.val"] = val
-				return val, OK
+				val := strconv.FormatUint(h.Sum64(), 16)
+				ctx.setXattr("cksum.ver", ver)
+				ctx.setXattr("cksum.val", val)
+				return []byte(val), OK
 			},
 		},
 	}
@@ -219,7 +219,9 @@ func clsLock() *NativeClass {
 				if held && string(cur) != owner {
 					return cur, EEXIST
 				}
-				ctx.Obj.Xattrs["lock.owner"] = []byte(owner)
+				if !held {
+					ctx.setXattr("lock.owner", owner)
+				}
 				return nil, OK
 			},
 			"release": func(ctx *ClassCtx) ([]byte, ResultCode) {
@@ -231,7 +233,7 @@ func clsLock() *NativeClass {
 				if string(cur) != owner {
 					return cur, EINVAL
 				}
-				delete(ctx.Obj.Xattrs, "lock.owner")
+				ctx.delXattr("lock.owner")
 				return nil, OK
 			},
 			"info": func(ctx *ClassCtx) ([]byte, ResultCode) {
@@ -243,7 +245,9 @@ func clsLock() *NativeClass {
 			},
 			// break_lock forcibly clears the lock (administrative).
 			"break_lock": func(ctx *ClassCtx) ([]byte, ResultCode) {
-				delete(ctx.Obj.Xattrs, "lock.owner")
+				if _, held := ctx.Obj.Xattrs["lock.owner"]; held {
+					ctx.delXattr("lock.owner")
+				}
 				return nil, OK
 			},
 		},
@@ -262,7 +266,7 @@ func clsRefcount() *NativeClass {
 				if err != nil {
 					return []byte("corrupt refs counter: " + err.Error()), EIO
 				}
-				setOmapCounter(ctx.Obj, "refs", n+1)
+				setOmapCounter(ctx, "refs", n+1)
 				return []byte(strconv.FormatUint(n+1, 10)), OK
 			},
 			"put": func(ctx *ClassCtx) ([]byte, ResultCode) {
@@ -273,10 +277,10 @@ func clsRefcount() *NativeClass {
 				if n == 0 {
 					return []byte("refcount underflow"), EINVAL
 				}
-				setOmapCounter(ctx.Obj, "refs", n-1)
+				setOmapCounter(ctx, "refs", n-1)
 				if n-1 == 0 {
 					// Mark reclaimable; the gc class collects it.
-					ctx.Obj.Xattrs["gc.dead"] = []byte("1")
+					ctx.setXattr("gc.dead", "1")
 				}
 				return []byte(strconv.FormatUint(n-1, 10)), OK
 			},
@@ -303,11 +307,11 @@ func clsGC() *NativeClass {
 				if string(ctx.Obj.Xattrs["gc.dead"]) != "1" {
 					return []byte("object is live"), ENOENT
 				}
-				ctx.Obj.Data = nil
+				ctx.setData("")
 				for k := range ctx.Obj.Omap {
-					delete(ctx.Obj.Omap, k)
+					ctx.delOmap(k)
 				}
-				delete(ctx.Obj.Xattrs, "gc.dead")
+				ctx.delXattr("gc.dead")
 				return nil, OK
 			},
 		},
@@ -328,9 +332,9 @@ func clsNumOps() *NativeClass {
 					v = binary.BigEndian.Uint64(ctx.Obj.Data)
 				}
 				v++
-				buf := make([]byte, 8)
-				binary.BigEndian.PutUint64(buf, v)
-				ctx.Obj.Data = buf
+				var buf [8]byte
+				binary.BigEndian.PutUint64(buf[:], v)
+				ctx.setData(string(buf[:]))
 				return []byte(strconv.FormatUint(v, 10)), OK
 			},
 			"read": func(ctx *ClassCtx) ([]byte, ResultCode) {
@@ -389,6 +393,6 @@ func omapCounter(o *Object, key string) (uint64, error) {
 	return strconv.ParseUint(string(v), 10, 64)
 }
 
-func setOmapCounter(o *Object, key string, n uint64) {
-	o.Omap[key] = []byte(strconv.FormatUint(n, 10))
+func setOmapCounter(ctx *ClassCtx, key string, n uint64) {
+	ctx.setOmap(key, strconv.FormatUint(n, 10))
 }

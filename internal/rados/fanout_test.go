@@ -27,7 +27,7 @@ func forwarderGoroutines() int {
 // replicaState reads one daemon's copy of an object in pool "data"
 // (PGNum 8 in these tests).
 func replicaState(o *OSD, name string) (string, uint64) {
-	e := o.getPG(PGID{Pool: "data", PG: PGForObject(name, 8)}).entry(name)
+	e := slotOf(o, name)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.obj == nil {
@@ -120,14 +120,28 @@ func TestForwarderLifecycle(t *testing.T) {
 }
 
 // TestOpPathAllocations pins the allocation count of a replicas=3
-// WriteFull and of a Read on the in-process cluster. At the commit
-// before placement was memoized and the fan-out goroutines reused they
-// cost 74 and 24 allocations and now cost 20 and 3; the guard leaves
-// room for the runtime's background noise but not for a goroutine per
-// peer or an acting-set computation per op to come back.
+// WriteFull, of a Read and of a script-class Call on the in-process
+// cluster. At the commit before placement was memoized and the fan-out
+// goroutines reused, the first two cost 74 and 24 allocations; a call
+// cost 88 while every replica re-ran the method. They now cost 17, 3
+// and 33; the guard leaves room for the runtime's background noise but
+// not for a goroutine per peer, an acting-set computation per op, a
+// channel per mutation or a second execution of the method to come
+// back.
 func TestOpPathAllocations(t *testing.T) {
 	tc := bootClusterOpts(t, clusterOpts{osds: 3, replicas: 3, osd: OSDConfig{GossipInterval: time.Hour}})
 	ctx := ctxT(t, 30*time.Second)
+	installClass(t, tc.client, tc.osds, "bench", `
+function touch(cls)
+	local v = tonumber(cls.omap_get("n")) or 0
+	cls.omap_set("n", tostring(v + 1))
+	return tostring(v + 1)
+end`)
+	call := func() {
+		if _, err := tc.client.Call(ctx, "data", "probe", "bench", "touch", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	data := make([]byte, 4<<10)
 	write := func() {
 		if err := tc.client.WriteFull(ctx, "data", "probe", data); err != nil {
@@ -140,7 +154,14 @@ func TestOpPathAllocations(t *testing.T) {
 		}
 	}
 	write() // settle the client's epoch and start the forwarder
-	const maxWrite, maxRead = 26, 7
+	call()  // compile the class and warm its VM pool
+	const maxWrite, maxRead = 23, 7
+	maxCall := 46.0
+	if raceEnabled {
+		// A quarter of the calls build a fresh class VM (see raceEnabled);
+		// three executions per call would still cost twice this.
+		maxCall = 80
+	}
 	if got := testing.AllocsPerRun(200, write); got >= maxWrite {
 		t.Errorf("replicas=3 WriteFull: %.1f allocs/op, want < %d", got, maxWrite)
 	} else {
@@ -150,5 +171,10 @@ func TestOpPathAllocations(t *testing.T) {
 		t.Errorf("Read: %.1f allocs/op, want < %d", got, maxRead)
 	} else {
 		t.Logf("Read: %.1f allocs/op", got)
+	}
+	if got := testing.AllocsPerRun(200, call); got >= maxCall {
+		t.Errorf("replicas=3 Call: %.1f allocs/op, want < %.0f", got, maxCall)
+	} else {
+		t.Logf("replicas=3 Call: %.1f allocs/op", got)
 	}
 }

@@ -54,6 +54,26 @@ func (o *Object) clone() *Object {
 	return c
 }
 
+// applyTxn installs a write-set's final values, cloning each into the
+// copy-on-write slots. Caller holds the object's slot lock.
+func (o *Object) applyTxn(txn []TxnOp) {
+	for i := range txn {
+		op := &txn[i]
+		switch op.Kind {
+		case TxnData:
+			o.Data = append([]byte(nil), op.Val...)
+		case TxnOmapSet:
+			o.Omap[op.Key] = append([]byte(nil), op.Val...)
+		case TxnOmapDel:
+			delete(o.Omap, op.Key)
+		case TxnXattrSet:
+			o.Xattrs[op.Key] = append([]byte(nil), op.Val...)
+		case TxnXattrDel:
+			delete(o.Xattrs, op.Key)
+		}
+	}
+}
+
 // digest returns a checksum over the full object state, used by scrub.
 func (o *Object) digest() uint64 {
 	h := fnv.New64a()
@@ -109,9 +129,10 @@ type objEntry struct {
 	// tombstoning so the per-object order is total across the object's
 	// whole lifetime.
 	ver uint64 // guarded by mu
-	// applied is closed and replaced on every state change; replica
-	// appliers holding an out-of-order forward wait on it for the
-	// preceding mutation to land.
+	// applied is created by a replica applier holding an out-of-order
+	// forward, which waits on it for the preceding mutation to land; the
+	// next state change closes and clears it. Nil while nobody waits, so
+	// the common mutation pays for no channel.
 	applied chan struct{} // guarded by mu
 	// touch is the last time this slot was mutated or, for dedup
 	// blocks, stat-probed by a client assembling a manifest. It is the
@@ -131,10 +152,21 @@ type objEntry struct {
 	gcEpoch types.Epoch // guarded by mu
 }
 
-// signalLocked wakes version-order waiters. Caller holds e.mu.
+// signalLocked wakes version-order waiters, if any. Caller holds e.mu.
 func (e *objEntry) signalLocked() {
-	close(e.applied)
-	e.applied = make(chan struct{})
+	if e.applied != nil {
+		close(e.applied)
+		e.applied = nil
+	}
+}
+
+// appliedLocked returns the channel the next state change closes.
+// Caller holds e.mu.
+func (e *objEntry) appliedLocked() <-chan struct{} {
+	if e.applied == nil {
+		e.applied = make(chan struct{})
+	}
+	return e.applied
 }
 
 // bumpLocked advances the version after a local mutation, keeps the
@@ -190,7 +222,7 @@ func (p *pg) entry(name string) *objEntry {
 	defer p.mu.Unlock()
 	e, ok := p.objects[name]
 	if !ok {
-		e = &objEntry{applied: make(chan struct{})}
+		e = &objEntry{}
 		p.objects[name] = e
 	}
 	return e

@@ -24,6 +24,12 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	v := o.view.Load()
 	m := v.m
 
+	// Class methods execute on the primary alone: replicas are sent the
+	// call's write-set as an OpTxn, which is nothing a client may send.
+	if (req.Op == OpCall && req.Replica) || (req.Op == OpTxn && !req.Replica) {
+		return OpReply{Result: EINVAL, Detail: "class calls execute on the primary only", Epoch: m.Epoch}
+	}
+
 	// A call against a class this daemon does not know may be racing a
 	// just-committed install; pull the latest map once before failing.
 	if req.Op == OpCall && !o.rt.isNative(req.Class) {
@@ -96,16 +102,8 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	// replicate. Nothing is held across the fsync or the replica
 	// round-trips — per-object ordering travels in the version stamps
 	// instead of being pinned by a lock.
-	e := p.entry(req.Object)
-	e.mu.Lock()
-	prev := e.ver
-	reply, mutated := o.applyOp(e, req, m)
-	if mutated && reply.Result == OK {
-		o.recordOp(p, e, req)
-	}
-	e.mu.Unlock()
-	reply.Epoch = m.Epoch
-	if mutated && reply.Result == OK {
+	reply, prev, mutated := o.applyPrimary(p, &req, m)
+	if mutated {
 		if err := o.commitDurable(); err != nil {
 			return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
 		}
@@ -115,6 +113,36 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 		o.replicate(ctx, req, acting[1:], m.Epoch, prev, reply.Version)
 	}
 	return reply
+}
+
+// applyPrimary applies a client op to the primary's copy under the
+// object's slot lock and journals it. It returns the reply, the slot
+// version before the op, and whether state changed. A class call that
+// changed state leaves *req rewritten as the OpTxn carrying the call's
+// write-set: the method has run — here, once — and from this point on
+// (journal record, replica forward) the operation is its effect.
+func (o *OSD) applyPrimary(p *pg, req *OpRequest, m *types.OSDMap) (reply OpReply, prev uint64, mutated bool) {
+	e := p.entry(req.Object)
+	e.mu.Lock()
+	prev = e.ver
+	if req.Op == OpCall {
+		var txn []TxnOp
+		reply, txn = o.applyCall(e, *req, m)
+		if txn != nil {
+			req.Op, req.Txn = OpTxn, txn
+			req.Class, req.Method, req.Input = "", "", nil
+			mutated = true
+		}
+	} else {
+		reply, mutated = o.applyOp(e, *req, m)
+		mutated = mutated && reply.Result == OK
+	}
+	if mutated {
+		o.recordOp(p, e, *req)
+	}
+	e.mu.Unlock()
+	reply.Epoch = m.Epoch
+	return reply, prev, mutated
 }
 
 // ledPG returns the placement group holding name and its acting set
@@ -365,10 +393,21 @@ type fwdJob struct {
 // ack, and reports the job done.
 func (o *OSD) forward(job fwdJob) {
 	defer job.f.wg.Done()
-	to := OSDAddr(job.peer)
-	if _, err := o.net.Call(job.f.ctx, o.Addr(), to, *job.req); err != nil {
-		// The replica is unreachable; durability is degraded until
-		// the beacon timeout marks it down and backfill repairs.
+	o.callReplica(job.f.ctx, job.peer, job.req)
+}
+
+// callReplica delivers one forward and waits for the replica's ack. A
+// replica that cannot be reached, or that answers anything but OK, now
+// holds a copy that differs from the primary's: durability is degraded
+// until the beacon timeout marks it down and backfill repairs, or scrub
+// does. Either way the cluster log says so.
+func (o *OSD) callReplica(ctx context.Context, peer int, req *OpRequest) {
+	to := OSDAddr(peer)
+	resp, err := o.net.Call(ctx, o.Addr(), to, *req)
+	if rep, ok := resp.(OpReply); err == nil && ok && rep.Result != OK {
+		err = ErrFor(rep.Result, rep.Detail)
+	}
+	if err != nil {
 		lctx, lcancel := context.WithTimeout(context.Background(), time.Second)
 		defer lcancel()
 		o.monc.Log(lctx, "warn", "replica write to "+string(to)+" failed: "+err.Error()) //nolint:errcheck
@@ -418,36 +457,22 @@ func (o *OSD) doSerialOp(ctx context.Context, from wire.Addr, p *pg, req OpReque
 	}
 	defer func() { <-p.admit }()
 
-	e := p.entry(req.Object)
-	e.mu.Lock()
-	prev := e.ver
-	reply, mutated := o.applyOp(e, req, m)
-	if mutated && reply.Result == OK {
-		o.recordOp(p, e, req)
-	}
-	e.mu.Unlock()
-	reply.Epoch = m.Epoch
-	if mutated && reply.Result == OK {
+	reply, prev, mutated := o.applyPrimary(p, &req, m)
+	if mutated {
 		if err := o.commitDurable(); err != nil {
 			return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
 		}
 		if req.OpID != 0 {
 			o.replayPut(from, req.OpID, reply)
 		}
-		fwd := req
-		fwd.Replica = true
-		fwd.Epoch = m.Epoch
-		fwd.PrevVersion = prev
-		fwd.NewVersion = reply.Version
+		req.Replica = true
+		req.Epoch = m.Epoch
+		req.PrevVersion = prev
+		req.NewVersion = reply.Version
 		for _, peer := range acting[1:] {
 			rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			_, err := o.net.Call(rctx, o.Addr(), OSDAddr(peer), fwd)
+			o.callReplica(rctx, peer, &req)
 			cancel()
-			if err != nil {
-				lctx, lcancel := context.WithTimeout(context.Background(), time.Second)
-				o.monc.Log(lctx, "warn", "replica write to "+string(OSDAddr(peer))+" failed: "+err.Error()) //nolint:errcheck
-				lcancel()
-			}
 		}
 	}
 	return reply
@@ -467,7 +492,7 @@ func (o *OSD) applyReplicaOp(ctx context.Context, p *pg, req OpRequest, m *types
 	e := p.entry(req.Object)
 	e.mu.Lock()
 	for e.ver < req.PrevVersion {
-		ch := e.applied
+		ch := e.appliedLocked()
 		e.mu.Unlock()
 		ok := waitApplied(ctx, ch, deadline)
 		e.mu.Lock()
@@ -659,8 +684,14 @@ func (o *OSD) applyOp(e *objEntry, req OpRequest, m *types.OSDMap) (OpReply, boo
 		e.bumpLocked()
 		return OpReply{Result: OK, Version: e.ver}, true
 
-	case OpCall:
-		return o.applyCall(e, req, m)
+	case OpTxn:
+		// A class call as its replicas see it: the final values the
+		// method left on the primary (handleOp admits it from a primary
+		// only). Nothing is read, so a forced out-of-order or repeated
+		// apply still lands on those values.
+		e.materializeLocked(req.Object).applyTxn(req.Txn)
+		e.bumpLocked()
+		return OpReply{Result: OK, Version: e.ver}, true
 
 	case OpBlockStat:
 		// Single-name form (the batched probe short-circuits in
@@ -774,8 +805,13 @@ func (o *OSD) recordOp(p *pg, e *objEntry, req OpRequest) {
 		mut.Kind = RecXattrSet
 		mut.Key = xattrBlockRefs
 		mut.Data = e.obj.Xattrs[xattrBlockRefs]
+	case OpTxn:
+		// A class call journals what it wrote — the entries its replicas
+		// are sent — not the object it wrote them to.
+		mut.Kind = RecTxn
+		mut.Txn = req.Txn
 	default:
-		// Class calls and anything structural: snapshot the whole object.
+		// An op with no record kind of its own: snapshot the object.
 		if e.obj == nil {
 			mut.Kind = RecRemove
 		} else {
@@ -810,71 +846,39 @@ func (o *OSD) commitBackground(what string) {
 	}
 }
 
-// applyCall executes a class method transactionally. Native methods run
-// on a clone that replaces the object only on success (they are rare
-// and compiled-in). Script methods — the hot, user-supplied path — run
-// directly on the live object under its slot lock with an undo log, so
-// an abort rolls back in time proportional to the state touched rather
-// than the object's size (ZLog stripe objects grow without bound).
-// Caller holds e.mu.
-func (o *OSD) applyCall(e *objEntry, req OpRequest, m *types.OSDMap) (OpReply, bool) {
-	if o.rt.isNative(req.Class) {
-		return o.applyNativeCall(e, req)
+// applyCall executes a class method as a transaction on the primary:
+// the method — compiled-in or script — runs once, on the live object
+// under its slot lock, writing through ClassCtx. An abort restores what
+// it touched, in time proportional to that and not to the object's size
+// (ZLog stripe objects grow without bound); success returns the
+// write-set, nil when the method wrote nothing. Caller holds e.mu.
+func (o *OSD) applyCall(e *objEntry, req OpRequest, m *types.OSDMap) (OpReply, []TxnOp) {
+	def, isScript := m.Classes[req.Class]
+	if !isScript && !o.rt.isNative(req.Class) {
+		return OpReply{Result: ENOENT, Detail: "no such class: " + req.Class}, nil
 	}
-	def, ok := m.Classes[req.Class]
-	if !ok {
-		return OpReply{Result: ENOENT, Detail: "no such class: " + req.Class}, false
-	}
-
 	existed := e.obj != nil
-	obj := e.materializeLocked(req.Object)
-	ctx := &ClassCtx{Obj: obj, Input: req.Input}
-	out, rc := o.rt.callScript(def, req.Method, ctx)
+	ctx := &ClassCtx{Obj: e.materializeLocked(req.Object), Input: req.Input}
+	out, rc, native := o.rt.callNative(req.Class, req.Method, ctx)
+	if !native {
+		out, rc = o.rt.callScript(def, req.Method, ctx)
+	}
 	if rc != OK {
+		// The payload still flows back (lock.acquire reports the current
+		// holder alongside EEXIST).
 		ctx.rollback()
 		if !existed {
 			e.obj = nil
 		}
-		return OpReply{Result: rc, Detail: string(out), Data: out}, false
+		return OpReply{Result: rc, Detail: string(out), Data: out}, nil
 	}
-	if ctx.mutated {
-		e.bumpLocked()
-	} else if !existed {
-		// A pure read on a nonexistent object leaves no trace.
-		e.obj = nil
+	if !ctx.wrote() {
+		if !existed {
+			// A pure read on a nonexistent object leaves no trace.
+			e.obj = nil
+		}
+		return OpReply{Result: OK, Data: out, Version: e.ver}, nil
 	}
-	return OpReply{Result: OK, Data: out, Version: e.ver}, ctx.mutated
-}
-
-// applyNativeCall runs a compiled-in method on a clone, swapping it in
-// only when the method succeeds and actually changed state. Caller
-// holds e.mu.
-func (o *OSD) applyNativeCall(e *objEntry, req OpRequest) (OpReply, bool) {
-	var work *Object
-	var preDigest uint64
-	if e.obj != nil {
-		work = e.obj.clone()
-		preDigest = e.obj.digest()
-	} else {
-		work = NewObject(req.Object)
-		work.Version = e.ver
-		preDigest = work.digest()
-	}
-	ctx := &ClassCtx{Obj: work, Input: req.Input}
-	out, rc, found := o.rt.callNative(req.Class, req.Method, ctx)
-	if !found {
-		return OpReply{Result: ENOENT, Detail: "no such class: " + req.Class}, false
-	}
-	if rc != OK {
-		// Abort: the clone is discarded; the stored object is untouched.
-		// The payload still flows back (e.g. lock.acquire reports the
-		// current holder alongside EEXIST).
-		return OpReply{Result: rc, Detail: string(out), Data: out}, false
-	}
-	mutated := work.digest() != preDigest
-	if mutated {
-		e.obj = work
-		e.bumpLocked()
-	}
-	return OpReply{Result: OK, Data: out, Version: e.ver}, mutated
+	e.bumpLocked()
+	return OpReply{Result: OK, Data: out, Version: e.ver}, ctx.writeSet()
 }

@@ -117,6 +117,10 @@ func (o *OSD) applyMutation(mut Mutation) {
 		obj.Xattrs[mut.Key] = append([]byte(nil), mut.Data...)
 	case RecSnapshot:
 		e.obj = mut.Obj
+	case RecTxn:
+		// Final values, like every other record: replaying one over a
+		// state that already holds them changes nothing.
+		e.materializeLocked(mut.Object).applyTxn(mut.Txn)
 	case RecVerPin:
 		// Version-only advance; state untouched.
 	}

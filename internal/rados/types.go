@@ -44,13 +44,19 @@ const (
 	OpBlockDecref  // drop req.Count manifest references from a block
 	OpBlockReclaim // remove the block iff unreferenced and outside the grace window (req.Count ns)
 	OpBlockRead    // the bytes of every block of req.Keys this primary leads, in one reply
+
+	// OpTxn is the replica-only form of a class call: the write-set the
+	// method produced on the primary (req.Txn), applied as final values.
+	// A client may not send it, and an OpCall is never forwarded.
+	OpTxn
 )
 
 func (o OpCode) String() string {
 	names := [...]string{"read", "write-full", "append", "stat", "remove",
 		"create", "omap-get", "omap-set", "omap-del", "omap-list",
 		"getxattr", "setxattr", "call",
-		"block-stat", "block-write", "block-incref", "block-decref", "block-reclaim", "block-read"}
+		"block-stat", "block-write", "block-incref", "block-decref", "block-reclaim", "block-read",
+		"txn"}
 	if int(o) < len(names) {
 		return names[o]
 	}
@@ -155,6 +161,9 @@ type OpRequest struct {
 	// Blocks is the batched form of OpBlockWrite: every block the sender
 	// has for this daemon, in one request (see BlockOp).
 	Blocks []BlockOp
+	// Txn is OpTxn's payload: the write-set of the class call the primary
+	// executed (see TxnOp).
+	Txn []TxnOp
 
 	// Replica marks a primary-to-replica forward; replicas apply without
 	// re-forwarding.
@@ -177,6 +186,31 @@ type BlockOp struct {
 	Data        []byte
 	PrevVersion uint64
 	NewVersion  uint64
+}
+
+// TxnKind names what one write-set entry replaces.
+type TxnKind uint8
+
+// Write-set entry kinds.
+const (
+	TxnData     TxnKind = iota // Val is the whole bytestream
+	TxnOmapSet                 // omap[Key] = Val
+	TxnOmapDel                 // omap key removed
+	TxnXattrSet                // xattrs[Key] = Val
+	TxnXattrDel                // xattr removed
+)
+
+// TxnOp is one entry of a class call's write-set: the final state of
+// one thing the method touched — never the operation that produced it,
+// so applying a write-set twice, or on a copy the method never ran
+// against, lands on the primary's values. Val aliases the primary's
+// stored slice (copy-on-write: it is never written in place); whoever
+// stores it into an object clones it first. The same entries are the
+// replica forward (OpRequest.Txn) and the journal record (RecTxn).
+type TxnOp struct {
+	Kind TxnKind
+	Key  string
+	Val  []byte
 }
 
 // OpReply carries the result of an OpRequest.

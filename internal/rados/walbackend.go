@@ -208,6 +208,14 @@ func encodeMutation(buf []byte, m Mutation) []byte {
 		buf = appendBytes(buf, m.Obj.Data)
 		buf = appendKVMap(buf, m.Obj.Omap)
 		buf = appendKVMap(buf, m.Obj.Xattrs)
+	case RecTxn:
+		buf = binary.AppendUvarint(buf, uint64(len(m.Txn)))
+		for i := range m.Txn {
+			op := &m.Txn[i]
+			buf = append(buf, byte(op.Kind))
+			buf = appendString(buf, op.Key)
+			buf = appendBytes(buf, op.Val)
+		}
 	case RecCreate, RecRemove, RecPurge, RecVerPin:
 		// Header only.
 	}
@@ -267,7 +275,7 @@ func decodeMutation(rec []byte) (Mutation, error) {
 	}
 	var m Mutation
 	m.Kind = MutKind(rec[0])
-	if m.Kind > RecVerPin {
+	if m.Kind > RecTxn {
 		return Mutation{}, fmt.Errorf("rados: mutation decode: unknown kind %d", rec[0])
 	}
 	m.Force = rec[1]&mutFlagForce != 0
@@ -299,6 +307,22 @@ func decodeMutation(rec []byte) (Mutation, error) {
 		obj.Xattrs = d.kvMap()
 		obj.Version = m.Version
 		m.Obj = obj
+	case RecTxn:
+		n := d.uvarint()
+		if d.err == nil && n > uint64(len(d.buf)) {
+			d.err = errors.New("rados: mutation decode: txn entry count overflows buffer")
+		}
+		for i := uint64(0); i < n && d.err == nil; i++ {
+			var op TxnOp
+			if len(d.buf) == 0 || TxnKind(d.buf[0]) > TxnXattrDel {
+				d.err = errors.New("rados: mutation decode: bad txn entry kind")
+				break
+			}
+			op.Kind, d.buf = TxnKind(d.buf[0]), d.buf[1:]
+			op.Key = d.str()
+			op.Val = d.bytes()
+			m.Txn = append(m.Txn, op)
+		}
 	case RecCreate, RecRemove, RecPurge, RecVerPin:
 	}
 	if d.err != nil {

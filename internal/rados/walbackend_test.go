@@ -35,6 +35,15 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 		{Kind: RecSnapshot, Pool: "data", PG: 4, Object: "snap-obj", Version: 42,
 			Force: true, Obj: snap},
 		{Kind: RecVerPin, Pool: "data", PG: 5, Object: "pin", Version: 13},
+		{Kind: RecTxn, Pool: "data", PG: 6, Object: "called", Version: 14, Txn: []TxnOp{
+			{Kind: TxnData, Val: []byte("bytestream")},
+			{Kind: TxnOmapSet, Key: "k", Val: []byte("v")},
+			{Kind: TxnOmapSet, Key: "empty"},
+			{Kind: TxnOmapDel, Key: "gone"},
+			{Kind: TxnXattrSet, Key: "x", Val: []byte{0, 1, 2}},
+			{Kind: TxnXattrDel, Key: "y"},
+		}},
+		{Kind: RecTxn, Pool: "data", PG: 6, Object: "called", Version: 15},
 	}
 	for _, want := range cases {
 		enc := encodeMutation(nil, want)
@@ -56,6 +65,9 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 			!reflect.DeepEqual(got.KV, want.KV) {
 			t.Fatalf("%v kv mismatch: got %v want %v", want.Kind, got.KV, want.KV)
 		}
+		if !sameTxn(got.Txn, want.Txn) {
+			t.Fatalf("%v write-set mismatch: got %+v want %+v", want.Kind, got.Txn, want.Txn)
+		}
 		if want.Kind == RecSnapshot {
 			if got.Obj == nil || got.Obj.Name != "snap-obj" ||
 				!bytes.Equal(got.Obj.Data, snap.Data) ||
@@ -68,14 +80,21 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 	}
 
 	// Truncated records must fail to decode, never partially apply.
-	full := encodeMutation(nil, cases[1])
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := decodeMutation(full[:cut]); err == nil {
-			t.Fatalf("decode of %d/%d byte prefix succeeded", cut, len(full))
+	for _, m := range []Mutation{cases[1], cases[10]} {
+		full := encodeMutation(nil, m)
+		for cut := 0; cut < len(full); cut++ {
+			if _, err := decodeMutation(full[:cut]); err == nil {
+				t.Fatalf("decode of %d/%d byte prefix of a %v record succeeded", cut, len(full), m.Kind)
+			}
 		}
 	}
 	if _, err := decodeMutation([]byte{255, 0, 0}); err == nil {
 		t.Fatal("unknown kind decoded")
+	}
+	badEntry := encodeMutation(nil, Mutation{Kind: RecTxn, Pool: "p", Object: "o", Version: 1,
+		Txn: []TxnOp{{Kind: TxnXattrDel + 1, Key: "k"}}})
+	if _, err := decodeMutation(badEntry); err == nil {
+		t.Fatal("unknown write-set entry kind decoded")
 	}
 }
 
