@@ -198,7 +198,7 @@ func BenchmarkFig7LatencyTail(b *testing.B) {
 }
 
 // BenchmarkFig8Propagation measures one full interface-update
-// propagation wave: Paxos commit + push + gossip until every OSD is
+// propagation wave: Paxos commit + push + flood until every OSD is
 // live (Figure 8).
 func BenchmarkFig8Propagation(b *testing.B) {
 	cluster := bootB(b, core.Options{
@@ -211,11 +211,17 @@ func BenchmarkFig8Propagation(b *testing.B) {
 
 	version := uint64(0)
 	live := make([]atomic.Uint64, len(cluster.OSDs))
+	wake := make(chan struct{}, 1) // poked whenever an OSD reports a version
 	for i, osd := range cluster.OSDs {
 		i := i
 		osd.OnClassLive(func(name string, v uint64) {
-			if name == "bench.iface" {
-				live[i].Store(v)
+			if name != "bench.iface" {
+				return
+			}
+			live[i].Store(v)
+			select {
+			case wake <- struct{}{}:
+			default:
 			}
 		})
 	}
@@ -237,7 +243,7 @@ func BenchmarkFig8Propagation(b *testing.B) {
 			if all {
 				break
 			}
-			time.Sleep(time.Millisecond)
+			<-wake
 		}
 	}
 }

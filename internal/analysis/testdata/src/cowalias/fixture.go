@@ -13,6 +13,7 @@ type Obj struct {
 	Name string
 	Data []byte
 	Omap map[string][]byte
+	Tags map[string]string
 }
 
 // Reply carries operation results. Replies are retained verbatim by a
@@ -149,6 +150,13 @@ func (s *store) undo(name string) func() {
 	e := s.entry(name)
 	old := e.obj.Data
 	return func() { e.obj.Data = old }
+}
+
+// putTag stores a caller's string into a copy-on-write map: a string
+// has no backing array the caller could write afterwards.
+func (s *store) putTag(name, k, v string) {
+	e := s.entry(name)
+	e.obj.Tags[k] = v
 }
 
 // readOnly passes stored state to a callee that does not mutate it.

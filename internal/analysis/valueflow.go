@@ -515,8 +515,10 @@ func (s *vfScanner) assignTo(lhs ast.Expr, info originInfo, pos token.Pos) {
 			return
 		}
 		// Map insert: replacement-level, allowed by COW — but the value
-		// stored into a COW map must not be a caller-owned buffer.
-		if baseInfo.cow && baseInfo.org != orFresh {
+		// stored into a COW map must not be a caller-owned buffer. A
+		// string or scalar value has no backing array a caller could
+		// write later.
+		if baseInfo.cow && baseInfo.org != orFresh && !isBasicType(s.pkg.Info.TypeOf(l)) {
 			s.store(types.ExprString(l.X)+" (copy-on-write omap/xattr)", l.X, info, pos)
 		}
 		s.recordStore(baseInfo, info)
@@ -916,6 +918,16 @@ func (s *vfScanner) tupleOrigins(e ast.Expr, n int) []originInfo {
 		// Channel receive: unresolvable.
 	}
 	return out
+}
+
+// isBasicType reports whether t's underlying type is a string, number
+// or bool: a value with no backing store to alias.
+func isBasicType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Basic)
+	return ok
 }
 
 // isSliceExprType reports whether t's underlying type is a slice.

@@ -20,6 +20,7 @@ package mon
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -38,9 +39,10 @@ type Config struct {
 	// ProposalInterval batches updates; one Paxos proposal fires per
 	// interval when updates are pending.
 	ProposalInterval time.Duration
-	// GossipFanout bounds how many OSD subscribers receive a direct push
-	// of each OSDMap update; the rest learn through peer-to-peer gossip
-	// (Section 4.4). Zero means push to every subscriber.
+	// GossipFanout bounds how many OSD subscribers this monitor pushes
+	// each OSDMap update to directly (pushTargets picks which); the rest
+	// learn it from their peers (Section 4.4). Zero means push to every
+	// subscriber.
 	GossipFanout int
 	// BeaconTimeout marks daemons down when their liveness beacons go
 	// silent for this long; zero disables failure detection.
@@ -140,9 +142,10 @@ type pendingUpdate struct {
 
 // Monitor is one daemon of the monitor quorum.
 type Monitor struct {
-	cfg Config
-	net *wire.Network
-	px  *paxos.Node
+	cfg  Config
+	rank int // position of cfg.ID in cfg.Peers
+	net  *wire.Network
+	px   *paxos.Node
 
 	mu          sync.Mutex
 	osdMap      *types.OSDMap                 // guarded by mu
@@ -182,6 +185,9 @@ func New(net *wire.Network, cfg Config) *Monitor {
 	peers := make([]paxos.NodeID, len(cfg.Peers))
 	for i, p := range cfg.Peers {
 		peers[i] = paxos.NodeID(p)
+		if p == cfg.ID {
+			m.rank = i
+		}
 	}
 	tr := &monTransport{net: net, self: paxos.NodeID(cfg.ID), peers: peers}
 	m.px = paxos.NewNode(tr, cfg.Paxos, m.applyCommitted)
@@ -491,57 +497,67 @@ func (m *Monitor) applyCommitted(_ uint64, value []byte) {
 	}
 	var notifyOSD *types.OSDMap
 	var notifyMDS *types.MDSMap
+	var osdSubs, mdsSubs []wire.Addr
 	if osdTouched {
 		m.osdMap.Epoch++
 		notifyOSD = m.osdMap.Clone()
+		osdSubs = m.subscribersLocked(types.MapOSD)
 	}
 	if mdsTouched {
 		m.mdsMap.Epoch++
 		notifyMDS = m.mdsMap.Clone()
+		mdsSubs = m.subscribersLocked(types.MapMDS)
 	}
-	subs := m.snapshotSubscribersLocked()
 	m.mu.Unlock()
 
 	if notifyOSD != nil {
-		m.pushMap(types.MapOSD, MapNotify{Kind: types.MapOSD, OSD: notifyOSD}, subs, m.cfg.GossipFanout)
+		to := pushTargets(osdSubs, m.cfg.GossipFanout, m.rank, notifyOSD.Epoch)
+		m.net.Broadcast(Addr(m.cfg.ID), to, MapNotify{Kind: types.MapOSD, OSD: notifyOSD})
 	}
 	if notifyMDS != nil {
-		m.pushMap(types.MapMDS, MapNotify{Kind: types.MapMDS, MDS: notifyMDS}, subs, 0)
+		m.net.Broadcast(Addr(m.cfg.ID), mdsSubs, MapNotify{Kind: types.MapMDS, MDS: notifyMDS})
 	}
 }
 
-type subscription struct {
-	addr  wire.Addr
-	kinds map[string]bool
-}
-
-func (m *Monitor) snapshotSubscribersLocked() []subscription {
-	out := make([]subscription, 0, len(m.subscribers))
+// subscribersLocked returns the addresses subscribed to kind in one
+// order on every monitor of the quorum: shorter first, so that osd.2
+// sorts before osd.10 and the order of OSD subscribers is that of their
+// ids.
+func (m *Monitor) subscribersLocked(kind string) []wire.Addr {
+	var out []wire.Addr
 	for a, kinds := range m.subscribers {
-		ks := make(map[string]bool, len(kinds))
-		for k := range kinds {
-			ks[k] = true
+		if kinds[kind] {
+			out = append(out, a)
 		}
-		out = append(out, subscription{addr: a, kinds: ks})
 	}
+	sort.Slice(out, func(i, j int) bool {
+		if len(out[i]) != len(out[j]) {
+			return len(out[i]) < len(out[j])
+		}
+		return out[i] < out[j]
+	})
 	return out
 }
 
-// pushMap notifies subscribers of kind. fanout > 0 limits direct pushes
-// (deterministically, by subscriber order) — the remainder rely on the
-// object storage daemons' gossip protocol.
-func (m *Monitor) pushMap(kind string, n MapNotify, subs []subscription, fanout int) {
-	sent := 0
-	for _, s := range subs {
-		if !s.kinds[kind] {
-			continue
-		}
-		if fanout > 0 && sent >= fanout {
-			break
-		}
-		m.net.Send(Addr(m.cfg.ID), s.addr, n)
-		sent++
+// pushTargets picks which of subs (sorted) the monitor of the given rank
+// pushes epoch to directly. fanout <= 0 pushes to all of them. Otherwise
+// each monitor takes a window of fanout subscribers starting at
+// epoch + rank*fanout, wrapping: the quorum's windows are disjoint (as
+// far as the subscriber count allows) entry points into the OSDs' flood
+// tree, and successive epochs rotate them. The remaining subscribers
+// learn the map from their peers (rados.OSD.floodMap, gossipLoop). Any
+// entry points cover the tree; while every subscribed OSD is up, these
+// are its root and the positions after it, the shortest way down.
+func pushTargets(subs []wire.Addr, fanout, rank int, epoch types.Epoch) []wire.Addr {
+	n := len(subs)
+	if fanout <= 0 || fanout >= n {
+		return subs
 	}
+	start := int((uint64(epoch) + uint64(rank*fanout)) % uint64(n))
+	if start+fanout <= n {
+		return subs[start : start+fanout]
+	}
+	return append(subs[start:n:n], subs[:start+fanout-n]...)
 }
 
 // applyOp folds one op into the maps; returns which maps changed.

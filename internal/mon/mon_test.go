@@ -16,6 +16,12 @@ import (
 // testQuorum boots n monitors with fast timing and elects monitor 0.
 func testQuorum(t *testing.T, net *wire.Network, n int) []*Monitor {
 	t.Helper()
+	return testQuorumFanout(t, net, n, 0)
+}
+
+// testQuorumFanout is testQuorum with a direct-push bound per monitor.
+func testQuorumFanout(t *testing.T, net *wire.Network, n, fanout int) []*Monitor {
+	t.Helper()
 	peers := make([]int, n)
 	for i := range peers {
 		peers[i] = i
@@ -26,6 +32,7 @@ func testQuorum(t *testing.T, net *wire.Network, n int) []*Monitor {
 			ID:               i,
 			Peers:            peers,
 			ProposalInterval: 5 * time.Millisecond,
+			GossipFanout:     fanout,
 			Paxos: paxos.Config{
 				HeartbeatInterval: 10 * time.Millisecond,
 				ElectionTimeout:   100 * time.Millisecond,
@@ -423,6 +430,99 @@ func TestGossipFanoutLimitsPushes(t *testing.T) {
 	}
 	if total == 0 || total > 2 {
 		t.Fatalf("pushes = %d (fanout 2), map %v", total, pushed)
+	}
+}
+
+// Each monitor of a quorum pushes to its own window of the sorted
+// subscribers: 3 monitors x fanout 2 over 6 subscribers hand every
+// subscriber every epoch exactly once, two of them from each monitor.
+// (Drawn independently per monitor, as they used to be, three pairs out
+// of 6 are disjoint about one epoch in 37.)
+func TestQuorumPushesDisjointWindows(t *testing.T) {
+	const subs, epochs = 6, 5
+	net := wire.NewNetwork()
+	testQuorumFanout(t, net, 3, 2)
+	c := NewClient(net, "client.0", []int{0, 1, 2})
+	ctx := ctxT(t, 10*time.Second)
+
+	type push struct {
+		epoch    types.Epoch
+		from, to wire.Addr
+	}
+	var mu sync.Mutex
+	var pushes []push
+	for i := 0; i < subs; i++ {
+		addr := wire.Addr(fmt.Sprintf("osd.%d", i))
+		net.Listen(addr, func(_ context.Context, from wire.Addr, req any) (any, error) {
+			if n, ok := req.(MapNotify); ok && n.OSD != nil {
+				mu.Lock()
+				pushes = append(pushes, push{n.OSD.Epoch, from, addr})
+				mu.Unlock()
+			}
+			return nil, nil
+		})
+		if err := c.Subscribe(ctx, addr, types.MapOSD); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < epochs; i++ {
+		if err := c.SetService(ctx, types.MapOSD, "x", fmt.Sprint(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for {
+		mu.Lock()
+		n := len(pushes)
+		mu.Unlock()
+		if n >= subs*epochs {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("%d pushes arrived, want %d", n, subs*epochs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // a push too many would land by now
+
+	mu.Lock()
+	defer mu.Unlock()
+	perTarget := map[push]int{} // from left empty
+	perSource := map[push]int{} // to left empty
+	for _, p := range pushes {
+		perTarget[push{epoch: p.epoch, to: p.to}]++
+		perSource[push{epoch: p.epoch, from: p.from}]++
+	}
+	if len(pushes) != subs*epochs || len(perTarget) != subs*epochs || len(perSource) != 3*epochs {
+		t.Fatalf("%d pushes over %d (epoch, subscriber) and %d (epoch, monitor) pairs, want %d, %d, %d: %v",
+			len(pushes), len(perTarget), len(perSource), subs*epochs, subs*epochs, 3*epochs, pushes)
+	}
+}
+
+func TestPushTargets(t *testing.T) {
+	subs := []wire.Addr{"a", "b", "c", "d", "e"}
+	for _, tc := range []struct {
+		fanout, rank int
+		epoch        types.Epoch
+		want         string
+	}{
+		{0, 0, 7, "abcde"}, // unbounded
+		{5, 1, 7, "abcde"}, // bound covers everyone
+		{2, 0, 5, "ab"},
+		{2, 1, 5, "cd"}, // the next rank's window starts where the last ended
+		{2, 2, 5, "ea"}, // and wraps
+		{2, 0, 6, "bc"}, // the next epoch rotates every window by one
+		{2, 1, 6, "de"},
+	} {
+		got := ""
+		for _, a := range pushTargets(subs, tc.fanout, tc.rank, tc.epoch) {
+			got += string(a)
+		}
+		if got != tc.want {
+			t.Errorf("fanout %d rank %d epoch %d: pushes to %q, want %q", tc.fanout, tc.rank, tc.epoch, got, tc.want)
+		}
+	}
+	if got := fmt.Sprint(subs); got != "[a b c d e]" {
+		t.Errorf("pushTargets wrote its input: %s", got)
 	}
 }
 

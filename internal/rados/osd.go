@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +37,8 @@ type OSDConfig struct {
 	// random peers (the peer-to-peer propagation of Section 4.4 that
 	// Figure 8 measures).
 	GossipInterval time.Duration
-	// GossipFanout is how many peers each gossip round contacts.
+	// GossipFanout is how many peers each gossip round contacts, and the
+	// arity of the tree a newly installed map is flooded along (floodMap).
 	GossipFanout int
 	// BeaconInterval is how often the OSD reports liveness to the
 	// monitors; zero disables beacons.
@@ -292,7 +294,7 @@ func (o *OSD) Start(ctx context.Context) error {
 	if err != nil {
 		return fail(fmt.Errorf("osd.%d: fetch map: %w", o.cfg.ID, err))
 	}
-	o.updateMap(m)
+	o.updateMap(m, noPeer)
 
 	o.wg.Add(1)
 	go o.gossipLoop(stop)
@@ -341,7 +343,7 @@ func (o *OSD) handle(ctx context.Context, from wire.Addr, req any) (any, error) 
 		return o.handleOp(ctx, from, r), nil
 	case mon.MapNotify:
 		if r.OSD != nil {
-			o.updateMap(r.OSD)
+			o.updateMap(r.OSD, noPeer)
 		}
 		return nil, nil
 	case gossipMsg:
@@ -361,10 +363,12 @@ func (o *OSD) handle(ctx context.Context, from wire.Addr, req any) (any, error) 
 	return nil, fmt.Errorf("osd.%d: unknown request %T from %s", o.cfg.ID, req, from)
 }
 
-// updateMap installs a newer OSD map, fires class-liveness hooks,
-// performs placement-group splitting for resized pools, and triggers
-// backfill for PGs whose acting sets changed.
-func (o *OSD) updateMap(m *types.OSDMap) {
+// updateMap installs a newer OSD map, floods it to this daemon's tree
+// neighbours (all but from, the OSD it came from; noPeer when it came
+// from a monitor), fires class-liveness hooks, performs placement-group
+// splitting for resized pools, and triggers backfill for PGs whose
+// acting sets changed. The installed map is shared, never written.
+func (o *OSD) updateMap(m *types.OSDMap, from int) {
 	o.mu.Lock()
 	old := o.view.Load().m
 	if m.Epoch <= old.Epoch {
@@ -390,6 +394,7 @@ func (o *OSD) updateMap(m *types.OSDMap) {
 	}
 	hook := o.onClassLive
 	o.mu.Unlock()
+	o.floodMap(v, from) // first: every peer's install waits on this, nothing below does
 	held := o.heldPGs() // before the split below creates new ones
 
 	if hook != nil {
@@ -406,6 +411,57 @@ func (o *OSD) updateMap(m *types.OSDMap) {
 	for _, id := range held {
 		o.backfillPG(id, v)
 	}
+}
+
+// noPeer is updateMap's source when the map did not come from an OSD.
+const noPeer = -1
+
+// floodMap forwards a map this daemon has just installed to its
+// neighbours in the dissemination tree of that map: the GossipFanout-ary
+// tree laid over the map's own up set (ascending ids), rotated by epoch
+// so the interior load moves — position pos has parent (pos-1)/k and
+// children k·pos+1 .. k·pos+k. Every daemon installing epoch e derives
+// the same tree from the same map, and each forwards exactly once, on
+// install, to every neighbour except the one it heard from; so whatever
+// daemons the monitors (or a pull) hand the map to, it crosses each tree
+// edge at most once per direction and reaches every up OSD within twice
+// the tree's depth in hops. A receiver that already has the epoch drops
+// it (updateMap), which loses nothing: having it means having forwarded
+// it. Drops, partitions and crashed interior nodes are gossipLoop's job.
+func (o *OSD) floodMap(v *mapView, from int) {
+	n := len(v.up)
+	idx := sort.SearchInts(v.up, o.cfg.ID)
+	if idx == n || v.up[idx] != o.cfg.ID || !o.track() {
+		return // not in this map's up set, or stopped: nothing more may be sent
+	}
+	defer o.wg.Done()
+	root := int(uint64(v.m.Epoch) % uint64(n))
+	pos := (idx - root + n) % n
+	k := o.cfg.GossipFanout
+	msg := gossipMsg{From: o.cfg.ID, Epoch: v.m.Epoch, Map: v.m}
+	sendTo := func(p int) {
+		if peer := v.up[(p+root)%n]; peer != from {
+			o.net.Send(o.addr, OSDAddr(peer), msg)
+		}
+	}
+	if pos > 0 {
+		sendTo((pos - 1) / k)
+	}
+	for child := k*pos + 1; child <= k*pos+k && child < n; child++ {
+		sendTo(child)
+	}
+}
+
+// track registers the caller on the daemon's WaitGroup so Stop waits
+// for it; false when the daemon is not running. The caller must call
+// o.wg.Done. lifeMu orders the wg.Add before Stop's wg.Wait.
+func (o *OSD) track() bool {
+	o.lifeMu.Lock()
+	defer o.lifeMu.Unlock()
+	if o.running {
+		o.wg.Add(1)
+	}
+	return o.running
 }
 
 // splitPool moves objects whose placement group changed under the new
@@ -677,11 +733,10 @@ func (o *OSD) gossipOnce(stop chan struct{}) {
 				return
 			}
 			if g.Map != nil {
-				o.updateMap(g.Map)
-			} else if g.Epoch < o.Epoch() {
+				o.updateMap(g.Map, g.From)
+			} else if mine := o.view.Load().m; g.Epoch < mine.Epoch {
 				// Peer is behind: push our map.
-				push := o.view.Load().m.Clone()
-				o.net.Send(o.Addr(), OSDAddr(peer), gossipMsg{From: o.cfg.ID, Epoch: push.Epoch, Map: push})
+				o.net.Send(o.Addr(), OSDAddr(peer), gossipMsg{From: o.cfg.ID, Epoch: mine.Epoch, Map: mine})
 			}
 		}()
 	}
@@ -689,13 +744,13 @@ func (o *OSD) gossipOnce(stop chan struct{}) {
 
 func (o *OSD) handleGossip(g gossipMsg) gossipMsg {
 	if g.Map != nil {
-		o.updateMap(g.Map)
+		o.updateMap(g.Map, g.From)
 		return gossipMsg{From: o.cfg.ID, Epoch: o.Epoch()}
 	}
 	mine := o.view.Load().m
 	if g.Epoch < mine.Epoch {
 		// Sender is behind: attach our map to the reply.
-		return gossipMsg{From: o.cfg.ID, Epoch: mine.Epoch, Map: mine.Clone()}
+		return gossipMsg{From: o.cfg.ID, Epoch: mine.Epoch, Map: mine}
 	}
 	return gossipMsg{From: o.cfg.ID, Epoch: mine.Epoch}
 }

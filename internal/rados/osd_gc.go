@@ -318,7 +318,7 @@ func (o *OSD) sendBlockOp(req OpRequest) (OpReply, error) {
 			if err != nil {
 				// Peer unreachable: refresh the map and retry routing.
 				if fresh, merr := o.monc.GetOSDMap(ctx); merr == nil {
-					o.updateMap(fresh)
+					o.updateMap(fresh, noPeer)
 				}
 				continue
 			}
@@ -331,7 +331,7 @@ func (o *OSD) sendBlockOp(req OpRequest) (OpReply, error) {
 		if rep.Result == EMapStale {
 			last = rep
 			if fresh, merr := o.monc.GetOSDMap(ctx); merr == nil {
-				o.updateMap(fresh)
+				o.updateMap(fresh, noPeer)
 			}
 			continue
 		}

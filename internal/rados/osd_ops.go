@@ -3,6 +3,7 @@ package rados
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpReply {
 	if req.Epoch > o.Epoch() {
 		if m, err := o.monc.GetOSDMap(ctx); err == nil {
-			o.updateMap(m)
+			o.updateMap(m, noPeer)
 		}
 	}
 	v := o.view.Load()
@@ -35,7 +36,7 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	if req.Op == OpCall && !o.rt.isNative(req.Class) {
 		if _, ok := m.Classes[req.Class]; !ok {
 			if fresh, err := o.monc.GetOSDMap(ctx); err == nil {
-				o.updateMap(fresh)
+				o.updateMap(fresh, noPeer)
 				v = o.view.Load()
 				m = v.m
 			}
@@ -401,10 +402,22 @@ func (o *OSD) forward(job fwdJob) {
 // holds a copy that differs from the primary's: durability is degraded
 // until the beacon timeout marks it down and backfill repairs, or scrub
 // does. Either way the cluster log says so.
+//
+// One refusal is not final: a replica that installed epoch e+1 before
+// this daemon did refuses a forward stamped e as stale, although the
+// primary has applied the mutation and will ack it. restamp catches this
+// daemon up and, if the forward is still its to send, the forward goes
+// out once more under the new epoch. The version stamps it carries make
+// the second delivery idempotent.
 func (o *OSD) callReplica(ctx context.Context, peer int, req *OpRequest) {
 	to := OSDAddr(peer)
-	resp, err := o.net.Call(ctx, o.Addr(), to, *req)
-	if rep, ok := resp.(OpReply); err == nil && ok && rep.Result != OK {
+	rep, err := o.callOSD(ctx, to, req)
+	if err == nil && rep.Result == EMapStale && rep.Epoch > req.Epoch {
+		if again := o.restamp(ctx, peer, req, rep.Epoch); again != nil {
+			rep, err = o.callOSD(ctx, to, again)
+		}
+	}
+	if err == nil && rep.Result != OK {
 		err = ErrFor(rep.Result, rep.Detail)
 	}
 	if err != nil {
@@ -412,6 +425,55 @@ func (o *OSD) callReplica(ctx context.Context, peer int, req *OpRequest) {
 		defer lcancel()
 		o.monc.Log(lctx, "warn", "replica write to "+string(to)+" failed: "+err.Error()) //nolint:errcheck
 	}
+}
+
+// callOSD is one op round trip to a peer daemon.
+func (o *OSD) callOSD(ctx context.Context, to wire.Addr, req *OpRequest) (OpReply, error) {
+	resp, err := o.net.Call(ctx, o.addr, to, *req)
+	if err != nil {
+		return OpReply{}, err
+	}
+	rep, ok := resp.(OpReply)
+	if !ok {
+		return OpReply{}, fmt.Errorf("osd.%d: unexpected reply %T from %s", o.cfg.ID, resp, to)
+	}
+	return rep, nil
+}
+
+// restamp brings this daemon to at least epoch (pulling from the
+// monitors only if the flood has not delivered it already) and returns a
+// copy of the forward req stamped with the map now installed — or nil
+// when that map no longer makes this daemon the primary, with peer in
+// the acting set, of every object the forward names: then the forward is
+// not this daemon's to send, and backfill under the new map owns the
+// repair. req itself is shared by the fan-out's other peers and is not
+// written.
+func (o *OSD) restamp(ctx context.Context, peer int, req *OpRequest, epoch types.Epoch) *OpRequest {
+	if o.Epoch() < epoch {
+		if m, err := o.monc.GetOSDMap(ctx); err == nil {
+			o.updateMap(m, noPeer)
+		}
+	}
+	v := o.view.Load()
+	pv := v.pools[req.Pool]
+	if v.m.Epoch <= req.Epoch || pv == nil {
+		return nil
+	}
+	stillOurs := func(name string) bool {
+		acting := pv.actingFor(PGForObject(name, pv.info.PGNum))
+		return len(acting) > 0 && acting[0] == o.cfg.ID && slices.Contains(acting[1:], peer)
+	}
+	if len(req.Blocks) == 0 && !stillOurs(req.Object) {
+		return nil
+	}
+	for i := range req.Blocks {
+		if !stillOurs(req.Blocks[i].Name) {
+			return nil
+		}
+	}
+	again := *req
+	again.Epoch = v.m.Epoch
+	return &again
 }
 
 // startForwarder starts a forwarder goroutine of the current incarnation

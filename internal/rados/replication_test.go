@@ -21,6 +21,8 @@ type clusterOpts struct {
 	replicas int
 	netOpts  []wire.Option
 	osd      OSDConfig // template; ID/Mons filled per daemon
+	// monFanout is the monitor's direct-push bound (0 = every subscriber).
+	monFanout int
 }
 
 func bootClusterOpts(t *testing.T, opts clusterOpts) *testCluster {
@@ -31,6 +33,7 @@ func bootClusterOpts(t *testing.T, opts clusterOpts) *testCluster {
 	m := mon.New(net, mon.Config{
 		ID: 0, Peers: []int{0},
 		ProposalInterval: 5 * time.Millisecond,
+		GossipFanout:     opts.monFanout,
 		Paxos: paxos.Config{
 			HeartbeatInterval: 10 * time.Millisecond,
 			ElectionTimeout:   200 * time.Millisecond,

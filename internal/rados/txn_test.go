@@ -72,8 +72,9 @@ func quietR3(t *testing.T, osd OSDConfig) *testCluster {
 // installClass installs a script class and waits until the client and
 // every daemon hold the map carrying it. Without the wait, a primary
 // still on the older epoch forwards to replicas already on the newer
-// one, they refuse the forward as stale (callReplica logs it), and the
-// copies differ until scrub — real, but not what these tests are about.
+// one, they refuse the forward as stale, and the primary catches up and
+// sends it again (TestStaleForwardIsResent) — real, but not what these
+// tests are about, and it would perturb their message counts.
 func installClass(t *testing.T, c *Client, osds []*OSD, name, src string) {
 	t.Helper()
 	ctx := ctxT(t, 10*time.Second)

@@ -74,7 +74,11 @@ type PoolInfo struct {
 	Replicas int    `json:"replicas"`
 }
 
-// OSDMap is the object-store cluster map.
+// OSDMap is the object-store cluster map. A map is immutable once
+// installed (copy-on-write): the monitor edits only its private working
+// copy and publishes Clone()s, and every daemon and client that installs
+// a published map shares that one pointer — across goroutines, and with
+// the peers it forwards the map to — and never writes through it.
 type OSDMap struct {
 	Epoch   Epoch               `json:"epoch"`
 	OSDs    map[int]OSDInfo     `json:"osds"`

@@ -7,18 +7,23 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rados"
 	"repro/internal/stats"
 )
 
 // PropagationConfig parameterizes the Figure 8 experiment: how fast a
 // newly installed object interface becomes live on every OSD, via the
-// monitor's Paxos commit, a bounded direct push, and OSD-to-OSD gossip.
+// monitor's Paxos commit, a bounded direct push, and the OSD-to-OSD
+// flood (with the gossip tick behind it).
 type PropagationConfig struct {
 	OSDs             int           // paper: 120 (RAM-backed)
 	Updates          int           // paper: 1000
 	ProposalInterval time.Duration // paper: 1 s default, 222 ms tuned
-	GossipInterval   time.Duration
-	GossipFanout     int // monitor's direct-push bound
+	GossipInterval   time.Duration // the OSDs' anti-entropy tick
+	GossipFanout     int           // monitor's direct-push bound
+	// NetLatency is the fabric's one-way delay. With it propagation
+	// latency counts hops; at zero it measures goroutine scheduling.
+	NetLatency time.Duration
 }
 
 // PropagationResult carries Figure 8's distribution: one latency sample
@@ -49,6 +54,8 @@ func RunPropagation(ctx context.Context, cfg PropagationConfig) (*PropagationRes
 		OSDs:             cfg.OSDs,
 		ProposalInterval: cfg.ProposalInterval,
 		GossipFanout:     cfg.GossipFanout,
+		NetLatency:       cfg.NetLatency,
+		OSD:              rados.OSDConfig{GossipInterval: cfg.GossipInterval},
 	})
 	if err != nil {
 		return nil, err
