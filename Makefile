@@ -10,7 +10,7 @@ SEED ?= 1
 BASE ?= HEAD~1
 
 .PHONY: build test race vet lint lint-json lint-sarif lint-diff lint-fixtures \
-	bench bench-smoke bench-module bench-json chaos chaos-race cover bench-compare ci
+	bench bench-smoke bench-module bench-json chaos chaos-race cover bench-compare ci loc
 
 build:
 	$(GO) build ./...
@@ -150,3 +150,15 @@ bench-compare:
 			-floor wal_group_commit_speedup=3.0 -floor wal_replay_mbps=100
 
 ci: build vet lint-sarif lint-fixtures race bench-smoke bench-module chaos cover bench-compare
+
+# Non-test, non-fixture Go lines per package, largest first, with the
+# total on top: ROADMAP aim 2's tracked number. go list leaves out
+# _test.go files and testdata/ fixtures; the nested bench/ module is
+# listed as well.
+LOC_FORMAT = {{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}
+
+loc:
+	@{ $(GO) list -f '$(LOC_FORMAT)' ./... && cd bench && $(GO) list -f '$(LOC_FORMAT)' ./... ; } \
+		| awk 'NF > 1 { n = 0; for (i = 2; i <= NF; i++) { while ((getline l < $$i) > 0) n++; close($$i) } \
+			printf "%7d %s\n", n, $$1; total += n } END { printf "%7d total\n", total }' \
+		| sort -rn

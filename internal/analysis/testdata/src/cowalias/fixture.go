@@ -23,6 +23,20 @@ type Reply struct {
 	Data   []byte
 }
 
+// Req is a client request: its buffers belong to the caller, who may
+// reuse them once the request returns.
+type Req struct {
+	Data []byte
+}
+
+// TxnEntry is one write-set entry as a replica receives it. Val is
+// copy-on-write: it aliases a slice the primary stored, which nobody
+// writes in place, so installers share it.
+type TxnEntry struct {
+	Key string
+	Val []byte
+}
+
 type entry struct {
 	obj *Obj
 }
@@ -76,6 +90,13 @@ func (s *store) putOmapRaw(name, k string, v []byte) {
 	e.obj.Omap[k] = v // want "caller-owned buffer stored into copy-on-write slot"
 }
 
+// putRequest stores a client request's payload without a clone: adopting
+// write-set values must not have made request buffers adoptable too.
+func (s *store) putRequest(name string, req Req) {
+	e := s.entry(name)
+	e.obj.Data = req.Data // want "caller-owned buffer stored into copy-on-write slot"
+}
+
 // buildReply places a caller-owned buffer straight into a retained
 // reply.
 func (s *store) buildReply(buf []byte) Reply {
@@ -125,6 +146,17 @@ func (s *store) growFresh(name string, buf []byte) {
 	grown := make([]byte, 0, len(e.obj.Data)+len(buf))
 	grown = append(append(grown, e.obj.Data...), buf...)
 	e.obj.Data = grown
+}
+
+// adoptTxn installs write-set entries by reference, as a replica does:
+// their values are copy-on-write already, so sharing them is not
+// aliasing a caller's buffer.
+func (s *store) adoptTxn(name string, txn []TxnEntry) {
+	e := s.entry(name)
+	for i := range txn {
+		e.obj.Omap[txn[i].Key] = txn[i].Val
+	}
+	e.obj.Data = txn[0].Val
 }
 
 // readReply aliases stored state into the reply: the zero-copy read

@@ -44,10 +44,12 @@ type MutKind uint8
 // bytestream (not the op's delta), making replay idempotent; RecSnapshot
 // carries a whole object (backfill merges and checkpoints, which replace
 // the copy wholesale); RecVerPin is a version-only advance (a replica
-// no-op apply that pinned the primary's stamp); RecTxn carries a class
-// call's write-set — the final value of each thing the method touched,
-// the same entries its replicas were sent — so its size follows the
-// call, not the object.
+// no-op apply that pinned the primary's stamp); RecTxn carries the
+// write-set of a class call or an overwrite — the final value of each
+// thing the op touched, the same entries its replicas were sent — so
+// its size follows the op, not the object. RecOmapSet and RecOmapDel
+// are no longer written (those ops journal RecTxn) but still replay;
+// RecXattrSet remains the record of a block's reference-set change.
 const (
 	RecCreate MutKind = iota
 	RecData
@@ -74,6 +76,12 @@ func (k MutKind) String() string {
 // object's slot version after the change; replay applies a mutation
 // only when its Version is ahead of the rebuilt slot (Force snapshots
 // excepted, mirroring scrub's authoritative backfill).
+//
+// Its slices are copy-on-write, like the Object's they come from or go
+// to: a recorded Mutation aliases live stored slices (the Backend
+// contract), and a replayed one holds values the decoder copied out of
+// the frame, which replay installs as they are. Neither side writes
+// them in place.
 type Mutation struct {
 	Kind    MutKind
 	Pool    string

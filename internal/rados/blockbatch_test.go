@@ -73,7 +73,7 @@ func byPrimary(t *testing.T, m *types.OSDMap, blocks []dedupBlock) map[int][]ded
 // way do() would, without do()'s routing or retries.
 func callOSD(t *testing.T, ctx context.Context, tc *testCluster, id int, req OpRequest) OpReply {
 	t.Helper()
-	resp, err := tc.net.Call(ctx, "client.0", OSDAddr(id), req)
+	resp, err := tc.net.Call(ctx, "client.0", OSDAddr(id), &req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func (c *Client) do(ctx context.Context, req OpRequest) (OpReply, error) {
 			}
 		}
 		req.Epoch = v.m.Epoch
-		resp, err := c.net.Call(ctx, c.self, OSDAddr(acting[0]), req)
+		resp, err := c.net.Call(ctx, c.self, OSDAddr(acting[0]), &req)
 		if err != nil {
 			// Primary unreachable: refresh the map (it may be down) and
 			// retry against the new acting set.

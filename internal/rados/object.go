@@ -54,20 +54,22 @@ func (o *Object) clone() *Object {
 	return c
 }
 
-// applyTxn installs a write-set's final values, cloning each into the
-// copy-on-write slots. Caller holds the object's slot lock.
+// applyTxn installs a write-set's final values by reference: its two
+// callers hand it slices nobody writes again — the primary's stored
+// slices on a replica, freshly decoded ones on replay — so the object
+// adopts them (see TxnOp). Caller holds the object's slot lock.
 func (o *Object) applyTxn(txn []TxnOp) {
 	for i := range txn {
 		op := &txn[i]
 		switch op.Kind {
 		case TxnData:
-			o.Data = append([]byte(nil), op.Val...)
+			o.Data = op.Val
 		case TxnOmapSet:
-			o.Omap[op.Key] = append([]byte(nil), op.Val...)
+			o.Omap[op.Key] = op.Val
 		case TxnOmapDel:
 			delete(o.Omap, op.Key)
 		case TxnXattrSet:
-			o.Xattrs[op.Key] = append([]byte(nil), op.Val...)
+			o.Xattrs[op.Key] = op.Val
 		case TxnXattrDel:
 			delete(o.Xattrs, op.Key)
 		}

@@ -150,11 +150,12 @@ type OSD struct {
 	// client mutation, keyed by (client address, OpID). A resend of an
 	// operation whose ack was lost returns the cached reply instead of
 	// re-applying — the server half of exactly-once for non-idempotent
-	// ops. Bounded FIFO; an evicted entry degrades to at-least-once,
-	// which the version stamps and scrub then reconcile.
-	replayMu  sync.Mutex
-	replay    map[replayKey]OpReply // guarded by replayMu
-	replayLog []replayKey           // guarded by replayMu; FIFO eviction order
+	// ops. Bounded FIFO over a fixed ring; an evicted entry degrades to
+	// at-least-once, which the version stamps and scrub then reconcile.
+	replayMu   sync.Mutex
+	replay     map[replayKey]OpReply      // guarded by replayMu
+	replayRing [replayCacheSize]replayKey // guarded by replayMu; keys in insertion order from replayNext
+	replayNext int                        // guarded by replayMu; the slot the next put fills (the oldest key once full)
 
 	// Dedup GC state (osd_gc.go): ref deltas enqueued by manifest
 	// applies and drained by the sweeper. The queue lives on the OSD
@@ -200,7 +201,7 @@ func NewOSD(net *wire.Network, cfg OSDConfig) *OSD {
 		watchers:  newWatcherTable(),
 		fwdCh:     make(chan fwdJob),
 		pgs:       make(map[PGID]*pg),
-		replay:    make(map[replayKey]OpReply),
+		replay:    make(map[replayKey]OpReply, replayCacheSize),
 		classLive: make(map[string]uint64),
 		stopCh:    make(chan struct{}),
 	}
@@ -339,8 +340,8 @@ func (o *OSD) Epoch() types.Epoch { return o.view.Load().m.Epoch }
 // handle is the single fabric endpoint.
 func (o *OSD) handle(ctx context.Context, from wire.Addr, req any) (any, error) {
 	switch r := req.(type) {
-	case OpRequest:
-		return o.handleOp(ctx, from, r), nil
+	case *OpRequest:
+		return o.handleOp(ctx, from, *r), nil
 	case mon.MapNotify:
 		if r.OSD != nil {
 			o.updateMap(r.OSD, noPeer)
@@ -642,7 +643,8 @@ func (o *OSD) replayGet(from wire.Addr, id uint64) (OpReply, bool) {
 }
 
 // replayPut records the reply of an applied mutation, evicting the
-// oldest entry once the cache is full.
+// oldest entry once the cache is full. Every cached key occupies one
+// ring slot, so a full map means the next slot holds the oldest key.
 func (o *OSD) replayPut(from wire.Addr, id uint64, rep OpReply) {
 	o.replayMu.Lock()
 	defer o.replayMu.Unlock()
@@ -650,12 +652,12 @@ func (o *OSD) replayPut(from wire.Addr, id uint64, rep OpReply) {
 	if _, ok := o.replay[k]; ok {
 		return
 	}
-	if len(o.replayLog) >= replayCacheSize {
-		delete(o.replay, o.replayLog[0])
-		o.replayLog = o.replayLog[1:]
+	if len(o.replay) == replayCacheSize {
+		delete(o.replay, o.replayRing[o.replayNext])
 	}
 	o.replay[k] = rep
-	o.replayLog = append(o.replayLog, k)
+	o.replayRing[o.replayNext] = k
+	o.replayNext = (o.replayNext + 1) % replayCacheSize
 }
 
 // heldPGs snapshots the ids of the placement groups this daemon holds.

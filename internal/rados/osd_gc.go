@@ -314,7 +314,7 @@ func (o *OSD) sendBlockOp(req OpRequest) (OpReply, error) {
 		if acting[0] == o.cfg.ID {
 			rep = o.handleOp(ctx, o.Addr(), req)
 		} else {
-			resp, err := o.net.Call(ctx, o.Addr(), OSDAddr(acting[0]), req)
+			resp, err := o.net.Call(ctx, o.Addr(), OSDAddr(acting[0]), &req)
 			if err != nil {
 				// Peer unreachable: refresh the map and retry routing.
 				if fresh, merr := o.monc.GetOSDMap(ctx); merr == nil {

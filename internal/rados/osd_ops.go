@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -25,10 +26,11 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	v := o.view.Load()
 	m := v.m
 
-	// Class methods execute on the primary alone: replicas are sent the
-	// call's write-set as an OpTxn, which is nothing a client may send.
-	if (req.Op == OpCall && req.Replica) || (req.Op == OpTxn && !req.Replica) {
-		return OpReply{Result: EINVAL, Detail: "class calls execute on the primary only", Epoch: m.Epoch}
+	// Class calls and overwrites apply on the primary alone: replicas
+	// are sent what the primary stored as an OpTxn, which is nothing a
+	// client may send.
+	if (req.Replica && forwardsAsTxn(req.Op)) || (req.Op == OpTxn && !req.Replica) {
+		return OpReply{Result: EINVAL, Detail: "calls and overwrites apply on the primary only", Epoch: m.Epoch}
 	}
 
 	// A call against a class this daemon does not know may be racing a
@@ -86,7 +88,8 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 
 	p := o.getPG(PGID{Pool: req.Pool, PG: pgnum})
 	if req.Replica {
-		rep := o.applyReplicaOp(ctx, p, req, m, time.Now().Add(o.cfg.ReplicaWaitTimeout))
+		var deadline time.Time
+		rep := o.applyReplicaOp(ctx, p, req, m, &deadline)
 		if rep.Result == OK {
 			if err := o.commitDurable(); err != nil {
 				return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
@@ -118,25 +121,28 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 
 // applyPrimary applies a client op to the primary's copy under the
 // object's slot lock and journals it. It returns the reply, the slot
-// version before the op, and whether state changed. A class call that
-// changed state leaves *req rewritten as the OpTxn carrying the call's
-// write-set: the method has run — here, once — and from this point on
-// (journal record, replica forward) the operation is its effect.
+// version before the op, and whether state changed. A class call or an
+// overwrite that changed state leaves *req — the handler's own copy,
+// never the sender's — rewritten as the OpTxn carrying its write-set:
+// the op has run, here, once, and from this point on (journal record,
+// replica forward) it is its effect as the primary stored it.
 func (o *OSD) applyPrimary(p *pg, req *OpRequest, m *types.OSDMap) (reply OpReply, prev uint64, mutated bool) {
 	e := p.entry(req.Object)
 	e.mu.Lock()
 	prev = e.ver
+	var txn []TxnOp
 	if req.Op == OpCall {
-		var txn []TxnOp
 		reply, txn = o.applyCall(e, *req, m)
-		if txn != nil {
-			req.Op, req.Txn = OpTxn, txn
-			req.Class, req.Method, req.Input = "", "", nil
-			mutated = true
-		}
+		mutated = txn != nil
 	} else {
 		reply, mutated = o.applyOp(e, *req, m)
 		mutated = mutated && reply.Result == OK
+		if mutated && forwardsAsTxn(req.Op) {
+			txn = storedWriteSet(e.obj, req)
+		}
+	}
+	if txn != nil {
+		*req = OpRequest{Pool: req.Pool, Object: req.Object, Epoch: req.Epoch, Op: OpTxn, OpID: req.OpID, Txn: txn}
 	}
 	if mutated {
 		o.recordOp(p, e, *req)
@@ -144,6 +150,47 @@ func (o *OSD) applyPrimary(p *pg, req *OpRequest, m *types.OSDMap) (reply OpRepl
 	e.mu.Unlock()
 	reply.Epoch = m.Epoch
 	return reply, prev, mutated
+}
+
+// forwardsAsTxn reports whether op reaches replicas as the OpTxn of
+// what the primary stored rather than as itself: class calls, whose
+// method must run once, and the overwrites, whose write-set is no
+// bigger than the op. OpAppend keeps its delta (its final state is the
+// whole object); create and remove carry no bytes.
+func forwardsAsTxn(op OpCode) bool {
+	switch op {
+	case OpCall, OpWriteFull, OpSetXattr, OpOmapSet, OpOmapDel:
+		return true
+	}
+	return false
+}
+
+// storedWriteSet is an applied overwrite's write-set: for each thing req
+// replaced, the value obj now stores — the primary's clone of the
+// caller's buffer, shared from here on by the journal record and every
+// replica. Caller holds the slot lock.
+func storedWriteSet(obj *Object, req *OpRequest) []TxnOp {
+	switch req.Op {
+	case OpWriteFull:
+		return []TxnOp{{Kind: TxnData, Val: obj.Data}}
+	case OpSetXattr:
+		return []TxnOp{{Kind: TxnXattrSet, Key: req.Key, Val: obj.Xattrs[req.Key]}}
+	case OpOmapSet:
+		txn := make([]TxnOp, 0, len(req.KV))
+		for k := range req.KV {
+			txn = append(txn, TxnOp{Kind: TxnOmapSet, Key: k, Val: obj.Omap[k]})
+		}
+		// Key order, not map order: the journal encoding stays deterministic.
+		slices.SortFunc(txn, func(a, b TxnOp) int { return strings.Compare(a.Key, b.Key) })
+		return txn
+	case OpOmapDel:
+		txn := make([]TxnOp, 0, len(req.Keys))
+		for _, k := range req.Keys {
+			txn = append(txn, TxnOp{Kind: TxnOmapDel, Key: k})
+		}
+		return txn
+	}
+	return nil
 }
 
 // ledPG returns the placement group holding name and its acting set
@@ -286,15 +333,16 @@ func (o *OSD) blockWriteBatch(ctx context.Context, from wire.Addr, req OpRequest
 
 // applyReplicaBlocks applies a primary's block sub-batch: each entry
 // under applyReplicaOp's ordering rule on its own slot, all against one
-// wait deadline, then one journal commit and one ack for the batch.
+// wait deadline — set by the first entry that has to wait — then one
+// journal commit and one ack for the batch.
 func (o *OSD) applyReplicaBlocks(ctx context.Context, blocks []BlockOp, pv *poolView, m *types.OSDMap) OpReply {
-	deadline := time.Now().Add(o.cfg.ReplicaWaitTimeout)
+	var deadline time.Time
 	entry := OpRequest{Pool: pv.name, Op: OpBlockWrite, Replica: true}
 	for i := range blocks {
 		entry.Object, entry.Data = blocks[i].Name, blocks[i].Data
 		entry.PrevVersion, entry.NewVersion = blocks[i].PrevVersion, blocks[i].NewVersion
 		p := o.getPG(PGID{Pool: pv.name, PG: PGForObject(entry.Object, pv.info.PGNum)})
-		o.applyReplicaOp(ctx, p, entry, m, deadline)
+		o.applyReplicaOp(ctx, p, entry, m, &deadline)
 	}
 	if err := o.commitDurable(); err != nil {
 		return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
@@ -429,7 +477,7 @@ func (o *OSD) callReplica(ctx context.Context, peer int, req *OpRequest) {
 
 // callOSD is one op round trip to a peer daemon.
 func (o *OSD) callOSD(ctx context.Context, to wire.Addr, req *OpRequest) (OpReply, error) {
-	resp, err := o.net.Call(ctx, o.addr, to, *req)
+	resp, err := o.net.Call(ctx, o.addr, to, req)
 	if err != nil {
 		return OpReply{}, err
 	}
@@ -544,19 +592,24 @@ func (o *OSD) doSerialOp(ctx context.Context, from wire.Addr, p *pg, req OpReque
 // version order. A forward that arrives ahead of its predecessor (the
 // parallel fan-outs of two writes to one object can cross on the
 // fabric) buffers on the slot's applied channel until the local version
-// catches up to PrevVersion, bounded by deadline (ReplicaWaitTimeout
-// from the forward's arrival); on expiry
-// it applies anyway — the primary's stamp still lands via NewVersion
-// and scrub repairs any residual divergence. A forward that arrives
-// after a newer mutation already applied is dropped as a stale
-// duplicate rather than regressing state.
-func (o *OSD) applyReplicaOp(ctx context.Context, p *pg, req OpRequest, m *types.OSDMap, deadline time.Time) OpReply {
+// catches up to PrevVersion, bounded by *deadline; on expiry it applies
+// anyway — the primary's stamp still lands via NewVersion and scrub
+// repairs any residual divergence. A zero *deadline is set to
+// ReplicaWaitTimeout from the first wait, so the common forward, which
+// never waits, never reads the clock; callers share one deadline across
+// a batch by passing the same one. A forward that arrives after a newer
+// mutation already applied is dropped as a stale duplicate rather than
+// regressing state.
+func (o *OSD) applyReplicaOp(ctx context.Context, p *pg, req OpRequest, m *types.OSDMap, deadline *time.Time) OpReply {
 	e := p.entry(req.Object)
 	e.mu.Lock()
 	for e.ver < req.PrevVersion {
+		if deadline.IsZero() {
+			*deadline = time.Now().Add(o.cfg.ReplicaWaitTimeout)
+		}
 		ch := e.appliedLocked()
 		e.mu.Unlock()
-		ok := waitApplied(ctx, ch, deadline)
+		ok := waitApplied(ctx, ch, *deadline)
 		e.mu.Lock()
 		if !ok {
 			break
@@ -654,15 +707,14 @@ func (o *OSD) applyOp(e *objEntry, req OpRequest, m *types.OSDMap) (OpReply, boo
 		// Manifest transition: the primary owns reference bookkeeping, so
 		// overwriting (or installing, or clobbering) a manifest enqueues
 		// the ref deltas of the old-vs-new block-set diff for the GC
-		// sweeper, anchored to the version this apply stamps. Replicas
-		// apply the bytes only; their primary already queued the deltas.
+		// sweeper, anchored to the version this apply stamps. Only a
+		// primary applies a WriteFull; its replicas install the bytes it
+		// stored (OpTxn). The clone is the one copy of the caller's buffer.
 		oldSet := manifestBlockSet(objData(e))
 		obj := e.materializeLocked(req.Object)
 		obj.Data = append([]byte(nil), req.Data...)
 		e.bumpLocked()
-		if !req.Replica {
-			o.queueRefDeltas(req.Pool, req.Object, e.ver, oldSet, manifestBlockSet(req.Data))
-		}
+		o.queueRefDeltas(req.Pool, req.Object, e.ver, oldSet, manifestBlockSet(obj.Data))
 		return OpReply{Result: OK, Version: e.ver}, true
 
 	case OpAppend:
@@ -747,8 +799,8 @@ func (o *OSD) applyOp(e *objEntry, req OpRequest, m *types.OSDMap) (OpReply, boo
 		return OpReply{Result: OK, Version: e.ver}, true
 
 	case OpTxn:
-		// A class call as its replicas see it: the final values the
-		// method left on the primary (handleOp admits it from a primary
+		// A class call or overwrite as its replicas see it: the final
+		// values the primary stored (handleOp admits it from a primary
 		// only). Nothing is read, so a forced out-of-order or repeated
 		// apply still lands on those values.
 		e.materializeLocked(req.Object).applyTxn(req.Txn)
@@ -846,21 +898,11 @@ func (o *OSD) recordOp(p *pg, e *objEntry, req OpRequest) {
 	switch req.Op {
 	case OpCreate:
 		mut.Kind = RecCreate
-	case OpWriteFull, OpAppend, OpBlockWrite:
+	case OpAppend, OpBlockWrite:
 		mut.Kind = RecData
 		mut.Data = objData(e)
 	case OpRemove, OpBlockReclaim:
 		mut.Kind = RecRemove
-	case OpOmapSet:
-		mut.Kind = RecOmapSet
-		mut.KV = req.KV
-	case OpOmapDel:
-		mut.Kind = RecOmapDel
-		mut.Keys = req.Keys
-	case OpSetXattr:
-		mut.Kind = RecXattrSet
-		mut.Key = req.Key
-		mut.Data = e.obj.Xattrs[req.Key]
 	case OpBlockIncref, OpBlockDecref:
 		// The whole mutation is the refset xattr; journaling the block's
 		// (potentially large) bytes again would bloat the log.
@@ -868,8 +910,8 @@ func (o *OSD) recordOp(p *pg, e *objEntry, req OpRequest) {
 		mut.Key = xattrBlockRefs
 		mut.Data = e.obj.Xattrs[xattrBlockRefs]
 	case OpTxn:
-		// A class call journals what it wrote — the entries its replicas
-		// are sent — not the object it wrote them to.
+		// A class call or overwrite journals what it wrote — the entries
+		// its replicas are sent — not the object it wrote them to.
 		mut.Kind = RecTxn
 		mut.Txn = req.Txn
 	default:

@@ -81,7 +81,8 @@ func (o *OSD) restore() error {
 // later snapshot) and is dropped, which is what makes replay idempotent
 // and order-tolerant across the checkpoint boundary. Force snapshots
 // (scrub's authoritative backfill) apply unconditionally, mirroring the
-// live path.
+// live path. The decoder copied every value out of its frame, so the
+// object adopts them as they are.
 func (o *OSD) applyMutation(mut Mutation) {
 	p := o.getPG(PGID{Pool: mut.Pool, PG: mut.PG})
 	e := p.entry(mut.Object)
@@ -94,8 +95,7 @@ func (o *OSD) applyMutation(mut Mutation) {
 	case RecCreate:
 		e.materializeLocked(mut.Object)
 	case RecData:
-		obj := e.materializeLocked(mut.Object)
-		obj.Data = append([]byte(nil), mut.Data...)
+		e.materializeLocked(mut.Object).Data = mut.Data
 	case RecRemove, RecPurge:
 		// A purge replays as a tombstone, not a slot delete: dropping
 		// the slot here would need p.mu under e.mu (inverting entry()'s
@@ -104,7 +104,7 @@ func (o *OSD) applyMutation(mut Mutation) {
 	case RecOmapSet:
 		obj := e.materializeLocked(mut.Object)
 		for k, v := range mut.KV {
-			obj.Omap[k] = append([]byte(nil), v...)
+			obj.Omap[k] = v
 		}
 	case RecOmapDel:
 		if e.obj != nil {
@@ -113,8 +113,7 @@ func (o *OSD) applyMutation(mut Mutation) {
 			}
 		}
 	case RecXattrSet:
-		obj := e.materializeLocked(mut.Object)
-		obj.Xattrs[mut.Key] = append([]byte(nil), mut.Data...)
+		e.materializeLocked(mut.Object).Xattrs[mut.Key] = mut.Data
 	case RecSnapshot:
 		e.obj = mut.Obj
 	case RecTxn:

@@ -33,7 +33,7 @@ func TestReplayCacheDedupesResends(t *testing.T) {
 	}
 	deliver := func() OpReply {
 		t.Helper()
-		resp, err := tc.net.Call(ctx, "client.0", OSDAddr(acting[0]), req)
+		resp, err := tc.net.Call(ctx, "client.0", OSDAddr(acting[0]), &req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestReplayCacheScopedToSender(t *testing.T) {
 		OpID: 7,
 	}
 	for _, from := range []wire.Addr{"client.a", "client.b"} {
-		resp, err := tc.net.Call(ctx, from, OSDAddr(acting[0]), req)
+		resp, err := tc.net.Call(ctx, from, OSDAddr(acting[0]), &req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,9 @@ func TestReplayCacheSurvivesClientRestart(t *testing.T) {
 
 // TestReplayCacheEviction exercises the bounded FIFO directly: the
 // oldest entry leaves once the cache is full, and re-recording an
-// existing key is a no-op.
+// existing key is a no-op. Past many wraps of the ring, exactly the
+// newest replayCacheSize keys hit, the ring holds them oldest first from
+// its next slot, and the map never outgrows the ring.
 func TestReplayCacheEviction(t *testing.T) {
 	o := NewOSD(wire.NewNetwork(), OSDConfig{ID: 0, Mons: []int{0}})
 	for i := 0; i < replayCacheSize+1; i++ {
@@ -147,5 +149,25 @@ func TestReplayCacheEviction(t *testing.T) {
 	o.replayPut("client.0", 2, OpReply{Result: OK, Version: 999})
 	if rep, _ := o.replayGet("client.0", 2); rep.Version != 2 {
 		t.Errorf("duplicate record overwrote the cached reply: %+v", rep)
+	}
+
+	const puts = 10 * replayCacheSize
+	for i := replayCacheSize + 1; i < puts; i++ {
+		o.replayPut("client.0", uint64(i+1), OpReply{Result: OK, Version: uint64(i + 1)})
+		if n := len(o.replay); n > replayCacheSize {
+			t.Fatalf("after %d puts the cache holds %d replies, want at most %d", i+1, n, replayCacheSize)
+		}
+	}
+	for id := uint64(1); id <= puts; id++ {
+		rep, ok := o.replayGet("client.0", id)
+		if newest := id > puts-replayCacheSize; ok != newest || (ok && rep.Version != id) {
+			t.Fatalf("OpID %d: hit %v (version %d), want hit %v", id, ok, rep.Version, newest)
+		}
+	}
+	for i := 0; i < replayCacheSize; i++ {
+		k := o.replayRing[(o.replayNext+i)%replayCacheSize]
+		if want := uint64(puts - replayCacheSize + 1 + i); k.id != want {
+			t.Fatalf("ring position %d from the next slot holds OpID %d, want %d (oldest first)", i, k.id, want)
+		}
 	}
 }

@@ -192,7 +192,7 @@ func TestCallForwardAndClientTxnRejected(t *testing.T) {
 	} {
 		req.Pool, req.Object, req.Epoch = "data", "o", epoch
 		for _, id := range acting {
-			resp, err := tc.net.Call(ctx, "client.forger", OSDAddr(id), req)
+			resp, err := tc.net.Call(ctx, "client.forger", OSDAddr(id), &req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,7 +314,7 @@ func TestTxnForwardsApplyInVersionOrder(t *testing.T) {
 	}
 	replica := tc.osds[actingOf(t, tc, "o")[1]]
 	forward := func(prev uint64, val string) OpReply {
-		resp, err := tc.net.Call(ctx, "osd.primary", replica.Addr(), OpRequest{
+		resp, err := tc.net.Call(ctx, "osd.primary", replica.Addr(), &OpRequest{
 			Pool: "data", Object: "o", Epoch: tc.client.CachedMap().Epoch, Op: OpTxn, Replica: true,
 			PrevVersion: prev, NewVersion: prev + 1,
 			Txn: []TxnOp{
@@ -374,7 +374,8 @@ func TestTxnForwardsApplyInVersionOrder(t *testing.T) {
 
 // A replica that answers a forward with anything but OK now differs
 // from the primary; the primary says so in the cluster log instead of
-// dropping the reply.
+// dropping the reply. (An overwrite's write-set lands on any copy, so
+// the refused forward here is a remove.)
 func TestReplicaRefusalIsLogged(t *testing.T) {
 	tc := quietR3(t, OSDConfig{})
 	ctx := ctxT(t, 10*time.Second)
@@ -384,9 +385,9 @@ func TestReplicaRefusalIsLogged(t *testing.T) {
 	lagging := actingOf(t, tc, "o")[2]
 	e := slotOf(tc.osds[lagging], "o")
 	e.mu.Lock()
-	e.obj = nil // this copy lost the object; an omap delete on it is ENOENT
+	e.obj = nil // this copy lost the object; a remove on it is ENOENT
 	e.mu.Unlock()
-	if err := tc.client.OmapDel(ctx, "data", "o", "k"); err != nil {
+	if err := tc.client.Remove(ctx, "data", "o"); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := tc.client.Mon().GetLog(ctx, 0)

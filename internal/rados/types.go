@@ -45,9 +45,10 @@ const (
 	OpBlockReclaim // remove the block iff unreferenced and outside the grace window (req.Count ns)
 	OpBlockRead    // the bytes of every block of req.Keys this primary leads, in one reply
 
-	// OpTxn is the replica-only form of a class call: the write-set the
-	// method produced on the primary (req.Txn), applied as final values.
-	// A client may not send it, and an OpCall is never forwarded.
+	// OpTxn is the replica-only form of every overwrite — a class call,
+	// OpWriteFull, OpSetXattr, OpOmapSet, OpOmapDel: the write-set the
+	// primary stored (req.Txn), applied as final values. A client may
+	// not send it, and none of those five ops is ever forwarded.
 	OpTxn
 )
 
@@ -128,7 +129,9 @@ func ErrFor(rc ResultCode, detail string) error {
 }
 
 // OpRequest is one object operation addressed to the primary OSD of the
-// object's placement group.
+// object's placement group. It crosses the fabric as *OpRequest: the
+// receiving daemon copies it once on entry (OSD.handle) and never
+// writes the sender's.
 type OpRequest struct {
 	Pool   string
 	Object string
@@ -161,8 +164,8 @@ type OpRequest struct {
 	// Blocks is the batched form of OpBlockWrite: every block the sender
 	// has for this daemon, in one request (see BlockOp).
 	Blocks []BlockOp
-	// Txn is OpTxn's payload: the write-set of the class call the primary
-	// executed (see TxnOp).
+	// Txn is OpTxn's payload: the write-set of the overwrite or class
+	// call the primary applied (see TxnOp).
 	Txn []TxnOp
 
 	// Replica marks a primary-to-replica forward; replicas apply without
@@ -200,13 +203,17 @@ const (
 	TxnXattrDel                // xattr removed
 )
 
-// TxnOp is one entry of a class call's write-set: the final state of
-// one thing the method touched — never the operation that produced it,
-// so applying a write-set twice, or on a copy the method never ran
-// against, lands on the primary's values. Val aliases the primary's
-// stored slice (copy-on-write: it is never written in place); whoever
-// stores it into an object clones it first. The same entries are the
+// TxnOp is one entry of a write-set — of a class call, or of an
+// overwrite (OpWriteFull, OpSetXattr, OpOmapSet, OpOmapDel): the final
+// state of one thing the op touched, never the operation that produced
+// it, so applying a write-set twice, or on a copy the op never ran
+// against, lands on the primary's values. The same entries are the
 // replica forward (OpRequest.Txn) and the journal record (RecTxn).
+//
+// Val is copy-on-write: it aliases the slice the primary stored, or a
+// slice replay decoded fresh, and nobody writes either in place — so
+// whoever installs an entry shares Val rather than cloning it, and a
+// replicated write keeps one copy of its payload on all its replicas.
 type TxnOp struct {
 	Kind TxnKind
 	Key  string

@@ -98,6 +98,35 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// Replay installs a decoded Mutation's slices as they are, which is safe
+// only because decoding copies every value out of the frame: scribbling
+// over the record afterwards (the log reuses its read buffer) must leave
+// the Mutation's bytes unchanged.
+func TestDecodedMutationOwnsItsBytes(t *testing.T) {
+	for _, m := range []Mutation{
+		{Kind: RecData, Pool: "data", Object: "o", Version: 1, Data: []byte("bytestream")},
+		{Kind: RecOmapSet, Pool: "data", Object: "o", Version: 2, KV: map[string][]byte{"k": []byte("omap value")}},
+		{Kind: RecXattrSet, Pool: "data", Object: "o", Version: 3, Key: "x", Data: []byte("xattr value")},
+		{Kind: RecTxn, Pool: "data", Object: "o", Version: 4, Txn: []TxnOp{
+			{Kind: TxnData, Val: []byte("bytestream")},
+			{Kind: TxnOmapSet, Key: "k", Val: []byte("omap value")},
+			{Kind: TxnXattrSet, Key: "x", Val: []byte("xattr value")},
+		}},
+	} {
+		rec := encodeMutation(nil, m)
+		got, err := decodeMutation(rec)
+		if err != nil {
+			t.Fatalf("%v: %v", m.Kind, err)
+		}
+		for i := range rec {
+			rec[i] = 0xee
+		}
+		if !bytes.Equal(got.Data, m.Data) || !reflect.DeepEqual(got.KV, m.KV) || !sameTxn(got.Txn, m.Txn) {
+			t.Errorf("%v: overwriting the record changed the decoded mutation: %+v, want %+v", m.Kind, got, m)
+		}
+	}
+}
+
 func TestWALBackendCrashDropsUncommitted(t *testing.T) {
 	dir := t.TempDir()
 	be, err := OpenWALBackend(dir, WALBackendOptions{})
