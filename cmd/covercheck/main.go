@@ -29,13 +29,15 @@ import (
 // torn-write corpus walks every truncation and corruption offset, so
 // the journal's recovery branches are what the floor protects — the
 // uncovered remainder is fsync/truncate error-injection branches no
-// honest test can reach).
+// honest test can reach). The mds floor rose 65 -> 72 when value
+// checkpoints moved to a background flusher (measured 76.5%): its
+// retry and stop paths are covered only by the journal tests.
 var floors = map[string]float64{
 	"repro/internal/wire":     85,
 	"repro/internal/rados":    72,
 	"repro/internal/paxos":    78,
 	"repro/internal/mon":      60,
-	"repro/internal/mds":      65,
+	"repro/internal/mds":      72,
 	"repro/internal/zlog":     72,
 	"repro/internal/script":   80,
 	"repro/internal/cdc":      85,

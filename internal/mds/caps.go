@@ -166,12 +166,14 @@ func (s *Server) handleRelease(r ReleaseReq) ReleaseResp {
 		s.mu.Unlock()
 		return ReleaseResp{Status: StNotFound}
 	}
-	rec, g := s.releaseLocked(ino, r.Client, r.Value)
+	released, g := s.releaseLocked(ino, r.Client, r.Value)
+	if released {
+		// The holder's final value is a checkpoint, journaled off the
+		// reply path.
+		s.checkpointLocked(ino.Path, ino.Value)
+	}
 	s.mu.Unlock()
 	g.deliver()
-	if rec != nil {
-		s.journal(*rec)
-	}
 	return ReleaseResp{Status: StOK}
 }
 
@@ -192,11 +194,12 @@ func (g *grantMsg) deliver() {
 }
 
 // releaseLocked returns the cap, folds the holder's final value into the
-// inode, and dequeues the next waiter. It returns a journal record and
-// a grant, both to be handled outside the lock (nil when not needed).
-func (s *Server) releaseLocked(ino *inode, client wire.Addr, value uint64) (*journalEntry, *grantMsg) {
+// inode, and dequeues the next waiter. It reports whether client held
+// the cap, and returns the grant to deliver outside the lock (nil when
+// there is none).
+func (s *Server) releaseLocked(ino *inode, client wire.Addr, value uint64) (bool, *grantMsg) {
 	if ino.holder != client {
-		return nil, nil // stale release (e.g. after force-reclaim)
+		return false, nil // stale release (e.g. after force-reclaim)
 	}
 	if value > ino.Value {
 		ino.Value = value
@@ -221,7 +224,7 @@ func (s *Server) releaseLocked(ino *inode, client wire.Addr, value uint64) (*jou
 		ino.waiters = ino.waiters[1:]
 		g = &grantMsg{ch: next.ch, resp: s.grantLocked(ino, next.client)}
 	}
-	return &journalEntry{Op: "value", Path: ino.Path, Value: ino.Value}, g
+	return true, g
 }
 
 // regrantAfterFence resumes a waiter queue that a fenced release left

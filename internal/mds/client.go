@@ -186,9 +186,16 @@ func (c *Client) releaseCap(path string) {
 	}
 	delete(c.caps, path)
 	value := cs.value
+	c.mu.Unlock()
+	c.sendRelease(path, value)
+}
+
+// sendRelease hands path's capability back to the authority with the
+// counter's final value; the one place a release leaves the client.
+func (c *Client) sendRelease(path string, value uint64) {
+	c.mu.Lock()
 	rank := c.rankForLocked(path)
 	c.mu.Unlock()
-
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	//lint:ignore errdrop release is best effort: an unreachable MDS reclaims the cap by lease timeout anyway
@@ -600,13 +607,7 @@ func (c *Client) acquireAndNextN(ctx context.Context, path string, n int) (first
 	if r.Quota > 0 && r.Quota < n {
 		// The quota can never cover a contiguous range of n; hand the cap
 		// straight back and let the authority allocate server-side.
-		c.mu.Lock()
-		rank := c.rankForLocked(path)
-		c.mu.Unlock()
-		ctx2, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		//lint:ignore errdrop release is best effort: an unreachable MDS reclaims the cap by lease timeout anyway
-		_, _ = c.net.Call(ctx2, c.self, MDSAddr(rank), ReleaseReq{Path: path, Client: c.self, Value: r.Value})
-		cancel()
+		c.sendRelease(path, r.Value)
 		return 0, true, fmt.Errorf("mds: quota %d below range %d on %s", r.Quota, n, path)
 	}
 	cs := &capState{value: r.Value, quota: r.Quota}
@@ -623,7 +624,9 @@ func (c *Client) acquireAndNextN(ctx context.Context, path string, n int) (first
 	first = cs.value + 1
 	cs.value += uint64(n)
 	cs.used += n
-	c.localOps += int64(n)
+	// The acquire round trip served this range: one remote op, like the
+	// range of remoteNextN.
+	c.remoteOps++
 	mustRelease := cs.expired(time.Now()) ||
 		(cs.revoked && cs.quota == 0 && cs.deadline.IsZero())
 	c.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/rados"
+	"repro/internal/retry"
 	"repro/internal/stopctx"
 	"repro/internal/types"
 )
@@ -17,6 +18,18 @@ import (
 // surviving rank recover a failed peer's state: "recovery is the same
 // as (and is inherited from) the CephFS metadata service" (Section
 // 5.2.2). The journal is an append-only object of JSON lines per rank.
+//
+// Records come in two classes. Namespace records (create, export,
+// import, and SetValue's value) are appended before the request
+// replies: takeover treats them as the namespace's truth, and a ZLog
+// recovery's tail install must be journaled before its client moves on.
+// Sequencer-value checkpoints (a cap release's final value, and the
+// every-JournalEvery round-trip checkpoint) never sit on a reply path:
+// they are max-merged per path into the rank's pending set, and one
+// flusher at a time appends the whole set as one record batch. A crash
+// loses at most that set: the same class of loss as the JournalEvery
+// window or a grant delivered before its record, which replayJournal's
+// max-fold and ZLog's seal + maxpos recovery already cover.
 
 // journalEntry is one journal record.
 type journalEntry struct {
@@ -31,21 +44,103 @@ type journalEntry struct {
 
 func journalObject(rank int) string { return fmt.Sprintf("mds.journal.%d", rank) }
 
-// journal appends one record to this rank's journal object. Journal
-// failures are reported to the cluster log but do not fail the client
-// operation (matching the advisory checkpointing role it plays here).
+// journal appends one namespace record to this rank's journal object
+// before the caller replies. Journal failures are reported to the
+// cluster log but do not fail the client operation.
 func (s *Server) journal(e journalEntry) {
+	if err := s.appendJournal(appendRecord(nil, e)); err != nil {
+		s.logJournalErr(err)
+	}
+}
+
+// appendJournal appends encoded records to this rank's journal object.
+// The append is cut short when the rank stops, so none leaves a stopped
+// rank.
+func (s *Server) appendJournal(lines []byte) error {
+	ctx, cancel := stopctx.WithTimeout(s.stopCh, 2*time.Second)
+	defer cancel()
+	return s.rc.Append(ctx, s.cfg.Pool, journalObject(s.cfg.Rank), lines)
+}
+
+func (s *Server) logJournalErr(err error) {
+	ctx, cancel := stopctx.WithTimeout(s.stopCh, time.Second)
+	defer cancel()
+	s.monc.Log(ctx, "error", "journal append failed: "+err.Error()) //nolint:errcheck
+}
+
+// appendRecord appends e to buf as one journal line.
+func appendRecord(buf []byte, e journalEntry) []byte {
 	line, err := json.Marshal(e)
 	if err != nil {
+		return buf
+	}
+	return append(append(buf, line...), '\n')
+}
+
+// mergeMax raises set[path] to v.
+func mergeMax(set map[string]uint64, path string, v uint64) {
+	if cur, ok := set[path]; !ok || v > cur {
+		set[path] = v
+	}
+}
+
+// checkpointLocked records path's sequencer value v in the pending set
+// and starts the flusher unless one is already running or the rank is
+// stopping. Caller holds s.mu, which orders the wg.Add before Stop's
+// wg.Wait.
+func (s *Server) checkpointLocked(path string, v uint64) {
+	mergeMax(s.ckpt, path, v)
+	if s.ckptFlushing || s.stopped {
 		return
 	}
-	line = append(line, '\n')
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := s.rc.Append(ctx, s.cfg.Pool, journalObject(s.cfg.Rank), line); err != nil {
-		lctx, lcancel := context.WithTimeout(context.Background(), time.Second)
-		s.monc.Log(lctx, "error", "journal append failed: "+err.Error()) //nolint:errcheck
-		lcancel()
+	s.ckptFlushing = true
+	s.wg.Add(1)
+	go s.flushCheckpoints()
+}
+
+// flushCheckpoints is the rank's one checkpoint writer. It takes the
+// whole pending set and appends it as one batch of value records;
+// checkpoints recorded during the flight go into the next batch. A
+// failed append puts its set back and retries after a backoff, so once
+// the journal is reachable again it converges to the highest values.
+// It exits when the set is empty or the rank stops: a stopped rank's
+// set is lost, as in a crash.
+func (s *Server) flushCheckpoints() {
+	defer s.wg.Done()
+	for attempt := 0; ; {
+		s.mu.Lock()
+		batch := s.ckpt
+		if len(batch) == 0 || s.stopped {
+			s.ckptFlushing = false
+			s.mu.Unlock()
+			return
+		}
+		s.ckpt = make(map[string]uint64, len(batch))
+		s.mu.Unlock()
+
+		// Replay folds value records by maximum, so their order is free.
+		var lines []byte
+		for p, v := range batch {
+			lines = appendRecord(lines, journalEntry{Op: "value", Path: p, Value: v})
+		}
+		err := s.appendJournal(lines)
+		if err == nil {
+			attempt = 0
+			continue
+		}
+		s.mu.Lock()
+		for p, v := range batch {
+			mergeMax(s.ckpt, p, v)
+		}
+		s.mu.Unlock()
+		if attempt == 0 {
+			s.logJournalErr(err) // once per outage, not once per retry
+		}
+		// A stop cuts the wait short; the loop head then exits.
+		wctx, cancel := stopctx.WithTimeout(s.stopCh, time.Second)
+		retry.Backoff(wctx, attempt, 10*time.Millisecond, 500*time.Millisecond)
+		cancel()
+		attempt++
 	}
 }
 

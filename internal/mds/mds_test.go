@@ -274,9 +274,10 @@ func TestSetPolicySwitchesMode(t *testing.T) {
 	}
 }
 
-// TestStatsCountAcquireAsRemote pins the accounting of the value an
-// acquire round trip serves: with quota-1 grants every Next crosses the
-// fabric to fetch a capability it exhausts at once, so no op is local.
+// TestStatsCountAcquireAsRemote pins the accounting of what an acquire
+// round trip serves: with grants whose quota one Next (or one NextN
+// range) exhausts, every call crosses the fabric to fetch a capability
+// it uses up at once, so no op is local and each call is one remote op.
 func TestStatsCountAcquireAsRemote(t *testing.T) {
 	c := boot(t, core.Options{MDSs: 1, OSDs: 2})
 	cl := newClient(t, c, "client.1")
@@ -295,6 +296,20 @@ func TestStatsCountAcquireAsRemote(t *testing.T) {
 	}
 	if local, remote := cl.Stats(); local != 0 || remote != ops {
 		t.Fatalf("local=%d remote=%d, want 0/%d: every value came with a fresh grant", local, remote, ops)
+	}
+
+	const n, ranges = 4, 3
+	rangePol := mds.CapPolicy{Cacheable: true, Quota: n, Delay: 5 * time.Second}
+	if err := cl.Open(ctx, "/ranges", mds.TypeSequencer, &rangePol); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ranges; i++ {
+		if first, err := cl.NextN(ctx, "/ranges", n); err != nil || first != uint64(i*n+1) {
+			t.Fatalf("NextN = %d, %v; want %d", first, err, i*n+1)
+		}
+	}
+	if local, remote := cl.Stats(); local != 0 || remote != ops+ranges {
+		t.Fatalf("local=%d remote=%d, want 0/%d: every range came with a fresh grant", local, remote, ops+ranges)
 	}
 }
 
@@ -578,6 +593,15 @@ func TestJournalRecoveryAfterMDSFailure(t *testing.T) {
 		}
 		last = v
 	}
+	// Value checkpoints are journaled off the reply path, so the 40th
+	// reply does not imply its checkpoint has landed, and a stopped rank
+	// drops its pending set as a crash would. Wait (bounded) for the
+	// checkpoint of the last value before the kill, so the bound below
+	// still measures replay rather than that loss window.
+	eventually(t, 10*time.Second, func() bool {
+		got, err := c.MDSs[1].ReplayValues(ctx, 0)
+		return err == nil && got["/seq"] == last
+	}, fmt.Sprintf("rank 0's journal never held the checkpoint of value %d", last))
 	// Kill rank 0 (authority) and mark it down; rank 1 must replay the
 	// journal and take over.
 	c.MDSs[0].Stop()

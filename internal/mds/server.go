@@ -47,7 +47,8 @@ type Config struct {
 	// client should be considered unavailable").
 	RecallTimeout time.Duration
 	// JournalEvery checkpoints a sequencer's value to the journal every
-	// N round-trip increments (creates and cap releases always journal).
+	// N round-trip increments (cap releases always checkpoint; creates
+	// always journal).
 	JournalEvery int
 }
 
@@ -111,6 +112,13 @@ type Server struct {
 	capLog []CapEvent // guarded by mu
 	// balancerErr remembers the last policy failure for introspection.
 	balancerErr error // guarded by mu
+	// ckpt is the rank's pending set of sequencer-value checkpoints (path
+	// -> highest value not yet journaled); ckptFlushing is set while the
+	// one flusher that writes it runs (see journal.go).
+	ckpt         map[string]uint64 // guarded by mu
+	ckptFlushing bool              // guarded by mu
+	// stopped refuses to start a flusher once Stop has begun.
+	stopped bool // guarded by mu
 
 	cpuMu   sync.Mutex    // serializes simulated CPU work
 	cpuDebt time.Duration // guarded by cpuMu
@@ -131,6 +139,7 @@ func NewServer(net *wire.Network, cfg Config) *Server {
 		inodes:   make(map[string]*inode),
 		forward:  make(map[string]int),
 		redirect: make(map[string]int),
+		ckpt:     make(map[string]uint64),
 		mdsMap:   types.NewMDSMap(),
 		stopCh:   make(chan struct{}),
 	}
@@ -167,8 +176,13 @@ func (s *Server) Start(ctx context.Context) error {
 	return nil
 }
 
-// Stop halts the rank and removes it from the fabric.
+// Stop halts the rank and removes it from the fabric. It waits for the
+// rank's loops and its journal flusher, so no checkpoint append leaves
+// a stopped rank.
 func (s *Server) Stop() {
+	s.mu.Lock()
+	s.stopped = true
+	s.mu.Unlock()
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.net.Unlisten(s.Addr())
 	s.wg.Wait()
@@ -486,15 +500,11 @@ func (s *Server) advanceN(ino *inode, n uint64) (uint64, bool) {
 	ino.Value += n
 	ino.Popularity++
 	ino.sinceCkpt += int(n)
-	var rec *journalEntry
 	if ino.sinceCkpt >= s.cfg.JournalEvery {
 		ino.sinceCkpt = 0
-		rec = &journalEntry{Op: "value", Path: ino.Path, Value: ino.Value}
+		s.checkpointLocked(ino.Path, ino.Value)
 	}
 	s.mu.Unlock()
-	if rec != nil {
-		s.journal(*rec)
-	}
 	return first, true
 }
 
