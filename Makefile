@@ -76,9 +76,7 @@ bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Record the serial-vs-batched append comparison (PR 2's acceptance
-# numbers) in BENCH_pr2.json, the serial-vs-pipelined replicated
-# write comparison plus the ZLog end-to-end number (PR 3's) in
-# BENCH_pr3.json, and the interpreter-vs-VM policy script plus the
+# numbers) in BENCH_pr2.json, the interpreter-vs-VM policy script plus the
 # legacy-vs-warm OpCall comparison (PR 7's, with -benchmem so the
 # allocation criterion is recorded) in BENCH_pr7.json, and the
 # flat-vs-deduped write pair plus the chunker throughput (PR 8's) in
@@ -91,9 +89,6 @@ bench-json:
 	$(GO) test -run=^$$ -bench='^BenchmarkZLogAppend(Serial|Batch)$$' -benchtime=1s . \
 		| $(GO) run ./cmd/benchjson -out BENCH_pr2.json
 	@cat BENCH_pr2.json
-	$(GO) test -run=^$$ -bench='^Benchmark(RadosWrite(Serial|Pipelined)|ZLogAppendReplicated)$$' -benchtime=1s . \
-		| $(GO) run ./cmd/benchjson -out BENCH_pr3.json
-	@cat BENCH_pr3.json
 	$(GO) test -run=^$$ -bench='^Benchmark(Script(Interp|VM)|OpCall(Legacy|Warm))$$' -benchmem -benchtime=1s . \
 		| $(GO) run ./cmd/benchjson -out BENCH_pr7.json
 	@cat BENCH_pr7.json
@@ -130,15 +125,13 @@ cover:
 		./internal/wal/
 	$(GO) run ./cmd/covercheck -profile coverage.out
 
-# Bench-regression gate: rerun the PR 2 and PR 3 benchmark pairs and
-# compare the derived speedup ratios against the committed baselines.
+# Bench-regression gate: rerun the recorded benchmark pairs and compare
+# the derived speedup ratios against the committed baselines.
 # Raw ns/op shifts with hardware, but serial-vs-optimized ratios on the
 # same host are stable; a >30% ratio drop fails.
 bench-compare:
 	$(GO) test -run=^$$ -bench='^BenchmarkZLogAppend(Serial|Batch)$$' -benchtime=1s . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_pr2.json -tolerance 0.30
-	$(GO) test -run=^$$ -bench='^Benchmark(RadosWrite(Serial|Pipelined)|ZLogAppendReplicated)$$' -benchtime=1s . \
-		| $(GO) run ./cmd/benchjson -compare BENCH_pr3.json -tolerance 0.30
 	$(GO) test -run=^$$ -bench='^Benchmark(Script(Interp|VM)|OpCall(Legacy|Warm))$$' -benchmem -benchtime=1s . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_pr7.json -tolerance 0.30
 	{ $(GO) test -run=^$$ -bench='^Benchmark(WriteFlat|WriteDeduped)$$' -benchtime 2x . ; \

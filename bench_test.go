@@ -410,54 +410,6 @@ func BenchmarkZLogAppendBatch(b *testing.B) {
 	}
 }
 
-// benchRadosWrite drives many parallel writers over distinct objects
-// against a replicas=3 cluster at simulated fabric latency — the
-// regime where the write path's replication strategy dominates. ns/op
-// is aggregate (wall time over total ops), so the Serial/Pipelined
-// ratio is the replication engine's throughput speedup (the ISSUE's
-// >= 2x acceptance bar, recorded in BENCH_pr3.json by `make bench-json`).
-func benchRadosWrite(b *testing.B, mode rados.ReplicationMode) {
-	cluster := bootB(b, core.Options{
-		OSDs: 3, Pools: []string{"data"}, Replicas: 3,
-		NetLatency: 2 * time.Millisecond,
-		OSD:        rados.OSDConfig{Replication: mode},
-	})
-	ctx := context.Background()
-	rc := cluster.NewRadosClient("client.bench")
-	if err := rc.RefreshMap(ctx); err != nil {
-		b.Fatal(err)
-	}
-	if err := rc.WriteFull(ctx, "data", "warmup", []byte("x")); err != nil {
-		b.Fatal(err)
-	}
-	payload := []byte("replicated-write-payload")
-	var worker atomic.Int64
-	b.SetParallelism(64)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := worker.Add(1)
-		for i := 0; pb.Next(); i++ {
-			obj := fmt.Sprintf("o-%d-%d", id, i%16)
-			if err := rc.WriteFull(ctx, "data", obj, payload); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkRadosWriteSerial is the pre-pipeline baseline: one op per PG
-// at a time, replicas contacted sequentially.
-func BenchmarkRadosWriteSerial(b *testing.B) {
-	benchRadosWrite(b, rados.ReplicateSerial)
-}
-
-// BenchmarkRadosWritePipelined is the shipped engine: per-object
-// locking plus parallel replica fan-out off the lock.
-func BenchmarkRadosWritePipelined(b *testing.B) {
-	benchRadosWrite(b, rados.ReplicatePipelined)
-}
-
 // BenchmarkRadosOpsR3Delay0 is the CPU-bound replicated op mix of the
 // rados-mem workload (bench/): replicas=3, no fabric delay, one client
 // per CPU doing 50% WriteFull 4 KiB / 30% Read / 20% script-class Call

@@ -43,9 +43,7 @@ type Result struct {
 
 // Summary is the emitted document. Each derived field is filled when
 // its benchmarks are present: SpeedupBatchOverSerial pairs
-// ZLogAppendSerial/ZLogAppendBatch (PR-2 criterion, >= 5x at batch 64);
-// SpeedupPipelinedOverSerial pairs RadosWriteSerial/RadosWritePipelined
-// (PR-3 criterion, >= 2x at replicas=3, same fabric latency).
+// ZLogAppendSerial/ZLogAppendBatch (PR-2 criterion, >= 5x at batch 64).
 // SpeedupVMOverInterp pairs ScriptInterp/ScriptVM (PR-7 criterion,
 // >= 3x on the fig-8 policy script); AllocRatioOpCallLegacyOverWarm
 // pairs OpCallLegacy/OpCallWarm allocs/op (PR-7 criterion: the warm
@@ -62,7 +60,6 @@ type Result struct {
 type Summary struct {
 	Benchmarks                     []Result `json:"benchmarks"`
 	SpeedupBatchOverSerial         float64  `json:"speedup_batch_over_serial,omitempty"`
-	SpeedupPipelinedOverSerial     float64  `json:"speedup_pipelined_over_serial,omitempty"`
 	SpeedupVMOverInterp            float64  `json:"speedup_vm_over_interp,omitempty"`
 	SpeedupOpCallWarmOverLegacy    float64  `json:"speedup_opcall_warm_over_legacy,omitempty"`
 	AllocRatioOpCallLegacyOverWarm float64  `json:"alloc_ratio_opcall_legacy_over_warm,omitempty"`
@@ -146,7 +143,7 @@ func dedupWire(r Result) float64 {
 // Summarize derives the cross-benchmark metrics from parsed results.
 func Summarize(results []Result) Summary {
 	s := Summary{Benchmarks: results}
-	var serial, batch, wserial, wpipe, interp, vm, oclegacy, ocwarm float64
+	var serial, batch, interp, vm, oclegacy, ocwarm float64
 	var oclegacyAllocs, ocwarmAllocs int64
 	var flatWire, walB1, walB64 float64
 	dup := make(map[string]float64)
@@ -156,10 +153,6 @@ func Summarize(results []Result) Summary {
 			serial = r.NsPerOp
 		case "ZLogAppendBatch":
 			batch = r.NsPerOp
-		case "RadosWriteSerial":
-			wserial = r.NsPerOp
-		case "RadosWritePipelined":
-			wpipe = r.NsPerOp
 		case "ScriptInterp":
 			interp = r.NsPerOp
 		case "ScriptVM":
@@ -186,9 +179,6 @@ func Summarize(results []Result) Summary {
 	}
 	if serial > 0 && batch > 0 {
 		s.SpeedupBatchOverSerial = serial / batch
-	}
-	if wserial > 0 && wpipe > 0 {
-		s.SpeedupPipelinedOverSerial = wserial / wpipe
 	}
 	if interp > 0 && vm > 0 {
 		s.SpeedupVMOverInterp = interp / vm
@@ -226,9 +216,6 @@ func speedups(s Summary) []metric {
 	var out []metric
 	if s.SpeedupBatchOverSerial > 0 {
 		out = append(out, metric{"speedup_batch_over_serial", s.SpeedupBatchOverSerial})
-	}
-	if s.SpeedupPipelinedOverSerial > 0 {
-		out = append(out, metric{"speedup_pipelined_over_serial", s.SpeedupPipelinedOverSerial})
 	}
 	if s.SpeedupVMOverInterp > 0 {
 		out = append(out, metric{"speedup_vm_over_interp", s.SpeedupVMOverInterp})

@@ -55,32 +55,6 @@ func TestParseEmptyAndGarbage(t *testing.T) {
 	}
 }
 
-const replicatedSample = `goos: linux
-pkg: repro
-BenchmarkRadosWriteSerial 	    1772	   1204652 ns/op
-BenchmarkRadosWritePipelined-4 	   12679	    184255 ns/op
-BenchmarkZLogAppendReplicated 	     253	   4693960 ns/op
-PASS
-`
-
-func TestSummarizePipelinedSpeedup(t *testing.T) {
-	results, err := Parse(strings.NewReader(replicatedSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("parsed %d results, want 3", len(results))
-	}
-	s := Summarize(results)
-	wantSpeedup := 1204652.0 / 184255.0
-	if math.Abs(s.SpeedupPipelinedOverSerial-wantSpeedup) > 1e-9 {
-		t.Fatalf("pipelined speedup = %f, want %f", s.SpeedupPipelinedOverSerial, wantSpeedup)
-	}
-	if s.SpeedupBatchOverSerial != 0 {
-		t.Fatalf("batch speedup = %f, want 0 (append benches absent)", s.SpeedupBatchOverSerial)
-	}
-}
-
 // summaryFrom builds a Summary from raw (serial, batch) ns/op pairs.
 func summaryFrom(t *testing.T, serialNs, batchNs float64) Summary {
 	t.Helper()
@@ -361,22 +335,22 @@ func TestFloorFlagParsing(t *testing.T) {
 	}
 }
 
-// TestCompareBothMetrics covers a baseline carrying both speedup pairs,
+// TestCompareBothMetrics covers a baseline carrying two speedup pairs,
 // with only one regressing.
 func TestCompareBothMetrics(t *testing.T) {
-	both := func(batchNs, pipeNs float64) Summary {
+	both := func(batchNs, vmNs float64) Summary {
 		return Summarize([]Result{
 			{Name: "ZLogAppendSerial", Iters: 1, NsPerOp: 4_800_000},
 			{Name: "ZLogAppendBatch", Iters: 1, NsPerOp: batchNs},
-			{Name: "RadosWriteSerial", Iters: 1, NsPerOp: 1_200_000},
-			{Name: "RadosWritePipelined", Iters: 1, NsPerOp: pipeNs},
+			{Name: "ScriptInterp", Iters: 1, NsPerOp: 54_000},
+			{Name: "ScriptVM", Iters: 1, NsPerOp: vmNs},
 		})
 	}
-	baseline := both(96_000, 184_000)
-	fresh := both(98_000, 500_000) // pipelined speedup collapses
+	baseline := both(96_000, 16_000)
+	fresh := both(98_000, 50_000) // vm speedup collapses
 	lines, err := Compare(fresh, baseline, 0.30)
-	if err == nil || !strings.Contains(err.Error(), "speedup_pipelined_over_serial") {
-		t.Fatalf("err = %v, want pipelined regression", err)
+	if err == nil || !strings.Contains(err.Error(), "speedup_vm_over_interp") {
+		t.Fatalf("err = %v, want vm regression", err)
 	}
 	if len(lines) != 2 {
 		t.Fatalf("report lines = %q, want one per metric", lines)

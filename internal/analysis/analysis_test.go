@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"go/ast"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -317,6 +319,42 @@ func TestNoLockblockWaiversInRados(t *testing.T) {
 	}
 }
 
+// TestOneCommitSitePerRole pins the OSD's one mutation pipeline: the
+// journal commit an ack waits on is called from exactly two functions in
+// internal/rados, the primary step and the replica step, once each. A
+// change to when the journal commits relative to the fan-out is then
+// made once per role. commitBackground, which commits backfill and
+// split with no client to answer, is not counted.
+func TestOneCommitSitePerRole(t *testing.T) {
+	pkgs, err := Load(moduleRoot(t), []string{"./internal/rados"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const commit = "(*repro/internal/rados.OSD).commitDurable"
+	sites := make(map[string]int) // calling function -> call sites in it
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if fn := Callee(pkg.Info, call); fn != nil && fn.FullName() == commit {
+							sites[fd.Name.Name]++
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if want := map[string]int{"primaryStep": 1, "replicaStep": 1}; !reflect.DeepEqual(sites, want) {
+		t.Errorf("commitDurable call sites by function = %v, want %v", sites, want)
+	}
+}
+
 // TestCrossPackageFacts pins the cross-package fact propagation the
 // three protocol passes share, against the real tree:
 //
@@ -393,13 +431,13 @@ func TestCrossPackageFacts(t *testing.T) {
 	// so each must classify retry-safe on its own shape where possible:
 	// incref/decref lead with existence guards and mutate through
 	// helpers (versioned), and reclaim reads the slot it tombstones
-	// (RMW), relying on the gateway upgrade below. OpBlockWrite's applyOp
-	// case is an absolute overwrite, but handleOp's own dispatch hands
-	// the op — a batch of such writes — to blockWriteBatch, which the
-	// case-level classifier cannot see through; worst wins, so it too
-	// rests on the gateway, as a batch's one replay-cache entry intends.
+	// (RMW), relying on the gateway upgrade below. OpBlockWrite classifies
+	// from its applyOp case, a create-if-absent absolute overwrite: a batch
+	// of such writes takes the same primary step as every other op, entry
+	// by entry through applyOp, so handleOp's dispatch no longer hands it
+	// to a handler of its own that would classify as a delegation.
 	preClasses := map[string]opClass{
-		"OpBlockWrite":   classDelegate,
+		"OpBlockWrite":   classOverwrite,
 		"OpBlockIncref":  classVersioned,
 		"OpBlockDecref":  classVersioned,
 		"OpBlockReclaim": classRMW,

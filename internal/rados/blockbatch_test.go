@@ -207,17 +207,16 @@ func TestBlockBatchDuplicatesAckAndTouch(t *testing.T) {
 }
 
 // A batch on a replicas=3 pool reaches every replica with one forward
-// per peer and leaves nothing for scrub. The forwards are in flight
-// together when pipelined, and one after another under ReplicateSerial.
+// per peer, the forwards in flight together, and leaves nothing for
+// scrub.
 func TestBlockBatchReplicatesSubBatches(t *testing.T) {
-	t.Run("pipelined", func(t *testing.T) { testBlockBatchReplicates(t, ReplicatePipelined) })
-	t.Run("serial", func(t *testing.T) { testBlockBatchReplicates(t, ReplicateSerial) })
+	t.Run("pipelined", testBlockBatchReplicatesPipelined)
 }
 
-func testBlockBatchReplicates(t *testing.T, mode ReplicationMode) {
+func testBlockBatchReplicatesPipelined(t *testing.T) {
 	tc := bootClusterOpts(t, clusterOpts{
 		osds: 3, replicas: 3,
-		osd: OSDConfig{GossipInterval: time.Hour, Replication: mode}, // quiet fabric: only op traffic
+		osd: OSDConfig{GossipInterval: time.Hour}, // quiet fabric: only op traffic
 	})
 	ctx := ctxT(t, 15*time.Second)
 	primary, group := -1, []dedupBlock(nil)
@@ -234,13 +233,10 @@ func testBlockBatchReplicates(t *testing.T, mode ReplicationMode) {
 		t.Fatalf("settling read: %v", err)
 	}
 
-	// Real latency, so that the two forwards overlap in flight, or show
-	// as two round trips when they do not.
+	// Real latency, so that the two forwards overlap in flight.
 	tc.net.SetLatency(time.Millisecond, 0)
 	before := tc.net.Stats()
-	start := time.Now()
 	rep, err := tc.client.do(ctx, OpRequest{Pool: "data", Object: group[0].name, Op: OpBlockWrite, Blocks: blockOps(group)})
-	elapsed := time.Since(start)
 	tc.net.SetLatency(0, 0)
 	if err != nil || rep.Result != OK {
 		t.Fatalf("batch: %v / %v %s", err, rep.Result, rep.Detail)
@@ -256,14 +252,8 @@ func testBlockBatchReplicates(t *testing.T, mode ReplicationMode) {
 	if got := after.Outbound[addr].Calls - before.Outbound[addr].Calls; got != 2 {
 		t.Errorf("primary forwards = %d for %d blocks, want exactly 2 (one per peer)", got, len(group))
 	}
-	if mode == ReplicatePipelined {
-		if got := after.Outbound[addr].MaxInflight; got < 2 {
-			t.Errorf("primary outbound MaxInflight = %d, want >= 2 (sub-batches fan out in parallel)", got)
-		}
-	} else if elapsed < 6*time.Millisecond {
-		// Client round trip + two forward round trips, 1 ms each way; a
-		// delay is never shorter than asked, so this bound cannot flake.
-		t.Errorf("serial batch took %v, want >= 6ms (forwards one after another)", elapsed)
+	if got := after.Outbound[addr].MaxInflight; got < 2 {
+		t.Errorf("primary outbound MaxInflight = %d, want >= 2 (sub-batches fan out in parallel)", got)
 	}
 	for _, o := range tc.osds {
 		for _, b := range group {
@@ -636,9 +626,11 @@ func walPair(t *testing.T, dirs [2]string) (*wire.Network, [2]*OSD, *Client) {
 	return net, osds, c
 }
 
-// On the durable backend a batch is one journal commit on the primary
-// and one on the replica, and both copies of every block survive a
-// crash right after the ack.
+// On the durable backend every mutating op is exactly one journal
+// commit on the primary and one on the replica: a block batch of many
+// entries, each per-object mutation and a native class call alike. A
+// failed op and a read commit nothing. Both copies of every block
+// survive a crash right after the ack.
 func TestBlockBatchWALOneCommitAndReplay(t *testing.T) {
 	dirs := [2]string{t.TempDir(), t.TempDir()}
 	net, osds, c := walPair(t, dirs)
@@ -658,16 +650,51 @@ func TestBlockBatchWALOneCommitAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	syncs := func(o *OSD) uint64 { return o.backend.(*WALBackend).Syncs() }
-	before := [2]uint64{syncs(osds[0]), syncs(osds[1])}
 
-	rep, err := c.do(ctx, OpRequest{Pool: "data", Object: group[0].name, Op: OpBlockWrite, Blocks: blockOps(group)})
-	if err != nil || rep.Result != OK || len(rep.Keys) != len(group) {
-		t.Fatalf("batch: %v / %+v", err, rep)
-	}
-	for i, o := range osds {
-		if got := syncs(o) - before[i]; got != 1 {
-			t.Errorf("osd.%d committed %d times for one batch of %d blocks (primary osd.%d), want exactly 1", i, got, len(group), primary)
-		}
+	for _, tc := range []struct {
+		name    string
+		op      func() error
+		commits uint64
+	}{
+		{"BlockBatch", func() error {
+			rep, err := c.do(ctx, OpRequest{Pool: "data", Object: group[0].name, Op: OpBlockWrite, Blocks: blockOps(group)})
+			if err == nil && (rep.Result != OK || len(rep.Keys) != len(group)) {
+				err = fmt.Errorf("batch of %d blocks (primary osd.%d): %+v", len(group), primary, rep)
+			}
+			return err
+		}, 1},
+		{"Create", func() error { return c.Create(ctx, "data", "o") }, 1},
+		{"CreateExisting", func() error {
+			if err := c.Create(ctx, "data", "o"); !errors.Is(err, ErrExists) {
+				return fmt.Errorf("create of an existing object: %v, want ErrExists", err)
+			}
+			return nil
+		}, 0},
+		{"WriteFull", func() error { return c.WriteFull(ctx, "data", "o", []byte("full")) }, 1},
+		{"Append", func() error { return c.Append(ctx, "data", "o", []byte("+tail")) }, 1},
+		{"OmapSet", func() error { return c.OmapSet(ctx, "data", "o", map[string][]byte{"k": []byte("v")}) }, 1},
+		{"SetXattr", func() error { return c.SetXattr(ctx, "data", "o", "x", []byte("y")) }, 1},
+		{"Call", func() error {
+			_, err := c.Call(ctx, "data", "ctr", "counter", "incr", nil)
+			return err
+		}, 1},
+		{"Read", func() error {
+			_, err := c.Read(ctx, "data", "o")
+			return err
+		}, 0},
+		{"Remove", func() error { return c.Remove(ctx, "data", "o") }, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := [2]uint64{syncs(osds[0]), syncs(osds[1])}
+			if err := tc.op(); err != nil {
+				t.Fatal(err)
+			}
+			for i, o := range osds {
+				if got := syncs(o) - before[i]; got != tc.commits {
+					t.Errorf("osd.%d committed %d times, want %d", i, got, tc.commits)
+				}
+			}
+		})
 	}
 
 	osds[0].Crash()
@@ -682,5 +709,54 @@ func TestBlockBatchWALOneCommitAndReplay(t *testing.T) {
 				t.Fatalf("osd.%d recovered %s as %q at version %d", i, b.name, data, ver)
 			}
 		}
+	}
+}
+
+// A replica's version pin survives a crash. The replica misses a
+// WriteFull behind a partition; the Remove that follows reaches it for
+// an object it never held, answers ENOENT, and still pins the slot to
+// the primary's version. Its journal alone must rebuild that version:
+// rebuilt behind it, the object's next forward would wait out
+// ReplicaWaitTimeout on a predecessor that never comes.
+func TestReplicaVersionPinSurvivesReplay(t *testing.T) {
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	net, osds, c := walPair(t, dirs)
+	ctx := ctxT(t, 30*time.Second)
+	const name = "pinned"
+	_, acting, err := c.view.Load().locate("data", name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, replica := acting[0], acting[1]
+	// Settle both daemons' epochs (a write reaches primary and replica).
+	if err := c.WriteFull(ctx, "data", "settle", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+
+	net.Partition(OSDAddr(primary), OSDAddr(replica))
+	if err := c.WriteFull(ctx, "data", name, []byte("missed")); err != nil {
+		t.Fatal(err)
+	}
+	net.Heal(OSDAddr(primary), OSDAddr(replica))
+	if err := c.Remove(ctx, "data", name); err != nil {
+		t.Fatal(err)
+	}
+	_, want := replicaState(osds[primary], name)
+	if _, got := replicaState(osds[replica], name); got != want || want != 2 {
+		t.Fatalf("replica at version %d, primary at %d; want both at 2", got, want)
+	}
+
+	osds[replica].Crash()
+	be, err := OpenWALBackend(dirs[replica], WALBackendOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close() //nolint:errcheck
+	rebuilt := NewOSD(net, OSDConfig{ID: replica, Mons: []int{0}, Backend: be})
+	if err := rebuilt.restore(); err != nil {
+		t.Fatal(err)
+	}
+	if _, got := replicaState(rebuilt, name); got != want {
+		t.Fatalf("replica rebuilt from its journal at version %d, the primary holds %d", got, want)
 	}
 }

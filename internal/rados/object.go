@@ -202,18 +202,6 @@ type pg struct {
 	mu      sync.Mutex
 	id      PGID
 	objects map[string]*objEntry // guarded by mu
-	// admit is the serial-baseline admission token: ReplicateSerial
-	// allows one operation per PG at a time by holding this token (not a
-	// mutex) across its apply+replicate window.
-	admit chan struct{}
-}
-
-func newPG(id PGID) *pg {
-	return &pg{
-		id:      id,
-		objects: make(map[string]*objEntry),
-		admit:   make(chan struct{}, 1),
-	}
 }
 
 // entry returns the slot for name, creating it on first touch. Slots

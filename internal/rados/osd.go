@@ -15,20 +15,6 @@ import (
 	"repro/internal/wire"
 )
 
-// ReplicationMode selects how the primary pushes mutations to replicas.
-type ReplicationMode int
-
-const (
-	// ReplicatePipelined applies locally under the object's own lock,
-	// releases it, then forwards to all replicas in parallel (~1 RTT
-	// regardless of replica count). The default.
-	ReplicatePipelined ReplicationMode = iota
-	// ReplicateSerial is the pre-pipeline baseline kept for measurement:
-	// one operation per PG at a time, replicas contacted sequentially
-	// ((R-1)·RTT per mutation).
-	ReplicateSerial
-)
-
 // OSDConfig configures one object storage daemon.
 type OSDConfig struct {
 	ID   int
@@ -46,9 +32,6 @@ type OSDConfig struct {
 	// ScrubInterval is how often primaries compare replica digests and
 	// repair divergence; zero disables background scrub.
 	ScrubInterval time.Duration
-	// Replication selects the write-path engine; the zero value is the
-	// pipelined engine.
-	Replication ReplicationMode
 	// ReplicaWaitTimeout bounds how long a replica buffers an
 	// out-of-order forward waiting for the preceding mutation of the
 	// same object; on expiry it applies anyway and scrub repairs any
@@ -676,7 +659,7 @@ func (o *OSD) getPG(id PGID) *pg {
 	defer o.mu.Unlock()
 	p, ok := o.pgs[id]
 	if !ok {
-		p = newPG(id)
+		p = &pg{id: id, objects: make(map[string]*objEntry)}
 		o.pgs[id] = p
 	}
 	return p

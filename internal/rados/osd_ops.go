@@ -72,9 +72,9 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 		}
 	}
 
-	// Block batches name many objects (and so many PGs of this daemon),
-	// so they cannot ride the per-object path below. OpBlockStat's
-	// single-name form (no Keys) falls through to applyOp like any read.
+	// The batched block reads span PGs and are answered here; a block
+	// write's content is checked on the primary before anything is
+	// stored, so one bad entry rejects the whole batch.
 	switch req.Op {
 	case OpBlockStat:
 		if len(req.Keys) > 0 {
@@ -83,38 +83,130 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	case OpBlockRead:
 		return o.blockReadBatch(req, pv, m.Epoch)
 	case OpBlockWrite:
-		return o.blockWriteBatch(ctx, from, req, pv, m)
-	}
-
-	p := o.getPG(PGID{Pool: req.Pool, PG: pgnum})
-	if req.Replica {
-		var deadline time.Time
-		rep := o.applyReplicaOp(ctx, p, req, m, &deadline)
-		if rep.Result == OK {
-			if err := o.commitDurable(); err != nil {
-				return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
+		if !req.Replica {
+			if name := misnamedBlock(&req); name != "" {
+				return OpReply{Result: EINVAL, Detail: "block content does not match its name: " + name, Epoch: m.Epoch}
 			}
 		}
-		return rep
 	}
-	if o.cfg.Replication == ReplicateSerial {
-		return o.doSerialOp(ctx, from, p, req, m, acting)
+	p := o.getPG(PGID{Pool: req.Pool, PG: pgnum})
+	if req.Replica {
+		return o.replicaStep(ctx, &req, p, pv, m)
 	}
+	return o.primaryStep(ctx, from, &req, p, acting, pv, m)
+}
 
-	// Pipelined primary path: apply locally under the object's own lock,
-	// version-stamp, journal, release the lock, then commit and
-	// replicate. Nothing is held across the fsync or the replica
-	// round-trips — per-object ordering travels in the version stamps
-	// instead of being pinned by a lock.
-	reply, prev, mutated := o.applyPrimary(p, &req, m)
-	if mutated {
+// batched reports whether r is a block batch, whose entries are r.Blocks.
+func (r *OpRequest) batched() bool { return r.Op == OpBlockWrite && len(r.Blocks) > 0 }
+
+// misnamedBlock returns the name of the first entry of a block write
+// whose content does not hash to that name, or "" when none.
+func misnamedBlock(req *OpRequest) string {
+	if len(req.Blocks) == 0 && BlockName(req.Data) != req.Object {
+		return req.Object
+	}
+	for _, b := range req.Blocks {
+		if BlockName(b.Data) != b.Name {
+			return b.Name
+		}
+	}
+	return ""
+}
+
+// primaryStep is the primary's one step for every client op. Its
+// entries are the request itself, in the PG p and acting set handleOp
+// routed it by, or, for a block batch, each of req.Blocks, looked up in
+// turn. Each entry this daemon leads takes applyPrimary (slot lock,
+// apply, version stamp, journal record, unlock). Then, if anything
+// changed, the step as a whole takes one journal commit, one
+// replay-cache entry and one fan-out. Nothing is held across the fsync
+// or the replica round trips: per-object ordering travels in the version
+// stamps instead of being pinned by a lock. A read ends after its apply.
+func (o *OSD) primaryStep(ctx context.Context, from wire.Addr, req *OpRequest, p *pg, acting []int, pv *poolView, m *types.OSDMap) OpReply {
+	var (
+		reply   OpReply
+		mutated bool
+		peers   []int        // the replica peers to forward to
+		sub     []*OpRequest // for a block batch, sub[i] is peers[i]'s forward
+	)
+	if !req.batched() {
+		var prev uint64
+		reply, prev, mutated = o.applyPrimary(p, req, m)
+		if mutated {
+			// Every peer is sent this request, stamped.
+			peers = acting[1:]
+			req.Replica, req.Epoch = true, m.Epoch
+			req.PrevVersion, req.NewVersion = prev, reply.Version
+		}
+	} else {
+		reply = OpReply{Result: OK, Keys: make([]string, 0, len(req.Blocks)), Epoch: m.Epoch}
+		entry := OpRequest{Pool: req.Pool, Op: OpBlockWrite}
+		for _, b := range req.Blocks {
+			p, acting := o.ledPG(pv, b.Name)
+			if p == nil {
+				continue
+			}
+			entry.Object, entry.Data = b.Name, b.Data
+			rep, prev, created := o.applyPrimary(p, &entry, m)
+			reply.Keys = append(reply.Keys, b.Name)
+			if !created {
+				continue
+			}
+			mutated = true
+			b.PrevVersion, b.NewVersion = prev, rep.Version
+			for _, peer := range acting[1:] {
+				i := slices.Index(peers, peer)
+				if i < 0 {
+					i = len(peers)
+					peers = append(peers, peer)
+					sub = append(sub, &OpRequest{Pool: req.Pool, Object: b.Name, Epoch: m.Epoch, Op: OpBlockWrite, Replica: true})
+				}
+				sub[i].Blocks = append(sub[i].Blocks, b)
+			}
+		}
+	}
+	if !mutated {
+		return reply
+	}
+	if err := o.commitDurable(); err != nil {
+		return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
+	}
+	if req.OpID != 0 {
+		o.replayPut(from, req.OpID, reply)
+	}
+	if len(peers) > 0 {
+		o.replicate(ctx, peers, req, sub)
+	}
+	return reply
+}
+
+// replicaStep is a replica's one step for a primary's forward. Its
+// entries are the request itself, in the PG p, or, for a block batch,
+// each of req.Blocks; each takes applyReplicaOp, all against one wait deadline,
+// set by the first entry that has to wait. Then one journal commit, if
+// any entry recorded anything, and one reply. A per-object forward is
+// answered with its entry's own result and version, so the primary logs
+// a refusal.
+func (o *OSD) replicaStep(ctx context.Context, req *OpRequest, p *pg, pv *poolView, m *types.OSDMap) OpReply {
+	var deadline time.Time
+	reply, recorded := OpReply{Result: OK, Epoch: m.Epoch}, false
+	if !req.batched() {
+		reply, recorded = o.applyReplicaOp(ctx, p, *req, m, &deadline)
+	} else {
+		entry := OpRequest{Pool: pv.name, Op: OpBlockWrite, Replica: true}
+		for _, b := range req.Blocks {
+			entry.Object, entry.Data = b.Name, b.Data
+			entry.PrevVersion, entry.NewVersion = b.PrevVersion, b.NewVersion
+			p := o.getPG(PGID{Pool: pv.name, PG: PGForObject(b.Name, pv.info.PGNum)})
+			if _, rec := o.applyReplicaOp(ctx, p, entry, m, &deadline); rec {
+				recorded = true
+			}
+		}
+	}
+	if recorded {
 		if err := o.commitDurable(); err != nil {
 			return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
 		}
-		if req.OpID != 0 {
-			o.replayPut(from, req.OpID, reply)
-		}
-		o.replicate(ctx, req, acting[1:], m.Epoch, prev, reply.Version)
 	}
 	return reply
 }
@@ -261,144 +353,33 @@ func (o *OSD) blockReadBatch(req OpRequest, pv *poolView, epoch types.Epoch) OpR
 	return OpReply{Result: OK, Keys: names, Blocks: blocks, Epoch: epoch}
 }
 
-// blockWriteBatch is OpBlockWrite: a batch of create-if-absent block
-// writes, of which a client's single-block form (Object/Data, no
-// Blocks) is the batch of one. On the primary every entry's content hash is
-// checked before anything is stored, so a bad entry rejects the whole
-// batch EINVAL. Then each entry this daemon leads takes the ordinary
-// per-object step — slot lock, apply, journal record — and the batch
-// as a whole takes one journal commit, one replay-cache entry and one
-// forward per replica peer, carrying the entries whose acting set holds
-// that peer with their version stamps. reply.Keys names the entries
-// stored or already present.
-func (o *OSD) blockWriteBatch(ctx context.Context, from wire.Addr, req OpRequest, pv *poolView, m *types.OSDMap) OpReply {
-	blocks := req.Blocks
-	if len(blocks) == 0 {
-		blocks = []BlockOp{{Name: req.Object, Data: req.Data}}
-	}
-	if req.Replica {
-		return o.applyReplicaBlocks(ctx, blocks, pv, m)
-	}
-	for i := range blocks {
-		if BlockName(blocks[i].Data) != blocks[i].Name {
-			return OpReply{Result: EINVAL, Detail: "block content does not match its name: " + blocks[i].Name, Epoch: m.Epoch}
-		}
-	}
-
-	entry := OpRequest{Pool: req.Pool, Op: OpBlockWrite}
-	reply := OpReply{Result: OK, Keys: make([]string, 0, len(blocks)), Epoch: m.Epoch}
-	var forwards map[int][]BlockOp // replica peer -> the entries it must apply
-	mutated := false
-	for i := range blocks {
-		p, acting := o.ledPG(pv, blocks[i].Name)
-		if p == nil {
-			continue
-		}
-		entry.Object, entry.Data = blocks[i].Name, blocks[i].Data
-		e := p.entry(entry.Object)
-		e.mu.Lock()
-		prev := e.ver
-		rep, created := o.applyOp(e, entry, m)
-		if created {
-			o.recordOp(p, e, entry)
-		}
-		e.mu.Unlock()
-		reply.Keys = append(reply.Keys, entry.Object)
-		reply.Version = rep.Version // the single-block form's stamp
-		if !created {
-			continue
-		}
-		mutated = true
-		for _, peer := range acting[1:] {
-			if forwards == nil {
-				forwards = make(map[int][]BlockOp)
-			}
-			forwards[peer] = append(forwards[peer], BlockOp{
-				Name: entry.Object, Data: entry.Data, PrevVersion: prev, NewVersion: rep.Version,
-			})
-		}
-	}
-	if !mutated {
-		return reply
-	}
-	if err := o.commitDurable(); err != nil {
-		return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
-	}
-	if req.OpID != 0 {
-		o.replayPut(from, req.OpID, reply)
-	}
-	o.replicateBlocks(ctx, req.Pool, forwards, m.Epoch)
-	return reply
-}
-
-// applyReplicaBlocks applies a primary's block sub-batch: each entry
-// under applyReplicaOp's ordering rule on its own slot, all against one
-// wait deadline — set by the first entry that has to wait — then one
-// journal commit and one ack for the batch.
-func (o *OSD) applyReplicaBlocks(ctx context.Context, blocks []BlockOp, pv *poolView, m *types.OSDMap) OpReply {
-	var deadline time.Time
-	entry := OpRequest{Pool: pv.name, Op: OpBlockWrite, Replica: true}
-	for i := range blocks {
-		entry.Object, entry.Data = blocks[i].Name, blocks[i].Data
-		entry.PrevVersion, entry.NewVersion = blocks[i].PrevVersion, blocks[i].NewVersion
-		p := o.getPG(PGID{Pool: pv.name, PG: PGForObject(entry.Object, pv.info.PGNum)})
-		o.applyReplicaOp(ctx, p, entry, m, &deadline)
-	}
-	if err := o.commitDurable(); err != nil {
-		return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
-	}
-	return OpReply{Result: OK, Epoch: m.Epoch}
-}
-
-// replicate forwards a committed mutation to every replica concurrently
-// and waits for all acks, so the fan-out leg costs ~1 RTT regardless of
-// replica count (primary-copy replication, §4.4). No goroutine is
-// started per op: every peer but the last is handed to a forwarder that
-// is idle right now, or to a newly started one, and the last peer's
-// forward runs here on the handler goroutine, overlapped with the
-// others because they were launched first. A forward is never queued
-// behind a busy forwarder: it can block up to ReplicaWaitTimeout on its
-// PrevVersion predecessor, and queueing that predecessor behind it
-// would turn the ~1 RTT fan-out into a timeout stall.
-func (o *OSD) replicate(ctx context.Context, req OpRequest, peers []int, epoch types.Epoch, prev, next uint64) {
-	if len(peers) == 0 {
-		return
-	}
-	rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	f := &fanout{ctx: rctx, req: req}
-	f.req.Replica = true
-	f.req.Epoch = epoch
-	f.req.PrevVersion = prev
-	f.req.NewVersion = next
-	f.wg.Add(len(peers))
-	last := len(peers) - 1
-	for i, peer := range peers {
-		o.dispatch(fwdJob{f: f, peer: peer, req: &f.req}, i == last)
-	}
-	f.wg.Wait()
-}
-
-// replicateBlocks is replicate for a block batch: every peer receives
-// its own request, holding only the entries it replicates. Under
-// ReplicateSerial the peers are contacted one after another, as
-// doSerialOp does; the per-PG admission window does not apply, because a
-// batch spans PGs and create-if-absent blocks have no order to pin.
-func (o *OSD) replicateBlocks(ctx context.Context, pool string, forwards map[int][]BlockOp, epoch types.Epoch) {
-	if len(forwards) == 0 {
-		return
-	}
+// replicate sends a primary step's forwards to its replica peers —
+// sub[i] to peers[i] after a block batch, one shared copy of req to
+// every peer otherwise — concurrently and waits for all acks, so the
+// fan-out leg costs ~1 RTT regardless of replica count (primary-copy
+// replication, §4.4). No goroutine is started per op: every peer but the
+// last is handed to a forwarder that is idle right now, or to a newly
+// started one, and the last peer's forward runs here on the handler
+// goroutine, overlapped with the others because they were launched
+// first. A forward is never queued behind a busy forwarder: it can block
+// up to ReplicaWaitTimeout on its PrevVersion predecessor, and queueing
+// that predecessor behind it would turn the ~1 RTT fan-out into a
+// timeout stall.
+func (o *OSD) replicate(ctx context.Context, peers []int, req *OpRequest, sub []*OpRequest) {
 	rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
 	f := &fanout{ctx: rctx}
-	f.wg.Add(len(forwards))
-	left := len(forwards)
-	for peer, blocks := range forwards {
-		left--
-		o.dispatch(fwdJob{f: f, peer: peer, req: &OpRequest{
-			Pool: pool, Object: blocks[0].Name, Epoch: epoch, Op: OpBlockWrite,
-			Blocks: blocks, Replica: true,
-		}}, left == 0 || o.cfg.Replication == ReplicateSerial)
+	if sub == nil {
+		f.req = *req
+	}
+	f.wg.Add(len(peers))
+	last := len(peers) - 1
+	for i, peer := range peers {
+		fwd := &f.req
+		if sub != nil {
+			fwd = sub[i]
+		}
+		o.dispatch(fwdJob{f: f, peer: peer, req: fwd}, i == last)
 	}
 	f.wg.Wait()
 }
@@ -553,41 +534,6 @@ func (o *OSD) forwarder(stop chan struct{}, job fwdJob) {
 	}
 }
 
-// doSerialOp is the measured baseline (ReplicateSerial): one
-// operation per PG at a time, replicas contacted sequentially inside
-// the PG-wide admission window — (R-1)·RTT per mutation, reads of
-// unrelated objects blocked behind it. The window is a channel token
-// rather than a held mutex, so the lock-across-RPC invariant holds here
-// too.
-func (o *OSD) doSerialOp(ctx context.Context, from wire.Addr, p *pg, req OpRequest, m *types.OSDMap, acting []int) OpReply {
-	select {
-	case p.admit <- struct{}{}:
-	case <-ctx.Done():
-		return OpReply{Result: EIO, Detail: "canceled awaiting pg admission", Epoch: m.Epoch}
-	}
-	defer func() { <-p.admit }()
-
-	reply, prev, mutated := o.applyPrimary(p, &req, m)
-	if mutated {
-		if err := o.commitDurable(); err != nil {
-			return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
-		}
-		if req.OpID != 0 {
-			o.replayPut(from, req.OpID, reply)
-		}
-		req.Replica = true
-		req.Epoch = m.Epoch
-		req.PrevVersion = prev
-		req.NewVersion = reply.Version
-		for _, peer := range acting[1:] {
-			rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			o.callReplica(rctx, peer, &req)
-			cancel()
-		}
-	}
-	return reply
-}
-
 // applyReplicaOp applies a primary forward in the primary's per-object
 // version order. A forward that arrives ahead of its predecessor (the
 // parallel fan-outs of two writes to one object can cross on the
@@ -599,8 +545,9 @@ func (o *OSD) doSerialOp(ctx context.Context, from wire.Addr, p *pg, req OpReque
 // never waits, never reads the clock; callers share one deadline across
 // a batch by passing the same one. A forward that arrives after a newer
 // mutation already applied is dropped as a stale duplicate rather than
-// regressing state.
-func (o *OSD) applyReplicaOp(ctx context.Context, p *pg, req OpRequest, m *types.OSDMap, deadline *time.Time) OpReply {
+// regressing state. The bool reports that the slot's version advanced:
+// the apply or the pin was journaled, and the caller must commit.
+func (o *OSD) applyReplicaOp(ctx context.Context, p *pg, req OpRequest, m *types.OSDMap, deadline *time.Time) (OpReply, bool) {
 	e := p.entry(req.Object)
 	e.mu.Lock()
 	for e.ver < req.PrevVersion {
@@ -618,7 +565,7 @@ func (o *OSD) applyReplicaOp(ctx context.Context, p *pg, req OpRequest, m *types
 	if e.ver > req.PrevVersion {
 		reply := OpReply{Result: OK, Version: e.ver, Epoch: m.Epoch}
 		e.mu.Unlock()
-		return reply
+		return reply, false
 	}
 	preVer := e.ver
 	reply, mutated := o.applyOp(e, req, m)
@@ -639,23 +586,22 @@ func (o *OSD) applyReplicaOp(ctx context.Context, p *pg, req OpRequest, m *types
 			e.signalLocked()
 		}
 	}
-	if o.durable && reply.Result == OK {
-		switch {
-		case mutated:
-			// Journal after the pin so the record carries the primary's
-			// stamp, not the transient local one.
-			o.recordOp(p, e, req)
-		case e.ver > preVer:
-			// No-op apply that still pinned the version: replaying the
-			// log must land on the same stamp or later forwards stall at
-			// their PrevVersion wait.
-			o.backend.Record(Mutation{Kind: RecVerPin, Pool: req.Pool, PG: p.id.PG,
-				Object: req.Object, Version: e.ver})
-		}
+	moved := e.ver > preVer
+	switch {
+	case mutated:
+		// Journal after the pin so the record carries the primary's
+		// stamp, not the transient local one.
+		o.recordOp(p, e, req)
+	case moved && o.durable:
+		// No-op apply that still pinned the version, whatever it answered
+		// (that remove is ENOENT): replaying the log must land on the same
+		// stamp or later forwards stall at their PrevVersion wait.
+		o.backend.Record(Mutation{Kind: RecVerPin, Pool: req.Pool, PG: p.id.PG,
+			Object: req.Object, Version: e.ver})
 	}
 	e.mu.Unlock()
 	reply.Epoch = m.Epoch
-	return reply
+	return reply, moved
 }
 
 // waitApplied blocks until ch closes (the object advanced), the
@@ -824,8 +770,8 @@ func (o *OSD) applyOp(e *objEntry, req OpRequest, m *types.OSDMap) (OpReply, boo
 			e.touch = time.Now()
 			return OpReply{Result: OK, Version: e.ver}, false
 		}
-		// blockWriteBatch, the only caller, has checked the content
-		// against the name.
+		// handleOp has checked the content against the name on the
+		// primary; a replica installs what the primary stored.
 		obj := e.materializeLocked(req.Object)
 		obj.Data = append([]byte(nil), req.Data...)
 		e.bumpLocked()

@@ -14,7 +14,7 @@ import (
 )
 
 // clusterOpts parameterizes bootClusterOpts beyond what bootCluster
-// fixes: fabric shaping, replication mode, and gossip cadence (the
+// fixes: fabric shaping, daemon configuration, and gossip cadence (the
 // message-complexity tests need a quiet fabric).
 type clusterOpts struct {
 	osds     int
@@ -90,9 +90,9 @@ func samePGName(base, prefix string, pgnum int) string {
 }
 
 // TestReplicatedWriteMessageComplexity pins down the message cost of a
-// replicas=3 mutation on the pipelined path: exactly 1 client→primary
-// call plus 2 primary→replica forwards, and the forwards are in flight
-// concurrently (the per-endpoint high-water mark reaches 2).
+// replicas=3 mutation: exactly 1 client→primary call plus 2
+// primary→replica forwards, and the forwards are in flight concurrently
+// (the per-endpoint high-water mark reaches 2).
 func TestReplicatedWriteMessageComplexity(t *testing.T) {
 	tc := bootClusterOpts(t, clusterOpts{
 		osds: 3, replicas: 3,
@@ -137,39 +137,31 @@ func TestReplicatedWriteMessageComplexity(t *testing.T) {
 }
 
 // TestFanOutLatencyOneRTT shapes the fabric at 1ms one-way and shows
-// the replication leg costs ~1 RTT, not the serial path's 2: a
-// pipelined replicas=3 write completes in ~4ms (client RTT + one
-// parallel fan-out RTT) where the serial baseline needs ~6ms (client
-// RTT + two sequential replica RTTs).
+// the replication leg costs ~1 RTT: a replicas=3 write completes in
+// ~4ms (client RTT + one parallel fan-out RTT). Forwards sent one after
+// another would need ~6.5ms (client RTT + two replica RTTs, each delay
+// rounded up to the 1.09ms timer quantum), over the bound.
 func TestFanOutLatencyOneRTT(t *testing.T) {
-	measure := func(mode ReplicationMode) time.Duration {
-		tc := bootClusterOpts(t, clusterOpts{
-			osds: 3, replicas: 3,
-			osd: OSDConfig{GossipInterval: time.Hour, Replication: mode},
-		})
-		ctx := ctxT(t, 30*time.Second)
-		if err := tc.client.WriteFull(ctx, "data", "timed", []byte("warmup")); err != nil {
+	tc := bootClusterOpts(t, clusterOpts{
+		osds: 3, replicas: 3,
+		osd: OSDConfig{GossipInterval: time.Hour},
+	})
+	ctx := ctxT(t, 30*time.Second)
+	if err := tc.client.WriteFull(ctx, "data", "timed", []byte("warmup")); err != nil {
+		t.Fatal(err)
+	}
+	tc.net.SetLatency(time.Millisecond, 0)
+	const rounds = 5
+	start := time.Now()
+	for i := 0; i < rounds; i++ {
+		if err := tc.client.WriteFull(ctx, "data", "timed", []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
-		tc.net.SetLatency(time.Millisecond, 0)
-		const rounds = 5
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			if err := tc.client.WriteFull(ctx, "data", "timed", []byte("payload")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start) / rounds
 	}
-
-	pipelined := measure(ReplicatePipelined)
-	serial := measure(ReplicateSerial)
-	t.Logf("avg write latency at 1ms fabric: pipelined=%v serial=%v", pipelined, serial)
-	if pipelined >= 5200*time.Microsecond {
-		t.Errorf("pipelined write took %v, want < 5.2ms (~2 RTT total)", pipelined)
-	}
-	if serial-pipelined < 800*time.Microsecond {
-		t.Errorf("fan-out saved only %v over serial, want ~1 full RTT (2ms)", serial-pipelined)
+	avg := time.Since(start) / rounds
+	t.Logf("avg write latency at 1ms fabric: %v", avg)
+	if avg >= 5200*time.Microsecond {
+		t.Errorf("write took %v, want < 5.2ms (~2 RTT total)", avg)
 	}
 }
 
