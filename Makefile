@@ -10,7 +10,8 @@ SEED ?= 1
 BASE ?= HEAD~1
 
 .PHONY: build test race vet lint lint-json lint-sarif lint-diff lint-fixtures \
-	bench bench-smoke bench-module bench-json chaos chaos-race cover bench-compare ci loc
+	bench bench-smoke bench-module bench-json chaos chaos-race cover bench-compare ci loc \
+	profile
 
 build:
 	$(GO) build ./...
@@ -101,6 +102,18 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -out BENCH_pr10.json \
 			-floor wal_group_commit_speedup=3.0 -floor wal_replay_mbps=100
 	@cat BENCH_pr10.json
+
+# CPU and allocation profiles of the replicated op path — the rados-mem
+# op mix, BenchmarkRadosOpsR3Delay0 — written to .prof/, then the top 25
+# functions by cumulative CPU time. ROADMAP's account of what is left of
+# a write's CPU is read off this output. The allocation side:
+#   go tool pprof -sample_index=alloc_objects -top .prof/repro.test .prof/mem.out
+# Not part of ci: the numbers move with the host.
+profile:
+	@mkdir -p .prof
+	$(GO) test -run='^$$' -bench='^BenchmarkRadosOpsR3Delay0$$' -benchmem -benchtime=3s \
+		-o .prof/repro.test -cpuprofile .prof/cpu.out -memprofile .prof/mem.out .
+	$(GO) tool pprof -top -cum -nodecount=25 .prof/repro.test .prof/cpu.out
 
 # Cluster-wide fault injection: boots a full cluster per scenario,
 # injects the seeded fault script under client load, and audits the

@@ -65,7 +65,8 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	// Duplicate-delivery check: a client resend of an operation whose ack
 	// was lost must observe the recorded outcome, not re-apply it. Only
 	// the epoch is refreshed — the rest of the reply is the original.
-	if req.OpID != 0 && !req.Replica {
+	// See OpCode.readOnly for the ops that skip it.
+	if req.OpID != 0 && !req.Replica && !req.Op.readOnly() {
 		if rep, ok := o.replayGet(from, req.OpID); ok {
 			rep.Epoch = m.Epoch
 			return rep
@@ -191,14 +192,14 @@ func (o *OSD) replicaStep(ctx context.Context, req *OpRequest, p *pg, pv *poolVi
 	var deadline time.Time
 	reply, recorded := OpReply{Result: OK, Epoch: m.Epoch}, false
 	if !req.batched() {
-		reply, recorded = o.applyReplicaOp(ctx, p, *req, m, &deadline)
+		reply, recorded = o.applyReplicaOp(ctx, p, req, m, &deadline)
 	} else {
 		entry := OpRequest{Pool: pv.name, Op: OpBlockWrite, Replica: true}
 		for _, b := range req.Blocks {
 			entry.Object, entry.Data = b.Name, b.Data
 			entry.PrevVersion, entry.NewVersion = b.PrevVersion, b.NewVersion
 			p := o.getPG(PGID{Pool: pv.name, PG: PGForObject(b.Name, pv.info.PGNum)})
-			if _, rec := o.applyReplicaOp(ctx, p, entry, m, &deadline); rec {
+			if _, rec := o.applyReplicaOp(ctx, p, &entry, m, &deadline); rec {
 				recorded = true
 			}
 		}
@@ -224,10 +225,10 @@ func (o *OSD) applyPrimary(p *pg, req *OpRequest, m *types.OSDMap) (reply OpRepl
 	prev = e.ver
 	var txn []TxnOp
 	if req.Op == OpCall {
-		reply, txn = o.applyCall(e, *req, m)
+		reply, txn = o.applyCall(e, req, m)
 		mutated = txn != nil
 	} else {
-		reply, mutated = o.applyOp(e, *req, m)
+		reply, mutated = o.applyOp(e, req, m)
 		mutated = mutated && reply.Result == OK
 		if mutated && forwardsAsTxn(req.Op) {
 			txn = storedWriteSet(e.obj, req)
@@ -237,7 +238,7 @@ func (o *OSD) applyPrimary(p *pg, req *OpRequest, m *types.OSDMap) (reply OpRepl
 		*req = OpRequest{Pool: req.Pool, Object: req.Object, Epoch: req.Epoch, Op: OpTxn, OpID: req.OpID, Txn: txn}
 	}
 	if mutated {
-		o.recordOp(p, e, *req)
+		o.recordOp(p, e, req)
 	}
 	e.mu.Unlock()
 	reply.Epoch = m.Epoch
@@ -365,10 +366,13 @@ func (o *OSD) blockReadBatch(req OpRequest, pv *poolView, epoch types.Epoch) OpR
 // up to ReplicaWaitTimeout on its PrevVersion predecessor, and queueing
 // that predecessor behind it would turn the ~1 RTT fan-out into a
 // timeout stall.
+//
+// The forwards run under the op's own ctx, with no deadline of their
+// own: wire.Call runs the replica's step on the calling goroutine, so a
+// forward is bounded by two fabric delays, the replica's
+// ReplicaWaitTimeout and its journal commit.
 func (o *OSD) replicate(ctx context.Context, peers []int, req *OpRequest, sub []*OpRequest) {
-	rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	f := &fanout{ctx: rctx}
+	f := &fanout{ctx: ctx}
 	if sub == nil {
 		f.req = *req
 	}
@@ -403,9 +407,9 @@ func (o *OSD) dispatch(job fwdJob, last bool) {
 	}
 }
 
-// fanout is one replicated mutation being forwarded: the deadline
-// covering the whole fan-out, the count of forwards still outstanding,
-// and — when every peer receives the same request — that request.
+// fanout is one replicated mutation being forwarded: the op's context,
+// the count of forwards still outstanding, and — when every peer
+// receives the same request — that request.
 type fanout struct {
 	ctx context.Context
 	req OpRequest
@@ -547,7 +551,7 @@ func (o *OSD) forwarder(stop chan struct{}, job fwdJob) {
 // mutation already applied is dropped as a stale duplicate rather than
 // regressing state. The bool reports that the slot's version advanced:
 // the apply or the pin was journaled, and the caller must commit.
-func (o *OSD) applyReplicaOp(ctx context.Context, p *pg, req OpRequest, m *types.OSDMap, deadline *time.Time) (OpReply, bool) {
+func (o *OSD) applyReplicaOp(ctx context.Context, p *pg, req *OpRequest, m *types.OSDMap, deadline *time.Time) (OpReply, bool) {
 	e := p.entry(req.Object)
 	e.mu.Lock()
 	for e.ver < req.PrevVersion {
@@ -626,8 +630,9 @@ func waitApplied(ctx context.Context, ch <-chan struct{}, deadline time.Time) bo
 // applyOp executes one op against the object's slot. Caller holds e.mu.
 // Returns the reply and whether object state changed (drives
 // replication). Read replies alias stored slices — safe under the
-// copy-on-write discipline documented on Object.
-func (o *OSD) applyOp(e *objEntry, req OpRequest, m *types.OSDMap) (OpReply, bool) {
+// copy-on-write discipline documented on Object. req is read, never
+// kept: applyPrimary rewrites *req once the apply returns.
+func (o *OSD) applyOp(e *objEntry, req *OpRequest, m *types.OSDMap) (OpReply, bool) {
 	switch req.Op {
 	case OpStat:
 		if e.obj == nil {
@@ -836,7 +841,7 @@ func objData(e *objEntry) []byte {
 // that alias the live object is safe. Records carry post-state (the
 // full bytestream, the final xattr value) rather than op deltas, which
 // makes replay idempotent under the version guard.
-func (o *OSD) recordOp(p *pg, e *objEntry, req OpRequest) {
+func (o *OSD) recordOp(p *pg, e *objEntry, req *OpRequest) {
 	if !o.durable {
 		return
 	}
@@ -902,7 +907,7 @@ func (o *OSD) commitBackground(what string) {
 // it touched, in time proportional to that and not to the object's size
 // (ZLog stripe objects grow without bound); success returns the
 // write-set, nil when the method wrote nothing. Caller holds e.mu.
-func (o *OSD) applyCall(e *objEntry, req OpRequest, m *types.OSDMap) (OpReply, []TxnOp) {
+func (o *OSD) applyCall(e *objEntry, req *OpRequest, m *types.OSDMap) (OpReply, []TxnOp) {
 	def, isScript := m.Classes[req.Class]
 	if !isScript && !o.rt.isNative(req.Class) {
 		return OpReply{Result: ENOENT, Detail: "no such class: " + req.Class}, nil

@@ -8,9 +8,10 @@ import (
 )
 
 // TestReplayCacheDedupesResends pins the duplicate-apply fix: a client
-// resend of a non-idempotent op (an append whose ack was lost) must
-// hit the primary's replay cache, not apply twice. The test plays the
-// client role directly so the second delivery is a byte-identical
+// resend of a non-idempotent op (an append or a class call whose ack
+// was lost) must hit the primary's replay cache, not apply twice — also
+// when a read, which skips the cache, came in between. The test plays
+// the client role directly so the second delivery is a byte-identical
 // duplicate of the first, exactly what do() emits after a lost reply.
 func TestReplayCacheDedupesResends(t *testing.T) {
 	tc := bootCluster(t, 3, 2)
@@ -20,42 +21,120 @@ func TestReplayCacheDedupesResends(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := tc.client.CachedMap()
-	_, acting, err := Locate(m, "data", "log")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	req := OpRequest{
-		Pool: "data", Object: "log",
-		Epoch: m.Epoch, Op: OpAppend,
-		Data: []byte("once"),
-		OpID: 12345,
-	}
-	deliver := func() OpReply {
+	deliver := func(req *OpRequest) OpReply {
 		t.Helper()
-		resp, err := tc.net.Call(ctx, "client.0", OSDAddr(acting[0]), &req)
+		_, acting, err := Locate(m, req.Pool, req.Object)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := tc.net.Call(ctx, "client.0", OSDAddr(acting[0]), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep, ok := resp.(OpReply)
 		if !ok || rep.Result != OK {
-			t.Fatalf("append reply = %+v", resp)
+			t.Fatalf("%s reply = %+v", req.Op, resp)
 		}
 		return rep
 	}
-
-	first := deliver()
-	second := deliver()
-	if second.Version != first.Version {
-		t.Fatalf("resend applied again: version %d, first delivery stamped %d", second.Version, first.Version)
+	read := func(object string, opID uint64) []byte {
+		t.Helper()
+		return deliver(&OpRequest{Pool: "data", Object: object, Epoch: m.Epoch, Op: OpRead, OpID: opID}).Data
 	}
 
+	appendReq := OpRequest{
+		Pool: "data", Object: "log",
+		Epoch: m.Epoch, Op: OpAppend,
+		Data: []byte("once"),
+		OpID: 12345,
+	}
+	first := deliver(&appendReq)
+	if got := read("log", 12346); string(got) != "base-once" {
+		t.Fatalf("read between the deliveries = %q, want %q", got, "base-once")
+	}
+	second := deliver(&appendReq)
+	if second.Version != first.Version {
+		t.Fatalf("resent append applied again: version %d, first delivery stamped %d", second.Version, first.Version)
+	}
 	got, err := tc.client.Read(ctx, "data", "log")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "base-once" {
 		t.Fatalf("read %q, want %q (duplicate delivery must not double-append)", got, "base-once")
+	}
+
+	callReq := OpRequest{
+		Pool: "data", Object: "ctr",
+		Epoch: m.Epoch, Op: OpCall,
+		Class: "counter", Method: "incr",
+		OpID: 12347,
+	}
+	first = deliver(&callReq)
+	between := read("ctr", 12348)
+	second = deliver(&callReq)
+	if string(first.Data) != "1" || string(second.Data) != "1" || second.Version != first.Version {
+		t.Fatalf("resent call applied again: first %q v%d, resend %q v%d", first.Data, first.Version, second.Data, second.Version)
+	}
+	if after := read("ctr", 12349); string(after) != string(between) || len(after) != 8 || after[7] != 1 {
+		t.Fatalf("counter bytes %x after the resend, %x before it; want one increment", after, between)
+	}
+}
+
+// TestReadOnlyOpsSkipReplayCache classifies every op code, enumerated
+// from the table OpCode.String uses, so a new op cannot be added
+// without deciding whether a resend of it must consult the primary's
+// replay cache. An op that skips the cache must be one nothing is ever
+// recorded for: applied to a live object, it reports no mutation and
+// leaves the slot version where it was.
+func TestReadOnlyOpsSkipReplayCache(t *testing.T) {
+	readOnly := map[OpCode]bool{
+		OpRead: true, OpStat: true, OpGetXattr: true, OpOmapGet: true,
+		OpOmapList: true, OpBlockStat: true, OpBlockRead: true,
+		OpWriteFull: false, OpAppend: false, OpRemove: false, OpCreate: false,
+		OpOmapSet: false, OpOmapDel: false, OpSetXattr: false, OpCall: false,
+		OpBlockWrite: false, OpBlockIncref: false, OpBlockDecref: false,
+		OpBlockReclaim: false, OpTxn: false,
+	}
+
+	tc := bootCluster(t, 1, 1)
+	ctx := ctxT(t, 10*time.Second)
+	const name = "live"
+	if err := tc.client.WriteFull(ctx, "data", name, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.client.OmapSet(ctx, "data", name, map[string][]byte{"k": []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.client.SetXattr(ctx, "data", name, "x", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	o := tc.osds[0]
+	v := o.view.Load()
+	e := o.getPG(PGID{Pool: "data", PG: PGForObject(name, v.pools["data"].info.PGNum)}).entry(name)
+
+	for op := OpCode(0); int(op) < len(opNames); op++ {
+		want, ok := readOnly[op]
+		if !ok {
+			t.Errorf("%s is not classified: decide whether its resends must consult the replay cache", op)
+			continue
+		}
+		if op.readOnly() != want {
+			t.Errorf("%s.readOnly() = %v, want %v", op, op.readOnly(), want)
+		}
+		if !want {
+			continue
+		}
+		req := OpRequest{Pool: "data", Object: name, Epoch: v.m.Epoch, Op: op, Key: "x", Keys: []string{"k"}}
+		e.mu.Lock()
+		before := e.ver
+		_, mutated := o.applyOp(e, &req, v.m)
+		after := e.ver
+		e.mu.Unlock()
+		if mutated || after != before {
+			t.Errorf("%s on a live object: mutated %v, version %d -> %d; an op that skips the replay cache must not write",
+				op, mutated, before, after)
+		}
 	}
 }
 

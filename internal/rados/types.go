@@ -52,16 +52,30 @@ const (
 	OpTxn
 )
 
+// opNames is indexed by OpCode: every op has an entry.
+var opNames = [...]string{"read", "write-full", "append", "stat", "remove",
+	"create", "omap-get", "omap-set", "omap-del", "omap-list",
+	"getxattr", "setxattr", "call",
+	"block-stat", "block-write", "block-incref", "block-decref", "block-reclaim", "block-read",
+	"txn"}
+
 func (o OpCode) String() string {
-	names := [...]string{"read", "write-full", "append", "stat", "remove",
-		"create", "omap-get", "omap-set", "omap-del", "omap-list",
-		"getxattr", "setxattr", "call",
-		"block-stat", "block-write", "block-incref", "block-decref", "block-reclaim", "block-read",
-		"txn"}
-	if int(o) < len(names) {
-		return names[o]
+	if o >= 0 && int(o) < len(opNames) {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", int(o))
+}
+
+// readOnly reports whether op never changes an object: it is never
+// journaled, forwarded or entered in the replay cache, so a resend of it
+// needs no replay-cache lookup either. A class call is not read-only even
+// when its method only reads: whether it writes is known only once it ran.
+func (o OpCode) readOnly() bool {
+	switch o {
+	case OpRead, OpStat, OpGetXattr, OpOmapGet, OpOmapList, OpBlockStat, OpBlockRead:
+		return true
+	}
+	return false
 }
 
 // ResultCode is the outcome class of an operation.
@@ -243,8 +257,20 @@ type OpReply struct {
 
 // OSDAddr is the wire address of an OSD.
 func OSDAddr(id int) wire.Addr {
+	if id >= 0 && id < len(osdAddrs) {
+		return osdAddrs[id]
+	}
 	return wire.Addr(types.EntityName(types.EntityOSD, id))
 }
+
+// osdAddrs holds the addresses of the first OSD ids, so the op path
+// sends without building an address string per call.
+var osdAddrs = func() (a [256]wire.Addr) {
+	for id := range a {
+		a[id] = wire.Addr(types.EntityName(types.EntityOSD, id))
+	}
+	return a
+}()
 
 // gossipMsg carries a peer's map epoch; a behind peer replies asking for
 // the full map, which the sender pushes.

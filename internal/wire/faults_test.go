@@ -160,6 +160,79 @@ func TestDropLatencyTogglesMidStream(t *testing.T) {
 	}
 }
 
+// Every setter publishes a new route snapshot: with Calls streaming
+// over the same endpoints, the first Call after each setter returns
+// sees the state it set, the streams see none of client.2's pair
+// faults, and once the last fault is healed the route is
+// back on the fault-free path, with no pair lookups.
+func TestFaultSnapshotSettersUnderLoad(t *testing.T) {
+	n := NewNetwork(WithSeed(11))
+	n.Listen("osd.0", echoHandler)
+	n.Listen("osd.1", echoHandler)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		to := Addr("osd.0")
+		if i%2 == 1 {
+			to = "osd.1"
+		}
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// client.1's links are never faulted; only osd.1 leaves.
+				if _, err := n.Call(context.Background(), "client.1", to, "x"); err != nil && !errors.Is(err, ErrUnreachable) {
+					t.Errorf("stream call to %s: %v", to, err)
+					return
+				}
+			}
+		}()
+	}
+
+	probe := func(step string, to Addr, want error) {
+		t.Helper()
+		_, err := n.Call(context.Background(), "client.2", to, step)
+		if want == nil && err != nil || want != nil && !errors.Is(err, want) {
+			t.Fatalf("%s: call to %s = %v, want %v", step, to, err, want)
+		}
+	}
+	for round := 0; round < 200; round++ {
+		n.Partition("client.2", "osd.0")
+		probe("partition", "osd.0", ErrPartitioned)
+		probe("partition, other pair", "osd.1", nil)
+		n.Heal("client.2", "osd.0")
+		probe("heal", "osd.0", nil)
+		n.SetLinkDropRate("client.2", "osd.0", 1)
+		probe("link drop on", "osd.0", ErrDropped)
+		n.SetLinkDropRate("client.2", "osd.0", 0)
+		probe("link drop off", "osd.0", nil)
+		n.Partition("client.2", "osd.1")
+		n.SetLinkDropRate("client.2", "osd.0", 1)
+		n.HealAll()
+		probe("heal-all", "osd.1", nil)
+		probe("heal-all", "osd.0", nil)
+		n.Unlisten("osd.1")
+		probe("unlisten", "osd.1", ErrUnreachable)
+		n.Listen("osd.1", echoHandler)
+		probe("listen", "osd.1", nil)
+	}
+	close(stop)
+	wg.Wait()
+
+	if !n.routes.Load().faultFree() {
+		t.Fatal("route still takes the pair lookups after every fault was healed")
+	}
+	if st := n.Stats(); st.Drops == 0 || st.Refused == 0 {
+		t.Fatalf("stats = %+v, want the probes' drops and refusals counted", st)
+	}
+}
+
 // A per-link drop override affects only that link, and HealAll clears it.
 func TestLinkDropRateIsolatesLink(t *testing.T) {
 	n := NewNetwork()

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -74,16 +75,14 @@ type FaultEvent struct {
 // Network is an in-process fabric. The zero value is not usable; call
 // NewNetwork.
 type Network struct {
-	mu         sync.RWMutex
-	endpoints  map[Addr]Handler    // guarded by mu
-	partitions map[[2]Addr]bool    // guarded by mu
-	linkDrop   map[[2]Addr]float64 // guarded by mu; per-link loss overrides
-	onFault    func(FaultEvent)    // guarded by mu
-	latency    time.Duration       // set by Options before the network is shared
-	jitter     time.Duration
-	dropRate   float64
-	rng        *rand.Rand
-	rngMu      sync.Mutex
+	// routes is the fabric's endpoint and fault state, published
+	// copy-on-write: a route reads it with one atomic load, and every
+	// setter publishes a new snapshot under mu.
+	routes  atomic.Pointer[routeState]
+	mu      sync.Mutex       // serializes setters
+	onFault func(FaultEvent) // guarded by mu
+	rng     *rand.Rand
+	rngMu   sync.Mutex
 
 	calls   atomic.Uint64
 	sends   atomic.Uint64
@@ -97,20 +96,64 @@ type Network struct {
 	outbound atomic.Pointer[map[Addr]*endpointStat]
 }
 
+// routeState is one published snapshot of what routing reads. It is
+// never written once published: a setter copies it, replaces the map it
+// changes with an edited copy, and publishes the result.
+type routeState struct {
+	endpoints  map[Addr]Handler
+	partitions map[[2]Addr]bool    // nil when no pair is severed
+	linkDrop   map[[2]Addr]float64 // nil when no link has an override
+	latency    time.Duration
+	jitter     time.Duration
+	dropRate   float64
+}
+
+// faultFree reports whether no pair is severed and no link has its own
+// drop rate: a route then needs no pair lookup.
+func (s *routeState) faultFree() bool { return s.partitions == nil && s.linkDrop == nil }
+
+// update publishes the snapshot fn makes of a copy of the current one.
+func (n *Network) update(fn func(s *routeState)) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	s := *n.routes.Load()
+	fn(&s)
+	n.routes.Store(&s)
+}
+
+// withKey returns a copy of m with k set to v, or deleted when del; an
+// empty result is nil.
+func withKey[V any](m map[[2]Addr]V, k [2]Addr, v V, del bool) map[[2]Addr]V {
+	out := maps.Clone(m)
+	if out == nil {
+		out = make(map[[2]Addr]V, 1)
+	}
+	if del {
+		delete(out, k)
+	} else {
+		out[k] = v
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
 // Option configures a Network.
 type Option func(*Network)
 
 // WithLatency sets the one-way delivery delay and its uniform jitter.
 func WithLatency(base, jitter time.Duration) Option {
 	return func(n *Network) {
-		n.latency = base
-		n.jitter = jitter
+		n.update(func(s *routeState) { s.latency, s.jitter = base, jitter })
 	}
 }
 
 // WithDropRate sets the probability in [0,1) that a message is lost.
 func WithDropRate(p float64) Option {
-	return func(n *Network) { n.dropRate = p }
+	return func(n *Network) {
+		n.update(func(s *routeState) { s.dropRate = p })
+	}
 }
 
 // WithSeed seeds the fabric's random source so drop/jitter sequences are
@@ -122,12 +165,8 @@ func WithSeed(seed int64) Option {
 // NewNetwork builds a fabric. By default delivery is immediate, lossless
 // and unpartitioned.
 func NewNetwork(opts ...Option) *Network {
-	n := &Network{
-		endpoints:  make(map[Addr]Handler),
-		partitions: make(map[[2]Addr]bool),
-		linkDrop:   make(map[[2]Addr]float64),
-		rng:        rand.New(rand.NewSource(1)),
-	}
+	n := &Network{rng: rand.New(rand.NewSource(1))}
+	n.routes.Store(&routeState{endpoints: map[Addr]Handler{}})
 	n.outbound.Store(&map[Addr]*endpointStat{})
 	for _, o := range opts {
 		o(n)
@@ -137,17 +176,19 @@ func NewNetwork(opts ...Option) *Network {
 
 // Listen registers handler at addr, replacing any previous registration.
 func (n *Network) Listen(addr Addr, h Handler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.endpoints[addr] = h
+	n.update(func(s *routeState) {
+		s.endpoints = maps.Clone(s.endpoints)
+		s.endpoints[addr] = h
+	})
 }
 
 // Unlisten removes addr from the fabric; subsequent messages to it fail
 // with ErrUnreachable. Use it to simulate daemon crashes.
 func (n *Network) Unlisten(addr Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.endpoints, addr)
+	n.update(func(s *routeState) {
+		s.endpoints = maps.Clone(s.endpoints)
+		delete(s.endpoints, addr)
+	})
 }
 
 // OnFault registers a hook invoked (synchronously, outside the fabric
@@ -161,9 +202,9 @@ func (n *Network) OnFault(fn func(FaultEvent)) {
 
 // notifyFault delivers ev to the registered hook, if any.
 func (n *Network) notifyFault(ev FaultEvent) {
-	n.mu.RLock()
+	n.mu.Lock()
 	fn := n.onFault
-	n.mu.RUnlock()
+	n.mu.Unlock()
 	if fn != nil {
 		fn(ev)
 	}
@@ -171,43 +212,31 @@ func (n *Network) notifyFault(ev FaultEvent) {
 
 // Partition severs connectivity between a and b (both directions).
 func (n *Network) Partition(a, b Addr) {
-	n.mu.Lock()
-	n.partitions[pairKey(a, b)] = true
-	n.mu.Unlock()
+	n.update(func(s *routeState) { s.partitions = withKey(s.partitions, pairKey(a, b), true, false) })
 	n.notifyFault(FaultEvent{Kind: "partition", A: a, B: b})
 }
 
 // Heal restores connectivity between a and b.
 func (n *Network) Heal(a, b Addr) {
-	n.mu.Lock()
-	delete(n.partitions, pairKey(a, b))
-	n.mu.Unlock()
+	n.update(func(s *routeState) { s.partitions = withKey(s.partitions, pairKey(a, b), false, true) })
 	n.notifyFault(FaultEvent{Kind: "heal", A: a, B: b})
 }
 
 // HealAll removes every partition and per-link drop override.
 func (n *Network) HealAll() {
-	n.mu.Lock()
-	n.partitions = make(map[[2]Addr]bool)
-	n.linkDrop = make(map[[2]Addr]float64)
-	n.mu.Unlock()
+	n.update(func(s *routeState) { s.partitions, s.linkDrop = nil, nil })
 	n.notifyFault(FaultEvent{Kind: "heal-all"})
 }
 
 // SetLatency adjusts delivery delay at runtime.
 func (n *Network) SetLatency(base, jitter time.Duration) {
-	n.mu.Lock()
-	n.latency = base
-	n.jitter = jitter
-	n.mu.Unlock()
+	n.update(func(s *routeState) { s.latency, s.jitter = base, jitter })
 	n.notifyFault(FaultEvent{Kind: "latency", Base: base, Jitter: jitter})
 }
 
 // SetDropRate adjusts message loss probability at runtime.
 func (n *Network) SetDropRate(p float64) {
-	n.mu.Lock()
-	n.dropRate = p
-	n.mu.Unlock()
+	n.update(func(s *routeState) { s.dropRate = p })
 	n.notifyFault(FaultEvent{Kind: "drop-rate", Rate: p})
 }
 
@@ -215,13 +244,7 @@ func (n *Network) SetDropRate(p float64) {
 // overriding the global rate when higher (a flaky cable rather than a
 // congested fabric). p <= 0 clears the override.
 func (n *Network) SetLinkDropRate(a, b Addr, p float64) {
-	n.mu.Lock()
-	if p <= 0 {
-		delete(n.linkDrop, pairKey(a, b))
-	} else {
-		n.linkDrop[pairKey(a, b)] = p
-	}
-	n.mu.Unlock()
+	n.update(func(s *routeState) { s.linkDrop = withKey(s.linkDrop, pairKey(a, b), p, p <= 0) })
 	n.notifyFault(FaultEvent{Kind: "link-drop", A: a, B: b, Rate: p})
 }
 
@@ -291,21 +314,23 @@ func pairKey(a, b Addr) [2]Addr {
 }
 
 // route validates reachability and returns the handler plus the one-way
-// delay to apply.
+// delay to apply. On a fault-free fabric it is one atomic load and one
+// endpoint lookup; the pair lookups run only while some pair is severed
+// or some link has its own drop rate.
 func (n *Network) route(from, to Addr) (Handler, time.Duration, error) {
-	n.mu.RLock()
-	h, ok := n.endpoints[to]
-	severed := n.partitions[pairKey(from, to)]
-	base, jitter, drop := n.latency, n.jitter, n.dropRate
-	if ld := n.linkDrop[pairKey(from, to)]; ld > drop {
-		drop = ld
+	s := n.routes.Load()
+	drop := s.dropRate
+	if !s.faultFree() {
+		k := pairKey(from, to)
+		if s.partitions[k] {
+			n.refused.Add(1)
+			return nil, 0, fmt.Errorf("%w: %s <-> %s", ErrPartitioned, from, to)
+		}
+		if ld := s.linkDrop[k]; ld > drop {
+			drop = ld
+		}
 	}
-	n.mu.RUnlock()
-
-	if severed {
-		n.refused.Add(1)
-		return nil, 0, fmt.Errorf("%w: %s <-> %s", ErrPartitioned, from, to)
-	}
+	h, ok := s.endpoints[to]
 	if !ok {
 		n.refused.Add(1)
 		return nil, 0, fmt.Errorf("%w: %s", ErrUnreachable, to)
@@ -319,10 +344,10 @@ func (n *Network) route(from, to Addr) (Handler, time.Duration, error) {
 			return nil, 0, ErrDropped
 		}
 	}
-	d := base
-	if jitter > 0 {
+	d := s.latency
+	if s.jitter > 0 {
 		n.rngMu.Lock()
-		d += time.Duration(n.rng.Int63n(int64(jitter)))
+		d += time.Duration(n.rng.Int63n(int64(s.jitter)))
 		n.rngMu.Unlock()
 	}
 	return h, d, nil
@@ -395,10 +420,9 @@ func (n *Network) Broadcast(from Addr, to []Addr, req any) {
 // Endpoints returns the currently registered addresses (sorted order not
 // guaranteed); primarily for tests and introspection tools.
 func (n *Network) Endpoints() []Addr {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]Addr, 0, len(n.endpoints))
-	for a := range n.endpoints {
+	eps := n.routes.Load().endpoints
+	out := make([]Addr, 0, len(eps))
+	for a := range eps {
 		out = append(out, a)
 	}
 	return out
