@@ -77,9 +77,7 @@ bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Record the serial-vs-batched append comparison (PR 2's acceptance
-# numbers) in BENCH_pr2.json, the interpreter-vs-VM policy script plus the
-# legacy-vs-warm OpCall comparison (PR 7's, with -benchmem so the
-# allocation criterion is recorded) in BENCH_pr7.json, and the
+# numbers) in BENCH_pr2.json, and the
 # flat-vs-deduped write pair plus the chunker throughput (PR 8's) in
 # BENCH_pr8.json — floors pin the acceptance criteria (50%-dup corpus
 # ships <= 0.6x the flat bytes; chunker >= 500 MB/s single-core) — and
@@ -90,9 +88,6 @@ bench-json:
 	$(GO) test -run=^$$ -bench='^BenchmarkZLogAppend(Serial|Batch)$$' -benchtime=1s . \
 		| $(GO) run ./cmd/benchjson -out BENCH_pr2.json
 	@cat BENCH_pr2.json
-	$(GO) test -run=^$$ -bench='^Benchmark(Script(Interp|VM)|OpCall(Legacy|Warm))$$' -benchmem -benchtime=1s . \
-		| $(GO) run ./cmd/benchjson -out BENCH_pr7.json
-	@cat BENCH_pr7.json
 	{ $(GO) test -run=^$$ -bench='^Benchmark(WriteFlat|WriteDeduped)$$' -benchtime 2x . ; \
 	  $(GO) test -run=^$$ -bench='^BenchmarkChunker$$' -benchtime=1s ./internal/cdc/ ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_pr8.json \
@@ -145,8 +140,6 @@ cover:
 bench-compare:
 	$(GO) test -run=^$$ -bench='^BenchmarkZLogAppend(Serial|Batch)$$' -benchtime=1s . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_pr2.json -tolerance 0.30
-	$(GO) test -run=^$$ -bench='^Benchmark(Script(Interp|VM)|OpCall(Legacy|Warm))$$' -benchmem -benchtime=1s . \
-		| $(GO) run ./cmd/benchjson -compare BENCH_pr7.json -tolerance 0.30
 	{ $(GO) test -run=^$$ -bench='^Benchmark(WriteFlat|WriteDeduped)$$' -benchtime 2x . ; \
 	  $(GO) test -run=^$$ -bench='^BenchmarkChunker$$' -benchtime=1s ./internal/cdc/ ; } \
 		| $(GO) run ./cmd/benchjson -compare BENCH_pr8.json -tolerance 0.30 \

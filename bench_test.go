@@ -575,8 +575,8 @@ func min(a, b int) int {
 	return b
 }
 
-// benchPolicyInput builds the ~16-rank tick input the fig-8 addendum
-// policy benchmarks evaluate PolicySequencer against.
+// benchPolicyGlobals installs the 16-rank tick input the fig-8 addendum
+// policy benchmark evaluates PolicySequencer against.
 func benchPolicyGlobals(ip *script.Interp) {
 	mdsTbl := script.NewTable()
 	for rank := 0; rank < 16; rank++ {
@@ -594,32 +594,20 @@ func benchPolicyGlobals(ip *script.Interp) {
 	ip.SetGlobal("mode", "client")
 }
 
-// BenchmarkScriptInterp is the tree-walking engine on the Figure 8 /
-// §6.2.3 policy workload: evaluate PolicySequencer (cached AST) and its
-// when() predicate against 16 ranks. Baseline for speedup_vm_over_interp
-// in BENCH_pr7.json.
-func BenchmarkScriptInterp(b *testing.B) {
-	blk, err := script.Parse(mantle.PolicySequencer)
-	if err != nil {
-		b.Fatal(err)
+// policyEval is one fig-8 policy evaluation on the VM: the compiled
+// PolicySequencer's top level, then its when() predicate.
+func policyEval(tb testing.TB, chunk *script.CompiledChunk, ip *script.Interp) {
+	if _, err := chunk.Run(ip); err != nil {
+		tb.Fatal(err)
 	}
-	ip := script.New()
-	benchPolicyGlobals(ip)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ip.Exec(blk); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ip.Call(ip.Global("when")); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := ip.Call(ip.Global("when")); err != nil {
+		tb.Fatal(err)
 	}
 }
 
-// BenchmarkScriptVM is the same workload on the bytecode VM (compiled
-// once, pooled activations). The ratio over BenchmarkScriptInterp is
-// gated at >= 3x by `make bench-compare`.
+// BenchmarkScriptVM is the Figure 8 / §6.2.3 policy workload on the
+// bytecode VM: PolicySequencer compiled once, evaluated with its when()
+// predicate against 16 ranks on pooled activations.
 func BenchmarkScriptVM(b *testing.B) {
 	chunk, err := script.Compile(mantle.PolicySequencer)
 	if err != nil {
@@ -630,24 +618,36 @@ func BenchmarkScriptVM(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := chunk.Run(ip); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ip.Call(ip.Global("when")); err != nil {
-			b.Fatal(err)
-		}
+		policyEval(b, chunk, ip)
 	}
 }
 
-// benchOpCall drives rc.Call for a script class through a booted
-// cluster under the selected class-execution engine. ns/op and
-// allocs/op between the Legacy and Warm variants isolate what the
-// compiled cache and pooled binding save per OpCall.
-func benchOpCall(b *testing.B, mode rados.ClassExecMode) {
-	cluster := bootB(b, core.Options{
-		OSDs: 2, Pools: []string{"data"}, Replicas: 1,
-		OSD: rados.OSDConfig{ClassExec: mode},
-	})
+// TestPolicyEvalAllocations pins BenchmarkScriptVM's allocation count:
+// one evaluation allocates 100 objects — mostly boxes for the policy's
+// non-integer numbers and table keys, plus its loop iterators, the when()
+// closure and the result slices — and nothing per instruction. One more
+// allocation anywhere on the VM's call path fails it.
+func TestPolicyEvalAllocations(t *testing.T) {
+	chunk, err := script.Compile(mantle.PolicySequencer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip := script.New()
+	benchPolicyGlobals(ip)
+	policyEval(t, chunk, ip) // warm the activation freelist
+	const maxAllocs = 100
+	if got := testing.AllocsPerRun(200, func() { policyEval(t, chunk, ip) }); got > maxAllocs {
+		t.Errorf("fig-8 policy evaluation: %.1f allocs, want <= %d", got, maxAllocs)
+	} else {
+		t.Logf("fig-8 policy evaluation: %.1f allocs", got)
+	}
+}
+
+// BenchmarkOpCallWarm drives rc.Call for a script class through a
+// booted cluster with the class's compilation and VM pool warm: no
+// parse, no compile, no binding-table construction per call.
+func BenchmarkOpCallWarm(b *testing.B) {
+	cluster := bootB(b, core.Options{OSDs: 2, Pools: []string{"data"}, Replicas: 1})
 	ctx := context.Background()
 	rc := cluster.NewRadosClient("client.bench")
 	monc := cluster.NewMonClient("client.bench.mon")
@@ -674,17 +674,4 @@ end
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkOpCallLegacy: per-call tree-walk with fresh interpreter and
-// freshly bound ctx table (the pre-PR engine).
-func BenchmarkOpCallLegacy(b *testing.B) {
-	benchOpCall(b, rados.ClassExecLegacy)
-}
-
-// BenchmarkOpCallWarm: warm-cache compiled engine — zero parse/compile
-// per call, pooled VM, rebound ctx table. Strictly fewer allocations
-// than Legacy (gated via BENCH_pr7.json by `make bench-compare`).
-func BenchmarkOpCallWarm(b *testing.B) {
-	benchOpCall(b, rados.ClassExecCompiled)
 }

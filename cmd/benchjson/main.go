@@ -44,11 +44,7 @@ type Result struct {
 // Summary is the emitted document. Each derived field is filled when
 // its benchmarks are present: SpeedupBatchOverSerial pairs
 // ZLogAppendSerial/ZLogAppendBatch (PR-2 criterion, >= 5x at batch 64).
-// SpeedupVMOverInterp pairs ScriptInterp/ScriptVM (PR-7 criterion,
-// >= 3x on the fig-8 policy script); AllocRatioOpCallLegacyOverWarm
-// pairs OpCallLegacy/OpCallWarm allocs/op (PR-7 criterion: the warm
-// compiled-cache path must allocate strictly less than the
-// parse-per-call path, i.e. ratio > 1). DedupRatioNN divides
+// DedupRatioNN divides
 // WriteFlat's wire bytes by WriteDeduped/dupNN's (PR-8 criterion:
 // dedup_ratio_50 >= 1.667, i.e. the 50%-dup corpus ships <= 0.6x the
 // flat bytes); ChunkerMBps is the cdc chunker's single-core throughput
@@ -58,17 +54,14 @@ type Result struct {
 // batch); WALReplayMBps is the journal replay throughput (PR-10
 // criterion: >= 100).
 type Summary struct {
-	Benchmarks                     []Result `json:"benchmarks"`
-	SpeedupBatchOverSerial         float64  `json:"speedup_batch_over_serial,omitempty"`
-	SpeedupVMOverInterp            float64  `json:"speedup_vm_over_interp,omitempty"`
-	SpeedupOpCallWarmOverLegacy    float64  `json:"speedup_opcall_warm_over_legacy,omitempty"`
-	AllocRatioOpCallLegacyOverWarm float64  `json:"alloc_ratio_opcall_legacy_over_warm,omitempty"`
-	DedupRatio25                   float64  `json:"dedup_ratio_25,omitempty"`
-	DedupRatio50                   float64  `json:"dedup_ratio_50,omitempty"`
-	DedupRatio75                   float64  `json:"dedup_ratio_75,omitempty"`
-	ChunkerMBps                    float64  `json:"chunker_mbps,omitempty"`
-	WALGroupCommitSpeedup          float64  `json:"wal_group_commit_speedup,omitempty"`
-	WALReplayMBps                  float64  `json:"wal_replay_mbps,omitempty"`
+	Benchmarks             []Result `json:"benchmarks"`
+	SpeedupBatchOverSerial float64  `json:"speedup_batch_over_serial,omitempty"`
+	DedupRatio25           float64  `json:"dedup_ratio_25,omitempty"`
+	DedupRatio50           float64  `json:"dedup_ratio_50,omitempty"`
+	DedupRatio75           float64  `json:"dedup_ratio_75,omitempty"`
+	ChunkerMBps            float64  `json:"chunker_mbps,omitempty"`
+	WALGroupCommitSpeedup  float64  `json:"wal_group_commit_speedup,omitempty"`
+	WALReplayMBps          float64  `json:"wal_replay_mbps,omitempty"`
 }
 
 // benchHead matches the name and iteration count; the measurement
@@ -143,8 +136,7 @@ func dedupWire(r Result) float64 {
 // Summarize derives the cross-benchmark metrics from parsed results.
 func Summarize(results []Result) Summary {
 	s := Summary{Benchmarks: results}
-	var serial, batch, interp, vm, oclegacy, ocwarm float64
-	var oclegacyAllocs, ocwarmAllocs int64
+	var serial, batch float64
 	var flatWire, walB1, walB64 float64
 	dup := make(map[string]float64)
 	for _, r := range results {
@@ -153,16 +145,6 @@ func Summarize(results []Result) Summary {
 			serial = r.NsPerOp
 		case "ZLogAppendBatch":
 			batch = r.NsPerOp
-		case "ScriptInterp":
-			interp = r.NsPerOp
-		case "ScriptVM":
-			vm = r.NsPerOp
-		case "OpCallLegacy":
-			oclegacy = r.NsPerOp
-			oclegacyAllocs = r.AllocsPerOp
-		case "OpCallWarm":
-			ocwarm = r.NsPerOp
-			ocwarmAllocs = r.AllocsPerOp
 		case "WriteFlat":
 			flatWire = dedupWire(r)
 		case "WriteDeduped/dup25", "WriteDeduped/dup50", "WriteDeduped/dup75":
@@ -179,15 +161,6 @@ func Summarize(results []Result) Summary {
 	}
 	if serial > 0 && batch > 0 {
 		s.SpeedupBatchOverSerial = serial / batch
-	}
-	if interp > 0 && vm > 0 {
-		s.SpeedupVMOverInterp = interp / vm
-	}
-	if oclegacy > 0 && ocwarm > 0 {
-		s.SpeedupOpCallWarmOverLegacy = oclegacy / ocwarm
-	}
-	if oclegacyAllocs > 0 && ocwarmAllocs > 0 {
-		s.AllocRatioOpCallLegacyOverWarm = float64(oclegacyAllocs) / float64(ocwarmAllocs)
 	}
 	if walB1 > 0 && walB64 > 0 {
 		s.WALGroupCommitSpeedup = walB1 / walB64
@@ -216,16 +189,6 @@ func speedups(s Summary) []metric {
 	var out []metric
 	if s.SpeedupBatchOverSerial > 0 {
 		out = append(out, metric{"speedup_batch_over_serial", s.SpeedupBatchOverSerial})
-	}
-	if s.SpeedupVMOverInterp > 0 {
-		out = append(out, metric{"speedup_vm_over_interp", s.SpeedupVMOverInterp})
-	}
-	// SpeedupOpCallWarmOverLegacy is informational only: the OpCall
-	// benchmarks boot a two-OSD cluster, so their ns ratio moves with
-	// host load. The allocation ratio below is the stable form of the
-	// same criterion (the warm path must allocate strictly less).
-	if s.AllocRatioOpCallLegacyOverWarm > 0 {
-		out = append(out, metric{"alloc_ratio_opcall_legacy_over_warm", s.AllocRatioOpCallLegacyOverWarm})
 	}
 	if s.DedupRatio25 > 0 {
 		out = append(out, metric{"dedup_ratio_25", s.DedupRatio25})

@@ -114,52 +114,41 @@ func TestCompareEmptyBaseline(t *testing.T) {
 	}
 }
 
-const vmSample = `goos: linux
+const memSample = `goos: linux
 pkg: repro
-BenchmarkScriptInterp 	   21688	     54196 ns/op	   20136 B/op	     436 allocs/op
 BenchmarkScriptVM-8   	   64804	     16292 ns/op	    2696 B/op	     100 allocs/op
-BenchmarkOpCallLegacy 	   36668	     27954 ns/op	    8276 B/op	     152 allocs/op
 BenchmarkOpCallWarm   	  122488	      9206 ns/op	    1717 B/op	      47 allocs/op
 PASS
 `
 
-// TestParseBenchmem pins the -benchmem column parsing and the PR-7
-// derived metrics: the VM-over-interpreter speedup and the OpCall
-// legacy-over-warm allocation ratio.
+// TestParseBenchmem pins the -benchmem column parsing: B/op and
+// allocs/op land in their own fields, and benchmarks no derived metric
+// pairs contribute none.
 func TestParseBenchmem(t *testing.T) {
-	results, err := Parse(strings.NewReader(vmSample))
+	results, err := Parse(strings.NewReader(memSample))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 4 {
-		t.Fatalf("parsed %d results, want 4", len(results))
+	if len(results) != 2 {
+		t.Fatalf("parsed %d results, want 2", len(results))
 	}
-	if results[0].BytesPerOp != 20136 || results[0].AllocsPerOp != 436 {
-		t.Fatalf("benchmem columns = %+v", results[0])
+	if results[0].Name != "ScriptVM" || results[0].BytesPerOp != 2696 || results[0].AllocsPerOp != 100 {
+		t.Fatalf("first result = %+v (benchmem columns, suffix -8 stripped)", results[0])
 	}
-	if results[1].Name != "ScriptVM" || results[1].AllocsPerOp != 100 {
+	if results[1].Name != "OpCallWarm" || results[1].NsPerOp != 9206 ||
+		results[1].BytesPerOp != 1717 || results[1].AllocsPerOp != 47 {
 		t.Fatalf("second result = %+v", results[1])
 	}
-
-	s := Summarize(results)
-	if want := 54196.0 / 16292.0; math.Abs(s.SpeedupVMOverInterp-want) > 1e-9 {
-		t.Fatalf("vm speedup = %f, want %f", s.SpeedupVMOverInterp, want)
+	if len(results[0].Metrics) != 0 {
+		t.Fatalf("benchmem columns leaked into Metrics: %v", results[0].Metrics)
 	}
-	if want := 27954.0 / 9206.0; math.Abs(s.SpeedupOpCallWarmOverLegacy-want) > 1e-9 {
-		t.Fatalf("opcall speedup = %f, want %f", s.SpeedupOpCallWarmOverLegacy, want)
-	}
-	if want := 152.0 / 47.0; math.Abs(s.AllocRatioOpCallLegacyOverWarm-want) > 1e-9 {
-		t.Fatalf("alloc ratio = %f, want %f", s.AllocRatioOpCallLegacyOverWarm, want)
-	}
-	// The opcall ns speedup stays informational (cluster benches are
-	// load-sensitive); only the vm speedup and alloc ratio are gated.
-	if got := speedups(s); len(got) != 2 {
-		t.Fatalf("speedups = %+v, want vm + alloc-ratio", got)
+	if got := derivedMetrics(Summarize(results)); len(got) != 0 {
+		t.Fatalf("derived metrics = %+v, want none", got)
 	}
 }
 
 // TestParseWithoutBenchmem keeps plain (no -benchmem) output working:
-// the memory columns stay zero and no alloc metric is derived.
+// the memory columns stay zero.
 func TestParseWithoutBenchmem(t *testing.T) {
 	results, err := Parse(strings.NewReader(sample))
 	if err != nil {
@@ -169,31 +158,6 @@ func TestParseWithoutBenchmem(t *testing.T) {
 		if r.BytesPerOp != 0 || r.AllocsPerOp != 0 {
 			t.Fatalf("memory columns from plain output = %+v", r)
 		}
-	}
-	if s := Summarize(results); s.AllocRatioOpCallLegacyOverWarm != 0 {
-		t.Fatalf("alloc ratio without benchmem = %f", s.AllocRatioOpCallLegacyOverWarm)
-	}
-}
-
-// TestCompareGatesAllocRatio injects an allocation regression into the
-// warm OpCall path (compiled-class cache silently re-parsing would
-// raise warm allocs) and checks the gate trips.
-func TestCompareGatesAllocRatio(t *testing.T) {
-	mk := func(warmAllocs int64) Summary {
-		return Summarize([]Result{
-			{Name: "OpCallLegacy", Iters: 1, NsPerOp: 27954, AllocsPerOp: 152},
-			{Name: "OpCallWarm", Iters: 1, NsPerOp: 9206, AllocsPerOp: warmAllocs},
-		})
-	}
-	baseline := mk(47)
-	lines, err := Compare(mk(50), baseline, 0.30)
-	if err != nil {
-		t.Fatalf("near-identical allocs failed the gate: %v\n%s", err, strings.Join(lines, "\n"))
-	}
-	// Warm path ballooning to legacy-level allocs: ratio collapses to ~1.
-	_, err = Compare(mk(150), baseline, 0.30)
-	if err == nil || !strings.Contains(err.Error(), "alloc_ratio_opcall_legacy_over_warm") {
-		t.Fatalf("err = %v, want alloc-ratio regression", err)
 	}
 }
 
@@ -367,22 +331,23 @@ func TestFloorFlagParsing(t *testing.T) {
 	}
 }
 
-// TestCompareBothMetrics covers a baseline carrying two speedup pairs,
+// TestCompareBothMetrics covers a baseline carrying two derived ratios
+// — the batched-append speedup and the 50%-dup corpus's dedup ratio —
 // with only one regressing.
 func TestCompareBothMetrics(t *testing.T) {
-	both := func(batchNs, vmNs float64) Summary {
+	both := func(batchNs, dedupWire float64) Summary {
 		return Summarize([]Result{
 			{Name: "ZLogAppendSerial", Iters: 1, NsPerOp: 4_800_000},
 			{Name: "ZLogAppendBatch", Iters: 1, NsPerOp: batchNs},
-			{Name: "ScriptInterp", Iters: 1, NsPerOp: 54_000},
-			{Name: "ScriptVM", Iters: 1, NsPerOp: vmNs},
+			{Name: "WriteFlat", Iters: 1, NsPerOp: 1, Metrics: map[string]float64{"wire_B/op": 4_194_304}},
+			{Name: "WriteDeduped/dup50", Iters: 1, NsPerOp: 1, Metrics: map[string]float64{"wire_B/op": dedupWire}},
 		})
 	}
-	baseline := both(96_000, 16_000)
-	fresh := both(98_000, 50_000) // vm speedup collapses
+	baseline := both(96_000, 2_316_343)
+	fresh := both(98_000, 4_000_000) // dedup stops saving bytes
 	lines, err := Compare(fresh, baseline, 0.30)
-	if err == nil || !strings.Contains(err.Error(), "speedup_vm_over_interp") {
-		t.Fatalf("err = %v, want vm regression", err)
+	if err == nil || !strings.Contains(err.Error(), "dedup_ratio_50") {
+		t.Fatalf("err = %v, want dedup_ratio_50 regression", err)
 	}
 	if len(lines) != 2 {
 		t.Fatalf("report lines = %q, want one per metric", lines)

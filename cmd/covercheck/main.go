@@ -21,7 +21,7 @@ import (
 // floors maps import-path suffixes (package directories) to minimum
 // statement coverage, in percent. Measured at the time the gate landed:
 // wire 92.9, rados 79.3, paxos 86.6, mon 70.5, mds 75.4, zlog 81.6,
-// script 89.6 (the differential interpreter-vs-VM suite carries most of
+// script 89.6 (the differential oracle-vs-VM suite carries most of
 // the script package's coverage), cdc 98.3 (PR 8; the rados floor rose
 // 70 -> 72 with the dedup path's tests), analysis 93.5 (PR 9; the
 // golden fixtures drive nearly every pass branch, so the analyzers
@@ -31,7 +31,9 @@ import (
 // uncovered remainder is fsync/truncate error-injection branches no
 // honest test can reach). The mds floor rose 65 -> 72 when value
 // checkpoints moved to a background flusher (measured 76.5%): its
-// retry and stop paths are covered only by the journal tests.
+// retry and stop paths are covered only by the journal tests. Script
+// measured 90.5% once its tree-walker moved into the tests as the VM's
+// oracle, leaving only the VM to cover.
 var floors = map[string]float64{
 	"repro/internal/wire":     85,
 	"repro/internal/rados":    72,

@@ -219,21 +219,6 @@ type NativeClass struct {
 	Methods  map[string]NativeMethod
 }
 
-// ClassExecMode selects the script-class execution engine.
-type ClassExecMode int
-
-const (
-	// ClassExecCompiled (the default) compiles each class script to
-	// bytecode once, caches the compiled chunk by content hash, and
-	// serves calls from pooled interpreter activations whose host
-	// binding table is built once and rebound per call.
-	ClassExecCompiled ClassExecMode = iota
-	// ClassExecLegacy tree-walks a cached AST with a fresh interpreter
-	// and a freshly built binding table per call. Kept for the
-	// before/after benchmarks and as a conservative fallback.
-	ClassExecLegacy
-)
-
 // maxCompiledClasses bounds the per-OSD compiled cache; eviction is
 // FIFO, which is plenty for the handful of classes a cluster carries.
 const maxCompiledClasses = 128
@@ -246,8 +231,8 @@ type compiledClass struct {
 }
 
 // classVM is a reusable execution state for one compiled class: an
-// interpreter (globals survive between calls — see DESIGN.md on the
-// persistence nuance) and the pre-built cls binding table.
+// interpreter whose globals hold only the stdlib and what the chunk's
+// top level defines, and the pre-built cls binding table.
 type classVM struct {
 	ip      *script.Interp
 	binding *clsBinding
@@ -262,7 +247,6 @@ type namedClass struct {
 
 // classRuntime resolves and executes class calls for one OSD.
 type classRuntime struct {
-	mode ClassExecMode
 	// native is filled by newClassRuntime and never written again, so
 	// calls read it without a lock.
 	native map[string]*NativeClass
@@ -275,9 +259,6 @@ type classRuntime struct {
 	byName atomic.Pointer[map[string]namedClass]
 
 	mu sync.Mutex
-	// parsed caches tree-walker ASTs keyed by class name + version
-	// (legacy engine only).
-	parsed map[string]*script.Block // guarded by mu
 	// compiled caches bytecode keyed by the script's content hash: a
 	// re-register under the same name with different source is a
 	// different key, so stale code can never be served.
@@ -285,11 +266,9 @@ type classRuntime struct {
 	hashOrder [][32]byte                  // guarded by mu; FIFO eviction order for compiled
 }
 
-func newClassRuntime(mode ClassExecMode) *classRuntime {
+func newClassRuntime() *classRuntime {
 	rt := &classRuntime{
-		mode:     mode,
 		native:   make(map[string]*NativeClass),
-		parsed:   make(map[string]*script.Block),
 		compiled: make(map[[32]byte]*compiledClass),
 	}
 	for _, c := range BuiltinClasses() {
@@ -321,9 +300,6 @@ func (rt *classRuntime) callNative(cls, method string, ctx *ClassCtx) (out []byt
 
 // callScript executes a script-class method from def against ctx.
 func (rt *classRuntime) callScript(def types.ClassDef, method string, ctx *ClassCtx) ([]byte, ResultCode) {
-	if rt.mode == ClassExecLegacy {
-		return rt.callScriptLegacy(def, method, ctx)
-	}
 	cc, err := rt.compiledFor(def)
 	if err != nil {
 		return []byte(err.Error()), EINVAL
@@ -333,8 +309,7 @@ func (rt *classRuntime) callScript(def types.ClassDef, method string, ctx *Class
 		vm = &classVM{ip: script.New(), binding: newClsBinding()}
 	}
 	// Re-run the chunk's top level: pure bytecode (no parse, no
-	// compile), it just redefines the method functions, matching the
-	// legacy engine's run-then-call shape.
+	// compile), it just redefines the method functions.
 	if _, rerr := cc.chunk.Run(vm.ip); rerr != nil {
 		cc.pool.Put(vm)
 		return []byte(rerr.Error()), EINVAL
@@ -344,10 +319,15 @@ func (rt *classRuntime) callScript(def types.ClassDef, method string, ctx *Class
 		cc.pool.Put(vm)
 		return []byte(fmt.Sprintf("class %s has no method %s", def.Name, method)), EINVAL
 	}
+	writes := vm.ip.GlobalWrites()
 	vm.binding.bind(ctx)
 	vals, cerr := vm.ip.Call(fn, vm.binding.tbl)
 	vm.binding.bind(nil) // drop the object reference before pooling
-	cc.pool.Put(vm)
+	// A method that assigned a global left state the next call would
+	// see; its VM is dropped, so every call starts from the top level.
+	if vm.ip.GlobalWrites() == writes {
+		cc.pool.Put(vm)
+	}
 	if cerr != nil {
 		return []byte(cerr.Error()), codeFromError(cerr)
 	}
@@ -404,40 +384,6 @@ func (rt *classRuntime) publishLocked(def types.ClassDef, cc *compiledClass) {
 	} // else: a table grown past the cache bound starts over
 	next[def.Name] = namedClass{source: def.Script, cc: cc}
 	rt.byName.Store(&next)
-}
-
-// callScriptLegacy is the pre-bytecode engine: cached AST, fresh
-// interpreter and fresh binding table per call.
-func (rt *classRuntime) callScriptLegacy(def types.ClassDef, method string, ctx *ClassCtx) ([]byte, ResultCode) {
-	key := fmt.Sprintf("%s@%d", def.Name, def.Version)
-	rt.mu.Lock()
-	blk, ok := rt.parsed[key]
-	rt.mu.Unlock()
-	if !ok {
-		var err error
-		blk, err = script.Parse(def.Script)
-		if err != nil {
-			return []byte(err.Error()), EINVAL
-		}
-		rt.mu.Lock()
-		rt.parsed[key] = blk
-		rt.mu.Unlock()
-	}
-
-	ip := script.New()
-	if _, err := ip.Exec(blk); err != nil {
-		return []byte(err.Error()), EINVAL
-	}
-	fn := ip.Global(method)
-	if fn == nil {
-		return []byte(fmt.Sprintf("class %s has no method %s", def.Name, method)), EINVAL
-	}
-	cls := bindClassCtx(ctx)
-	vals, err := ip.Call(fn, cls)
-	if err != nil {
-		return []byte(err.Error()), codeFromError(err)
-	}
-	return decodeScriptResult(vals)
 }
 
 // scriptCodes are the result codes a script can name, in error text
@@ -520,13 +466,6 @@ func (b *clsBinding) bind(ctx *ClassCtx) {
 	} else {
 		b.tbl.Set("input", nil) //nolint:errcheck
 	}
-}
-
-// bindClassCtx builds a single-use binding for the legacy engine.
-func bindClassCtx(ctx *ClassCtx) *script.Table {
-	b := newClsBinding()
-	b.bind(ctx)
-	return b.tbl
 }
 
 func newClsBinding() *clsBinding {

@@ -18,28 +18,48 @@ func execClass(t *testing.T, rt *classRuntime, def types.ClassDef, method, input
 // TestCompiledClassCacheStaleSource is the stale-code regression: after
 // a class is re-registered under the same name with different source,
 // calls must run the new code, never a cached compilation of the old.
+// The subtest keeps the name it had when a second engine ran it too.
 func TestCompiledClassCacheStaleSource(t *testing.T) {
-	for _, mode := range []ClassExecMode{ClassExecCompiled, ClassExecLegacy} {
-		t.Run(fmt.Sprintf("mode_%d", mode), func(t *testing.T) {
-			rt := newClassRuntime(mode)
-			v1 := types.ClassDef{Name: "echo", Version: 1, Script: `function get(cls) return "old" end`}
-			v2 := types.ClassDef{Name: "echo", Version: 2, Script: `function get(cls) return "new" end`}
+	t.Run("mode_0", func(t *testing.T) {
+		rt := newClassRuntime()
+		v1 := types.ClassDef{Name: "echo", Version: 1, Script: `function get(cls) return "old" end`}
+		v2 := types.ClassDef{Name: "echo", Version: 2, Script: `function get(cls) return "new" end`}
 
-			if out, rc := execClass(t, rt, v1, "get", ""); rc != OK || out != "old" {
-				t.Fatalf("v1: got %q rc=%v", out, rc)
-			}
-			// Warm the cache hard, then re-register.
-			for i := 0; i < 10; i++ {
-				execClass(t, rt, v1, "get", "")
-			}
-			if out, rc := execClass(t, rt, v2, "get", ""); rc != OK || out != "new" {
-				t.Fatalf("after re-register: got %q rc=%v (stale compilation served)", out, rc)
-			}
-			// The old def still resolves to its own code (hash-keyed).
-			if out, rc := execClass(t, rt, v1, "get", ""); rc != OK || out != "old" {
-				t.Fatalf("v1 after v2: got %q rc=%v", out, rc)
-			}
-		})
+		if out, rc := execClass(t, rt, v1, "get", ""); rc != OK || out != "old" {
+			t.Fatalf("v1: got %q rc=%v", out, rc)
+		}
+		// Warm the cache hard, then re-register.
+		for i := 0; i < 10; i++ {
+			execClass(t, rt, v1, "get", "")
+		}
+		if out, rc := execClass(t, rt, v2, "get", ""); rc != OK || out != "new" {
+			t.Fatalf("after re-register: got %q rc=%v (stale compilation served)", out, rc)
+		}
+		// The old def still resolves to its own code (hash-keyed).
+		if out, rc := execClass(t, rt, v1, "get", ""); rc != OK || out != "old" {
+			t.Fatalf("v1 after v2: got %q rc=%v", out, rc)
+		}
+	})
+}
+
+// TestClassCallGlobalsDoNotLeak: a method that writes a global — a new
+// name or a stdlib builtin — must not change what a later call on the
+// same runtime sees, so the VM it ran on is not pooled again. Twenty
+// rounds, because -race drops a random share of sync.Pool puts and a
+// single round could miss the reuse.
+func TestClassCallGlobalsDoNotLeak(t *testing.T) {
+	rt := newClassRuntime()
+	def := types.ClassDef{Name: "leaky", Version: 1, Script: `
+		function poison(cls) leaked = "yes"; tostring = nil; return "ok" end
+		function probe(cls) return type(leaked) .. "/" .. type(tostring) end
+	`}
+	for round := 0; round < 20; round++ {
+		if out, rc := execClass(t, rt, def, "poison", ""); rc != OK || out != "ok" {
+			t.Fatalf("round %d: poison: %q rc=%v", round, out, rc)
+		}
+		if out, rc := execClass(t, rt, def, "probe", ""); rc != OK || out != "nil/function" {
+			t.Fatalf("round %d: probe = %q rc=%v, want \"nil/function\" (a global leaked from an earlier call)", round, out, rc)
+		}
 	}
 }
 
@@ -47,7 +67,7 @@ func TestCompiledClassCacheStaleSource(t *testing.T) {
 // times through the pooled VM to prove the rebound ctx table targets
 // the right object every call.
 func TestCompiledClassWarmPathMutations(t *testing.T) {
-	rt := newClassRuntime(ClassExecCompiled)
+	rt := newClassRuntime()
 	def := types.ClassDef{Name: "kv", Version: 1, Script: `
 		function put(cls)
 			cls.omap_set(cls.input, cls.input .. "-v")
@@ -86,7 +106,7 @@ func TestCompiledClassWarmPathMutations(t *testing.T) {
 // TestCompiledClassErrorCodes: error("ENOENT: ...") style codes survive
 // the VM engine, including line-attributed runtime errors → EIO.
 func TestCompiledClassErrorCodes(t *testing.T) {
-	rt := newClassRuntime(ClassExecCompiled)
+	rt := newClassRuntime()
 	def := types.ClassDef{Name: "err", Version: 1, Script: `
 		function missing(cls) error("ENOENT: no such entry") end
 		function boom(cls) return nil + 1 end
@@ -108,7 +128,7 @@ func TestCompiledClassErrorCodes(t *testing.T) {
 
 // TestCompiledClassCacheBounded: the FIFO cap holds.
 func TestCompiledClassCacheBounded(t *testing.T) {
-	rt := newClassRuntime(ClassExecCompiled)
+	rt := newClassRuntime()
 	for i := 0; i < maxCompiledClasses+20; i++ {
 		def := types.ClassDef{
 			Name: "gen", Version: uint64(i),

@@ -37,10 +37,6 @@ type OSDConfig struct {
 	// same object; on expiry it applies anyway and scrub repairs any
 	// residual divergence. Zero means the default.
 	ReplicaWaitTimeout time.Duration
-	// ClassExec selects the script-class engine; the zero value is the
-	// compiled (bytecode, cached, pooled) engine. ClassExecLegacy
-	// tree-walks with per-call setup, kept for benchmark comparison.
-	ClassExec ClassExecMode
 	// GCInterval is how often the dedup GC sweeper delivers queued
 	// block ref deltas and reclaims unreferenced blocks (osd_gc.go);
 	// zero disables the background loop (SweepBlocks still works).
@@ -179,7 +175,7 @@ func NewOSD(net *wire.Network, cfg OSDConfig) *OSD {
 		addr:      addr,
 		net:       net,
 		monc:      mon.NewClient(net, addr, cfg.Mons),
-		rt:        newClassRuntime(cfg.ClassExec),
+		rt:        newClassRuntime(),
 		rng:       rand.New(rand.NewSource(int64(cfg.ID)*7919 + 17)),
 		watchers:  newWatcherTable(),
 		fwdCh:     make(chan fwdJob),

@@ -5,24 +5,20 @@ import "fmt"
 // The compiler lowers the parsed AST to stack bytecode. Locals become
 // indexed frame slots resolved at compile time, constants are pooled per
 // chunk, and structured control flow becomes patched jumps. Scoping
-// matches the tree-walker with one documented exception: name resolution
+// matches the tree-walker (the reference evaluator the differential
+// tests hold the VM to) with one documented exception: name resolution
 // is static, so a closure refers to the binding visible at its textual
 // position — a local declared *later* in the same block shadows for
 // subsequent code only (real Lua behaves this way too; the tree-walker's
 // shared env maps let earlier closures observe later declarations).
 
-// Compile parses src and compiles it to bytecode.
-func Compile(src string) (*CompiledChunk, error) {
+// Compile parses src and compiles it to bytecode. The chunk is immutable
+// afterwards and safe to Run concurrently on distinct interpreters.
+func Compile(src string) (chunk *CompiledChunk, err error) {
 	blk, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return CompileAST(blk)
-}
-
-// CompileAST compiles an already-parsed chunk. The chunk is immutable
-// afterwards and safe to Run concurrently on distinct interpreters.
-func CompileAST(blk *Block) (chunk *CompiledChunk, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ce, ok := r.(compileErr)
@@ -272,7 +268,7 @@ func (fs *funcState) loadName(name string, line int) {
 }
 
 // storeName assigns the value on the stack top to name; unseen names
-// become globals, matching Env.SetExisting.
+// become globals, as free variables do in Lua.
 func (fs *funcState) storeName(name string, line int) {
 	if lv, ok := fs.resolveLocal(name); ok {
 		fs.storeLocal(lv, line)

@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// The differential suite runs every program through the tree-walking
-// interpreter AND the bytecode VM and requires identical results: same
-// values, same print output, and — for failing programs — the same error
-// message including the attributed line. Budget exhaustion is the one
-// sanctioned exception (the engines count steps differently), compared
-// by message only.
+// The differential suite runs every program through the reference
+// tree-walker (oracle_test.go) AND the production compiler + VM and
+// requires identical results: same values, same print output, and — for
+// failing programs — the same error message including the attributed
+// line. Budget exhaustion is the one sanctioned exception (the engines
+// count steps differently), compared by message only.
 
 // diffSetup installs identical host state into an interpreter.
 type diffSetup func(ip *Interp)
@@ -37,35 +37,35 @@ func runBoth(t *testing.T, src string, budget int64, depth int, setup diffSetup)
 
 	var iOut, vOut bytes.Buffer
 	iIP := newIP(&iOut)
-	iVals, iErr := iIP.Run(src)
+	iVals, iErr := oracleRun(iIP, src)
 
 	vIP := newIP(&vOut)
 	chunk, cErr := Compile(src)
 	if cErr != nil {
-		t.Fatalf("Compile(%q): %v (interp err: %v)", src, cErr, iErr)
+		t.Fatalf("Compile(%q): %v (oracle err: %v)", src, cErr, iErr)
 	}
 	vVals, vErr := chunk.Run(vIP)
 
 	if (iErr == nil) != (vErr == nil) {
-		t.Fatalf("source %q:\ninterp err: %v\nvm err:     %v", src, iErr, vErr)
+		t.Fatalf("source %q:\noracle err: %v\nvm err:     %v", src, iErr, vErr)
 	}
 	if iErr != nil {
 		if strings.Contains(iErr.Error(), ErrBudget) || strings.Contains(vErr.Error(), ErrBudget) {
 			if !strings.Contains(iErr.Error(), ErrBudget) || !strings.Contains(vErr.Error(), ErrBudget) {
-				t.Fatalf("source %q: budget divergence:\ninterp err: %v\nvm err:     %v", src, iErr, vErr)
+				t.Fatalf("source %q: budget divergence:\noracle err: %v\nvm err:     %v", src, iErr, vErr)
 			}
 			return
 		}
 		if iErr.Error() != vErr.Error() {
-			t.Fatalf("source %q: error mismatch (line attribution matters):\ninterp: %v\nvm:     %v", src, iErr, vErr)
+			t.Fatalf("source %q: error mismatch (line attribution matters):\noracle: %v\nvm:     %v", src, iErr, vErr)
 		}
 		return
 	}
 	if !valsEqual(iVals, vVals) {
-		t.Fatalf("source %q:\ninterp: %s\nvm:     %s", src, renderVals(iVals), renderVals(vVals))
+		t.Fatalf("source %q:\noracle: %s\nvm:     %s", src, renderVals(iVals), renderVals(vVals))
 	}
 	if iOut.String() != vOut.String() {
-		t.Fatalf("source %q: print output mismatch:\ninterp: %q\nvm:     %q", src, iOut.String(), vOut.String())
+		t.Fatalf("source %q: print output mismatch:\noracle: %q\nvm:     %q", src, iOut.String(), vOut.String())
 	}
 }
 
@@ -107,7 +107,7 @@ func deepValueEqual(a, b Value, d int) bool {
 			}
 		}
 		return true
-	case *Closure, *CompiledClosure, GoFunc:
+	case *CompiledClosure, GoFunc:
 		return TypeName(b) == "function"
 	case float64:
 		bv, ok := b.(float64)
@@ -460,7 +460,7 @@ func TestDifferentialCallPath(t *testing.T) {
 		function howmuch(load) return load / 2 end
 	`
 	iIP := New()
-	if _, err := iIP.Run(src); err != nil {
+	if _, err := oracleRun(iIP, src); err != nil {
 		t.Fatal(err)
 	}
 	vIP := New()
@@ -475,12 +475,12 @@ func TestDifferentialCallPath(t *testing.T) {
 		iRes, iErr := iIP.Call(iIP.Global("when"), load)
 		vRes, vErr := vIP.Call(vIP.Global("when"), load)
 		if (iErr == nil) != (vErr == nil) || !valsEqual(iRes, vRes) {
-			t.Fatalf("when(%v): interp %v/%v vm %v/%v", load, iRes, iErr, vRes, vErr)
+			t.Fatalf("when(%v): oracle %v/%v vm %v/%v", load, iRes, iErr, vRes, vErr)
 		}
 		iRes, _ = iIP.Call(iIP.Global("howmuch"), load)
 		vRes, _ = vIP.Call(vIP.Global("howmuch"), load)
 		if !valsEqual(iRes, vRes) {
-			t.Fatalf("howmuch(%v): interp %v vm %v", load, iRes, vRes)
+			t.Fatalf("howmuch(%v): oracle %v vm %v", load, iRes, vRes)
 		}
 	}
 }
@@ -494,7 +494,7 @@ func TestDifferentialGlobalsPersist(t *testing.T) {
 	var iVals, vVals []Value
 	for _, src := range srcs {
 		var err error
-		iVals, err = iIP.Run(src)
+		iVals, err = oracleRun(iIP, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -508,7 +508,7 @@ func TestDifferentialGlobalsPersist(t *testing.T) {
 		}
 	}
 	if !valsEqual(iVals, vVals) {
-		t.Fatalf("interp %v vm %v", iVals, vVals)
+		t.Fatalf("oracle %v vm %v", iVals, vVals)
 	}
 }
 

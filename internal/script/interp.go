@@ -27,12 +27,13 @@ const DefaultBudget = 5_000_000
 // DefaultMaxDepth bounds script call-stack depth.
 const DefaultMaxDepth = 200
 
-// Interp evaluates parsed scripts against a global environment shared
+// Interp runs compiled scripts against a global environment shared
 // across Run and Call invocations, so hosts can install tables (e.g. the
 // Mantle metrics) and read back results.
 type Interp struct {
-	globals *Env
-	stdout  io.Writer
+	globals      map[string]Value
+	globalWrites uint64 // SetGlobal calls, the VM's included (GlobalWrites)
+	stdout       io.Writer
 
 	budget    int64 // steps remaining in the current Run/Call
 	runBudget int64 // budget installed at the start of each Run/Call
@@ -63,7 +64,7 @@ func WithMaxDepth(d int) Option {
 // New builds an interpreter with the standard library installed.
 func New(opts ...Option) *Interp {
 	ip := &Interp{
-		globals:   NewEnv(nil),
+		globals:   make(map[string]Value),
 		stdout:    io.Discard,
 		runBudget: DefaultBudget,
 		maxDepth:  DefaultMaxDepth,
@@ -75,511 +76,44 @@ func New(opts ...Option) *Interp {
 	return ip
 }
 
-// SetGlobal installs a global variable visible to scripts.
-func (ip *Interp) SetGlobal(name string, v Value) { ip.globals.Define(name, v) }
+// SetGlobal installs a global variable visible to scripts. Every global
+// assignment goes through it, the VM's included.
+func (ip *Interp) SetGlobal(name string, v Value) {
+	ip.globals[name] = v
+	ip.globalWrites++
+}
 
 // Global reads a global variable (nil when unset).
-func (ip *Interp) Global(name string) Value { return ip.globals.Get(name) }
+func (ip *Interp) Global(name string) Value { return ip.globals[name] }
 
-// Run parses and executes src as a chunk, returning its return values.
+// GlobalWrites counts the assignments made to globals on this
+// interpreter — by scripts, including the definitions a chunk's top
+// level makes, and by the host. A host that reuses an interpreter
+// compares it across a call to learn whether the call left global state
+// behind.
+func (ip *Interp) GlobalWrites() uint64 { return ip.globalWrites }
+
+// Run compiles src and runs it as a chunk, returning its return values.
+// Hosts that run the same source repeatedly compile it once with
+// Compile and call CompiledChunk.Run instead.
 func (ip *Interp) Run(src string) ([]Value, error) {
-	blk, err := Parse(src)
+	chunk, err := Compile(src)
 	if err != nil {
 		return nil, err
 	}
-	return ip.Exec(blk)
+	return chunk.Run(ip)
 }
 
-// Exec executes a parsed chunk.
-func (ip *Interp) Exec(blk *Block) ([]Value, error) {
-	ip.budget = ip.runBudget
-	ip.depth = 0
-	ctl, err := ip.execBlock(blk, NewEnv(ip.globals))
-	if err != nil {
-		return nil, err
-	}
-	if ctl != nil && ctl.kind == ctlReturn {
-		return ctl.vals, nil
-	}
-	return nil, nil
-}
-
-// Call invokes a script value (closure or host function) with args,
-// refreshing the step budget. Use it for policy callbacks like Mantle's
-// when().
+// Call invokes a script value (compiled closure or host function) with
+// args, refreshing the step budget. Use it for policy callbacks like
+// Mantle's when().
 func (ip *Interp) Call(fn Value, args ...Value) ([]Value, error) {
 	ip.budget = ip.runBudget
 	return ip.call(fn, args, 0)
 }
 
-// control models non-local exits within the evaluator.
-type control struct {
-	kind ctlKind
-	vals []Value
-}
-
-type ctlKind int
-
-const (
-	ctlReturn ctlKind = iota
-	ctlBreak
-)
-
-func (ip *Interp) errf(n Node, format string, args ...any) error {
-	return &RuntimeError{Line: n.nodeLine(), Msg: fmt.Sprintf(format, args...)}
-}
-
-func (ip *Interp) step(n Node) error {
-	ip.budget--
-	if ip.budget < 0 {
-		return &RuntimeError{Line: n.nodeLine(), Msg: ErrBudget}
-	}
-	return nil
-}
-
-func (ip *Interp) execBlock(blk *Block, env *Env) (*control, error) {
-	for _, st := range blk.Stmts {
-		ctl, err := ip.execStmt(st, env)
-		if err != nil {
-			return nil, err
-		}
-		if ctl != nil {
-			return ctl, nil
-		}
-	}
-	return nil, nil
-}
-
-func (ip *Interp) execStmt(st Stmt, env *Env) (*control, error) {
-	if err := ip.step(st); err != nil {
-		return nil, err
-	}
-	switch st := st.(type) {
-	case *LocalStmt:
-		vals, err := ip.evalMulti(st.Exprs, env, len(st.Names))
-		if err != nil {
-			return nil, err
-		}
-		for i, name := range st.Names {
-			env.Define(name, vals[i])
-		}
-		return nil, nil
-
-	case *AssignStmt:
-		vals, err := ip.evalMulti(st.Exprs, env, len(st.Targets))
-		if err != nil {
-			return nil, err
-		}
-		for i, tgt := range st.Targets {
-			if err := ip.assign(tgt, vals[i], env); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-
-	case *CallStmt:
-		_, err := ip.evalCall(st.Call, env)
-		return nil, err
-
-	case *IfStmt:
-		for i, cond := range st.Conds {
-			v, err := ip.eval(cond, env)
-			if err != nil {
-				return nil, err
-			}
-			if Truthy(v) {
-				return ip.execBlock(st.Bodies[i], NewEnv(env))
-			}
-		}
-		if st.Else != nil {
-			return ip.execBlock(st.Else, NewEnv(env))
-		}
-		return nil, nil
-
-	case *WhileStmt:
-		for {
-			v, err := ip.eval(st.Cond, env)
-			if err != nil {
-				return nil, err
-			}
-			if !Truthy(v) {
-				return nil, nil
-			}
-			ctl, err := ip.execBlock(st.Body, NewEnv(env))
-			if err != nil {
-				return nil, err
-			}
-			if ctl != nil {
-				if ctl.kind == ctlBreak {
-					return nil, nil
-				}
-				return ctl, nil
-			}
-			if err := ip.step(st); err != nil {
-				return nil, err
-			}
-		}
-
-	case *RepeatStmt:
-		for {
-			scope := NewEnv(env)
-			ctl, err := ip.execBlock(st.Body, scope)
-			if err != nil {
-				return nil, err
-			}
-			if ctl != nil {
-				if ctl.kind == ctlBreak {
-					return nil, nil
-				}
-				return ctl, nil
-			}
-			// The until condition sees the loop body's locals.
-			v, err := ip.eval(st.Cond, scope)
-			if err != nil {
-				return nil, err
-			}
-			if Truthy(v) {
-				return nil, nil
-			}
-			if err := ip.step(st); err != nil {
-				return nil, err
-			}
-		}
-
-	case *NumForStmt:
-		start, err := ip.evalNumber(st.Start, env)
-		if err != nil {
-			return nil, err
-		}
-		stop, err := ip.evalNumber(st.Stop, env)
-		if err != nil {
-			return nil, err
-		}
-		step := 1.0
-		if st.Step != nil {
-			step, err = ip.evalNumber(st.Step, env)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if step == 0 {
-			return nil, ip.errf(st, "for loop step is zero")
-		}
-		for i := start; (step > 0 && i <= stop) || (step < 0 && i >= stop); i += step {
-			scope := NewEnv(env)
-			scope.Define(st.Var, i)
-			ctl, err := ip.execBlock(st.Body, scope)
-			if err != nil {
-				return nil, err
-			}
-			if ctl != nil {
-				if ctl.kind == ctlBreak {
-					return nil, nil
-				}
-				return ctl, nil
-			}
-			if err := ip.step(st); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-
-	case *GenForStmt:
-		return ip.execGenFor(st, env)
-
-	case *ReturnStmt:
-		vals, err := ip.evalMulti(st.Exprs, env, -1)
-		if err != nil {
-			return nil, err
-		}
-		return &control{kind: ctlReturn, vals: vals}, nil
-
-	case *BreakStmt:
-		return &control{kind: ctlBreak}, nil
-
-	case *FuncStmt:
-		cl := &Closure{fn: st.Fn, env: env}
-		if st.Local {
-			name := st.Target.(*NameExpr).Name
-			// Define first so the function can recurse by name.
-			env.Define(name, nil)
-			env.Define(name, cl)
-			return nil, nil
-		}
-		return nil, ip.assign(st.Target, cl, env)
-
-	case *DoStmt:
-		return ip.execBlock(st.Body, NewEnv(env))
-	}
-	return nil, ip.errf(st, "unhandled statement %T", st)
-}
-
-// execGenFor runs for-in loops. The iterable may be a table (iterated as
-// pairs in deterministic order) or an iterator function (called until it
-// returns nil, as Lua does).
-func (ip *Interp) execGenFor(st *GenForStmt, env *Env) (*control, error) {
-	it, err := ip.eval(st.Expr, env)
-	if err != nil {
-		return nil, err
-	}
-	bindAndRun := func(vals []Value) (*control, error) {
-		scope := NewEnv(env)
-		for i, name := range st.Names {
-			if i < len(vals) {
-				scope.Define(name, vals[i])
-			} else {
-				scope.Define(name, nil)
-			}
-		}
-		return ip.execBlock(st.Body, scope)
-	}
-	switch it := it.(type) {
-	case *Table:
-		type kv struct{ k, v Value }
-		var items []kv
-		it.Pairs(func(k, v Value) bool {
-			items = append(items, kv{k, v})
-			return true
-		})
-		for _, item := range items {
-			ctl, err := bindAndRun([]Value{item.k, item.v})
-			if err != nil {
-				return nil, err
-			}
-			if ctl != nil {
-				if ctl.kind == ctlBreak {
-					return nil, nil
-				}
-				return ctl, nil
-			}
-			if err := ip.step(st); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	case *Closure, *CompiledClosure, GoFunc:
-		for {
-			vals, err := ip.call(it, nil, st.Line)
-			if err != nil {
-				return nil, err
-			}
-			if len(vals) == 0 || vals[0] == nil {
-				return nil, nil
-			}
-			ctl, err := bindAndRun(vals)
-			if err != nil {
-				return nil, err
-			}
-			if ctl != nil {
-				if ctl.kind == ctlBreak {
-					return nil, nil
-				}
-				return ctl, nil
-			}
-			if err := ip.step(st); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return nil, ip.errf(st, "cannot iterate a %s value", TypeName(it))
-}
-
-func (ip *Interp) assign(target Expr, v Value, env *Env) error {
-	switch tgt := target.(type) {
-	case *NameExpr:
-		env.SetExisting(tgt.Name, v)
-		return nil
-	case *IndexExpr:
-		obj, err := ip.eval(tgt.Obj, env)
-		if err != nil {
-			return err
-		}
-		tbl, ok := obj.(*Table)
-		if !ok {
-			return ip.errf(tgt, "cannot index a %s value", TypeName(obj))
-		}
-		key, err := ip.eval(tgt.Key, env)
-		if err != nil {
-			return err
-		}
-		if err := tbl.Set(key, v); err != nil {
-			return ip.errf(tgt, "%v", err)
-		}
-		return nil
-	}
-	return ip.errf(target, "invalid assignment target")
-}
-
-// evalMulti evaluates an expression list with Lua multi-value semantics:
-// the final expression expands to all its results; earlier ones are
-// truncated to one. want < 0 keeps every value; otherwise the result is
-// padded/truncated to exactly want values.
-func (ip *Interp) evalMulti(exprs []Expr, env *Env, want int) ([]Value, error) {
-	var vals []Value
-	for i, e := range exprs {
-		if i == len(exprs)-1 {
-			if call, ok := e.(*CallExpr); ok {
-				rs, err := ip.evalCall(call, env)
-				if err != nil {
-					return nil, err
-				}
-				vals = append(vals, rs...)
-				break
-			}
-		}
-		v, err := ip.eval(e, env)
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, v)
-	}
-	if want >= 0 {
-		for len(vals) < want {
-			vals = append(vals, nil)
-		}
-		vals = vals[:want]
-	}
-	return vals, nil
-}
-
-func (ip *Interp) evalNumber(e Expr, env *Env) (float64, error) {
-	v, err := ip.eval(e, env)
-	if err != nil {
-		return 0, err
-	}
-	f, ok := ToNumber(v)
-	if !ok {
-		return 0, ip.errf(e, "expected a number, got %s", TypeName(v))
-	}
-	return f, nil
-}
-
-func (ip *Interp) eval(e Expr, env *Env) (Value, error) {
-	if err := ip.step(e); err != nil {
-		return nil, err
-	}
-	switch e := e.(type) {
-	case *NilExpr:
-		return nil, nil
-	case *TrueExpr:
-		return true, nil
-	case *FalseExpr:
-		return false, nil
-	case *NumberExpr:
-		return e.Value, nil
-	case *StringExpr:
-		return e.Value, nil
-	case *VarargExpr:
-		va := env.Get("...")
-		if va == nil {
-			return nil, nil
-		}
-		if t, ok := va.(*Table); ok && t.Len() > 0 {
-			return t.Get(1.0), nil
-		}
-		return nil, nil
-	case *NameExpr:
-		return env.Get(e.Name), nil
-	case *IndexExpr:
-		obj, err := ip.eval(e.Obj, env)
-		if err != nil {
-			return nil, err
-		}
-		key, err := ip.eval(e.Key, env)
-		if err != nil {
-			return nil, err
-		}
-		v, err := ip.indexValue(obj, key)
-		if err != nil {
-			return nil, ip.errf(e, "%v", err)
-		}
-		return v, nil
-	case *CallExpr:
-		vals, err := ip.evalCall(e, env)
-		if err != nil {
-			return nil, err
-		}
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		return vals[0], nil
-	case *FuncExpr:
-		return &Closure{fn: e, env: env}, nil
-	case *TableExpr:
-		return ip.evalTable(e, env)
-	case *UnExpr:
-		return ip.evalUnary(e, env)
-	case *BinExpr:
-		return ip.evalBinary(e, env)
-	}
-	return nil, ip.errf(e, "unhandled expression %T", e)
-}
-
-func (ip *Interp) evalTable(e *TableExpr, env *Env) (Value, error) {
-	t := NewTable()
-	next := 1
-	for i, f := range e.Fields {
-		if f.Key != nil {
-			k, err := ip.eval(f.Key, env)
-			if err != nil {
-				return nil, err
-			}
-			v, err := ip.eval(f.Value, env)
-			if err != nil {
-				return nil, err
-			}
-			if err := t.Set(k, v); err != nil {
-				return nil, ip.errf(e, "%v", err)
-			}
-			continue
-		}
-		// Positional field: the last one expands calls multi-value.
-		if i == len(e.Fields)-1 {
-			if call, ok := f.Value.(*CallExpr); ok {
-				vals, err := ip.evalCall(call, env)
-				if err != nil {
-					return nil, err
-				}
-				for _, v := range vals {
-					t.Set(float64(next), v) //nolint:errcheck // integer keys are valid
-					next++
-				}
-				continue
-			}
-		}
-		v, err := ip.eval(f.Value, env)
-		if err != nil {
-			return nil, err
-		}
-		t.Set(float64(next), v) //nolint:errcheck // integer keys are valid
-		next++
-	}
-	return t, nil
-}
-
-func (ip *Interp) evalCall(e *CallExpr, env *Env) ([]Value, error) {
-	fn, err := ip.eval(e.Fn, env)
-	if err != nil {
-		return nil, err
-	}
-	var args []Value
-	if e.Method != "" {
-		recv := fn
-		tbl, ok := recv.(*Table)
-		if !ok {
-			return nil, ip.errf(e, "cannot call method %q on a %s value", e.Method, TypeName(recv))
-		}
-		fn = tbl.Get(e.Method)
-		args = append(args, recv)
-	}
-	rest, err := ip.evalMulti(e.Args, env, -1)
-	if err != nil {
-		return nil, err
-	}
-	args = append(args, rest...)
-	return ip.call(fn, args, e.Line)
-}
-
+// call dispatches one call at the given source line, charging one level
+// of call depth.
 func (ip *Interp) call(fn Value, args []Value, line int) ([]Value, error) {
 	ip.depth++
 	defer func() { ip.depth-- }()
@@ -591,76 +125,8 @@ func (ip *Interp) call(fn Value, args []Value, line int) ([]Value, error) {
 		return fn(ip, args)
 	case *CompiledClosure:
 		return ip.callCompiled(fn, args)
-	case *Closure:
-		scope := NewEnv(fn.env)
-		for i, name := range fn.fn.Params {
-			if i < len(args) {
-				scope.Define(name, args[i])
-			} else {
-				scope.Define(name, nil)
-			}
-		}
-		if fn.fn.Variadic {
-			extra := NewTable()
-			for i := len(fn.fn.Params); i < len(args); i++ {
-				extra.Set(float64(i-len(fn.fn.Params)+1), args[i]) //nolint:errcheck
-			}
-			scope.Define("...", extra)
-		}
-		ctl, err := ip.execBlock(fn.fn.Body, scope)
-		if err != nil {
-			return nil, err
-		}
-		if ctl != nil && ctl.kind == ctlReturn {
-			return ctl.vals, nil
-		}
-		return nil, nil
 	}
 	return nil, &RuntimeError{Line: line, Msg: fmt.Sprintf("attempt to call a %s value", TypeName(fn))}
-}
-
-func (ip *Interp) evalUnary(e *UnExpr, env *Env) (Value, error) {
-	v, err := ip.eval(e.E, env)
-	if err != nil {
-		return nil, err
-	}
-	res, err := unOp(e.Op, v)
-	if err != nil {
-		return nil, ip.errf(e, "%v", err)
-	}
-	return res, nil
-}
-
-func (ip *Interp) evalBinary(e *BinExpr, env *Env) (Value, error) {
-	// and/or short-circuit and return operands, not booleans.
-	if e.Op == KwAnd || e.Op == KwOr {
-		l, err := ip.eval(e.L, env)
-		if err != nil {
-			return nil, err
-		}
-		if e.Op == KwAnd {
-			if !Truthy(l) {
-				return l, nil
-			}
-		} else if Truthy(l) {
-			return l, nil
-		}
-		return ip.eval(e.R, env)
-	}
-
-	l, err := ip.eval(e.L, env)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ip.eval(e.R, env)
-	if err != nil {
-		return nil, err
-	}
-	res, err := binOp(e.Op, l, r)
-	if err != nil {
-		return nil, ip.errf(e, "%v", err)
-	}
-	return res, nil
 }
 
 func pick(useFirst bool, a, b Value) Value {
@@ -696,9 +162,6 @@ func valueEq(a, b Value) bool {
 		return ok && av == bv
 	case *Table:
 		bv, ok := b.(*Table)
-		return ok && av == bv
-	case *Closure:
-		bv, ok := b.(*Closure)
 		return ok && av == bv
 	case *CompiledClosure:
 		bv, ok := b.(*CompiledClosure)

@@ -134,9 +134,9 @@ type CompiledChunk struct {
 	mainCl *CompiledClosure
 }
 
-// CompiledClosure is a bytecode function plus its captured upvalues —
-// the VM counterpart of *Closure. It is created by executing compiled
-// code and is callable through Interp.Call like any script function.
+// CompiledClosure is a bytecode function plus its captured upvalues:
+// every script-defined function value. It is created by executing
+// compiled code and is callable through Interp.Call.
 type CompiledClosure struct {
 	chunk *CompiledChunk
 	proto *proto

@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// Shared operator semantics for the tree-walking interpreter and the
-// bytecode VM. Both engines funnel through these helpers so values AND
+// Operator semantics of the bytecode VM. The differential tests'
+// reference tree-walker funnels through the same helpers, so values AND
 // error messages stay byte-identical; callers attach the source line.
 
 // binOp applies a non-short-circuit binary operator (and/or are compiled
@@ -103,7 +103,7 @@ func (ip *Interp) indexValue(obj, key Value) (Value, error) {
 	case *Table:
 		return obj.Get(key), nil
 	case string:
-		if strlib, ok := ip.globals.Get("string").(*Table); ok {
+		if strlib, ok := ip.globals["string"].(*Table); ok {
 			return strlib.Get(key), nil
 		}
 		return nil, nil

@@ -58,8 +58,8 @@ func TestParseTokenSaladNeverPanics(t *testing.T) {
 	}
 }
 
-// TestRunGarbageNeverPanics: even sources that parse must execute
-// without panicking (errors are fine).
+// TestRunGarbageNeverPanics: even sources that parse must compile and
+// run on the VM without panicking (errors are fine).
 func TestRunGarbageNeverPanics(t *testing.T) {
 	sources := []string{
 		"return (nil)()",

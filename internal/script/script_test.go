@@ -416,12 +416,20 @@ func TestBudgetKillsInfiniteLoop(t *testing.T) {
 	}
 }
 
+// TestBudgetRefreshedPerRun sizes the budget to exactly one run of the
+// loop, so a second run passes only if Run refreshes it. The VM charges
+// one step per instruction: 2 for `local s = 0`, 6 to set up the loop,
+// 7 per iteration and 2 for the return — 7,010 in all.
 func TestBudgetRefreshedPerRun(t *testing.T) {
-	ip := New(WithBudget(50_000))
+	const src = "local s = 0 for i = 1, 1000 do s = s + i end return s"
+	ip := New(WithBudget(7_010))
 	for i := 0; i < 3; i++ {
-		if _, err := ip.Run("local s = 0 for i = 1, 1000 do s = s + i end return s"); err != nil {
+		if _, err := ip.Run(src); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
+	}
+	if _, err := New(WithBudget(7_009)).Run(src); err == nil || !strings.Contains(err.Error(), ErrBudget) {
+		t.Fatalf("one step short of the loop's cost: err = %v, want budget error", err)
 	}
 }
 
@@ -596,38 +604,5 @@ func TestPropStringEscapes(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkInterpFib(b *testing.B) {
-	ip := New()
-	if _, err := ip.Run(`function fib(n) if n < 2 then return n end return fib(n-1)+fib(n-2) end`); err != nil {
-		b.Fatal(err)
-	}
-	fn := ip.Global("fib")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ip.Call(fn, 12.0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkInterpTableOps(b *testing.B) {
-	ip := New()
-	blk, err := Parse(`
-		local t = {}
-		for i = 1, 100 do t[i] = i * 2 end
-		local s = 0
-		for i = 1, 100 do s = s + t[i] end
-		return s`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ip.Exec(blk); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

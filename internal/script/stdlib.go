@@ -11,28 +11,28 @@ import (
 // The surface area is deliberately small: what Mantle policies and object
 // interfaces in the paper actually use (tables, math, strings, print).
 func (ip *Interp) installStdlib() {
-	g := ip.globals
+	def := ip.SetGlobal
 
-	g.Define("print", GoFunc(func(ip *Interp, args []Value) ([]Value, error) {
+	def("print", GoFunc(func(ip *Interp, args []Value) ([]Value, error) {
 		fmt.Fprintln(ip.stdout, printArgs(args))
 		return nil, nil
 	}))
 
-	g.Define("type", GoFunc(func(_ *Interp, args []Value) ([]Value, error) {
+	def("type", GoFunc(func(_ *Interp, args []Value) ([]Value, error) {
 		if len(args) == 0 {
 			return nil, fmt.Errorf("type: value expected")
 		}
 		return []Value{TypeName(args[0])}, nil
 	}))
 
-	g.Define("tostring", GoFunc(func(_ *Interp, args []Value) ([]Value, error) {
+	def("tostring", GoFunc(func(_ *Interp, args []Value) ([]Value, error) {
 		if len(args) == 0 {
 			return []Value{"nil"}, nil
 		}
 		return []Value{ToString(args[0])}, nil
 	}))
 
-	g.Define("tonumber", GoFunc(func(_ *Interp, args []Value) ([]Value, error) {
+	def("tonumber", GoFunc(func(_ *Interp, args []Value) ([]Value, error) {
 		if len(args) == 0 {
 			return []Value{nil}, nil
 		}
@@ -43,7 +43,7 @@ func (ip *Interp) installStdlib() {
 		return []Value{f}, nil
 	}))
 
-	g.Define("assert", GoFunc(func(_ *Interp, args []Value) ([]Value, error) {
+	def("assert", GoFunc(func(_ *Interp, args []Value) ([]Value, error) {
 		if len(args) == 0 || !Truthy(args[0]) {
 			msg := "assertion failed!"
 			if len(args) > 1 {
@@ -54,7 +54,7 @@ func (ip *Interp) installStdlib() {
 		return args, nil
 	}))
 
-	g.Define("error", GoFunc(func(_ *Interp, args []Value) ([]Value, error) {
+	def("error", GoFunc(func(_ *Interp, args []Value) ([]Value, error) {
 		msg := "error"
 		if len(args) > 0 {
 			msg = ToString(args[0])
@@ -62,7 +62,7 @@ func (ip *Interp) installStdlib() {
 		return nil, fmt.Errorf("%s", msg)
 	}))
 
-	g.Define("pcall", GoFunc(func(ip *Interp, args []Value) ([]Value, error) {
+	def("pcall", GoFunc(func(ip *Interp, args []Value) ([]Value, error) {
 		if len(args) == 0 {
 			return []Value{false, "pcall: function expected"}, nil
 		}
@@ -73,8 +73,8 @@ func (ip *Interp) installStdlib() {
 		return append([]Value{true}, rs...), nil
 	}))
 
-	g.Define("pairs", stdPairs)
-	g.Define("ipairs", stdIpairs)
+	def("pairs", stdPairs)
+	def("ipairs", stdIpairs)
 
 	ip.installMath()
 	ip.installString()
@@ -155,7 +155,7 @@ func (ip *Interp) installMath() {
 		}
 		return []Value{math.Pow(a, b)}, nil
 	}))
-	ip.globals.Define("math", m)
+	ip.SetGlobal("math", m)
 }
 
 func mathMinMax(fn func(a, b float64) float64, name string) func(*Interp, []Value) ([]Value, error) {
@@ -246,7 +246,7 @@ func (ip *Interp) installString() {
 		}
 		return []Value{out}, nil
 	}))
-	ip.globals.Define("string", s)
+	ip.SetGlobal("string", s)
 }
 
 // scriptFormat implements a useful subset of string.format: %d %s %f %g
@@ -426,7 +426,7 @@ func (ip *Interp) installTable() {
 		}
 		return []Value{strings.Join(parts, sep)}, nil
 	}))
-	ip.globals.Define("table", t)
+	ip.SetGlobal("table", t)
 }
 
 func strRange(i, j, n int) (int, int) {

@@ -3,20 +3,19 @@ package script
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // Value is any script value. The dynamic type is one of:
 //
-//	nil      — the nil value
-//	bool     — booleans
-//	float64  — numbers
-//	string   — strings
-//	*Table   — tables
-//	*Closure — script-defined functions
-//	GoFunc   — host functions
+//	nil              — the nil value
+//	bool             — booleans
+//	float64          — numbers
+//	string           — strings
+//	*Table           — tables
+//	*CompiledClosure — script-defined functions
+//	GoFunc           — host functions
 type Value any
 
 // GoFunc is a host function callable from scripts. It receives the
@@ -60,7 +59,7 @@ func normKey(k Value) (Value, error) {
 		return k, nil
 	case bool, string:
 		return k, nil
-	case *Table, *Closure, *CompiledClosure:
+	case *Table, *CompiledClosure:
 		return k, nil
 	case GoFunc:
 		return nil, fmt.Errorf("host function cannot be a table key")
@@ -181,65 +180,6 @@ func (t *Table) Pairs(fn func(k, v Value) bool) {
 	}
 }
 
-// SortedStringKeys returns the string keys of the hash part sorted
-// lexicographically; useful to hosts that want canonical output.
-func (t *Table) SortedStringKeys() []string {
-	var out []string
-	for _, k := range t.keys {
-		if s, ok := k.(string); ok {
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Closure is a script function plus its captured environment.
-type Closure struct {
-	fn  *FuncExpr
-	env *Env
-}
-
-// Env is a lexical scope frame.
-type Env struct {
-	vars   map[string]Value
-	parent *Env
-}
-
-// NewEnv creates a scope nested in parent (parent may be nil for the
-// global scope).
-func NewEnv(parent *Env) *Env {
-	return &Env{vars: make(map[string]Value), parent: parent}
-}
-
-// Get resolves name through the scope chain.
-func (e *Env) Get(name string) Value {
-	for s := e; s != nil; s = s.parent {
-		if v, ok := s.vars[name]; ok {
-			return v
-		}
-	}
-	return nil
-}
-
-// SetExisting assigns to the innermost scope that defines name; if none
-// does, it defines name in the outermost (global) scope, matching Lua's
-// treatment of free variables.
-func (e *Env) SetExisting(name string, v Value) {
-	var root *Env
-	for s := e; s != nil; s = s.parent {
-		if _, ok := s.vars[name]; ok {
-			s.vars[name] = v
-			return
-		}
-		root = s
-	}
-	root.vars[name] = v
-}
-
-// Define declares name in this scope.
-func (e *Env) Define(name string, v Value) { e.vars[name] = v }
-
 // Truthy reports Lua truthiness: everything except nil and false.
 func Truthy(v Value) bool {
 	if v == nil {
@@ -264,7 +204,7 @@ func TypeName(v Value) string {
 		return "string"
 	case *Table:
 		return "table"
-	case *Closure, *CompiledClosure, GoFunc:
+	case *CompiledClosure, GoFunc:
 		return "function"
 	}
 	return fmt.Sprintf("<%T>", v)
@@ -286,8 +226,6 @@ func ToString(v Value) string {
 		return v
 	case *Table:
 		return fmt.Sprintf("table: %p", v)
-	case *Closure:
-		return fmt.Sprintf("function: %p", v)
 	case *CompiledClosure:
 		return fmt.Sprintf("function: %p", v)
 	case GoFunc:

@@ -70,8 +70,7 @@ func (ip *Interp) putVM(vs *vmState) {
 }
 
 // Run executes the compiled chunk against ip's globals, refreshing the
-// step budget exactly as Interp.Exec does, and returns the chunk's
-// return values.
+// step budget and call depth, and returns the chunk's return values.
 func (c *CompiledChunk) Run(ip *Interp) ([]Value, error) {
 	ip.budget = ip.runBudget
 	ip.depth = 0
@@ -210,9 +209,9 @@ func (ip *Interp) execVM(vs *vmState) (res []Value, err error) {
 			fr.cl.ups[in.a].v = pop()
 
 		case opGetGlobal:
-			push(ip.globals.Get(consts[in.a].(string)))
+			push(ip.globals[consts[in.a].(string)])
 		case opSetGlobal:
-			ip.globals.Define(consts[in.a].(string), pop())
+			ip.SetGlobal(consts[in.a].(string), pop())
 
 		case opIndex:
 			key := pop()
@@ -469,7 +468,7 @@ func (ip *Interp) execVM(vs *vmState) (res []Value, err error) {
 				name, builtin = "ipairs", stdIpairs
 			}
 			var st *iterState
-			if t, ok := v.(*Table); ok && sameGoFunc(ip.globals.Get(name), builtin) {
+			if t, ok := v.(*Table); ok && sameGoFunc(ip.globals[name], builtin) {
 				st = &iterState{line: int(in.line)}
 				if in.b == 1 {
 					st.ipt = t
@@ -485,7 +484,7 @@ func (ip *Interp) execVM(vs *vmState) (res []Value, err error) {
 				// behave exactly like the unoptimized path — call the
 				// global at the call site's line, then iterate whatever
 				// its first result is.
-				rs, cerr := ip.call(ip.globals.Get(name), []Value{v}, int(in.c))
+				rs, cerr := ip.call(ip.globals[name], []Value{v}, int(in.c))
 				if cerr != nil {
 					return nil, cerr
 				}
@@ -588,7 +587,7 @@ func newIterState(it Value, line int) (*iterState, error) {
 			return true
 		})
 		return st, nil
-	case *Closure, *CompiledClosure, GoFunc:
+	case *CompiledClosure, GoFunc:
 		return &iterState{fn: it, line: line}, nil
 	}
 	return nil, &RuntimeError{Line: line, Msg: "cannot iterate a " + TypeName(it) + " value"}
