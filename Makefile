@@ -100,15 +100,16 @@ bench-json:
 
 # CPU and allocation profiles of the replicated op path — the rados-mem
 # op mix, BenchmarkRadosOpsR3Delay0 — written to .prof/, then the top 25
-# functions by cumulative CPU time. ROADMAP's account of what is left of
-# a write's CPU is read off this output. The allocation side:
-#   go tool pprof -sample_index=alloc_objects -top .prof/repro.test .prof/mem.out
-# Not part of ci: the numbers move with the host.
+# functions by cumulative CPU time and the top 15 by objects allocated.
+# ROADMAP's account of what is left of a write's CPU is read off this
+# output. Not part of ci: the numbers move with the host.
 profile:
 	@mkdir -p .prof
 	$(GO) test -run='^$$' -bench='^BenchmarkRadosOpsR3Delay0$$' -benchmem -benchtime=3s \
 		-o .prof/repro.test -cpuprofile .prof/cpu.out -memprofile .prof/mem.out .
 	$(GO) tool pprof -top -cum -nodecount=25 .prof/repro.test .prof/cpu.out
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 .prof/repro.test .prof/mem.out
+	@echo "note: a goroutine hand-off costs scheduler time and lost cache locality, not a function of ours; size it with alternated bench/run.sh pairs, not this list"
 
 # Cluster-wide fault injection: boots a full cluster per scenario,
 # injects the seeded fault script under client load, and audits the

@@ -2,11 +2,14 @@ package rados
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/wire"
 )
@@ -39,8 +42,10 @@ func replicaState(o *OSD, name string) (string, uint64) {
 // TestForwarderLifecycle drives the reused fan-out goroutines through a
 // daemon's whole life: concurrent writers to one object on a jittered
 // fabric (forwards of different writes cross, and each fan-out must
-// still overlap its two peers), then Stop leaves no forwarder behind,
-// and a restarted daemon replicates again.
+// still overlap its two peers); the same at zero delay, where handlers
+// run most forwards themselves and each peer must still get exactly one
+// forward per write, none of them after the write was acked; then Stop
+// leaves no forwarder behind, and a restarted daemon replicates again.
 func TestForwarderLifecycle(t *testing.T) {
 	if n := forwarderGoroutines(); n != 0 {
 		t.Fatalf("%d forwarder goroutines alive before the test", n)
@@ -53,29 +58,39 @@ func TestForwarderLifecycle(t *testing.T) {
 	ctx := ctxT(t, 60*time.Second)
 
 	const writers, opsPerWriter = 4, 10
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl := NewClient(tc.net, wire.Addr(fmt.Sprintf("client.w%d", w)), []int{0})
-			if err := cl.RefreshMap(ctx); err != nil {
-				t.Error(err)
-				return
-			}
-			for i := 0; i < opsPerWriter; i++ {
-				if err := cl.Append(ctx, "data", "hot", []byte(fmt.Sprintf("[w%d:%d]", w, i))); err != nil {
+	// appendAll runs the concurrent writers of one phase; acked, when
+	// set, is told each payload once its append is acknowledged.
+	appendAll := func(phase string, acked func(payload string)) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cl := NewClient(tc.net, wire.Addr(fmt.Sprintf("client.%s%d", phase, w)), []int{0})
+				if err := cl.RefreshMap(ctx); err != nil {
 					t.Error(err)
 					return
 				}
-			}
-		}()
+				for i := 0; i < opsPerWriter; i++ {
+					payload := fmt.Sprintf("[%s%d:%d]", phase, w, i)
+					if err := cl.Append(ctx, "data", "hot", []byte(payload)); err != nil {
+						t.Error(err)
+						return
+					}
+					if acked != nil {
+						acked(payload)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
 	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
+	appendAll("w", nil)
 
 	_, acting, err := tc.client.view.Load().locate("data", "hot")
 	if err != nil {
@@ -101,6 +116,42 @@ func TestForwarderLifecycle(t *testing.T) {
 		t.Error("no forwarder goroutine outlived the writes; the fan-out is not reusing them")
 	}
 
+	// Zero delay: a replica records every forward as it starts, and a
+	// forward of a write whose ack the writer already holds started
+	// after its fan-out returned.
+	tc.net.SetLatency(0, 0)
+	var mu sync.Mutex
+	ackedSet, late := map[string]bool{}, 0
+	for _, rep := range acting[1:] {
+		o := tc.osds[rep]
+		tc.net.Listen(o.Addr(), func(ctx context.Context, from wire.Addr, req any) (any, error) {
+			if r, ok := req.(*OpRequest); ok && r.Replica {
+				mu.Lock()
+				if ackedSet[string(r.Data)] {
+					late++
+				}
+				mu.Unlock()
+			}
+			return o.handle(ctx, from, req)
+		})
+	}
+	primary := OSDAddr(acting[0])
+	before := tc.net.Stats().Outbound[primary].Calls
+	appendAll("z", func(payload string) {
+		mu.Lock()
+		ackedSet[payload] = true
+		mu.Unlock()
+	})
+	if got, want := tc.net.Stats().Outbound[primary].Calls-before, uint64(2*writers*opsPerWriter); got != want {
+		t.Errorf("primary sent %d forwards for %d zero-delay writes, want exactly %d", got, writers*opsPerWriter, want)
+	}
+	checkConverged(2 * writers * opsPerWriter)
+	mu.Lock()
+	if late != 0 {
+		t.Errorf("%d forwards started after their write was acked", late)
+	}
+	mu.Unlock()
+
 	for _, o := range tc.osds {
 		o.Stop()
 	}
@@ -116,7 +167,77 @@ func TestForwarderLifecycle(t *testing.T) {
 	if err := tc.client.Append(ctx, "data", "hot", []byte("[after restart]")); err != nil {
 		t.Fatal(err)
 	}
-	checkConverged(writers*opsPerWriter + 1)
+	checkConverged(2*writers*opsPerWriter + 1)
+}
+
+// slowCommitBackend is a durable MemBackend whose every journal commit
+// takes d, as an fsync would.
+type slowCommitBackend struct {
+	MemBackend
+	d time.Duration
+}
+
+func (slowCommitBackend) Durable() bool { return true }
+
+func (b slowCommitBackend) Commit() error {
+	time.Sleep(b.d)
+	return nil
+}
+
+// TestFanOutOverlapsBlockingReplicaCommit shows that a fan-out keeps its
+// overlap at zero fabric delay when a replica blocks in its journal
+// commit: the handler's in-line forward parks in the commit, and the
+// forwarder takes the other peer's forward meanwhile. Every commit takes
+// D, so a replicas=3 WriteFull costs the primary's commit plus one
+// replica commit (~2·D) when the forwards overlap, and at least 3·D when
+// they run one after the other. Then the forwarder's replica is held on
+// the object's slot lock: the handler is back from its in-line forward
+// after one commit, and the write must not return until the forward the
+// forwarder took has.
+func TestFanOutOverlapsBlockingReplicaCommit(t *testing.T) {
+	const d = 20 * time.Millisecond
+	tc := bootClusterOpts(t, clusterOpts{
+		osds: 3, replicas: 3,
+		osd: OSDConfig{GossipInterval: time.Hour, Backend: slowCommitBackend{d: d}},
+	})
+	ctx := ctxT(t, 30*time.Second)
+	if err := tc.client.WriteFull(ctx, "data", "slow", []byte("warmup")); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 5
+	took := make([]time.Duration, rounds)
+	for i := range took {
+		start := time.Now()
+		if err := tc.client.WriteFull(ctx, "data", "slow", []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		took[i] = time.Since(start)
+	}
+	slices.Sort(took)
+	t.Logf("replicas=3 WriteFull with a %v commit: %v", d, took)
+	if med := took[rounds/2]; med >= 5*d/2 {
+		t.Errorf("median write took %v, want < %v (2.5 commits): the replica commits did not overlap", med, 5*d/2)
+	}
+
+	// The handed peer is acting[1]; acting[2] is the handler's own.
+	_, acting, err := Locate(tc.client.CachedMap(), "data", "slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := slotOf(tc.osds[acting[1]], "slow")
+	e.mu.Lock()
+	done := make(chan error, 1)
+	go func() { done <- tc.client.WriteFull(ctx, "data", "slow", []byte("held")) }()
+	select {
+	case err := <-done:
+		e.mu.Unlock()
+		t.Fatalf("write returned (err=%v) while the forward a forwarder took was still blocked", err)
+	case <-time.After(4 * d):
+	}
+	e.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestOpPathAllocations pins the allocation count of a replicas=3
@@ -129,11 +250,16 @@ func TestForwarderLifecycle(t *testing.T) {
 // runtime's background noise but not for a goroutine per peer, an
 // acting-set computation per op, a channel per mutation, a second
 // execution of the method, a boxed request per forward, a timer per
-// fan-out or an address per call to come back. The write's bytes are
-// pinned too: the primary's clone of the client's 4 KiB is the one
-// payload copy in the cluster — replicas share it — where each copy
-// used to clone its own (≈ 14.2 kB per write); the timer and the
-// addresses cost another ≈ 290 B (5.4 kB per write, now 5.1 kB).
+// fan-out or an address per call to come back. Nor for a forwarder
+// started per op: AllocsPerRun runs on one P, where a handler that runs
+// its forwards itself never parks, so the forwarder it woke is not
+// scheduled before the next op — were that op to start another, each
+// would cost a goroutine and its sudogs. The write's bytes are pinned
+// too: the primary's clone of the client's 4 KiB is the one payload
+// copy in the cluster — replicas share it — where each copy used to
+// clone its own (≈ 14.2 kB per write); the timer and the addresses cost
+// another ≈ 290 B (5.4 kB per write, now 5.1 kB). The fan-out's claim
+// counter fits in the 320 B size class its fanout already had.
 func TestOpPathAllocations(t *testing.T) {
 	tc := bootClusterOpts(t, clusterOpts{osds: 3, replicas: 3, osd: OSDConfig{GossipInterval: time.Hour}})
 	ctx := ctxT(t, 30*time.Second)
@@ -178,6 +304,11 @@ end`)
 		t.Errorf("replicas=3 WriteFull of %d B: %.0f B/op allocated, want < %.0f", len(data), got, maxWriteBytes)
 	} else {
 		t.Logf("replicas=3 WriteFull of %d B: %.0f B/op allocated", len(data), got)
+	}
+	// The bytes guard has 190 B of headroom, more than one size-class
+	// step, so the fanout's class is pinned on its own.
+	if size := unsafe.Sizeof(fanout{}); size > 320 {
+		t.Errorf("fanout is %d B, past the 320 B size class", size)
 	}
 	if got := testing.AllocsPerRun(200, read); got >= maxRead {
 		t.Errorf("Read: %.1f allocs/op, want < %d", got, maxRead)

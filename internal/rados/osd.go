@@ -3,6 +3,7 @@ package rados
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"sync"
@@ -108,13 +109,23 @@ type OSD struct {
 	// while holding mu, which serializes installs so epochs only rise.
 	view atomic.Pointer[mapView]
 
-	// fwdCh hands replica forwards to idle forwarder goroutines
-	// (osd_ops.go); unbuffered, so a send succeeds only when a forwarder
-	// is parked in receive.
-	fwdCh chan fwdJob
+	// Replica forwarders (osd_ops.go). fwdOpen holds the claims handed
+	// to the forwarders that none has picked up yet (some already taken
+	// back by their handlers); fwdAwake counts the forwarders that are
+	// neither parked on fwdWake nor running a forward, each about to pick
+	// one up. fwdWake is unbuffered, so a send succeeds only when a
+	// forwarder is parked in receive.
+	fwdMu    sync.Mutex
+	fwdOpen  []fwdClaim // guarded by fwdMu
+	fwdAwake int        // guarded by fwdMu
+	fwdWake  chan struct{}
 
-	mu  sync.Mutex
-	pgs map[PGID]*pg // guarded by mu
+	// pgs is the placement-group table, published copy-on-write: every
+	// op reads it with one atomic load, and only getPG, creating a PG,
+	// takes mu to publish a grown copy. A published map is never written.
+	pgs atomic.Pointer[map[PGID]*pg]
+
+	mu sync.Mutex
 	// classLive tracks the highest class version made live, for the
 	// propagation-latency instrumentation (Figure 8).
 	classLive   map[string]uint64                 // guarded by mu
@@ -178,8 +189,7 @@ func NewOSD(net *wire.Network, cfg OSDConfig) *OSD {
 		rt:        newClassRuntime(),
 		rng:       rand.New(rand.NewSource(int64(cfg.ID)*7919 + 17)),
 		watchers:  newWatcherTable(),
-		fwdCh:     make(chan fwdJob),
-		pgs:       make(map[PGID]*pg),
+		fwdWake:   make(chan struct{}),
 		replay:    make(map[replayKey]OpReply, replayCacheSize),
 		classLive: make(map[string]uint64),
 		stopCh:    make(chan struct{}),
@@ -190,6 +200,7 @@ func NewOSD(net *wire.Network, cfg OSDConfig) *OSD {
 		o.backend = MemBackend{}
 	}
 	o.durable = o.backend.Durable()
+	o.pgs.Store(&map[PGID]*pg{})
 	o.view.Store(newMapView(types.NewOSDMap()))
 	o.gcSeq.Store(clientIncarnation.Add(1) << 40)
 	return o
@@ -449,14 +460,12 @@ func (o *OSD) track() bool {
 // monitor in the loop, exactly as the paper describes the mechanism.
 func (o *OSD) splitPool(pv *poolView, epoch types.Epoch) {
 	pool, pi := pv.name, pv.info
-	o.mu.Lock()
 	var held []*pg
-	for id, p := range o.pgs {
+	for id, p := range *o.pgs.Load() {
 		if id.Pool == pool {
 			held = append(held, p)
 		}
 	}
-	o.mu.Unlock()
 
 	for _, p := range held {
 		p.mu.Lock()
@@ -497,9 +506,7 @@ func (o *OSD) splitPool(pv *poolView, epoch types.Epoch) {
 // backfillPG pushes this daemon's copy of a PG to acting-set members.
 func (o *OSD) backfillPG(id PGID, v *mapView) {
 	acting := v.actingFor(id)
-	o.mu.Lock()
-	p := o.pgs[id]
-	o.mu.Unlock()
+	p := (*o.pgs.Load())[id]
 	if p == nil {
 		return
 	}
@@ -641,23 +648,31 @@ func (o *OSD) replayPut(from wire.Addr, id uint64, rep OpReply) {
 
 // heldPGs snapshots the ids of the placement groups this daemon holds.
 func (o *OSD) heldPGs() []PGID {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	ids := make([]PGID, 0, len(o.pgs))
-	for id := range o.pgs {
+	pgs := *o.pgs.Load()
+	ids := make([]PGID, 0, len(pgs))
+	for id := range pgs {
 		ids = append(ids, id)
 	}
 	return ids
 }
 
+// getPG returns the placement group id, creating it on first use: one
+// atomic load unless it is new, when mu orders its creation against a
+// racing one.
 func (o *OSD) getPG(id PGID) *pg {
+	if p := (*o.pgs.Load())[id]; p != nil {
+		return p
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	p, ok := o.pgs[id]
-	if !ok {
-		p = &pg{id: id, objects: make(map[string]*objEntry)}
-		o.pgs[id] = p
+	old := *o.pgs.Load()
+	if p := old[id]; p != nil {
+		return p
 	}
+	grown := maps.Clone(old)
+	p := &pg{id: id, objects: make(map[string]*objEntry)}
+	grown[id] = p
+	o.pgs.Store(&grown)
 	return p
 }
 

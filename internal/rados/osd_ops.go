@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/types"
@@ -356,16 +357,26 @@ func (o *OSD) blockReadBatch(req OpRequest, pv *poolView, epoch types.Epoch) OpR
 
 // replicate sends a primary step's forwards to its replica peers —
 // sub[i] to peers[i] after a block batch, one shared copy of req to
-// every peer otherwise — concurrently and waits for all acks, so the
-// fan-out leg costs ~1 RTT regardless of replica count (primary-copy
-// replication, §4.4). No goroutine is started per op: every peer but the
-// last is handed to a forwarder that is idle right now, or to a newly
-// started one, and the last peer's forward runs here on the handler
-// goroutine, overlapped with the others because they were launched
-// first. A forward is never queued behind a busy forwarder: it can block
-// up to ReplicaWaitTimeout on its PrevVersion predecessor, and queueing
-// that predecessor behind it would turn the ~1 RTT fan-out into a
-// timeout stall.
+// every peer otherwise — and waits for all acks. Forwards overlap, so
+// the fan-out leg costs ~1 RTT regardless of replica count (primary-copy
+// replication, §4.4), and the handler never waits on a forward that
+// nobody has started (caller-runs):
+//
+//   - every peer but the last is handed to the forwarders as a claim on
+//     the fan-out (dispatch);
+//   - the last peer's forward runs here, in line on the handler;
+//   - then the handler takes every claim still open and runs those
+//     forwards itself, and waits only for the ones forwarders took.
+//
+// No goroutine is started per op, and no forward waits behind a busy
+// forwarder. Nothing here looks at the fabric's delay. When the in-line
+// forward blocks — a fabric delay, a journal fsync, a PrevVersion wait —
+// the handler's goroutine parks, the woken forwarder takes its claim
+// within microseconds, and the forwards overlap. When it does not
+// block, the handler is back before any forwarder was scheduled and
+// runs the rest on its own warm goroutine rather than parking until a
+// cold one has: two goroutine switches and the request's cache lines
+// moved between them, the largest single cost of an in-memory write.
 //
 // The forwards run under the op's own ctx, with no deadline of their
 // own: wire.Call runs the replica's step on the calling goroutine, so a
@@ -376,58 +387,122 @@ func (o *OSD) replicate(ctx context.Context, peers []int, req *OpRequest, sub []
 	if sub == nil {
 		f.req = *req
 	}
-	f.wg.Add(len(peers))
+	c := fwdClaim{f: f, peers: peers, sub: sub}
 	last := len(peers) - 1
-	for i, peer := range peers {
-		fwd := &f.req
-		if sub != nil {
-			fwd = sub[i]
-		}
-		o.dispatch(fwdJob{f: f, peer: peer, req: fwd}, i == last)
+	f.wg.Add(last)
+	for range last {
+		o.dispatch(c)
+	}
+	o.callReplica(ctx, peers[last], c.request(last))
+	for i, ok := c.take(); ok; i, ok = c.take() {
+		o.forward(c, i)
 	}
 	f.wg.Wait()
 }
 
-// dispatch starts one forward of a fan-out: in line for the last peer,
-// otherwise on a forwarder that is idle right now or a newly started
-// one.
-func (o *OSD) dispatch(job fwdJob, last bool) {
-	if last {
-		o.forward(job)
+// dispatch hands one claim to the forwarders: it joins the open claims,
+// and unless a forwarder already awake will pick it up, one idle
+// forwarder is woken or, with none idle, a new one started. A claim is
+// never left to a forwarder that is running a forward: that forward can
+// block up to ReplicaWaitTimeout on its PrevVersion predecessor, which
+// would cost this fan-out its overlap. Claims the handlers took back are
+// dropped here, so an awake forwarder that has not been scheduled yet
+// stands for the next claim instead of a new goroutine per op. While the
+// daemon stops no forwarder may start, and the claim stays open for its
+// handler.
+func (o *OSD) dispatch(c fwdClaim) {
+	o.fwdMu.Lock()
+	o.fwdOpen = slices.DeleteFunc(o.fwdOpen, fwdClaim.spent)
+	o.fwdOpen = append(o.fwdOpen, c)
+	wake := len(o.fwdOpen) > o.fwdAwake
+	if wake {
+		o.fwdAwake++
+	}
+	o.fwdMu.Unlock()
+	if !wake {
 		return
 	}
 	select {
-	case o.fwdCh <- job:
+	case o.fwdWake <- struct{}{}:
 	default:
-		if !o.startForwarder(job) {
-			// Daemon stopping: no forwarder may start, so this peer
-			// is served in line.
-			o.forward(job)
+		if !o.startForwarder() {
+			o.fwdMu.Lock()
+			o.fwdAwake--
+			o.fwdMu.Unlock()
 		}
 	}
 }
 
+// pickUp takes an open claim for an awake forwarder and counts it out
+// of the awake ones: with the claim and its peer index when one was
+// still open, and false, to go back to waiting, when none was.
+func (o *OSD) pickUp() (fwdClaim, int, bool) {
+	o.fwdMu.Lock()
+	defer o.fwdMu.Unlock()
+	o.fwdAwake--
+	for n := len(o.fwdOpen); n > 0; n-- {
+		c := o.fwdOpen[n-1]
+		o.fwdOpen[n-1] = fwdClaim{}
+		o.fwdOpen = o.fwdOpen[:n-1]
+		if i, ok := c.take(); ok {
+			return c, i, true
+		}
+	}
+	return fwdClaim{}, 0, false
+}
+
 // fanout is one replicated mutation being forwarded: the op's context,
-// the count of forwards still outstanding, and — when every peer
-// receives the same request — that request.
+// the claims taken on its handed forwards, the count of those not yet
+// finished, and — when every peer receives the same request — that
+// request.
 type fanout struct {
-	ctx context.Context
-	req OpRequest
-	wg  sync.WaitGroup
+	ctx   context.Context
+	req   OpRequest
+	wg    sync.WaitGroup
+	taken atomic.Uint32
 }
 
-// fwdJob is one peer's forward of a fanout, as handed to a forwarder.
-type fwdJob struct {
-	f    *fanout
-	peer int
-	req  *OpRequest
+// fwdClaim is a claim on a fan-out, as dispatch hands it to the
+// forwarders. The handed forwards are those to peers[:len(peers)-1];
+// the claims on them are interchangeable and taken in peer order, so
+// one counter serves any number of peers. The peers and sub-batches
+// travel in the claim, not the fanout, which keeps the fanout in the
+// size class it had.
+type fwdClaim struct {
+	f     *fanout
+	peers []int
+	sub   []*OpRequest // nil: every peer is sent f.req
 }
 
-// forward sends the fan-out's request to one replica, waits for its
-// ack, and reports the job done.
-func (o *OSD) forward(job fwdJob) {
-	defer job.f.wg.Done()
-	o.callReplica(job.f.ctx, job.peer, job.req)
+// take claims the next handed forward nobody has taken and returns its
+// peer index; false once all are taken. A loser only reads the counter.
+func (c fwdClaim) take() (int, bool) {
+	for {
+		n := c.f.taken.Load()
+		if int(n) >= len(c.peers)-1 {
+			return 0, false
+		}
+		if c.f.taken.CompareAndSwap(n, n+1) {
+			return int(n), true
+		}
+	}
+}
+
+// spent reports whether every handed forward of c's fan-out is taken.
+func (c fwdClaim) spent() bool { return int(c.f.taken.Load()) >= len(c.peers)-1 }
+
+// request is the forward for peers[i].
+func (c fwdClaim) request(i int) *OpRequest {
+	if c.sub != nil {
+		return c.sub[i]
+	}
+	return &c.f.req
+}
+
+// forward runs the claimed forward to peers[i] and reports it done.
+func (o *OSD) forward(c fwdClaim, i int) {
+	o.callReplica(c.f.ctx, c.peers[i], c.request(i))
+	c.f.wg.Done()
 }
 
 // callReplica delivers one forward and waits for the replica's ack. A
@@ -509,29 +584,34 @@ func (o *OSD) restamp(ctx context.Context, peer int, req *OpRequest, epoch types
 	return &again
 }
 
-// startForwarder starts a forwarder goroutine of the current incarnation
-// with job as its first; false when the daemon is not running. lifeMu
-// orders the wg.Add before Stop's wg.Wait.
-func (o *OSD) startForwarder(job fwdJob) bool {
+// startForwarder starts an awake forwarder goroutine of the current
+// incarnation; false when the daemon is not running. lifeMu orders the
+// wg.Add before Stop's wg.Wait.
+func (o *OSD) startForwarder() bool {
 	o.lifeMu.Lock()
 	defer o.lifeMu.Unlock()
 	if !o.running {
 		return false
 	}
 	o.wg.Add(1)
-	go o.forwarder(o.stopCh, job)
+	go o.forwarder(o.stopCh)
 	return true
 }
 
-// forwarder serves replica forwards until the daemon stops. Its stack,
-// grown once inside the replica's apply path, is reused by every later
-// forward — the cost a goroutine per peer per op paid each time.
-func (o *OSD) forwarder(stop chan struct{}, job fwdJob) {
+// forwarder serves replica forwards until the daemon stops. Each time
+// it is woken it picks up an open claim and runs that forward; when the
+// handlers have taken every claim back, it goes straight back to
+// waiting. Its stack, grown once inside the replica's apply path, is
+// reused by every later forward — the cost a goroutine per peer per op
+// paid each time.
+func (o *OSD) forwarder(stop chan struct{}) {
 	defer o.wg.Done()
 	for {
-		o.forward(job)
+		if c, i, ok := o.pickUp(); ok {
+			o.forward(c, i)
+		}
 		select {
-		case job = <-o.fwdCh:
+		case <-o.fwdWake:
 		case <-stop:
 			return
 		}

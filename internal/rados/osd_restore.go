@@ -144,14 +144,7 @@ func (o *OSD) applyMutation(mut Mutation) {
 // lost ones are restored. Blocks with an empty refset are counted as
 // orphans (the GC sweep confirms and reclaims them after grace).
 func (o *OSD) reconcile(report *ReplayReport) {
-	o.mu.Lock()
-	pgs := make(map[PGID]*pg, len(o.pgs))
-	for id, p := range o.pgs {
-		pgs[id] = p
-	}
-	o.mu.Unlock()
-
-	for id, p := range pgs {
+	for id, p := range *o.pgs.Load() {
 		for name, e := range p.slots() {
 			e.mu.Lock()
 			if e.obj == nil {
@@ -188,14 +181,8 @@ func (o *OSD) CheckpointNow() error {
 		return nil
 	}
 	return o.backend.Checkpoint(func() []Mutation {
-		o.mu.Lock()
-		pgs := make(map[PGID]*pg, len(o.pgs))
-		for id, p := range o.pgs {
-			pgs[id] = p
-		}
-		o.mu.Unlock()
 		var muts []Mutation
-		for id, p := range pgs {
+		for id, p := range *o.pgs.Load() {
 			for name, e := range p.slots() {
 				e.mu.Lock()
 				switch {

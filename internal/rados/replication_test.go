@@ -223,6 +223,45 @@ func TestPerObjectConcurrency(t *testing.T) {
 	}
 }
 
+// TestOpPathTakesNoDaemonLock holds every daemon's OSD-wide mutex and
+// shows a replicated write and a read of an existing object complete
+// anyway: an op finds its placement group with one atomic load of the
+// copy-on-write PG table, and only creating a PG takes o.mu.
+func TestOpPathTakesNoDaemonLock(t *testing.T) {
+	tc := bootClusterOpts(t, clusterOpts{osds: 3, replicas: 3, osd: OSDConfig{GossipInterval: time.Hour}})
+	ctx := ctxT(t, 15*time.Second)
+	if err := tc.client.WriteFull(ctx, "data", "obj", []byte("seed")); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range tc.osds {
+		o.mu.Lock()
+	}
+	unlock := func() {
+		for _, o := range tc.osds {
+			o.mu.Unlock()
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		err := tc.client.WriteFull(ctx, "data", "obj", []byte("again"))
+		if err == nil {
+			_, err = tc.client.Read(ctx, "data", "obj")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		unlock()
+		<-done
+		t.Fatal("a write and a read of an existing object waited for the daemon-wide lock")
+	}
+}
+
 // TestReplicaConvergenceConcurrentWriters races writers against one hot
 // object and sibling objects in the same PG over a jittery fabric (so
 // parallel fan-outs genuinely cross), then asserts every replica holds
