@@ -1,11 +1,16 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
+	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -355,6 +360,166 @@ func TestOneCommitSitePerRole(t *testing.T) {
 	}
 }
 
+// TestOneOpSwitchInRados pins the OSD's one op table: what an op is
+// (name, class, journal kind, write-set, block-read handler) is a row of
+// opSpecs, so the only switch on an OpCode left in internal/rados is
+// applyOp's, the one place that does each op's work.
+func TestOneOpSwitchInRados(t *testing.T) {
+	pkgs, err := Load(moduleRoot(t), []string{"./internal/rados"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const opCode = "repro/internal/rados.OpCode"
+	switches := make(map[string]int) // containing function -> switches on an OpCode
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if sw, ok := n.(*ast.SwitchStmt); ok && sw.Tag != nil {
+						if tv := pkg.Info.TypeOf(sw.Tag); tv != nil && tv.String() == opCode {
+							switches[fd.Name.Name]++
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if want := map[string]int{"applyOp": 1}; !reflect.DeepEqual(switches, want) {
+		t.Errorf("switches on %s by function = %v, want %v", opCode, switches, want)
+	}
+}
+
+// declaredOp is one row of the OSD op table as its AST reads: the name of
+// the class it declares ("" for none), and whether it has a readBatch.
+type declaredOp struct {
+	class     string
+	readBatch bool
+}
+
+// declaredOps reads the OSD op table's rows from the loaded AST of
+// opSpecs, keyed by op constant name.
+func declaredOps(t *testing.T, pkgs []*Package) map[string]declaredOp {
+	t.Helper()
+	var lit *ast.CompositeLit
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if vs, ok := n.(*ast.ValueSpec); ok && len(vs.Names) == 1 && vs.Names[0].Name == "opSpecs" && len(vs.Values) == 1 {
+					lit, _ = vs.Values[0].(*ast.CompositeLit)
+				}
+				return lit == nil
+			})
+		}
+	}
+	if lit == nil {
+		t.Fatal("no opSpecs literal in internal/rados")
+	}
+	out := make(map[string]declaredOp)
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			t.Fatalf("opSpecs row %s has no OpCode key", types.ExprString(elt))
+		}
+		row, ok := kv.Value.(*ast.CompositeLit)
+		if !ok {
+			t.Fatalf("opSpecs row %s is not a literal", types.ExprString(kv.Key))
+		}
+		var d declaredOp
+		for _, field := range row.Elts {
+			fkv, ok := field.(*ast.KeyValueExpr)
+			if !ok {
+				continue
+			}
+			switch types.ExprString(fkv.Key) {
+			case "class":
+				d.class = types.ExprString(fkv.Value)
+			case "readBatch":
+				d.readBatch = true
+			}
+		}
+		out[types.ExprString(kv.Key)] = d
+	}
+	return out
+}
+
+// opTableDisagreements compares each op's declared table class with
+// retrysafe's pre-upgrade class of its applyOp arm (facts). Where there
+// is an arm, a declared read, overwrite or versioned op must classify as
+// exactly that, and an op is declared replay-guarded exactly when its
+// arm classifies as read-modify-write or delegation: the pass upgrades
+// those through the replay gate, which the table opens for every class
+// but read. An op with no arm gives the pass nothing to classify. A
+// block read, answered by its row's readBatch, must be declared read or
+// replay-guarded. Any other op with no arm (a class call) must be
+// declared replay-guarded: nothing in the table shows it leaves the
+// object alone, so a resend must meet the replay gate.
+func opTableDisagreements(declared map[string]declaredOp, facts map[string]opFact) []string {
+	admits := map[string][]opClass{
+		"classRead":          {classRead},
+		"classOverwrite":     {classOverwrite},
+		"classVersioned":     {classVersioned},
+		"classReplayGuarded": {classRMW, classDelegate},
+		"classReplicaOnly":   {classRead, classOverwrite, classVersioned},
+	}
+	var bad []string
+	ops := make([]string, 0, len(declared))
+	for op := range declared {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	for _, op := range ops {
+		d := declared[op]
+		f, arm := facts["repro/internal/rados."+op]
+		switch {
+		case arm && !slices.Contains(admits[d.class], f.class):
+			bad = append(bad, fmt.Sprintf("%s is declared %q but its applyOp arm classifies %v", op, d.class, f.class))
+		case !arm && d.readBatch && d.class != "classRead" && d.class != "classReplayGuarded":
+			bad = append(bad, fmt.Sprintf("%s is a readBatch and is declared %q, want classRead or classReplayGuarded", op, d.class))
+		case !arm && !d.readBatch && d.class != "classReplayGuarded":
+			bad = append(bad, fmt.Sprintf("%s has no applyOp arm and is declared %q, want classReplayGuarded", op, d.class))
+		}
+	}
+	for name, f := range facts {
+		if op, ok := strings.CutPrefix(name, "repro/internal/rados."); ok && strings.HasSuffix(f.switchFn, ".applyOp") {
+			if _, row := declared[op]; !row {
+				bad = append(bad, op+" has an applyOp arm but no opSpecs row")
+			}
+		}
+	}
+	return bad
+}
+
+// TestOpTableAgreesWithRetrySafe holds the classes the OSD's op table
+// declares to the retrysafe pass's own reading of applyOp, so neither
+// can drift from the other. The check must catch two seeded lies, each
+// of which would let a resend apply twice: OpAppend declared an
+// overwrite, and OpCall, which has no arm, declared a read.
+func TestOpTableAgreesWithRetrySafe(t *testing.T) {
+	pkgs, err := Load(moduleRoot(t), []string{"./internal/rados"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := declaredOps(t, pkgs)
+	facts := classifyOps(NewIndex(pkgs))
+	for _, bad := range opTableDisagreements(declared, facts) {
+		t.Error(bad)
+	}
+	for op, lie := range map[string]string{"OpAppend": "classOverwrite", "OpCall": "classRead"} {
+		mutant := maps.Clone(declared)
+		row := mutant[op]
+		row.class = lie
+		mutant[op] = row
+		if bad := opTableDisagreements(mutant, facts); len(bad) != 1 || !strings.Contains(bad[0], op) {
+			t.Errorf("%s declared %s: disagreements %q, want one naming %s", op, lie, bad, op)
+		}
+	}
+}
+
 // TestCrossPackageFacts pins the cross-package fact propagation the
 // three protocol passes share, against the real tree:
 //
@@ -456,7 +621,7 @@ func TestCrossPackageFacts(t *testing.T) {
 	if f := facts["repro/internal/rados.OpAppend"]; f.class != classVersioned {
 		t.Errorf("OpAppend post-upgrade class = %v, want %v (handleOp's OpID replay gateway must cover applyOp)", f.class, classVersioned)
 	}
-	for _, op := range []string{"OpBlockWrite", "OpBlockDecref", "OpBlockIncref", "OpBlockReclaim", "OpBlockStat", "OpBlockRead"} {
+	for _, op := range []string{"OpBlockWrite", "OpBlockDecref", "OpBlockIncref", "OpBlockReclaim"} {
 		f, ok := facts["repro/internal/rados."+op]
 		if !ok {
 			t.Errorf("%s not classified (missing from the applyOp dispatch?)", op)
@@ -464,6 +629,18 @@ func TestCrossPackageFacts(t *testing.T) {
 		}
 		if !f.class.retrySafe() {
 			t.Errorf("%s post-upgrade class = %v; a resend through do()/sendBlockOp would double-apply", op, f.class)
+		}
+	}
+	// The block reads have no switch arm anywhere: handleOp answers them
+	// through their op-table row's readBatch, and the pass has nothing to
+	// classify (it used to rank them delegations, from handleOp's
+	// dispatch switch, and only the gateway upgrade made them safe). Their
+	// resend safety is the table's instead: both rows declare read, which
+	// TestOpTableAgreesWithRetrySafe admits for a readBatch row and
+	// TestReadOnlyOpsSkipReplayCache holds the OSD to.
+	for _, op := range []string{"OpBlockStat", "OpBlockRead"} {
+		if f, ok := facts["repro/internal/rados."+op]; ok {
+			t.Errorf("%s classified %v from %s; it should have no dispatch arm", op, f.class, f.switchFn)
 		}
 	}
 }

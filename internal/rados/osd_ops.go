@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,16 +26,19 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	v := o.view.Load()
 	m := v.m
 
-	// Class calls and overwrites apply on the primary alone: replicas
-	// are sent what the primary stored as an OpTxn, which is nothing a
-	// client may send.
-	if (req.Replica && forwardsAsTxn(req.Op)) || (req.Op == OpTxn && !req.Replica) {
+	spec, ok := req.Op.spec()
+	if !ok {
+		return OpReply{Result: EINVAL, Detail: "unknown op", Epoch: m.Epoch}
+	}
+	// Class calls and overwrites apply on the primary alone; their
+	// replicas are sent an OpTxn, which no client may send.
+	if (req.Replica && spec.asTxn()) || (spec.class == classReplicaOnly && !req.Replica) {
 		return OpReply{Result: EINVAL, Detail: "calls and overwrites apply on the primary only", Epoch: m.Epoch}
 	}
 
 	// A call against a class this daemon does not know may be racing a
 	// just-committed install; pull the latest map once before failing.
-	if req.Op == OpCall && !o.rt.isNative(req.Class) {
+	if spec.call && !o.rt.isNative(req.Class) {
 		if _, ok := m.Classes[req.Class]; !ok {
 			if fresh, err := o.monc.GetOSDMap(ctx); err == nil {
 				o.updateMap(fresh, noPeer)
@@ -66,8 +68,8 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	// Duplicate-delivery check: a client resend of an operation whose ack
 	// was lost must observe the recorded outcome, not re-apply it. Only
 	// the epoch is refreshed — the rest of the reply is the original.
-	// See OpCode.readOnly for the ops that skip it.
-	if req.OpID != 0 && !req.Replica && !req.Op.readOnly() {
+	// A read-class op, which is never recorded there, skips it.
+	if req.OpID != 0 && !req.Replica && spec.class != classRead {
 		if rep, ok := o.replayGet(from, req.OpID); ok {
 			rep.Epoch = m.Epoch
 			return rep
@@ -77,18 +79,12 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	// The batched block reads span PGs and are answered here; a block
 	// write's content is checked on the primary before anything is
 	// stored, so one bad entry rejects the whole batch.
-	switch req.Op {
-	case OpBlockStat:
-		if len(req.Keys) > 0 {
-			return o.blockStatBatch(req, pv, m.Epoch)
-		}
-	case OpBlockRead:
-		return o.blockReadBatch(req, pv, m.Epoch)
-	case OpBlockWrite:
-		if !req.Replica {
-			if name := misnamedBlock(&req); name != "" {
-				return OpReply{Result: EINVAL, Detail: "block content does not match its name: " + name, Epoch: m.Epoch}
-			}
+	if spec.readBatch != nil {
+		return spec.readBatch(o, req, pv, m.Epoch)
+	}
+	if req.Op == OpBlockWrite && !req.Replica {
+		if name := misnamedBlock(&req); name != "" {
+			return OpReply{Result: EINVAL, Detail: "block content does not match its name: " + name, Epoch: m.Epoch}
 		}
 	}
 	p := o.getPG(PGID{Pool: req.Pool, PG: pgnum})
@@ -225,14 +221,14 @@ func (o *OSD) applyPrimary(p *pg, req *OpRequest, m *types.OSDMap) (reply OpRepl
 	e.mu.Lock()
 	prev = e.ver
 	var txn []TxnOp
-	if req.Op == OpCall {
+	if spec := &opSpecs[req.Op]; spec.call {
 		reply, txn = o.applyCall(e, req, m)
 		mutated = txn != nil
 	} else {
 		reply, mutated = o.applyOp(e, req, m)
 		mutated = mutated && reply.Result == OK
-		if mutated && forwardsAsTxn(req.Op) {
-			txn = storedWriteSet(e.obj, req)
+		if mutated && spec.writeSet != nil {
+			txn = spec.writeSet(e.obj, *req)
 		}
 	}
 	if txn != nil {
@@ -244,47 +240,6 @@ func (o *OSD) applyPrimary(p *pg, req *OpRequest, m *types.OSDMap) (reply OpRepl
 	e.mu.Unlock()
 	reply.Epoch = m.Epoch
 	return reply, prev, mutated
-}
-
-// forwardsAsTxn reports whether op reaches replicas as the OpTxn of
-// what the primary stored rather than as itself: class calls, whose
-// method must run once, and the overwrites, whose write-set is no
-// bigger than the op. OpAppend keeps its delta (its final state is the
-// whole object); create and remove carry no bytes.
-func forwardsAsTxn(op OpCode) bool {
-	switch op {
-	case OpCall, OpWriteFull, OpSetXattr, OpOmapSet, OpOmapDel:
-		return true
-	}
-	return false
-}
-
-// storedWriteSet is an applied overwrite's write-set: for each thing req
-// replaced, the value obj now stores — the primary's clone of the
-// caller's buffer, shared from here on by the journal record and every
-// replica. Caller holds the slot lock.
-func storedWriteSet(obj *Object, req *OpRequest) []TxnOp {
-	switch req.Op {
-	case OpWriteFull:
-		return []TxnOp{{Kind: TxnData, Val: obj.Data}}
-	case OpSetXattr:
-		return []TxnOp{{Kind: TxnXattrSet, Key: req.Key, Val: obj.Xattrs[req.Key]}}
-	case OpOmapSet:
-		txn := make([]TxnOp, 0, len(req.KV))
-		for k := range req.KV {
-			txn = append(txn, TxnOp{Kind: TxnOmapSet, Key: k, Val: obj.Omap[k]})
-		}
-		// Key order, not map order: the journal encoding stays deterministic.
-		slices.SortFunc(txn, func(a, b TxnOp) int { return strings.Compare(a.Key, b.Key) })
-		return txn
-	case OpOmapDel:
-		txn := make([]TxnOp, 0, len(req.Keys))
-		for _, k := range req.Keys {
-			txn = append(txn, TxnOp{Kind: TxnOmapDel, Key: k})
-		}
-		return txn
-	}
-	return nil
 }
 
 // ledPG returns the placement group holding name and its acting set
@@ -742,10 +697,10 @@ func (o *OSD) applyOp(e *objEntry, req *OpRequest, m *types.OSDMap) (OpReply, bo
 		// primary applies a WriteFull; its replicas install the bytes it
 		// stored (OpTxn). The clone is the one copy of the caller's buffer.
 		oldSet := manifestBlockSet(objData(e))
-		obj := e.materializeLocked(req.Object)
-		obj.Data = append([]byte(nil), req.Data...)
+		data := append([]byte(nil), req.Data...)
+		e.materializeLocked(req.Object).Data = data
 		e.bumpLocked()
-		o.queueRefDeltas(req.Pool, req.Object, e.ver, oldSet, manifestBlockSet(obj.Data))
+		o.queueRefDeltas(req.Pool, req.Object, e.ver, oldSet, manifestBlockSet(data))
 		return OpReply{Result: OK, Version: e.ver}, true
 
 	case OpAppend:
@@ -838,15 +793,6 @@ func (o *OSD) applyOp(e *objEntry, req *OpRequest, m *types.OSDMap) (OpReply, bo
 		e.bumpLocked()
 		return OpReply{Result: OK, Version: e.ver}, true
 
-	case OpBlockStat:
-		// Single-name form (the batched probe short-circuits in
-		// handleOp): existence plus a touch of the reclaim clock.
-		if e.obj == nil {
-			return OpReply{Result: ENOENT}, false
-		}
-		e.touch = time.Now()
-		return OpReply{Result: OK, Size: int64(len(e.obj.Data)), Version: e.ver}, false
-
 	case OpBlockWrite:
 		if e.obj != nil {
 			// Content-addressed: a block with this name already holds
@@ -920,39 +866,26 @@ func objData(e *objEntry) []byte {
 // encodes synchronously (Backend contract), so passing slices and maps
 // that alias the live object is safe. Records carry post-state (the
 // full bytestream, the final xattr value) rather than op deltas, which
-// makes replay idempotent under the version guard.
+// makes replay idempotent under the version guard. The kind is the op's
+// row's: every op reaching here journals, a call or overwrite as its OpTxn.
 func (o *OSD) recordOp(p *pg, e *objEntry, req *OpRequest) {
-	if !o.durable {
+	spec := &opSpecs[req.Op]
+	if !o.durable || !spec.journals {
 		return
 	}
-	mut := Mutation{Pool: req.Pool, PG: p.id.PG, Object: req.Object, Version: e.ver}
-	switch req.Op {
-	case OpCreate:
-		mut.Kind = RecCreate
-	case OpAppend, OpBlockWrite:
-		mut.Kind = RecData
+	mut := Mutation{Kind: spec.journal, Pool: req.Pool, PG: p.id.PG, Object: req.Object, Version: e.ver}
+	switch spec.journal {
+	case RecData:
 		mut.Data = objData(e)
-	case OpRemove, OpBlockReclaim:
-		mut.Kind = RecRemove
-	case OpBlockIncref, OpBlockDecref:
-		// The whole mutation is the refset xattr; journaling the block's
-		// (potentially large) bytes again would bloat the log.
-		mut.Kind = RecXattrSet
+	case RecXattrSet:
+		// A block's refset change: journal the refset xattr, not the
+		// block's (potentially large) bytes again.
 		mut.Key = xattrBlockRefs
 		mut.Data = e.obj.Xattrs[xattrBlockRefs]
-	case OpTxn:
+	case RecTxn:
 		// A class call or overwrite journals what it wrote — the entries
 		// its replicas are sent — not the object it wrote them to.
-		mut.Kind = RecTxn
 		mut.Txn = req.Txn
-	default:
-		// An op with no record kind of its own: snapshot the object.
-		if e.obj == nil {
-			mut.Kind = RecRemove
-		} else {
-			mut.Kind = RecSnapshot
-			mut.Obj = e.obj
-		}
 	}
 	o.backend.Record(mut)
 }

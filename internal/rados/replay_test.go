@@ -81,63 +81,6 @@ func TestReplayCacheDedupesResends(t *testing.T) {
 	}
 }
 
-// TestReadOnlyOpsSkipReplayCache classifies every op code, enumerated
-// from the table OpCode.String uses, so a new op cannot be added
-// without deciding whether a resend of it must consult the primary's
-// replay cache. An op that skips the cache must be one nothing is ever
-// recorded for: applied to a live object, it reports no mutation and
-// leaves the slot version where it was.
-func TestReadOnlyOpsSkipReplayCache(t *testing.T) {
-	readOnly := map[OpCode]bool{
-		OpRead: true, OpStat: true, OpGetXattr: true, OpOmapGet: true,
-		OpOmapList: true, OpBlockStat: true, OpBlockRead: true,
-		OpWriteFull: false, OpAppend: false, OpRemove: false, OpCreate: false,
-		OpOmapSet: false, OpOmapDel: false, OpSetXattr: false, OpCall: false,
-		OpBlockWrite: false, OpBlockIncref: false, OpBlockDecref: false,
-		OpBlockReclaim: false, OpTxn: false,
-	}
-
-	tc := bootCluster(t, 1, 1)
-	ctx := ctxT(t, 10*time.Second)
-	const name = "live"
-	if err := tc.client.WriteFull(ctx, "data", name, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tc.client.OmapSet(ctx, "data", name, map[string][]byte{"k": []byte("v")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tc.client.SetXattr(ctx, "data", name, "x", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	o := tc.osds[0]
-	v := o.view.Load()
-	e := o.getPG(PGID{Pool: "data", PG: PGForObject(name, v.pools["data"].info.PGNum)}).entry(name)
-
-	for op := OpCode(0); int(op) < len(opNames); op++ {
-		want, ok := readOnly[op]
-		if !ok {
-			t.Errorf("%s is not classified: decide whether its resends must consult the replay cache", op)
-			continue
-		}
-		if op.readOnly() != want {
-			t.Errorf("%s.readOnly() = %v, want %v", op, op.readOnly(), want)
-		}
-		if !want {
-			continue
-		}
-		req := OpRequest{Pool: "data", Object: name, Epoch: v.m.Epoch, Op: op, Key: "x", Keys: []string{"k"}}
-		e.mu.Lock()
-		before := e.ver
-		_, mutated := o.applyOp(e, &req, v.m)
-		after := e.ver
-		e.mu.Unlock()
-		if mutated || after != before {
-			t.Errorf("%s on a live object: mutated %v, version %d -> %d; an op that skips the replay cache must not write",
-				op, mutated, before, after)
-		}
-	}
-}
-
 // TestReplayCacheScopedToSender: the cache key is (sender, OpID), so
 // two different clients reusing an OpID are distinct operations.
 func TestReplayCacheScopedToSender(t *testing.T) {

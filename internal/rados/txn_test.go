@@ -424,27 +424,6 @@ func TestCodeFromErrorFirstNamedWins(t *testing.T) {
 	}
 }
 
-// OpTxn is the last opcode; extend the loop when adding one.
-func TestEveryOpCodeHasAName(t *testing.T) {
-	seen := make(map[string]OpCode)
-	for op := OpRead; op <= OpTxn; op++ {
-		name := op.String()
-		if strings.HasPrefix(name, "op(") {
-			t.Errorf("opcode %d has no name", int(op))
-		}
-		if prev, dup := seen[name]; dup {
-			t.Errorf("opcodes %d and %d share the name %q", int(prev), int(op), name)
-		}
-		seen[name] = op
-	}
-	if got := OpTxn.String(); got != "txn" {
-		t.Errorf("OpTxn.String() = %q", got)
-	}
-	if got := (OpTxn + 1).String(); !strings.HasPrefix(got, "op(") {
-		t.Errorf("opcode %d is named %q but not covered by this test", int(OpTxn+1), got)
-	}
-}
-
 // ---- the journal side ----
 
 const stripeClass = `

@@ -12,6 +12,8 @@ package rados
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -45,37 +47,99 @@ const (
 	OpBlockReclaim // remove the block iff unreferenced and outside the grace window (req.Count ns)
 	OpBlockRead    // the bytes of every block of req.Keys this primary leads, in one reply
 
-	// OpTxn is the replica-only form of every overwrite — a class call,
-	// OpWriteFull, OpSetXattr, OpOmapSet, OpOmapDel: the write-set the
-	// primary stored (req.Txn), applied as final values. A client may
-	// not send it, and none of those five ops is ever forwarded.
+	// OpTxn is the replica-only form of a class call or an overwrite (an
+	// op whose row has a writeSet): the write-set the primary stored
+	// (req.Txn), applied as final values. No client may send it.
 	OpTxn
 )
 
-// opNames is indexed by OpCode: every op has an entry.
-var opNames = [...]string{"read", "write-full", "append", "stat", "remove",
-	"create", "omap-get", "omap-set", "omap-del", "omap-list",
-	"getxattr", "setxattr", "call",
-	"block-stat", "block-write", "block-incref", "block-decref", "block-reclaim", "block-read",
-	"txn"}
+// opClass is what an op does to the object it names, which decides what
+// a resend of it needs. The zero value is undeclared, and refused.
+type opClass uint8
 
-func (o OpCode) String() string {
-	if o >= 0 && int(o) < len(opNames) {
-		return opNames[o]
-	}
-	return fmt.Sprintf("op(%d)", int(o))
+const (
+	classUndeclared    opClass = iota
+	classRead                  // never changes an object: never journaled, forwarded or replay-cached
+	classOverwrite             // replaces what it writes without reading it
+	classVersioned             // mutates behind a leading existence or duplicate guard
+	classReplayGuarded         // reads what it writes: a resend is safe only as a replay-cache hit
+	classReplicaOnly           // a primary's forward, which no client may send
+)
+
+// opSpec is one op's row of opSpecs: all the OSD knows of the op but how
+// to apply it, which is its arm in applyOp (or applyCall, or readBatch).
+type opSpec struct {
+	name     string
+	class    opClass
+	journals bool    // recordOp journals it; RecCreate is kind 0, so journal cannot say "none"
+	journal  MutKind // its record's kind
+	call     bool    // a class call: applyCall runs it, and it forwards as its write-set
+	// writeSet, set for the overwrites, is an applied op's write-set: for
+	// each thing req replaced, the value obj now stores, shared by the
+	// journal record and every replica (asTxn). Caller holds the slot lock.
+	writeSet  func(obj *Object, req OpRequest) []TxnOp
+	readBatch func(o *OSD, req OpRequest, pv *poolView, epoch types.Epoch) OpReply // a block read, spanning PGs
 }
 
-// readOnly reports whether op never changes an object: it is never
-// journaled, forwarded or entered in the replay cache, so a resend of it
-// needs no replay-cache lookup either. A class call is not read-only even
-// when its method only reads: whether it writes is known only once it ran.
-func (o OpCode) readOnly() bool {
-	switch o {
-	case OpRead, OpStat, OpGetXattr, OpOmapGet, OpOmapList, OpBlockStat, OpBlockRead:
-		return true
+// opSpecs is indexed by OpCode: adding an op costs one row here and one
+// arm in applyOp. Every row declares a class (TestOpTable).
+var opSpecs = [...]opSpec{
+	OpRead: {name: "read", class: classRead},
+	OpWriteFull: {name: "write-full", class: classOverwrite, writeSet: func(obj *Object, _ OpRequest) []TxnOp {
+		return []TxnOp{{Kind: TxnData, Val: obj.Data}}
+	}},
+	OpAppend:  {name: "append", class: classReplayGuarded, journals: true, journal: RecData},
+	OpStat:    {name: "stat", class: classRead},
+	OpRemove:  {name: "remove", class: classVersioned, journals: true, journal: RecRemove},
+	OpCreate:  {name: "create", class: classVersioned, journals: true, journal: RecCreate},
+	OpOmapGet: {name: "omap-get", class: classRead},
+	OpOmapSet: {name: "omap-set", class: classOverwrite, writeSet: func(obj *Object, req OpRequest) []TxnOp {
+		txn := make([]TxnOp, 0, len(req.KV))
+		for k := range req.KV {
+			txn = append(txn, TxnOp{Kind: TxnOmapSet, Key: k, Val: obj.Omap[k]})
+		}
+		// Key order, not map order: the journal encoding stays deterministic.
+		slices.SortFunc(txn, func(a, b TxnOp) int { return strings.Compare(a.Key, b.Key) })
+		return txn
+	}},
+	OpOmapDel: {name: "omap-del", class: classVersioned, writeSet: func(_ *Object, req OpRequest) []TxnOp {
+		txn := make([]TxnOp, 0, len(req.Keys))
+		for _, k := range req.Keys {
+			txn = append(txn, TxnOp{Kind: TxnOmapDel, Key: k})
+		}
+		return txn
+	}},
+	OpOmapList: {name: "omap-list", class: classRead},
+	OpGetXattr: {name: "getxattr", class: classRead},
+	OpSetXattr: {name: "setxattr", class: classOverwrite, writeSet: func(obj *Object, req OpRequest) []TxnOp {
+		return []TxnOp{{Kind: TxnXattrSet, Key: req.Key, Val: obj.Xattrs[req.Key]}}
+	}},
+	OpCall:         {name: "call", class: classReplayGuarded, call: true}, // whether it writes is known once it ran
+	OpBlockStat:    {name: "block-stat", class: classRead, readBatch: (*OSD).blockStatBatch},
+	OpBlockWrite:   {name: "block-write", class: classOverwrite, journals: true, journal: RecData},
+	OpBlockIncref:  {name: "block-incref", class: classVersioned, journals: true, journal: RecXattrSet},
+	OpBlockDecref:  {name: "block-decref", class: classVersioned, journals: true, journal: RecXattrSet},
+	OpBlockReclaim: {name: "block-reclaim", class: classReplayGuarded, journals: true, journal: RecRemove},
+	OpBlockRead:    {name: "block-read", class: classRead, readBatch: (*OSD).blockReadBatch},
+	OpTxn:          {name: "txn", class: classReplicaOnly, journals: true, journal: RecTxn},
+}
+
+// spec returns op's row; false for an op outside opSpecs or undeclared.
+func (o OpCode) spec() (*opSpec, bool) {
+	if o < 0 || int(o) >= len(opSpecs) || opSpecs[o].class == classUndeclared {
+		return nil, false
 	}
-	return false
+	return &opSpecs[o], true
+}
+
+// asTxn: once applied, the op journals and forwards as the OpTxn it stored.
+func (s *opSpec) asTxn() bool { return s.call || s.writeSet != nil }
+
+func (o OpCode) String() string {
+	if s, ok := o.spec(); ok {
+		return s.name
+	}
+	return fmt.Sprintf("op(%d)", int(o))
 }
 
 // ResultCode is the outcome class of an operation.
