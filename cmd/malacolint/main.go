@@ -155,7 +155,7 @@ func main() {
 			diags = append(diags, pass.Run(pkg, idx)...)
 		}
 	}
-	diags = analysis.Dedupe(analysis.ApplySuppressions(pkgs, diags))
+	diags = analysis.Dedupe(analysis.ApplySuppressions(pkgs, diags, selected...))
 	elapsed := time.Since(start)
 
 	if *diffFlag != "" {

@@ -21,7 +21,8 @@
 //
 //	//lint:ignore <pass> <reason>
 //
-// The reason is mandatory; a bare suppression is itself a finding.
+// The reason is mandatory; a bare suppression is itself a finding, and
+// so is one that no longer covers a finding of its pass.
 package analysis
 
 import (
@@ -31,6 +32,7 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Diagnostic is one finding. Cross-package passes attach the witness
@@ -127,6 +129,13 @@ type Index struct {
 	Pkgs []*Package
 
 	decls map[string]FuncDecl
+
+	// Whole-program results that several passes read, each computed
+	// once, on first use: the held-lock walk (flow.go) and the ownership
+	// summaries (valueflow.go).
+	heldOnce, effectsOnce sync.Once
+	held                  []heldSite
+	effects               map[string]*funcEffect
 }
 
 // FuncDecl pairs a declaration with its package.
@@ -289,38 +298,51 @@ func Waivers(pkgs []*Package) []Waiver {
 	return out
 }
 
-// collectSuppressions turns a package's markers into the (file, line,
-// pass) cover set. A marker covers its own line (trailing comment) and
-// the line below it (standalone comment).
-func collectSuppressions(pkg *Package) (map[suppression]bool, []Diagnostic) {
-	waivers, bad := parseMarkers(pkg)
-	sups := make(map[suppression]bool)
-	for _, w := range waivers {
-		for _, line := range []int{w.Pos.Line, w.Pos.Line + 1} {
-			sups[suppression{file: w.Pos.Filename, line: line, pass: w.Pass}] = true
-		}
-	}
-	return sups, bad
-}
-
 // ApplySuppressions filters out diagnostics covered by a lint:ignore
-// marker, appends diagnostics for malformed markers, and returns the
-// result sorted by position.
-func ApplySuppressions(pkgs []*Package, diags []Diagnostic) []Diagnostic {
-	sups := make(map[suppression]bool)
-	var out []Diagnostic
+// marker and returns the result sorted by position, with a lint
+// diagnostic added for each malformed marker and for each dead one: a
+// marker of a pass in ran that covers no finding of that pass. A marker
+// covers its own line (trailing comment) and the line below it
+// (standalone comment).
+func ApplySuppressions(pkgs []*Package, diags []Diagnostic, ran ...*Pass) []Diagnostic {
+	var (
+		waivers []Waiver
+		out     []Diagnostic
+	)
 	for _, pkg := range pkgs {
-		s, bad := collectSuppressions(pkg)
-		for k := range s {
-			sups[k] = true
-		}
+		w, bad := parseMarkers(pkg)
+		waivers = append(waivers, w...)
 		out = append(out, bad...)
 	}
+	covered := make(map[suppression]bool) // value: some finding used the cover
+	for _, w := range waivers {
+		for _, line := range []int{w.Pos.Line, w.Pos.Line + 1} {
+			covered[suppression{file: w.Pos.Filename, line: line, pass: w.Pass}] = false
+		}
+	}
 	for _, d := range diags {
-		if sups[suppression{file: d.Pos.Filename, line: d.Pos.Line, pass: d.Pass}] {
+		k := suppression{file: d.Pos.Filename, line: d.Pos.Line, pass: d.Pass}
+		if _, ok := covered[k]; ok {
+			covered[k] = true
 			continue
 		}
 		out = append(out, d)
+	}
+	checked := make(map[string]bool, len(ran))
+	for _, p := range ran {
+		checked[p.Name] = true
+	}
+	for _, w := range waivers {
+		own := suppression{file: w.Pos.Filename, line: w.Pos.Line, pass: w.Pass}
+		next := own
+		next.line++
+		if checked[w.Pass] && !covered[own] && !covered[next] {
+			out = append(out, Diagnostic{
+				Pos:     w.Pos,
+				Pass:    "lint",
+				Message: fmt.Sprintf("dead suppression: no %s finding on this line or the next", w.Pass),
+			})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -44,7 +44,7 @@ func runFixture(t *testing.T, pass *Pass, dir string) {
 	t.Helper()
 	pkg := loadFixture(t, dir)
 	idx := NewIndex([]*Package{pkg})
-	diags := ApplySuppressions([]*Package{pkg}, pass.Run(pkg, idx))
+	diags := ApplySuppressions([]*Package{pkg}, pass.Run(pkg, idx), pass)
 
 	type key struct {
 		file string
@@ -162,14 +162,15 @@ func TestLockOrderWitnessIsMultiHop(t *testing.T) {
 	}
 }
 
-// TestRPCFlowWitnessIsMultiHop pins the same property for the
+// TestLockBlockWitnessIsMultiHop pins the same property for the
 // lock-held-across-hops report: the chain must name the intermediate
-// helper between the held lock and the wire Call.
-func TestRPCFlowWitnessIsMultiHop(t *testing.T) {
-	pkg := loadFixture(t, "rpcflow")
+// helper between the held lock and the wire Call, in the message and as
+// related positions.
+func TestLockBlockWitnessIsMultiHop(t *testing.T) {
+	pkg := loadFixture(t, "lockblock")
 	idx := NewIndex([]*Package{pkg})
-	for _, d := range NewRPCFlow().Run(pkg, idx) {
-		if !strings.Contains(d.Message, "held while calling") {
+	for _, d := range NewLockBlock().Run(pkg, idx) {
+		if !strings.Contains(d.Message, "call to (*lockblock.server).sync") {
 			continue
 		}
 		for _, hop := range []string{"sync", "push", "Call"} {
@@ -177,25 +178,98 @@ func TestRPCFlowWitnessIsMultiHop(t *testing.T) {
 				t.Errorf("witness chain lacks hop %q: %s", hop, d.Message)
 			}
 		}
+		if len(d.Related) != 3 {
+			t.Errorf("witness has %d related positions, want 3 (sync, push, Call): %v", len(d.Related), d.Related)
+		}
 		return
 	}
-	t.Fatal("no held-while-calling diagnostic produced")
+	t.Fatal("no held-across-call diagnostic for sync produced")
+}
+
+// statementWalkers lists, as "file:function", the non-test functions of
+// internal/analysis that switch over a statement's kind with an
+// *ast.IfStmt arm: the signature of a statement walker.
+func statementWalkers(t *testing.T) []string {
+	t.Helper()
+	pkgs, err := Load(moduleRoot(t), []string{"./internal/analysis"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				walker := false
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					ts, ok := n.(*ast.TypeSwitchStmt)
+					if !ok {
+						return true
+					}
+					var assert ast.Expr
+					switch a := ts.Assign.(type) {
+					case *ast.AssignStmt:
+						assert = a.Rhs[0]
+					case *ast.ExprStmt:
+						assert = a.X
+					}
+					if t := pkg.Info.TypeOf(assert.(*ast.TypeAssertExpr).X); t == nil || t.String() != "go/ast.Stmt" {
+						return true
+					}
+					for _, c := range ts.Body.List {
+						for _, e := range c.(*ast.CaseClause).List {
+							walker = walker || types.ExprString(e) == "*ast.IfStmt"
+						}
+					}
+					return true
+				})
+				if walker {
+					out = append(out, filepath.Base(pkg.position(fd.Pos()).Filename)+":"+fd.Name.Name)
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestOneStatementWalker pins one statement walker under the
+// flow-sensitive passes: a pass that needs control flow gives flow.go's
+// walker a state and hooks instead of cloning branches itself. The only
+// other statement switch with an if arm is valueflow.go's origin scan,
+// a depth-join summary scanner rather than a branch-cloning walker.
+func TestOneStatementWalker(t *testing.T) {
+	if got, want := statementWalkers(t), []string{"flow.go:walkStmt", "valueflow.go:scanStmt"}; !slices.Equal(got, want) {
+		t.Errorf("statement walkers = %v, want %v", got, want)
+	}
 }
 
 // TestMalformedSuppression: a reason-less marker suppresses nothing and
-// is itself reported, so suppressions cannot silently rot.
+// is itself reported, and so is a marker that covers no finding of its
+// pass, so suppressions cannot silently rot.
 func TestMalformedSuppression(t *testing.T) {
 	pkg := loadFixture(t, "lintbad")
 	idx := NewIndex([]*Package{pkg})
-	diags := ApplySuppressions([]*Package{pkg}, NewErrDrop().Run(pkg, idx))
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2 (malformed marker + undropped finding): %v", len(diags), diags)
+	pass := NewErrDrop()
+	diags := ApplySuppressions([]*Package{pkg}, pass.Run(pkg, idx), pass)
+	if len(diags) != 3 {
+		t.Fatalf("got %d diagnostics, want 3 (malformed marker + undropped finding + dead marker): %v", len(diags), diags)
 	}
 	if diags[0].Pass != "lint" || !strings.Contains(diags[0].Message, "malformed suppression") {
 		t.Errorf("first diagnostic = %s, want a lint malformed-suppression report", diags[0])
 	}
 	if diags[1].Pass != "errdrop" {
 		t.Errorf("second diagnostic = %s, want the unsuppressed errdrop finding", diags[1])
+	}
+	if diags[2].Pass != "lint" || !strings.Contains(diags[2].Message, "dead suppression: no errdrop finding") {
+		t.Errorf("third diagnostic = %s, want a lint dead-suppression report", diags[2])
+	}
+	// A marker is judged only against a pass that ran.
+	if got := ApplySuppressions([]*Package{pkg}, nil); len(got) != 1 {
+		t.Errorf("with no pass run, got %v, want only the malformed marker", got)
 	}
 }
 
@@ -235,7 +309,7 @@ func TestRepoIsClean(t *testing.T) {
 			diags = append(diags, pass.Run(pkg, idx)...)
 		}
 	}
-	for _, d := range ApplySuppressions(pkgs, diags) {
+	for _, d := range ApplySuppressions(pkgs, diags, Passes()...) {
 		t.Errorf("unsuppressed finding: %s", d)
 	}
 }
@@ -314,12 +388,9 @@ func TestNoLockblockWaiversInRados(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pkg := range pkgs {
-		sups, _ := collectSuppressions(pkg)
-		for s := range sups {
-			if s.pass == "lockblock" {
-				t.Errorf("%s:%d: lockblock waiver found in internal/rados; the pipelined write path must hold no lock across RPCs", s.file, s.line)
-			}
+	for _, w := range Waivers(pkgs) {
+		if w.Pass == "lockblock" {
+			t.Errorf("%s:%d: lockblock waiver found in internal/rados; the pipelined write path must hold no lock across RPCs", w.Pos.Filename, w.Pos.Line)
 		}
 	}
 }

@@ -9,17 +9,17 @@ import (
 	"strings"
 )
 
-// This file is the shared cross-package infrastructure under the three
-// protocol passes (lockorder, rpcflow, retrysafe): a synchronous-only
-// call graph with hop-bounded summary propagation, lock identity
-// resolution (mutex = owning struct type + field), and the wire-endpoint
-// derivation that maps Listen registrations and Call destinations onto
-// daemon handlers.
+// This file is the shared cross-package infrastructure under the
+// protocol passes (lockorder, rpcflow, retrysafe) and lockblock: a
+// synchronous-only call graph with one hop-bounded reach helper, lock
+// identity resolution (mutex = owning struct type + field), and the
+// wire-endpoint derivation that maps Listen registrations and Call
+// destinations onto daemon handlers.
 //
 // "Synchronous" is load-bearing everywhere here: function literals and
 // go statements run on their own stacks, so their bodies never extend a
 // caller's lock scope or a handler's wait-for chain. Every traversal in
-// this file skips them, exactly as lockblock's blockingSummaries does.
+// this file skips them.
 
 // maxHops bounds how many call edges a summary propagates through. The
 // paper-scale daemons keep their RPC plumbing shallow (handler → client
@@ -104,13 +104,6 @@ func lockIdentOf(pkg *Package, lockExpr ast.Expr) (string, bool) {
 	return key + "." + sel.Sel.Name, true
 }
 
-// lockAcq is one mutex acquisition a function may perform, with the
-// call-path witness leading to the Lock call.
-type lockAcq struct {
-	ident string
-	chain []chainStep
-}
-
 // sortedDeclNames returns the index's function names in stable order so
 // every propagation below is deterministic.
 func sortedDeclNames(idx *Index) []string {
@@ -122,47 +115,54 @@ func sortedDeclNames(idx *Index) []string {
 	return names
 }
 
-// acquireSummaries computes, per function, the set of identified
-// mutexes the function may acquire on its own stack within maxHops call
-// edges, each with a witness chain ending at the Lock call. Release is
-// deliberately ignored: "B acquired while A is held" establishes the
-// lock-order edge even if B is released before returning.
-func acquireSummaries(idx *Index) map[string][]lockAcq {
-	sums := make(map[string][]lockAcq)
-	names := sortedDeclNames(idx)
+// reached is one fact a function reaches on its own stack — a Lock of
+// one mutex identity, a wire Call, a blocking operation — with the
+// witness chain: the call hops, then the site itself.
+type reached struct {
+	key   string
+	chain []chainStep
+}
 
-	for _, name := range names {
-		fd := idx.decls[name]
-		var acqs []lockAcq
-		syncInspect(fd.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+// site names the operation the chain ends at.
+func (r reached) site() string { return r.chain[len(r.chain)-1].name }
+
+// reachSummaries is the one hop-bounded reach helper under lockblock,
+// lockorder and retrysafe: per function, the facts it reaches on its own
+// stack within maxHops call edges. direct names the fact one body node
+// is, by key and witness name ("" for none). Each key is recorded once
+// per function, with the first of the shortest chains that find it.
+func reachSummaries(idx *Index, direct func(pkg *Package, n ast.Node) (key, name string)) map[string][]reached {
+	sums := make(map[string][]reached)
+	names := sortedDeclNames(idx)
+	has := func(facts []reached, key string) bool {
+		for _, f := range facts {
+			if f.key == key {
 				return true
 			}
-			if op, lockExpr := lockOp(fd.Pkg, call); op == opLock {
-				if ident, ok := lockIdentOf(fd.Pkg, lockExpr); ok {
-					acqs = append(acqs, lockAcq{ident: ident, chain: []chainStep{{name: ident, pos: fd.Pkg.position(call.Pos())}}})
-				}
+		}
+		return false
+	}
+	for _, name := range names {
+		fd := idx.decls[name]
+		var facts []reached
+		syncInspect(fd.Decl.Body, func(n ast.Node) bool {
+			if key, what := direct(fd.Pkg, n); key != "" && !has(facts, key) {
+				facts = append(facts, reached{key: key, chain: []chainStep{{name: what, pos: fd.Pkg.position(n.Pos())}}})
 			}
 			return true
 		})
-		if len(acqs) > 0 {
-			sums[name] = acqs
+		if len(facts) > 0 {
+			sums[name] = facts
 		}
 	}
 
-	// BFS rounds: each round extends reach by one call hop, and an
-	// identity is recorded with the first (shortest) chain that finds it.
+	// BFS rounds: each round extends reach by one call hop.
 	for hop := 1; hop < maxHops; hop++ {
-		next := make(map[string][]lockAcq, len(sums))
+		next := make(map[string][]reached, len(sums))
 		changed := false
 		for _, name := range names {
 			fd := idx.decls[name]
-			have := make(map[string]bool)
-			merged := append([]lockAcq(nil), sums[name]...)
-			for _, a := range merged {
-				have[a.ident] = true
-			}
+			merged := append([]reached(nil), sums[name]...)
 			syncInspect(fd.Decl.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -172,13 +172,12 @@ func acquireSummaries(idx *Index) map[string][]lockAcq {
 				if fn == nil {
 					return true
 				}
-				for _, a := range sums[fn.FullName()] {
-					if have[a.ident] {
+				for _, r := range sums[fn.FullName()] {
+					if has(merged, r.key) {
 						continue
 					}
-					have[a.ident] = true
-					chain := append([]chainStep{{name: fn.FullName(), pos: fd.Pkg.position(call.Pos())}}, a.chain...)
-					merged = append(merged, lockAcq{ident: a.ident, chain: chain})
+					chain := append([]chainStep{{name: fn.FullName(), pos: fd.Pkg.position(call.Pos())}}, r.chain...)
+					merged = append(merged, reached{key: r.key, chain: chain})
 					changed = true
 				}
 				return true
@@ -195,79 +194,52 @@ func acquireSummaries(idx *Index) map[string][]lockAcq {
 	return sums
 }
 
-// rpcReach records that a function reaches a blocking wire RPC on its
-// own stack, with the witness chain ending at the Call invocation.
-type rpcReach struct {
-	callee string
-	chain  []chainStep
+// acquireSummaries is, per function, each identified mutex it may
+// acquire, keyed by identity, with the chain ending at the Lock call.
+// Release is deliberately ignored: "B acquired while A is held"
+// establishes the lock-order edge even if B is released before
+// returning.
+func acquireSummaries(idx *Index) map[string][]reached {
+	return reachSummaries(idx, func(pkg *Package, n ast.Node) (string, string) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if op, lockExpr := lockOp(pkg, call); op == opLock {
+				if ident, ok := lockIdentOf(pkg, lockExpr); ok {
+					return ident, ident
+				}
+			}
+		}
+		return "", ""
+	})
 }
 
-// rpcSummaries computes, per function, whether a synchronous wire Call
-// (any method named Call taking a context.Context first) is reachable
-// within maxHops call edges.
-func rpcSummaries(idx *Index) map[string]rpcReach {
-	sums := make(map[string]rpcReach)
-	names := sortedDeclNames(idx)
-
-	for _, name := range names {
-		fd := idx.decls[name]
-		if _, ok := sums[name]; ok {
-			continue
+// firstReach is reachSummaries for a fact of one kind: what names is the
+// witness of a node that is one ("" for none), and each function keeps
+// the first it reaches.
+func firstReach(idx *Index, what func(pkg *Package, n ast.Node) string) map[string]reached {
+	out := make(map[string]reached)
+	for name, facts := range reachSummaries(idx, func(pkg *Package, n ast.Node) (string, string) {
+		if w := what(pkg, n); w != "" {
+			return "first", w
 		}
-		syncInspect(fd.Decl.Body, func(n ast.Node) bool {
-			if _, done := sums[name]; done {
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn := Callee(fd.Pkg.Info, call); fn != nil && isWireCall(fn) {
-				sums[name] = rpcReach{
-					callee: fn.FullName(),
-					chain:  []chainStep{{name: fn.FullName(), pos: fd.Pkg.position(call.Pos())}},
-				}
-				return false
-			}
-			return true
-		})
+		return "", ""
+	}) {
+		out[name] = facts[0]
 	}
+	return out
+}
 
-	for hop := 1; hop < maxHops; hop++ {
-		changed := false
-		for _, name := range names {
-			if _, done := sums[name]; done {
-				continue
+// rpcSummaries is, per function, the first synchronous wire Call (any
+// method named Call taking a context.Context first) it reaches, with
+// the chain ending at the Call.
+func rpcSummaries(idx *Index) map[string]reached {
+	return firstReach(idx, func(pkg *Package, n ast.Node) string {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := Callee(pkg.Info, call); fn != nil && isWireCall(fn) {
+				return fn.FullName()
 			}
-			fd := idx.decls[name]
-			syncInspect(fd.Decl.Body, func(n ast.Node) bool {
-				if _, done := sums[name]; done {
-					return false
-				}
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := Callee(fd.Pkg.Info, call)
-				if fn == nil {
-					return true
-				}
-				if r, ok := sums[fn.FullName()]; ok {
-					sums[name] = rpcReach{
-						callee: r.callee,
-						chain:  append([]chainStep{{name: fn.FullName(), pos: fd.Pkg.position(call.Pos())}}, r.chain...),
-					}
-					changed = true
-					return false
-				}
-				return true
-			})
 		}
-		if !changed {
-			break
-		}
-	}
-	return sums
+		return ""
+	})
 }
 
 // ---- wire endpoint derivation ----

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // NewChanLife builds the chanlife pass, three channel-lifecycle checks
@@ -18,13 +19,13 @@ import (
 //     neither blocks nor escapes — the loop spins a core instead of
 //     parking on its channels.
 //
-// The close tracking is flow-sensitive per function: branches are
-// scanned with a copy of the closed set, and closes made in a branch
-// that falls through (does not return/panic/branch away) flow back to
-// the code after it — closedness, unlike a lock, is sticky. Assigning a
-// fresh channel to the expression clears it (the close-and-replace
-// broadcast idiom). Function literals run on their own stack and are
-// scanned as independent roots.
+// The close tracking is flow-sensitive per function, on the one
+// statement walker (flow.go): each branch arm runs on its own copy of
+// the closed set, and closes made in an arm that falls through (does not
+// return/panic/branch away) flow to the code after the statement —
+// closedness, unlike a lock, is sticky — but never to a sibling arm.
+// Assigning a fresh channel to the expression clears it (the
+// close-and-replace broadcast idiom).
 func NewChanLife() *Pass {
 	return &Pass{
 		Name: "chanlife",
@@ -42,13 +43,26 @@ func NewChanLife() *Pass {
 
 func runChanLife(pkg *Package, idx *Index) []Diagnostic {
 	s := &clScanner{pkg: pkg}
+	s.flow = flow[clState]{
+		stmt:  s.stmt,
+		expr:  s.expr,
+		clone: func(st clState) clState { return maps.Clone(st) },
+		join: func(st clState, arms []clState) {
+			for _, arm := range arms {
+				for k, v := range arm {
+					if _, ok := st[k]; !ok {
+						st[k] = v
+					}
+				}
+			}
+		},
+		fresh: func() clState { return make(clState) },
+	}
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				s.flow.root(fd.Body, make(clState))
 			}
-			s.scanRoot(fd.Body)
 		}
 	}
 	return s.diags
@@ -58,84 +72,18 @@ func runChanLife(pkg *Package, idx *Index) []Diagnostic {
 // the close that closed it on this path.
 type clState map[string]token.Pos
 
-func (s clState) clone() clState {
-	out := make(clState, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
 type clScanner struct {
 	pkg   *Package
+	flow  flow[clState]
 	diags []Diagnostic
 }
 
-func (s *clScanner) scanRoot(body *ast.BlockStmt) {
-	s.scanStmts(body.List, make(clState))
-	// Literals are separate goroutine/closure stacks with their own
-	// channel lifecycle; scan each as a fresh root.
-	var lits []*ast.FuncLit
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			lits = append(lits, fl)
-			return false
-		}
-		return true
-	})
-	for _, fl := range lits {
-		s.scanRoot(fl.Body)
+func (s *clScanner) stmt(st clState, stmt ast.Stmt) {
+	for _, e := range evaluated(stmt) {
+		s.expr(st, e)
 	}
-}
-
-func (s *clScanner) scanStmts(list []ast.Stmt, st clState) {
-	for _, stmt := range list {
-		s.scanStmt(stmt, st)
-	}
-}
-
-// scanBranch scans a nested block with a copy of the state and merges
-// the branch's closes back unless the branch escapes (its last
-// statement returns, branches away, or panics): a close on a
-// fall-through path is visible to everything after the statement.
-func (s *clScanner) scanBranch(list []ast.Stmt, st clState) {
-	branch := st.clone()
-	s.scanStmts(list, branch)
-	if branchEscapes(list) {
-		return
-	}
-	for k, v := range branch {
-		if _, ok := st[k]; !ok {
-			st[k] = v
-		}
-	}
-}
-
-// branchEscapes reports whether control cannot fall out of the bottom
-// of the statement list.
-func branchEscapes(list []ast.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	switch x := list[len(list)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := x.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (s *clScanner) scanStmt(stmt ast.Stmt, st clState) {
 	switch x := stmt.(type) {
-	case *ast.ExprStmt:
-		s.scanExpr(x.X, st)
 	case *ast.SendStmt:
-		s.scanExpr(x.Value, st)
 		key := types.ExprString(x.Chan)
 		if pos, ok := st[key]; ok {
 			s.diags = append(s.diags, Diagnostic{
@@ -146,137 +94,42 @@ func (s *clScanner) scanStmt(stmt ast.Stmt, st clState) {
 			})
 		}
 	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			s.scanExpr(e, st)
-		}
 		// Assigning over the expression installs a fresh channel.
 		for _, e := range x.Lhs {
 			delete(st, types.ExprString(e))
 		}
-	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			s.scanExpr(e, st)
-		}
-	case *ast.IncDecStmt:
-		s.scanExpr(x.X, st)
-	case *ast.DeferStmt:
-		// defer close(ch) runs after every later statement in the
-		// function; it closes nothing on this path.
-		for _, e := range x.Call.Args {
-			if _, ok := e.(*ast.FuncLit); !ok {
-				s.scanExpr(e, st)
-			}
-		}
-	case *ast.GoStmt:
-		for _, e := range x.Call.Args {
-			if _, ok := e.(*ast.FuncLit); !ok {
-				s.scanExpr(e, st)
-			}
-		}
-	case *ast.BlockStmt:
-		s.scanStmts(x.List, st)
-	case *ast.IfStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		s.scanExpr(x.Cond, st)
-		s.scanBranch(x.Body.List, st)
-		switch e := x.Else.(type) {
-		case *ast.BlockStmt:
-			s.scanBranch(e.List, st)
-		case *ast.IfStmt:
-			s.scanStmt(e, st)
-		}
 	case *ast.ForStmt:
 		s.checkSpin(x)
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		if x.Cond != nil {
-			s.scanExpr(x.Cond, st)
-		}
-		s.scanBranch(x.Body.List, st)
-	case *ast.RangeStmt:
-		s.scanExpr(x.X, st)
-		s.scanBranch(x.Body.List, st)
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		if x.Tag != nil {
-			s.scanExpr(x.Tag, st)
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanBranch(cc.Body, st)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanBranch(cc.Body, st)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				branch := st.clone()
-				if cc.Comm != nil {
-					s.scanStmt(cc.Comm, branch)
-				}
-				s.scanStmts(cc.Body, branch)
-				if !branchEscapes(cc.Body) {
-					for k, v := range branch {
-						if _, ok := st[k]; !ok {
-							st[k] = v
-						}
-					}
-				}
-			}
-		}
-	case *ast.LabeledStmt:
-		s.scanStmt(x.Stmt, st)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						s.scanExpr(v, st)
-					}
-				}
-			}
-		}
 	}
 }
 
-// scanExpr finds close(ch) calls in evaluation position and updates or
-// checks the closed set. Literals are skipped (scanned as roots).
-func (s *clScanner) scanExpr(e ast.Expr, st clState) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			id, ok := ast.Unparen(x.Fun).(*ast.Ident)
-			if !ok || id.Name != "close" || len(x.Args) != 1 {
-				return true
-			}
-			if _, isBuiltin := s.pkg.Info.ObjectOf(id).(*types.Builtin); !isBuiltin {
-				return true
-			}
-			key := types.ExprString(x.Args[0])
-			if pos, ok := st[key]; ok {
-				s.diags = append(s.diags, Diagnostic{
-					Pos:  s.pkg.position(x.Pos()),
-					Pass: "chanlife",
-					Message: fmt.Sprintf("second close of %s (already closed at line %d; close of closed channel panics)",
-						key, s.pkg.position(pos).Line),
-				})
-			} else {
-				st[key] = x.Pos()
-			}
+// expr finds close(ch) calls in evaluation position and updates or
+// checks the closed set. A deferred close(ch) never gets here: it runs
+// after every later statement, so it closes nothing on this path.
+func (s *clScanner) expr(st clState, e ast.Expr) {
+	s.flow.inspect(st, e, func(n ast.Node) {
+		x, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
 		}
-		return true
+		id, ok := ast.Unparen(x.Fun).(*ast.Ident)
+		if !ok || id.Name != "close" || len(x.Args) != 1 {
+			return
+		}
+		if _, isBuiltin := s.pkg.Info.ObjectOf(id).(*types.Builtin); !isBuiltin {
+			return
+		}
+		key := types.ExprString(x.Args[0])
+		if pos, ok := st[key]; ok {
+			s.diags = append(s.diags, Diagnostic{
+				Pos:  s.pkg.position(x.Pos()),
+				Pass: "chanlife",
+				Message: fmt.Sprintf("second close of %s (already closed at line %d; close of closed channel panics)",
+					key, s.pkg.position(pos).Line),
+			})
+		} else {
+			st[key] = x.Pos()
+		}
 	})
 }
 

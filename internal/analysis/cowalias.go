@@ -34,17 +34,7 @@ func NewCowAlias() *Pass {
 		Scope: inPrefix("repro/internal/"),
 	}
 
-	var (
-		cached *Index
-		byPkg  map[string][]Diagnostic
-	)
-	p.Run = func(pkg *Package, idx *Index) []Diagnostic {
-		if idx != cached {
-			byPkg = cowAliasAll(idx)
-			cached = idx
-		}
-		return byPkg[pkg.Path]
-	}
+	p.Run = byPackage(cowAliasAll)
 	return p
 }
 

@@ -25,15 +25,9 @@ func NewEpochGuard() *Pass {
 		Name: "epochguard",
 		Doc:  "epoch-carrying op handlers must compare request epoch to daemon epoch before mutating object state",
 	}
-	var (
-		cached    *Index
-		summaries map[string]egSummary
-	)
+	summariesFor := perIndex(epochSummaries)
 	p.Run = func(pkg *Package, idx *Index) []Diagnostic {
-		if idx != cached {
-			summaries = epochSummaries(idx)
-			cached = idx
-		}
+		summaries := summariesFor(idx)
 		var diags []Diagnostic
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {

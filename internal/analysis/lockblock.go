@@ -9,22 +9,24 @@ import (
 	"strings"
 )
 
-// NewLockBlock builds the lockblock pass: no sync.Mutex/RWMutex held
-// across a blocking operation — a wire RPC (any method named Call whose
-// first parameter is a context.Context), a channel send or receive, a
-// blocking select, or time.Sleep — in the daemon packages. Holding a
-// lock across the fabric is the classic distributed-deadlock shape: the
+// NewLockBlock builds the lockblock pass, the one "held across a
+// blocking operation" report: no sync.Mutex/RWMutex held across a wire
+// RPC (any method named Call whose first parameter is a
+// context.Context), a channel send or receive, a blocking select, or
+// time.Sleep in the daemon packages, zlog and wire. Holding a lock
+// across the fabric is the classic distributed-deadlock shape: the
 // callee may need the same lock (directly, or via a callback through
 // the same daemon) and the whole quorum wedges.
 //
-// The scan is per-function with lock state keyed by the receiver
-// expression (s.mu). Branches run on a copy of the state, so an
-// early-unlock-and-return path does not poison the fall-through path.
+// It reads the one held-lock walk (flow.go): lock state keyed by the
+// receiver expression (s.mu), each branch arm on a copy, so an
+// early-unlock-and-return path does not poison the fall-through path;
 // defer mu.Unlock() leaves the lock held to the end of the function,
-// which is exactly what it does at runtime. Calls into functions that
-// themselves block (transitively, across packages) count as blocking at
-// the call site. Function literals are separate goroutine/deferred
-// bodies and are scanned as independent roots with no lock held.
+// which is exactly what it does at runtime; a function starts from its
+// documented entry locks, and lock helpers count. A call into a function
+// that itself blocks within maxHops synchronous call hops, across
+// packages, counts as blocking at the call site, and the finding carries
+// the witness chain down to the blocking operation.
 func NewLockBlock() *Pass {
 	p := &Pass{
 		Name: "lockblock",
@@ -34,241 +36,80 @@ func NewLockBlock() *Pass {
 			"repro/internal/mds",
 			"repro/internal/rados",
 			"repro/internal/paxos",
+			"repro/internal/zlog",
+			"repro/internal/wire",
 		),
 	}
-	var (
-		cached   *Index
-		blocking map[string]string
-	)
-	p.Run = func(pkg *Package, idx *Index) []Diagnostic {
-		if idx != cached {
-			blocking = blockingSummaries(idx)
-			cached = idx
-		}
-		s := &lockScanner{pkg: pkg, pass: p.Name, blocking: blocking}
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					s.scanRoot(fd.Body)
-				}
-			}
-		}
-		return s.diags
-	}
+	p.Run = byPackage(func(idx *Index) map[string][]Diagnostic { return lockBlockDiagnostics(p.Name, idx) })
 	return p
 }
 
-// lockState maps a lock's receiver expression to where it was acquired.
-type lockState map[string]token.Pos
-
-func (ls lockState) clone() lockState {
-	out := make(lockState, len(ls))
-	for k, v := range ls {
-		out[k] = v
-	}
-	return out
-}
-
-type lockScanner struct {
-	pkg      *Package
-	pass     string
-	blocking map[string]string
-	diags    []Diagnostic
-}
-
-func (s *lockScanner) report(pos token.Pos, what string, held lockState) {
-	names := make([]string, 0, len(held))
-	for k := range held {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	s.diags = append(s.diags, Diagnostic{
-		Pos:  s.pkg.position(pos),
-		Pass: s.pass,
-		Message: fmt.Sprintf("%s held across %s (acquired at line %d)",
-			strings.Join(names, ", "), what, s.pkg.position(held[names[0]]).Line),
-	})
-}
-
-// scanRoot scans a function or literal body with an empty lock state,
-// then scans each directly nested function literal as its own root.
-func (s *lockScanner) scanRoot(body *ast.BlockStmt) {
-	s.scanStmts(body.List, lockState{})
-	var lits []*ast.FuncLit
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			lits = append(lits, fl)
-			return false
+func lockBlockDiagnostics(pass string, idx *Index) map[string][]Diagnostic {
+	blocking := blockingReach(idx)
+	byPkg := make(map[string][]Diagnostic)
+	for _, s := range heldSites(idx) {
+		if !anyHeld(s.locks) {
+			continue
 		}
-		return true
-	})
-	for _, fl := range lits {
-		s.scanRoot(fl.Body)
-	}
-}
-
-func (s *lockScanner) scanStmts(list []ast.Stmt, held lockState) {
-	for _, st := range list {
-		s.scanStmt(st, held)
-	}
-}
-
-func (s *lockScanner) scanStmt(st ast.Stmt, held lockState) {
-	switch x := st.(type) {
-	case *ast.ExprStmt:
-		s.scanExpr(x.X, held)
-	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			s.scanExpr(e, held)
-		}
-		for _, e := range x.Lhs {
-			s.scanExpr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			s.scanExpr(e, held)
-		}
-	case *ast.IncDecStmt:
-		s.scanExpr(x.X, held)
-	case *ast.SendStmt:
-		if len(held) > 0 {
-			s.report(x.Pos(), "channel send", held)
-		}
-		s.scanExpr(x.Value, held)
-	case *ast.DeferStmt:
-		// A deferred Unlock runs at return: the lock stays held for the
-		// rest of the function, which the state already says. Only the
-		// argument expressions run now.
-		for _, e := range x.Call.Args {
-			s.scanExpr(e, held)
-		}
-	case *ast.GoStmt:
-		// The spawned body runs on its own stack (scanned as a root);
-		// only the argument expressions run here.
-		for _, e := range x.Call.Args {
-			s.scanExpr(e, held)
-		}
-	case *ast.BlockStmt:
-		s.scanStmts(x.List, held)
-	case *ast.IfStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, held)
-		}
-		s.scanExpr(x.Cond, held)
-		s.scanStmts(x.Body.List, held.clone())
-		if x.Else != nil {
-			s.scanStmt(x.Else, held.clone())
-		}
-	case *ast.ForStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, held)
-		}
-		if x.Cond != nil {
-			s.scanExpr(x.Cond, held)
-		}
-		body := held.clone()
-		s.scanStmts(x.Body.List, body)
-		if x.Post != nil {
-			s.scanStmt(x.Post, body)
-		}
-	case *ast.RangeStmt:
-		s.scanExpr(x.X, held)
-		s.scanStmts(x.Body.List, held.clone())
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, held)
-		}
-		if x.Tag != nil {
-			s.scanExpr(x.Tag, held)
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, held.clone())
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, held.clone())
-			}
-		}
-	case *ast.SelectStmt:
-		blockingSelect := true
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				blockingSelect = false
-			}
-		}
-		if blockingSelect && len(held) > 0 {
-			s.report(x.Pos(), "blocking select", held)
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				s.scanStmts(cc.Body, held.clone())
-			}
-		}
-	case *ast.LabeledStmt:
-		s.scanStmt(x.Stmt, held)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						s.scanExpr(v, held)
-					}
-				}
-			}
-		}
-	}
-}
-
-// scanExpr walks one expression: lock/unlock calls mutate the state,
-// blocking operations under a non-empty state are reported.
-func (s *lockScanner) scanExpr(e ast.Expr, held lockState) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if op, lockExpr := lockOp(s.pkg, x); op != 0 {
-				key := types.ExprString(lockExpr)
-				if op == opLock {
-					held[key] = x.Pos()
-				} else {
-					delete(held, key)
-				}
-				return true
-			}
-			if len(held) > 0 {
-				if why := s.blockingCall(x); why != "" {
-					s.report(x.Pos(), why, held)
-				}
-			}
+		var (
+			what  string
+			chain []chainStep
+		)
+		switch x := s.node.(type) {
+		case *ast.SendStmt:
+			what = "channel send"
 		case *ast.UnaryExpr:
-			if x.Op == token.ARROW && len(held) > 0 {
-				s.report(x.Pos(), "channel receive", held)
+			what = "channel receive"
+		case *ast.SelectStmt:
+			what = "blocking select"
+		case *ast.CallExpr:
+			what, chain = blockingCall(s.pkg, x, blocking)
+		}
+		if what == "" {
+			continue
+		}
+		var held []heldLock
+		var names []string
+		for _, l := range s.locks {
+			if l.held() {
+				held = append(held, l)
 			}
 		}
-		return true
-	})
+		sort.Slice(held, func(i, j int) bool { return held[i].expr < held[j].expr })
+		for _, l := range held {
+			names = append(names, l.expr)
+		}
+		byPkg[s.pkg.Path] = append(byPkg[s.pkg.Path], Diagnostic{
+			Pos:  s.pkg.position(s.node.Pos()),
+			Pass: pass,
+			Message: fmt.Sprintf("%s held across %s (acquired at line %d)",
+				strings.Join(names, ", "), what, s.pkg.position(held[0].acquired).Line),
+			Related: relatedOf(chain),
+		})
+	}
+	return byPkg
 }
 
-func (s *lockScanner) blockingCall(call *ast.CallExpr) string {
-	fn := Callee(s.pkg.Info, call)
+// blockingCall says why a call blocks: time.Sleep, a wire Call, or a
+// callee that blocks within maxHops hops, with the witness chain.
+func blockingCall(pkg *Package, call *ast.CallExpr, blocking map[string]reached) (string, []chainStep) {
+	fn := Callee(pkg.Info, call)
 	if fn == nil {
-		return ""
+		return "", nil
 	}
 	full := fn.FullName()
 	if full == "time.Sleep" {
-		return "time.Sleep"
+		return "time.Sleep", nil
 	}
 	if isWireCall(fn) {
-		return "blocking call " + full
+		return "blocking call " + full, nil
 	}
-	if why := s.blocking[full]; why != "" {
-		return fmt.Sprintf("call to %s (which blocks on %s)", full, why)
+	r, ok := blocking[full]
+	if !ok {
+		return "", nil
 	}
-	return ""
+	chain := append([]chainStep{{name: full, pos: pkg.position(call.Pos())}}, r.chain...)
+	return fmt.Sprintf("call to %s (which blocks on %s: %s)", full, shortName(r.site()), renderChain(chain)), chain
 }
 
 const (
@@ -324,84 +165,30 @@ func isWireCall(fn *types.Func) bool {
 	return ok && sig.Params().Len() > 0 && isContextType(sig.Params().At(0).Type())
 }
 
-// blockingSummaries computes, to a fixpoint over every loaded package,
-// which functions can block: a direct blocking operation in the body
-// (outside function literals and go statements), or a call to a
-// blocking function. The map value says why.
-func blockingSummaries(idx *Index) map[string]string {
-	sums := make(map[string]string)
-	for name, fd := range idx.decls {
-		if why := directBlockReason(fd); why != "" {
-			sums[name] = why
-		}
-	}
-	for {
-		changed := false
-		for name, fd := range idx.decls {
-			if sums[name] != "" {
-				continue
-			}
-			why := ""
-			ast.Inspect(fd.Decl.Body, func(n ast.Node) bool {
-				if why != "" {
-					return false
-				}
-				switch x := n.(type) {
-				case *ast.FuncLit, *ast.GoStmt:
-					return false
-				case *ast.CallExpr:
-					if fn := Callee(fd.Pkg.Info, x); fn != nil && sums[fn.FullName()] != "" {
-						why = fn.Name()
-					}
-				}
-				return true
-			})
-			if why != "" {
-				sums[name] = why
-				changed = true
-			}
-		}
-		if !changed {
-			return sums
-		}
-	}
-}
-
-func directBlockReason(fd FuncDecl) string {
-	why := ""
-	ast.Inspect(fd.Decl.Body, func(n ast.Node) bool {
-		if why != "" {
-			return false
-		}
+// blockingReach is, per function, the first blocking operation it
+// reaches on its own stack within maxHops call hops: a channel send or
+// receive, a select with no default, time.Sleep, or a wire Call.
+func blockingReach(idx *Index) map[string]reached {
+	return firstReach(idx, func(pkg *Package, n ast.Node) string {
 		switch x := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			return false
 		case *ast.SendStmt:
-			why = "a channel send"
+			return "a channel send"
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				why = "a channel receive"
+				return "a channel receive"
 			}
 		case *ast.SelectStmt:
-			blocking := true
 			for _, c := range x.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-					blocking = false
+				if c.(*ast.CommClause).Comm == nil {
+					return ""
 				}
 			}
-			if blocking {
-				why = "a select"
-			}
+			return "a select"
 		case *ast.CallExpr:
-			if fn := Callee(fd.Pkg.Info, x); fn != nil {
-				if fn.FullName() == "time.Sleep" {
-					why = "time.Sleep"
-				} else if isWireCall(fn) {
-					why = fn.FullName()
-				}
+			if fn := Callee(pkg.Info, x); fn != nil && (fn.FullName() == "time.Sleep" || isWireCall(fn)) {
+				return fn.FullName()
 			}
 		}
-		return true
+		return ""
 	})
-	return why
 }

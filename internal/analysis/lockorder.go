@@ -24,17 +24,7 @@ func NewLockOrder() *Pass {
 		Doc:   "the cross-package lock-acquisition-order graph must have no cycles",
 		Scope: inPrefix("repro/"),
 	}
-	var (
-		cached *Index
-		byPkg  map[string][]Diagnostic
-	)
-	p.Run = func(pkg *Package, idx *Index) []Diagnostic {
-		if idx != cached {
-			byPkg = lockOrderDiagnostics(p.Name, idx)
-			cached = idx
-		}
-		return byPkg[pkg.Path]
-	}
+	p.Run = byPackage(func(idx *Index) map[string][]Diagnostic { return lockOrderDiagnostics(p.Name, idx) })
 	return p
 }
 
@@ -47,264 +37,46 @@ type loEdge struct {
 	chain    []chainStep
 }
 
+// lockOrderDiagnostics turns the one held-lock walk (flow.go) into
+// order edges: at each acquisition, direct or through a callee's
+// acquire summary, an edge from every held lock with an identity. Local
+// mutexes have none and make no edges.
 func lockOrderDiagnostics(pass string, idx *Index) map[string][]Diagnostic {
 	acq := acquireSummaries(idx)
-	helpers := fgLockSummaries(idx)
-
 	edges := make(map[[2]string]loEdge)
-	addEdge := func(e loEdge) {
-		if e.from == e.to {
-			return
-		}
-		k := [2]string{e.from, e.to}
-		if _, ok := edges[k]; !ok {
-			edges[k] = e
-		}
-	}
-
-	for _, name := range sortedDeclNames(idx) {
-		fd := idx.decls[name]
-		s := &loScanner{pkg: fd.Pkg, idx: idx, acq: acq, helpers: helpers, add: addEdge}
-		s.scanStmts(fd.Decl.Body.List, preHeldIdents(fd.Pkg, fd.Decl))
-	}
-
-	return lockCycleDiagnostics(pass, edges)
-}
-
-// preHeldIdents maps a function's documented entry lock state ("Caller
-// holds e.mu", *Locked suffix) from receiver/parameter expressions to
-// mutex identities.
-func preHeldIdents(pkg *Package, fd *ast.FuncDecl) loState {
-	st := make(loState)
-	base := func(name string) (string, bool) {
-		if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 &&
-			fd.Recv.List[0].Names[0].Name == name {
-			key, _, ok := structKeyOf(pkg.Info.TypeOf(fd.Recv.List[0].Type))
-			return key, ok
-		}
-		if fd.Type.Params != nil {
-			for _, p := range fd.Type.Params.List {
-				for _, n := range p.Names {
-					if n.Name == name {
-						key, _, ok := structKeyOf(pkg.Info.TypeOf(p.Type))
-						return key, ok
-					}
-				}
-			}
-		}
-		return "", false
-	}
-	for expr := range preHeld(pkg, fd).held {
-		dot := strings.LastIndexByte(expr, '.')
-		if dot < 0 {
+	for _, s := range heldSites(idx) {
+		call, ok := s.node.(*ast.CallExpr)
+		if !ok {
 			continue
 		}
-		if key, ok := base(expr[:dot]); ok {
-			st[key+"."+expr[dot+1:]] = pkg.position(fd.Pos())
-		}
-	}
-	return st
-}
-
-// loState maps held mutex identities to their acquisition positions.
-type loState map[string]token.Position
-
-func (st loState) clone() loState {
-	out := make(loState, len(st))
-	for k, v := range st {
-		out[k] = v
-	}
-	return out
-}
-
-// loScanner is the flow-sensitive walker that turns held-state plus
-// acquisitions (direct, or via callee summaries) into order edges. The
-// statement handling mirrors lockblock's scanner: branches run on a
-// cloned state, deferred unlocks keep the lock held to function end,
-// and function literals / go bodies are other stacks (they are scanned
-// as their own roots by the top-level loop over declarations).
-type loScanner struct {
-	pkg     *Package
-	idx     *Index
-	acq     map[string][]lockAcq
-	helpers map[string]fgLockSum
-	add     func(loEdge)
-}
-
-func (s *loScanner) scanStmts(list []ast.Stmt, st loState) {
-	for _, stmt := range list {
-		s.scanStmt(stmt, st)
-	}
-}
-
-func (s *loScanner) scanStmt(stmt ast.Stmt, st loState) {
-	switch x := stmt.(type) {
-	case *ast.ExprStmt:
-		s.scanExpr(x.X, st)
-	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			s.scanExpr(e, st)
-		}
-		for _, e := range x.Lhs {
-			s.scanExpr(e, st)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			s.scanExpr(e, st)
-		}
-	case *ast.IncDecStmt:
-		s.scanExpr(x.X, st)
-	case *ast.SendStmt:
-		s.scanExpr(x.Chan, st)
-		s.scanExpr(x.Value, st)
-	case *ast.DeferStmt:
-		for _, e := range x.Call.Args {
-			s.scanExpr(e, st)
-		}
-	case *ast.GoStmt:
-		for _, e := range x.Call.Args {
-			s.scanExpr(e, st)
-		}
-	case *ast.BlockStmt:
-		s.scanStmts(x.List, st)
-	case *ast.IfStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		s.scanExpr(x.Cond, st)
-		s.scanStmts(x.Body.List, st.clone())
-		if x.Else != nil {
-			s.scanStmt(x.Else, st.clone())
-		}
-	case *ast.ForStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		if x.Cond != nil {
-			s.scanExpr(x.Cond, st)
-		}
-		body := st.clone()
-		s.scanStmts(x.Body.List, body)
-		if x.Post != nil {
-			s.scanStmt(x.Post, body)
-		}
-	case *ast.RangeStmt:
-		s.scanExpr(x.X, st)
-		s.scanStmts(x.Body.List, st.clone())
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		if x.Tag != nil {
-			s.scanExpr(x.Tag, st)
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, st.clone())
+		pos := s.pkg.position(call.Pos())
+		var to []reached
+		switch op, lockExpr := lockOp(s.pkg, call); op {
+		case opLock:
+			if ident, ok := lockIdentOf(s.pkg, lockExpr); ok {
+				to = []reached{{key: ident, chain: []chainStep{{name: ident, pos: pos}}}}
 			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, st.clone())
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				branch := st.clone()
-				if cc.Comm != nil {
-					s.scanStmt(cc.Comm, branch)
-				}
-				s.scanStmts(cc.Body, branch)
-			}
-		}
-	case *ast.LabeledStmt:
-		s.scanStmt(x.Stmt, st)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						s.scanExpr(v, st)
-					}
+		case 0:
+			if fn := Callee(s.pkg.Info, call); fn != nil {
+				for _, a := range acq[fn.FullName()] {
+					to = append(to, reached{key: a.key, chain: append([]chainStep{{name: fn.FullName(), pos: pos}}, a.chain...)})
 				}
 			}
 		}
-	}
-}
-
-func (s *loScanner) scanExpr(e ast.Expr, st loState) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if op, lockExpr := lockOp(s.pkg, x); op != 0 {
-				ident, ok := lockIdentOf(s.pkg, lockExpr)
-				if !ok {
-					return true // local mutex: no cross-function identity
-				}
-				pos := s.pkg.position(x.Pos())
-				if op == opLock {
-					for held, heldPos := range st {
-						s.add(loEdge{
-							from: held, to: ident, pkg: s.pkg.Path,
-							fromPos: heldPos,
-							chain:   []chainStep{{name: ident, pos: pos}},
-						})
-					}
-					st[ident] = pos
-				} else {
-					delete(st, ident)
-				}
-				return true
+		for _, l := range s.locks {
+			if !l.held() || l.ident == "" {
+				continue
 			}
-			s.applyCallee(x, st)
-		}
-		return true
-	})
-}
-
-// applyCallee handles a call while locks may be held: every mutex the
-// callee can acquire (within the hop bound) forms an edge from each
-// held lock, and a net lock/unlock helper updates the held state.
-func (s *loScanner) applyCallee(call *ast.CallExpr, st loState) {
-	fn := Callee(s.pkg.Info, call)
-	if fn == nil {
-		return
-	}
-	full := fn.FullName()
-	pos := s.pkg.position(call.Pos())
-	if len(st) > 0 {
-		for _, a := range s.acq[full] {
-			for held, heldPos := range st {
-				s.add(loEdge{
-					from: held, to: a.ident, pkg: s.pkg.Path,
-					fromPos: heldPos,
-					chain:   append([]chainStep{{name: full, pos: pos}}, a.chain...),
-				})
+			for _, a := range to {
+				k := [2]string{l.ident, a.key}
+				if _, ok := edges[k]; ok || l.ident == a.key {
+					continue
+				}
+				edges[k] = loEdge{from: l.ident, to: a.key, pkg: s.pkg.Path, fromPos: s.pkg.position(l.acquired), chain: a.chain}
 			}
 		}
 	}
-	sum, ok := s.helpers[full]
-	if !ok {
-		return
-	}
-	fd, ok := s.idx.DeclOf(fn)
-	if !ok {
-		return
-	}
-	_, recvKey, okRecv := receiverOf(fd.Pkg, fd.Decl)
-	if !okRecv {
-		return
-	}
-	for _, f := range sum.acquires {
-		st[recvKey+"."+f] = pos
-	}
-	for _, f := range sum.releases {
-		delete(st, recvKey+"."+f)
-	}
+	return lockCycleDiagnostics(pass, edges)
 }
 
 // lockCycleDiagnostics runs Tarjan's SCC over the edge set and reports

@@ -11,10 +11,10 @@ import (
 // NewPoolSafe checks sync.Pool handle lifecycles: a value obtained
 // with Get must be returned with exactly one Put on every path, must
 // not be used after Put (another goroutine may already hold it), and no
-// interior pointer read from the handle may outlive the Put. The
-// branch-cloned walk mirrors fieldguard's: each if/switch arm gets its
-// own state copy and the arms re-merge afterwards, so a Put on one arm
-// plus a use on the rejoined path is caught as may-be-returned.
+// interior pointer read from the handle may outlive the Put. It runs on
+// the one statement walker (flow.go): each if/switch arm gets its own
+// state copy and the arms re-merge afterwards, so a Put on one arm plus
+// a use on the rejoined path is caught as may-be-returned.
 func NewPoolSafe() *Pass {
 	p := &Pass{
 		Name: "poolsafe",
@@ -29,24 +29,14 @@ func NewPoolSafe() *Pass {
 		Scope: inPrefix("repro/internal/"),
 	}
 
-	var (
-		cached *Index
-		byPkg  map[string][]Diagnostic
-	)
-	p.Run = func(pkg *Package, idx *Index) []Diagnostic {
-		if idx != cached {
-			byPkg = poolSafeAll(idx)
-			cached = idx
-		}
-		return byPkg[pkg.Path]
-	}
+	p.Run = byPackage(poolSafeAll)
 	return p
 }
 
 const (
 	psLive  = iota // obtained, not yet returned
-	psPut           // returned to the pool on every path here
-	psMaybe         // returned on some path through a rejoined branch
+	psPut          // returned to the pool on every path here
+	psMaybe        // returned on some path through a rejoined branch
 )
 
 // psHandle is one tracked pool handle.
@@ -83,8 +73,8 @@ func (st *psState) clone() *psState {
 	return c
 }
 
-// merge folds a branch's end state back into st: a handle Put on one
-// arm but live on the other is maybe-returned afterwards.
+// merge folds another arm's end state into st: a handle Put on one arm
+// but live on another is maybe-returned afterwards.
 func (st *psState) merge(other *psState) {
 	for o, h := range st.handles {
 		oh, ok := other.handles[o]
@@ -108,9 +98,10 @@ func (st *psState) merge(other *psState) {
 
 type psScanner struct {
 	pkg     *Package
-	diags   *[]Diagnostic
+	flow    flow[*psState]
+	diags   map[string][]Diagnostic
+	seen    map[string]bool // dedupe across re-walked paths
 	inDefer bool
-	seen    map[string]bool // dedupe across re-scanned paths
 }
 
 func (s *psScanner) report(pos token.Pos, msg string, related []Related) {
@@ -120,31 +111,25 @@ func (s *psScanner) report(pos token.Pos, msg string, related []Related) {
 		return
 	}
 	s.seen[key] = true
-	*s.diags = append(*s.diags, Diagnostic{Pos: p, Pass: "poolsafe", Message: msg, Related: related})
+	s.diags[s.pkg.Path] = append(s.diags[s.pkg.Path], Diagnostic{Pos: p, Pass: "poolsafe", Message: msg, Related: related})
 }
 
 func poolSafeAll(idx *Index) map[string][]Diagnostic {
-	byPkg := make(map[string][]Diagnostic)
+	s := &psScanner{diags: make(map[string][]Diagnostic), seen: make(map[string]bool)}
+	s.flow = flow[*psState]{
+		stmt:  s.stmt,
+		expr:  func(st *psState, e ast.Expr) { s.checkUses(e, st) },
+		clone: (*psState).clone,
+		join:  mergeArms((*psState).merge),
+		fresh: newPSState,
+		end:   func(st *psState, body *ast.BlockStmt) { s.checkLeaks(st, body.End()) },
+	}
 	for _, name := range sortedDeclNames(idx) {
 		fd := idx.decls[name]
-		if fd.Decl.Body == nil {
-			continue
-		}
-		diags := byPkg[fd.Pkg.Path]
-		s := &psScanner{pkg: fd.Pkg, diags: &diags, seen: make(map[string]bool)}
-		st := newPSState()
-		terminated := s.scanStmts(fd.Decl.Body.List, st)
-		if !terminated {
-			s.checkLeaks(st, fd.Decl.Body.End())
-		}
-		byPkg[fd.Pkg.Path] = diags
+		s.pkg = fd.Pkg
+		s.flow.root(fd.Decl.Body, newPSState())
 	}
-	for path := range byPkg {
-		d := byPkg[path]
-		sort.Slice(d, func(i, j int) bool { return posLess(d[i].Pos, d[j].Pos) })
-		byPkg[path] = Dedupe(d)
-	}
-	return byPkg
+	return s.diags
 }
 
 // isPoolMethod reports whether call is (*sync.Pool).<method> and
@@ -188,85 +173,18 @@ func getCall(pkg *Package, e ast.Expr) (string, bool) {
 
 func (s *psScanner) obj(id *ast.Ident) types.Object { return s.pkg.Info.ObjectOf(id) }
 
-func (s *psScanner) scanStmts(list []ast.Stmt, st *psState) bool {
-	for _, stmt := range list {
-		if s.scanStmt(stmt, st) {
-			return true
-		}
-	}
-	return false
-}
-
-// scanStmt walks one statement; the return value reports whether the
-// path terminates (returns) inside it.
-func (s *psScanner) scanStmt(stmt ast.Stmt, st *psState) bool {
+// stmt walks one simple statement's lifecycle effects.
+func (s *psScanner) stmt(st *psState, stmt ast.Stmt) {
 	switch x := stmt.(type) {
 	case *ast.AssignStmt:
 		s.scanAssign(x, st)
 	case *ast.ExprStmt:
 		s.scanExpr(x.X, st)
 	case *ast.DeclStmt:
-		s.checkUses(x, st, nil)
+		s.checkUses(x, st)
 	case *ast.ReturnStmt:
-		s.checkUses(x, st, nil)
+		s.checkUses(x, st)
 		s.checkLeaks(st, x.Pos())
-		return true
-	case *ast.IfStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		s.checkUses(x.Cond, st, nil)
-		body := st.clone()
-		bodyTerm := s.scanStmts(x.Body.List, body)
-		elseSt := st.clone()
-		elseTerm := false
-		if x.Else != nil {
-			elseTerm = s.scanStmt(x.Else, elseSt)
-		}
-		switch {
-		case bodyTerm && elseTerm:
-			return true
-		case bodyTerm:
-			*st = *elseSt
-		case elseTerm:
-			*st = *body
-		default:
-			body.merge(elseSt)
-			*st = *body
-		}
-	case *ast.BlockStmt:
-		return s.scanStmts(x.List, st)
-	case *ast.LabeledStmt:
-		return s.scanStmt(x.Stmt, st)
-	case *ast.ForStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		if x.Cond != nil {
-			s.checkUses(x.Cond, st, nil)
-		}
-		s.scanStmts(x.Body.List, st)
-		if x.Post != nil {
-			s.scanStmt(x.Post, st)
-		}
-	case *ast.RangeStmt:
-		s.checkUses(x.X, st, nil)
-		s.scanStmts(x.Body.List, st)
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		if x.Tag != nil {
-			s.checkUses(x.Tag, st, nil)
-		}
-		s.scanCases(x.Body.List, st)
-	case *ast.TypeSwitchStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		s.scanCases(x.Body.List, st)
-	case *ast.SelectStmt:
-		s.scanCases(x.Body.List, st)
 	case *ast.DeferStmt:
 		s.scanDefer(x, st)
 	case *ast.GoStmt:
@@ -274,50 +192,10 @@ func (s *psScanner) scanStmt(stmt ast.Stmt, st *psState) bool {
 		// function's lifecycle discipline.
 		s.escapeIdents(x.Call, st)
 	case *ast.SendStmt:
-		s.checkUses(x.Value, st, nil)
+		s.checkUses(x.Value, st)
 		s.escapeIdents(x.Value, st)
 	case *ast.IncDecStmt:
-		s.checkUses(x.X, st, nil)
-	}
-	return false
-}
-
-func (s *psScanner) scanCases(clauses []ast.Stmt, st *psState) {
-	var merged *psState
-	hasDefault := false
-	for _, c := range clauses {
-		var body []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			if cc.List == nil {
-				hasDefault = true
-			}
-			body = cc.Body
-		case *ast.CommClause:
-			if cc.Comm == nil {
-				hasDefault = true
-			} else {
-				s.scanStmt(cc.Comm, st.clone())
-			}
-			body = cc.Body
-		default:
-			continue
-		}
-		arm := st.clone()
-		if s.scanStmts(body, arm) {
-			continue // terminated arm does not rejoin
-		}
-		if merged == nil {
-			merged = arm
-		} else {
-			merged.merge(arm)
-		}
-	}
-	if merged != nil {
-		if !hasDefault {
-			merged.merge(st) // the no-case-taken path
-		}
-		*st = *merged
+		s.checkUses(x.X, st)
 	}
 }
 
@@ -349,7 +227,7 @@ func (s *psScanner) scanAssign(x *ast.AssignStmt, st *psState) {
 			if rhs != nil {
 				s.escapeIdents(rhs, st)
 			}
-			s.checkUses(lhs, st, nil)
+			s.checkUses(lhs, st)
 			continue
 		}
 		obj := s.obj(id)
@@ -392,14 +270,14 @@ func (s *psScanner) scanAssign(x *ast.AssignStmt, st *psState) {
 func (s *psScanner) scanExpr(e ast.Expr, st *psState) {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
-		s.checkUses(e, st, nil)
+		s.checkUses(e, st)
 		return
 	}
 	if _, isPut := isPoolMethod(s.pkg, call, "Put"); isPut && len(call.Args) == 1 {
 		s.doPut(call, st)
 		return
 	}
-	s.checkUses(e, st, nil)
+	s.checkUses(e, st)
 	// A tracked handle passed whole as a call argument to an arbitrary
 	// function escapes: the callee may retain or Put it. Passing an
 	// interior field value (handle.f.x) does not transfer the handle.
@@ -417,7 +295,7 @@ func (s *psScanner) scanExpr(e ast.Expr, st *psState) {
 func (s *psScanner) doPut(call *ast.CallExpr, st *psState) {
 	arg, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
 	if !ok {
-		s.checkUses(call.Args[0], st, nil)
+		s.checkUses(call.Args[0], st)
 		return
 	}
 	obj := s.obj(arg)
@@ -459,23 +337,23 @@ func (s *psScanner) scanDefer(x *ast.DeferStmt, st *psState) {
 	if lit, ok := ast.Unparen(x.Call.Fun).(*ast.FuncLit); ok {
 		saved := s.inDefer
 		s.inDefer = true
-		s.scanStmts(lit.Body.List, st)
+		s.flow.run(st, lit)
 		s.inDefer = saved
 		return
 	}
-	s.checkUses(x.Call, st, nil)
+	s.checkUses(x.Call, st)
 }
 
 // checkUses reports any identifier use of a handle that is (or may be)
 // already returned to its pool, and of interior pointers whose parent
 // handle is dead.
-func (s *psScanner) checkUses(n ast.Node, st *psState, skip map[*ast.Ident]bool) {
+func (s *psScanner) checkUses(n ast.Node, st *psState) {
 	if n == nil {
 		return
 	}
 	ast.Inspect(n, func(node ast.Node) bool {
 		id, ok := node.(*ast.Ident)
-		if !ok || skip[id] {
+		if !ok {
 			return true
 		}
 		obj := s.obj(id)

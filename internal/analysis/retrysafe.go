@@ -36,17 +36,7 @@ func NewRetrySafe() *Pass {
 		Doc:   "ops resent by retry wrappers must be idempotent, versioned, or explicitly justified",
 		Scope: inPrefix("repro/"),
 	}
-	var (
-		cached *Index
-		byPkg  map[string][]Diagnostic
-	)
-	p.Run = func(pkg *Package, idx *Index) []Diagnostic {
-		if idx != cached {
-			byPkg = retrySafeDiagnostics(p.Name, idx)
-			cached = idx
-		}
-		return byPkg[pkg.Path]
-	}
+	p.Run = byPackage(func(idx *Index) map[string][]Diagnostic { return retrySafeDiagnostics(p.Name, idx) })
 	return p
 }
 
@@ -513,7 +503,7 @@ type retryWrapper struct {
 	rpc string
 }
 
-func retryWrappers(idx *Index, rpcs map[string]rpcReach) map[string]retryWrapper {
+func retryWrappers(idx *Index, rpcs map[string]reached) map[string]retryWrapper {
 	out := make(map[string]retryWrapper)
 	for _, name := range sortedDeclNames(idx) {
 		r, ok := rpcs[name]
@@ -534,7 +524,7 @@ func retryWrappers(idx *Index, rpcs map[string]rpcReach) map[string]retryWrapper
 			return true
 		})
 		if backoff {
-			out[name] = retryWrapper{pos: fd.Pkg.position(fd.Decl.Pos()), rpc: r.callee}
+			out[name] = retryWrapper{pos: fd.Pkg.position(fd.Decl.Pos()), rpc: r.site()}
 		}
 	}
 	return out

@@ -2,32 +2,24 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
-	"go/types"
 	"sort"
 	"strings"
 )
 
-// NewRPCFlow builds the rpcflow pass, the cross-package overlay of the
-// RPC topology on the lock discipline. It reports two shapes:
-//
-//  1. An RPC reached while any mutex is held, through one or more
-//     synchronous call hops — the generalization of lockblock beyond
-//     function boundaries. (Direct lock-across-Call in the same body
-//     stays lockblock's finding; rpcflow only reports what lockblock
-//     cannot see.)
-//  2. Synchronous wait-for cycles between daemon handlers: handler H1
-//     issues a wire Call whose destination endpoint is served by H2,
-//     and following such edges leads back to H1. With every daemon
-//     handler occupying its caller's goroutine, such a cycle is a
-//     distributed deadlock once the fabric saturates. Relay-protocol
-//     edges — the caller marks a boolean field (Forwarded / Replica /
-//     Proxied) that the receiving package branches on — are recorded
-//     but exempt, since a relayed request never relays again.
+// NewRPCFlow builds the rpcflow pass over the RPC topology: no
+// synchronous wait-for cycles between daemon handlers. Handler H1 issues
+// a wire Call whose destination endpoint is served by H2, and following
+// such edges leads back to H1. With every daemon handler occupying its
+// caller's goroutine, such a cycle is a distributed deadlock once the
+// fabric saturates. Relay-protocol edges — the caller marks a boolean
+// field (Forwarded / Replica / Proxied) that the receiving package
+// branches on — are recorded but exempt, since a relayed request never
+// relays again. A lock held while a call reaches an RPC, through any
+// number of hops, is lockblock's finding.
 func NewRPCFlow() *Pass {
 	p := &Pass{
 		Name: "rpcflow",
-		Doc:  "no RPC reached through call hops while a lock is held, and no synchronous handler wait-for cycles",
+		Doc:  "no synchronous handler wait-for cycles",
 		Scope: inPackages(
 			"repro/internal/mon",
 			"repro/internal/mds",
@@ -37,207 +29,15 @@ func NewRPCFlow() *Pass {
 			"repro/internal/wire",
 		),
 	}
-	var (
-		cached *Index
-		byPkg  map[string][]Diagnostic
-	)
-	p.Run = func(pkg *Package, idx *Index) []Diagnostic {
-		if idx != cached {
-			byPkg = rpcFlowDiagnostics(p.Name, idx)
-			cached = idx
-		}
-		return byPkg[pkg.Path]
-	}
+	p.Run = byPackage(func(idx *Index) map[string][]Diagnostic {
+		byPkg := make(map[string][]Diagnostic)
+		waitForCycles(p.Name, daemonEdges(idx, listenEndpoints(idx)), func(pkg string, d Diagnostic) {
+			byPkg[pkg] = append(byPkg[pkg], d)
+		})
+		return byPkg
+	})
 	return p
 }
-
-func rpcFlowDiagnostics(pass string, idx *Index) map[string][]Diagnostic {
-	byPkg := make(map[string][]Diagnostic)
-	add := func(pkg string, d Diagnostic) {
-		byPkg[pkg] = append(byPkg[pkg], d)
-	}
-
-	rpcs := rpcSummaries(idx)
-	for _, name := range sortedDeclNames(idx) {
-		fd := idx.decls[name]
-		s := &rfScanner{pass: pass, pkg: fd.Pkg, rpcs: rpcs, add: add}
-		s.scanBody(fd.Decl.Body, preHeld(fd.Pkg, fd.Decl))
-	}
-
-	eps := listenEndpoints(idx)
-	edges := daemonEdges(idx, eps)
-	waitForCycles(pass, edges, add)
-	return byPkg
-}
-
-// ---- part 1: RPC reached under a lock, across call hops ----
-
-// rfScanner reuses lockblock's held-state discipline (receiver-
-// expression keys, so local mutexes count too) but reports calls into
-// functions that transitively reach a wire Call. It deliberately does
-// not re-walk branches: an over-approximate linear scan is fine here
-// because lock state is still keyed per expression and branch-cloned.
-type rfScanner struct {
-	pass string
-	pkg  *Package
-	rpcs map[string]rpcReach
-	add  func(pkg string, d Diagnostic)
-}
-
-func (s *rfScanner) scanBody(body *ast.BlockStmt, pre fgState) {
-	held := lockState{}
-	for k := range pre.held {
-		held[k] = body.Pos()
-	}
-	s.scanStmts(body.List, held)
-}
-
-func (s *rfScanner) scanStmts(list []ast.Stmt, held lockState) {
-	for _, stmt := range list {
-		s.scanStmt(stmt, held)
-	}
-}
-
-func (s *rfScanner) scanStmt(stmt ast.Stmt, held lockState) {
-	switch x := stmt.(type) {
-	case *ast.ExprStmt:
-		s.scanExpr(x.X, held)
-	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			s.scanExpr(e, held)
-		}
-		for _, e := range x.Lhs {
-			s.scanExpr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			s.scanExpr(e, held)
-		}
-	case *ast.IncDecStmt:
-		s.scanExpr(x.X, held)
-	case *ast.SendStmt:
-		s.scanExpr(x.Chan, held)
-		s.scanExpr(x.Value, held)
-	case *ast.DeferStmt:
-		for _, e := range x.Call.Args {
-			s.scanExpr(e, held)
-		}
-	case *ast.GoStmt:
-		for _, e := range x.Call.Args {
-			s.scanExpr(e, held)
-		}
-	case *ast.BlockStmt:
-		s.scanStmts(x.List, held)
-	case *ast.IfStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, held)
-		}
-		s.scanExpr(x.Cond, held)
-		s.scanStmts(x.Body.List, held.clone())
-		if x.Else != nil {
-			s.scanStmt(x.Else, held.clone())
-		}
-	case *ast.ForStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, held)
-		}
-		if x.Cond != nil {
-			s.scanExpr(x.Cond, held)
-		}
-		body := held.clone()
-		s.scanStmts(x.Body.List, body)
-		if x.Post != nil {
-			s.scanStmt(x.Post, body)
-		}
-	case *ast.RangeStmt:
-		s.scanExpr(x.X, held)
-		s.scanStmts(x.Body.List, held.clone())
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, held)
-		}
-		if x.Tag != nil {
-			s.scanExpr(x.Tag, held)
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, held.clone())
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, held.clone())
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				branch := held.clone()
-				if cc.Comm != nil {
-					s.scanStmt(cc.Comm, branch)
-				}
-				s.scanStmts(cc.Body, branch)
-			}
-		}
-	case *ast.LabeledStmt:
-		s.scanStmt(x.Stmt, held)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						s.scanExpr(v, held)
-					}
-				}
-			}
-		}
-	}
-}
-
-func (s *rfScanner) scanExpr(e ast.Expr, held lockState) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if op, lockExpr := lockOp(s.pkg, x); op != 0 {
-				key := types.ExprString(lockExpr)
-				if op == opLock {
-					held[key] = x.Pos()
-				} else {
-					delete(held, key)
-				}
-				return true
-			}
-			if len(held) == 0 {
-				return true
-			}
-			fn := Callee(s.pkg.Info, x)
-			if fn == nil || isWireCall(fn) {
-				return true // the direct case is lockblock's finding
-			}
-			if r, ok := s.rpcs[fn.FullName()]; ok {
-				chain := append([]chainStep{{name: fn.FullName(), pos: s.pkg.position(x.Pos())}}, r.chain...)
-				names := make([]string, 0, len(held))
-				for k := range held {
-					names = append(names, k)
-				}
-				sort.Strings(names)
-				s.add(s.pkg.Path, Diagnostic{
-					Pos:  s.pkg.position(x.Pos()),
-					Pass: s.pass,
-					Message: fmt.Sprintf("%s held while calling %s, which reaches RPC %s: %s",
-						strings.Join(names, ", "), shortName(fn.FullName()), shortName(r.callee), renderChain(chain)),
-					Related: relatedOf(chain),
-				})
-			}
-		}
-		return true
-	})
-}
-
-// ---- part 2: handler wait-for cycles ----
 
 // waitForCycles reports cycles (including self-loops) over the
 // unguarded synchronous handler->handler edges.

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -33,17 +32,7 @@ func NewSendShare() *Pass {
 		Scope: inPrefix("repro/internal/"),
 	}
 
-	var (
-		cached *Index
-		byPkg  map[string][]Diagnostic
-	)
-	p.Run = func(pkg *Package, idx *Index) []Diagnostic {
-		if idx != cached {
-			byPkg = sendShareAll(idx)
-			cached = idx
-		}
-		return byPkg[pkg.Path]
-	}
+	p.Run = byPackage(sendShareAll)
 	return p
 }
 
@@ -75,6 +64,8 @@ func (st *ssState) clone() *ssState {
 	return c
 }
 
+// merge folds another arm's end state into st: a path is shared if
+// either arm shared it, and cleared only if both cleared it.
 func (st *ssState) merge(other *ssState) {
 	for k, v := range other.roots {
 		if _, ok := st.roots[k]; !ok {
@@ -137,8 +128,9 @@ func (st *ssState) root(path string, info sentInfo) {
 
 type ssScanner struct {
 	pkg   *Package
+	flow  flow[*ssState]
 	sums  map[string]*funcEffect
-	diags *[]Diagnostic
+	diags map[string][]Diagnostic
 	seen  map[string]bool
 }
 
@@ -149,31 +141,32 @@ func (s *ssScanner) report(pos token.Pos, msg string, info sentInfo) {
 		return
 	}
 	s.seen[key] = true
-	*s.diags = append(*s.diags, Diagnostic{
+	s.diags[s.pkg.Path] = append(s.diags[s.pkg.Path], Diagnostic{
 		Pos: p, Pass: "sendshare", Message: msg,
 		Related: []Related{{Pos: info.pos, Note: info.note}},
 	})
 }
 
+// sendShareAll walks every function on the one statement walker
+// (flow.go). A loop body is walked twice: a send at the loop bottom is
+// live when control reaches the top again, so the second round catches
+// top-of-body mutations of loop-carried sent buffers.
 func sendShareAll(idx *Index) map[string][]Diagnostic {
-	sums := effectsFor(idx)
-	byPkg := make(map[string][]Diagnostic)
+	s := &ssScanner{sums: effectsFor(idx), diags: make(map[string][]Diagnostic), seen: make(map[string]bool)}
+	s.flow = flow[*ssState]{
+		stmt:   s.stmt,
+		expr:   s.scanExpr,
+		clone:  (*ssState).clone,
+		join:   mergeArms((*ssState).merge),
+		fresh:  newSSState,
+		rounds: 2,
+	}
 	for _, name := range sortedDeclNames(idx) {
 		fd := idx.decls[name]
-		if fd.Decl.Body == nil {
-			continue
-		}
-		diags := byPkg[fd.Pkg.Path]
-		s := &ssScanner{pkg: fd.Pkg, sums: sums, diags: &diags, seen: make(map[string]bool)}
-		s.scanStmts(fd.Decl.Body.List, newSSState())
-		byPkg[fd.Pkg.Path] = diags
+		s.pkg = fd.Pkg
+		s.flow.root(fd.Decl.Body, newSSState())
 	}
-	for path := range byPkg {
-		d := byPkg[path]
-		sort.Slice(d, func(i, j int) bool { return posLess(d[i].Pos, d[j].Pos) })
-		byPkg[path] = Dedupe(d)
-	}
-	return byPkg
+	return s.diags
 }
 
 // pathOf renders an expression as a root path when it is a trackable
@@ -218,148 +211,28 @@ func sharesBacking(t types.Type) bool {
 	return false
 }
 
-func (s *ssScanner) scanStmts(list []ast.Stmt, st *ssState) bool {
-	for _, stmt := range list {
-		if s.scanStmt(stmt, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *ssScanner) scanStmt(stmt ast.Stmt, st *ssState) bool {
+func (s *ssScanner) stmt(st *ssState, stmt ast.Stmt) {
 	switch x := stmt.(type) {
 	case *ast.AssignStmt:
 		s.scanAssign(x, st)
-	case *ast.ExprStmt:
-		s.scanExpr(x.X, st)
-	case *ast.ReturnStmt:
-		for _, r := range x.Results {
-			s.scanExpr(r, st)
-		}
-		return true
-	case *ast.IfStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		s.scanExpr(x.Cond, st)
-		body := st.clone()
-		bodyTerm := s.scanStmts(x.Body.List, body)
-		elseSt := st.clone()
-		elseTerm := false
-		if x.Else != nil {
-			elseTerm = s.scanStmt(x.Else, elseSt)
-		}
-		switch {
-		case bodyTerm && elseTerm:
-			return true
-		case bodyTerm:
-			*st = *elseSt
-		case elseTerm:
-			*st = *body
-		default:
-			body.merge(elseSt)
-			*st = *body
-		}
-	case *ast.BlockStmt:
-		return s.scanStmts(x.List, st)
-	case *ast.LabeledStmt:
-		return s.scanStmt(x.Stmt, st)
-	case *ast.ForStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		if x.Cond != nil {
-			s.scanExpr(x.Cond, st)
-		}
-		// Two rounds: a send at the loop bottom is live when control
-		// reaches the top again, so the second round catches
-		// top-of-body mutations of loop-carried sent buffers.
-		for round := 0; round < 2; round++ {
-			s.scanStmts(x.Body.List, st)
-			if x.Post != nil {
-				s.scanStmt(x.Post, st)
-			}
-		}
-	case *ast.RangeStmt:
-		s.scanExpr(x.X, st)
-		for round := 0; round < 2; round++ {
-			s.scanStmts(x.Body.List, st)
-		}
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		if x.Tag != nil {
-			s.scanExpr(x.Tag, st)
-		}
-		s.scanCases(x.Body.List, st)
-	case *ast.TypeSwitchStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		s.scanCases(x.Body.List, st)
-	case *ast.SelectStmt:
-		s.scanCases(x.Body.List, st)
 	case *ast.GoStmt:
-		s.scanExpr(x.Call, st)
+		s.scanExpr(st, x.Call)
 	case *ast.DeferStmt:
-		s.scanExpr(x.Call, st)
-	case *ast.SendStmt:
-		s.scanExpr(x.Chan, st)
-		s.scanExpr(x.Value, st)
+		s.scanExpr(st, x.Call)
 	case *ast.IncDecStmt:
 		if ix, ok := ast.Unparen(x.X).(*ast.IndexExpr); ok {
 			s.checkMutation("element write", ix.X, x.Pos(), st)
 		}
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						s.scanExpr(v, st)
-					}
-				}
-			}
+	default:
+		for _, e := range evaluated(stmt) {
+			s.scanExpr(st, e)
 		}
-	}
-	return false
-}
-
-func (s *ssScanner) scanCases(clauses []ast.Stmt, st *ssState) {
-	var merged *ssState
-	for _, c := range clauses {
-		var body []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			body = cc.Body
-		case *ast.CommClause:
-			if cc.Comm != nil {
-				s.scanStmt(cc.Comm, st.clone())
-			}
-			body = cc.Body
-		default:
-			continue
-		}
-		arm := st.clone()
-		if s.scanStmts(body, arm) {
-			continue
-		}
-		if merged == nil {
-			merged = arm
-		} else {
-			merged.merge(arm)
-		}
-	}
-	if merged != nil {
-		merged.merge(st)
-		*st = *merged
 	}
 }
 
 func (s *ssScanner) scanAssign(x *ast.AssignStmt, st *ssState) {
 	for _, r := range x.Rhs {
-		s.scanExpr(r, st)
+		s.scanExpr(st, r)
 	}
 	for i, lhs := range x.Lhs {
 		var rhs ast.Expr
@@ -402,7 +275,7 @@ func (s *ssScanner) scanAssign(x *ast.AssignStmt, st *ssState) {
 				}
 			}
 		case *ast.StarExpr:
-			s.scanExpr(l.X, st)
+			s.scanExpr(st, l.X)
 		}
 	}
 }
@@ -432,16 +305,16 @@ func (s *ssScanner) checkMutation(kind string, base ast.Expr, pos token.Pos, st 
 
 // scanExpr walks an expression: wire sends and retaining callees mark
 // their arguments; copy() through a sent buffer is a mutation; nested
-// function literals run inline (a goroutine's send races the parent's
-// later writes).
-func (s *ssScanner) scanExpr(e ast.Expr, st *ssState) {
+// function literals, a goroutine's included, run inline on this path's
+// state (a goroutine's send races the parent's later writes).
+func (s *ssScanner) scanExpr(st *ssState, e ast.Expr) {
 	if e == nil {
 		return
 	}
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:
-			s.scanStmts(x.Body.List, st)
+			s.flow.run(st, x)
 			return false
 		case *ast.CallExpr:
 			s.checkCall(x, st)

@@ -38,6 +38,34 @@ func sendAfterReturningClose(ch chan int, done bool) {
 	ch <- 1
 }
 
+// Good: sibling arms are exclusive — the send never follows the close,
+// whether the arms are an if/else, switch cases or select clauses.
+func closeOrSend(ch chan int, c bool) {
+	if c {
+		close(ch)
+	} else {
+		ch <- 1
+	}
+}
+
+func closeOrSendCase(ch chan int, n int) {
+	switch n {
+	case 0:
+		close(ch)
+	case 1:
+		ch <- 1
+	}
+}
+
+func closeOrSendClause(ch chan int, a, b chan bool) {
+	select {
+	case <-a:
+		close(ch)
+	case <-b:
+		ch <- 1
+	}
+}
+
 // Good: close-and-replace broadcast — the send goes to the fresh
 // channel, not the closed one.
 func (m *mux) broadcast() {

@@ -31,6 +31,15 @@ func (s *server) bump(k string) int {
 	return v
 }
 
+// Bad: a type switch's own operand reads the table without the lock.
+func (s *server) kind(k string) string {
+	switch any(s.table[k]).(type) { // want "s.table accessed without holding s.mu"
+	case int:
+		return "int"
+	}
+	return "other"
+}
+
 // Good: the *Locked suffix documents that callers hold the mutex.
 func (s *server) dropLocked(k string) {
 	delete(s.table, k)

@@ -1,5 +1,6 @@
 // Fixture for the lockblock pass: no sync mutex held across an RPC, a
-// channel operation, a blocking select, or time.Sleep.
+// channel operation, a blocking select, or time.Sleep — directly, or
+// through call hops, with the witness chain in the finding.
 package lockblock
 
 import (
@@ -53,6 +54,42 @@ func (s *server) transitive() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.waitOne() // want "which blocks on"
+}
+
+// Bad: a type switch's own assignment runs under the lock.
+func (s *server) typeSwitchUnderLock() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch x := any(s.waitOne()).(type) { // want "which blocks on a channel receive"
+	case int:
+		return x
+	}
+	return 0
+}
+
+// push reaches the wire Call itself; sync is one call hop further away.
+func (s *server) push(ctx context.Context) {
+	s.net.Call(ctx, "flush")
+}
+
+func (s *server) sync(ctx context.Context) {
+	s.push(ctx)
+}
+
+// Bad: s.mu is held while sync — two hops from a wire Call — runs, and
+// the finding spells out every hop of the witness chain.
+func (s *server) flushUnderLock(ctx context.Context) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sync(ctx) // want "(which blocks on (*lockblock.conn).Call: (*lockblock.server).sync (fixture.go:84) -> (*lockblock.server).push (fixture.go:76) -> (*lockblock.conn).Call (fixture.go:72))"
+}
+
+// Good: the lock is dropped before the reaching call.
+func (s *server) flushUnlocked(ctx context.Context) {
+	s.mu.Lock()
+	s.data["k"]++
+	s.mu.Unlock()
+	s.sync(ctx)
 }
 
 // Good: the lock is released before the RPC.

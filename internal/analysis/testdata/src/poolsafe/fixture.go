@@ -69,6 +69,16 @@ func interiorPtr() int {
 	return ip.run() // want "interior pointer"
 }
 
+// typeSwitchAfterPut inspects the handle's dynamic type after the Put:
+// the type switch's own operand is a use.
+func typeSwitchAfterPut() {
+	v, _ := pool.Get().(*vm)
+	pool.Put(v)
+	switch any(v).(type) { // want "use of pool handle v after it returned to pool"
+	case *vm:
+	}
+}
+
 // ---- clean lifecycles ----
 
 // cleanLifecycle is the class-VM shape: Put-and-return on the error

@@ -1,14 +1,10 @@
-// Fixture for the rpcflow pass. Part one: a lock held while calling a
-// helper that reaches an RPC through two hops (lockblock cannot see
-// past the function boundary). Part two: registered daemon handlers
-// whose synchronous wire Calls form wait-for cycles — a mutual cycle
-// and a self-loop are findings; a relay-guarded forward is not.
+// Fixture for the rpcflow pass: registered daemon handlers whose
+// synchronous wire Calls form wait-for cycles — a mutual cycle and a
+// self-loop are findings; a relay-guarded forward is not. (A lock held
+// while a call reaches an RPC is lockblock's finding, in its fixture.)
 package rpcflow
 
-import (
-	"context"
-	"sync"
-)
+import "context"
 
 type addr string
 
@@ -20,42 +16,6 @@ func (f *fabric) Call(ctx context.Context, from, to addr, req any) (any, error) 
 
 func (f *fabric) Listen(a addr, h func(ctx context.Context, from addr, req any) (any, error)) {
 }
-
-// ---- part one: RPC reached under a lock, across call hops ----
-
-type server struct {
-	mu    sync.Mutex
-	fab   *fabric
-	self  addr
-	peer  addr
-	dirty int
-}
-
-func (s *server) push(ctx context.Context) {
-	_, _ = s.fab.Call(ctx, s.self, s.peer, "flush")
-}
-
-func (s *server) sync(ctx context.Context) {
-	s.push(ctx)
-}
-
-// Bad: s.mu is held while sync — two hops from a wire Call — runs.
-func (s *server) flushUnderLock(ctx context.Context) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sync(ctx) // want "held while calling"
-	s.dirty = 0
-}
-
-// Good: the lock is dropped before the reaching call.
-func (s *server) flushUnlocked(ctx context.Context) {
-	s.mu.Lock()
-	s.dirty = 0
-	s.mu.Unlock()
-	s.sync(ctx)
-}
-
-// ---- part two: handler wait-for cycles ----
 
 func alphaAddr(i int) addr { return addr("alpha") }
 func betaAddr(i int) addr  { return addr("beta") }

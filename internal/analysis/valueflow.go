@@ -196,21 +196,11 @@ func effEqual(a, b *funcEffect) bool {
 	return true
 }
 
-// effectsFor returns the ownership summaries for idx, computing them
-// once per Index: cowalias and sendshare share one summary table, like
-// the protocol passes share their cached whole-program results.
-var (
-	effCacheIdx  *Index
-	effCacheSums map[string]*funcEffect
-)
-
+// effectsFor returns the ownership summaries for idx, computed once per
+// Index: cowalias and sendshare share one summary table.
 func effectsFor(idx *Index) map[string]*funcEffect {
-	if idx == effCacheIdx {
-		return effCacheSums
-	}
-	effCacheSums = funcEffects(idx, cowRoots(idx))
-	effCacheIdx = idx
-	return effCacheSums
+	idx.effectsOnce.Do(func() { idx.effects = funcEffects(idx, cowRoots(idx)) })
+	return idx.effects
 }
 
 // funcEffects computes ownership summaries for every declared function,
