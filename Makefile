@@ -132,7 +132,7 @@ cover:
 		./internal/wire/ ./internal/rados/ ./internal/paxos/ \
 		./internal/mon/ ./internal/mds/ ./internal/zlog/ \
 		./internal/script/ ./internal/cdc/ ./internal/analysis/ \
-		./internal/wal/
+		./internal/wal/ ./internal/core/
 	$(GO) run ./cmd/covercheck -profile coverage.out
 
 # Bench-regression gate: rerun the recorded benchmark pairs and compare

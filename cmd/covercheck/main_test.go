@@ -79,7 +79,7 @@ func TestRealFloorsSubsetOfCore(t *testing.T) {
 	for _, pkg := range []string{
 		"repro/internal/wire", "repro/internal/rados", "repro/internal/paxos",
 		"repro/internal/mon", "repro/internal/mds", "repro/internal/zlog",
-		"repro/internal/script",
+		"repro/internal/script", "repro/internal/core",
 	} {
 		if _, ok := floors[pkg]; !ok {
 			t.Fatalf("floors is missing core package %s", pkg)

@@ -18,12 +18,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/mds"
 	"repro/internal/mon"
 	"repro/internal/paxos"
 	"repro/internal/rados"
+	"repro/internal/types"
 	"repro/internal/wire"
 )
 
@@ -58,15 +60,17 @@ type Options struct {
 	MDS mds.Config
 	// MDSBalancer, when set, builds a per-rank balancer (overriding
 	// MDS.Balancer); each rank needs its own instance because policy
-	// state is rank-local.
+	// state is rank-local. Boot calls it concurrently for different
+	// ranks.
 	MDSBalancer func(rank int) mds.Balancer
 	// OSD carries OSD tuning; ID/Mons are filled per daemon at boot.
 	OSD rados.OSDConfig
 	// OSDBackend, when set, builds a per-daemon persistence backend
 	// (overriding OSD.Backend); each daemon needs its own instance
-	// because a backend owns one WAL directory. The same factory is
-	// reused by RebuildOSD, so a crashed daemon recovers from the same
-	// directory it journaled to.
+	// because a backend owns one WAL directory. Boot calls it
+	// concurrently for different ids. The same factory is reused by
+	// RebuildOSD, so a crashed daemon recovers from the same directory
+	// it journaled to.
 	OSDBackend func(id int) (rados.Backend, error)
 }
 
@@ -102,17 +106,47 @@ type Cluster struct {
 	opts   Options
 }
 
-// Boot starts a cluster and waits for it to be serviceable.
+// Boot starts a cluster and waits for it to be serviceable: every
+// daemon is up in the monitors' maps and every OSD holds the leader's
+// OSD map.
+//
+// Bring-up is one proposal. The pools go to the monitors as one update
+// while every OSD starts concurrently, so the pools and every OSD's
+// boot land in one proposal interval and commit as one Paxos value.
+// The MDS ranks start concurrently once every OSD is up, because a
+// rank's takeover can read its journal through RADOS. On any failure
+// everything started is stopped, and the error names the first failing
+// daemon by id.
 func Boot(ctx context.Context, opts Options) (*Cluster, error) {
+	c := newCluster(opts)
+	if err := c.start(ctx); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// newCluster returns a cluster of no daemons on a new fabric.
+func newCluster(opts Options) *Cluster {
 	opts.defaults()
 	netOpts := []wire.Option{wire.WithSeed(opts.Seed)}
 	if opts.NetLatency > 0 || opts.NetJitter > 0 {
 		netOpts = append(netOpts, wire.WithLatency(opts.NetLatency, opts.NetJitter))
 	}
-	c := &Cluster{
+	return &Cluster{
 		Net:  wire.NewNetwork(netOpts...),
 		opts: opts,
 	}
+}
+
+// start brings up the daemons of a new cluster; on error it stops every
+// daemon it started.
+func (c *Cluster) start(ctx context.Context) (err error) {
+	defer func() {
+		if err != nil {
+			c.Stop()
+		}
+	}()
+	opts := c.opts
 	for i := 0; i < opts.Mons; i++ {
 		c.monIDs = append(c.monIDs, i)
 	}
@@ -135,43 +169,40 @@ func Boot(ctx context.Context, opts Options) (*Cluster, error) {
 		c.Mons = append(c.Mons, m)
 	}
 	if err := c.Mons[0].Lead(ctx); err != nil {
-		c.Stop()
-		return nil, fmt.Errorf("core: initial election: %w", err)
+		return fmt.Errorf("core: initial election: %w", err)
 	}
 
-	// Pools.
-	boot := mon.NewClient(c.Net, "client.bootstrap", c.monIDs)
-	pools := append([]string{"metadata"}, opts.Pools...)
-	for _, p := range pools {
-		if err := boot.CreatePool(ctx, p, opts.PGNum, opts.Replicas); err != nil {
-			c.Stop()
-			return nil, fmt.Errorf("core: create pool %s: %w", p, err)
-		}
+	// The pools, as one update, in flight while the OSDs boot.
+	boot := mon.NewClient(c.Net, bootstrapAddr, c.monIDs)
+	pools := types.Update{Ops: []types.Op{mon.PoolCreateOp("metadata", opts.PGNum, opts.Replicas)}}
+	for _, p := range opts.Pools {
+		pools.Ops = append(pools.Ops, mon.PoolCreateOp(p, opts.PGNum, opts.Replicas))
 	}
+	poolsDone := make(chan error, 1)
+	go func() { poolsDone <- boot.Submit(ctx, pools) }()
 
-	// Object storage daemons.
-	for i := 0; i < opts.OSDs; i++ {
-		cfg := opts.OSD
-		cfg.ID = i
-		cfg.Mons = c.monIDs
-		if opts.OSDBackend != nil {
-			be, err := opts.OSDBackend(i)
-			if err != nil {
-				c.Stop()
-				return nil, fmt.Errorf("core: backend for osd.%d: %w", i, err)
-			}
-			cfg.Backend = be
+	osds := make([]*rados.OSD, opts.OSDs)
+	osdErr := concurrently(opts.OSDs, func(i int) error {
+		osd, err := c.newOSD(i)
+		if err != nil {
+			return err
 		}
-		osd := rados.NewOSD(c.Net, cfg)
 		if err := osd.Start(ctx); err != nil {
-			c.Stop()
-			return nil, fmt.Errorf("core: start osd.%d: %w", i, err)
+			return fmt.Errorf("core: start osd.%d: %w", i, err)
 		}
-		c.OSDs = append(c.OSDs, osd)
+		osds[i] = osd
+		return nil
+	})
+	c.OSDs = started(osds)
+	if err := <-poolsDone; err != nil {
+		return fmt.Errorf("core: create pools: %w", err)
+	}
+	if osdErr != nil {
+		return osdErr
 	}
 
-	// Metadata servers.
-	for r := 0; r < opts.MDSs; r++ {
+	mdss := make([]*mds.Server, opts.MDSs)
+	mdsErr := concurrently(opts.MDSs, func(r int) error {
 		cfg := opts.MDS
 		cfg.Rank = r
 		cfg.Mons = c.monIDs
@@ -183,12 +214,73 @@ func Boot(ctx context.Context, opts Options) (*Cluster, error) {
 		}
 		srv := mds.NewServer(c.Net, cfg)
 		if err := srv.Start(ctx); err != nil {
-			c.Stop()
-			return nil, fmt.Errorf("core: start mds.%d: %w", r, err)
+			return fmt.Errorf("core: start mds.%d: %w", r, err)
 		}
-		c.MDSs = append(c.MDSs, srv)
+		mdss[r] = srv
+		return nil
+	})
+	c.MDSs = started(mdss)
+	if mdsErr != nil {
+		return mdsErr
 	}
-	return c, nil
+	return c.catchUpOSDs(ctx, boot)
+}
+
+// bootstrapAddr is the monitor-client address Boot registers through.
+const bootstrapAddr = "client.bootstrap"
+
+// concurrently runs fn(0) .. fn(n-1) in parallel, waits for all of
+// them, and returns the error of the lowest index that failed.
+func concurrently(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// started drops the slots of daemons that failed to start.
+func started[T any](all []*T) []*T {
+	out := all[:0]
+	for _, d := range all {
+		if d != nil {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// catchUpOSDs is bring-up's last step. An OSD reads the map once, when
+// its own boot has committed; if a proposal tick split the boots, a
+// later epoch may still be on its way to it. Every OSD behind the
+// leader's map is handed that map directly, as the monitors' own push.
+func (c *Cluster) catchUpOSDs(ctx context.Context, boot *mon.Client) error {
+	m, err := boot.GetOSDMap(ctx)
+	if err != nil {
+		return fmt.Errorf("core: read osd map: %w", err)
+	}
+	push := mon.MapNotify{Kind: types.MapOSD, OSD: m}
+	return concurrently(len(c.OSDs), func(i int) error {
+		o := c.OSDs[i]
+		if o.Epoch() >= m.Epoch {
+			return nil
+		}
+		if _, err := c.Net.Call(ctx, bootstrapAddr, o.Addr(), push); err != nil {
+			return fmt.Errorf("core: catch up osd.%d to epoch %d: %w", i, m.Epoch, err)
+		}
+		return nil
+	})
 }
 
 // Stop shuts the whole cluster down.
@@ -215,22 +307,31 @@ func (c *Cluster) RebuildOSD(ctx context.Context, id int) error {
 	if id < 0 || id >= len(c.OSDs) {
 		return fmt.Errorf("core: rebuild osd.%d: no such daemon", id)
 	}
+	osd, err := c.newOSD(id)
+	if err != nil {
+		return err
+	}
+	if err := osd.Start(ctx); err != nil {
+		return fmt.Errorf("core: rebuild osd.%d: %w", id, err)
+	}
+	c.OSDs[id] = osd
+	return nil
+}
+
+// newOSD builds daemon id from the cluster's OSD template, with its own
+// backend from Options.OSDBackend when one is set.
+func (c *Cluster) newOSD(id int) (*rados.OSD, error) {
 	cfg := c.opts.OSD
 	cfg.ID = id
 	cfg.Mons = c.monIDs
 	if c.opts.OSDBackend != nil {
 		be, err := c.opts.OSDBackend(id)
 		if err != nil {
-			return fmt.Errorf("core: rebuild backend for osd.%d: %w", id, err)
+			return nil, fmt.Errorf("core: backend for osd.%d: %w", id, err)
 		}
 		cfg.Backend = be
 	}
-	osd := rados.NewOSD(c.Net, cfg)
-	if err := osd.Start(ctx); err != nil {
-		return fmt.Errorf("core: rebuild osd.%d: %w", id, err)
-	}
-	c.OSDs[id] = osd
-	return nil
+	return rados.NewOSD(c.Net, cfg), nil
 }
 
 // MonIDs returns the monitor ranks (for building clients).

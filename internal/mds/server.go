@@ -151,16 +151,16 @@ func (s *Server) Addr() wire.Addr { return MDSAddr(s.cfg.Rank) }
 // Rank returns this server's rank.
 func (s *Server) Rank() int { return s.cfg.Rank }
 
-// Start registers the rank, boots it into the MDS map, and launches the
-// balance/beacon loops.
+// Start registers the rank, joins the cluster (mon.Client.Join: boot
+// into the MDS map while subscribing to its pushes), reads the map
+// once, and launches the balance/beacon loops.
 func (s *Server) Start(ctx context.Context) error {
 	s.net.Listen(s.Addr(), s.handle)
-	if err := s.monc.BootMDS(ctx, s.cfg.Rank, s.Addr()); err != nil {
+	if err := s.monc.Join(ctx, types.MapMDS, func() error {
+		return s.monc.BootMDS(ctx, s.cfg.Rank, s.Addr())
+	}); err != nil {
 		s.net.Unlisten(s.Addr())
-		return fmt.Errorf("mds.%d: boot: %w", s.cfg.Rank, err)
-	}
-	if err := s.monc.Subscribe(ctx, s.Addr(), types.MapMDS); err != nil {
-		return fmt.Errorf("mds.%d: subscribe: %w", s.cfg.Rank, err)
+		return fmt.Errorf("mds.%d: %w", s.cfg.Rank, err)
 	}
 	if m, err := s.monc.GetMDSMap(ctx); err == nil {
 		s.updateMDSMap(m)

@@ -89,16 +89,46 @@ func (c *Client) getMap(ctx context.Context, kind string) (GetMapResp, error) {
 
 // Subscribe registers addr for pushes of the named map kinds. The
 // subscription is installed on every monitor so pushes survive leader
-// failover.
+// failover; the monitors are asked in parallel, so the call costs one
+// round trip however large the quorum. It succeeds if any monitor
+// accepted, and returns once every monitor has answered.
 func (c *Client) Subscribe(ctx context.Context, addr wire.Addr, kinds ...string) error {
-	ok := false
+	req := SubscribeReq{Addr: addr, Kinds: kinds}
+	errs := make(chan error, len(c.mons)) // one send per monitor: no sender blocks
 	for _, id := range c.mons {
-		if _, err := c.net.Call(ctx, c.self, Addr(id), SubscribeReq{Addr: addr, Kinds: kinds}); err == nil {
+		go func(id int) {
+			_, err := c.net.Call(ctx, c.self, Addr(id), req)
+			errs <- err
+		}(id)
+	}
+	ok := false
+	for range c.mons {
+		if <-errs == nil {
 			ok = true
 		}
 	}
 	if !ok {
 		return ErrNoMonitor
+	}
+	return nil
+}
+
+// Join is a daemon's way into the cluster: boot submits the update that
+// marks the daemon up, and while it waits for its proposal the client's
+// own address is subscribed to pushes of kind. The push of the epoch
+// that marks the daemon up then already has it as a target, and one map
+// read after Join covers whatever was committed before. Join returns
+// once both are done.
+func (c *Client) Join(ctx context.Context, kind string, boot func() error) error {
+	subscribed := make(chan error, 1)
+	go func() { subscribed <- c.Subscribe(ctx, c.self, kind) }()
+	bootErr := boot()
+	subErr := <-subscribed
+	switch {
+	case bootErr != nil:
+		return fmt.Errorf("boot: %w", bootErr)
+	case subErr != nil:
+		return fmt.Errorf("subscribe: %w", subErr)
 	}
 	return nil
 }
@@ -215,8 +245,14 @@ func (c *Client) ResizePool(ctx context.Context, name string, pgNum int) error {
 
 // CreatePool creates a RADOS pool.
 func (c *Client) CreatePool(ctx context.Context, name string, pgNum, replicas int) error {
-	return c.Submit(ctx, types.Update{Ops: []types.Op{{
+	return c.Submit(ctx, types.Update{Ops: []types.Op{PoolCreateOp(name, pgNum, replicas)}})
+}
+
+// PoolCreateOp is the op that creates a RADOS pool, for callers that
+// commit several pools (or other ops) as one update.
+func PoolCreateOp(name string, pgNum, replicas int) types.Op {
+	return types.Op{
 		Code: types.OpPoolCreate, Key: name,
 		Value: strconv.Itoa(pgNum), Aux: strconv.Itoa(replicas),
-	}}})
+	}
 }

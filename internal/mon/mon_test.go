@@ -627,3 +627,54 @@ func TestUnknownOpLoggedAndIgnored(t *testing.T) {
 		t.Fatal("unknown op not logged")
 	}
 }
+
+// TestSubscribeFansOut pins Subscribe to one round trip: the monitors
+// are asked in parallel, so all three requests are in flight at once.
+// With one monitor cut off from the subscriber, the call still succeeds,
+// and the two monitors that took the subscription push to it.
+func TestSubscribeFansOut(t *testing.T) {
+	net := wire.NewNetwork(wire.WithLatency(time.Millisecond, 0))
+	mons := testQuorum(t, net, 3)
+	ctx := ctxT(t, 5*time.Second)
+
+	c := NewClient(net, "client.sub", []int{0, 1, 2})
+	if err := c.Subscribe(ctx, "osd.0", types.MapOSD); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Stats().Outbound["client.sub"].MaxInflight; got != 3 {
+		t.Fatalf("subscribe max in flight = %d, want 3 (one round trip to 3 monitors)", got)
+	}
+
+	pushed := make(chan wire.Addr, 16)
+	net.Listen("osd.1", func(_ context.Context, from wire.Addr, req any) (any, error) {
+		if _, ok := req.(MapNotify); ok {
+			pushed <- from
+		}
+		return nil, nil
+	})
+	cut := NewClient(net, "client.cut", []int{0, 1, 2})
+	net.Partition("client.cut", Addr(0))
+	if err := cut.Subscribe(ctx, "osd.1", types.MapOSD); err != nil {
+		t.Fatalf("subscribe with one monitor unreachable: %v", err)
+	}
+	for i, m := range mons {
+		m.mu.Lock()
+		has := m.subscribers["osd.1"][types.MapOSD]
+		m.mu.Unlock()
+		if has != (i != 0) {
+			t.Fatalf("mon.%d holds the subscription: %v", i, has)
+		}
+	}
+	if err := c.SetService(ctx, types.MapOSD, "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	from := map[wire.Addr]bool{}
+	for !from[Addr(1)] || !from[Addr(2)] {
+		select {
+		case a := <-pushed:
+			from[a] = true
+		case <-ctx.Done():
+			t.Fatalf("pushes received from %v, want mon.1 and mon.2", from)
+		}
+	}
+}

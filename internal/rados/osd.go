@@ -234,9 +234,10 @@ func (o *OSD) ScrubNow() int {
 	return o.ScrubRepairs() - before
 }
 
-// Start registers the daemon, boots it into the OSD map, subscribes to
-// map pushes, and launches gossip/beacon/scrub loops. Starting after a
-// Stop restarts the daemon: booting marks it up again (bumping the map
+// Start registers the daemon, joins the cluster (mon.Client.Join: boot
+// into the OSD map while subscribing to its pushes), reads the map
+// once, and launches gossip/beacon/scrub loops. Starting after a Stop
+// restarts the daemon: booting marks it up again (bumping the map
 // epoch), it refetches the current map, and peers backfill it the data
 // it missed while down.
 func (o *OSD) Start(ctx context.Context) error {
@@ -275,11 +276,10 @@ func (o *OSD) Start(ctx context.Context) error {
 		return err
 	}
 	o.net.Listen(o.Addr(), o.handle)
-	if err := o.monc.BootOSD(ctx, o.cfg.ID, o.Addr()); err != nil {
-		return fail(fmt.Errorf("osd.%d: boot: %w", o.cfg.ID, err))
-	}
-	if err := o.monc.Subscribe(ctx, o.Addr(), types.MapOSD); err != nil {
-		return fail(fmt.Errorf("osd.%d: subscribe: %w", o.cfg.ID, err))
+	if err := o.monc.Join(ctx, types.MapOSD, func() error {
+		return o.monc.BootOSD(ctx, o.cfg.ID, o.Addr())
+	}); err != nil {
+		return fail(fmt.Errorf("osd.%d: %w", o.cfg.ID, err))
 	}
 	m, err := o.monc.GetOSDMap(ctx)
 	if err != nil {

@@ -25,50 +25,7 @@ type testCluster struct {
 
 func bootCluster(t *testing.T, numOSDs, replicas int) *testCluster {
 	t.Helper()
-	net := wire.NewNetwork()
-	tc := &testCluster{net: net}
-
-	m := mon.New(net, mon.Config{
-		ID: 0, Peers: []int{0},
-		ProposalInterval: 5 * time.Millisecond,
-		Paxos: paxos.Config{
-			HeartbeatInterval: 10 * time.Millisecond,
-			ElectionTimeout:   200 * time.Millisecond,
-		},
-	})
-	m.Start()
-	if err := m.Lead(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	tc.mons = append(tc.mons, m)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	boot := mon.NewClient(net, "client.boot", []int{0})
-	if err := boot.CreatePool(ctx, "data", 8, replicas); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < numOSDs; i++ {
-		osd := NewOSD(net, OSDConfig{
-			ID: i, Mons: []int{0},
-			GossipInterval: 20 * time.Millisecond,
-		})
-		if err := osd.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		tc.osds = append(tc.osds, osd)
-	}
-	tc.client = NewClient(net, "client.0", []int{0})
-	if err := tc.client.RefreshMap(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for _, o := range tc.osds {
-			o.Stop()
-		}
-		m.Stop()
-	})
-	return tc
+	return bootClusterOpts(t, clusterOpts{osds: numOSDs, replicas: replicas})
 }
 
 func ctxT(t *testing.T, d time.Duration) context.Context {

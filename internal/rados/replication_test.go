@@ -51,29 +51,40 @@ func bootClusterOpts(t *testing.T, opts clusterOpts) *testCluster {
 	if err := boot.CreatePool(ctx, "data", 8, opts.replicas); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < opts.osds; i++ {
+	// The daemons start concurrently, as core.Boot starts them.
+	tc.osds = make([]*OSD, opts.osds)
+	errs := make([]error, opts.osds)
+	var wg sync.WaitGroup
+	for i := range tc.osds {
 		cfg := opts.osd
 		cfg.ID = i
 		cfg.Mons = []int{0}
 		if cfg.GossipInterval == 0 {
 			cfg.GossipInterval = 20 * time.Millisecond
 		}
-		osd := NewOSD(net, cfg)
-		if err := osd.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		tc.osds = append(tc.osds, osd)
+		tc.osds[i] = NewOSD(net, cfg)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = tc.osds[i].Start(ctx)
+		}(i)
 	}
-	tc.client = NewClient(net, "client.0", []int{0})
-	if err := tc.client.RefreshMap(ctx); err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 	t.Cleanup(func() {
 		for _, o := range tc.osds {
 			o.Stop()
 		}
 		m.Stop()
 	})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tc.client = NewClient(net, "client.0", []int{0})
+	if err := tc.client.RefreshMap(ctx); err != nil {
+		t.Fatal(err)
+	}
 	return tc
 }
 

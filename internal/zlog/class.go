@@ -18,6 +18,7 @@ package zlog
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/mon"
 	"repro/internal/types"
@@ -156,17 +157,46 @@ end
 // EpochKey is the service-metadata key holding log name's epoch.
 func EpochKey(name string) string { return "zlog.epoch." + name }
 
-// InstallClass installs the storage class once (idempotent: it checks
-// the cluster map first so repeated opens do not bump the version).
-func InstallClass(ctx context.Context, monc *mon.Client) error {
+// prepare readies log name in one map read and at most one commit: the
+// storage class is installed and the log's epoch key set, each only if
+// the map lacks it, so a repeated open commits nothing. It returns the
+// log's epoch.
+func prepare(ctx context.Context, monc *mon.Client, name string) (uint64, error) {
 	m, err := monc.GetOSDMap(ctx)
 	if err != nil {
-		return fmt.Errorf("zlog: fetch map: %w", err)
+		return 0, fmt.Errorf("zlog: fetch map: %w", err)
 	}
-	if _, ok := m.Classes[ClassName]; ok {
-		return nil
+	ep, err := epochIn(m, name)
+	if err != nil {
+		return 0, err
 	}
-	return monc.InstallClass(ctx, ClassName, StorageClassScript, "logging")
+	var ops []types.Op
+	if _, ok := m.Classes[ClassName]; !ok {
+		ops = append(ops, types.Op{
+			Code: types.OpClassInstall, Key: ClassName, Value: StorageClassScript, Aux: "logging",
+		})
+	}
+	if ep == 0 {
+		ops = append(ops, types.Op{Code: types.OpServiceSet, Map: types.MapOSD, Key: EpochKey(name), Value: "1"})
+		ep = 1
+	}
+	if len(ops) > 0 {
+		if err := monc.Submit(ctx, types.Update{Ops: ops}); err != nil {
+			return 0, fmt.Errorf("zlog: prepare log %q: %w", name, err)
+		}
+	}
+	return ep, nil
 }
 
-var _ = types.MapOSD // keep the types import for EpochKey documentation
+// epochIn reads log name's epoch from m; 0 when the log has none yet.
+func epochIn(m *types.OSDMap, name string) (uint64, error) {
+	v, ok := m.Service[EpochKey(name)]
+	if !ok {
+		return 0, nil
+	}
+	ep, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("zlog: corrupt epoch %q: %w", v, err)
+	}
+	return ep, nil
+}

@@ -88,8 +88,9 @@ type Log struct {
 // SeqPath returns the sequencer inode path for log name.
 func SeqPath(name string) string { return "/zlog/" + name + "/seq" }
 
-// Open creates or attaches to a log. It installs the storage class (if
-// absent), creates the sequencer inode, and initializes the epoch.
+// Open creates or attaches to a log. In one update it installs the
+// storage class and initializes the epoch, whichever of the two is
+// absent; then it creates the sequencer inode.
 func Open(ctx context.Context, net *wire.Network, self wire.Addr, mons []int, opts Options) (*Log, error) {
 	if opts.Name == "" || opts.Pool == "" {
 		return nil, fmt.Errorf("zlog: name and pool are required")
@@ -114,7 +115,8 @@ func Open(ctx context.Context, net *wire.Network, self wire.Addr, mons []int, op
 	for i := range l.objNames {
 		l.objNames[i] = opts.Name + "." + strconv.Itoa(i)
 	}
-	if err := InstallClass(ctx, l.monc); err != nil {
+	ep, err := prepare(ctx, l.monc, opts.Name)
+	if err != nil {
 		return nil, err
 	}
 	if err := l.rc.RefreshMap(ctx); err != nil {
@@ -125,17 +127,6 @@ func Open(ctx context.Context, net *wire.Network, self wire.Addr, mons []int, op
 	}
 	if err := l.mc.Open(ctx, SeqPath(opts.Name), mds.TypeSequencer, &opts.SeqPolicy); err != nil {
 		return nil, fmt.Errorf("zlog: create sequencer: %w", err)
-	}
-	// Initialize the epoch if this is a fresh log.
-	ep, err := l.fetchEpoch(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if ep == 0 {
-		if err := l.monc.SetService(ctx, types.MapOSD, EpochKey(opts.Name), "1"); err != nil {
-			return nil, err
-		}
-		ep = 1
 	}
 	l.mu.Lock()
 	l.epoch = ep
@@ -161,15 +152,7 @@ func (l *Log) fetchEpoch(ctx context.Context) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v, ok := m.Service[EpochKey(l.opts.Name)]
-	if !ok {
-		return 0, nil
-	}
-	ep, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("zlog: corrupt epoch %q: %w", v, err)
-	}
-	return ep, nil
+	return epochIn(m, l.opts.Name)
 }
 
 func (l *Log) refreshEpoch(ctx context.Context) error {

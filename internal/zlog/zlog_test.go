@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mds"
 	"repro/internal/rados"
+	"repro/internal/types"
 	"repro/internal/wire"
 	"repro/internal/zlog"
 )
@@ -424,5 +425,35 @@ func TestLogSurvivesOSDFailure(t *testing.T) {
 	}
 	if _, err := l.Append(ctx, []byte("post-failure")); err != nil {
 		t.Fatalf("append after OSD failure: %v", err)
+	}
+}
+
+// TestOpenFreshLogCommitsOnce pins Open to one map read and one update:
+// opening a fresh log installs the storage class and sets the log's
+// epoch in a single commit, and opening it again commits nothing.
+func TestOpenFreshLogCommitsOnce(t *testing.T) {
+	c := boot(t, core.Options{MDSs: 1, OSDs: 3})
+	ctx := ctxT(t, 20*time.Second)
+	monc := c.NewMonClient("client.epochs")
+	epoch := func() types.Epoch {
+		t.Helper()
+		m, err := monc.GetOSDMap(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Epoch
+	}
+	before := epoch()
+	l := openLog(t, c, "client.1", "log0", mds.CapPolicy{})
+	if got := epoch(); got != before+1 {
+		t.Fatalf("first open moved the OSD map %d -> %d, want one epoch", before, got)
+	}
+	if l.Epoch() != 1 {
+		t.Fatalf("fresh log epoch = %d, want 1", l.Epoch())
+	}
+	before = epoch()
+	openLog(t, c, "client.2", "log0", mds.CapPolicy{})
+	if got := epoch(); got != before {
+		t.Fatalf("second open moved the OSD map %d -> %d, want no commit", before, got)
 	}
 }
