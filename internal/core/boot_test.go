@@ -27,12 +27,15 @@ func leaderOSDEpoch(t *testing.T, c *Cluster) types.Epoch {
 
 // TestBootIsOneProposal pins bring-up to one Paxos value: with a
 // proposal interval long enough that no tick can split the boots, the
-// pools and all eight OSDs' boots commit as OSD-map epoch 1. Booting
-// them one after another commits one epoch per pool and per OSD.
+// pools, all eight OSDs' boots and both MDS ranks' boots commit as
+// OSD-map epoch 1 and MDS-map epoch 1. Booting them one after another
+// commits one epoch per pool and per daemon. The boot replies then
+// agree, so bring-up reads no map: the bootstrap client's one call is
+// the pools' submit.
 func TestBootIsOneProposal(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	c, err := Boot(ctx, Options{OSDs: 8, Pools: []string{"data"}, ProposalInterval: 200 * time.Millisecond})
+	c, err := Boot(ctx, Options{OSDs: 8, MDSs: 2, Pools: []string{"data"}, ProposalInterval: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +43,34 @@ func TestBootIsOneProposal(t *testing.T) {
 	if got := leaderOSDEpoch(t, c); got != 1 {
 		t.Fatalf("boot committed OSD-map epoch %d, want 1 (one proposal)", got)
 	}
-	m, err := c.NewMonClient("client.t").GetOSDMap(ctx)
+	for _, m := range c.Mons {
+		if !m.IsLeader() {
+			continue
+		}
+		if _, mdsEpoch := m.MapEpochs(); mdsEpoch != 1 {
+			t.Fatalf("boot committed MDS-map epoch %d, want 1", mdsEpoch)
+		}
+		if n := m.Proposals(); n != 1 {
+			t.Fatalf("boot took %d Paxos values, want 1", n)
+		}
+	}
+	if got := c.Net.Stats().Outbound[bootstrapAddr].Calls; got != 1 {
+		t.Fatalf("bootstrap client made %d calls, want 1 (the pools' submit; no map read)", got)
+	}
+	monc := c.NewMonClient("client.t")
+	m, err := monc.GetOSDMap(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(m.UpOSDs()) != 8 || len(m.Pools) != 2 {
 		t.Fatalf("epoch %d: up %v, pools %v", m.Epoch, m.UpOSDs(), m.Pools)
+	}
+	mm, err := monc.GetMDSMap(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mm.UpRanks()) != 2 {
+		t.Fatalf("MDS epoch %d: up %v", mm.Epoch, mm.UpRanks())
 	}
 }
 
@@ -91,7 +116,8 @@ func TestBootLeavesEveryOSDOnTheLeadersEpoch(t *testing.T) {
 
 // TestBootFailureStopsEveryDaemon fails one OSD's backend and requires
 // Boot to name that daemon and to leave nothing listening: the
-// monitors and the OSDs that did start are all stopped.
+// monitors, the OSDs that did start and the MDS rank, which starts
+// beside the OSDs, are all stopped.
 func TestBootFailureStopsEveryDaemon(t *testing.T) {
 	errBackend := errors.New("disk on fire")
 	c := newCluster(Options{OSDs: 4, MDSs: 1, OSDBackend: func(id int) (rados.Backend, error) {
@@ -105,6 +131,9 @@ func TestBootFailureStopsEveryDaemon(t *testing.T) {
 	err := c.start(ctx)
 	if !errors.Is(err, errBackend) || !strings.Contains(err.Error(), "osd.2") {
 		t.Fatalf("start = %v, want osd.2's backend error", err)
+	}
+	if len(c.MDSs) != 1 || len(c.OSDs) != 3 {
+		t.Fatalf("started %d ranks and %d OSDs beside the failing OSD, want 1 and 3", len(c.MDSs), len(c.OSDs))
 	}
 	if eps := c.Net.Endpoints(); len(eps) != 0 {
 		t.Fatalf("endpoints left after a failed boot: %v", eps)

@@ -111,12 +111,12 @@ type Cluster struct {
 // OSD map.
 //
 // Bring-up is one proposal. The pools go to the monitors as one update
-// while every OSD starts concurrently, so the pools and every OSD's
-// boot land in one proposal interval and commit as one Paxos value.
-// The MDS ranks start concurrently once every OSD is up, because a
-// rank's takeover can read its journal through RADOS. On any failure
-// everything started is stopped, and the error names the first failing
-// daemon by id.
+// while every OSD and every MDS rank starts concurrently, so the pools
+// and every daemon's boot land in one proposal interval and commit as
+// one Paxos value. A rank of a fresh cluster has no down peer whose
+// journal it would replay, so it needs nothing from RADOS to start. On
+// any failure everything started is stopped, and the error names the
+// first failing daemon by id.
 func Boot(ctx context.Context, opts Options) (*Cluster, error) {
 	c := newCluster(opts)
 	if err := c.start(ctx); err != nil {
@@ -172,58 +172,89 @@ func (c *Cluster) start(ctx context.Context) (err error) {
 		return fmt.Errorf("core: initial election: %w", err)
 	}
 
-	// The pools, as one update, in flight while the OSDs boot.
+	// The pools, as one update, in flight while the daemons boot.
 	boot := mon.NewClient(c.Net, bootstrapAddr, c.monIDs)
 	pools := types.Update{Ops: []types.Op{mon.PoolCreateOp("metadata", opts.PGNum, opts.Replicas)}}
 	for _, p := range opts.Pools {
 		pools.Ops = append(pools.Ops, mon.PoolCreateOp(p, opts.PGNum, opts.Replicas))
 	}
+	var created mon.Maps
 	poolsDone := make(chan error, 1)
-	go func() { poolsDone <- boot.Submit(ctx, pools) }()
+	go func() {
+		var err error
+		created, err = boot.Submit(ctx, pools)
+		poolsDone <- err
+	}()
 
+	// Every OSD and every MDS rank at once; an OSD's error, being of a
+	// lower index, is reported before a rank's.
 	osds := make([]*rados.OSD, opts.OSDs)
-	osdErr := concurrently(opts.OSDs, func(i int) error {
-		osd, err := c.newOSD(i)
-		if err != nil {
-			return err
+	mdss := make([]*mds.Server, opts.MDSs)
+	daemonErr := concurrently(opts.OSDs+opts.MDSs, func(i int) (err error) {
+		if i < opts.OSDs {
+			osds[i], err = c.startOSD(ctx, i)
+		} else {
+			mdss[i-opts.OSDs], err = c.startMDS(ctx, i-opts.OSDs)
 		}
-		if err := osd.Start(ctx); err != nil {
-			return fmt.Errorf("core: start osd.%d: %w", i, err)
-		}
-		osds[i] = osd
-		return nil
+		return err
 	})
-	c.OSDs = started(osds)
+	c.OSDs, c.MDSs = started(osds), started(mdss)
 	if err := <-poolsDone; err != nil {
 		return fmt.Errorf("core: create pools: %w", err)
 	}
-	if osdErr != nil {
-		return osdErr
+	if daemonErr != nil {
+		return daemonErr
 	}
-
-	mdss := make([]*mds.Server, opts.MDSs)
-	mdsErr := concurrently(opts.MDSs, func(r int) error {
-		cfg := opts.MDS
-		cfg.Rank = r
-		cfg.Mons = c.monIDs
-		if cfg.Pool == "" {
-			cfg.Pool = "metadata"
-		}
-		if opts.MDSBalancer != nil {
-			cfg.Balancer = opts.MDSBalancer(r)
-		}
-		srv := mds.NewServer(c.Net, cfg)
-		if err := srv.Start(ctx); err != nil {
-			return fmt.Errorf("core: start mds.%d: %w", r, err)
-		}
-		mdss[r] = srv
+	if c.onOneEpoch(created.OSD) {
 		return nil
-	})
-	c.MDSs = started(mdss)
-	if mdsErr != nil {
-		return mdsErr
 	}
 	return c.catchUpOSDs(ctx, boot)
+}
+
+// startOSD builds and starts OSD id.
+func (c *Cluster) startOSD(ctx context.Context, id int) (*rados.OSD, error) {
+	osd, err := c.newOSD(id)
+	if err != nil {
+		return nil, err
+	}
+	if err := osd.Start(ctx); err != nil {
+		return nil, fmt.Errorf("core: start osd.%d: %w", id, err)
+	}
+	return osd, nil
+}
+
+// startMDS builds and starts MDS rank r from the cluster's template.
+func (c *Cluster) startMDS(ctx context.Context, r int) (*mds.Server, error) {
+	cfg := c.opts.MDS
+	cfg.Rank = r
+	cfg.Mons = c.monIDs
+	if cfg.Pool == "" {
+		cfg.Pool = "metadata"
+	}
+	if c.opts.MDSBalancer != nil {
+		cfg.Balancer = c.opts.MDSBalancer(r)
+	}
+	srv := mds.NewServer(c.Net, cfg)
+	if err := srv.Start(ctx); err != nil {
+		return nil, fmt.Errorf("core: start mds.%d: %w", r, err)
+	}
+	return srv, nil
+}
+
+// onOneEpoch reports whether the boot replies agree: every OSD started
+// on the epoch the pools were answered with. Each boot committed no
+// later than the epoch its OSD started on, so the OSDs then hold the
+// leader's map, and nothing need be read.
+func (c *Cluster) onOneEpoch(pools *types.OSDMap) bool {
+	if pools == nil {
+		return false
+	}
+	for _, o := range c.OSDs {
+		if o.Epoch() != pools.Epoch {
+			return false
+		}
+	}
+	return true
 }
 
 // bootstrapAddr is the monitor-client address Boot registers through.
@@ -261,10 +292,11 @@ func started[T any](all []*T) []*T {
 	return out
 }
 
-// catchUpOSDs is bring-up's last step. An OSD reads the map once, when
-// its own boot has committed; if a proposal tick split the boots, a
-// later epoch may still be on its way to it. Every OSD behind the
-// leader's map is handed that map directly, as the monitors' own push.
+// catchUpOSDs is bring-up's last step, taken when the boot replies
+// disagree. An OSD starts on the map its own boot was answered with; if
+// a proposal tick split the boots, a later epoch may still be on its
+// way to it. Every OSD behind the leader's map is handed that map
+// directly, as the monitors' own push.
 func (c *Cluster) catchUpOSDs(ctx context.Context, boot *mon.Client) error {
 	m, err := boot.GetOSDMap(ctx)
 	if err != nil {

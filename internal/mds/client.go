@@ -85,20 +85,30 @@ func NewClient(net *wire.Network, self wire.Addr, mons []int) *Client {
 }
 
 // Start registers the client's push endpoint (for capability recalls and
-// map notifications) and fetches the MDS map.
+// map notifications) and subscribes it to the MDS map, starting on the
+// map the subscription is answered with. On failure the endpoint is
+// removed again.
 func (c *Client) Start(ctx context.Context) error {
 	c.net.Listen(c.self, c.handlePush)
-	if err := c.monc.Subscribe(ctx, c.self, types.MapMDS); err != nil {
+	maps, err := c.monc.Subscribe(ctx, c.self, types.MapMDS)
+	if err != nil {
+		c.net.Unlisten(c.self)
 		return err
 	}
-	m, err := c.monc.GetMDSMap(ctx)
-	if err != nil {
-		return err
+	c.noteMap(maps.MDS)
+	return nil
+}
+
+// noteMap installs m as the client's MDS map if it is newer.
+func (c *Client) noteMap(m *types.MDSMap) {
+	if m == nil {
+		return
 	}
 	c.mu.Lock()
-	c.mdsMap = m
+	if m.Epoch > c.mdsMap.Epoch {
+		c.mdsMap = m
+	}
 	c.mu.Unlock()
-	return nil
 }
 
 // Stop releases all held capabilities and removes the push endpoint.
@@ -128,13 +138,7 @@ func (c *Client) handlePush(_ context.Context, _ wire.Addr, req any) (any, error
 		c.onRecall(r.Path)
 		return nil, nil
 	case mon.MapNotify:
-		if r.MDS != nil {
-			c.mu.Lock()
-			if r.MDS.Epoch > c.mdsMap.Epoch {
-				c.mdsMap = r.MDS
-			}
-			c.mu.Unlock()
-		}
+		c.noteMap(r.MDS)
 		return nil, nil
 	}
 	return nil, nil
@@ -222,9 +226,12 @@ func (c *Client) rankForLocked(path string) int {
 }
 
 // call routes a request for path, following redirects and failing over
-// to surviving ranks.
+// to surviving ranks. When no rank can be reached it fails with
+// ErrUnavail wrapping the last fabric error; ErrBadRoute means the
+// redirects ran out.
 func (c *Client) call(ctx context.Context, path string, mk func() any) (any, error) {
 	redirects, failures, busy := 0, 0, 0
+	var lastErr error
 	for redirects < 8 && failures < 8 {
 		c.mu.Lock()
 		rank := c.rankForLocked(path)
@@ -235,15 +242,12 @@ func (c *Client) call(ctx context.Context, path string, mk func() any) (any, err
 			// Rank unreachable: refresh the map, drop any stale auth
 			// entry, and retry (a surviving rank may have taken over).
 			failures++
+			lastErr = err
 			c.mu.Lock()
 			delete(c.auth, path)
 			c.mu.Unlock()
 			if m, merr := c.monc.GetMDSMap(ctx); merr == nil {
-				c.mu.Lock()
-				if m.Epoch >= c.mdsMap.Epoch {
-					c.mdsMap = m
-				}
-				c.mu.Unlock()
+				c.noteMap(m)
 			}
 			if !retry.Backoff(ctx, failures-1, 10*time.Millisecond, 160*time.Millisecond) {
 				return nil, ctx.Err()
@@ -268,6 +272,9 @@ func (c *Client) call(ctx context.Context, path string, mk func() any) (any, err
 			continue
 		}
 		return resp, nil
+	}
+	if failures >= 8 {
+		return nil, fmt.Errorf("%w: %w", ErrUnavail, lastErr)
 	}
 	return nil, ErrBadRoute
 }

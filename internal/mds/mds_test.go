@@ -745,3 +745,30 @@ func TestListAcrossRanks(t *testing.T) {
 		t.Fatalf("list none = %v, %v", none, err)
 	}
 }
+
+// TestClientStartIsOneSubscribe pins a session's start to one round
+// trip: one Subscribe to each of the three monitors and no map read,
+// yet the session starts on the current MDS map and routes to its rank.
+func TestClientStartIsOneSubscribe(t *testing.T) {
+	c := boot(t, core.Options{Mons: 3, MDSs: 1, OSDs: 2})
+	cl := newClient(t, c, "client.count")
+	if got := c.Net.Stats().Outbound["client.count"].Calls; got != 3 {
+		t.Fatalf("start made %d calls, want 3 (one subscribe per monitor)", got)
+	}
+	if err := cl.Open(ctxT(t, 10*time.Second), "/seq", mds.TypeSequencer, &roundTrip); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClientStartFailureUnlistens starts a session with no monitor
+// reachable: Start fails and leaves no endpoint behind.
+func TestClientStartFailureUnlistens(t *testing.T) {
+	net := wire.NewNetwork()
+	cl := mds.NewClient(net, "client.orphan", []int{0})
+	if err := cl.Start(ctxT(t, 5*time.Second)); err == nil {
+		t.Fatal("start with no monitor succeeded")
+	}
+	if eps := net.Endpoints(); len(eps) != 0 {
+		t.Fatalf("endpoints left after a failed start: %v", eps)
+	}
+}

@@ -152,19 +152,18 @@ func (s *Server) Addr() wire.Addr { return MDSAddr(s.cfg.Rank) }
 func (s *Server) Rank() int { return s.cfg.Rank }
 
 // Start registers the rank, joins the cluster (mon.Client.Join: boot
-// into the MDS map while subscribing to its pushes), reads the map
-// once, and launches the balance/beacon loops.
+// into the MDS map while subscribing to its pushes, starting on the map
+// the join was answered with), and launches the balance/beacon loops.
+// A rank of a fresh cluster has no down peer to take over, so it reads
+// nothing from RADOS here and may start before the OSDs are up.
 func (s *Server) Start(ctx context.Context) error {
 	s.net.Listen(s.Addr(), s.handle)
-	if err := s.monc.Join(ctx, types.MapMDS, func() error {
-		return s.monc.BootMDS(ctx, s.cfg.Rank, s.Addr())
-	}); err != nil {
+	maps, err := s.monc.Join(ctx, types.MapMDS, mon.MDSBootOp(s.cfg.Rank, s.Addr()))
+	if err != nil {
 		s.net.Unlisten(s.Addr())
 		return fmt.Errorf("mds.%d: %w", s.cfg.Rank, err)
 	}
-	if m, err := s.monc.GetMDSMap(ctx); err == nil {
-		s.updateMDSMap(m)
-	}
+	s.updateMDSMap(maps.MDS)
 	if s.cfg.BalanceInterval > 0 {
 		s.wg.Add(1)
 		go s.balanceLoop()

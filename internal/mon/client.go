@@ -30,7 +30,9 @@ func NewClient(net *wire.Network, self wire.Addr, mons []int) *Client {
 
 // Submit commits an update through Paxos, blocking until it is applied
 // (or ctx expires). Any monitor may be contacted; non-leaders forward.
-func (c *Client) Submit(ctx context.Context, u types.Update) error {
+// It returns the map of each kind the update changed, as published by
+// the commit (nil if the commit was answered before it applied).
+func (c *Client) Submit(ctx context.Context, u types.Update) (Maps, error) {
 	if u.Source == "" {
 		u.Source = string(c.self)
 	}
@@ -44,18 +46,24 @@ func (c *Client) Submit(ctx context.Context, u types.Update) error {
 			}
 			r := resp.(SubmitResp)
 			if r.OK {
-				return nil
+				return r.Maps, nil
 			}
 			lastErr = fmt.Errorf("mon: submit rejected: %s", r.Err)
 			if r.Err != "not leader" {
-				return lastErr
+				return Maps{}, lastErr
 			}
 		}
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return Maps{}, ctx.Err()
 		}
 	}
-	return lastErr
+	return Maps{}, lastErr
+}
+
+// submit commits ops as one update, for callers that need no map back.
+func (c *Client) submit(ctx context.Context, ops ...types.Op) error {
+	_, err := c.Submit(ctx, types.Update{Ops: ops})
+	return err
 }
 
 // GetOSDMap fetches the newest OSD map from any monitor.
@@ -91,46 +99,76 @@ func (c *Client) getMap(ctx context.Context, kind string) (GetMapResp, error) {
 // subscription is installed on every monitor so pushes survive leader
 // failover; the monitors are asked in parallel, so the call costs one
 // round trip however large the quorum. It succeeds if any monitor
-// accepted, and returns once every monitor has answered.
-func (c *Client) Subscribe(ctx context.Context, addr wire.Addr, kinds ...string) error {
+// accepted, and returns once every monitor has answered, with the
+// newest map of each kind any of them answered: together with the
+// pushes that follow, no epoch is missed.
+func (c *Client) Subscribe(ctx context.Context, addr wire.Addr, kinds ...string) (Maps, error) {
 	req := SubscribeReq{Addr: addr, Kinds: kinds}
-	errs := make(chan error, len(c.mons)) // one send per monitor: no sender blocks
+	type answer struct {
+		maps Maps
+		err  error
+	}
+	answers := make(chan answer, len(c.mons)) // one send per monitor: no sender blocks
 	for _, id := range c.mons {
 		go func(id int) {
-			_, err := c.net.Call(ctx, c.self, Addr(id), req)
-			errs <- err
+			resp, err := c.net.Call(ctx, c.self, Addr(id), req)
+			if err != nil {
+				answers <- answer{err: err}
+				return
+			}
+			answers <- answer{maps: resp.(Maps)}
 		}(id)
 	}
+	var newest Maps
 	ok := false
 	for range c.mons {
-		if <-errs == nil {
+		if a := <-answers; a.err == nil {
 			ok = true
+			newest = newest.newer(a.maps)
 		}
 	}
 	if !ok {
-		return ErrNoMonitor
+		return Maps{}, ErrNoMonitor
 	}
-	return nil
+	return newest, nil
 }
 
-// Join is a daemon's way into the cluster: boot submits the update that
-// marks the daemon up, and while it waits for its proposal the client's
-// own address is subscribed to pushes of kind. The push of the epoch
-// that marks the daemon up then already has it as a target, and one map
-// read after Join covers whatever was committed before. Join returns
-// once both are done.
-func (c *Client) Join(ctx context.Context, kind string, boot func() error) error {
+// Join is a daemon's way into the cluster: it submits boot, the op that
+// marks the daemon up, and while the op waits for its proposal the
+// client's own address is subscribed to pushes of kind. Join returns
+// once both are answered, with the newer of the map the commit and the
+// map the subscription were answered with: the daemon starts on the
+// epoch that marked it up or a later one, and every epoch after the
+// subscription was installed is pushed to it.
+func (c *Client) Join(ctx context.Context, kind string, boot types.Op) (Maps, error) {
+	var current Maps
 	subscribed := make(chan error, 1)
-	go func() { subscribed <- c.Subscribe(ctx, c.self, kind) }()
-	bootErr := boot()
+	go func() {
+		var err error
+		current, err = c.Subscribe(ctx, c.self, kind)
+		subscribed <- err
+	}()
+	committed, bootErr := c.Submit(ctx, types.Update{Ops: []types.Op{boot}})
 	subErr := <-subscribed
 	switch {
 	case bootErr != nil:
-		return fmt.Errorf("boot: %w", bootErr)
+		return Maps{}, fmt.Errorf("boot: %w", bootErr)
 	case subErr != nil:
-		return fmt.Errorf("subscribe: %w", subErr)
+		return Maps{}, fmt.Errorf("subscribe: %w", subErr)
 	}
-	return nil
+	return committed.newer(current), nil
+}
+
+// newer returns, kind by kind, the newer of a's and b's maps; a nil map
+// is older than any.
+func (a Maps) newer(b Maps) Maps {
+	if b.OSD != nil && (a.OSD == nil || b.OSD.Epoch > a.OSD.Epoch) {
+		a.OSD = b.OSD
+	}
+	if b.MDS != nil && (a.MDS == nil || b.MDS.Epoch > a.MDS.Epoch) {
+		a.MDS = b.MDS
+	}
+	return a
 }
 
 // Beacon reports daemon liveness to every reachable monitor (so the
@@ -170,82 +208,63 @@ func (c *Client) GetLog(ctx context.Context, last int) ([]LogEntry, error) {
 
 // SetService writes a service-metadata key on the given map kind.
 func (c *Client) SetService(ctx context.Context, mapKind, key, value string) error {
-	return c.Submit(ctx, types.Update{Ops: []types.Op{{
-		Code: types.OpServiceSet, Map: mapKind, Key: key, Value: value,
-	}}})
+	return c.submit(ctx, types.Op{Code: types.OpServiceSet, Map: mapKind, Key: key, Value: value})
 }
 
 // DelService removes a service-metadata key.
 func (c *Client) DelService(ctx context.Context, mapKind, key string) error {
-	return c.Submit(ctx, types.Update{Ops: []types.Op{{
-		Code: types.OpServiceDel, Map: mapKind, Key: key,
-	}}})
+	return c.submit(ctx, types.Op{Code: types.OpServiceDel, Map: mapKind, Key: key})
 }
 
 // InstallClass installs (or upgrades) a dynamic object-interface class.
 // The script body is embedded in the OSDMap and propagated to every
 // object storage daemon (Section 4.2).
 func (c *Client) InstallClass(ctx context.Context, name, script, category string) error {
-	return c.Submit(ctx, types.Update{Ops: []types.Op{{
-		Code: types.OpClassInstall, Key: name, Value: script, Aux: category,
-	}}})
+	return c.submit(ctx, types.Op{Code: types.OpClassInstall, Key: name, Value: script, Aux: category})
 }
 
 // RemoveClass uninstalls a dynamic class.
 func (c *Client) RemoveClass(ctx context.Context, name string) error {
-	return c.Submit(ctx, types.Update{Ops: []types.Op{{
-		Code: types.OpClassRemove, Key: name,
-	}}})
+	return c.submit(ctx, types.Op{Code: types.OpClassRemove, Key: name})
 }
 
 // SetBalancerVersion points the MDS cluster at a new Mantle policy
 // object (Section 5.1.1); this is the versioning CLI command the paper
 // adds.
 func (c *Client) SetBalancerVersion(ctx context.Context, version string) error {
-	return c.Submit(ctx, types.Update{Ops: []types.Op{{
-		Code: types.OpBalancerSet, Value: version,
-	}}})
+	return c.submit(ctx, types.Op{Code: types.OpBalancerSet, Value: version})
 }
 
-// BootOSD records an OSD as up.
-func (c *Client) BootOSD(ctx context.Context, id int, addr wire.Addr) error {
-	return c.Submit(ctx, types.Update{Ops: []types.Op{{
-		Code: types.OpOSDBoot, Key: strconv.Itoa(id), Value: string(addr),
-	}}})
+// OSDBootOp is the op that records an OSD as up (a daemon's Join op).
+func OSDBootOp(id int, addr wire.Addr) types.Op {
+	return types.Op{Code: types.OpOSDBoot, Key: strconv.Itoa(id), Value: string(addr)}
 }
 
 // MarkOSDDown records an OSD as down.
 func (c *Client) MarkOSDDown(ctx context.Context, id int) error {
-	return c.Submit(ctx, types.Update{Ops: []types.Op{{
-		Code: types.OpOSDDown, Key: strconv.Itoa(id),
-	}}})
+	return c.submit(ctx, types.Op{Code: types.OpOSDDown, Key: strconv.Itoa(id)})
 }
 
-// BootMDS records a metadata server rank as up.
-func (c *Client) BootMDS(ctx context.Context, rank int, addr wire.Addr) error {
-	return c.Submit(ctx, types.Update{Ops: []types.Op{{
-		Code: types.OpMDSBoot, Key: strconv.Itoa(rank), Value: string(addr),
-	}}})
+// MDSBootOp is the op that records a metadata server rank as up (a
+// rank's Join op).
+func MDSBootOp(rank int, addr wire.Addr) types.Op {
+	return types.Op{Code: types.OpMDSBoot, Key: strconv.Itoa(rank), Value: string(addr)}
 }
 
 // MarkMDSDown records a metadata server rank as down.
 func (c *Client) MarkMDSDown(ctx context.Context, rank int) error {
-	return c.Submit(ctx, types.Update{Ops: []types.Op{{
-		Code: types.OpMDSDown, Key: strconv.Itoa(rank),
-	}}})
+	return c.submit(ctx, types.Op{Code: types.OpMDSDown, Key: strconv.Itoa(rank)})
 }
 
 // ResizePool grows a pool's placement-group count, triggering
 // background PG splitting on the object storage daemons (§4.4).
 func (c *Client) ResizePool(ctx context.Context, name string, pgNum int) error {
-	return c.Submit(ctx, types.Update{Ops: []types.Op{{
-		Code: types.OpPoolResize, Key: name, Value: strconv.Itoa(pgNum),
-	}}})
+	return c.submit(ctx, types.Op{Code: types.OpPoolResize, Key: name, Value: strconv.Itoa(pgNum)})
 }
 
 // CreatePool creates a RADOS pool.
 func (c *Client) CreatePool(ctx context.Context, name string, pgNum, replicas int) error {
-	return c.Submit(ctx, types.Update{Ops: []types.Op{PoolCreateOp(name, pgNum, replicas)}})
+	return c.submit(ctx, PoolCreateOp(name, pgNum, replicas))
 }
 
 // PoolCreateOp is the op that creates a RADOS pool, for callers that

@@ -81,11 +81,22 @@ type SubmitReq struct {
 }
 
 // SubmitResp reports the outcome; on a non-leader monitor with
-// forwarding disabled, Leader hints where to retry.
+// forwarding disabled, Leader hints where to retry. A committed update
+// is answered with the map of each kind it changed, as published by
+// the commit that applied it (or a later one).
 type SubmitResp struct {
 	OK     bool
 	Err    string
 	Leader int
+	Maps
+}
+
+// Maps carries cluster maps as a monitor published them; a kind not
+// asked for (or not changed) is nil. Published maps are shared with
+// every push and reply, and never written again.
+type Maps struct {
+	OSD *types.OSDMap
+	MDS *types.MDSMap
 }
 
 // GetMapReq fetches the newest map of the given kind. Reads are served
@@ -103,6 +114,9 @@ type GetMapResp struct {
 }
 
 // SubscribeReq registers addr for push notification of map changes.
+// The reply is a Maps holding the monitor's current map of each kind
+// subscribed to: every epoch published before the subscription was
+// installed is covered by it, every later one by a push.
 type SubscribeReq struct {
 	Addr  wire.Addr
 	Kinds []string
@@ -137,7 +151,13 @@ type GetLogResp struct{ Entries []LogEntry }
 // pendingUpdate couples an update with its commit signal.
 type pendingUpdate struct {
 	u    types.Update
-	done chan error
+	done chan committed
+}
+
+// committed is a proposal's outcome, as handed to each of its updates.
+type committed struct {
+	maps Maps // the published maps once the proposal applied
+	err  error
 }
 
 // Monitor is one daemon of the monitor quorum.
@@ -156,6 +176,11 @@ type Monitor struct {
 	subscribers map[wire.Addr]map[string]bool // guarded by mu
 	validators  []Validator                   // guarded by mu
 	lastBeacon  map[string]time.Time          // guarded by mu; "kind.id" -> last report
+	// published holds the maps as of the last applied Paxos slot: the
+	// clones applyCommitted pushes, and what commits and subscriptions
+	// are answered with. applied counts the slots applied so far.
+	published Maps   // guarded by mu
+	applied   uint64 // guarded by mu
 	// commitWait maps a batch fingerprint to the updates awaiting it; we
 	// simply signal the pending set attached to each proposal.
 
@@ -180,6 +205,7 @@ func New(net *wire.Network, cfg Config) *Monitor {
 		mdsMap:      types.NewMDSMap(),
 		subscribers: make(map[wire.Addr]map[string]bool),
 		lastBeacon:  make(map[string]time.Time),
+		published:   Maps{OSD: types.NewOSDMap(), MDS: types.NewMDSMap()},
 		stopCh:      make(chan struct{}),
 	}
 	peers := make([]paxos.NodeID, len(cfg.Peers))
@@ -242,6 +268,10 @@ func (m *Monitor) MapEpochs() (osd, mds types.Epoch) {
 	return m.osdMap.Epoch, m.mdsMap.Epoch
 }
 
+// Proposals returns how many Paxos values this monitor has learned:
+// each is one proposal's batch of updates.
+func (m *Monitor) Proposals() int { return m.px.NumChosen() }
+
 // IsLeader reports whether this monitor currently leads the quorum.
 func (m *Monitor) IsLeader() bool { return m.px.IsLeader() }
 
@@ -267,15 +297,17 @@ func (m *Monitor) handle(ctx context.Context, from wire.Addr, req any) (any, err
 	case GetMapReq:
 		return m.handleGetMap(ctx, r)
 	case SubscribeReq:
+		var cur Maps
 		m.mu.Lock()
 		if m.subscribers[r.Addr] == nil {
 			m.subscribers[r.Addr] = make(map[string]bool)
 		}
 		for _, k := range r.Kinds {
 			m.subscribers[r.Addr][k] = true
+			cur.add(k, m.published)
 		}
 		m.mu.Unlock()
-		return true, nil
+		return cur, nil
 	case BeaconReq:
 		m.mu.Lock()
 		m.lastBeacon[fmt.Sprintf("%s.%d", r.Kind, r.ID)] = time.Now()
@@ -338,16 +370,20 @@ func (m *Monitor) handleSubmit(ctx context.Context, r SubmitReq) (any, error) {
 			}
 		}
 	}
-	done := make(chan error, 1)
+	done := make(chan committed, 1)
 	m.pending = append(m.pending, pendingUpdate{u: r.Update, done: done})
 	m.mu.Unlock()
 
 	select {
-	case err := <-done:
-		if err != nil {
-			return SubmitResp{OK: false, Err: err.Error(), Leader: m.cfg.ID}, nil
+	case c := <-done:
+		if c.err != nil {
+			return SubmitResp{OK: false, Err: c.err.Error(), Leader: m.cfg.ID}, nil
 		}
-		return SubmitResp{OK: true, Leader: m.cfg.ID}, nil
+		resp := SubmitResp{OK: true, Leader: m.cfg.ID}
+		for _, op := range r.Update.Ops {
+			resp.add(mapOf(op), c.maps)
+		}
+		return resp, nil
 	case <-ctx.Done():
 		return SubmitResp{OK: false, Err: ctx.Err().Error(), Leader: m.cfg.ID}, nil
 	}
@@ -405,16 +441,32 @@ func (m *Monitor) proposalLoop() {
 		for i, p := range batch {
 			updates[i] = p.u
 		}
+		var c committed
 		val, err := types.EncodeUpdates(updates)
 		if err == nil {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			_, err = m.px.Propose(ctx, val)
+			var slot uint64
+			slot, err = m.px.Propose(ctx, val)
 			cancel()
+			c.maps = m.publishedThrough(slot)
 		}
+		c.err = err
 		for _, p := range batch {
-			p.done <- err
+			p.done <- c
 		}
 	}
+}
+
+// publishedThrough returns the published maps if slot has been applied.
+// A slot chosen behind a gap applies only once the gap fills, so its
+// proposer can be answered before then: with no maps.
+func (m *Monitor) publishedThrough(slot uint64) Maps {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.applied <= slot {
+		return Maps{}
+	}
+	return m.published
 }
 
 // beaconLoop is the failure detector: when a daemon's beacons go silent
@@ -461,7 +513,7 @@ func (m *Monitor) beaconLoop() {
 		if len(ops) > 0 {
 			m.pending = append(m.pending, pendingUpdate{
 				u:    types.Update{Source: fmt.Sprintf("mon.%d", m.cfg.ID), Ops: ops},
-				done: make(chan error, 1),
+				done: make(chan committed, 1),
 			})
 		}
 		m.mu.Unlock()
@@ -474,25 +526,29 @@ func (m *Monitor) failPending(err error) {
 	m.pending = nil
 	m.mu.Unlock()
 	for _, p := range batch {
-		p.done <- err
+		p.done <- committed{err: err}
 	}
 }
 
 // applyCommitted is the Paxos apply callback: decode the batch and fold
-// every op into the state machine, bumping epochs once per touched map.
-func (m *Monitor) applyCommitted(_ uint64, value []byte) {
+// every op into the state machine, bumping epochs once per touched map
+// and publishing each touched map.
+func (m *Monitor) applyCommitted(slot uint64, value []byte) {
 	updates, err := types.DecodeUpdates(value)
+	m.mu.Lock()
+	m.applied = slot + 1
 	if err != nil {
-		m.appendLog("error", fmt.Sprintf("mon.%d", m.cfg.ID), "undecodable paxos value: "+err.Error())
+		m.appendLogLocked("error", fmt.Sprintf("mon.%d", m.cfg.ID), "undecodable paxos value: "+err.Error())
+		m.mu.Unlock()
 		return
 	}
-	m.mu.Lock()
 	osdTouched, mdsTouched := false, false
 	for _, u := range updates {
 		for _, op := range u.Ops {
-			o, md := m.applyOp(u.Source, op)
-			osdTouched = osdTouched || o
-			mdsTouched = mdsTouched || md
+			if m.applyOp(u.Source, op) {
+				osdTouched = osdTouched || mapOf(op) == types.MapOSD
+				mdsTouched = mdsTouched || mapOf(op) == types.MapMDS
+			}
 		}
 	}
 	var notifyOSD *types.OSDMap
@@ -501,11 +557,13 @@ func (m *Monitor) applyCommitted(_ uint64, value []byte) {
 	if osdTouched {
 		m.osdMap.Epoch++
 		notifyOSD = m.osdMap.Clone()
+		m.published.OSD = notifyOSD
 		osdSubs = m.subscribersLocked(types.MapOSD)
 	}
 	if mdsTouched {
 		m.mdsMap.Epoch++
 		notifyMDS = m.mdsMap.Clone()
+		m.published.MDS = notifyMDS
 		mdsSubs = m.subscribersLocked(types.MapMDS)
 	}
 	m.mu.Unlock()
@@ -560,50 +618,73 @@ func pushTargets(subs []wire.Addr, fanout, rank int, epoch types.Epoch) []wire.A
 	return append(subs[start:n:n], subs[:start+fanout-n]...)
 }
 
-// applyOp folds one op into the maps; returns which maps changed.
-// Caller holds m.mu.
-func (m *Monitor) applyOp(source string, op types.Op) (osd, mds bool) {
+// mapOf names the map op belongs to.
+func mapOf(op types.Op) string {
+	switch op.Code {
+	case types.OpMDSBoot, types.OpMDSDown, types.OpBalancerSet:
+		return types.MapMDS
+	case types.OpServiceSet, types.OpServiceDel:
+		if op.Map == types.MapMDS {
+			return types.MapMDS
+		}
+	}
+	return types.MapOSD
+}
+
+// add sets a's map of kind from src.
+func (a *Maps) add(kind string, src Maps) {
+	switch kind {
+	case types.MapOSD:
+		a.OSD = src.OSD
+	case types.MapMDS:
+		a.MDS = src.MDS
+	}
+}
+
+// applyOp folds one op into the map mapOf names; it reports whether the
+// map changed. Caller holds m.mu.
+func (m *Monitor) applyOp(source string, op types.Op) bool {
 	switch op.Code {
 	case types.OpOSDBoot:
 		id, err := strconv.Atoi(op.Key)
 		if err != nil {
 			m.appendLogLocked("error", source, fmt.Sprintf("osd boot with bad id %q ignored: %v", op.Key, err))
-			return false, false
+			return false
 		}
 		m.osdMap.OSDs[id] = types.OSDInfo{ID: id, Addr: op.Value, State: types.StateUp}
-		return true, false
+		return true
 	case types.OpOSDDown:
 		id, err := strconv.Atoi(op.Key)
 		if err != nil {
 			m.appendLogLocked("error", source, fmt.Sprintf("osd down with bad id %q ignored: %v", op.Key, err))
-			return false, false
+			return false
 		}
 		if info, ok := m.osdMap.OSDs[id]; ok {
 			info.State = types.StateDown
 			m.osdMap.OSDs[id] = info
 			m.appendLogLocked("warn", source, fmt.Sprintf("osd.%d marked down", id))
 		}
-		return true, false
+		return true
 	case types.OpMDSBoot:
 		rank, err := strconv.Atoi(op.Key)
 		if err != nil {
 			m.appendLogLocked("error", source, fmt.Sprintf("mds boot with bad rank %q ignored: %v", op.Key, err))
-			return false, false
+			return false
 		}
 		m.mdsMap.Ranks[rank] = types.MDSInfo{Rank: rank, Addr: op.Value, State: types.StateUp}
-		return false, true
+		return true
 	case types.OpMDSDown:
 		rank, err := strconv.Atoi(op.Key)
 		if err != nil {
 			m.appendLogLocked("error", source, fmt.Sprintf("mds down with bad rank %q ignored: %v", op.Key, err))
-			return false, false
+			return false
 		}
 		if info, ok := m.mdsMap.Ranks[rank]; ok {
 			info.State = types.StateDown
 			m.mdsMap.Ranks[rank] = info
 			m.appendLogLocked("warn", source, fmt.Sprintf("mds.%d marked down", rank))
 		}
-		return false, true
+		return true
 	case types.OpPoolCreate:
 		pg, err := strconv.Atoi(op.Value)
 		if err != nil && op.Value != "" {
@@ -620,26 +701,26 @@ func (m *Monitor) applyOp(source string, op types.Op) (osd, mds bool) {
 			reps = 1
 		}
 		m.osdMap.Pools[op.Key] = types.PoolInfo{Name: op.Key, PGNum: pg, Replicas: reps}
-		return true, false
+		return true
 	case types.OpPoolResize:
 		pi, ok := m.osdMap.Pools[op.Key]
 		if !ok {
 			m.appendLogLocked("error", source, fmt.Sprintf("resize of unknown pool %q ignored", op.Key))
-			return false, false
+			return false
 		}
 		pg, err := strconv.Atoi(op.Value)
 		if err != nil {
 			m.appendLogLocked("error", source, fmt.Sprintf("pool %q resize with bad pg_num %q ignored: %v", op.Key, op.Value, err))
-			return false, false
+			return false
 		}
 		if pg <= pi.PGNum {
 			m.appendLogLocked("error", source, fmt.Sprintf("pool %q resize to %d <= current %d ignored", op.Key, pg, pi.PGNum))
-			return false, false
+			return false
 		}
 		pi.PGNum = pg
 		m.osdMap.Pools[op.Key] = pi
 		m.appendLogLocked("info", source, fmt.Sprintf("pool %q split to %d PGs", op.Key, pg))
-		return true, false
+		return true
 	case types.OpClassInstall:
 		prev := m.osdMap.Classes[op.Key]
 		m.osdMap.Classes[op.Key] = types.ClassDef{
@@ -649,35 +730,32 @@ func (m *Monitor) applyOp(source string, op types.Op) (osd, mds bool) {
 			Category: op.Aux,
 		}
 		m.appendLogLocked("info", source, fmt.Sprintf("class %q installed (v%d)", op.Key, prev.Version+1))
-		return true, false
+		return true
 	case types.OpClassRemove:
 		delete(m.osdMap.Classes, op.Key)
-		return true, false
+		return true
 	case types.OpServiceSet:
-		switch op.Map {
-		case types.MapMDS:
-			m.mdsMap.Service[op.Key] = op.Value
-			return false, true
-		default:
-			m.osdMap.Service[op.Key] = op.Value
-			return true, false
-		}
+		m.serviceOf(op)[op.Key] = op.Value
+		return true
 	case types.OpServiceDel:
-		switch op.Map {
-		case types.MapMDS:
-			delete(m.mdsMap.Service, op.Key)
-			return false, true
-		default:
-			delete(m.osdMap.Service, op.Key)
-			return true, false
-		}
+		delete(m.serviceOf(op), op.Key)
+		return true
 	case types.OpBalancerSet:
 		m.mdsMap.BalancerVersion = op.Value
 		m.appendLogLocked("info", source, fmt.Sprintf("balancer version set to %q", op.Value))
-		return false, true
+		return true
 	}
 	m.appendLogLocked("error", source, fmt.Sprintf("unknown op %q ignored", op.Code))
-	return false, false
+	return false
+}
+
+// serviceOf returns the service-metadata bucket a svc.* op writes.
+// Caller holds m.mu.
+func (m *Monitor) serviceOf(op types.Op) map[string]string {
+	if mapOf(op) == types.MapMDS {
+		return m.mdsMap.Service
+	}
+	return m.osdMap.Service
 }
 
 func (m *Monitor) appendLog(level, source, msg string) {

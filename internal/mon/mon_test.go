@@ -210,7 +210,7 @@ func TestSubscriberReceivesPush(t *testing.T) {
 		}
 		return nil, nil
 	})
-	if err := c.Subscribe(ctx, "osd.0", types.MapOSD); err != nil {
+	if _, err := c.Subscribe(ctx, "osd.0", types.MapOSD); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.InstallClass(ctx, "counter", "-- body", "metadata"); err != nil {
@@ -285,14 +285,14 @@ func TestDaemonLifecycleOps(t *testing.T) {
 	ctx := ctxT(t, 5*time.Second)
 
 	for i := 0; i < 4; i++ {
-		if err := c.BootOSD(ctx, i, wire.Addr(fmt.Sprintf("osd.%d", i))); err != nil {
+		if err := c.submit(ctx, OSDBootOp(i, wire.Addr(fmt.Sprintf("osd.%d", i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := c.MarkOSDDown(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.BootMDS(ctx, 0, "mds.0"); err != nil {
+	if err := c.submit(ctx, MDSBootOp(0, "mds.0")); err != nil {
 		t.Fatal(err)
 	}
 	osd, err := c.GetOSDMap(ctx)
@@ -414,7 +414,7 @@ func TestGossipFanoutLimitsPushes(t *testing.T) {
 			}
 			return nil, nil
 		})
-		if err := c.Subscribe(ctx, addr, types.MapOSD); err != nil {
+		if _, err := c.Subscribe(ctx, addr, types.MapOSD); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -461,7 +461,7 @@ func TestQuorumPushesDisjointWindows(t *testing.T) {
 			}
 			return nil, nil
 		})
-		if err := c.Subscribe(ctx, addr, types.MapOSD); err != nil {
+		if _, err := c.Subscribe(ctx, addr, types.MapOSD); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -610,7 +610,7 @@ func TestUnknownOpLoggedAndIgnored(t *testing.T) {
 	c := NewClient(net, "client.0", []int{0, 1, 2})
 	ctx := ctxT(t, 5*time.Second)
 
-	if err := c.Submit(ctx, types.Update{Ops: []types.Op{{Code: "bogus.op"}}}); err != nil {
+	if _, err := c.Submit(ctx, types.Update{Ops: []types.Op{{Code: "bogus.op"}}}); err != nil {
 		t.Fatal(err) // commits fine; the op itself is a logged no-op
 	}
 	entries, err := c.GetLog(ctx, 0)
@@ -638,7 +638,7 @@ func TestSubscribeFansOut(t *testing.T) {
 	ctx := ctxT(t, 5*time.Second)
 
 	c := NewClient(net, "client.sub", []int{0, 1, 2})
-	if err := c.Subscribe(ctx, "osd.0", types.MapOSD); err != nil {
+	if _, err := c.Subscribe(ctx, "osd.0", types.MapOSD); err != nil {
 		t.Fatal(err)
 	}
 	if got := net.Stats().Outbound["client.sub"].MaxInflight; got != 3 {
@@ -654,7 +654,7 @@ func TestSubscribeFansOut(t *testing.T) {
 	})
 	cut := NewClient(net, "client.cut", []int{0, 1, 2})
 	net.Partition("client.cut", Addr(0))
-	if err := cut.Subscribe(ctx, "osd.1", types.MapOSD); err != nil {
+	if _, err := cut.Subscribe(ctx, "osd.1", types.MapOSD); err != nil {
 		t.Fatalf("subscribe with one monitor unreachable: %v", err)
 	}
 	for i, m := range mons {
@@ -676,5 +676,100 @@ func TestSubscribeFansOut(t *testing.T) {
 		case <-ctx.Done():
 			t.Fatalf("pushes received from %v, want mon.1 and mon.2", from)
 		}
+	}
+}
+
+// TestSubmitAnswersWithTheMapsItChanged pins the commit reply: an
+// update is answered with the published map of each kind it changed,
+// holding the change, and with no map of a kind it left alone.
+func TestSubmitAnswersWithTheMapsItChanged(t *testing.T) {
+	net := wire.NewNetwork()
+	testQuorum(t, net, 3)
+	c := NewClient(net, "client.0", []int{1, 2, 0}) // a follower forwards
+	ctx := ctxT(t, 5*time.Second)
+
+	got, err := c.Submit(ctx, types.Update{Ops: []types.Op{{Code: types.OpServiceSet, Map: types.MapOSD, Key: "k", Value: "v"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.OSD == nil || got.OSD.Service["k"] != "v" || got.MDS != nil {
+		t.Fatalf("osd-map commit answered with %+v", got)
+	}
+	leader, err := c.GetOSDMap(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.OSD.Epoch != leader.Epoch {
+		t.Fatalf("commit answered with epoch %d, leader at %d", got.OSD.Epoch, leader.Epoch)
+	}
+	got, err = c.Submit(ctx, types.Update{Ops: []types.Op{MDSBootOp(0, "mds.0"), {Code: types.OpPoolCreate, Key: "p"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MDS == nil || len(got.MDS.UpRanks()) != 1 || got.OSD == nil || got.OSD.Pools["p"].Name != "p" {
+		t.Fatalf("two-map commit answered with %+v", got)
+	}
+}
+
+// TestJoinAfterAnEpochStartsOnIt races Join's subscription against a
+// commit: the monitor takes the subscription only after the joiner's
+// boot has applied and then another client's commit has applied too,
+// so the push of that later epoch never reaches the joiner and the
+// boot's own answer predates it. Join must still return that epoch or
+// a later one, from the subscription's answer.
+func TestJoinAfterAnEpochStartsOnIt(t *testing.T) {
+	net := wire.NewNetwork()
+	mons := testQuorum(t, net, 1)
+	m := mons[0]
+	ctx := ctxT(t, 5*time.Second)
+	other := NewClient(net, "client.other", []int{0})
+
+	var atSubscribe types.Epoch
+	net.Listen(Addr(0), func(ctx context.Context, from wire.Addr, req any) (any, error) {
+		if _, ok := req.(SubscribeReq); ok {
+			for booted := false; !booted; {
+				m.mu.Lock()
+				booted = m.osdMap.OSDs[7].State == types.StateUp
+				m.mu.Unlock()
+				if !booted {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			if err := other.SetService(ctx, types.MapOSD, "late", "x"); err != nil {
+				return nil, err
+			}
+			atSubscribe, _ = m.MapEpochs()
+		}
+		return m.handle(ctx, from, req)
+	})
+	got, err := NewClient(net, "osd.7", []int{0}).Join(ctx, types.MapOSD, OSDBootOp(7, "osd.7"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.OSD == nil || got.OSD.Epoch < atSubscribe {
+		t.Fatalf("join returned %+v, want epoch >= %d (applied before the subscription)", got.OSD, atSubscribe)
+	}
+	if got.OSD.Service["late"] != "x" || got.OSD.OSDs[7].State != types.StateUp {
+		t.Fatalf("join returned epoch %d without the earlier commit or its own boot", got.OSD.Epoch)
+	}
+}
+
+// TestSubscribeAnswersWithTheCurrentMaps pins the subscription reply:
+// the monitor's current map of each kind subscribed to, none of the
+// others.
+func TestSubscribeAnswersWithTheCurrentMaps(t *testing.T) {
+	net := wire.NewNetwork()
+	testQuorum(t, net, 3)
+	c := NewClient(net, "client.0", []int{0, 1, 2})
+	ctx := ctxT(t, 5*time.Second)
+	if err := c.SetService(ctx, types.MapMDS, "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Subscribe(ctx, "mds.client", types.MapMDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MDS == nil || got.MDS.Service["k"] != "v" || got.OSD != nil {
+		t.Fatalf("mds subscription answered with %+v", got)
 	}
 }

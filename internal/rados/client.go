@@ -65,12 +65,22 @@ func (c *Client) RefreshMap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	c.NoteMap(m)
+	return nil
+}
+
+// NoteMap caches m if it is newer than the cached map: a map a monitor
+// answered a commit or subscription with saves a RefreshMap. m is
+// shared; it is never written.
+func (c *Client) NoteMap(m *types.OSDMap) {
+	if m == nil {
+		return
+	}
 	c.mu.Lock()
 	if m.Epoch > c.view.Load().m.Epoch {
 		c.view.Store(newMapView(m))
 	}
 	c.mu.Unlock()
-	return nil
 }
 
 // MapEpoch returns the client's cached map epoch.

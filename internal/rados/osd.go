@@ -276,16 +276,11 @@ func (o *OSD) Start(ctx context.Context) error {
 		return err
 	}
 	o.net.Listen(o.Addr(), o.handle)
-	if err := o.monc.Join(ctx, types.MapOSD, func() error {
-		return o.monc.BootOSD(ctx, o.cfg.ID, o.Addr())
-	}); err != nil {
+	maps, err := o.monc.Join(ctx, types.MapOSD, mon.OSDBootOp(o.cfg.ID, o.Addr()))
+	if err != nil {
 		return fail(fmt.Errorf("osd.%d: %w", o.cfg.ID, err))
 	}
-	m, err := o.monc.GetOSDMap(ctx)
-	if err != nil {
-		return fail(fmt.Errorf("osd.%d: fetch map: %w", o.cfg.ID, err))
-	}
-	o.updateMap(m, noPeer)
+	o.updateMap(maps.OSD, noPeer)
 
 	o.wg.Add(1)
 	go o.gossipLoop(stop)

@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/mon"
+	"repro/internal/rados"
 	"repro/internal/types"
 )
 
@@ -157,15 +157,13 @@ end
 // EpochKey is the service-metadata key holding log name's epoch.
 func EpochKey(name string) string { return "zlog.epoch." + name }
 
-// prepare readies log name in one map read and at most one commit: the
-// storage class is installed and the log's epoch key set, each only if
-// the map lacks it, so a repeated open commits nothing. It returns the
-// log's epoch.
-func prepare(ctx context.Context, monc *mon.Client, name string) (uint64, error) {
-	m, err := monc.GetOSDMap(ctx)
-	if err != nil {
-		return 0, fmt.Errorf("zlog: fetch map: %w", err)
-	}
+// prepare readies log name on rc's cached map with at most one commit:
+// the storage class is installed and the log's epoch key set, each only
+// if the map lacks it, so a repeated open commits nothing. The commit
+// is answered with the map it made, which rc then caches. It returns
+// the log's epoch.
+func prepare(ctx context.Context, rc *rados.Client, name string) (uint64, error) {
+	m := rc.CachedMap()
 	ep, err := epochIn(m, name)
 	if err != nil {
 		return 0, err
@@ -181,9 +179,11 @@ func prepare(ctx context.Context, monc *mon.Client, name string) (uint64, error)
 		ep = 1
 	}
 	if len(ops) > 0 {
-		if err := monc.Submit(ctx, types.Update{Ops: ops}); err != nil {
+		maps, err := rc.Mon().Submit(ctx, types.Update{Ops: ops})
+		if err != nil {
 			return 0, fmt.Errorf("zlog: prepare log %q: %w", name, err)
 		}
+		rc.NoteMap(maps.OSD)
 	}
 	return ep, nil
 }

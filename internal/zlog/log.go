@@ -88,9 +88,12 @@ type Log struct {
 // SeqPath returns the sequencer inode path for log name.
 func SeqPath(name string) string { return "/zlog/" + name + "/seq" }
 
-// Open creates or attaches to a log. In one update it installs the
-// storage class and initializes the epoch, whichever of the two is
-// absent; then it creates the sequencer inode.
+// Open creates or attaches to a log. Two branches run at once: one reads
+// the OSD map and, in one update, installs the storage class and
+// initializes the epoch, whichever of the two is absent; the other
+// starts the sequencer client and opens (creating if need be) the
+// sequencer inode, which depends on neither. Attaching to an existing
+// log costs two round trips.
 func Open(ctx context.Context, net *wire.Network, self wire.Addr, mons []int, opts Options) (*Log, error) {
 	if opts.Name == "" || opts.Pool == "" {
 		return nil, fmt.Errorf("zlog: name and pool are required")
@@ -115,23 +118,42 @@ func Open(ctx context.Context, net *wire.Network, self wire.Addr, mons []int, op
 	for i := range l.objNames {
 		l.objNames[i] = opts.Name + "." + strconv.Itoa(i)
 	}
-	ep, err := prepare(ctx, l.monc, opts.Name)
-	if err != nil {
+	var ep uint64
+	prepared := make(chan error, 1)
+	go func() {
+		err := l.rc.RefreshMap(ctx)
+		if err == nil {
+			ep, err = prepare(ctx, l.rc, opts.Name)
+		}
+		prepared <- err
+	}()
+	seqErr := l.startSequencer(ctx)
+	if err := <-prepared; err != nil {
+		if seqErr == nil {
+			l.mc.Stop()
+		}
 		return nil, err
 	}
-	if err := l.rc.RefreshMap(ctx); err != nil {
-		return nil, err
-	}
-	if err := l.mc.Start(ctx); err != nil {
-		return nil, err
-	}
-	if err := l.mc.Open(ctx, SeqPath(opts.Name), mds.TypeSequencer, &opts.SeqPolicy); err != nil {
-		return nil, fmt.Errorf("zlog: create sequencer: %w", err)
+	if seqErr != nil {
+		return nil, seqErr
 	}
 	l.mu.Lock()
 	l.epoch = ep
 	l.mu.Unlock()
 	return l, nil
+}
+
+// startSequencer starts the sequencer client and opens the log's
+// sequencer inode; on failure the client is left stopped.
+func (l *Log) startSequencer(ctx context.Context) error {
+	if err := l.mc.Start(ctx); err != nil {
+		return err
+	}
+	if err := l.mc.Open(ctx, SeqPath(l.opts.Name), mds.TypeSequencer, &l.opts.SeqPolicy); err != nil {
+		l.mc.Stop()
+		return fmt.Errorf("zlog: create sequencer: %w", err)
+	}
+	return nil
 }
 
 // Close drains the async pipeline and releases client resources.

@@ -457,3 +457,40 @@ func TestOpenFreshLogCommitsOnce(t *testing.T) {
 		t.Fatalf("second open moved the OSD map %d -> %d, want no commit", before, got)
 	}
 }
+
+// TestOpenExistingLogIsTwoRoundTrips counts the fabric calls of
+// attaching to an existing log on a three-monitor cluster: one map read
+// by the RADOS client, then, beside it, one Subscribe per monitor by
+// the sequencer client, and the sequencer open. Nothing is committed
+// and no other map is read.
+func TestOpenExistingLogIsTwoRoundTrips(t *testing.T) {
+	c := boot(t, core.Options{Mons: 3, MDSs: 1, OSDs: 3})
+	openLog(t, c, "client.first", "log0", mds.CapPolicy{})
+	openLog(t, c, "client.again", "log0", mds.CapPolicy{})
+	out := c.Net.Stats().Outbound
+	for addr, want := range map[wire.Addr]uint64{
+		"client.again.rados": 1, // the map read
+		"client.again":       4, // 3 subscribes, then the sequencer open
+		"client.again.mon":   0,
+	} {
+		if got := out[addr].Calls; got != want {
+			t.Errorf("%s made %d calls, want %d", addr, got, want)
+		}
+	}
+}
+
+// TestOpenWithoutMDSFailsCleanly opens a log on a cluster with no
+// metadata server: the sequencer open fails with mds.ErrUnavail, and
+// the sequencer client's endpoint is removed again.
+func TestOpenWithoutMDSFailsCleanly(t *testing.T) {
+	c := boot(t, core.Options{MDSs: 0, OSDs: 3})
+	_, err := zlog.Open(ctxT(t, 20*time.Second), c.Net, "client.leak", c.MonIDs(), zlog.Options{Name: "log0", Pool: "metadata"})
+	if !errors.Is(err, mds.ErrUnavail) {
+		t.Fatalf("open = %v, want mds.ErrUnavail", err)
+	}
+	for _, a := range c.Net.Endpoints() {
+		if a == "client.leak" {
+			t.Fatalf("client.leak still registered after a failed open: %v", c.Net.Endpoints())
+		}
+	}
+}
