@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rados"
 	"repro/internal/wire"
 )
 
@@ -161,9 +162,10 @@ type run struct {
 	cl   *core.Cluster
 
 	mu         sync.Mutex
-	seq        int      // guarded by mu
-	events     []Event  // guarded by mu
-	violations []string // guarded by mu
+	seq        int             // guarded by mu
+	events     []Event         // guarded by mu
+	violations []string        // guarded by mu
+	clients    []*rados.Client // guarded by mu; closed when the run ends
 }
 
 // Run executes one scenario to completion and returns its result. The
@@ -183,6 +185,12 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	r := &run{ctx: ctx, opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
 	defer func() {
+		r.mu.Lock()
+		clients := r.clients
+		r.mu.Unlock()
+		for _, c := range clients {
+			c.Close()
+		}
 		if r.cl != nil {
 			r.cl.Stop()
 		}
@@ -215,6 +223,16 @@ func (r *run) boot(opts core.Options) error {
 	r.event("boot", fmt.Sprintf("mons=%d osds=%d mds=%d replicas=%d pgs=%d",
 		len(cl.Mons), len(cl.OSDs), len(cl.MDSs), opts.Replicas, opts.PGNum))
 	return nil
+}
+
+// radosClient returns an object-store client named addr, closed when
+// the run ends.
+func (r *run) radosClient(addr string) *rados.Client {
+	c := r.cl.NewRadosClient(addr)
+	r.mu.Lock()
+	r.clients = append(r.clients, c)
+	r.mu.Unlock()
+	return c
 }
 
 func describeFault(ev wire.FaultEvent) string {

@@ -52,6 +52,11 @@ var scenarioList = []scenario{
 		fn:    runDedupChurn,
 	},
 	{
+		name:  "replica-client-partition",
+		about: "sever one OSD from every client endpoint, not from its peers, during replicated writes and ZLog appends; its acks must reach the clients as the primaries' relays",
+		fn:    runReplicaClientPartition,
+	},
+	{
 		name:  "process-crash",
 		about: "hard-kill a WAL-backed OSD mid-write (torn tail), rebuild it from the log, require replay + reconciliation to full convergence",
 		fn:    runProcessCrash,
@@ -93,8 +98,8 @@ func runOSDCrashRestart(ctx context.Context, r *run) error {
 	w := r.watchMaps()
 	monc := r.cl.NewMonClient("client.chaos.admin")
 	writers := []*radosWriter{
-		newRadosWriter("w1", r.cl.NewRadosClient("client.chaos.w1"), "data", 5),
-		newRadosWriter("w2", r.cl.NewRadosClient("client.chaos.w2"), "data", 5),
+		newRadosWriter("w1", r.radosClient("client.chaos.w1"), "data", 5),
+		newRadosWriter("w2", r.radosClient("client.chaos.w2"), "data", 5),
 	}
 	crew := newCrew()
 	for _, wr := range writers {
@@ -142,8 +147,8 @@ func runPrimaryPartition(ctx context.Context, r *run) error {
 	victim := r.rng.Intn(len(r.cl.OSDs))
 	w := r.watchMaps()
 	writers := []*radosWriter{
-		newRadosWriter("w1", r.cl.NewRadosClient("client.chaos.w1"), "data", 6),
-		newRadosWriter("w2", r.cl.NewRadosClient("client.chaos.w2"), "data", 6),
+		newRadosWriter("w1", r.radosClient("client.chaos.w1"), "data", 6),
+		newRadosWriter("w2", r.radosClient("client.chaos.w2"), "data", 6),
 	}
 	crew := newCrew()
 	for _, wr := range writers {
@@ -188,7 +193,7 @@ func runMonLeaderIsolation(ctx context.Context, r *run) error {
 	}
 	w := r.watchMaps()
 	mw := newMetaWriter("m1", r.cl.NewMonClient("client.chaos.m1"))
-	rw := newRadosWriter("w1", r.cl.NewRadosClient("client.chaos.w1"), "data", 5)
+	rw := newRadosWriter("w1", r.radosClient("client.chaos.w1"), "data", 5)
 	crew := newCrew()
 	crew.go_(func(stop <-chan struct{}) { mw.run(ctx, stop) })
 	crew.go_(func(stop <-chan struct{}) { rw.run(ctx, stop) })
@@ -275,7 +280,7 @@ func runSequencerFailover(ctx context.Context, r *run) error {
 	crew.halt()
 	w.finish()
 
-	rc := r.cl.NewRadosClient("client.chaos.probe")
+	rc := r.radosClient("client.chaos.probe")
 	r.checkSealedEpochRejects(ctx, rc, monc, admin, "data", chaosLogName, width)
 	r.checkAppendsDurable(ctx, admin, appenders...)
 	r.checkCapHistories()
@@ -320,7 +325,7 @@ func (r *run) brokenRecover(ctx context.Context, l *zlog.Log, monc *mon.Client, 
 	}
 	// Read each stripe's max position under the new epoch — but never
 	// seal, so the old epoch stays valid on the storage class.
-	rc := r.cl.NewRadosClient("client.chaos.brokenrec")
+	rc := r.radosClient("client.chaos.brokenrec")
 	epochArg := []byte(strconv.FormatUint(next, 10))
 	maxPos := int64(-1)
 	for i := 0; i < width; i++ {
@@ -362,8 +367,8 @@ func runDedupChurn(ctx context.Context, r *run) error {
 	w := r.watchMaps()
 	monc := r.cl.NewMonClient("client.chaos.admin")
 	writers := []*dedupWriter{
-		newDedupWriter("d1", r.cl.NewRadosClient("client.chaos.d1"), "data", 3, seed1),
-		newDedupWriter("d2", r.cl.NewRadosClient("client.chaos.d2"), "data", 3, seed2),
+		newDedupWriter("d1", r.radosClient("client.chaos.d1"), "data", 3, seed1),
+		newDedupWriter("d2", r.radosClient("client.chaos.d2"), "data", 3, seed2),
 	}
 	crew := newCrew()
 	for _, wr := range writers {
@@ -448,12 +453,12 @@ func runProcessCrash(ctx context.Context, r *run) error {
 	w := r.watchMaps()
 	monc := r.cl.NewMonClient("client.chaos.admin")
 	dws := []*dedupWriter{
-		newDedupWriter("d1", r.cl.NewRadosClient("client.chaos.d1"), "data", 3, seed1),
-		newDedupWriter("d2", r.cl.NewRadosClient("client.chaos.d2"), "data", 3, seed2),
+		newDedupWriter("d1", r.radosClient("client.chaos.d1"), "data", 3, seed1),
+		newDedupWriter("d2", r.radosClient("client.chaos.d2"), "data", 3, seed2),
 	}
 	rws := []*radosWriter{
-		newRadosWriter("w1", r.cl.NewRadosClient("client.chaos.w1"), "data", 5),
-		newRadosWriter("w2", r.cl.NewRadosClient("client.chaos.w2"), "data", 5),
+		newRadosWriter("w1", r.radosClient("client.chaos.w1"), "data", 5),
+		newRadosWriter("w2", r.radosClient("client.chaos.w2"), "data", 5),
 	}
 	dedupCrew, radosCrew := newCrew(), newCrew()
 	for _, wr := range dws {
@@ -533,7 +538,7 @@ func runDropLatencySpike(ctx context.Context, r *run) error {
 	defer l.Close()
 	w := r.watchMaps()
 	a := newZlogAppender("a1", l)
-	rw := newRadosWriter("w1", r.cl.NewRadosClient("client.chaos.w1"), "data", 5)
+	rw := newRadosWriter("w1", r.radosClient("client.chaos.w1"), "data", 5)
 	crew := newCrew()
 	crew.go_(func(stop <-chan struct{}) { a.run(ctx, stop) })
 	crew.go_(func(stop <-chan struct{}) { rw.run(ctx, stop) })
@@ -571,5 +576,68 @@ func runDropLatencySpike(ctx context.Context, r *run) error {
 	r.checkRadosDurable(ctx, rw)
 	r.checkAppendsDurable(ctx, l, a)
 	r.checkCapHistories()
+	return nil
+}
+
+// runReplicaClientPartition severs one OSD from every client endpoint of
+// the scenario while replicated writes and ZLog appends stream, and
+// leaves it connected to its peers and the monitor. As a replica it
+// still applies every forward, but its acks cannot reach the clients,
+// so each op it replicates completes on its primary's relay (or, when a
+// relay is lost too, on the client's re-send answered by the replay
+// cache). As a primary it is unreachable: those ops fail for the window
+// with their fate unknown, which the checkers allow. After heal every
+// acknowledged write and append must be durable and every replica
+// converged.
+func runReplicaClientPartition(ctx context.Context, r *run) error {
+	if err := r.boot(core.Options{
+		Mons: 1, OSDs: 3, MDSs: 1,
+		Pools: []string{"data"}, PGNum: 8, Replicas: 3,
+		ProposalInterval: 5 * time.Millisecond,
+		OSD:              fastOSD(),
+		MDS:              mds.Config{RecallTimeout: 150 * time.Millisecond},
+	}); err != nil {
+		return err
+	}
+	const appender = "client.chaos.a1"
+	l, err := zlog.Open(ctx, r.cl.Net, appender, r.cl.MonIDs(), zlog.Options{
+		Name: chaosLogName, Pool: "data", Width: 4,
+		SeqPolicy: mds.CapPolicy{Cacheable: true, Quota: 32},
+	})
+	if err != nil {
+		return fmt.Errorf("open log: %w", err)
+	}
+	defer l.Close()
+	victim := r.rng.Intn(len(r.cl.OSDs))
+	w := r.watchMaps()
+	a := newZlogAppender("a1", l)
+	writers := []*radosWriter{
+		newRadosWriter("w1", r.radosClient("client.chaos.w1"), "data", 6),
+		newRadosWriter("w2", r.radosClient("client.chaos.w2"), "data", 6),
+	}
+	crew := newCrew()
+	crew.go_(func(stop <-chan struct{}) { a.run(ctx, stop) })
+	for _, wr := range writers {
+		wr := wr
+		crew.go_(func(stop <-chan struct{}) { wr.run(ctx, stop) })
+	}
+	pause(ctx, 150*time.Millisecond)
+
+	// The log's storage client listens at its address plus ".rados".
+	for _, c := range []wire.Addr{"client.chaos.w1", "client.chaos.w2", appender, appender + ".rados"} {
+		r.cl.Net.Partition(rados.OSDAddr(victim), c)
+	}
+	pause(ctx, 500*time.Millisecond)
+	r.cl.Net.HealAll()
+	pause(ctx, 200*time.Millisecond)
+	crew.halt()
+	w.finish()
+
+	monc := r.cl.NewMonClient("client.chaos.check")
+	if r.checkEpochsConverge(ctx, monc) {
+		r.checkReplicasConverge(ctx)
+	}
+	r.checkRadosDurable(ctx, writers...)
+	r.checkAppendsDurable(ctx, l, a)
 	return nil
 }

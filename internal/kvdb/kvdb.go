@@ -95,15 +95,15 @@ func Open(ctx context.Context, net *wire.Network, self wire.Addr, mons []int, op
 		state: make(map[string]entry),
 	}
 	if err := db.rc.RefreshMap(ctx); err != nil {
-		l.Close()
+		db.Close()
 		return nil, err
 	}
 	if err := db.loadCheckpoint(ctx); err != nil {
-		l.Close()
+		db.Close()
 		return nil, err
 	}
 	if err := db.Sync(ctx); err != nil {
-		l.Close()
+		db.Close()
 		return nil, err
 	}
 	return db, nil
@@ -111,7 +111,10 @@ func Open(ctx context.Context, net *wire.Network, self wire.Addr, mons []int, op
 
 // Close releases the node's resources. The database itself lives in the
 // log and checkpoints.
-func (db *DB) Close() { db.log.Close() }
+func (db *DB) Close() {
+	db.log.Close()
+	db.rc.Close()
+}
 
 // loadCheckpoint installs the newest snapshot when one exists.
 func (db *DB) loadCheckpoint(ctx context.Context) error {

@@ -185,6 +185,7 @@ func (s *Server) Stop() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.net.Unlisten(s.Addr())
 	s.wg.Wait()
+	s.rc.Close()
 }
 
 // work simulates CPU time on this rank's single execution resource.

@@ -414,8 +414,12 @@ func (n *Node) commitSlot(ctx context.Context, slot uint64, value []byte) error 
 	return nil
 }
 
-// collect fans msg out to all peers and gathers replies until all
-// respond or ctx expires. Failed peers are simply absent.
+// collect fans msg out to all peers and gathers replies until a quorum
+// has answered OK (counting this node), a peer answers with a ballot
+// above msg's, every peer has answered, or ctx expires — whichever comes
+// first, so a stalled acceptor costs a commit nothing while a quorum is
+// live. Failed peers are simply absent; replies still in flight when it
+// returns land in the buffered channel and are dropped with it.
 func (n *Node) collect(ctx context.Context, msg Msg) []Msg {
 	peers := n.t.Peers()
 	ch := make(chan Msg, len(peers))
@@ -436,11 +440,18 @@ func (n *Node) collect(ctx context.Context, msg Msg) []Msg {
 		}()
 	}
 	var out []Msg
-	for i := 0; i < outstanding; i++ {
+	oks := 1 // self
+	for i := 0; i < outstanding && oks < n.quorum(); i++ {
 		select {
 		case r := <-ch:
-			if r.Type != -1 {
-				out = append(out, r)
+			if r.Type == -1 {
+				continue
+			}
+			out = append(out, r)
+			if r.OK {
+				oks++
+			} else if msg.Ballot.Less(r.Ballot) {
+				return out
 			}
 		case <-ctx.Done():
 			return out

@@ -379,3 +379,66 @@ func BenchmarkProposeCommit(b *testing.B) {
 		}
 	}
 }
+
+// stallTransport hands a message straight to the addressed node's
+// Handle, after holding every message to the stalled node for stall.
+type stallTransport struct {
+	self    NodeID
+	nodes   []*Node
+	stalled NodeID
+	stall   time.Duration
+}
+
+func (t *stallTransport) Call(ctx context.Context, to NodeID, m Msg) (Msg, error) {
+	if to == t.stalled {
+		select {
+		case <-time.After(t.stall):
+		case <-ctx.Done():
+			return Msg{}, ctx.Err()
+		}
+	}
+	return t.nodes[to].Handle(ctx, m)
+}
+
+func (t *stallTransport) Self() NodeID    { return t.self }
+func (t *stallTransport) Peers() []NodeID { return []NodeID{0, 1, 2} }
+
+// A commit needs a quorum, not every acceptor: with the third of three
+// acceptors stalled for a second, phase 1 and phase 2 both return on the
+// two live answers. Waiting for every acceptor, each took the stall.
+func TestCommitReturnsAtQuorum(t *testing.T) {
+	const stall = time.Second
+	nodes := make([]*Node, 3)
+	for i := range nodes {
+		tr := &stallTransport{self: NodeID(i), nodes: nodes, stalled: 2, stall: stall}
+		nodes[i] = NewNode(tr, DefaultConfig(), func(uint64, []byte) {})
+	}
+	t.Cleanup(func() {
+		for _, nd := range nodes {
+			nd.Stop()
+		}
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := nodes[0].BecomeLeader(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= 100*time.Millisecond {
+		t.Errorf("BecomeLeader took %v with one acceptor stalled %v, want < 100ms", took, stall)
+	}
+	start = time.Now()
+	slot, err := nodes[0].Propose(ctx, []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= 100*time.Millisecond {
+		t.Errorf("Propose took %v with one acceptor stalled %v, want < 100ms", took, stall)
+	}
+	nodes[1].mu.Lock()
+	av, ok := nodes[1].accepted[slot]
+	nodes[1].mu.Unlock()
+	if !ok || string(av.Value) != "v" {
+		t.Errorf("live acceptor holds %+v for slot %d, want the proposed value", av, slot)
+	}
+}

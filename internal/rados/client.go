@@ -2,6 +2,7 @@ package rados
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -30,11 +31,18 @@ type Client struct {
 	// read without a lock; RefreshMap swaps in a newer one under mu.
 	view atomic.Pointer[mapView]
 
+	// acks tallies the replica answers of this client's mutations
+	// (acks.go); they arrive at its endpoint, which listens from the
+	// first mutation or watch until Close. listening and closed change
+	// under mu, which orders a first listen against Close.
+	acks      ackTable
+	listening atomic.Bool
+	closed    atomic.Bool
+
 	mu sync.Mutex
 	// watch/notify state (see watch.go).
-	watches   map[uint64]*WatchHandle // guarded by mu
-	watchSeq  uint64                  // guarded by mu
-	listening bool                    // guarded by mu
+	watches  map[uint64]*WatchHandle // guarded by mu
+	watchSeq uint64                  // guarded by mu
 }
 
 // clientIncarnation separates the OpID streams of successive Client
@@ -90,19 +98,83 @@ func (c *Client) MapEpoch() types.Epoch { return c.view.Load().m.Epoch }
 // read-only).
 func (c *Client) CachedMap() *types.OSDMap { return c.view.Load().m }
 
+// listen registers the client's endpoint, where replica acks, relays
+// and watch notifications arrive; false once the client is closed.
+func (c *Client) listen() bool {
+	if c.listening.Load() {
+		return true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() {
+		return false
+	}
+	if !c.listening.Load() {
+		c.net.Listen(c.self, c.handle)
+		c.listening.Store(true)
+	}
+	return true
+}
+
+// Close removes the client's endpoint from the fabric and fails every op
+// still waiting for its replicas, and every later op, with ErrClosed.
+// Idempotent.
+func (c *Client) Close() {
+	c.mu.Lock()
+	wasOpen := !c.closed.Swap(true)
+	c.mu.Unlock()
+	if !wasOpen {
+		return
+	}
+	c.acks.close()
+	if c.listening.Load() {
+		c.net.Unlisten(c.self)
+	}
+}
+
+// handle is the client's fabric endpoint: the answers for its
+// mutations' replicas and watch notifications.
+func (c *Client) handle(_ context.Context, _ wire.Addr, req any) (any, error) {
+	switch m := req.(type) {
+	case *replicaAck:
+		c.acks.note(m.OpID)
+		return nil, nil
+	case notifyPush:
+		return c.handlePush(m)
+	}
+	return nil, fmt.Errorf("rados: client %s: unexpected %T", c.self, req)
+}
+
 // maxOpRetries is how often a client op is (re)sent through map
-// refreshes before it fails with ErrRetriesExhausted.
+// refreshes before it fails with ErrRetriesExhausted, and how many ack
+// waits a mutation sits through before its primary's reply stands alone.
 const maxOpRetries = 5
 
 // do routes req to the primary OSD, retrying through map refreshes on
-// staleness or placement movement. The first retry is immediate — the
-// common case is a single EMapStale resync — and later ones back off
-// with jitter so a cluster mid-reconfiguration is not hammered.
-func (c *Client) do(ctx context.Context, req OpRequest) (OpReply, error) {
+// staleness or placement movement, and for a mutation then waits for its
+// replicas (acks.go). The first retry is immediate — the common case is
+// a single EMapStale resync — and later ones back off with jitter so a
+// cluster mid-reconfiguration is not hammered.
+func (c *Client) do(ctx context.Context, req OpRequest) (_ OpReply, err error) {
 	// One OpID for every resend of this logical operation: a retry after
 	// a lost ack becomes a replay-cache hit on the primary, not a second
 	// application of a non-idempotent op (append, class call).
 	req.OpID = c.opSeq.Add(1)
+	spec, known := req.Op.spec()
+	mutation := !known || spec.class != classRead
+	if !mutation {
+		if c.closed.Load() {
+			return OpReply{}, ErrClosed
+		}
+	} else if !c.listen() || !c.acks.expect(req.OpID) {
+		return OpReply{}, ErrClosed
+	} else {
+		defer func() {
+			if err != nil {
+				c.acks.forget(req.OpID)
+			}
+		}()
+	}
 	var last OpReply
 	for attempt := 0; attempt < maxOpRetries; attempt++ {
 		if attempt > 1 {
@@ -124,7 +196,11 @@ func (c *Client) do(ctx context.Context, req OpRequest) (OpReply, error) {
 			}
 		}
 		req.Epoch = v.m.Epoch
-		resp, err := c.net.Call(ctx, c.self, OSDAddr(acting[0]), &req)
+		primary := OSDAddr(acting[0])
+		rep, err := c.call(ctx, primary, &req)
+		if errors.Is(err, errNotOpReply) {
+			return OpReply{}, err
+		}
 		if err != nil {
 			// Primary unreachable: refresh the map (it may be down) and
 			// retry against the new acting set.
@@ -133,10 +209,6 @@ func (c *Client) do(ctx context.Context, req OpRequest) (OpReply, error) {
 			}
 			continue
 		}
-		rep, ok := resp.(OpReply)
-		if !ok {
-			return OpReply{}, fmt.Errorf("rados: unexpected reply %T", resp)
-		}
 		if rep.Result == EMapStale {
 			last = rep
 			if err := c.RefreshMap(ctx); err != nil {
@@ -144,9 +216,31 @@ func (c *Client) do(ctx context.Context, req OpRequest) (OpReply, error) {
 			}
 			continue
 		}
-		return rep, nil
+		if !mutation {
+			return rep, nil
+		}
+		return rep, c.acks.settle(ctx, nil, req.OpID, rep, func() (OpReply, error) {
+			return c.call(ctx, primary, &req)
+		})
 	}
 	return last, fmt.Errorf("%w (%s)", ErrRetriesExhausted, last.Detail)
+}
+
+// errNotOpReply is an OSD answering an op with something other than an
+// OpReply: a bug, not a routing fault, so it is not retried.
+var errNotOpReply = errors.New("rados: unexpected reply")
+
+// call is one op round trip to an OSD.
+func (c *Client) call(ctx context.Context, to wire.Addr, req *OpRequest) (OpReply, error) {
+	resp, err := c.net.Call(ctx, c.self, to, req)
+	if err != nil {
+		return OpReply{}, err
+	}
+	rep, ok := resp.(OpReply)
+	if !ok {
+		return OpReply{}, fmt.Errorf("%w %T", errNotOpReply, resp)
+	}
+	return rep, nil
 }
 
 // Create makes an empty object, failing with ErrExists if present.

@@ -246,7 +246,10 @@ func TestFanOutOverlapsBlockingReplicaCommit(t *testing.T) {
 // goroutines reused, the first two cost 74 and 24 allocations; a call
 // cost 88 while every replica re-ran the method. With a deadline timer
 // per fan-out and an address string built per call they cost 14, 3 and
-// 29; they now cost 7, 2 and 21. The guard leaves room for the
+// 29; then 7, 2 and 21. A mutation's fan-out now runs after the
+// primary's reply (the replication a handler hands the fabric, one
+// allocation), and each replica acks the client by echoing the forward,
+// which allocates nothing: 8, 2 and 22. The guard leaves room for the
 // runtime's background noise but not for a goroutine per peer, an
 // acting-set computation per op, a channel per mutation, a second
 // execution of the method, a boxed request per forward, a timer per
@@ -258,8 +261,11 @@ func TestFanOutOverlapsBlockingReplicaCommit(t *testing.T) {
 // too: the primary's clone of the client's 4 KiB is the one payload
 // copy in the cluster — replicas share it — where each copy used to
 // clone its own (≈ 14.2 kB per write); the timer and the addresses cost
-// another ≈ 290 B (5.4 kB per write, now 5.1 kB). The fan-out's claim
-// counter fits in the 320 B size class its fanout already had.
+// another ≈ 290 B (5.4 kB per write, then 5.1 kB, now 5.2 kB with the
+// 80 B replication). The fan-out's claim counter and the forward's
+// client address fit in the 320 B size class its fanout already had, and
+// a reply stays within 128 B, past which the replay cache's map would
+// store every entry behind a pointer of its own.
 func TestOpPathAllocations(t *testing.T) {
 	tc := bootClusterOpts(t, clusterOpts{osds: 3, replicas: 3, osd: OSDConfig{GossipInterval: time.Hour}})
 	ctx := ctxT(t, 30*time.Second)
@@ -309,6 +315,9 @@ end`)
 	// step, so the fanout's class is pinned on its own.
 	if size := unsafe.Sizeof(fanout{}); size > 320 {
 		t.Errorf("fanout is %d B, past the 320 B size class", size)
+	}
+	if size := unsafe.Sizeof(OpReply{}); size > 128 {
+		t.Errorf("OpReply is %d B, past the 128 B the replay cache's map stores inline", size)
 	}
 	if got := testing.AllocsPerRun(200, read); got >= maxRead {
 		t.Errorf("Read: %.1f allocs/op, want < %d", got, maxRead)

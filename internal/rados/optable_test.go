@@ -62,7 +62,7 @@ func opProbe(t *testing.T) (o *OSD, send func(op OpCode, replica bool) (OpReply,
 		e.mu.Lock()
 		before := e.ver
 		e.mu.Unlock()
-		rep := o.handleOp(ctx, probeClient, req)
+		rep, _ := o.handleOp(ctx, probeClient, &req)
 		e.mu.Lock()
 		after := e.ver
 		e.mu.Unlock()
@@ -162,8 +162,13 @@ func TestReadOnlyOpsSkipReplayCache(t *testing.T) {
 		t.Fatal("no read-class row in opSpecs")
 	}
 	req := OpRequest{Pool: "data", Object: "live", Epoch: o.Epoch(), Op: OpWriteFull, OpID: 1, Data: []byte("again")}
-	if rep := o.handleOp(ctxT(t, 10*time.Second), probeClient, req); rep.Result != OK {
+	ctx := ctxT(t, 10*time.Second)
+	rep, later := o.handleOp(ctx, probeClient, &req)
+	if rep.Result != OK {
 		t.Fatalf("write = %v", rep.Result)
+	}
+	if later != nil {
+		later.RunLater(ctx)
 	}
 	if _, cached := o.replayGet(probeClient, req.OpID); !cached {
 		t.Error("a client WriteFull is not in the replay cache")

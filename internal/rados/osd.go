@@ -63,6 +63,10 @@ type OSDConfig struct {
 	SkipReconcileOnReplay bool
 }
 
+// defaultReplicaWaitTimeout is ReplicaWaitTimeout's default, and the
+// sender's silence bound on replica acks (ackWait).
+const defaultReplicaWaitTimeout = 250 * time.Millisecond
+
 func (c *OSDConfig) defaults() {
 	if c.GossipInterval <= 0 {
 		c.GossipInterval = 50 * time.Millisecond
@@ -71,7 +75,7 @@ func (c *OSDConfig) defaults() {
 		c.GossipFanout = 2
 	}
 	if c.ReplicaWaitTimeout <= 0 {
-		c.ReplicaWaitTimeout = 250 * time.Millisecond
+		c.ReplicaWaitTimeout = defaultReplicaWaitTimeout
 	}
 	if c.GCGrace <= 0 {
 		c.GCGrace = 2 * time.Second
@@ -146,6 +150,10 @@ type OSD struct {
 	replay     map[replayKey]OpReply      // guarded by replayMu
 	replayRing [replayCacheSize]replayKey // guarded by replayMu; keys in insertion order from replayNext
 	replayNext int                        // guarded by replayMu; the slot the next put fills (the oldest key once full)
+
+	// acks tallies the replica answers of the block ops this daemon
+	// sends as a client (sendBlockOp; acks.go).
+	acks ackTable
 
 	// Dedup GC state (osd_gc.go): ref deltas enqueued by manifest
 	// applies and drained by the sweeper. The queue lives on the OSD
@@ -326,7 +334,14 @@ func (o *OSD) Epoch() types.Epoch { return o.view.Load().m.Epoch }
 func (o *OSD) handle(ctx context.Context, from wire.Addr, req any) (any, error) {
 	switch r := req.(type) {
 	case *OpRequest:
-		return o.handleOp(ctx, from, *r), nil
+		rep, later := o.handleOp(ctx, from, r)
+		if later != nil {
+			return later, nil
+		}
+		return rep, nil
+	case *replicaAck:
+		o.acks.note(r.OpID)
+		return nil, nil
 	case mon.MapNotify:
 		if r.OSD != nil {
 			o.updateMap(r.OSD, noPeer)
@@ -639,6 +654,18 @@ func (o *OSD) replayPut(from wire.Addr, id uint64, rep OpReply) {
 	o.replay[k] = rep
 	o.replayRing[o.replayNext] = k
 	o.replayNext = (o.replayNext + 1) % replayCacheSize
+}
+
+// replaySettle records that the fan-out of (from, id) has finished: a
+// re-send answered from the cache now has no peer left to wait for.
+func (o *OSD) replaySettle(from wire.Addr, id uint64) {
+	o.replayMu.Lock()
+	defer o.replayMu.Unlock()
+	k := replayKey{from: from, id: id}
+	if rep, ok := o.replay[k]; ok && rep.Forwards != 0 {
+		rep.Forwards = 0
+		o.replay[k] = rep
+	}
 }
 
 // heldPGs snapshots the ids of the placement groups this daemon holds.

@@ -2,6 +2,7 @@ package rados
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -291,12 +292,27 @@ func (o *OSD) RefScrub(pool string) (repaired int) {
 // sendBlockOp routes one block op to the block's primary with the same
 // stale-map retry discipline as the client library — except the request
 // arrives pre-stamped (the OpID must survive requeues across sweeps,
-// not just resends within one call). A self-addressed op short-circuits
-// into handleOp directly rather than crossing the fabric.
-func (o *OSD) sendBlockOp(req OpRequest) (OpReply, error) {
+// not just resends within one call) — and, for a mutation, waits for
+// its replicas as a client does (acks.go). A self-addressed op
+// short-circuits into handleOp directly rather than crossing the fabric.
+// Stop ends its wait for the replicas: a stopped daemon's endpoint hears
+// no acks, and an op it abandons stays queued with its OpID for the next
+// incarnation.
+func (o *OSD) sendBlockOp(req OpRequest) (_ OpReply, err error) {
 	const maxRetries = 4
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
+	o.lifeMu.Lock()
+	stop := o.stopCh
+	o.lifeMu.Unlock()
+	if req.OpID != 0 {
+		o.acks.expect(req.OpID)
+		defer func() {
+			if err != nil {
+				o.acks.forget(req.OpID)
+			}
+		}()
+	}
 	var last OpReply
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		if attempt > 1 {
@@ -310,23 +326,17 @@ func (o *OSD) sendBlockOp(req OpRequest) (OpReply, error) {
 			return OpReply{}, err
 		}
 		req.Epoch = v.m.Epoch
-		var rep OpReply
-		if acting[0] == o.cfg.ID {
-			rep = o.handleOp(ctx, o.Addr(), req)
-		} else {
-			resp, err := o.net.Call(ctx, o.Addr(), OSDAddr(acting[0]), &req)
-			if err != nil {
-				// Peer unreachable: refresh the map and retry routing.
-				if fresh, merr := o.monc.GetOSDMap(ctx); merr == nil {
-					o.updateMap(fresh, noPeer)
-				}
-				continue
+		primary := acting[0]
+		rep, err := o.blockOpAt(ctx, primary, &req)
+		if errors.Is(err, errNotOpReply) {
+			return OpReply{}, err
+		}
+		if err != nil {
+			// Peer unreachable: refresh the map and retry routing.
+			if fresh, merr := o.monc.GetOSDMap(ctx); merr == nil {
+				o.updateMap(fresh, noPeer)
 			}
-			var ok bool
-			rep, ok = resp.(OpReply)
-			if !ok {
-				return OpReply{}, fmt.Errorf("osd.%d: unexpected block-op reply %T", o.cfg.ID, resp)
-			}
+			continue
 		}
 		if rep.Result == EMapStale {
 			last = rep
@@ -335,9 +345,35 @@ func (o *OSD) sendBlockOp(req OpRequest) (OpReply, error) {
 			}
 			continue
 		}
-		return rep, nil
+		if req.OpID == 0 {
+			return rep, nil
+		}
+		return rep, o.acks.settle(ctx, stop, req.OpID, rep, func() (OpReply, error) {
+			return o.blockOpAt(ctx, primary, &req)
+		})
 	}
 	return last, fmt.Errorf("osd.%d: block op %s on %s: %w", o.cfg.ID, req.Op, req.Object, ErrRetriesExhausted)
+}
+
+// blockOpAt is one delivery of a block op to the OSD id, handled here
+// when that is this daemon; a fan-out it returns runs before the reply.
+func (o *OSD) blockOpAt(ctx context.Context, id int, req *OpRequest) (OpReply, error) {
+	if id == o.cfg.ID {
+		rep, later := o.handleOp(ctx, o.Addr(), req)
+		if later != nil {
+			later.RunLater(ctx)
+		}
+		return rep, nil
+	}
+	resp, err := o.net.Call(ctx, o.Addr(), OSDAddr(id), req)
+	if err != nil {
+		return OpReply{}, err
+	}
+	rep, ok := resp.(OpReply)
+	if !ok {
+		return OpReply{}, fmt.Errorf("osd.%d: %w %T", o.cfg.ID, errNotOpReply, resp)
+	}
+	return rep, nil
 }
 
 // DedupBlockCount reports how many block objects this daemon leads in

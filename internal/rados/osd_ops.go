@@ -16,8 +16,11 @@ import (
 // Ceph: a request from a client with an older map is rejected ESTALE
 // (forcing a resync before I/O continues — the mechanism ZLog's seal
 // protocol leans on); a request carrying a newer epoch makes this daemon
-// pull the latest map before proceeding.
-func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpReply {
+// pull the latest map before proceeding. sent is the request as it
+// arrived, never written: the handler works on its own copy. A mutation
+// that forwards returns its fan-out to run after the reply.
+func (o *OSD) handleOp(ctx context.Context, from wire.Addr, sent *OpRequest) (OpReply, *replication) {
+	req := *sent
 	if req.Epoch > o.Epoch() {
 		if m, err := o.monc.GetOSDMap(ctx); err == nil {
 			o.updateMap(m, noPeer)
@@ -28,12 +31,12 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 
 	spec, ok := req.Op.spec()
 	if !ok {
-		return OpReply{Result: EINVAL, Detail: "unknown op", Epoch: m.Epoch}
+		return OpReply{Result: EINVAL, Detail: "unknown op", Epoch: m.Epoch}, nil
 	}
 	// Class calls and overwrites apply on the primary alone; their
 	// replicas are sent an OpTxn, which no client may send.
 	if (req.Replica && spec.asTxn()) || (spec.class == classReplicaOnly && !req.Replica) {
-		return OpReply{Result: EINVAL, Detail: "calls and overwrites apply on the primary only", Epoch: m.Epoch}
+		return OpReply{Result: EINVAL, Detail: "calls and overwrites apply on the primary only", Epoch: m.Epoch}, nil
 	}
 
 	// A call against a class this daemon does not know may be racing a
@@ -49,20 +52,20 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	}
 
 	if req.Epoch < m.Epoch {
-		return OpReply{Result: EMapStale, Detail: "client map epoch out of date", Epoch: m.Epoch}
+		return OpReply{Result: EMapStale, Detail: "client map epoch out of date", Epoch: m.Epoch}, nil
 	}
 
 	pv := v.pools[req.Pool]
 	if pv == nil {
-		return OpReply{Result: ENOENT, Detail: "no such pool", Epoch: m.Epoch}
+		return OpReply{Result: ENOENT, Detail: "no such pool", Epoch: m.Epoch}, nil
 	}
 	pgnum := PGForObject(req.Object, pv.info.PGNum)
 	acting := pv.actingFor(pgnum)
 	if len(acting) == 0 {
-		return OpReply{Result: EIO, Detail: "no OSDs up", Epoch: m.Epoch}
+		return OpReply{Result: EIO, Detail: "no OSDs up", Epoch: m.Epoch}, nil
 	}
 	if !req.Replica && acting[0] != o.cfg.ID {
-		return OpReply{Result: EMapStale, Detail: "not primary for object", Epoch: m.Epoch}
+		return OpReply{Result: EMapStale, Detail: "not primary for object", Epoch: m.Epoch}, nil
 	}
 
 	// Duplicate-delivery check: a client resend of an operation whose ack
@@ -72,7 +75,7 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	if req.OpID != 0 && !req.Replica && spec.class != classRead {
 		if rep, ok := o.replayGet(from, req.OpID); ok {
 			rep.Epoch = m.Epoch
-			return rep
+			return rep, nil
 		}
 	}
 
@@ -80,18 +83,18 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 	// write's content is checked on the primary before anything is
 	// stored, so one bad entry rejects the whole batch.
 	if spec.readBatch != nil {
-		return spec.readBatch(o, req, pv, m.Epoch)
+		return spec.readBatch(o, req, pv, m.Epoch), nil
 	}
 	if req.Op == OpBlockWrite && !req.Replica {
 		if name := misnamedBlock(&req); name != "" {
-			return OpReply{Result: EINVAL, Detail: "block content does not match its name: " + name, Epoch: m.Epoch}
+			return OpReply{Result: EINVAL, Detail: "block content does not match its name: " + name, Epoch: m.Epoch}, nil
 		}
 	}
 	p := o.getPG(PGID{Pool: req.Pool, PG: pgnum})
 	if req.Replica {
-		return o.replicaStep(ctx, &req, p, pv, m)
+		return o.replicaStep(ctx, sent, &req, p, pv, m), nil
 	}
-	return o.primaryStep(ctx, from, &req, p, acting, pv, m)
+	return o.primaryStep(from, &req, p, acting, pv, m)
 }
 
 // batched reports whether r is a block batch, whose entries are r.Blocks.
@@ -116,11 +119,13 @@ func misnamedBlock(req *OpRequest) string {
 // routed it by, or, for a block batch, each of req.Blocks, looked up in
 // turn. Each entry this daemon leads takes applyPrimary (slot lock,
 // apply, version stamp, journal record, unlock). Then, if anything
-// changed, the step as a whole takes one journal commit, one
-// replay-cache entry and one fan-out. Nothing is held across the fsync
-// or the replica round trips: per-object ordering travels in the version
+// changed, the step as a whole takes one journal commit and one
+// replay-cache entry, and returns its fan-out to run after the reply
+// (replicate): the client is answered as soon as this copy is committed,
+// and each peer answers it once the forward is. Nothing is held across
+// the fsync or the fan-out: per-object ordering travels in the version
 // stamps instead of being pinned by a lock. A read ends after its apply.
-func (o *OSD) primaryStep(ctx context.Context, from wire.Addr, req *OpRequest, p *pg, acting []int, pv *poolView, m *types.OSDMap) OpReply {
+func (o *OSD) primaryStep(from wire.Addr, req *OpRequest, p *pg, acting []int, pv *poolView, m *types.OSDMap) (OpReply, *replication) {
 	var (
 		reply   OpReply
 		mutated bool
@@ -133,7 +138,7 @@ func (o *OSD) primaryStep(ctx context.Context, from wire.Addr, req *OpRequest, p
 		if mutated {
 			// Every peer is sent this request, stamped.
 			peers = acting[1:]
-			req.Replica, req.Epoch = true, m.Epoch
+			req.Replica, req.Epoch, req.Client = true, m.Epoch, from
 			req.PrevVersion, req.NewVersion = prev, reply.Version
 		}
 	} else {
@@ -157,35 +162,44 @@ func (o *OSD) primaryStep(ctx context.Context, from wire.Addr, req *OpRequest, p
 				if i < 0 {
 					i = len(peers)
 					peers = append(peers, peer)
-					sub = append(sub, &OpRequest{Pool: req.Pool, Object: b.Name, Epoch: m.Epoch, Op: OpBlockWrite, Replica: true})
+					sub = append(sub, &OpRequest{Pool: req.Pool, Object: b.Name, Epoch: m.Epoch, Op: OpBlockWrite,
+						OpID: req.OpID, Replica: true, Client: from})
 				}
 				sub[i].Blocks = append(sub[i].Blocks, b)
 			}
 		}
 	}
 	if !mutated {
-		return reply
+		return reply, nil
 	}
 	if err := o.commitDurable(); err != nil {
-		return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
+		return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}, nil
 	}
+	reply.Forwards = uint16(len(peers))
 	if req.OpID != 0 {
 		o.replayPut(from, req.OpID, reply)
 	}
-	if len(peers) > 0 {
-		o.replicate(ctx, peers, req, sub)
+	if len(peers) == 0 {
+		return reply, nil
 	}
-	return reply
+	f := &fanout{}
+	if sub == nil {
+		f.req = *req
+	} else {
+		f.req = OpRequest{OpID: req.OpID, Client: from}
+	}
+	return reply, &replication{o: o, f: f, peers: peers, sub: sub, reply: reply}
 }
 
 // replicaStep is a replica's one step for a primary's forward. Its
 // entries are the request itself, in the PG p, or, for a block batch,
 // each of req.Blocks; each takes applyReplicaOp, all against one wait deadline,
 // set by the first entry that has to wait. Then one journal commit, if
-// any entry recorded anything, and one reply. A per-object forward is
-// answered with its entry's own result and version, so the primary logs
-// a refusal.
-func (o *OSD) replicaStep(ctx context.Context, req *OpRequest, p *pg, pv *poolView, m *types.OSDMap) OpReply {
+// any entry recorded anything, the client's ack, and one reply. A
+// per-object forward is answered with its entry's own result and
+// version, so the primary logs a refusal and relays it. sent is the
+// forward as it arrived, which the ack echoes.
+func (o *OSD) replicaStep(ctx context.Context, sent, req *OpRequest, p *pg, pv *poolView, m *types.OSDMap) OpReply {
 	var deadline time.Time
 	reply, recorded := OpReply{Result: OK, Epoch: m.Epoch}, false
 	if !req.batched() {
@@ -206,7 +220,21 @@ func (o *OSD) replicaStep(ctx context.Context, req *OpRequest, p *pg, pv *poolVi
 			return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
 		}
 	}
+	if reply.Result == OK && !o.ackClient(ctx, sent) {
+		reply.Unacked = true
+	}
 	return reply
+}
+
+// ackClient tells the client a forward names that this replica has
+// applied and committed it; false when the ack did not reach it. A
+// forward of an unstamped op has nobody waiting for it.
+func (o *OSD) ackClient(ctx context.Context, fwd *OpRequest) bool {
+	if fwd.OpID == 0 || fwd.Client == "" {
+		return true
+	}
+	_, err := o.net.Call(ctx, o.addr, fwd.Client, (*replicaAck)(fwd))
+	return err == nil
 }
 
 // applyPrimary applies a client op to the primary's copy under the
@@ -310,49 +338,77 @@ func (o *OSD) blockReadBatch(req OpRequest, pv *poolView, epoch types.Epoch) OpR
 	return OpReply{Result: OK, Keys: names, Blocks: blocks, Epoch: epoch}
 }
 
+// replication is a primary's answer to a mutation with its fan-out
+// still to run: a wire.Deferred, so the fabric hands the client reply
+// and runs replicate after it.
+type replication struct {
+	o     *OSD
+	f     *fanout
+	peers []int
+	sub   []*OpRequest
+	reply any // the OpReply, boxed as the fabric carries it
+}
+
+// Reply is the primary's answer, sent before the fan-out runs.
+func (r *replication) Reply() any { return r.reply }
+
+// RunLater runs the fan-out.
+func (r *replication) RunLater(ctx context.Context) { r.o.replicate(ctx, r) }
+
 // replicate sends a primary step's forwards to its replica peers —
-// sub[i] to peers[i] after a block batch, one shared copy of req to
-// every peer otherwise — and waits for all acks. Forwards overlap, so
-// the fan-out leg costs ~1 RTT regardless of replica count (primary-copy
-// replication, §4.4), and the handler never waits on a forward that
+// r.sub[i] to r.peers[i] after a block batch, one shared copy of the
+// request (r.f.req) to every peer otherwise — and waits for each
+// replica's reply, then, if an answer was lost, settles the op's
+// replay-cache entry. Each replica answers the client itself; a forward
+// that fails, or whose ack did not arrive, is relayed (callReplica).
+// Forwards overlap, so the
+// fan-out leg costs ~1 RTT regardless of replica count (primary-copy
+// replication, §4.4), and the fan-out never waits on a forward that
 // nobody has started (caller-runs):
 //
 //   - every peer but the last is handed to the forwarders as a claim on
 //     the fan-out (dispatch);
-//   - the last peer's forward runs here, in line on the handler;
-//   - then the handler takes every claim still open and runs those
+//   - the last peer's forward runs here, in line;
+//   - then this goroutine takes every claim still open and runs those
 //     forwards itself, and waits only for the ones forwarders took.
 //
 // No goroutine is started per op, and no forward waits behind a busy
-// forwarder. Nothing here looks at the fabric's delay. When the in-line
-// forward blocks — a fabric delay, a journal fsync, a PrevVersion wait —
-// the handler's goroutine parks, the woken forwarder takes its claim
-// within microseconds, and the forwards overlap. When it does not
-// block, the handler is back before any forwarder was scheduled and
-// runs the rest on its own warm goroutine rather than parking until a
-// cold one has: two goroutine switches and the request's cache lines
-// moved between them, the largest single cost of an in-memory write.
+// forwarder. Nothing here looks at the fabric's delay; the fabric runs
+// replicate on the client's goroutine at zero delay, before the reply
+// returns, and on its own goroutine otherwise (wire.Deferred). When the
+// in-line forward blocks — a fabric delay, a journal fsync, a
+// PrevVersion wait — the goroutine parks, the woken forwarder takes its
+// claim within microseconds, and the forwards overlap. When it does not
+// block, the goroutine is back before any forwarder was scheduled and
+// runs the rest itself, warm, rather than parking until a cold one has:
+// two goroutine switches and the request's cache lines moved between
+// them, the largest single cost of an in-memory write.
 //
-// The forwards run under the op's own ctx, with no deadline of their
-// own: wire.Call runs the replica's step on the calling goroutine, so a
-// forward is bounded by two fabric delays, the replica's
-// ReplicaWaitTimeout and its journal commit.
-func (o *OSD) replicate(ctx context.Context, peers []int, req *OpRequest, sub []*OpRequest) {
-	f := &fanout{ctx: ctx}
-	if sub == nil {
-		f.req = *req
-	}
-	c := fwdClaim{f: f, peers: peers, sub: sub}
-	last := len(peers) - 1
+// The forwards run under ctx, with no deadline of their own: wire.Call
+// runs the replica's step on the calling goroutine, so a forward is
+// bounded by its fabric delays, the replica's ReplicaWaitTimeout and its
+// journal commit.
+func (o *OSD) replicate(ctx context.Context, r *replication) {
+	f := r.f
+	f.ctx = ctx
+	c := fwdClaim{f: f, peers: r.peers, sub: r.sub}
+	last := len(r.peers) - 1
 	f.wg.Add(last)
 	for range last {
 		o.dispatch(c)
 	}
-	o.callReplica(ctx, peers[last], c.request(last))
+	if !o.callReplica(ctx, r.peers[last], c.request(last)) {
+		f.unanswered.Store(true)
+	}
 	for i, ok := c.take(); ok; i, ok = c.take() {
 		o.forward(c, i)
 	}
 	f.wg.Wait()
+	// A client that heard from every peer never needs the cache's word
+	// that the fan-out is over; one that missed an answer re-sends.
+	if f.unanswered.Load() && f.req.OpID != 0 {
+		o.replaySettle(f.req.Client, f.req.OpID)
+	}
 }
 
 // dispatch hands one claim to the forwarders: it joins the open claims,
@@ -406,15 +462,16 @@ func (o *OSD) pickUp() (fwdClaim, int, bool) {
 	return fwdClaim{}, 0, false
 }
 
-// fanout is one replicated mutation being forwarded: the op's context,
-// the claims taken on its handed forwards, the count of those not yet
-// finished, and — when every peer receives the same request — that
-// request.
+// fanout is one replicated mutation being forwarded: the fan-out's
+// context, the claims taken on its handed forwards, the count of those
+// not yet finished, and — when every peer receives the same request —
+// that request (after a block batch, only its Client and OpID).
 type fanout struct {
-	ctx   context.Context
-	req   OpRequest
-	wg    sync.WaitGroup
-	taken atomic.Uint32
+	ctx        context.Context
+	req        OpRequest
+	wg         sync.WaitGroup
+	taken      atomic.Uint32
+	unanswered atomic.Bool // some peer's answer did not reach the client
 }
 
 // fwdClaim is a claim on a fan-out, as dispatch hands it to the
@@ -456,15 +513,19 @@ func (c fwdClaim) request(i int) *OpRequest {
 
 // forward runs the claimed forward to peers[i] and reports it done.
 func (o *OSD) forward(c fwdClaim, i int) {
-	o.callReplica(c.f.ctx, c.peers[i], c.request(i))
+	if !o.callReplica(c.f.ctx, c.peers[i], c.request(i)) {
+		c.f.unanswered.Store(true)
+	}
 	c.f.wg.Done()
 }
 
-// callReplica delivers one forward and waits for the replica's ack. A
+// callReplica delivers one forward and waits for the replica's reply. A
 // replica that cannot be reached, or that answers anything but OK, now
 // holds a copy that differs from the primary's: durability is degraded
 // until the beacon timeout marks it down and backfill repairs, or scrub
-// does. Either way the cluster log says so.
+// does. Either way the cluster log says so, and the client, which waits
+// for every peer, is told (relay) — as it is when the replica applied
+// the forward but could not reach it.
 //
 // One refusal is not final: a replica that installed epoch e+1 before
 // this daemon did refuses a forward stamped e as stale, although the
@@ -472,7 +533,10 @@ func (o *OSD) forward(c fwdClaim, i int) {
 // daemon up and, if the forward is still its to send, the forward goes
 // out once more under the new epoch. The version stamps it carries make
 // the second delivery idempotent.
-func (o *OSD) callReplica(ctx context.Context, peer int, req *OpRequest) {
+//
+// It reports whether the client has its answer for the peer: the
+// replica's ack, or the relay.
+func (o *OSD) callReplica(ctx context.Context, peer int, req *OpRequest) bool {
 	to := OSDAddr(peer)
 	rep, err := o.callOSD(ctx, to, req)
 	if err == nil && rep.Result == EMapStale && rep.Epoch > req.Epoch {
@@ -483,11 +547,28 @@ func (o *OSD) callReplica(ctx context.Context, peer int, req *OpRequest) {
 	if err == nil && rep.Result != OK {
 		err = ErrFor(rep.Result, rep.Detail)
 	}
+	answered := err == nil && !rep.Unacked
+	if !answered {
+		answered = o.relay(ctx, req)
+	}
 	if err != nil {
 		lctx, lcancel := context.WithTimeout(context.Background(), time.Second)
 		defer lcancel()
 		o.monc.Log(lctx, "warn", "replica write to "+string(to)+" failed: "+err.Error()) //nolint:errcheck
 	}
+	return answered
+}
+
+// relay answers the client of a forward for the peer it went to, whose
+// own ack will not come, and reports whether the answer arrived. One
+// that did not leaves the client to re-send, and the replay cache
+// answers it.
+func (o *OSD) relay(ctx context.Context, fwd *OpRequest) bool {
+	if fwd.OpID == 0 || fwd.Client == "" {
+		return true
+	}
+	_, err := o.net.Call(ctx, o.addr, fwd.Client, (*replicaAck)(fwd))
+	return err == nil
 }
 
 // callOSD is one op round trip to a peer daemon.

@@ -142,8 +142,10 @@ func (o OpCode) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
-// ResultCode is the outcome class of an operation.
-type ResultCode int
+// ResultCode is the outcome class of an operation. It is 32 bits wide
+// so that OpReply's small fields share one word: a reply past 128 bytes
+// would leave the replay cache's map storing each one behind a pointer.
+type ResultCode int32
 
 // Result codes (mirroring the errno-style results Ceph classes use).
 const (
@@ -179,6 +181,9 @@ var (
 	// ErrRetriesExhausted wraps the final failure after the client's
 	// map-refresh retry budget is spent; callers match it with errors.Is.
 	ErrRetriesExhausted = errors.New("rados: retries exhausted")
+	// ErrClosed fails an op on a closed client, and any op still waiting
+	// for its replicas when the client closed.
+	ErrClosed = errors.New("rados: client closed")
 )
 
 // ErrFor converts a result code to a sentinel error (nil for OK).
@@ -249,6 +254,10 @@ type OpRequest struct {
 	// Replica marks a primary-to-replica forward; replicas apply without
 	// re-forwarding.
 	Replica bool
+	// Client, on a forward, is the address of the client whose op
+	// (OpID) it carries: the replica acknowledges that client directly
+	// once it has applied and committed the forward (replicaAck).
+	Client wire.Addr
 	// PrevVersion/NewVersion carry the primary's per-object version
 	// stamps on a replica forward: the replica applies only once its
 	// local copy reaches PrevVersion (buffering out-of-order arrivals of
@@ -307,10 +316,20 @@ type TxnOp struct {
 // first (the cowalias pass machine-checks this).
 type OpReply struct {
 	Result ResultCode
-	Detail string
-	Data   []byte
-	KV     map[string][]byte
-	Keys   []string
+	// Forwards, on a primary's answer to a mutation, counts the replica
+	// peers it forwarded the op to and has not yet heard back from. Each
+	// answers the client for itself once it has applied the forward
+	// (replicaAck), or the primary relays for it when that ack cannot
+	// reach the client. A re-send answered from the
+	// replay cache after the fan-out finished carries 0.
+	Forwards uint16
+	// Unacked, on a replica's OK to a forward, says it applied the
+	// forward but its ack did not reach the client: the primary relays.
+	Unacked bool
+	Detail  string
+	Data    []byte
+	KV      map[string][]byte
+	Keys    []string
 	// Blocks is OpBlockRead's payload: Blocks[i] holds the bytes of the
 	// block Keys[i] names.
 	Blocks  [][]byte
@@ -318,6 +337,15 @@ type OpReply struct {
 	Size    int64       // OpStat
 	Epoch   types.Epoch // daemon's map epoch (lets stale clients resync)
 }
+
+// replicaAck answers a client for one peer of a forwarded op: the
+// forward itself, sent back to the client it names, and the client reads
+// only its OpID. The replica sends it once it has applied and committed
+// the forward; the primary sends it for the replica (a relay) when that
+// ack will not come — the forward failed or was refused, which the
+// primary's cluster log records, or the replica could not reach the
+// client. Echoing the forward costs no allocation; nobody writes it.
+type replicaAck OpRequest
 
 // OSDAddr is the wire address of an OSD.
 func OSDAddr(id int) wire.Addr {

@@ -189,16 +189,15 @@ func (h *WatchHandle) Check(ctx context.Context) (bool, error) {
 	return resp.(bool), nil
 }
 
-// Watch registers for notifications on an object. The client's own
-// endpoint starts listening on first use.
+// Watch registers for notifications on an object, which arrive at the
+// client's own endpoint.
 func (c *Client) Watch(ctx context.Context, pool, object string) (*WatchHandle, error) {
+	if !c.listen() {
+		return nil, ErrClosed
+	}
 	c.mu.Lock()
 	if c.watches == nil {
 		c.watches = make(map[uint64]*WatchHandle)
-	}
-	if !c.listening {
-		c.net.Listen(c.self, c.handlePush)
-		c.listening = true
 	}
 	c.watchSeq++
 	h := &WatchHandle{
@@ -258,12 +257,8 @@ func (c *Client) Notify(ctx context.Context, pool, object string, payload []byte
 	return resp.(notifyResp).Acked, nil
 }
 
-// handlePush receives notification pushes on the client endpoint.
-func (c *Client) handlePush(_ context.Context, _ wire.Addr, req any) (any, error) {
-	p, ok := req.(notifyPush)
-	if !ok {
-		return nil, nil
-	}
+// handlePush receives a notification push on the client endpoint.
+func (c *Client) handlePush(p notifyPush) (any, error) {
 	c.mu.Lock()
 	h := c.watches[p.ID]
 	c.mu.Unlock()

@@ -24,8 +24,37 @@ type Addr string
 
 // Handler processes a request addressed to an endpoint and returns a
 // response. Handlers run on the caller's goroutine for Call and on a
-// fresh goroutine for Send, so they must be safe for concurrent use.
+// fresh goroutine for Send, so they must be safe for concurrent use. A
+// handler whose reply is decided before its work is done returns a
+// Deferred.
 type Handler func(ctx context.Context, from Addr, req any) (any, error)
+
+// Deferred is a handler's reply together with work to run after it: the
+// caller receives Reply, and the fabric runs RunLater once the handler
+// has returned. At zero delay RunLater runs on the caller's goroutine
+// before Call returns, so the caller observes everything it did; at a
+// nonzero delay it starts on its own goroutine while the reply is in
+// transit, under the handler's context stripped of its cancellation
+// (the caller may be done with it before the work is).
+type Deferred interface {
+	Reply() any
+	RunLater(ctx context.Context)
+}
+
+// runAfter unwraps a Deferred reply and runs its work as the fabric's
+// rule says for delay d; any other reply passes through.
+func runAfter(ctx context.Context, resp any, d time.Duration) any {
+	dr, ok := resp.(Deferred)
+	if !ok {
+		return resp
+	}
+	if d <= 0 {
+		dr.RunLater(ctx)
+	} else {
+		go dr.RunLater(context.WithoutCancel(ctx))
+	}
+	return dr.Reply()
+}
 
 // Errors returned by the fabric itself (as opposed to by handlers).
 var (
@@ -84,14 +113,15 @@ type Network struct {
 	rng     *rand.Rand
 	rngMu   sync.Mutex
 
-	calls   atomic.Uint64
 	sends   atomic.Uint64
 	drops   atomic.Uint64
 	refused atomic.Uint64
 
 	// outbound is copy-on-write: Call reads the current map with one
 	// atomic load, and only the first Call from a new address takes
-	// outMu to publish a copy holding its entry.
+	// outMu to publish a copy holding its entry. Its entries' counts
+	// sum to Stats.Calls, so no Call updates a counter every caller
+	// shares.
 	outMu    sync.Mutex
 	outbound atomic.Pointer[map[Addr]*endpointStat]
 }
@@ -251,7 +281,6 @@ func (n *Network) SetLinkDropRate(a, b Addr, p float64) {
 // Stats returns a snapshot of traffic counters.
 func (n *Network) Stats() Stats {
 	s := Stats{
-		Calls:   n.calls.Load(),
 		Sends:   n.sends.Load(),
 		Drops:   n.drops.Load(),
 		Refused: n.refused.Load(),
@@ -259,11 +288,13 @@ func (n *Network) Stats() Stats {
 	out := *n.outbound.Load()
 	s.Outbound = make(map[Addr]EndpointStats, len(out))
 	for a, e := range out {
-		s.Outbound[a] = EndpointStats{
+		es := EndpointStats{
 			Calls:       e.calls.Load(),
 			Inflight:    e.inflight.Load(),
 			MaxInflight: e.maxInflight.Load(),
 		}
+		s.Outbound[a] = es
+		s.Calls += es.Calls
 	}
 	return s
 }
@@ -374,7 +405,6 @@ func (n *Network) Call(ctx context.Context, from, to Addr, req any) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	n.calls.Add(1)
 	defer n.callEnd(n.callBegin(from))
 	if err := sleepCtx(ctx, d); err != nil {
 		return nil, err
@@ -383,6 +413,7 @@ func (n *Network) Call(ctx context.Context, from, to Addr, req any) (any, error)
 	if err != nil {
 		return nil, err
 	}
+	resp = runAfter(ctx, resp, d)
 	// The response travels back under the same delay; once the request
 	// was delivered the reply is considered in flight, so later drops or
 	// partitions do not affect it.
@@ -405,8 +436,11 @@ func (n *Network) Send(from, to Addr, req any) {
 		if d > 0 {
 			time.Sleep(d)
 		}
-		//lint:ignore errdrop Send is the one-way datagram primitive; discarding the result IS its contract
-		_, _ = h(context.Background(), from, req)
+		resp, err := h(context.Background(), from, req)
+		if err == nil {
+			// Nobody receives the reply, so a Deferred's work runs here.
+			runAfter(context.Background(), resp, 0)
+		}
 	}()
 }
 

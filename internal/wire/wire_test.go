@@ -275,3 +275,79 @@ func waitTimeout(t *testing.T, wg *sync.WaitGroup, d time.Duration) {
 		t.Fatal("timed out waiting")
 	}
 }
+
+// laterWork is a Deferred whose work reports on started once it begins
+// and then waits for release.
+type laterWork struct {
+	reply   any
+	started chan context.Context
+	release chan struct{}
+}
+
+func (w *laterWork) Reply() any { return w.reply }
+
+func (w *laterWork) RunLater(ctx context.Context) {
+	w.started <- ctx
+	<-w.release
+}
+
+// TestDeferredRunsAfterReply pins the fabric's rule for a handler's
+// after-work: the caller receives the Deferred's Reply; at zero delay
+// the work runs on the caller's goroutine before Call returns; at a
+// nonzero delay it starts while the reply is in transit, so Call returns
+// after one reply delay however long the work takes, and the work's
+// context outlives the caller's. Send runs the work too.
+func TestDeferredRunsAfterReply(t *testing.T) {
+	newWork := func() *laterWork {
+		return &laterWork{reply: "ack", started: make(chan context.Context, 1), release: make(chan struct{})}
+	}
+	n := NewNetwork()
+	var w *laterWork
+	n.Listen("osd.0", func(context.Context, Addr, any) (any, error) { return w, nil })
+
+	w = newWork()
+	close(w.release)
+	resp, err := n.Call(context.Background(), "c", "osd.0", 1)
+	if err != nil || resp != "ack" {
+		t.Fatalf("zero delay: resp %v, err %v; want the Deferred's reply", resp, err)
+	}
+	select {
+	case <-w.started:
+	default:
+		t.Fatal("zero delay: Call returned before the handler's after-work ran")
+	}
+
+	const d = 20 * time.Millisecond
+	n.SetLatency(d, 0)
+	w = newWork()
+	ctx, cancel := context.WithCancel(context.Background())
+	start := time.Now()
+	resp, err = n.Call(ctx, "c", "osd.0", 1)
+	took := time.Since(start)
+	cancel()
+	if err != nil || resp != "ack" {
+		t.Fatalf("delay %v: resp %v, err %v", d, resp, err)
+	}
+	if took >= 4*d {
+		t.Errorf("delay %v: Call took %v while its after-work was still blocked; want ~2 delays", d, took)
+	}
+	select {
+	case wctx := <-w.started:
+		if wctx.Err() != nil {
+			t.Errorf("after-work context cancelled with its caller's: %v", wctx.Err())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("after-work never started")
+	}
+	close(w.release)
+
+	n.SetLatency(0, 0)
+	w = newWork()
+	close(w.release)
+	n.Send("c", "osd.0", 1)
+	select {
+	case <-w.started:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Send dropped the handler's after-work")
+	}
+}

@@ -132,9 +132,11 @@ func Open(ctx context.Context, net *wire.Network, self wire.Addr, mons []int, op
 		if seqErr == nil {
 			l.mc.Stop()
 		}
+		l.rc.Close()
 		return nil, err
 	}
 	if seqErr != nil {
+		l.rc.Close()
 		return nil, seqErr
 	}
 	l.mu.Lock()
@@ -156,10 +158,12 @@ func (l *Log) startSequencer(ctx context.Context) error {
 	return nil
 }
 
-// Close drains the async pipeline and releases client resources.
+// Close drains the async pipeline and releases client resources: the
+// sequencer session and the storage client's endpoint.
 func (l *Log) Close() {
 	l.Flush()
 	l.mc.Stop()
+	l.rc.Close()
 }
 
 // Epoch returns the client's cached log epoch.
