@@ -396,11 +396,13 @@ func TestNoLockblockWaiversInRados(t *testing.T) {
 }
 
 // TestOneCommitSitePerRole pins the OSD's one mutation pipeline: the
-// journal commit an ack waits on is called from exactly two functions in
-// internal/rados, the primary step and the replica step, once each. A
-// change to when the journal commits relative to the fan-out is then
-// made once per role. commitBackground, which commits backfill and
-// split with no client to answer, is not counted.
+// journal commit an answer waits on is called from exactly three
+// functions in internal/rados, once each: the primary step, the replica
+// step, and a replica's acceptance of a witness copy, which journals the
+// record before it accepts. A change to when the journal commits
+// relative to the fan-out is then made once per role. commitBackground,
+// which commits backfill, split and witness drops and logs a failure
+// rather than answering with it, is not counted.
 func TestOneCommitSitePerRole(t *testing.T) {
 	pkgs, err := Load(moduleRoot(t), []string{"./internal/rados"})
 	if err != nil {
@@ -426,7 +428,7 @@ func TestOneCommitSitePerRole(t *testing.T) {
 			}
 		}
 	}
-	if want := map[string]int{"primaryStep": 1, "replicaStep": 1}; !reflect.DeepEqual(sites, want) {
+	if want := map[string]int{"primaryStep": 1, "replicaStep": 1, "acceptWitness": 1}; !reflect.DeepEqual(sites, want) {
 		t.Errorf("commitDurable call sites by function = %v, want %v", sites, want)
 	}
 }

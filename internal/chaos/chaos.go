@@ -166,6 +166,7 @@ type run struct {
 	events     []Event         // guarded by mu
 	violations []string        // guarded by mu
 	clients    []*rados.Client // guarded by mu; closed when the run ends
+	down       map[int]bool    // guarded by mu; OSDs the scenario stopped for good
 }
 
 // Run executes one scenario to completion and returns its result. The
@@ -223,6 +224,30 @@ func (r *run) boot(opts core.Options) error {
 	r.event("boot", fmt.Sprintf("mons=%d osds=%d mds=%d replicas=%d pgs=%d",
 		len(cl.Mons), len(cl.OSDs), len(cl.MDSs), opts.Replicas, opts.PGNum))
 	return nil
+}
+
+// stopOSD stops OSD id for the rest of the run; the checkers leave it out.
+func (r *run) stopOSD(id int) {
+	r.cl.OSDs[id].Stop()
+	r.mu.Lock()
+	if r.down == nil {
+		r.down = make(map[int]bool)
+	}
+	r.down[id] = true
+	r.mu.Unlock()
+}
+
+// liveOSDs is every OSD the scenario has not stopped for good.
+func (r *run) liveOSDs() []*rados.OSD {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var live []*rados.OSD
+	for id, o := range r.cl.OSDs {
+		if !r.down[id] {
+			live = append(live, o)
+		}
+	}
+	return live
 }
 
 // radosClient returns an object-store client named addr, closed when

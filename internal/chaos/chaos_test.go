@@ -1,7 +1,10 @@
 package chaos
 
 import (
+	"bufio"
 	"context"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -190,5 +193,44 @@ func TestScenarioMetadata(t *testing.T) {
 	}
 	if Describe("nope") != "" {
 		t.Fatal("Describe of unknown scenario should be empty")
+	}
+}
+
+// TestNightlyMatrixListsEveryScenario keeps the nightly chaos job in step
+// with the registry: the workflow's scenario matrix must name exactly
+// the registered scenarios, in run order, so a new scenario cannot miss
+// the nightly sweep.
+func TestNightlyMatrixListsEveryScenario(t *testing.T) {
+	f, err := os.Open("../../.github/workflows/chaos.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// The list is the "- name" items under the "scenario:" key of the
+	// job matrix.
+	var listed []string
+	inMatrix, inList := false, false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		switch {
+		case line == "matrix:":
+			inMatrix = true
+		case inMatrix && line == "scenario:":
+			inList = true
+		case inList && strings.HasPrefix(line, "- "):
+			listed = append(listed, strings.TrimPrefix(line, "- "))
+		case inList:
+			inMatrix, inList = false, false
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(listed) == 0 {
+		t.Fatal("chaos.yml has no scenario matrix")
+	}
+	if want := Scenarios(); !slices.Equal(listed, want) {
+		t.Fatalf("nightly matrix lists %v, want the registered scenarios %v", listed, want)
 	}
 }

@@ -35,7 +35,7 @@ func (r *run) checkEpochsConverge(ctx context.Context, monc *mon.Client) bool {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		behind := ""
-		for _, o := range r.cl.OSDs {
+		for _, o := range r.liveOSDs() {
 			if o.Epoch() < m.Epoch {
 				behind = fmt.Sprintf("%s at epoch %d < monitor epoch %d", o.Addr(), o.Epoch(), m.Epoch)
 				break
@@ -61,7 +61,7 @@ func (r *run) checkReplicasConverge(ctx context.Context) {
 	clean, last := 0, 0
 	for round := 0; round < 80; round++ {
 		repairs := 0
-		for _, o := range r.cl.OSDs {
+		for _, o := range r.liveOSDs() {
 			repairs += o.ScrubNow()
 		}
 		last = repairs
@@ -285,45 +285,107 @@ func (r *run) checkWALReplay(rep rados.ReplayReport) {
 	}
 }
 
-// checkAppendsDurable verifies the shared-log contract for every
-// acknowledged append: its position holds exactly the acked payload,
-// and no two acks (across all appenders) share a position. Position
-// order is NOT compared against ack order: CORFU's sequencer is an
-// optimization, and after a force-reclaim it may legally hand out
-// earlier unwritten holes — write-once storage is what keeps acked
-// entries immovable.
-func (r *run) checkAppendsDurable(ctx context.Context, l *zlog.Log, appenders ...*zlogAppender) {
-	const check = "appends-durable"
-	seen := make(map[uint64]string)
-	var recs []appendRec
+// checkZlogHistory checks the appenders' histories against the ZLog
+// model: a position is write-once, and a write acknowledged at a
+// position is the one every later read of it sees.
+//   - No position is acknowledged twice, across all appenders.
+//   - Every read issued after a position's ack returned the acked
+//     payload. A read that failed in transit (a fault window) answered
+//     nothing; one that found the position unwritten, filled or trimmed
+//     answered wrongly.
+//   - After heal, a scan of [0, Tail) finds each acked payload at its
+//     acked position, and no payload at two positions; every payload it
+//     finds is one an appender attempted, acked or failed. Tail is the
+//     sequencer's, or past the highest acked position.
+//
+// Position order is not compared against ack order: CORFU's sequencer is
+// an optimization, and after a recovery it may legally hand out earlier
+// unwritten holes — write-once storage is what keeps acked entries
+// immovable.
+func (r *run) checkZlogHistory(ctx context.Context, l *zlog.Log, appenders ...*zlogAppender) {
+	const check = "zlog-history"
+	var (
+		acked []appendRec
+		reads []readRec
+	)
+	attempted := make(map[string]bool)
 	for _, a := range appenders {
 		a.mu.Lock()
-		recs = append(recs, a.acked...)
+		acked = append(acked, a.acked...)
+		reads = append(reads, a.reads...)
+		for _, rec := range a.acked {
+			attempted[rec.payload] = true
+		}
+		for _, payload := range a.failed {
+			attempted[payload] = true
+		}
 		a.mu.Unlock()
 	}
-	if len(recs) == 0 {
+	if len(acked) == 0 {
 		r.fail(check, "workload acked no appends; scenario cannot vouch for the log")
 		return
 	}
-	for _, rec := range recs {
-		if prev, dup := seen[rec.pos]; dup {
+	ackedAt := make(map[uint64]string, len(acked))
+	for _, rec := range acked {
+		if prev, dup := ackedAt[rec.pos]; dup {
 			r.fail(check, fmt.Sprintf("position %d acked twice (%q and %q)", rec.pos, prev, rec.payload))
 			return
 		}
-		seen[rec.pos] = rec.payload
-		cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		got, err := l.Read(cctx, rec.pos)
-		cancel()
-		if err != nil {
-			r.fail(check, fmt.Sprintf("acked append at %d unreadable: %v", rec.pos, err))
+		ackedAt[rec.pos] = rec.payload
+	}
+	for _, rd := range reads {
+		if answered := rd.err == nil || entryState(rd.err); answered && (rd.err != nil || rd.got != rd.payload) {
+			r.fail(check, fmt.Sprintf("read of position %d after its ack returned %q (%v), want acked %q",
+				rd.pos, rd.got, rd.err, rd.payload))
 			return
 		}
-		if string(got) != rec.payload {
-			r.fail(check, fmt.Sprintf("position %d = %q, want acked %q", rec.pos, got, rec.payload))
+	}
+	tail, err := l.Tail(ctx)
+	if err != nil {
+		r.fail(check, fmt.Sprintf("cannot read the log tail: %v", err))
+		return
+	}
+	// A cacheable sequencer's holders hand out values the MDS has not
+	// seen, so the scan runs past the highest acked position too.
+	for _, rec := range acked {
+		tail = max(tail, rec.pos+1)
+	}
+	heldAt := make(map[string]uint64) // payload -> the position holding it
+	for pos := uint64(0); pos < tail; pos++ {
+		cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		got, err := l.Read(cctx, pos)
+		cancel()
+		switch {
+		case err == nil:
+		case entryState(err):
+			continue
+		default:
+			r.fail(check, fmt.Sprintf("scan: position %d unreadable: %v", pos, err))
+			return
+		}
+		if !attempted[string(got)] {
+			r.fail(check, fmt.Sprintf("position %d holds %q, which no appender wrote", pos, got))
+			return
+		}
+		if prev, twice := heldAt[string(got)]; twice {
+			r.fail(check, fmt.Sprintf("payload %q at positions %d and %d", got, prev, pos))
+			return
+		}
+		heldAt[string(got)] = pos
+	}
+	for _, rec := range acked {
+		if pos, ok := heldAt[rec.payload]; !ok || pos != rec.pos {
+			r.fail(check, fmt.Sprintf("scan of [0, %d): acked %q not at its position %d", tail, rec.payload, rec.pos))
 			return
 		}
 	}
 	r.pass(check)
+}
+
+// entryState reports whether a read's error is the position's state —
+// unwritten, filled or trimmed — rather than a failure to read it.
+func entryState(err error) bool {
+	return errors.Is(err, zlog.ErrNotWritten) || errors.Is(err, zlog.ErrFilled) || errors.Is(err, zlog.ErrTrimmed)
 }
 
 // checkServiceMetaDurable verifies every acknowledged service-metadata

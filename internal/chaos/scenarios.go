@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -55,6 +56,11 @@ var scenarioList = []scenario{
 		name:  "replica-client-partition",
 		about: "sever one OSD from every client endpoint, not from its peers, during replicated writes and ZLog appends; its acks must reach the clients as the primaries' relays",
 		fn:    runReplicaClientPartition,
+	},
+	{
+		name:  "zlog-primary-crash",
+		about: "crash the primary OSD of one ZLog stripe while two clients append at 1 ms fabric delay, mark it down, recover the log; the promoted replica replays its witness records and the ZLog history must check",
+		fn:    runZlogPrimaryCrash,
 	},
 	{
 		name:  "process-crash",
@@ -282,7 +288,7 @@ func runSequencerFailover(ctx context.Context, r *run) error {
 
 	rc := r.radosClient("client.chaos.probe")
 	r.checkSealedEpochRejects(ctx, rc, monc, admin, "data", chaosLogName, width)
-	r.checkAppendsDurable(ctx, admin, appenders...)
+	r.checkZlogHistory(ctx, admin, appenders...)
 	r.checkCapHistories()
 	r.checkEpochsConverge(ctx, monc)
 	return nil
@@ -343,6 +349,105 @@ func (r *run) brokenRecover(ctx context.Context, l *zlog.Log, monc *mon.Client, 
 		}
 	}
 	return l.MDS().SetValue(ctx, zlog.SeqPath(chaosLogName), uint64(maxPos+1))
+}
+
+// runZlogPrimaryCrash kills the primary OSD of one stripe of a shared
+// log while two clients append through a round-trip sequencer at a 1 ms
+// fabric delay. The appends are witnessed class calls
+// (rados.Client.CallWitnessed), and the crash lands between an append's
+// answer and its forwards: the victim is cut off from its peers, then
+// stopped as soon as a replica of the stripe holds a witness record, so
+// that append lives on only in its replicas' records. Marking the victim
+// down promotes a replica, which must replay the records before serving
+// the stripe. A sequencer
+// recovery then seals every stripe — a mutation that is not witnessed,
+// which must not overtake a witnessed one still in flight. After heal
+// the ZLog history must check, the replicas converge, and the sealed
+// epoch reject a stale write. The victim stays down.
+func runZlogPrimaryCrash(ctx context.Context, r *run) error {
+	if err := r.boot(core.Options{
+		Mons: 1, OSDs: 4, MDSs: 1,
+		Pools: []string{"data"}, PGNum: 8, Replicas: 3,
+		ProposalInterval: 5 * time.Millisecond,
+		OSD:              fastOSD(),
+		MDS:              mds.Config{RecallTimeout: 150 * time.Millisecond},
+	}); err != nil {
+		return err
+	}
+	const width = 4
+	openLog := func(self string) (*zlog.Log, error) {
+		return zlog.Open(ctx, r.cl.Net, wire.Addr(self), r.cl.MonIDs(), zlog.Options{
+			Name: chaosLogName, Pool: "data", Width: width, SeqPolicy: mds.CapPolicy{},
+		})
+	}
+	admin, err := openLog("client.chaos.admin")
+	if err != nil {
+		return fmt.Errorf("open admin log: %w", err)
+	}
+	defer admin.Close()
+	stripe := fmt.Sprintf("%s.%d", chaosLogName, r.rng.Intn(width))
+	probe := r.radosClient("client.chaos.probe")
+	if err := probe.RefreshMap(ctx); err != nil {
+		return err
+	}
+	_, acting, err := rados.Locate(probe.CachedMap(), "data", stripe)
+	if err != nil {
+		return err
+	}
+	victim := acting[0]
+	r.cl.Net.SetLatency(time.Millisecond, 0)
+	var appenders []*zlogAppender
+	crew := newCrew()
+	for i := 1; i <= 2; i++ {
+		l, err := openLog(fmt.Sprintf("client.chaos.a%d", i))
+		if err != nil {
+			return fmt.Errorf("open appender log: %w", err)
+		}
+		defer l.Close()
+		a := newZlogAppender(fmt.Sprintf("a%d", i), l)
+		appenders = append(appenders, a)
+		crew.go_(func(stop <-chan struct{}) { a.run(ctx, stop) })
+	}
+	w := r.watchMaps()
+	monc := r.cl.NewMonClient("client.chaos.adminmon")
+	pause(ctx, 300*time.Millisecond)
+
+	r.event("crash", fmt.Sprintf("osd.%d (primary of %s) cut off from its peers and stopped", victim, stripe))
+	for id := range r.cl.OSDs {
+		if id != victim {
+			r.cl.Net.Partition(rados.OSDAddr(victim), rados.OSDAddr(id))
+		}
+	}
+	// Stop it once a replica of the stripe holds a witness record there:
+	// that append's forwards now fail, so it lives on only in the victim
+	// and in its replicas' records. Stopping at once keeps the window
+	// short in which the victim answers appends it cannot replicate.
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		if r.cl.OSDs[acting[1]].HoldsWitness("data", stripe) || r.cl.OSDs[acting[2]].HoldsWitness("data", stripe) {
+			break
+		}
+	}
+	r.stopOSD(victim)
+	if err := monc.MarkOSDDown(ctx, victim); err != nil {
+		return fmt.Errorf("mark osd.%d down: %w", victim, err)
+	}
+	r.cl.Net.HealAll()
+	pause(ctx, 400*time.Millisecond) // the promoted replica replays; appends go on
+
+	if err := r.recoverLog(ctx, admin, monc, width); err != nil {
+		return err
+	}
+	pause(ctx, 300*time.Millisecond)
+	crew.halt()
+	w.finish()
+	r.cl.Net.SetLatency(0, 0)
+
+	if r.checkEpochsConverge(ctx, monc) {
+		r.checkReplicasConverge(ctx)
+	}
+	r.checkSealedEpochRejects(ctx, probe, monc, admin, "data", chaosLogName, width)
+	r.checkZlogHistory(ctx, admin, appenders...)
+	return nil
 }
 
 // runDedupChurn drives the content-addressed write path under churn:
@@ -574,7 +679,7 @@ func runDropLatencySpike(ctx context.Context, r *run) error {
 		r.checkReplicasConverge(ctx)
 	}
 	r.checkRadosDurable(ctx, rw)
-	r.checkAppendsDurable(ctx, l, a)
+	r.checkZlogHistory(ctx, l, a)
 	r.checkCapHistories()
 	return nil
 }
@@ -638,6 +743,6 @@ func runReplicaClientPartition(ctx context.Context, r *run) error {
 		r.checkReplicasConverge(ctx)
 	}
 	r.checkRadosDurable(ctx, writers...)
-	r.checkAppendsDurable(ctx, l, a)
+	r.checkZlogHistory(ctx, l, a)
 	return nil
 }

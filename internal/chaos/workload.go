@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"sync"
 	"time"
@@ -158,18 +159,31 @@ type appendRec struct {
 	payload string
 }
 
-// zlogAppender appends to a shared log until stopped.
+// readRec is one read of an acknowledged position, issued after its ack:
+// what the read returned, against the acked payload.
+type readRec struct {
+	appendRec
+	got string
+	err error
+}
+
+// zlogAppender appends to a shared log until stopped, and between
+// appends reads back one of its acknowledged positions at random. It
+// records the history the ZLog model checks (checkZlogHistory): every
+// acked append, the payload of every failed one, and every read-back.
 type zlogAppender struct {
 	name string
 	log  *zlog.Log
+	rng  *rand.Rand // the run goroutine's alone
 
-	mu    sync.Mutex
-	acked []appendRec // guarded by mu
-	errs  int         // guarded by mu
+	mu     sync.Mutex
+	acked  []appendRec // guarded by mu
+	failed []string    // guarded by mu; payloads whose append returned an error
+	reads  []readRec   // guarded by mu
 }
 
 func newZlogAppender(name string, l *zlog.Log) *zlogAppender {
-	return &zlogAppender{name: name, log: l}
+	return &zlogAppender{name: name, log: l, rng: rand.New(rand.NewSource(int64(len(name))))}
 }
 
 func (a *zlogAppender) run(ctx context.Context, stop <-chan struct{}) {
@@ -189,11 +203,29 @@ func (a *zlogAppender) run(ctx context.Context, stop <-chan struct{}) {
 		if err == nil {
 			a.acked = append(a.acked, appendRec{pos: pos, payload: payload})
 		} else {
-			a.errs++
+			a.failed = append(a.failed, payload)
+		}
+		n := len(a.acked)
+		var back appendRec
+		if n > 0 {
+			back = a.acked[a.rng.Intn(n)]
 		}
 		a.mu.Unlock()
+		if n > 0 {
+			a.readBack(ctx, back)
+		}
 		pause(ctx, 2*time.Millisecond)
 	}
+}
+
+// readBack reads the acknowledged append rec and records what it saw.
+func (a *zlogAppender) readBack(ctx context.Context, rec appendRec) {
+	cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	got, err := a.log.Read(cctx, rec.pos)
+	cancel()
+	a.mu.Lock()
+	a.reads = append(a.reads, readRec{appendRec: rec, got: string(got), err: err})
+	a.mu.Unlock()
 }
 
 // metaWriter commits service-metadata keys through the monitor quorum.

@@ -130,7 +130,8 @@ func TestResendSettlesLostAcks(t *testing.T) {
 	tc.net.Partition(tc.client.self, OSDAddr(acting[2]))
 	var dropped atomic.Int32
 	tc.net.Listen(tc.client.self, func(ctx context.Context, from wire.Addr, req any) (any, error) {
-		if _, ok := req.(*replicaAck); ok {
+		switch req.(type) {
+		case *replicaAck, *relayAck:
 			dropped.Add(1)
 			return nil, wire.ErrDropped
 		}
@@ -236,13 +237,13 @@ func TestAckTableSlotCollision(t *testing.T) {
 	if !tab.expect(a) || !tab.expect(b) {
 		t.Fatal("expect refused on an open table")
 	}
-	tab.note(b)
-	tab.note(a)
-	tab.note(a)
+	tab.note(b, "osd.1")
+	tab.note(a, "osd.1")
+	tab.note(a, "osd.2")
 	if done, err := tab.wait(ctx, nil, a, 2); !done || err != nil {
 		t.Fatalf("op %d with its 2 answers: done %v, err %v", a, done, err)
 	}
-	tab.note(b)
+	tab.note(b, "osd.2")
 	if done, err := tab.wait(ctx, nil, b, 2); !done || err != nil {
 		t.Fatalf("op %d with its 2 answers: done %v, err %v", b, done, err)
 	}
@@ -252,6 +253,27 @@ func TestAckTableSlotCollision(t *testing.T) {
 	tab.close()
 	if tab.expect(a) {
 		t.Fatal("expect accepted on a closed table")
+	}
+}
+
+// A peer's accept, ack and relay for one op count once: the tally is by
+// peer, and it spills past its inline peers.
+func TestAckTableCountsEachPeerOnce(t *testing.T) {
+	var tab ackTable
+	const id = 9
+	tab.expect(id)
+	for _, peer := range []wire.Addr{"osd.1", "osd.1", "osd.2", "osd.1", "osd.2"} {
+		tab.note(id, peer)
+	}
+	if n := tab.find(id).heard.len(); n != 2 {
+		t.Fatalf("2 peers answered 5 times: tally %d, want 2", n)
+	}
+	for i := range 2 * ackInline {
+		tab.note(id, OSDAddr(i))
+		tab.note(id, OSDAddr(i))
+	}
+	if n := tab.find(id).heard.len(); n != 2*ackInline {
+		t.Fatalf("%d peers answered twice each: tally %d", 2*ackInline, n)
 	}
 }
 

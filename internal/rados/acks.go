@@ -3,8 +3,11 @@ package rados
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // A replicated mutation answers its sender in three hops: the primary
@@ -15,7 +18,10 @@ import (
 // reach it — is answered for by the primary instead, a relay. The
 // sender returns once it holds the primary's reply plus one answer per
 // peer the reply counts (OpReply.Forwards): the guarantee a primary that
-// waited for its replicas before replying gave.
+// waited for its replicas before replying gave. A witnessed op
+// (witness.go) adds a third kind of answer, the peer's acceptance of the
+// op's witness copy. Answers are tallied by peer, so an accept, an ack
+// and a relay for the same peer count once.
 //
 // ackWait bounds each silence: after it the sender re-sends the op under
 // its OpID, and the primary's replay cache answers — with Forwards 0 once
@@ -32,11 +38,39 @@ const ackSlots = 64
 
 // ackWaiter is one mutation's tally at its sender.
 type ackWaiter struct {
-	id    uint64        // the op's OpID; 0 marks a free slot
-	heard int           // answers in so far, acks and relays
-	want  int           // answers the blocked waiter needs
+	id    uint64 // the op's OpID; 0 marks a free slot
+	heard peerSet
+	want  int           // peers the blocked waiter needs
 	wake  chan struct{} // closed once heard reaches want; nil while nobody waits
 }
+
+// ackInline is how many peers a tally holds without allocating: a
+// replicas=5 acting set's.
+const ackInline = 4
+
+// peerSet is the peers an op has heard from.
+type peerSet struct {
+	inline [ackInline]wire.Addr
+	n      int         // peers in inline
+	more   []wire.Addr // peers past the first ackInline
+}
+
+// add counts peer once; false when it was already counted.
+func (s *peerSet) add(peer wire.Addr) bool {
+	if slices.Contains(s.inline[:s.n], peer) || slices.Contains(s.more, peer) {
+		return false
+	}
+	if s.n < ackInline {
+		s.inline[s.n] = peer
+		s.n++
+	} else {
+		s.more = append(s.more, peer)
+	}
+	return true
+}
+
+// len is how many peers have answered.
+func (s *peerSet) len() int { return s.n + len(s.more) }
 
 // ackTable is a sender's pending mutations, by OpID. The zero value is
 // ready; only a Client closes one.
@@ -84,19 +118,17 @@ func (t *ackTable) expect(id uint64) bool {
 	return true
 }
 
-// note counts one answer for id. An answer for an op nobody waits for
-// any more is dropped. A peer answers each forward once — it acks only a
-// forward it applied, and the primary relays only for a peer that did
-// not ack — so answers are counted, not matched to peers.
-func (t *ackTable) note(id uint64) {
+// note counts peer's answer for id, once however many of its accept,
+// ack and relay arrive. An answer for an op nobody waits for any more is
+// dropped.
+func (t *ackTable) note(id uint64, peer wire.Addr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	w := t.find(id)
-	if w == nil {
+	if w == nil || !w.heard.add(peer) {
 		return
 	}
-	w.heard++
-	if w.wake != nil && w.heard >= w.want {
+	if w.wake != nil && w.heard.len() >= w.want {
 		close(w.wake)
 		w.wake = nil
 	}
@@ -129,7 +161,7 @@ func (t *ackTable) close() {
 func (t *ackTable) wait(ctx context.Context, stop <-chan struct{}, id uint64, want int) (bool, error) {
 	t.mu.Lock()
 	w := t.find(id)
-	if w == nil || w.heard >= want {
+	if w == nil || w.heard.len() >= want {
 		t.drop(id)
 		t.mu.Unlock()
 		return true, nil

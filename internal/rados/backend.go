@@ -61,11 +61,15 @@ const (
 	RecSnapshot
 	RecVerPin
 	RecTxn
+	// RecWitness is a witness record accepted (witness.go, rule 5) and
+	// RecWitnessDrop its clearing; neither touches the object's slot.
+	RecWitness
+	RecWitnessDrop
 )
 
 func (k MutKind) String() string {
 	names := [...]string{"create", "data", "remove", "purge", "omap-set",
-		"omap-del", "xattr-set", "snapshot", "ver-pin", "txn"}
+		"omap-del", "xattr-set", "snapshot", "ver-pin", "txn", "witness", "witness-drop"}
 	if int(k) < len(names) {
 		return names[k]
 	}
@@ -96,6 +100,7 @@ type Mutation struct {
 	KV   map[string][]byte // RecOmapSet pairs
 	Obj  *Object           // RecSnapshot payload
 	Txn  []TxnOp           // RecTxn write-set
+	Op   *OpRequest        // RecWitness: the witnessed op; RecWitnessDrop: its Client and OpID
 }
 
 // ReplayStats summarizes one startup replay.

@@ -134,10 +134,13 @@ func (c *Client) Close() {
 
 // handle is the client's fabric endpoint: the answers for its
 // mutations' replicas and watch notifications.
-func (c *Client) handle(_ context.Context, _ wire.Addr, req any) (any, error) {
+func (c *Client) handle(_ context.Context, from wire.Addr, req any) (any, error) {
 	switch m := req.(type) {
 	case *replicaAck:
-		c.acks.note(m.OpID)
+		c.acks.note(m.OpID, from)
+		return nil, nil
+	case *relayAck:
+		c.acks.note(m.OpID, m.Peer)
 		return nil, nil
 	case notifyPush:
 		return c.handlePush(m)
@@ -197,6 +200,9 @@ func (c *Client) do(ctx context.Context, req OpRequest) (_ OpReply, err error) {
 		}
 		req.Epoch = v.m.Epoch
 		primary := OSDAddr(acting[0])
+		if req.Witnessed && len(acting) > 1 {
+			c.sendWitnesses(ctx, req, acting[1:])
+		}
 		rep, err := c.call(ctx, primary, &req)
 		if errors.Is(err, errNotOpReply) {
 			return OpReply{}, err
@@ -224,6 +230,23 @@ func (c *Client) do(ctx context.Context, req OpRequest) (_ OpReply, err error) {
 		})
 	}
 	return last, fmt.Errorf("%w (%s)", ErrRetriesExhausted, last.Detail)
+}
+
+// sendWitnesses sends each peer a witness copy of req (witness.go), each
+// on its own goroutine so the copies travel beside the primary's call. A
+// peer that accepts its copy has answered for req, as its ack would.
+func (c *Client) sendWitnesses(ctx context.Context, req OpRequest, peers []int) {
+	w := (*witnessCopy)(&req)
+	for _, peer := range peers {
+		go c.witness(ctx, OSDAddr(peer), w)
+	}
+}
+
+// witness delivers one witness copy and counts the peer's acceptance.
+func (c *Client) witness(ctx context.Context, to wire.Addr, w *witnessCopy) {
+	if resp, err := c.net.Call(ctx, c.self, to, w); err == nil && resp == any(true) {
+		c.acks.note(w.OpID, to)
+	}
 }
 
 // errNotOpReply is an OSD answering an op with something other than an
@@ -370,10 +393,29 @@ func (c *Client) SetXattr(ctx context.Context, pool, object, name string, value 
 // Section 4.2. Native classes resolve first; otherwise the script class
 // installed in the cluster map runs, atomically, next to the data.
 func (c *Client) Call(ctx context.Context, pool, object, class, method string, input []byte) ([]byte, error) {
-	rep, err := c.do(ctx, OpRequest{
+	return c.callClass(ctx, OpRequest{
 		Pool: pool, Object: object, Op: OpCall,
 		Class: class, Method: method, Input: input,
 	})
+}
+
+// CallWitnessed is Call for a method that commutes with every concurrent
+// op on the object's other keys, as a write-once write of one position
+// does: each replica is sent a witness copy beside the primary's call,
+// and the call returns once the primary has answered and every replica
+// has accepted its copy or installed the primary's forward — one round
+// trip when every copy is accepted (witness.go). The method must also
+// answer alike on any prefix of the primary's history, since a replica
+// that takes over replays the copy it holds.
+func (c *Client) CallWitnessed(ctx context.Context, pool, object, class, method string, input []byte) ([]byte, error) {
+	return c.callClass(ctx, OpRequest{
+		Pool: pool, Object: object, Op: OpCall,
+		Class: class, Method: method, Input: input, Witnessed: true,
+	})
+}
+
+func (c *Client) callClass(ctx context.Context, req OpRequest) ([]byte, error) {
+	rep, err := c.do(ctx, req)
 	if err != nil {
 		return nil, err
 	}

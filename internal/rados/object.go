@@ -152,6 +152,11 @@ type objEntry struct {
 	// a full grace window after any failover before a block can go.
 	gcSweep uint64      // guarded by mu
 	gcEpoch types.Epoch // guarded by mu
+	// unsynced counts, on a primary, the witnessed mutations of the
+	// object whose fan-out has not finished (witness.go, rule 2); synced
+	// is closed when it returns to zero, nil while nobody waits.
+	unsynced int           // guarded by mu
+	synced   chan struct{} // guarded by mu
 }
 
 // signalLocked wakes version-order waiters, if any. Caller holds e.mu.

@@ -151,6 +151,19 @@ type OSD struct {
 	replayRing [replayCacheSize]replayKey // guarded by replayMu; keys in insertion order from replayNext
 	replayNext int                        // guarded by replayMu; the slot the next put fills (the oldest key once full)
 
+	// Witness records (witness.go): the witnessed ops this daemon has
+	// accepted as a replica and not yet seen installed, at most one per
+	// object. witN counts them, so the op path reads no map while this
+	// daemon holds none.
+	witMu sync.Mutex
+	wits  map[witKey]*witnessRecord // guarded by witMu
+	witN  atomic.Int32
+	// gates holds the placement groups this daemon has just come to
+	// lead whose records it is still collecting and replaying; their
+	// ops wait for the channel to close. gateN counts them.
+	gates map[PGID]chan struct{} // guarded by witMu
+	gateN atomic.Int32
+
 	// acks tallies the replica answers of the block ops this daemon
 	// sends as a client (sendBlockOp; acks.go).
 	acks ackTable
@@ -199,6 +212,8 @@ func NewOSD(net *wire.Network, cfg OSDConfig) *OSD {
 		watchers:  newWatcherTable(),
 		fwdWake:   make(chan struct{}),
 		replay:    make(map[replayKey]OpReply, replayCacheSize),
+		wits:      make(map[witKey]*witnessRecord),
+		gates:     make(map[PGID]chan struct{}),
 		classLive: make(map[string]uint64),
 		stopCh:    make(chan struct{}),
 	}
@@ -290,8 +305,9 @@ func (o *OSD) Start(ctx context.Context) error {
 	}
 	o.updateMap(maps.OSD, noPeer)
 
-	o.wg.Add(1)
+	o.wg.Add(2)
 	go o.gossipLoop(stop)
+	go o.witnessLoop(stop)
 	if o.cfg.BeaconInterval > 0 {
 		o.wg.Add(1)
 		go o.beaconLoop(stop)
@@ -340,8 +356,25 @@ func (o *OSD) handle(ctx context.Context, from wire.Addr, req any) (any, error) 
 		}
 		return rep, nil
 	case *replicaAck:
-		o.acks.note(r.OpID)
+		o.acks.note(r.OpID, from)
 		return nil, nil
+	case *relayAck:
+		o.acks.note(r.OpID, r.Peer)
+		return nil, nil
+	case *witnessCopy:
+		return o.acceptWitness(ctx, from, r), nil
+	case *witnessDrop:
+		o.dropWitness(r)
+		return true, nil
+	case *witnessCollect:
+		return o.collectWitnesses(r), nil
+	case *witnessResolve:
+		// A replica settling a record: served as the op its client sent.
+		rep, later := o.handleOp(ctx, r.Client, (*OpRequest)(r))
+		if later != nil {
+			return later, nil
+		}
+		return rep, nil
 	case mon.MapNotify:
 		if r.OSD != nil {
 			o.updateMap(r.OSD, noPeer)
@@ -371,12 +404,14 @@ func (o *OSD) handle(ctx context.Context, from wire.Addr, req any) (any, error) 
 // acting sets changed. The installed map is shared, never written.
 func (o *OSD) updateMap(m *types.OSDMap, from int) {
 	o.mu.Lock()
-	old := o.view.Load().m
+	oldView := o.view.Load()
+	old := oldView.m
 	if m.Epoch <= old.Epoch {
 		o.mu.Unlock()
 		return
 	}
 	v := newMapView(m)
+	promoted := o.gatePromotions(oldView, v) // before any op can see v
 	o.view.Store(v)
 	// Detect pool growth: those pools re-shard in the background
 	// ("placement group splitting", §4.4).
@@ -397,6 +432,7 @@ func (o *OSD) updateMap(m *types.OSDMap, from int) {
 	o.mu.Unlock()
 	o.floodMap(v, from) // first: every peer's install waits on this, nothing below does
 	held := o.heldPGs() // before the split below creates new ones
+	o.rewitness(v, promoted)
 
 	if hook != nil {
 		for _, def := range liveEvents {

@@ -18,7 +18,8 @@ import (
 // protocol leans on); a request carrying a newer epoch makes this daemon
 // pull the latest map before proceeding. sent is the request as it
 // arrived, never written: the handler works on its own copy. A mutation
-// that forwards returns its fan-out to run after the reply.
+// that forwards returns its fan-out to run after the reply. A primary
+// holding a witness record on the object replays it first (witness.go).
 func (o *OSD) handleOp(ctx context.Context, from wire.Addr, sent *OpRequest) (OpReply, *replication) {
 	req := *sent
 	if req.Epoch > o.Epoch() {
@@ -67,6 +68,9 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, sent *OpRequest) (Op
 	if !req.Replica && acting[0] != o.cfg.ID {
 		return OpReply{Result: EMapStale, Detail: "not primary for object", Epoch: m.Epoch}, nil
 	}
+	if !req.Replica && (o.witN.Load() > 0 || o.gateN.Load() > 0) && !o.awaitWitnesses(ctx, PGID{Pool: req.Pool, PG: pgnum}, req.Object) {
+		return OpReply{Result: EIO, Detail: "interrupted awaiting a witness replay", Epoch: m.Epoch}, nil
+	}
 
 	// Duplicate-delivery check: a client resend of an operation whose ack
 	// was lost must observe the recorded outcome, not re-apply it. Only
@@ -94,7 +98,7 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, sent *OpRequest) (Op
 	if req.Replica {
 		return o.replicaStep(ctx, sent, &req, p, pv, m), nil
 	}
-	return o.primaryStep(from, &req, p, acting, pv, m)
+	return o.primaryStep(ctx, from, &req, p, acting, pv, m)
 }
 
 // batched reports whether r is a block batch, whose entries are r.Blocks.
@@ -125,21 +129,28 @@ func misnamedBlock(req *OpRequest) string {
 // and each peer answers it once the forward is. Nothing is held across
 // the fsync or the fan-out: per-object ordering travels in the version
 // stamps instead of being pinned by a lock. A read ends after its apply.
-func (o *OSD) primaryStep(from wire.Addr, req *OpRequest, p *pg, acting []int, pv *poolView, m *types.OSDMap) (OpReply, *replication) {
+// A witnessed op's outcome enters the replay cache whether it mutated or
+// not, and one that did not is answered after its records are dropped
+// (witness.go).
+func (o *OSD) primaryStep(ctx context.Context, from wire.Addr, req *OpRequest, p *pg, acting []int, pv *poolView, m *types.OSDMap) (OpReply, *replication) {
 	var (
 		reply   OpReply
 		mutated bool
 		peers   []int        // the replica peers to forward to
 		sub     []*OpRequest // for a block batch, sub[i] is peers[i]'s forward
 	)
+	witnessed := req.Witnessed && len(acting) > 1
 	if !req.batched() {
 		var prev uint64
-		reply, prev, mutated = o.applyPrimary(p, req, m)
+		reply, prev, mutated = o.applyPrimary(p, req, m, witnessed)
 		if mutated {
 			// Every peer is sent this request, stamped.
 			peers = acting[1:]
 			req.Replica, req.Epoch, req.Client = true, m.Epoch, from
 			req.PrevVersion, req.NewVersion = prev, reply.Version
+			if witnessed {
+				req.Data = reply.Data
+			}
 		}
 	} else {
 		reply = OpReply{Result: OK, Keys: make([]string, 0, len(req.Blocks)), Epoch: m.Epoch}
@@ -150,7 +161,7 @@ func (o *OSD) primaryStep(from wire.Addr, req *OpRequest, p *pg, acting []int, p
 				continue
 			}
 			entry.Object, entry.Data = b.Name, b.Data
-			rep, prev, created := o.applyPrimary(p, &entry, m)
+			rep, prev, created := o.applyPrimary(p, &entry, m, false)
 			reply.Keys = append(reply.Keys, b.Name)
 			if !created {
 				continue
@@ -170,9 +181,15 @@ func (o *OSD) primaryStep(from wire.Addr, req *OpRequest, p *pg, acting []int, p
 		}
 	}
 	if !mutated {
+		if witnessed {
+			return o.answerUnwritten(ctx, from, req, acting[1:], reply), nil
+		}
 		return reply, nil
 	}
 	if err := o.commitDurable(); err != nil {
+		if witnessed {
+			witnessSynced(p.entry(req.Object))
+		}
 		return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}, nil
 	}
 	reply.Forwards = uint16(len(peers))
@@ -188,7 +205,11 @@ func (o *OSD) primaryStep(from wire.Addr, req *OpRequest, p *pg, acting []int, p
 	} else {
 		f.req = OpRequest{OpID: req.OpID, Client: from}
 	}
-	return reply, &replication{o: o, f: f, peers: peers, sub: sub, reply: reply}
+	r := &replication{o: o, f: f, peers: peers, sub: sub, reply: reply}
+	if witnessed {
+		r.synced = p.entry(req.Object)
+	}
+	return reply, r
 }
 
 // replicaStep is a replica's one step for a primary's forward. Its
@@ -220,8 +241,12 @@ func (o *OSD) replicaStep(ctx context.Context, sent, req *OpRequest, p *pg, pv *
 			return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
 		}
 	}
-	if reply.Result == OK && !o.ackClient(ctx, sent) {
-		reply.Unacked = true
+	if reply.Result == OK {
+		// A peer that accepted the op's witness copy has answered for it.
+		held := req.Witnessed && o.settleWitness(req)
+		if !held && !o.ackClient(ctx, sent) {
+			reply.Unacked = true
+		}
 	}
 	return reply
 }
@@ -244,26 +269,51 @@ func (o *OSD) ackClient(ctx context.Context, fwd *OpRequest) bool {
 // never the sender's — rewritten as the OpTxn carrying its write-set:
 // the op has run, here, once, and from this point on (journal record,
 // replica forward) it is its effect as the primary stored it.
-func (o *OSD) applyPrimary(p *pg, req *OpRequest, m *types.OSDMap) (reply OpReply, prev uint64, mutated bool) {
+//
+// A mutation that is not witnessed first waits until no witnessed one
+// of the object awaits its fan-out; a class call, which is known to
+// write only once it ran, is undone and run again after that wait.
+// witnesses counts a witnessed mutation among those awaiting it
+// (witness.go, rule 2).
+func (o *OSD) applyPrimary(p *pg, req *OpRequest, m *types.OSDMap, witnesses bool) (reply OpReply, prev uint64, mutated bool) {
 	e := p.entry(req.Object)
 	e.mu.Lock()
-	prev = e.ver
+	spec := &opSpecs[req.Op]
+	sync := !req.Witnessed && !spec.call && spec.class != classRead
 	var txn []TxnOp
-	if spec := &opSpecs[req.Op]; spec.call {
-		reply, txn = o.applyCall(e, req, m)
-		mutated = txn != nil
-	} else {
-		reply, mutated = o.applyOp(e, req, m)
-		mutated = mutated && reply.Result == OK
-		if mutated && spec.writeSet != nil {
-			txn = spec.writeSet(e.obj, *req)
+	for {
+		if sync && e.unsynced > 0 {
+			ch := e.unsyncedLocked()
+			e.mu.Unlock()
+			<-ch
+			e.mu.Lock()
+			continue
 		}
+		prev = e.ver
+		if !spec.call {
+			reply, mutated = o.applyOp(e, req, m)
+			mutated = mutated && reply.Result == OK
+			if mutated && spec.writeSet != nil {
+				txn = spec.writeSet(e.obj, *req)
+			}
+			break
+		}
+		var blocked bool
+		if reply, txn, blocked = o.applyCall(e, req, m); !blocked {
+			mutated = txn != nil
+			break
+		}
+		sync = true
 	}
 	if txn != nil {
-		*req = OpRequest{Pool: req.Pool, Object: req.Object, Epoch: req.Epoch, Op: OpTxn, OpID: req.OpID, Txn: txn}
+		*req = OpRequest{Pool: req.Pool, Object: req.Object, Epoch: req.Epoch, Op: OpTxn, OpID: req.OpID, Txn: txn,
+			Witnessed: req.Witnessed}
 	}
 	if mutated {
 		o.recordOp(p, e, req)
+		if witnesses {
+			e.unsynced++
+		}
 	}
 	e.mu.Unlock()
 	reply.Epoch = m.Epoch
@@ -347,6 +397,9 @@ type replication struct {
 	peers []int
 	sub   []*OpRequest
 	reply any // the OpReply, boxed as the fabric carries it
+	// synced is the slot of a witnessed mutation, counted out of its
+	// unsynced ones once the fan-out has finished (witness.go, rule 2).
+	synced *objEntry
 }
 
 // Reply is the primary's answer, sent before the fan-out runs.
@@ -408,6 +461,9 @@ func (o *OSD) replicate(ctx context.Context, r *replication) {
 	// that the fan-out is over; one that missed an answer re-sends.
 	if f.unanswered.Load() && f.req.OpID != 0 {
 		o.replaySettle(f.req.Client, f.req.OpID)
+	}
+	if r.synced != nil {
+		witnessSynced(r.synced)
 	}
 }
 
@@ -549,7 +605,7 @@ func (o *OSD) callReplica(ctx context.Context, peer int, req *OpRequest) bool {
 	}
 	answered := err == nil && !rep.Unacked
 	if !answered {
-		answered = o.relay(ctx, req)
+		answered = o.relay(ctx, req, to)
 	}
 	if err != nil {
 		lctx, lcancel := context.WithTimeout(context.Background(), time.Second)
@@ -559,15 +615,14 @@ func (o *OSD) callReplica(ctx context.Context, peer int, req *OpRequest) bool {
 	return answered
 }
 
-// relay answers the client of a forward for the peer it went to, whose
-// own ack will not come, and reports whether the answer arrived. One
-// that did not leaves the client to re-send, and the replay cache
-// answers it.
-func (o *OSD) relay(ctx context.Context, fwd *OpRequest) bool {
+// relay answers the client of a forward for peer, whose own ack will not
+// come, and reports whether the answer arrived. One that did not leaves
+// the client to re-send, and the replay cache answers it.
+func (o *OSD) relay(ctx context.Context, fwd *OpRequest, peer wire.Addr) bool {
 	if fwd.OpID == 0 || fwd.Client == "" {
 		return true
 	}
-	_, err := o.net.Call(ctx, o.addr, fwd.Client, (*replicaAck)(fwd))
+	_, err := o.net.Call(ctx, o.addr, fwd.Client, &relayAck{OpID: fwd.OpID, Peer: peer})
 	return err == nil
 }
 
@@ -1000,11 +1055,14 @@ func (o *OSD) commitBackground(what string) {
 // under its slot lock, writing through ClassCtx. An abort restores what
 // it touched, in time proportional to that and not to the object's size
 // (ZLog stripe objects grow without bound); success returns the
-// write-set, nil when the method wrote nothing. Caller holds e.mu.
-func (o *OSD) applyCall(e *objEntry, req *OpRequest, m *types.OSDMap) (OpReply, []TxnOp) {
+// write-set, nil when the method wrote nothing. A call that is not
+// witnessed and wrote while a witnessed mutation of the object awaits
+// its fan-out is undone and reported blocked (witness.go, rule 2).
+// Caller holds e.mu.
+func (o *OSD) applyCall(e *objEntry, req *OpRequest, m *types.OSDMap) (_ OpReply, _ []TxnOp, blocked bool) {
 	def, isScript := m.Classes[req.Class]
 	if !isScript && !o.rt.isNative(req.Class) {
-		return OpReply{Result: ENOENT, Detail: "no such class: " + req.Class}, nil
+		return OpReply{Result: ENOENT, Detail: "no such class: " + req.Class}, nil, false
 	}
 	existed := e.obj != nil
 	ctx := &ClassCtx{Obj: e.materializeLocked(req.Object), Input: req.Input}
@@ -1019,15 +1077,22 @@ func (o *OSD) applyCall(e *objEntry, req *OpRequest, m *types.OSDMap) (OpReply, 
 		if !existed {
 			e.obj = nil
 		}
-		return OpReply{Result: rc, Detail: string(out), Data: out}, nil
+		return OpReply{Result: rc, Detail: string(out), Data: out}, nil, false
 	}
 	if !ctx.wrote() {
 		if !existed {
 			// A pure read on a nonexistent object leaves no trace.
 			e.obj = nil
 		}
-		return OpReply{Result: OK, Data: out, Version: e.ver}, nil
+		return OpReply{Result: OK, Data: out, Version: e.ver}, nil, false
+	}
+	if e.unsynced > 0 && !req.Witnessed {
+		ctx.rollback()
+		if !existed {
+			e.obj = nil
+		}
+		return OpReply{}, nil, true
 	}
 	e.bumpLocked()
-	return OpReply{Result: OK, Data: out, Version: e.ver}, ctx.writeSet()
+	return OpReply{Result: OK, Data: out, Version: e.ver}, ctx.writeSet(), false
 }

@@ -84,6 +84,10 @@ func (o *OSD) restore() error {
 // live path. The decoder copied every value out of its frame, so the
 // object adopts them as they are.
 func (o *OSD) applyMutation(mut Mutation) {
+	if mut.Kind == RecWitness || mut.Kind == RecWitnessDrop {
+		o.restoreWitness(mut)
+		return
+	}
 	p := o.getPG(PGID{Pool: mut.Pool, PG: mut.PG})
 	e := p.entry(mut.Object)
 	e.mu.Lock()
@@ -197,7 +201,7 @@ func (o *OSD) CheckpointNow() error {
 				e.mu.Unlock()
 			}
 		}
-		return muts
+		return append(muts, o.witnessMutations()...)
 	})
 }
 

@@ -145,6 +145,16 @@ func (v *mapView) actingFor(id PGID) []int {
 	return p.actingFor(id.PG)
 }
 
+// actingOf is pool/object's acting set under this view (shared,
+// read-only); nil when the pool does not exist.
+func (v *mapView) actingOf(pool, object string) []int {
+	p := v.pools[pool]
+	if p == nil {
+		return nil
+	}
+	return p.actingFor(PGForObject(object, p.info.PGNum))
+}
+
 // locate resolves an object to its PG and (shared, read-only) acting
 // set under this view.
 func (v *mapView) locate(pool, object string) (PGID, []int, error) {

@@ -154,6 +154,109 @@ func TestReplicatedWriteMessageComplexity(t *testing.T) {
 	}
 }
 
+// An uncontended witnessed replicas=3 call costs the client one call to
+// the primary and one witness call per replica, and the primary its two
+// forwards; the replicas, whose acceptances answered the client, send no
+// ack, and the primary relays nothing.
+func TestWitnessedCallMessageComplexity(t *testing.T) {
+	tc := witnessCluster(t, time.Millisecond, "wc")
+	ctx := ctxT(t, 10*time.Second)
+	acting := actingOf(t, tc, "wc")
+	primary := OSDAddr(acting[0])
+	before := tc.net.Stats()
+	if _, err := tc.client.CallWitnessed(ctx, "data", "wc", "wk", "put", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	settleFanOut(t, tc, primary)
+	after := tc.net.Stats()
+	calls := func(a wire.Addr) uint64 { return after.Outbound[a].Calls - before.Outbound[a].Calls }
+	if got := calls(tc.client.self); got != 3 {
+		t.Errorf("client calls = %d, want 3: the primary and 2 witness copies", got)
+	}
+	if got := calls(primary); got != 2 {
+		t.Errorf("primary calls = %d, want 2 forwards and no relay", got)
+	}
+	for _, id := range acting[1:] {
+		if got := calls(OSDAddr(id)); got != 0 {
+			t.Errorf("osd.%d calls = %d, want 0: its acceptance answered the client", id, got)
+		}
+	}
+	checkCopiesEqual(t, tc, "wc")
+}
+
+// A replica holding another op's record on the object rejects the
+// witness copy; the call then costs that replica's ack of the install,
+// and nothing else.
+func TestRejectedWitnessCostsTheInstallAck(t *testing.T) {
+	tc := witnessCluster(t, time.Millisecond, "wr")
+	ctx := ctxT(t, 10*time.Second)
+	acting := actingOf(t, tc, "wr")
+	primary, busy := OSDAddr(acting[0]), tc.osds[acting[1]]
+	k := witKey{"data", "wr"}
+	other := &witnessRecord{op: OpRequest{Pool: "data", Object: "wr", Client: "client.other", OpID: 1}, at: time.Now().Add(time.Hour)}
+	busy.witMu.Lock()
+	busy.wits[k] = other
+	busy.witN.Add(1)
+	busy.witMu.Unlock()
+	defer func() {
+		busy.witMu.Lock()
+		busy.deleteWitnessLocked(k, other)
+		busy.witMu.Unlock()
+	}()
+
+	before := tc.net.Stats()
+	if _, err := tc.client.CallWitnessed(ctx, "data", "wr", "wk", "put", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for records(tc.osds[acting[2]]) > 0 || tc.net.Stats().Outbound[primary].Inflight > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("fan-out not settled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	after := tc.net.Stats()
+	calls := func(a wire.Addr) uint64 { return after.Outbound[a].Calls - before.Outbound[a].Calls }
+	if got := calls(tc.client.self); got != 3 {
+		t.Errorf("client calls = %d, want 3", got)
+	}
+	if got := calls(primary); got != 2 {
+		t.Errorf("primary calls = %d, want 2 forwards and no relay", got)
+	}
+	if got := calls(busy.Addr()); got != 1 {
+		t.Errorf("rejecting osd.%d calls = %d, want 1: its install ack", busy.cfg.ID, got)
+	}
+	if got := calls(OSDAddr(acting[2])); got != 0 {
+		t.Errorf("accepting osd.%d calls = %d, want 0", acting[2], got)
+	}
+	if records(busy) != 1 {
+		t.Errorf("osd.%d lost the record it held for another op", busy.cfg.ID)
+	}
+	checkCopiesEqual(t, tc, "wr")
+}
+
+// Rule 1: a witnessed call that fails at the primary is answered only
+// once no replica holds its record, so no takeover can replay what its
+// client was told failed.
+func TestWitnessedFailureLeavesNoRecord(t *testing.T) {
+	tc := witnessCluster(t, 2*time.Millisecond, "wf")
+	ctx := ctxT(t, 10*time.Second)
+	acting := actingOf(t, tc, "wf")
+	if _, err := tc.client.CallWitnessed(ctx, "data", "wf", "wk", "put", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	settleFanOut(t, tc, OSDAddr(acting[0]))
+	_, err := tc.client.CallWitnessed(ctx, "data", "wf", "wk", "put", []byte("1"))
+	if !errors.Is(err, ErrExists) {
+		t.Fatalf("second write of one position = %v, want ErrExists", err)
+	}
+	for _, id := range acting[1:] {
+		if n := records(tc.osds[id]); n != 0 {
+			t.Errorf("osd.%d holds %d witness records after the client saw EEXIST", id, n)
+		}
+	}
+}
+
 // TestReplicatedWriteIsThreeHops shapes the fabric at 20ms one-way and
 // shows a replicas=3 write costs three one-way hops: client to primary,
 // primary to replicas in parallel, replicas to client (~60ms). A primary

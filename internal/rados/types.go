@@ -254,9 +254,14 @@ type OpRequest struct {
 	// Replica marks a primary-to-replica forward; replicas apply without
 	// re-forwarding.
 	Replica bool
+	// Witnessed marks an op whose client also sent each replica a
+	// witness copy (witness.go), and a forward of one. On such a forward
+	// Data is the primary's reply payload.
+	Witnessed bool
 	// Client, on a forward, is the address of the client whose op
 	// (OpID) it carries: the replica acknowledges that client directly
-	// once it has applied and committed the forward (replicaAck).
+	// once it has applied and committed the forward (replicaAck), unless
+	// it holds the op's witness record, whose acceptance answered already.
 	Client wire.Addr
 	// PrevVersion/NewVersion carry the primary's per-object version
 	// stamps on a replica forward: the replica applies only once its
@@ -341,11 +346,18 @@ type OpReply struct {
 // replicaAck answers a client for one peer of a forwarded op: the
 // forward itself, sent back to the client it names, and the client reads
 // only its OpID. The replica sends it once it has applied and committed
-// the forward; the primary sends it for the replica (a relay) when that
-// ack will not come — the forward failed or was refused, which the
-// primary's cluster log records, or the replica could not reach the
-// client. Echoing the forward costs no allocation; nobody writes it.
+// the forward. Echoing the forward costs no allocation; nobody writes it.
 type replicaAck OpRequest
+
+// relayAck is the primary's answer to a client for a peer whose own ack
+// will not come: the forward failed or was refused, which the primary's
+// cluster log records, or the replica could not reach the client. It
+// names the peer, so the client's tally counts it once beside any
+// accept or ack from that peer.
+type relayAck struct {
+	OpID uint64
+	Peer wire.Addr
+}
 
 // OSDAddr is the wire address of an OSD.
 func OSDAddr(id int) wire.Addr {

@@ -7,7 +7,9 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/types"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // WALBackendOptions tune a WALBackend.
@@ -216,6 +218,16 @@ func encodeMutation(buf []byte, m Mutation) []byte {
 			buf = appendString(buf, op.Key)
 			buf = appendBytes(buf, op.Val)
 		}
+	case RecWitness, RecWitnessDrop:
+		buf = appendString(buf, string(m.Op.Client))
+		buf = binary.AppendUvarint(buf, m.Op.OpID)
+		if m.Kind == RecWitness {
+			buf = binary.AppendUvarint(buf, uint64(m.Op.Op))
+			buf = binary.AppendUvarint(buf, uint64(m.Op.Epoch))
+			buf = appendString(buf, m.Op.Class)
+			buf = appendString(buf, m.Op.Method)
+			buf = appendBytes(buf, m.Op.Input)
+		}
 	case RecCreate, RecRemove, RecPurge, RecVerPin:
 		// Header only.
 	}
@@ -275,7 +287,7 @@ func decodeMutation(rec []byte) (Mutation, error) {
 	}
 	var m Mutation
 	m.Kind = MutKind(rec[0])
-	if m.Kind > RecTxn {
+	if m.Kind > RecWitnessDrop {
 		return Mutation{}, fmt.Errorf("rados: mutation decode: unknown kind %d", rec[0])
 	}
 	m.Force = rec[1]&mutFlagForce != 0
@@ -323,6 +335,18 @@ func decodeMutation(rec []byte) (Mutation, error) {
 			op.Val = d.bytes()
 			m.Txn = append(m.Txn, op)
 		}
+	case RecWitness, RecWitnessDrop:
+		op := &OpRequest{Pool: m.Pool, Object: m.Object, Witnessed: true}
+		op.Client = wire.Addr(d.str())
+		op.OpID = d.uvarint()
+		if m.Kind == RecWitness {
+			op.Op = OpCode(d.uvarint())
+			op.Epoch = types.Epoch(d.uvarint())
+			op.Class = d.str()
+			op.Method = d.str()
+			op.Input = d.bytes()
+		}
+		m.Op = op
 	case RecCreate, RecRemove, RecPurge, RecVerPin:
 	}
 	if d.err != nil {

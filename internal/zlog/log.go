@@ -239,14 +239,24 @@ func (l *Log) call(ctx context.Context, pos uint64, method string, args []byte) 
 }
 
 // callObj invokes a storage-class method with the epoch prefix,
-// refreshing the epoch and retrying when sealed mid-flight.
+// refreshing the epoch and retrying when sealed mid-flight. The
+// write-once writes are witnessed calls: each position comes from one
+// sequencer value, so a write commutes with every other write in flight,
+// and one that succeeds on the primary succeeds on any prefix of the
+// primary's history — so the call answers in one round trip
+// (rados.Client.CallWitnessed). Seal, fill and trim, which conflict with
+// writes, and the reads take the ordinary path.
 func (l *Log) callObj(ctx context.Context, obj, method string, args []byte) ([]byte, error) {
+	call := l.rc.Call
+	if method == "write" || method == "writev" {
+		call = l.rc.CallWitnessed
+	}
 	for attempt := 0; attempt < 3; attempt++ {
 		input := make([]byte, 0, 21+len(args))
 		input = strconv.AppendUint(input, l.Epoch(), 10)
 		input = append(input, ':')
 		input = append(input, args...)
-		out, err := l.rc.Call(ctx, l.opts.Pool, obj, ClassName, method, input)
+		out, err := call(ctx, l.opts.Pool, obj, ClassName, method, input)
 		if err != nil && errors.Is(err, rados.ErrStale) {
 			// Sealed: a recovery bumped the epoch. Resync and retry.
 			if rerr := l.refreshEpoch(ctx); rerr != nil {
