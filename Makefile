@@ -11,7 +11,7 @@ BASE ?= HEAD~1
 
 .PHONY: build test race vet lint lint-json lint-sarif lint-diff lint-fixtures \
 	bench bench-smoke bench-module bench-json chaos chaos-race cover bench-compare ci loc \
-	profile
+	profile fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,19 @@ bench:
 # replay benches.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/script/ ./internal/cdc/ ./internal/wal/
+
+# Every fuzz target in the module (go test -list finds them) runs for
+# FUZZTIME past its seeds and committed corpus (testdata/fuzz/); part of
+# ci. A failing input lands in the package's testdata/fuzz/ to replay.
+FUZZTIME ?= 10s
+
+fuzz-smoke:
+	@$(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { t = t " " $$1 } /^ok/ { if (t != "") print $$2 t; t = "" }' | \
+	while read pkg targets; do \
+		for t in $$targets; do \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
+	done
 
 # The repository's benchmark (bench/) is a nested module that the root
 # module's vet and test runs do not see; vet and test it from inside.
@@ -150,7 +163,7 @@ bench-compare:
 		| $(GO) run ./cmd/benchjson -compare BENCH_pr10.json -tolerance 0.30 \
 			-floor wal_group_commit_speedup=3.0 -floor wal_replay_mbps=100
 
-ci: build vet lint-sarif lint-fixtures race bench-smoke bench-module chaos cover bench-compare
+ci: build vet lint-sarif lint-fixtures race bench-smoke bench-module fuzz-smoke chaos cover bench-compare
 
 # Non-test, non-fixture Go lines per package, largest first, with the
 # total on top: ROADMAP aim 2's tracked number. go list leaves out

@@ -67,12 +67,12 @@ func dedupBenchReset(b *testing.B, cluster *core.Cluster, rc *rados.Client, obje
 		}
 	}
 	for {
-		work := 0
+		reclaimed := 0
 		for _, o := range cluster.OSDs {
-			delivered, reclaimed := o.SweepBlocks(0)
-			work += delivered + reclaimed + o.QueuedRefDeltas()
+			_, n := o.SweepBlocks(0)
+			reclaimed += n
 		}
-		if work == 0 {
+		if reclaimed == 0 {
 			return
 		}
 	}

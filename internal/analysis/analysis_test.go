@@ -665,20 +665,17 @@ func TestCrossPackageFacts(t *testing.T) {
 		t.Errorf("OpAppend pre-upgrade class = %v, want %v", f.class, classRMW)
 	}
 	// The dedup block ops are resent by both retry wrappers (the client
-	// stamps OpBlockWrite, the GC sweeper stamps incref/decref/reclaim),
-	// so each must classify retry-safe on its own shape where possible:
-	// incref/decref lead with existence guards and mutate through
-	// helpers (versioned), and reclaim reads the slot it tombstones
-	// (RMW), relying on the gateway upgrade below. OpBlockWrite classifies
+	// stamps OpBlockWrite, the GC sweeper stamps reclaim), so each must
+	// classify retry-safe on its own shape: reclaim leads with an
+	// existence guard before it tombstones the slot (versioned), so a
+	// resend after it applied answers ENOENT. OpBlockWrite classifies
 	// from its applyOp case, a create-if-absent absolute overwrite: a batch
 	// of such writes takes the same primary step as every other op, entry
 	// by entry through applyOp, so handleOp's dispatch no longer hands it
 	// to a handler of its own that would classify as a delegation.
 	preClasses := map[string]opClass{
 		"OpBlockWrite":   classOverwrite,
-		"OpBlockIncref":  classVersioned,
-		"OpBlockDecref":  classVersioned,
-		"OpBlockReclaim": classRMW,
+		"OpBlockReclaim": classVersioned,
 	}
 	for op, want := range preClasses {
 		f, ok := facts["repro/internal/rados."+op]
@@ -694,7 +691,7 @@ func TestCrossPackageFacts(t *testing.T) {
 	if f := facts["repro/internal/rados.OpAppend"]; f.class != classVersioned {
 		t.Errorf("OpAppend post-upgrade class = %v, want %v (handleOp's OpID replay gateway must cover applyOp)", f.class, classVersioned)
 	}
-	for _, op := range []string{"OpBlockWrite", "OpBlockDecref", "OpBlockIncref", "OpBlockReclaim"} {
+	for _, op := range []string{"OpBlockWrite", "OpBlockReclaim"} {
 		f, ok := facts["repro/internal/rados."+op]
 		if !ok {
 			t.Errorf("%s not classified (missing from the applyOp dispatch?)", op)

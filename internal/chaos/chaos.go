@@ -52,13 +52,13 @@ type Options struct {
 	// the knob exists so fixture tests can prove the sealed-epoch
 	// invariant checker catches the bug.
 	SkipSealOnRecovery bool
-	// SkipReconcileOnReplay deliberately breaks the WAL-recovery path:
-	// the rebuilt daemon replays its journal but skips the
-	// reconciliation pass that re-derives the crash-destroyed ref-delta
-	// queue. Real recoveries must never do this — the knob exists so
-	// fixture tests can prove the dedup-refs-clean checker catches the
-	// resulting leaked/dangling references.
-	SkipReconcileOnReplay bool
+	// SkipRemoteCensus deliberately breaks the dedup GC: each sweeper's
+	// census counts only the manifests in the placement groups it leads
+	// itself (rados.OSDConfig.SkipRemoteCensus), so it reclaims blocks
+	// that manifests on other daemons still cite. Real sweeps must never
+	// do this — the knob exists so fixture tests can prove the
+	// dedup-refs-clean checker catches the resulting dangling blocks.
+	SkipRemoteCensus bool
 	// WALRoot, when set, is the directory under which WAL-backed
 	// scenarios place their per-run journal directories
 	// (<root>/<scenario>-seed<seed>/osd.<id>); a failing run keeps its

@@ -108,29 +108,29 @@ func TestBrokenRecoveryIsCaught(t *testing.T) {
 	}
 }
 
-// TestBrokenReplayIsCaught is the checker-of-the-checker fixture for
-// the durable backend: a WAL recovery that skips reconciliation loses
-// the crash-destroyed ref-delta queue, and the dedup audit must flag
-// the resulting stale refsets. Whether the victim held queued deltas at
-// the kill depends on the seed's fault plan, so the fixture sweeps a
-// few seeds and requires the checker to fire on at least one.
-func TestBrokenReplayIsCaught(t *testing.T) {
+// TestBrokenCensusIsCaught is the checker-of-the-checker fixture for
+// the dedup GC: a census that counts only the sweeper's own manifests
+// reclaims blocks that manifests on other daemons still cite, and the
+// dedup audit must flag them dangling. Which blocks and manifests share
+// a primary depends on the seed, so the fixture sweeps a few seeds and
+// requires the checker to fire on at least one.
+func TestBrokenCensusIsCaught(t *testing.T) {
 	found := false
 	for seed := int64(1); seed <= 4 && !found; seed++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-		res, err := Run(ctx, Options{Scenario: "process-crash", Seed: seed, SkipReconcileOnReplay: true})
+		res, err := Run(ctx, Options{Scenario: "process-crash", Seed: seed, SkipRemoteCensus: true})
 		cancel()
 		if err != nil {
 			t.Fatalf("seed %d: harness error: %v", seed, err)
 		}
 		for _, v := range res.Violations {
-			if strings.HasPrefix(v, "dedup-refs-clean:") {
+			if strings.HasPrefix(v, "dedup-refs-clean:") && strings.Contains(v, "dangling [blk.") {
 				found = true
 			}
 		}
 	}
 	if !found {
-		t.Fatal("broken replay (no reconciliation) was never flagged by dedup-refs-clean across seeds 1..4")
+		t.Fatal("broken census (own manifests only) was never flagged by dedup-refs-clean across seeds 1..4")
 	}
 }
 

@@ -194,71 +194,37 @@ func (r *run) checkDedupDurable(ctx context.Context, writers ...*dedupWriter) {
 	r.pass(check)
 }
 
-// checkDedupGC drives the deferred GC to quiescence and then audits
-// block refcounts cluster-wide. Phase one sweeps with an effectively
-// infinite grace — deliveries only, no reclaims — until every ref-delta
-// queue drains, so an incref parked on one daemon can never lose a race
-// against a reclaim on another. Phase two sweeps with zero grace until
-// nothing more is delivered or reclaimed, at which point every
-// unreferenced block must be gone and AuditDedup must find no leaked
-// and no dangling references.
+// checkDedupGC sweeps with zero grace until two rounds in a row reclaim
+// nothing, at which point every block no manifest cites must be gone,
+// and then audits the pool cluster-wide: AuditDedup must find no
+// leaked, no dangling and no corrupt block.
 func (r *run) checkDedupGC(ctx context.Context, pool string) {
 	const check = "dedup-refs-clean"
-	quiesce := func(grace time.Duration, what string) bool {
-		clean := 0
-		for round := 0; clean < 2; round++ {
-			if round > 400 || ctx.Err() != nil {
-				r.fail(check, what+" never quiesced")
-				return false
-			}
-			work := 0
-			for _, o := range r.cl.OSDs {
-				d, rc := o.SweepBlocks(grace)
-				work += d + rc
-			}
-			for _, o := range r.cl.OSDs {
-				work += o.QueuedRefDeltas()
-			}
-			if work == 0 {
-				clean++
-			} else {
-				clean = 0
-			}
-			pause(ctx, 5*time.Millisecond)
-		}
-		return true
-	}
-	if !quiesce(time.Hour, "ref-delta delivery") {
-		return
-	}
-	// Dedup scrub to a fixed point: entries left behind by an abandoned
-	// history (a failed-over primary's diff that the surviving version
-	// sequence never supersedes) are repaired against the live
-	// manifests before reclaim and audit.
-	for round := 0; ; round++ {
-		if round > 50 || ctx.Err() != nil {
-			r.fail(check, "ref scrub never reached a fixed point")
+	for round, clean := 0, 0; clean < 2; round++ {
+		if round > 400 || ctx.Err() != nil {
+			r.fail(check, "block reclaim never quiesced")
 			return
 		}
-		repaired := 0
+		reclaimed := 0
 		for _, o := range r.cl.OSDs {
-			repaired += o.RefScrub(pool)
+			_, rc := o.SweepBlocks(0)
+			reclaimed += rc
 		}
-		if repaired == 0 {
-			break
+		if reclaimed == 0 {
+			clean++
+		} else {
+			clean = 0
 		}
-	}
-	if !quiesce(0, "block reclaim") {
-		return
+		pause(ctx, 5*time.Millisecond)
 	}
 	audit := rados.AuditDedup(r.cl.OSDs, pool)
-	if len(audit.Leaked) > 0 || len(audit.Dangling) > 0 {
-		r.fail(check, fmt.Sprintf("audit after quiescence: %d leaked %v, %d dangling %v",
-			len(audit.Leaked), audit.Leaked, len(audit.Dangling), audit.Dangling))
+	if len(audit.Leaked)+len(audit.Dangling)+len(audit.Corrupt) > 0 {
+		r.fail(check, fmt.Sprintf("audit after quiescence: %d leaked %v, %d dangling %v, %d corrupt %v",
+			len(audit.Leaked), audit.Leaked, len(audit.Dangling), audit.Dangling, len(audit.Corrupt), audit.Corrupt))
 		return
 	}
 	if audit.Manifests == 0 {
-		r.fail(check, "no manifests survived; scenario cannot vouch for refcounting")
+		r.fail(check, "no manifests survived; scenario cannot vouch for block liveness")
 		return
 	}
 	r.pass(check)

@@ -64,7 +64,7 @@ var scenarioList = []scenario{
 	},
 	{
 		name:  "process-crash",
-		about: "hard-kill a WAL-backed OSD mid-write (torn tail), rebuild it from the log, require replay + reconciliation to full convergence",
+		about: "hard-kill a WAL-backed OSD mid-write (torn tail), rebuild it from the log, require replay to full convergence while deduped writers run through the kill",
 		fn:    runProcessCrash,
 	},
 }
@@ -76,10 +76,11 @@ func fastOSD() rados.OSDConfig {
 }
 
 // dedupOSD adds an aggressive GC cadence on top of fastOSD. The grace
-// window stays well above the restart's down-window so a reclaim can
-// never outrun an incref parked on the stopped daemon — the same
-// relationship a production deployment must maintain between grace and
-// its failover detection time.
+// window stays well above the restart's down-window, so a block a
+// writer statted on the stopped daemon cannot be reclaimed before the
+// manifest citing it lands — the same relationship a production
+// deployment must maintain between grace and its failover detection
+// time.
 func dedupOSD() rados.OSDConfig {
 	c := fastOSD()
 	c.GCInterval = 20 * time.Millisecond
@@ -452,12 +453,11 @@ func runZlogPrimaryCrash(ctx context.Context, r *run) error {
 
 // runDedupChurn drives the content-addressed write path under churn:
 // two writers overwrite deduped objects (sliding windows over
-// duplicate-heavy corpora, so every overwrite increfs some blocks and
-// decrefs others) while one OSD restarts gracefully — its parked
-// ref-delta queue must survive the restart and drain on rejoin.
-// Afterwards every acked manifest must reassemble byte-for-byte, and
-// once the deferred GC quiesces a cluster-wide audit must find zero
-// leaked and zero dangling block references.
+// duplicate-heavy corpora, so every overwrite cites some new blocks and
+// drops others) while the background GC sweeps and one OSD restarts
+// gracefully. Afterwards every acked manifest must reassemble
+// byte-for-byte, and once the GC quiesces a cluster-wide audit must
+// find no leaked, dangling or corrupt block.
 func runDedupChurn(ctx context.Context, r *run) error {
 	if err := r.boot(core.Options{
 		Mons: 1, OSDs: 4, MDSs: 0,
@@ -482,14 +482,14 @@ func runDedupChurn(ctx context.Context, r *run) error {
 	}
 	pause(ctx, 250*time.Millisecond)
 
-	r.event("crash", fmt.Sprintf("osd.%d stops gracefully (ref-delta queue parked)", victim))
+	r.event("crash", fmt.Sprintf("osd.%d stops gracefully", victim))
 	r.cl.OSDs[victim].Stop()
 	if err := monc.MarkOSDDown(ctx, victim); err != nil {
 		return fmt.Errorf("mark osd.%d down: %w", victim, err)
 	}
 	pause(ctx, 400*time.Millisecond) // degraded deduped writes remap and continue
 
-	r.event("restart", fmt.Sprintf("osd.%d rejoins with its queue intact", victim))
+	r.event("restart", fmt.Sprintf("osd.%d rejoins", victim))
 	if err := r.cl.OSDs[victim].Start(ctx); err != nil {
 		return fmt.Errorf("restart osd.%d: %w", victim, err)
 	}
@@ -510,13 +510,11 @@ func runDedupChurn(ctx context.Context, r *run) error {
 }
 
 // walOSD tunes a durably backed daemon for the process-crash scenario:
-// fast gossip, frequent checkpoint compaction, and NO background GC
-// sweeper. The quiet sweeper is what gives the scenario teeth — every
-// ref delta the victim queues before the kill is still parked in its
-// memory when the process dies, so the refsets can only come back
-// through startup reconciliation (the broken-replay fixture skips that
-// pass and must fail the dedup audit). The grace window still dwarfs
-// the down-window, as in dedupOSD.
+// fast gossip, frequent checkpoint compaction, and no background GC
+// sweeper, so every reclaim happens in the checker's zero-grace sweeps,
+// after the writers stop, against the manifests the rebuilt daemon
+// replayed. The grace window still dwarfs the down-window, as in
+// dedupOSD.
 func walOSD() rados.OSDConfig {
 	c := fastOSD()
 	c.GCGrace = 2 * time.Second
@@ -526,14 +524,13 @@ func walOSD() rados.OSDConfig {
 
 // runProcessCrash is the durable-backend gate: every daemon journals to
 // a write-ahead log on disk, one is hard-killed mid-write — kill -9
-// semantics: buffered appends drop, the log tail tears, and the
-// in-memory ref-delta queue dies with the process — and a fresh daemon
-// is rebuilt over the same WAL directory. The rebuilt daemon must
-// replay the journal past its last checkpoint, truncate the torn tail,
-// reconcile the queue state the journal does not carry, rejoin, and
-// converge: every acked write (flat and deduped) survives, and the
-// dedup refcount audit comes up clean — which it only does if
-// reconciliation re-derived the dead queue.
+// semantics: buffered appends drop and the log tail tears — and a fresh
+// daemon is rebuilt over the same WAL directory while the flat and the
+// deduped writers run through the kill and the rebuild. The rebuilt
+// daemon must replay the journal past its last checkpoint, truncate the
+// torn tail, rejoin, and converge: every acked write (flat and deduped)
+// survives, and the dedup audit comes up clean — the manifests it
+// replayed are the only record of which blocks they cite.
 func runProcessCrash(ctx context.Context, r *run) error {
 	root, cleanup, err := r.walRoot()
 	if err != nil {
@@ -541,7 +538,7 @@ func runProcessCrash(ctx context.Context, r *run) error {
 	}
 	defer cleanup()
 	cfg := walOSD()
-	cfg.SkipReconcileOnReplay = r.opts.SkipReconcileOnReplay
+	cfg.SkipRemoteCensus = r.opts.SkipRemoteCensus
 	if err := r.boot(core.Options{
 		Mons: 1, OSDs: 4, MDSs: 0,
 		Pools: []string{"data"}, PGNum: 8, Replicas: 3,
@@ -565,40 +562,31 @@ func runProcessCrash(ctx context.Context, r *run) error {
 		newRadosWriter("w1", r.radosClient("client.chaos.w1"), "data", 5),
 		newRadosWriter("w2", r.radosClient("client.chaos.w2"), "data", 5),
 	}
-	dedupCrew, radosCrew := newCrew(), newCrew()
+	crew := newCrew()
 	for _, wr := range dws {
 		wr := wr
-		dedupCrew.go_(func(stop <-chan struct{}) { wr.run(ctx, stop) })
+		crew.go_(func(stop <-chan struct{}) { wr.run(ctx, stop) })
 	}
 	for _, wr := range rws {
 		wr := wr
-		radosCrew.go_(func(stop <-chan struct{}) { wr.run(ctx, stop) })
+		crew.go_(func(stop <-chan struct{}) { wr.run(ctx, stop) })
 	}
 	pause(ctx, 250*time.Millisecond)
-	// The dedup writers stop BEFORE the kill; only the flat-object
-	// writers stream through it. Later overwrites of a deduped object
-	// would re-diff its block set and enqueue fresh, correctly anchored
-	// deltas on whichever daemon is primary then — churn that quietly
-	// re-derives most of what the crash destroyed. Freezing the manifests
-	// first makes the victim's parked queue the *only* source of its
-	// manifests' reference history, so the audit passes if and only if
-	// startup reconciliation rebuilt it.
-	dedupCrew.halt()
 
-	r.event("crash", fmt.Sprintf("osd.%d killed (kill -9: WAL tail torn, ref-delta queue lost)", victim))
+	r.event("crash", fmt.Sprintf("osd.%d killed (kill -9: WAL tail torn)", victim))
 	r.cl.OSDs[victim].Crash()
 	if err := monc.MarkOSDDown(ctx, victim); err != nil {
 		return fmt.Errorf("mark osd.%d down: %w", victim, err)
 	}
 	pause(ctx, 400*time.Millisecond) // degraded writes remap and continue
 
-	r.event("restart", fmt.Sprintf("osd.%d rebuilt from its WAL (replay + reconcile)", victim))
+	r.event("restart", fmt.Sprintf("osd.%d rebuilt from its WAL", victim))
 	if err := r.cl.RebuildOSD(ctx, victim); err != nil {
 		return fmt.Errorf("rebuild osd.%d: %w", victim, err)
 	}
 	rep := r.cl.OSDs[victim].ReplayReport()
 	pause(ctx, 300*time.Millisecond)
-	radosCrew.halt()
+	crew.halt()
 	w.finish()
 
 	monc2 := r.cl.NewMonClient("client.chaos.check")

@@ -87,8 +87,8 @@ func (w *radosWriter) run(ctx context.Context, stop <-chan struct{}) {
 // content-addressed dedup path. Each write is a sliding window over a
 // duplicate-heavy corpus, so consecutive overwrites share most of their
 // blocks (exercising the stat-then-skip fast path) while still swapping
-// some in and out — every overwrite queues incref/decref churn for the
-// deferred GC.
+// some in and out — every overwrite leaves blocks for the deferred GC
+// to census and reclaim.
 type dedupWriter struct {
 	name    string
 	rc      *rados.Client

@@ -330,8 +330,8 @@ func (c *Cluster) Stop() {
 
 // RebuildOSD replaces a crashed daemon with a fresh one recovered from
 // its durable backend: a new backend instance is built from the same
-// factory (and so the same WAL directory), the new daemon replays and
-// reconciles it in Start, and it rejoins the cluster under the same ID.
+// factory (and so the same WAL directory), the new daemon replays it in
+// Start, and it rejoins the cluster under the same ID.
 // This is the process-restart path — OSD.Crash tears the old daemon's
 // log tail and kills its in-memory state, exactly like kill -9, so
 // restarting the old object would be resurrection, not recovery.

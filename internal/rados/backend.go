@@ -47,9 +47,9 @@ type MutKind uint8
 // no-op apply that pinned the primary's stamp); RecTxn carries the
 // write-set of a class call or an overwrite — the final value of each
 // thing the op touched, the same entries its replicas were sent — so
-// its size follows the op, not the object. RecOmapSet and RecOmapDel
-// are no longer written (those ops journal RecTxn) but still replay;
-// RecXattrSet remains the record of a block's reference-set change.
+// its size follows the op, not the object. RecOmapSet, RecOmapDel and
+// RecXattrSet are no longer written (those ops journal RecTxn) but
+// still replay.
 const (
 	RecCreate MutKind = iota
 	RecData

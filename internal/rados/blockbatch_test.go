@@ -498,22 +498,8 @@ func TestReadDedupedMissingBlock(t *testing.T) {
 	if _, err := tc.client.WriteDeduped(ctx, "data", "doc", dupCorpus(13, 16*1024), smallChunks()); err != nil {
 		t.Fatal(err)
 	}
-	var victim string
-	for _, o := range tc.osds {
-		_, blocks := o.dedupCensus("data")
-		for name := range blocks {
-			victim = name
-		}
-	}
-	if victim == "" {
-		t.Fatal("no blocks found")
-	}
-	for _, o := range tc.osds {
-		e := o.getPG(PGID{Pool: "data", PG: PGForObject(victim, 8)}).entry(victim)
-		e.mu.Lock()
-		e.obj = nil
-		e.mu.Unlock()
-	}
+	victim := anyBlock(t, tc)
+	forEachCopy(tc, victim, func(e *objEntry) { e.obj = nil })
 	_, err := tc.client.ReadDeduped(ctx, "data", "doc")
 	if !errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), "block "+victim) {
 		t.Fatalf("read with a missing block: %v, want ErrNotFound naming block %s", err, victim)

@@ -351,7 +351,7 @@ func clsNumOps() *NativeClass {
 // clsDedup is an other-category class: introspection over the
 // content-addressed dedup path (dedup.go), running next to the data
 // like every other interface. "info" decodes a manifest object into a
-// JSON summary; "refs" reports a block object's reference count.
+// JSON summary.
 func clsDedup() *NativeClass {
 	return &NativeClass{
 		Name:     "dedup",
@@ -374,12 +374,6 @@ func clsDedup() *NativeClass {
 					return []byte("encode failed: " + jerr.Error()), EIO
 				}
 				return out, OK
-			},
-			"refs": func(ctx *ClassCtx) ([]byte, ResultCode) {
-				if !IsBlockName(ctx.Obj.Name) {
-					return []byte("object is not a dedup block"), EINVAL
-				}
-				return []byte(strconv.FormatInt(blockRefs(ctx.Obj), 10)), OK
 			},
 		},
 	}

@@ -8,8 +8,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -22,26 +20,13 @@ import (
 // hashes — plus a set of immutable *block objects* named by their hash.
 // Blocks are ordinary RADOS objects (name "blk.<hex sha256>"), so
 // replication, backfill, PG splitting, and scrub all apply to them with
-// no special cases. Reference counts live in a block xattr and are
-// maintained by the manifest's primary, never by clients: writing or
-// removing a manifest enqueues ref deltas for the symmetric difference
-// of its old and new block sets, and a deferred GC sweep (osd_gc.go)
-// delivers them exactly-once through the replay cache and reclaims
-// blocks that stay unreferenced past a grace window.
+// no special cases. The manifests are the one record of which blocks are
+// live: nothing on a block counts its references, and a deferred GC
+// sweep (osd_gc.go) reclaims a block that sat untouched past a grace
+// window once a census of the manifests finds none citing it.
 
 // blockPrefix namespaces block objects; the hex hash follows.
 const blockPrefix = "blk."
-
-// xattrBlockRefs holds a block's reference *set*: one line per
-// referencing manifest, carrying the manifest object's version at which
-// the reference was added or dropped. Set semantics (rather than a
-// counter) make ref deltas idempotent: after a primary failover both
-// the old and the new primary may enqueue the diff for the same
-// manifest transition, and a version-anchored add/remove applies once
-// no matter how many copies arrive or in what order. Living in an
-// xattr puts the set inside the scrub digest, so replicas converge on
-// references exactly as they do on data.
-const xattrBlockRefs = "dedup.refs"
 
 // manifestMagic opens every manifest object's bytestream. The leading
 // NUL keeps it out of the plausible-text space, so flat payloads are
@@ -53,10 +38,10 @@ const HashSize = sha256.Size
 
 // maxManifestLen bounds the total length a manifest may claim and the
 // length of any single chunk. Manifest bytes arrive from clients and
-// are decoded server-side in applyOp, so every header field is
-// attacker-controlled: without this cap a uvarint near 2^63 survives
-// the int conversion as a negative length and panics whoever sizes a
-// buffer from it (ReadDeduped, cls dedup.info).
+// are decoded server-side (a GC census, cls dedup.info), so every
+// header field is attacker-controlled: without this cap a uvarint near
+// 2^63 survives the int conversion as a negative length and panics
+// whoever sizes a buffer from it (ReadDeduped, cls dedup.info).
 const maxManifestLen = 1<<31 - 1
 
 // BlockName returns the object name addressing content.
@@ -168,111 +153,14 @@ func DecodeManifest(data []byte) (m *Manifest, ok bool, err error) {
 	return m, true, nil
 }
 
-// blockNames returns the manifest's unique block object names. Refcounts
-// are per manifest, not per extent: however many extents reuse a block,
-// one manifest holds exactly one reference to it.
+// blockNames returns the manifest's unique block object names: however
+// many extents reuse a block, the manifest cites it once.
 func (m *Manifest) blockNames() map[string]bool {
 	set := make(map[string]bool, len(m.Chunks))
 	for i := range m.Chunks {
 		set[hashBlockName(&m.Chunks[i].Hash)] = true
 	}
 	return set
-}
-
-// manifestBlockSet decodes data as a manifest and returns its unique
-// block set, or nil for flat/undecodable data — the shape applyOp feeds
-// the ref-delta queue from (a corrupt manifest contributes no deltas
-// rather than poisoning the refcounts).
-func manifestBlockSet(data []byte) map[string]bool {
-	m, isManifest, err := DecodeManifest(data)
-	if !isManifest || err != nil {
-		return nil
-	}
-	return m.blockNames()
-}
-
-// refsetEntry is one manifest's standing toward a block: whether the
-// reference is live, and the manifest object version that decided it. A
-// delta older than the recorded version is stale and must not apply.
-type refsetEntry struct {
-	ver     uint64
-	present bool
-}
-
-// parseRefset decodes the block's reference-set xattr. Each line is
-// "<ver>:<0|1>:<manifest name>"; malformed lines are ignored.
-func parseRefset(obj *Object) map[string]refsetEntry {
-	out := make(map[string]refsetEntry)
-	raw := obj.Xattrs[xattrBlockRefs]
-	if len(raw) == 0 {
-		return out
-	}
-	for _, line := range strings.Split(string(raw), "\n") {
-		vs, rest, ok := strings.Cut(line, ":")
-		if !ok {
-			continue
-		}
-		ps, name, ok := strings.Cut(rest, ":")
-		if !ok || name == "" {
-			continue
-		}
-		ver, err := strconv.ParseUint(vs, 10, 64)
-		if err != nil || (ps != "0" && ps != "1") {
-			continue
-		}
-		out[name] = refsetEntry{ver: ver, present: ps == "1"}
-	}
-	return out
-}
-
-// encodeRefset serializes the reference set sorted by manifest name, so
-// every replica stores identical bytes and scrub digests agree.
-func encodeRefset(set map[string]refsetEntry) []byte {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	lines := make([]string, len(names))
-	for i, n := range names {
-		e := set[n]
-		p := "0"
-		if e.present {
-			p = "1"
-		}
-		lines[i] = strconv.FormatUint(e.ver, 10) + ":" + p + ":" + n
-	}
-	return []byte(strings.Join(lines, "\n"))
-}
-
-// blockRefApply records that manifest (at version ver) added or dropped
-// its reference to this block. Returns false — nothing changed — when
-// the set already holds a same-or-newer decision for that manifest:
-// a redelivered delta, a double-enqueued diff after primary failover,
-// or a delta arriving after a newer transition already superseded it.
-func blockRefApply(obj *Object, manifest string, ver uint64, present bool) bool {
-	if manifest == "" || ver == 0 {
-		return false
-	}
-	set := parseRefset(obj)
-	if cur, ok := set[manifest]; ok && cur.ver >= ver {
-		return false
-	}
-	set[manifest] = refsetEntry{ver: ver, present: present}
-	obj.Xattrs[xattrBlockRefs] = encodeRefset(set)
-	return true
-}
-
-// blockRefs counts the block's live references (absent xattr = 0, the
-// state OpBlockWrite creates blocks in).
-func blockRefs(obj *Object) int64 {
-	var n int64
-	for _, e := range parseRefset(obj) {
-		if e.present {
-			n++
-		}
-	}
-	return n
 }
 
 // ---- client write/read path ----
@@ -312,8 +200,8 @@ type dedupBlock struct {
 // manifest: the payload is FastCDC-chunked, one batched OpBlockStat per
 // primary discovers which blocks the cluster already holds, the missing
 // blocks go out as one batched OpBlockWrite per primary, and a compact
-// manifest lands last — so a crash mid-write leaves orphaned refs=0
-// blocks for the GC grace sweep, never a manifest with missing blocks.
+// manifest lands last — so a crash mid-write leaves orphaned blocks for
+// the GC grace sweep, never a manifest with missing blocks.
 // cfg may be nil for the default chunking parameters.
 func (c *Client) WriteDeduped(ctx context.Context, pool, object string, data []byte, cfg *cdc.Config) (DedupStats, error) {
 	chunks, err := cdc.Split(data, cfg)
@@ -541,95 +429,60 @@ func (c *Client) ReadDeduped(ctx context.Context, pool, object string) ([]byte, 
 // ---- cluster-wide audit (scrub-integrated leak check) ----
 
 // DedupAudit is the cluster-wide consistency report over manifests and
-// blocks: chaos invariants and tests assert both slices empty after
+// blocks: chaos invariants and tests assert every slice empty after
 // quiesce + sweep.
 type DedupAudit struct {
 	Manifests int
 	Blocks    int
-	// Leaked blocks will never be reclaimed: their refcount exceeds the
-	// number of live manifests referencing them, or no manifest
-	// references them at all and a zero-grace sweep has already run.
+	// Leaked blocks are cited by no live manifest: after a zero-grace
+	// sweep on a quiesced cluster, the sweep should have reclaimed them.
 	Leaked []string
-	// Dangling entries risk data loss: a manifest references a block
-	// that is missing, or a block's refcount undercounts its referents
-	// (premature reclaim would strand those manifests).
+	// Dangling entries risk data loss: a live manifest cites a block
+	// that is missing.
 	Dangling []string
+	// Corrupt blocks hold bytes that do not hash to their name.
+	Corrupt []string
 }
 
-// AuditDedup walks every PG led by the given OSDs in pool, collects all
-// manifests and blocks, and cross-checks refcounts against the live
-// manifest set. Call it on a quiesced cluster after draining the GC
-// queues (SweepBlocks); under traffic the deferred deltas make skew
-// normal, not a bug.
+// AuditDedup walks every PG led by the given OSDs in pool and
+// cross-checks the blocks found there against the manifests that cite
+// them, and each block's bytes against its name. Call it on a quiesced
+// cluster after sweeping with zero grace; under traffic, blocks written
+// for a manifest not yet landed are normal, not a leak.
 func AuditDedup(osds []*OSD, pool string) DedupAudit {
-	expected := make(map[string]int64) // block -> live manifests referencing it
-	actual := make(map[string]int64)   // block -> stored refcount
+	cited := make(map[string]int)  // block -> live manifests citing it
+	sound := make(map[string]bool) // block -> its bytes hash to its name
 	var audit DedupAudit
 	for _, o := range osds {
-		manifests, blocks := o.dedupCensus(pool)
-		audit.Manifests += len(manifests)
-		audit.Blocks += len(blocks)
-		for _, set := range manifests {
-			for name := range set {
-				expected[name]++
+		o.scanLed(o.view.Load(), pool, func(obj *Object) {
+			if IsBlockName(obj.Name) {
+				sound[obj.Name] = BlockName(obj.Data) == obj.Name
+				return
 			}
-		}
-		for name, refs := range blocks {
-			actual[name] = refs
+			if m, isManifest, err := DecodeManifest(obj.Data); isManifest && err == nil {
+				audit.Manifests++
+				for name := range m.blockNames() {
+					cited[name]++
+				}
+			}
+		})
+	}
+	audit.Blocks = len(sound)
+	for name, n := range cited {
+		if _, ok := sound[name]; !ok {
+			audit.Dangling = append(audit.Dangling, fmt.Sprintf("%s: cited by %d manifests but missing", name, n))
 		}
 	}
-	for name, want := range expected {
-		have, exists := actual[name]
-		if !exists {
-			audit.Dangling = append(audit.Dangling, fmt.Sprintf("%s: referenced by %d manifests but missing", name, want))
-			continue
+	for name, ok := range sound {
+		if !ok {
+			audit.Corrupt = append(audit.Corrupt, name+": bytes do not hash to the name")
 		}
-		switch {
-		case have < want:
-			audit.Dangling = append(audit.Dangling, fmt.Sprintf("%s: refs=%d < %d live referents", name, have, want))
-		case have > want:
-			audit.Leaked = append(audit.Leaked, fmt.Sprintf("%s: refs=%d > %d live referents", name, have, want))
-		}
-	}
-	for name, refs := range actual {
-		if _, ok := expected[name]; !ok {
-			audit.Leaked = append(audit.Leaked, fmt.Sprintf("%s: refs=%d with no referencing manifest", name, refs))
+		if cited[name] == 0 {
+			audit.Leaked = append(audit.Leaked, name+": cited by no live manifest")
 		}
 	}
 	sort.Strings(audit.Leaked)
 	sort.Strings(audit.Dangling)
+	sort.Strings(audit.Corrupt)
 	return audit
-}
-
-// dedupCensus scans the PGs this daemon currently leads in pool and
-// returns the manifests (object -> unique block set) and blocks
-// (name -> refcount) found there.
-func (o *OSD) dedupCensus(pool string) (manifests map[string]map[string]bool, blocks map[string]int64) {
-	manifests = make(map[string]map[string]bool)
-	blocks = make(map[string]int64)
-	v := o.view.Load()
-	for _, id := range o.heldPGs() {
-		if id.Pool != pool {
-			continue
-		}
-		acting := v.actingFor(id)
-		if len(acting) == 0 || acting[0] != o.cfg.ID {
-			continue
-		}
-		for _, e := range o.getPG(id).entries() {
-			e.mu.Lock()
-			obj := e.obj
-			if obj == nil {
-				e.mu.Unlock()
-				continue
-			}
-			if IsBlockName(obj.Name) {
-				blocks[obj.Name] = blockRefs(obj)
-			} else if set := manifestBlockSet(obj.Data); set != nil {
-				manifests[obj.Name] = set
-			}
-			e.mu.Unlock()
-		}
-	}
-	return manifests, blocks
 }

@@ -2,13 +2,17 @@ package rados
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cdc"
+	"repro/internal/wire"
 )
 
 // smallChunks keeps test corpora tiny: ~256-byte average chunks.
@@ -38,35 +42,51 @@ func sweepAll(tc *testCluster, grace time.Duration) (delivered, reclaimed int) {
 }
 
 // quiesceDedup drives GC to a fixed point: sweeps until two consecutive
-// passes deliver nothing, reclaim nothing, and leave every queue empty.
+// passes reclaim nothing.
 func quiesceDedup(t *testing.T, tc *testCluster, grace time.Duration) {
 	t.Helper()
 	clean := 0
-	for i := 0; i < 50; i++ {
-		d, r := sweepAll(tc, grace)
-		queued := 0
-		for _, o := range tc.osds {
-			queued += o.QueuedRefDeltas()
-		}
-		if d == 0 && r == 0 && queued == 0 {
+	for i := 0; i < 50 && clean < 2; i++ {
+		if _, r := sweepAll(tc, grace); r == 0 {
 			clean++
-			if clean >= 2 {
-				return
-			}
-			continue
+		} else {
+			clean = 0
 		}
-		clean = 0
 	}
-	t.Fatal("dedup GC did not quiesce in 50 sweeps")
+	if clean < 2 {
+		t.Fatal("dedup GC did not quiesce in 50 sweeps")
+	}
 }
 
 func auditClean(t *testing.T, tc *testCluster) DedupAudit {
 	t.Helper()
 	audit := AuditDedup(tc.osds, "data")
-	if len(audit.Leaked) > 0 || len(audit.Dangling) > 0 {
-		t.Fatalf("dedup audit: leaked=%v dangling=%v", audit.Leaked, audit.Dangling)
+	if len(audit.Leaked)+len(audit.Dangling)+len(audit.Corrupt) > 0 {
+		t.Fatalf("dedup audit: leaked=%v dangling=%v corrupt=%v", audit.Leaked, audit.Dangling, audit.Corrupt)
 	}
 	return audit
+}
+
+// anyBlock returns a block of pool "data" some daemon of tc leads.
+func anyBlock(t *testing.T, tc *testCluster) string {
+	t.Helper()
+	for _, o := range tc.osds {
+		if names := o.ledBlocks(o.view.Load(), "data"); len(names) > 0 {
+			return names[0]
+		}
+	}
+	t.Fatal("no blocks found")
+	return ""
+}
+
+// forEachCopy runs fn on every daemon's slot of name, under its lock.
+func forEachCopy(tc *testCluster, name string, fn func(e *objEntry)) {
+	for _, o := range tc.osds {
+		e := o.getPG(PGID{Pool: "data", PG: PGForObject(name, 8)}).entry(name)
+		e.mu.Lock()
+		fn(e)
+		e.mu.Unlock()
+	}
 }
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -110,12 +130,12 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeManifestHostileInputs feeds forged manifest headers through
-// the decoder. Manifests arrive from clients and are decoded server-side
-// in applyOp, so every field is attacker-controlled: a huge chunk count
-// must not size an allocation, and lengths near 2^63 must not survive
-// the int conversion as negatives. Each case must error, not panic.
-func TestDecodeManifestHostileInputs(t *testing.T) {
+// hostileManifests are forged manifest headers. Manifests arrive from
+// clients and are decoded server-side (a GC census, cls dedup.info), so
+// every field is attacker-controlled: a huge chunk count must not size
+// an allocation, and lengths near 2^63 must not survive the int
+// conversion as negatives.
+func hostileManifests() map[string][]byte {
 	header := func(fields ...uint64) []byte {
 		buf := []byte(manifestMagic)
 		for _, f := range fields {
@@ -135,13 +155,18 @@ func TestDecodeManifestHostileInputs(t *testing.T) {
 		buf = append(buf, make([]byte, HashSize)...)
 		return binary.AppendUvarint(buf, l2)
 	}
-	cases := map[string][]byte{
+	return map[string][]byte{
 		"chunk count 2^60":        header(100, 1<<60),
 		"total length 2^63":       header(1<<63, 1),
 		"chunk length 2^62":       oneChunk(10, 1<<62),
 		"sum exceeding the limit": twoChunks(1<<31-1, 1<<31-1, 1<<31-1),
 	}
-	for name, data := range cases {
+}
+
+// TestDecodeManifestHostileInputs feeds the forged headers through the
+// decoder: each must error, not panic.
+func TestDecodeManifestHostileInputs(t *testing.T) {
+	for name, data := range hostileManifests() {
 		m, isManifest, err := DecodeManifest(data)
 		if !isManifest {
 			t.Errorf("%s: magic not recognized", name)
@@ -150,6 +175,30 @@ func TestDecodeManifestHostileInputs(t *testing.T) {
 			t.Errorf("%s: decoded without error: %+v", name, m)
 		}
 	}
+}
+
+// FuzzDecodeManifest holds the decoder to three properties on any
+// input: it never panics; it reports a manifest exactly when the magic
+// prefix is there; and a manifest it accepts re-encodes to bytes that
+// decode to an equal value. The committed corpus (testdata/fuzz) holds
+// the forged headers of hostileManifests, a valid manifest and flat data.
+func FuzzDecodeManifest(f *testing.F) {
+	for _, data := range hostileManifests() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, isManifest, err := DecodeManifest(data)
+		if isManifest != bytes.HasPrefix(data, []byte(manifestMagic)) {
+			t.Fatalf("manifest=%v, but the magic prefix is present=%v", isManifest, !isManifest)
+		}
+		if !isManifest || err != nil {
+			return
+		}
+		again, isManifest, err := DecodeManifest(EncodeManifest(m))
+		if !isManifest || err != nil || !reflect.DeepEqual(again, m) {
+			t.Fatalf("re-encoded manifest decodes to %+v, %v (manifest=%v), want %+v", again, err, isManifest, m)
+		}
+	})
 }
 
 func TestWriteDedupedRoundTrip(t *testing.T) {
@@ -200,9 +249,9 @@ func TestReadDedupedPassthroughOnFlatObject(t *testing.T) {
 	}
 }
 
-// TestDedupRefcountLifecycle walks the whole block lifetime: refs rise
-// on manifest install, fall on overwrite, and the unreferenced blocks
-// are reclaimed by a zero-grace sweep, leaving a clean audit.
+// TestDedupRefcountLifecycle walks the whole block lifetime: a manifest
+// install cites its blocks, an overwrite leaves the old ones uncited,
+// and a zero-grace sweep reclaims exactly those, leaving a clean audit.
 func TestDedupRefcountLifecycle(t *testing.T) {
 	tc := bootCluster(t, 3, 2)
 	ctx := ctxT(t, 30*time.Second)
@@ -212,13 +261,13 @@ func TestDedupRefcountLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiesceDedup(t, tc, time.Hour) // deliver deltas; reclaim nothing
+	quiesceDedup(t, tc, time.Hour) // nothing is old enough to census
 	audit := auditClean(t, tc)
 	if audit.Manifests != 1 || audit.Blocks != stats.UniqueBlocks {
 		t.Fatalf("audit after write: %+v (want 1 manifest, %d blocks)", audit, stats.UniqueBlocks)
 	}
 
-	// Overwrite with unrelated content: old blocks drop to zero refs.
+	// Overwrite with unrelated content: no manifest cites the old blocks.
 	rng := rand.New(rand.NewSource(99))
 	dataB := make([]byte, 16*1024)
 	rng.Read(dataB)
@@ -254,8 +303,8 @@ func TestDedupRefcountLifecycle(t *testing.T) {
 	}
 }
 
-// TestDedupSharedBlockSurvivesPartialRemove pins the refcount point:
-// two manifests share blocks; removing one must not strand the other.
+// TestDedupSharedBlockSurvivesPartialRemove pins the census point: two
+// manifests share blocks; removing one must not strand the other.
 func TestDedupSharedBlockSurvivesPartialRemove(t *testing.T) {
 	tc := bootCluster(t, 3, 2)
 	ctx := ctxT(t, 30*time.Second)
@@ -372,28 +421,19 @@ func TestDedupClassInfo(t *testing.T) {
 	if !bytes.Contains(out, []byte(want)) {
 		t.Fatalf("dedup.info = %s (want it to contain %s)", out, want)
 	}
-	quiesceDedup(t, tc, time.Hour)
-	// Every block referenced once by the single manifest.
-	_, blocks := tc.osds[0].dedupCensus("data")
-	checked := 0
-	for name := range blocks {
-		out, err := tc.client.Call(ctx, "data", name, "dedup", "refs", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(out) != "1" {
-			t.Fatalf("block %s refs = %s, want 1", name, out)
-		}
-		checked++
+	want = fmt.Sprintf(`"unique_blocks":%d`, stats.UniqueBlocks)
+	if !bytes.Contains(out, []byte(want)) {
+		t.Fatalf("dedup.info = %s (want it to contain %s)", out, want)
 	}
-	if stats.UniqueBlocks > 0 && checked == 0 && len(blocks) == 0 {
-		t.Skip("osd.0 leads no blocks in this placement (rare)")
+	// A block is not a manifest: the class says so rather than guessing.
+	if _, err := tc.client.Call(ctx, "data", anyBlock(t, tc), "dedup", "info", nil); err == nil {
+		t.Fatal("dedup.info on a block succeeded")
 	}
 }
 
 // TestDedupGraceBlocksPrematureReclaim pins the stat-then-manifest
 // race guard: a block probed by OpBlockStat must survive a sweep whose
-// grace exceeds the probe age, even at zero references.
+// grace exceeds the probe age, even with no manifest citing it.
 func TestDedupGraceBlocksPrematureReclaim(t *testing.T) {
 	tc := bootCluster(t, 2, 2)
 	ctx := ctxT(t, 10*time.Second)
@@ -403,8 +443,8 @@ func TestDedupGraceBlocksPrematureReclaim(t *testing.T) {
 	if err != nil || rep.Result != OK {
 		t.Fatalf("write: %v / %v", err, rep.Result)
 	}
-	// Deliver nothing, reclaim with a generous grace: the just-written
-	// zero-ref block must survive.
+	// Sweep with a generous grace: the just-written uncited block must
+	// survive.
 	if _, reclaimed := sweepAll(tc, time.Minute); reclaimed != 0 {
 		t.Fatalf("grace sweep reclaimed %d fresh blocks", reclaimed)
 	}
@@ -422,7 +462,7 @@ func TestDedupGraceBlocksPrematureReclaim(t *testing.T) {
 
 // TestDedupReclaimNeedsTwoSweeps pins the failover guard: the touch
 // clock is primary-local, so a nonzero-grace reclaim must see the block
-// unreferenced on two consecutive sweeps of the same primary — a
+// grace-expired on two consecutive sweeps of the same primary — a
 // grace-expired touch alone (which is all a just-failed-over primary
 // inherits) must not reclaim on the first scan.
 func TestDedupReclaimNeedsTwoSweeps(t *testing.T) {
@@ -436,14 +476,7 @@ func TestDedupReclaimNeedsTwoSweeps(t *testing.T) {
 	}
 	// Backdate the touch clock everywhere, as a failover leaves it: old
 	// on the new primary, with the client's probe lost with the old one.
-	m := tc.client.CachedMap()
-	pgid := PGID{Pool: "data", PG: PGForObject(name, m.Pools["data"].PGNum)}
-	for _, o := range tc.osds {
-		e := o.getPG(pgid).entry(name)
-		e.mu.Lock()
-		e.touch = time.Now().Add(-time.Hour)
-		e.mu.Unlock()
-	}
+	forEachCopy(tc, name, func(e *objEntry) { e.touch = time.Now().Add(-time.Hour) })
 	if _, reclaimed := sweepAll(tc, time.Millisecond); reclaimed != 0 {
 		t.Fatalf("first sweep reclaimed %d blocks; the first qualifying scan must only mark", reclaimed)
 	}
@@ -456,49 +489,238 @@ func TestDedupReclaimNeedsTwoSweeps(t *testing.T) {
 }
 
 // TestDedupAuditDetectsSkew makes sure the audit is not vacuously
-// clean: hand-tampered refcounts must surface as leaked/dangling.
+// clean: a cited block deleted behind the system's back must surface as
+// dangling, and a block no manifest cites as leaked.
 func TestDedupAuditDetectsSkew(t *testing.T) {
 	tc := bootCluster(t, 2, 2)
 	ctx := ctxT(t, 15*time.Second)
 	if _, err := tc.client.WriteDeduped(ctx, "data", "doc", dupCorpus(5, 8*1024), smallChunks()); err != nil {
 		t.Fatal(err)
 	}
-	quiesceDedup(t, tc, time.Hour)
 	auditClean(t, tc)
 
-	// Inflate one block's reference set behind the system's back:
-	// fabricate entries for manifests that do not exist.
-	var victim string
-	for _, o := range tc.osds {
-		_, blocks := o.dedupCensus("data")
-		for name := range blocks {
-			victim = name
-			break
-		}
-		if victim != "" {
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatal("no blocks found")
-	}
-	forged := encodeRefset(map[string]refsetEntry{
-		"doc":     {ver: 1, present: true},
-		"phantom": {ver: 1, present: true},
-	})
-	if err := tc.client.SetXattr(ctx, "data", victim, xattrBlockRefs, forged); err != nil {
-		t.Fatal(err)
+	victim := anyBlock(t, tc)
+	forEachCopy(tc, victim, func(e *objEntry) { e.obj = nil })
+	orphan := []byte("a block no manifest cites")
+	if rep, err := tc.client.do(ctx, OpRequest{Pool: "data", Object: BlockName(orphan), Op: OpBlockWrite, Data: orphan}); err != nil || rep.Result != OK {
+		t.Fatalf("orphan write: %v / %v", err, rep.Result)
 	}
 	audit := AuditDedup(tc.osds, "data")
-	if len(audit.Leaked) == 0 {
-		t.Fatalf("inflated reference set not reported: %+v", audit)
+	if len(audit.Dangling) != 1 || !bytes.HasPrefix([]byte(audit.Dangling[0]), []byte(victim)) {
+		t.Fatalf("deleted block %s not reported dangling: %+v", victim, audit)
 	}
-	// Deflate it: drop every reference while the manifest still lives.
-	if err := tc.client.SetXattr(ctx, "data", victim, xattrBlockRefs, nil); err != nil {
+	if len(audit.Leaked) != 1 || !bytes.HasPrefix([]byte(audit.Leaked[0]), []byte(BlockName(orphan))) {
+		t.Fatalf("orphan block not reported leaked: %+v", audit)
+	}
+}
+
+// TestDedupAuditDetectsCorruptBlock changes one stored block in place:
+// the audit must report that its bytes no longer hash to its name.
+func TestDedupAuditDetectsCorruptBlock(t *testing.T) {
+	tc := bootCluster(t, 2, 2)
+	ctx := ctxT(t, 15*time.Second)
+	if _, err := tc.client.WriteDeduped(ctx, "data", "doc", dupCorpus(6, 8*1024), smallChunks()); err != nil {
 		t.Fatal(err)
 	}
-	audit = AuditDedup(tc.osds, "data")
-	if len(audit.Dangling) == 0 {
-		t.Fatalf("deflated reference set not reported: %+v", audit)
+	auditClean(t, tc)
+	victim := anyBlock(t, tc)
+	forEachCopy(tc, victim, func(e *objEntry) {
+		flipped := append([]byte(nil), e.obj.Data...)
+		flipped[0] ^= 0xff
+		e.obj.Data = flipped
+	})
+	audit := AuditDedup(tc.osds, "data")
+	if len(audit.Corrupt) != 1 || !bytes.HasPrefix([]byte(audit.Corrupt[0]), []byte(victim)) {
+		t.Fatalf("corrupt block %s not reported: %+v", victim, audit)
 	}
+	if len(audit.Leaked)+len(audit.Dangling) != 0 {
+		t.Fatalf("a corrupt block is still cited and present: %+v", audit)
+	}
+}
+
+// onCensus wraps the endpoint of tc.osds[id]: it counts each census the
+// daemon receives and answers the request fn makes of it.
+func onCensus(tc *testCluster, id int, fn func(censusReq) censusReq) *atomic.Int32 {
+	var n atomic.Int32
+	o := tc.osds[id]
+	tc.net.Listen(o.Addr(), func(ctx context.Context, from wire.Addr, req any) (any, error) {
+		if c, ok := req.(*censusReq); ok {
+			n.Add(1)
+			r := fn(*c)
+			req = &r
+		}
+		return o.handle(ctx, from, req)
+	})
+	return &n
+}
+
+// TestDedupCensus pins the sweep's census: who it asks, when an answer
+// stops the sweep, and what a cited or freshly touched block is spared.
+func TestDedupCensus(t *testing.T) {
+	asIs := func(c censusReq) censusReq { return c }
+	cases := []struct {
+		name string
+		run  func(t *testing.T, ctx context.Context, tc *testCluster)
+	}{
+		{"block cited only by a manifest on another OSD survives", func(t *testing.T, ctx context.Context, tc *testCluster) {
+			data := dupCorpus(21, 16*1024)
+			if _, err := tc.client.WriteDeduped(ctx, "data", "doc", data, smallChunks()); err != nil {
+				t.Fatal(err)
+			}
+			holder := primaryOf(tc, "doc")
+			elsewhere := 0
+			for _, o := range tc.osds {
+				if o.cfg.ID != holder {
+					elsewhere += len(o.ledBlocks(o.view.Load(), "data"))
+				}
+			}
+			if elsewhere == 0 {
+				t.Fatal("every block shares the manifest's primary; the case tests nothing")
+			}
+			asked := onCensus(tc, holder, asIs)
+			if _, reclaimed := sweepAll(tc, 0); reclaimed != 0 {
+				t.Fatalf("zero-grace sweep reclaimed %d cited blocks", reclaimed)
+			}
+			if asked.Load() == 0 {
+				t.Fatal("no sweeper asked the manifest's primary")
+			}
+			if got, err := tc.client.ReadDeduped(ctx, "data", "doc"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read after sweep: %d bytes, %v", len(got), err)
+			}
+		}},
+		{"an unreachable primary means zero reclaims", func(t *testing.T, ctx context.Context, tc *testCluster) {
+			name, owner, peer := orphanBlock(t, ctx, tc)
+			tc.net.Partition(tc.osds[owner].Addr(), tc.osds[peer].Addr())
+			if _, reclaimed := tc.osds[owner].SweepBlocks(0); reclaimed != 0 {
+				t.Fatalf("sweep reclaimed %d blocks without osd.%d's answer", reclaimed, peer)
+			}
+			tc.net.Heal(tc.osds[owner].Addr(), tc.osds[peer].Addr())
+			if _, reclaimed := tc.osds[owner].SweepBlocks(0); reclaimed != 1 {
+				t.Fatalf("healed sweep reclaimed %d blocks, want the orphan %s", reclaimed, name)
+			}
+		}},
+		{"an answer at another epoch means zero reclaims", func(t *testing.T, ctx context.Context, tc *testCluster) {
+			_, owner, peer := orphanBlock(t, ctx, tc)
+			onCensus(tc, peer, func(c censusReq) censusReq { c.Epoch++; return c })
+			if _, reclaimed := tc.osds[owner].SweepBlocks(0); reclaimed != 0 {
+				t.Fatalf("sweep reclaimed %d blocks on an answer at another epoch", reclaimed)
+			}
+			onCensus(tc, peer, asIs)
+			if _, reclaimed := tc.osds[owner].SweepBlocks(0); reclaimed != 1 {
+				t.Fatalf("sweep at one epoch reclaimed %d blocks, want 1", reclaimed)
+			}
+		}},
+		{"a primary still replaying a promotion means zero reclaims", func(t *testing.T, ctx context.Context, tc *testCluster) {
+			_, owner, peer := orphanBlock(t, ctx, tc)
+			gated := []PGID{firstLedPG(tc, peer)}
+			p := tc.osds[peer]
+			p.witMu.Lock()
+			p.gates[gated[0]] = make(chan struct{})
+			p.gateN.Add(1)
+			p.witMu.Unlock()
+			if _, reclaimed := tc.osds[owner].SweepBlocks(0); reclaimed != 0 {
+				t.Fatalf("sweep reclaimed %d blocks while osd.%d gates %v", reclaimed, peer, gated[0])
+			}
+			p.openGates(gated)
+			if _, reclaimed := tc.osds[owner].SweepBlocks(0); reclaimed != 1 {
+				t.Fatalf("sweep after the gate opened reclaimed %d blocks, want 1", reclaimed)
+			}
+		}},
+		{"a stat between selection and reclaim cancels it", func(t *testing.T, ctx context.Context, tc *testCluster) {
+			name, owner, peer := orphanBlock(t, ctx, tc)
+			backdate(tc.osds[owner], name)
+			onCensus(tc, peer, func(c censusReq) censusReq {
+				if rep, err := tc.client.do(ctx, OpRequest{Pool: "data", Object: name, Op: OpBlockStat, Keys: []string{name}}); err != nil || len(rep.Keys) != 1 {
+					t.Errorf("stat during the census: %v, %v", rep.Keys, err)
+				}
+				return c
+			})
+			for sweep := 1; sweep <= 2; sweep++ { // the first only marks
+				if _, reclaimed := tc.osds[owner].SweepBlocks(time.Minute); reclaimed != 0 {
+					t.Fatalf("sweep %d reclaimed a block statted since its selection", sweep)
+				}
+			}
+			if _, err := tc.client.Read(ctx, "data", name); err != nil {
+				t.Fatalf("statted block gone: %v", err)
+			}
+		}},
+		{"a cited block is not censused again within grace", func(t *testing.T, ctx context.Context, tc *testCluster) {
+			if _, err := tc.client.WriteDeduped(ctx, "data", "doc", dupCorpus(22, 16*1024), smallChunks()); err != nil {
+				t.Fatal(err)
+			}
+			var asked []*atomic.Int32
+			for id := range tc.osds {
+				asked = append(asked, onCensus(tc, id, asIs))
+			}
+			total := func() (n int32) {
+				for _, a := range asked {
+					n += a.Load()
+				}
+				return n
+			}
+			for _, o := range tc.osds {
+				for _, name := range o.ledBlocks(o.view.Load(), "data") {
+					backdate(o, name)
+				}
+			}
+			for sweep := 1; sweep <= 2; sweep++ { // mark, then census
+				if _, reclaimed := sweepAll(tc, time.Minute); reclaimed != 0 {
+					t.Fatalf("sweep %d reclaimed %d cited blocks", sweep, reclaimed)
+				}
+			}
+			first := total()
+			if first == 0 {
+				t.Fatal("the census after the marking sweep asked no other daemon")
+			}
+			for sweep := 3; sweep <= 5; sweep++ {
+				sweepAll(tc, time.Minute)
+			}
+			if again := total() - first; again != 0 {
+				t.Fatalf("%d censuses within grace of the cited blocks' refresh", again)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tc := bootCluster(t, 3, 2)
+			c.run(t, ctxT(t, 20*time.Second), tc)
+		})
+	}
+}
+
+// primaryOf is the id of the daemon leading object in pool "data".
+func primaryOf(tc *testCluster, object string) int {
+	return tc.client.view.Load().actingOf("data", object)[0]
+}
+
+// orphanBlock writes a block no manifest cites and returns its name, the
+// daemon leading it, and another daemon leading some placement group of
+// the pool, which that daemon's census must therefore ask.
+func orphanBlock(t *testing.T, ctx context.Context, tc *testCluster) (name string, owner, peer int) {
+	t.Helper()
+	content := []byte("a block no manifest cites")
+	name = BlockName(content)
+	if rep, err := tc.client.do(ctx, OpRequest{Pool: "data", Object: name, Op: OpBlockWrite, Data: content}); err != nil || rep.Result != OK {
+		t.Fatalf("block write: %v / %v", err, rep.Result)
+	}
+	owner = primaryOf(tc, name)
+	for peer := range tc.osds {
+		if peer != owner && firstLedPG(tc, peer).PG >= 0 {
+			return name, owner, peer
+		}
+	}
+	t.Fatalf("osd.%d leads every placement group", owner)
+	return
+}
+
+// firstLedPG is the first placement group of pool "data" the daemon id
+// leads; PG -1 when it leads none.
+func firstLedPG(tc *testCluster, id int) PGID {
+	pv := tc.client.view.Load().pools["data"]
+	for pg := 0; pg < pv.info.PGNum; pg++ {
+		if pv.actingFor(pg)[0] == id {
+			return PGID{Pool: "data", PG: pg}
+		}
+	}
+	return PGID{Pool: "data", PG: -1}
 }

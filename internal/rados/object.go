@@ -137,16 +137,16 @@ type objEntry struct {
 	// the common mutation pays for no channel.
 	applied chan struct{} // guarded by mu
 	// touch is the last time this slot was mutated or, for dedup
-	// blocks, stat-probed by a client assembling a manifest. It is the
-	// GC grace clock: a zero-reference block is reclaimable only once
-	// touch is older than the grace window, which closes the race
-	// where a client is told a block exists and then writes a manifest
+	// blocks, stat-probed by a client assembling a manifest, or found
+	// cited by a GC census. It is the GC grace clock: a block is
+	// censused, and reclaimed if no manifest cites it, only once touch
+	// is older than the grace window, which closes the race where a
+	// client is told a block exists and then writes a manifest
 	// referencing it. Primary-local and deliberately outside the scrub
 	// digest — replicas need not agree on it.
 	touch time.Time // guarded by mu
 	// gcSweep/gcEpoch record the reclaim scan (OSD.gcSweepN) and map
-	// epoch at which this primary last saw the block unreferenced and
-	// grace-expired. Because touch is primary-local, a failed-over
+	// epoch at which this primary last saw the block grace-expired. Because touch is primary-local, a failed-over
 	// primary inherits a stale clock; requiring a second qualifying
 	// observation — same primary, same epoch, a later sweep — re-opens
 	// a full grace window after any failover before a block can go.

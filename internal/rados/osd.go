@@ -38,17 +38,14 @@ type OSDConfig struct {
 	// same object; on expiry it applies anyway and scrub repairs any
 	// residual divergence. Zero means the default.
 	ReplicaWaitTimeout time.Duration
-	// GCInterval is how often the dedup GC sweeper delivers queued
-	// block ref deltas and reclaims unreferenced blocks (osd_gc.go);
-	// zero disables the background loop (SweepBlocks still works).
+	// GCInterval is how often the dedup GC sweeper reclaims the blocks
+	// no manifest cites (osd_gc.go); zero disables the background loop
+	// (SweepBlocks still works).
 	GCInterval time.Duration
-	// GCGrace is how long a block must sit untouched with zero
-	// references before reclaim. It must exceed the window between a
-	// client's OpBlockStat and its manifest write, or an in-flight
-	// WriteDeduped can lose a block it was told exists. Zero means the
-	// default. When the background loop is enabled, a grace at or below
-	// GCInterval cannot cover even one delta-delivery sweep and is
-	// clamped up to 2*GCInterval.
+	// GCGrace is how long a block must sit untouched before a sweep
+	// censuses it. It must exceed the window between a client's
+	// OpBlockStat and its manifest write, or an in-flight WriteDeduped
+	// can lose a block it was told exists. Zero means the default.
 	GCGrace time.Duration
 	// Backend is the persistence seam (backend.go). Nil means the
 	// non-durable MemBackend: the seed's pure in-memory behavior.
@@ -57,10 +54,10 @@ type OSDConfig struct {
 	// journal compaction (NeedCheckpoint → CheckpointNow); zero
 	// disables the background loop.
 	CheckpointInterval time.Duration
-	// SkipReconcileOnReplay skips the post-replay reconciliation pass.
-	// Broken-replay fixture knob: the chaos harness proves its checkers
-	// catch the resulting dangling dedup references.
-	SkipReconcileOnReplay bool
+	// SkipRemoteCensus makes the GC census count only this daemon's own
+	// manifests. Broken-census fixture knob: the chaos harness proves its
+	// checkers catch the blocks it reclaims while other manifests cite them.
+	SkipRemoteCensus bool
 }
 
 // defaultReplicaWaitTimeout is ReplicaWaitTimeout's default, and the
@@ -79,12 +76,6 @@ func (c *OSDConfig) defaults() {
 	}
 	if c.GCGrace <= 0 {
 		c.GCGrace = 2 * time.Second
-	}
-	if c.GCInterval > 0 && c.GCGrace <= c.GCInterval {
-		// The stat-to-incref window the grace protects spans at least one
-		// sweep period (deltas only move when the sweeper runs), so a
-		// grace the interval swallows would reclaim blocks mid-write.
-		c.GCGrace = 2 * c.GCInterval
 	}
 }
 
@@ -168,19 +159,13 @@ type OSD struct {
 	// sends as a client (sendBlockOp; acks.go).
 	acks ackTable
 
-	// Dedup GC state (osd_gc.go): ref deltas enqueued by manifest
-	// applies and drained by the sweeper. The queue lives on the OSD
-	// struct — not the goroutine — so it survives a Stop/Start restart
-	// cycle along with the PGs, keeping refcounts exact across the
-	// graceful crash chaos injects. gcSeq stamps each delta's OpID once
-	// at enqueue, drawing from the same incarnation allocator as
-	// clients so OSD-originated ops never collide in replay caches.
-	gcMu  sync.Mutex
-	refQ  []refDelta // guarded by gcMu
+	// Dedup GC state (osd_gc.go). gcSeq stamps each reclaim's OpID,
+	// drawing from the same incarnation allocator as clients so
+	// OSD-originated ops never collide in replay caches.
 	gcSeq atomic.Uint64
 	// gcSweepN numbers this daemon's reclaim scans; blocks record the
-	// sweep that last saw them unreferenced (objEntry.gcSweep) so a
-	// reclaim needs two consecutive observations by the same primary —
+	// sweep that last saw them grace-expired (objEntry.gcSweep) so a
+	// census needs two consecutive observations by the same primary —
 	// the failover guard in reclaimCandidates.
 	gcSweepN atomic.Uint64
 
@@ -277,7 +262,7 @@ func (o *OSD) Start(ctx context.Context) error {
 	o.lifeMu.Unlock()
 
 	// Replay the durable backend before taking traffic: the in-memory
-	// index must be rebuilt (and reconciled) before any op or backfill
+	// index must be rebuilt before any op or backfill
 	// can observe it.
 	if needRestore {
 		if err := o.restore(); err != nil {
@@ -368,6 +353,8 @@ func (o *OSD) handle(ctx context.Context, from wire.Addr, req any) (any, error) 
 		return true, nil
 	case *witnessCollect:
 		return o.collectWitnesses(r), nil
+	case *censusReq:
+		return o.answerCensus(r)
 	case *witnessResolve:
 		// A replica settling a record: served as the op its client sent.
 		rep, later := o.handleOp(ctx, r.Client, (*OpRequest)(r))

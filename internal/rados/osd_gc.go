@@ -7,200 +7,134 @@ import (
 	"time"
 
 	"repro/internal/retry"
+	"repro/internal/types"
 )
 
-// Deferred dedup GC. The manifest's primary is the only party that
-// mutates block references: applying a manifest write or remove (see
-// applyOp) enqueues ref deltas for the symmetric difference of the old
-// and new block sets, and this sweeper delivers them to the blocks'
-// primaries later, outside every lock. Each delta names its manifest
-// and the manifest version that produced it, so application is
-// idempotent at the block itself (see blockRefApply) — resends, the
-// same diff enqueued by two primaries across a failover, and late
-// deltas superseded by a newer transition all collapse. A delta that
-// cannot be delivered this sweep stays queued for the next; the OpID
-// (stamped once at enqueue) additionally short-circuits resends through
-// the receiver's replay cache. The sweep then reclaims blocks this
-// daemon leads whose reference count is zero and whose last touch is
-// older than the grace window; the reclaim travels through the ordinary
-// op path, so the removal replicates and scrub stays convergent.
+// Deferred dedup GC. Block liveness has one authority, the manifests:
+// no reference state is stored on a block. A sweep on a block primary
+// selects the blocks it leads that sat untouched for the grace window,
+// asks every primary of the pool which of them a live manifest cites
+// (the census, one message per primary), refreshes the touch of the
+// cited ones, so a referenced block is censused at most once per grace
+// window, and reclaims the rest through the ordinary op path, so the
+// removal replicates and scrub stays convergent. OpBlockReclaim re-makes
+// the touch decision under the slot lock: a stat or a write since the
+// selection cancels it.
+//
+// The census is safe by ordering. A candidate sat untouched for grace
+// before the census began, and WriteDeduped stats or writes every block
+// before it writes the manifest, within a window shorter than grace
+// (OSDConfig.GCGrace). So any manifest citing a candidate was applied at
+// its primary before the census asked. A census trusts a placement
+// group's primary as a client read does; a group whose primary does not
+// answer, answers at another epoch, or is still replaying its witness
+// records after a promotion (gates) leaves the sweep reclaiming nothing.
 
-// refDelta is one queued reference adjustment.
-type refDelta struct {
-	pool     string
-	block    string
-	manifest string // referencing manifest object
-	ver      uint64 // manifest version whose transition produced this delta
-	present  bool   // true: reference added; false: reference dropped
-	opID     uint64 // stamped at enqueue; constant across delivery retries
+// censusReq asks a primary which of Names a live manifest cites in the
+// placement groups of Pool it leads at Epoch. The answer is the cited
+// names; a daemon at another epoch, or gating one of the pool's groups,
+// answers an error.
+type censusReq struct {
+	Pool  string
+	Epoch types.Epoch
+	Names []string
 }
 
-// queueRefDeltas diffs a manifest object's old and new unique block
-// sets and enqueues the resulting adds/drops, anchored to the manifest
-// version the transition stamped. Either set may be nil (flat data,
-// create, remove). Called from applyOp under the manifest's slot lock —
-// the queue append is the only work done here; no RPC leaves this
-// function.
-func (o *OSD) queueRefDeltas(pool, manifest string, ver uint64, oldSet, newSet map[string]bool) {
-	if len(oldSet) == 0 && len(newSet) == 0 {
-		return
-	}
-	var deltas []refDelta
-	for name := range newSet {
-		if !oldSet[name] {
-			deltas = append(deltas, refDelta{
-				pool: pool, block: name, manifest: manifest, ver: ver,
-				present: true, opID: o.gcSeq.Add(1),
-			})
-		}
-	}
-	for name := range oldSet {
-		if !newSet[name] {
-			deltas = append(deltas, refDelta{
-				pool: pool, block: name, manifest: manifest, ver: ver,
-				present: false, opID: o.gcSeq.Add(1),
-			})
-		}
-	}
-	if len(deltas) == 0 {
-		return
-	}
-	o.gcMu.Lock()
-	o.refQ = append(o.refQ, deltas...)
-	o.gcMu.Unlock()
-}
-
-// QueuedRefDeltas reports the backlog (for quiescence checks in tests
-// and the chaos harness).
-func (o *OSD) QueuedRefDeltas() int {
-	o.gcMu.Lock()
-	defer o.gcMu.Unlock()
-	return len(o.refQ)
-}
+// QueuedRefDeltas reports 0. Block references are no longer queued (the
+// census reads them off the manifests); the method stays because the
+// benchmark's GC drain loop adds it to its work count.
+func (o *OSD) QueuedRefDeltas() int { return 0 }
 
 func (o *OSD) gcLoop(stop chan struct{}) {
 	defer o.wg.Done()
 	ticker := time.NewTicker(o.cfg.GCInterval)
 	defer ticker.Stop()
-	for tick := 0; ; tick++ {
+	for {
 		select {
 		case <-stop:
 			return
 		case <-ticker.C:
 		}
 		o.SweepBlocks(o.cfg.GCGrace)
-		// Periodically run the dedup scrub too, so references orphaned
-		// by an abandoned history (failover double-applies the sweep's
-		// anchors cannot expire) heal without operator action.
-		if tick%8 == 7 {
-			for pool := range o.view.Load().pools {
-				o.RefScrub(pool)
+	}
+}
+
+// SweepBlocks runs one GC pass over the blocks this daemon leads and
+// returns the blocks it reclaimed; delivered is always 0 (nothing is
+// queued to deliver) and stays in the signature for the benchmark's
+// drain loop. Harnesses sweep until nothing more is reclaimed. A grace
+// of zero reclaims every uncited block at once: only safe on a quiesced
+// cluster, since grace is what covers the stat-then-manifest window of
+// an in-flight WriteDeduped.
+func (o *OSD) SweepBlocks(grace time.Duration) (delivered, reclaimed int) {
+	v := o.view.Load()
+	for pool, cands := range o.reclaimCandidates(v, grace) {
+		names := make([]string, len(cands))
+		for i, c := range cands {
+			names[i] = c.name
+		}
+		cited, ok := o.census(v, pool, names)
+		if !ok {
+			continue
+		}
+		for _, c := range cands {
+			if cited[c.name] {
+				c.e.mu.Lock()
+				c.e.touch = time.Now()
+				c.e.mu.Unlock()
+				continue
+			}
+			rep, err := o.sendBlockOp(OpRequest{
+				Pool: pool, Object: c.name, Op: OpBlockReclaim,
+				Count: int64(grace), OpID: o.gcSeq.Add(1),
+			})
+			// ECANCELED is the guard winning a race (a stat or write
+			// touched the block since the selection): correct, not an
+			// error. ENOENT means someone else already reclaimed it.
+			if err == nil && rep.Result == OK {
+				reclaimed++
 			}
 		}
 	}
+	return 0, reclaimed
 }
 
-// SweepBlocks runs one GC pass: deliver every queued ref delta, then
-// reclaim unreferenced blocks older than grace in the PGs this daemon
-// leads. Returns the deltas delivered and blocks reclaimed; harnesses
-// loop until both are zero (with the queue also drained) to reach
-// dedup quiescence. A grace of zero reclaims every unreferenced block
-// immediately — only safe on a quiesced cluster, since grace is what
-// protects the stat-then-manifest window of an in-flight WriteDeduped.
-func (o *OSD) SweepBlocks(grace time.Duration) (delivered, reclaimed int) {
-	o.gcMu.Lock()
-	pending := o.refQ
-	o.refQ = nil
-	o.gcMu.Unlock()
-
-	var requeue []refDelta
-	for _, d := range pending {
-		op := OpBlockIncref
-		if !d.present {
-			op = OpBlockDecref
-		}
-		rep, err := o.sendBlockOp(OpRequest{
-			Pool: d.pool, Object: d.block, Op: op,
-			Key: d.manifest, Count: int64(d.ver), OpID: d.opID,
-		})
-		if err != nil {
-			// Undeliverable this sweep (primary down, map churn): the
-			// delta — OpID and all — waits for the next one. Delivery
-			// order is irrelevant: the version anchor decides.
-			requeue = append(requeue, d)
-			continue
-		}
-		if rep.Result != OK && rep.Result != ENOENT {
-			requeue = append(requeue, d)
-			continue
-		}
-		// ENOENT means the block is gone: a decref against a reclaimed
-		// block is a no-op, and an incref against one can only follow a
-		// manifest that outlived its blocks — scrub-visible corruption
-		// the audit reports; retrying would not repair it.
-		delivered++
-	}
-	if len(requeue) > 0 {
-		o.gcMu.Lock()
-		o.refQ = append(requeue, o.refQ...)
-		o.gcMu.Unlock()
-	}
-
-	for _, cand := range o.reclaimCandidates(grace) {
-		rep, err := o.sendBlockOp(OpRequest{
-			Pool: cand.pool, Object: cand.block, Op: OpBlockReclaim,
-			Count: int64(grace), OpID: o.gcSeq.Add(1),
-		})
-		// ECANCELED is the guard winning a race (a stat or incref
-		// touched the block between scan and reclaim) — correct, not
-		// an error. ENOENT means someone else already reclaimed it.
-		if err == nil && rep.Result == OK {
-			reclaimed++
-		}
-	}
-	return delivered, reclaimed
-}
-
-// reclaimCand is a block that looked reclaimable during the scan; the
-// decision is re-made under the slot lock by OpBlockReclaim.
+// reclaimCand is a block that qualified at selection; the census and
+// then OpBlockReclaim, under the slot lock, make the decision.
 type reclaimCand struct {
-	pool  string
-	block string
+	e    *objEntry
+	name string
 }
 
-// reclaimCandidates scans the PGs this daemon leads for blocks with
-// zero references whose last touch is older than grace. The touch
-// clock is primary-local (deliberately unreplicated), so after a
-// failover the new primary's clock may predate a client's OpBlockStat
-// on the old one; a nonzero-grace reclaim therefore also requires that
-// *this* primary already saw the block unreferenced on an earlier
-// sweep at the current map epoch — the first qualifying observation
-// only marks the slot, opening a fresh grace period of at least one
-// sweep interval after any primary change. A zero grace skips the
-// two-sweep rule: it is the quiesced-cluster mode harnesses drive
-// explicitly, where no write can be in flight.
-func (o *OSD) reclaimCandidates(grace time.Duration) []reclaimCand {
-	v := o.view.Load()
+// reclaimCandidates selects, per pool, the blocks this daemon leads in v
+// whose last touch is older than grace. The touch clock is primary-local
+// (deliberately unreplicated), so after a failover the new primary's
+// clock may predate a client's OpBlockStat on the old one; a
+// nonzero-grace selection therefore also requires that *this* primary
+// already saw the block grace-expired on an earlier sweep at the current
+// map epoch — the first qualifying observation only marks the slot,
+// opening a fresh grace period of at least one sweep interval after any
+// primary change. A zero grace skips the two-sweep rule: it is the
+// quiesced-cluster mode harnesses drive explicitly, where no write can
+// be in flight.
+func (o *OSD) reclaimCandidates(v *mapView, grace time.Duration) map[string][]reclaimCand {
 	epoch := v.m.Epoch
 	sweep := o.gcSweepN.Add(1)
-
-	var out []reclaimCand
+	out := make(map[string][]reclaimCand)
 	for _, id := range o.heldPGs() {
-		acting := v.actingFor(id)
-		if len(acting) == 0 || acting[0] != o.cfg.ID {
+		if acting := v.actingFor(id); len(acting) == 0 || acting[0] != o.cfg.ID {
 			continue
 		}
 		for _, e := range o.getPG(id).entries() {
 			e.mu.Lock()
-			if e.obj != nil && IsBlockName(e.obj.Name) {
-				switch {
-				case blockRefs(e.obj) != 0 || time.Since(e.touch) < grace:
-					e.gcSweep = 0 // disqualified; any future reclaim starts over
-				case grace == 0 || (e.gcEpoch == epoch && e.gcSweep > 0 && e.gcSweep < sweep):
-					out = append(out, reclaimCand{pool: id.Pool, block: e.obj.Name})
-				default:
-					e.gcSweep, e.gcEpoch = sweep, epoch
-				}
+			switch {
+			case e.obj == nil || !IsBlockName(e.obj.Name):
+			case time.Since(e.touch) < grace:
+				e.gcSweep = 0 // disqualified; any future reclaim starts over
+			case grace == 0 || (e.gcEpoch == epoch && e.gcSweep > 0 && e.gcSweep < sweep):
+				out[id.Pool] = append(out[id.Pool], reclaimCand{e: e, name: e.obj.Name})
+			default:
+				e.gcSweep, e.gcEpoch = sweep, epoch
 			}
 			e.mu.Unlock()
 		}
@@ -208,96 +142,141 @@ func (o *OSD) reclaimCandidates(grace time.Duration) []reclaimCand {
 	return out
 }
 
-// RefScrub reconciles the reference sets of the blocks this daemon
-// leads against the manifests they cite — the dedup arm of scrub.
-// Version anchors make delta delivery idempotent, but they cannot kill
-// an entry from an abandoned history: a primary that applied a manifest
-// write at version v, queued its diff, and then lost that version to a
-// failover re-apply of a *different* write leaves a reference the
-// surviving history never supersedes. RefScrub reads each cited
-// manifest, and where the manifest's current version is newer than the
-// entry's anchor and disagrees with it, issues a corrective delta
-// anchored at the manifest's version — through the ordinary op path, so
-// the repair replicates. In-flight deltas stay safe: whichever of the
-// repair and the delta carries the newer anchor wins at the block.
-// Returns the number of corrective deltas applied.
-func (o *OSD) RefScrub(pool string) (repaired int) {
-	type cited struct {
-		block    string
-		manifest string
-		ver      uint64
-		present  bool
+// census asks every primary of pool's placement groups in v which of
+// names a live manifest cites, answering for its own groups in-process,
+// and returns the cited names. ok is false when some group has no
+// primary or its primary gave no answer at v's epoch: then nothing may
+// be reclaimed. With OSDConfig.SkipRemoteCensus set only this daemon's
+// own manifests are counted.
+func (o *OSD) census(v *mapView, pool string, names []string) (cited map[string]bool, ok bool) {
+	pv := v.pools[pool]
+	if pv == nil {
+		return nil, false
 	}
-	var work []cited
-	v := o.view.Load()
-	for _, id := range o.heldPGs() {
-		if id.Pool != pool {
-			continue
+	primaries := make(map[int]bool)
+	for pg := 0; pg < pv.info.PGNum; pg++ {
+		acting := pv.actingFor(pg)
+		if len(acting) == 0 {
+			return nil, false
 		}
-		acting := v.actingFor(id)
-		if len(acting) == 0 || acting[0] != o.cfg.ID {
+		primaries[acting[0]] = true
+	}
+	req := &censusReq{Pool: pool, Epoch: v.m.Epoch, Names: names}
+	cited = make(map[string]bool)
+	for id := range primaries {
+		var got []string
+		var err error
+		switch {
+		case id == o.cfg.ID:
+			got, err = o.answerCensus(req)
+		case o.cfg.SkipRemoteCensus:
+		default:
+			got, err = o.askCensus(id, req)
+		}
+		if err != nil {
+			return nil, false
+		}
+		for _, name := range got {
+			cited[name] = true
+		}
+	}
+	return cited, true
+}
+
+// askCensus sends req to the OSD id and returns its answer.
+func (o *OSD) askCensus(id int, req *censusReq) ([]string, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	resp, err := o.net.Call(ctx, o.addr, OSDAddr(id), req)
+	if err != nil {
+		return nil, err
+	}
+	cited, ok := resp.([]string)
+	if !ok {
+		return nil, fmt.Errorf("osd.%d: census answer %T", o.cfg.ID, resp)
+	}
+	return cited, nil
+}
+
+// answerCensus returns the names of req a live manifest cites in the
+// placement groups of req.Pool this daemon leads at req.Epoch.
+func (o *OSD) answerCensus(req *censusReq) ([]string, error) {
+	v := o.view.Load()
+	if v.m.Epoch != req.Epoch {
+		return nil, fmt.Errorf("osd.%d: census at epoch %d, this daemon is at %d", o.cfg.ID, req.Epoch, v.m.Epoch)
+	}
+	if o.gating(req.Pool) {
+		return nil, fmt.Errorf("osd.%d: census of %s while a promoted group replays", o.cfg.ID, req.Pool)
+	}
+	want := make(map[string]bool, len(req.Names))
+	for _, name := range req.Names {
+		want[name] = true
+	}
+	var cited []string
+	o.scanLed(v, req.Pool, func(obj *Object) {
+		if m, isManifest, err := DecodeManifest(obj.Data); isManifest && err == nil {
+			for name := range m.blockNames() {
+				if want[name] {
+					cited = append(cited, name)
+					delete(want, name)
+				}
+			}
+		}
+	})
+	return cited, nil
+}
+
+// gating reports whether this daemon is still replaying the witness
+// records of a placement group of pool it was just promoted to lead.
+func (o *OSD) gating(pool string) bool {
+	if o.gateN.Load() == 0 {
+		return false
+	}
+	o.witMu.Lock()
+	defer o.witMu.Unlock()
+	for id := range o.gates {
+		if id.Pool == pool {
+			return true
+		}
+	}
+	return false
+}
+
+// scanLed calls fn, under the slot lock, on every live object of the
+// placement groups of pool this daemon leads in v.
+func (o *OSD) scanLed(v *mapView, pool string, fn func(obj *Object)) {
+	for _, id := range o.heldPGs() {
+		if acting := v.actingFor(id); id.Pool != pool || len(acting) == 0 || acting[0] != o.cfg.ID {
 			continue
 		}
 		for _, e := range o.getPG(id).entries() {
 			e.mu.Lock()
-			if e.obj != nil && IsBlockName(e.obj.Name) {
-				for name, ent := range parseRefset(e.obj) {
-					work = append(work, cited{
-						block: e.obj.Name, manifest: name,
-						ver: ent.ver, present: ent.present,
-					})
-				}
+			if e.obj != nil {
+				fn(e.obj)
 			}
 			e.mu.Unlock()
 		}
 	}
+}
 
-	for _, w := range work {
-		rep, err := o.sendBlockOp(OpRequest{Pool: pool, Object: w.manifest, Op: OpRead})
-		if err != nil {
-			continue // unverifiable this pass; the next scrub retries
+// ledBlocks returns the names of the blocks of pool this daemon leads in v.
+func (o *OSD) ledBlocks(v *mapView, pool string) []string {
+	var names []string
+	o.scanLed(v, pool, func(obj *Object) {
+		if IsBlockName(obj.Name) {
+			names = append(names, obj.Name)
 		}
-		var want bool
-		var mver uint64
-		switch rep.Result {
-		case OK:
-			mver = rep.Version
-			want = manifestBlockSet(rep.Data)[w.block]
-		case ENOENT:
-			// Tombstoned (or never-written) manifest: no reply version to
-			// anchor on, so anchor one past the entry — a genuinely newer
-			// in-flight delta still outranks the repair.
-			mver = w.ver + 1
-		default:
-			continue
-		}
-		if mver <= w.ver || want == w.present {
-			continue
-		}
-		op := OpBlockDecref
-		if want {
-			op = OpBlockIncref
-		}
-		r2, err := o.sendBlockOp(OpRequest{
-			Pool: pool, Object: w.block, Op: op,
-			Key: w.manifest, Count: int64(mver), OpID: o.gcSeq.Add(1),
-		})
-		if err == nil && r2.Result == OK {
-			repaired++
-		}
-	}
-	return repaired
+	})
+	return names
 }
 
 // sendBlockOp routes one block op to the block's primary with the same
 // stale-map retry discipline as the client library — except the request
-// arrives pre-stamped (the OpID must survive requeues across sweeps,
-// not just resends within one call) — and, for a mutation, waits for
-// its replicas as a client does (acks.go). A self-addressed op
-// short-circuits into handleOp directly rather than crossing the fabric.
-// Stop ends its wait for the replicas: a stopped daemon's endpoint hears
-// no acks, and an op it abandons stays queued with its OpID for the next
-// incarnation.
+// arrives stamped with its OpID — and waits for its replicas as a client
+// does (acks.go). A self-addressed op short-circuits into
+// handleOp directly rather than crossing the fabric. Stop ends its wait
+// for the replicas: a stopped daemon's endpoint hears no acks, and a
+// block whose reclaim it abandons is selected again by a later sweep.
 func (o *OSD) sendBlockOp(req OpRequest) (_ OpReply, err error) {
 	const maxRetries = 4
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -305,14 +284,12 @@ func (o *OSD) sendBlockOp(req OpRequest) (_ OpReply, err error) {
 	o.lifeMu.Lock()
 	stop := o.stopCh
 	o.lifeMu.Unlock()
-	if req.OpID != 0 {
-		o.acks.expect(req.OpID)
-		defer func() {
-			if err != nil {
-				o.acks.forget(req.OpID)
-			}
-		}()
-	}
+	o.acks.expect(req.OpID)
+	defer func() {
+		if err != nil {
+			o.acks.forget(req.OpID)
+		}
+	}()
 	var last OpReply
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		if attempt > 1 {
@@ -331,22 +308,14 @@ func (o *OSD) sendBlockOp(req OpRequest) (_ OpReply, err error) {
 		if errors.Is(err, errNotOpReply) {
 			return OpReply{}, err
 		}
-		if err != nil {
-			// Peer unreachable: refresh the map and retry routing.
-			if fresh, merr := o.monc.GetOSDMap(ctx); merr == nil {
-				o.updateMap(fresh, noPeer)
-			}
-			continue
-		}
-		if rep.Result == EMapStale {
+		if err != nil || rep.Result == EMapStale {
+			// Peer unreachable or placement moved: refresh the map and
+			// retry routing.
 			last = rep
 			if fresh, merr := o.monc.GetOSDMap(ctx); merr == nil {
 				o.updateMap(fresh, noPeer)
 			}
 			continue
-		}
-		if req.OpID == 0 {
-			return rep, nil
 		}
 		return rep, o.acks.settle(ctx, stop, req.OpID, rep, func() (OpReply, error) {
 			return o.blockOpAt(ctx, primary, &req)
@@ -377,15 +346,19 @@ func (o *OSD) blockOpAt(ctx context.Context, id int, req *OpRequest) (OpReply, e
 }
 
 // DedupBlockCount reports how many block objects this daemon leads in
-// pool, and how many of them are unreferenced (tests and benches use it
-// to watch reclamation make progress).
+// pool, and how many of them no live manifest cites, as a census (one
+// that refreshes no touch) reads them; tests and benches use it to watch
+// reclamation make progress. A census some primary does not answer
+// counts every block as cited.
 func (o *OSD) DedupBlockCount(pool string) (blocks, unreferenced int) {
-	_, bl := o.dedupCensus(pool)
-	for _, refs := range bl {
-		blocks++
-		if refs == 0 {
-			unreferenced++
-		}
+	v := o.view.Load()
+	names := o.ledBlocks(v, pool)
+	if len(names) == 0 {
+		return 0, 0
 	}
-	return blocks, unreferenced
+	cited, ok := o.census(v, pool, names)
+	if !ok {
+		return len(names), 0
+	}
+	return len(names), len(names) - len(cited)
 }

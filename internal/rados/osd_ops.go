@@ -748,7 +748,7 @@ func (o *OSD) applyReplicaOp(ctx context.Context, p *pg, req *OpRequest, m *type
 		// Pin to the primary's stamp so a forced out-of-order apply
 		// re-converges the version sequence. Pin even when the local
 		// apply was a no-op (a remove of an object this replica never
-		// held, a ref delta its refset already supersedes): the primary
+		// held, a block write of a block it already holds): the primary
 		// mutated, and leaving the local version behind would stall
 		// every later forward at the PrevVersion wait until scrub
 		// repairs the gap.
@@ -826,24 +826,14 @@ func (o *OSD) applyOp(e *objEntry, req *OpRequest, m *types.OSDMap) (OpReply, bo
 		return OpReply{Result: OK, Version: e.ver}, true
 
 	case OpWriteFull:
-		// Manifest transition: the primary owns reference bookkeeping, so
-		// overwriting (or installing, or clobbering) a manifest enqueues
-		// the ref deltas of the old-vs-new block-set diff for the GC
-		// sweeper, anchored to the version this apply stamps. Only a
-		// primary applies a WriteFull; its replicas install the bytes it
-		// stored (OpTxn). The clone is the one copy of the caller's buffer.
-		oldSet := manifestBlockSet(objData(e))
-		data := append([]byte(nil), req.Data...)
-		e.materializeLocked(req.Object).Data = data
+		// Only a primary applies a WriteFull; its replicas install the
+		// bytes it stored (OpTxn). The clone is the one copy of the
+		// caller's buffer.
+		e.materializeLocked(req.Object).Data = append([]byte(nil), req.Data...)
 		e.bumpLocked()
-		o.queueRefDeltas(req.Pool, req.Object, e.ver, oldSet, manifestBlockSet(data))
 		return OpReply{Result: OK, Version: e.ver}, true
 
 	case OpAppend:
-		// Appending to a manifest object destroys the manifest (the
-		// strict decoder rejects trailing bytes), so its references are
-		// released here — otherwise the old block set would leak.
-		oldSet := manifestBlockSet(objData(e))
 		obj := e.materializeLocked(req.Object)
 		// Fresh allocation, not append-in-place: readers may hold the old
 		// slice (copy-on-write).
@@ -851,21 +841,14 @@ func (o *OSD) applyOp(e *objEntry, req *OpRequest, m *types.OSDMap) (OpReply, bo
 		grown = append(append(grown, obj.Data...), req.Data...)
 		obj.Data = grown
 		e.bumpLocked()
-		if !req.Replica {
-			o.queueRefDeltas(req.Pool, req.Object, e.ver, oldSet, nil)
-		}
 		return OpReply{Result: OK, Version: e.ver}, true
 
 	case OpRemove:
 		if e.obj == nil {
 			return OpReply{Result: ENOENT}, false
 		}
-		oldSet := manifestBlockSet(objData(e))
 		e.obj = nil
 		e.bumpLocked()
-		if !req.Replica {
-			o.queueRefDeltas(req.Pool, req.Object, e.ver, oldSet, nil)
-		}
 		return OpReply{Result: OK, Version: e.ver}, true
 
 	case OpOmapGet:
@@ -944,42 +927,16 @@ func (o *OSD) applyOp(e *objEntry, req *OpRequest, m *types.OSDMap) (OpReply, bo
 		e.bumpLocked()
 		return OpReply{Result: OK, Version: e.ver}, true
 
-	case OpBlockIncref:
-		if e.obj == nil {
-			return OpReply{Result: ENOENT, Detail: "no such block"}, false
-		}
-		// req.Key names the referencing manifest, req.Count carries the
-		// manifest version that created this delta. The version-anchored
-		// set ignores duplicates (resends, double-enqueued diffs after a
-		// primary change) and late deltas a newer transition superseded —
-		// an ack without mutation, never a double count.
-		if !blockRefApply(e.obj, req.Key, uint64(req.Count), true) {
-			return OpReply{Result: OK, Version: e.ver}, false
-		}
-		e.bumpLocked()
-		return OpReply{Result: OK, Version: e.ver}, true
-
-	case OpBlockDecref:
-		if e.obj == nil {
-			return OpReply{Result: ENOENT, Detail: "no such block"}, false
-		}
-		if !blockRefApply(e.obj, req.Key, uint64(req.Count), false) {
-			return OpReply{Result: OK, Version: e.ver}, false
-		}
-		e.bumpLocked()
-		return OpReply{Result: OK, Version: e.ver}, true
-
 	case OpBlockReclaim:
 		if e.obj == nil {
 			return OpReply{Result: ENOENT}, false
 		}
-		// The sweeper's scan decision is re-made here under the slot
-		// lock: a stat, write, or incref that slipped in since the scan
-		// cancels the reclaim. Replica forwards apply unconditionally —
-		// the primary already decided, and a replica's own touch clock
-		// is not authoritative.
-		if !req.Replica && (blockRefs(e.obj) > 0 || time.Since(e.touch) < time.Duration(req.Count)) {
-			return OpReply{Result: ECANCELED, Detail: "block referenced or inside the reclaim grace window"}, false
+		// The sweeper's selection is re-made here under the slot lock: a
+		// stat or write that slipped in since it cancels the reclaim.
+		// Replica forwards apply unconditionally — the primary already
+		// decided, and a replica's own touch clock is not authoritative.
+		if !req.Replica && time.Since(e.touch) < time.Duration(req.Count) {
+			return OpReply{Result: ECANCELED, Detail: "block inside the reclaim grace window"}, false
 		}
 		e.obj = nil
 		e.bumpLocked()
@@ -988,20 +945,11 @@ func (o *OSD) applyOp(e *objEntry, req *OpRequest, m *types.OSDMap) (OpReply, bo
 	return OpReply{Result: EINVAL, Detail: "unknown op"}, false
 }
 
-// objData returns the slot's current bytestream (nil for a tombstone).
-// Caller holds e.mu.
-func objData(e *objEntry) []byte {
-	if e.obj == nil {
-		return nil
-	}
-	return e.obj.Data
-}
-
 // recordOp journals one applied mutation to the durable backend. Caller
 // holds e.mu and guarantees the op mutated with Result OK; the backend
 // encodes synchronously (Backend contract), so passing slices and maps
 // that alias the live object is safe. Records carry post-state (the
-// full bytestream, the final xattr value) rather than op deltas, which
+// full bytestream, a write-set's final values) rather than op deltas, which
 // makes replay idempotent under the version guard. The kind is the op's
 // row's: every op reaching here journals, a call or overwrite as its OpTxn.
 func (o *OSD) recordOp(p *pg, e *objEntry, req *OpRequest) {
@@ -1012,12 +960,7 @@ func (o *OSD) recordOp(p *pg, e *objEntry, req *OpRequest) {
 	mut := Mutation{Kind: spec.journal, Pool: req.Pool, PG: p.id.PG, Object: req.Object, Version: e.ver}
 	switch spec.journal {
 	case RecData:
-		mut.Data = objData(e)
-	case RecXattrSet:
-		// A block's refset change: journal the refset xattr, not the
-		// block's (potentially large) bytes again.
-		mut.Key = xattrBlockRefs
-		mut.Data = e.obj.Xattrs[xattrBlockRefs]
+		mut.Data = e.obj.Data // an append or a block write: the slot is live
 	case RecTxn:
 		// A class call or overwrite journals what it wrote — the entries
 		// its replicas are sent — not the object it wrote them to.

@@ -7,11 +7,10 @@ import (
 )
 
 // This file is the recovery half of the durable backend (backend.go):
-// startup replay of the journal into the in-memory index, the
-// reconciliation pass that re-derives state the crash destroyed, and
-// the checkpoint writer that bounds replay time.
+// startup replay of the journal into the in-memory index, and the
+// checkpoint writer that bounds replay time.
 
-// ReplayReport summarizes one startup replay plus reconciliation.
+// ReplayReport summarizes one startup replay.
 type ReplayReport struct {
 	// CheckpointRecords/Records/Skipped/TornBytes mirror
 	// Backend.ReplayStats: snapshot mutations restored, journal
@@ -21,16 +20,6 @@ type ReplayReport struct {
 	Records           int
 	Skipped           int
 	TornBytes         int64
-	// ManifestsRequeued counts live dedup manifests whose block
-	// references were re-derived by reconciliation (the crash lost the
-	// in-memory ref-delta queue).
-	ManifestsRequeued int
-	// RefDeltasQueued counts the individual increfs those manifests
-	// re-enqueued.
-	RefDeltasQueued int
-	// OrphanBlocks counts replayed blocks holding no reference-set
-	// entries at all — reclaim candidates the GC sweep will confirm.
-	OrphanBlocks int
 }
 
 // ReplayReport returns the report of this daemon's last startup replay
@@ -44,7 +33,7 @@ func (o *OSD) ReplayReport() ReplayReport {
 // Crash hard-kills the daemon: the fabric endpoint goes away like Stop,
 // but the backend is abandoned mid-write — buffered journal appends are
 // dropped and the log tail is torn, exactly what kill -9 leaves on
-// disk. The process-local state (ref-delta queue, replay cache) dies
+// disk. The process-local state (replay cache, GC touch clocks) dies
 // with it. Recover by building a fresh OSD over the same backend
 // directory (core.Cluster.RebuildOSD), not by restarting this object.
 func (o *OSD) Crash() {
@@ -52,25 +41,21 @@ func (o *OSD) Crash() {
 	o.backend.Abandon()
 }
 
-// restore rebuilds the in-memory index from the durable backend and
-// runs reconciliation. Called from Start before the daemon listens, so
-// no op or backfill can interleave with replay.
+// restore rebuilds the in-memory index from the durable backend. Called
+// from Start before the daemon listens, so no op or backfill can
+// interleave with replay.
 func (o *OSD) restore() error {
 	stats, err := o.backend.Replay(o.applyMutation)
 	if err != nil {
 		return err
 	}
-	report := ReplayReport{
+	o.mu.Lock()
+	o.replayReport = ReplayReport{
 		CheckpointRecords: stats.CheckpointRecords,
 		Records:           stats.Records,
 		Skipped:           stats.Skipped,
 		TornBytes:         stats.TornBytes,
 	}
-	if !o.cfg.SkipReconcileOnReplay {
-		o.reconcile(&report)
-	}
-	o.mu.Lock()
-	o.replayReport = report
 	o.mu.Unlock()
 	return nil
 }
@@ -137,42 +122,6 @@ func (o *OSD) applyMutation(mut Mutation) {
 	// race the clock exists to close.
 	e.touch = time.Now()
 	e.signalLocked()
-}
-
-// reconcile runs after replay and re-derives the state a crash
-// destroys but the journal does not carry: the in-memory ref-delta
-// queue. Every live manifest's block references are re-enqueued as
-// increfs anchored at the manifest's replayed version — duplicates of
-// deltas that were already delivered collapse in the version-anchored
-// refsets, stale extras are healed by the RefScrub fixed point, and
-// lost ones are restored. Blocks with an empty refset are counted as
-// orphans (the GC sweep confirms and reclaims them after grace).
-func (o *OSD) reconcile(report *ReplayReport) {
-	for id, p := range *o.pgs.Load() {
-		for name, e := range p.slots() {
-			e.mu.Lock()
-			if e.obj == nil {
-				e.mu.Unlock()
-				continue
-			}
-			if IsBlockName(name) {
-				if blockRefs(e.obj) == 0 {
-					report.OrphanBlocks++
-				}
-				e.mu.Unlock()
-				continue
-			}
-			blocks := manifestBlockSet(e.obj.Data)
-			ver := e.obj.Version
-			e.mu.Unlock()
-			if len(blocks) == 0 {
-				continue
-			}
-			o.queueRefDeltas(id.Pool, name, ver, nil, blocks)
-			report.ManifestsRequeued++
-			report.RefDeltasQueued += len(blocks)
-		}
-	}
 }
 
 // CheckpointNow snapshots the daemon's full object state into the

@@ -42,9 +42,7 @@ const (
 	// by their SHA-256; see dedup.go).
 	OpBlockStat    // which of req.Keys exist here (batched presence probe; read-touches the reclaim clock)
 	OpBlockWrite   // create-if-absent write of req.Blocks (or the one block Object/Data); a duplicate is an ack + touch, never a rewrite
-	OpBlockIncref  // add req.Count manifest references to a block
-	OpBlockDecref  // drop req.Count manifest references from a block
-	OpBlockReclaim // remove the block iff unreferenced and outside the grace window (req.Count ns)
+	OpBlockReclaim // remove the block iff untouched for the grace window (req.Count ns)
 	OpBlockRead    // the bytes of every block of req.Keys this primary leads, in one reply
 
 	// OpTxn is the replica-only form of a class call or an overwrite (an
@@ -117,9 +115,7 @@ var opSpecs = [...]opSpec{
 	OpCall:         {name: "call", class: classReplayGuarded, call: true}, // whether it writes is known once it ran
 	OpBlockStat:    {name: "block-stat", class: classRead, readBatch: (*OSD).blockStatBatch},
 	OpBlockWrite:   {name: "block-write", class: classOverwrite, journals: true, journal: RecData},
-	OpBlockIncref:  {name: "block-incref", class: classVersioned, journals: true, journal: RecXattrSet},
-	OpBlockDecref:  {name: "block-decref", class: classVersioned, journals: true, journal: RecXattrSet},
-	OpBlockReclaim: {name: "block-reclaim", class: classReplayGuarded, journals: true, journal: RecRemove},
+	OpBlockReclaim: {name: "block-reclaim", class: classVersioned, journals: true, journal: RecRemove},
 	OpBlockRead:    {name: "block-read", class: classRead, readBatch: (*OSD).blockReadBatch},
 	OpTxn:          {name: "txn", class: classReplicaOnly, journals: true, journal: RecTxn},
 }
@@ -237,12 +233,9 @@ type OpRequest struct {
 	Class  string            // OpCall: class name
 	Method string            // OpCall: method name
 	Input  []byte            // OpCall: method input
-	// Count is the op-specific scalar of the dedup block ops: the
-	// reference delta for OpBlockIncref/OpBlockDecref (a manifest's
-	// unique block set counts once however many extents reuse the
-	// block), and the reclaim grace window in nanoseconds for
-	// OpBlockReclaim (re-checked under the block's slot lock so a
-	// concurrent stat or incref wins the race against the sweeper).
+	// Count is OpBlockReclaim's grace window in nanoseconds, re-checked
+	// under the block's slot lock so a stat or write since the sweep's
+	// selection wins the race against the sweeper.
 	Count int64
 	// Blocks is the batched form of OpBlockWrite: every block the sender
 	// has for this daemon, in one request (see BlockOp).

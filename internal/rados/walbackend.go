@@ -81,8 +81,8 @@ func (b *WALBackend) Commit() error {
 // Replay rebuilds state: first the checkpoint snapshot's mutations,
 // then every journaled mutation past it. A journal record that fails
 // to decode is counted in Skipped and dropped — the version-guarded
-// apply path makes over-skipping safe (reconciliation and scrub repair
-// the gap) where a partial apply would not be.
+// apply path makes over-skipping safe (backfill and scrub repair the
+// gap) where a partial apply would not be.
 func (b *WALBackend) Replay(apply func(Mutation)) (ReplayStats, error) {
 	stats := ReplayStats{TornBytes: b.log.TornBytes()}
 	state, _, ok, err := b.log.LoadCheckpoint()

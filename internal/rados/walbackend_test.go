@@ -261,7 +261,9 @@ func startWALOSDAs(t *testing.T, net *wire.Network, id int, dir string) *OSD {
 
 // A hard-killed WAL-backed OSD must recover every acked write — flat
 // data, omap, xattrs, and a dedup manifest with its blocks — purely
-// from its log: with replicas=1 there is no peer to backfill from.
+// from its log: with replicas=1 there is no peer to backfill from. A
+// zero-grace sweep after the rebuild must spare every block the
+// replayed manifest cites.
 func TestOSDWALCrashRecoversAckedWrites(t *testing.T) {
 	dir := t.TempDir()
 	net, _, osd, rc := walCluster(t, dir)
@@ -305,13 +307,16 @@ func TestOSDWALCrashRecoversAckedWrites(t *testing.T) {
 	if rep.Skipped != 0 {
 		t.Fatalf("replay skipped %d records", rep.Skipped)
 	}
-	if rep.ManifestsRequeued == 0 || rep.RefDeltasQueued == 0 {
-		t.Fatalf("reconciliation re-derived no manifest refs: %+v", rep)
-	}
-	if re.QueuedRefDeltas() == 0 {
-		t.Fatal("reconciliation left the ref-delta queue empty")
-	}
 
+	// The replayed manifest is the record of which blocks stay: a
+	// zero-grace sweep reclaims none of them, and the audit is clean.
+	if _, reclaimed := re.SweepBlocks(0); reclaimed != 0 {
+		t.Fatalf("sweep after recovery reclaimed %d cited blocks", reclaimed)
+	}
+	audit := AuditDedup([]*OSD{re}, "data")
+	if audit.Manifests != 1 || audit.Blocks == 0 || len(audit.Dangling)+len(audit.Leaked)+len(audit.Corrupt) != 0 {
+		t.Fatalf("audit after recovery: %+v", audit)
+	}
 	if got, err := rc.Read(ctx, "data", "flat"); err != nil || !bytes.Equal(got, []byte("flat-bytes")) {
 		t.Fatalf("read flat after crash: %q %v", got, err)
 	}
@@ -326,54 +331,6 @@ func TestOSDWALCrashRecoversAckedWrites(t *testing.T) {
 	}
 	if got, err := rc.Read(ctx, "data", "late"); err != nil || !bytes.Equal(got, []byte("post-checkpoint")) {
 		t.Fatalf("read late after crash: %q %v", got, err)
-	}
-
-	// The dedup bookkeeping converges: deliver the re-derived deltas,
-	// then the audit must find no dangling or leaked references.
-	re.SweepBlocks(time.Hour)
-	for i := 0; i < 50; i++ {
-		if re.RefScrub("data") == 0 {
-			break
-		}
-		re.SweepBlocks(time.Hour)
-	}
-	audit := AuditDedup([]*OSD{re}, "data")
-	if len(audit.Dangling) != 0 || len(audit.Leaked) != 0 {
-		t.Fatalf("audit after recovery: dangling=%v leaked=%v", audit.Dangling, audit.Leaked)
-	}
-}
-
-// The broken-replay knob (SkipReconcileOnReplay) must actually skip
-// reconciliation — the chaos fixture relies on the resulting dangling
-// refs being caught by its checkers.
-func TestOSDWALSkipReconcileLeavesQueueEmpty(t *testing.T) {
-	dir := t.TempDir()
-	net, _, osd, rc := walCluster(t, dir)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	doc := bytes.Repeat([]byte("dedup me again and again. "), 512)
-	if _, err := rc.WriteDeduped(ctx, "data", "doc", doc, nil); err != nil {
-		t.Fatalf("write deduped: %v", err)
-	}
-	osd.Crash()
-
-	be, err := OpenWALBackend(dir, WALBackendOptions{})
-	if err != nil {
-		t.Fatalf("open backend: %v", err)
-	}
-	re := NewOSD(net, OSDConfig{ID: 0, Mons: []int{0}, GossipInterval: 20 * time.Millisecond,
-		Backend: be, SkipReconcileOnReplay: true})
-	if err := re.Start(ctx); err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	t.Cleanup(re.Stop)
-	rep := re.ReplayReport()
-	if rep.ManifestsRequeued != 0 || rep.RefDeltasQueued != 0 {
-		t.Fatalf("skip-reconcile still requeued: %+v", rep)
-	}
-	if re.QueuedRefDeltas() != 0 {
-		t.Fatalf("skip-reconcile left %d queued deltas", re.QueuedRefDeltas())
 	}
 }
 
