@@ -10,7 +10,7 @@ SEED ?= 1
 BASE ?= HEAD~1
 
 .PHONY: build test race vet lint lint-json lint-sarif lint-diff lint-fixtures \
-	bench bench-smoke bench-module bench-json chaos chaos-race cover bench-compare ci loc \
+	bench bench-smoke bench-module chaos chaos-race cover ci loc \
 	profile fuzz-smoke
 
 build:
@@ -90,28 +90,6 @@ fuzz-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Record the serial-vs-batched append comparison (PR 2's acceptance
-# numbers) in BENCH_pr2.json, and the
-# flat-vs-deduped write pair plus the chunker throughput (PR 8's) in
-# BENCH_pr8.json — floors pin the acceptance criteria (50%-dup corpus
-# ships <= 0.6x the flat bytes; chunker >= 500 MB/s single-core) — and
-# the WAL fsync-batching sweep plus replay throughput (PR 10's) in
-# BENCH_pr10.json (floors: group commit >= 3x at batch 64 vs batch 1,
-# replay >= 100 MB/s).
-bench-json:
-	$(GO) test -run=^$$ -bench='^BenchmarkZLogAppend(Serial|Batch)$$' -benchtime=1s . \
-		| $(GO) run ./cmd/benchjson -out BENCH_pr2.json
-	@cat BENCH_pr2.json
-	{ $(GO) test -run=^$$ -bench='^Benchmark(WriteFlat|WriteDeduped)$$' -benchtime 2x . ; \
-	  $(GO) test -run=^$$ -bench='^BenchmarkChunker$$' -benchtime=1s ./internal/cdc/ ; } \
-		| $(GO) run ./cmd/benchjson -out BENCH_pr8.json \
-			-floor dedup_ratio_50=1.667 -floor chunker_mbps=500
-	@cat BENCH_pr8.json
-	$(GO) test -run=^$$ -bench='^BenchmarkWAL(Append|Replay)$$' -benchtime=1s ./internal/wal/ \
-		| $(GO) run ./cmd/benchjson -out BENCH_pr10.json \
-			-floor wal_group_commit_speedup=3.0 -floor wal_replay_mbps=100
-	@cat BENCH_pr10.json
-
 # CPU and allocation profiles of the replicated op path — the rados-mem
 # op mix, BenchmarkRadosOpsR3Delay0 — written to .prof/, then the top 25
 # functions by cumulative CPU time and the top 15 by objects allocated.
@@ -148,22 +126,7 @@ cover:
 		./internal/wal/ ./internal/core/
 	$(GO) run ./cmd/covercheck -profile coverage.out
 
-# Bench-regression gate: rerun the recorded benchmark pairs and compare
-# the derived speedup ratios against the committed baselines.
-# Raw ns/op shifts with hardware, but serial-vs-optimized ratios on the
-# same host are stable; a >30% ratio drop fails.
-bench-compare:
-	$(GO) test -run=^$$ -bench='^BenchmarkZLogAppend(Serial|Batch)$$' -benchtime=1s . \
-		| $(GO) run ./cmd/benchjson -compare BENCH_pr2.json -tolerance 0.30
-	{ $(GO) test -run=^$$ -bench='^Benchmark(WriteFlat|WriteDeduped)$$' -benchtime 2x . ; \
-	  $(GO) test -run=^$$ -bench='^BenchmarkChunker$$' -benchtime=1s ./internal/cdc/ ; } \
-		| $(GO) run ./cmd/benchjson -compare BENCH_pr8.json -tolerance 0.30 \
-			-floor dedup_ratio_50=1.667 -floor chunker_mbps=500
-	$(GO) test -run=^$$ -bench='^BenchmarkWAL(Append|Replay)$$' -benchtime=1s ./internal/wal/ \
-		| $(GO) run ./cmd/benchjson -compare BENCH_pr10.json -tolerance 0.30 \
-			-floor wal_group_commit_speedup=3.0 -floor wal_replay_mbps=100
-
-ci: build vet lint-sarif lint-fixtures race bench-smoke bench-module fuzz-smoke chaos cover bench-compare
+ci: build vet lint-sarif lint-fixtures race bench-smoke bench-module fuzz-smoke chaos cover
 
 # Non-test, non-fixture Go lines per package, largest first, with the
 # total on top: ROADMAP aim 2's tracked number. go list leaves out

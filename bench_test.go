@@ -19,7 +19,6 @@ import (
 	"repro/internal/mds"
 	"repro/internal/rados"
 	"repro/internal/script"
-	"repro/internal/types"
 	"repro/internal/wire"
 	"repro/internal/zlog"
 )
@@ -355,61 +354,6 @@ func BenchmarkFig12ZLogAppend(b *testing.B) {
 	}
 }
 
-// benchZLogLatency boots the default simulated-latency cluster the
-// serial-vs-batched append comparison (and BENCH_pr2.json) runs on.
-func benchZLogLatency(b *testing.B) *zlog.Log {
-	b.Helper()
-	cluster := bootB(b, core.Options{
-		MDSs: 1, OSDs: 3, Pools: []string{"zlog"}, Replicas: 2,
-		NetLatency: 200 * time.Microsecond,
-	})
-	ctx := context.Background()
-	l, err := zlog.Open(ctx, cluster.Net, "client.bench", cluster.MonIDs(), zlog.Options{
-		Name: "bench", Pool: "zlog",
-		SeqPolicy: mds.CapPolicy{Cacheable: true, Quota: 1000, Delay: time.Second},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(l.Close)
-	return l
-}
-
-// BenchmarkZLogAppendSerial is the per-entry baseline the batched path
-// is measured against: one sequencer access plus one object write per
-// entry, fully serial.
-func BenchmarkZLogAppendSerial(b *testing.B) {
-	l := benchZLogLatency(b)
-	ctx := context.Background()
-	payload := []byte("benchmark-entry-payload")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(ctx, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkZLogAppendBatch drives AppendBatch at batch size 64 on the
-// same cluster; ns/op is per entry, so the ratio against
-// BenchmarkZLogAppendSerial is the batched path's speedup (the ISSUE's
-// >= 5x acceptance bar, recorded in BENCH_pr2.json by `make bench-json`).
-func BenchmarkZLogAppendBatch(b *testing.B) {
-	l := benchZLogLatency(b)
-	ctx := context.Background()
-	const batch = 64
-	entries := make([][]byte, batch)
-	for i := range entries {
-		entries[i] = []byte("benchmark-entry-payload")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		if _, err := l.AppendBatch(ctx, entries[:min(batch, b.N-i)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRadosOpsR3Delay0 is the CPU-bound replicated op mix of the
 // rados-mem workload (bench/): replicas=3, no fabric delay, one client
 // per CPU doing 50% WriteFull 4 KiB / 30% Read / 20% script-class Call
@@ -472,58 +416,6 @@ func BenchmarkRadosOpsR3Delay0(b *testing.B) {
 	})
 }
 
-// BenchmarkZLogAppendReplicated is the end-to-end check that the OSD
-// write pipeline shows up a layer above: per-entry shared-log appends
-// on a replicas=3 pool at the same simulated fabric latency.
-func BenchmarkZLogAppendReplicated(b *testing.B) {
-	cluster := bootB(b, core.Options{
-		MDSs: 1, OSDs: 3, Pools: []string{"zlog"}, Replicas: 3,
-		NetLatency: 200 * time.Microsecond,
-	})
-	ctx := context.Background()
-	l, err := zlog.Open(ctx, cluster.Net, "client.bench", cluster.MonIDs(), zlog.Options{
-		Name: "bench", Pool: "zlog",
-		SeqPolicy: mds.CapPolicy{Cacheable: true, Quota: 1000, Delay: time.Second},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(l.Close)
-	payload := []byte("benchmark-entry-payload")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(ctx, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkZLogRead measures log reads (which never touch the
-// sequencer).
-func BenchmarkZLogRead(b *testing.B) {
-	cluster := bootB(b, core.Options{MDSs: 1, OSDs: 3, Pools: []string{"zlog"}, Replicas: 2})
-	ctx := context.Background()
-	l, err := zlog.Open(ctx, cluster.Net, "client.bench", cluster.MonIDs(), zlog.Options{
-		Name: "bench", Pool: "zlog",
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(l.Close)
-	const n = 64
-	for i := 0; i < n; i++ {
-		if _, err := l.Append(ctx, []byte("entry")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Read(ctx, uint64(i%n)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkBackoff measures Mantle policy evaluation itself — the
 // per-tick cost of programmable balancing (§6.2.3's knob lives in the
 // policy).
@@ -551,28 +443,6 @@ func BenchmarkBackoff(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkServiceMetadataCommit measures a full Paxos-committed
-// service-metadata update (the §4.1 interface everything versions
-// through).
-func BenchmarkServiceMetadataCommit(b *testing.B) {
-	cluster := bootB(b, core.Options{Mons: 3, OSDs: 2, ProposalInterval: 2 * time.Millisecond})
-	ctx := context.Background()
-	monc := cluster.NewMonClient("client.bench")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := monc.SetService(ctx, types.MapOSD, "bench.key", fmt.Sprint(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // benchPolicyGlobals installs the 16-rank tick input the fig-8 addendum
@@ -640,38 +510,5 @@ func TestPolicyEvalAllocations(t *testing.T) {
 		t.Errorf("fig-8 policy evaluation: %.1f allocs, want <= %d", got, maxAllocs)
 	} else {
 		t.Logf("fig-8 policy evaluation: %.1f allocs", got)
-	}
-}
-
-// BenchmarkOpCallWarm drives rc.Call for a script class through a
-// booted cluster with the class's compilation and VM pool warm: no
-// parse, no compile, no binding-table construction per call.
-func BenchmarkOpCallWarm(b *testing.B) {
-	cluster := bootB(b, core.Options{OSDs: 2, Pools: []string{"data"}, Replicas: 1})
-	ctx := context.Background()
-	rc := cluster.NewRadosClient("client.bench")
-	monc := cluster.NewMonClient("client.bench.mon")
-	src := `
-function touch(cls)
-	local v = tonumber(cls.omap_get("n")) or 0
-	cls.omap_set("n", tostring(v + 1))
-	return tostring(v + 1)
-end
-`
-	if err := monc.InstallClass(ctx, "bench", src, "other"); err != nil {
-		b.Fatal(err)
-	}
-	if err := rc.RefreshMap(ctx); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := rc.Call(ctx, "data", "o", "bench", "touch", nil); err != nil {
-		b.Fatal(err) // warm: class propagated, caches primed
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rc.Call(ctx, "data", "o", "bench", "touch", nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -161,7 +161,7 @@ func (c *Client) onRecall(path string) {
 	bestEffort := cs.quota == 0 && cs.deadline.IsZero()
 	c.mu.Unlock()
 	if bestEffort {
-		// Best-effort yields at the holder's next operation (localNext
+		// Best-effort yields at the holder's next operation (localNextN
 		// checks revoked); the timer covers holders that have gone idle.
 		time.AfterFunc(2*time.Millisecond, func() { c.releaseIfRevoked(path) })
 	}
@@ -286,13 +286,6 @@ func redirectOf(resp any) (redirect int, again bool) {
 		if r.Status == StRedirect {
 			return r.Redirect, false
 		}
-	case NextResp:
-		if r.Status == StRedirect {
-			return r.Redirect, false
-		}
-		if r.Status == StAgain {
-			return -1, true
-		}
 	case ReadResp:
 		if r.Status == StRedirect {
 			return r.Redirect, false
@@ -390,138 +383,13 @@ func (c *Client) SetPolicy(ctx context.Context, path string, p CapPolicy) error 
 	return nil
 }
 
-// Next returns the next sequencer value for path. When the inode's
-// policy allows caching, the client acquires the exclusive capability
-// and serves increments locally until its grant is exhausted or
-// recalled; otherwise every call is a round-trip (the Shared Resource
-// path).
+// Next returns the next sequencer value for path: a range of one.
+// When the inode's policy allows caching, the client acquires the
+// exclusive capability and serves increments locally until its grant is
+// exhausted or recalled; otherwise every call is a round-trip (the
+// Shared Resource path).
 func (c *Client) Next(ctx context.Context, path string) (uint64, error) {
-	// Fast path: local increment under a held capability.
-	if v, done := c.localNext(path); done {
-		return v, nil
-	}
-	c.mu.Lock()
-	rt := c.roundtrip[path]
-	c.mu.Unlock()
-	if !rt {
-		// Try to acquire the capability.
-		v, retry, err := c.acquireAndNext(ctx, path)
-		if err == nil {
-			return v, nil
-		}
-		if !retry {
-			return 0, err
-		}
-		// Policy denies caching: fall through to round-trips.
-	}
-	return c.remoteNext(ctx, path)
-}
-
-// localNext serves one increment from the held cap; returns done=false
-// when no usable cap is held.
-func (c *Client) localNext(path string) (uint64, bool) {
-	c.mu.Lock()
-	cs, ok := c.caps[path]
-	if !ok {
-		c.mu.Unlock()
-		return 0, false
-	}
-	now := time.Now()
-	if cs.expired(now) || (cs.revoked && cs.quota == 0 && cs.deadline.IsZero()) {
-		c.mu.Unlock()
-		c.releaseCap(path)
-		return 0, false
-	}
-	cs.value++
-	cs.used++
-	v := cs.value
-	c.localOps++
-	mustRelease := cs.expired(now)
-	c.mu.Unlock()
-	if mustRelease {
-		c.releaseCap(path)
-	}
-	return v, true
-}
-
-// acquireAndNext obtains the capability and serves the first increment.
-// retry=true means the policy denies caching and the caller should fall
-// back to round-trips.
-func (c *Client) acquireAndNext(ctx context.Context, path string) (v uint64, retry bool, err error) {
-	resp, err := c.call(ctx, path, func() any { return AcquireReq{Path: path, Client: c.self} })
-	if err != nil {
-		return 0, false, err
-	}
-	r := resp.(AcquireResp)
-	switch r.Status {
-	case StDenied:
-		c.mu.Lock()
-		c.roundtrip[path] = true
-		c.mu.Unlock()
-		return 0, true, fmt.Errorf("mds: caps denied on %s", path)
-	case StNotFound:
-		return 0, false, ErrNotFound
-	case StOK:
-	default:
-		return 0, false, fmt.Errorf("mds: acquire %s: %s", path, r.Status)
-	}
-	cs := &capState{value: r.Value, quota: r.Quota}
-	if r.Lease > 0 {
-		cs.deadline = time.Now().Add(r.Lease)
-		// Yield at the deadline even if the application stops calling
-		// Next, so waiters are not stuck until the force-reclaim.
-		time.AfterFunc(r.Lease+time.Millisecond, func() { c.releaseIfExpired(path) })
-	}
-	c.mu.Lock()
-	c.caps[path] = cs
-	if c.earlyRecall[path] {
-		delete(c.earlyRecall, path)
-		cs.revoked = true
-	}
-	cs.value++
-	cs.used++
-	v = cs.value
-	// The acquire round trip served this value: a remote op, like the
-	// round trip of remoteNext.
-	c.remoteOps++
-	// A best-effort grant that was already recalled yields after this
-	// one operation; delay/quota grants run to their boundary.
-	mustRelease := cs.expired(time.Now()) ||
-		(cs.revoked && cs.quota == 0 && cs.deadline.IsZero())
-	c.mu.Unlock()
-	if mustRelease {
-		c.releaseCap(path)
-	}
-	return v, false, nil
-}
-
-func (c *Client) releaseIfExpired(path string) {
-	c.mu.Lock()
-	cs, ok := c.caps[path]
-	expired := ok && cs.expired(time.Now())
-	c.mu.Unlock()
-	if expired {
-		c.releaseCap(path)
-	}
-}
-
-// remoteNext is the round-trip path.
-func (c *Client) remoteNext(ctx context.Context, path string) (uint64, error) {
-	resp, err := c.call(ctx, path, func() any { return NextReq{Path: path} })
-	if err != nil {
-		return 0, err
-	}
-	r := resp.(NextResp)
-	if r.Status == StNotFound {
-		return 0, ErrNotFound
-	}
-	if r.Status != StOK {
-		return 0, fmt.Errorf("mds: next %s: %s", path, r.Status)
-	}
-	c.mu.Lock()
-	c.remoteOps++
-	c.mu.Unlock()
-	return r.Value, nil
+	return c.NextN(ctx, path, 1)
 }
 
 // NextN returns the first value of a contiguous sequencer range
@@ -620,6 +488,8 @@ func (c *Client) acquireAndNextN(ctx context.Context, path string, n int) (first
 	cs := &capState{value: r.Value, quota: r.Quota}
 	if r.Lease > 0 {
 		cs.deadline = time.Now().Add(r.Lease)
+		// Yield at the deadline even if the application stops calling
+		// Next, so waiters are not stuck until the force-reclaim.
 		time.AfterFunc(r.Lease+time.Millisecond, func() { c.releaseIfExpired(path) })
 	}
 	c.mu.Lock()
@@ -634,6 +504,8 @@ func (c *Client) acquireAndNextN(ctx context.Context, path string, n int) (first
 	// The acquire round trip served this range: one remote op, like the
 	// range of remoteNextN.
 	c.remoteOps++
+	// A best-effort grant that was already recalled yields after this
+	// one operation; delay/quota grants run to their boundary.
 	mustRelease := cs.expired(time.Now()) ||
 		(cs.revoked && cs.quota == 0 && cs.deadline.IsZero())
 	c.mu.Unlock()
@@ -641,6 +513,16 @@ func (c *Client) acquireAndNextN(ctx context.Context, path string, n int) (first
 		c.releaseCap(path)
 	}
 	return first, false, nil
+}
+
+func (c *Client) releaseIfExpired(path string) {
+	c.mu.Lock()
+	cs, ok := c.caps[path]
+	expired := ok && cs.expired(time.Now())
+	c.mu.Unlock()
+	if expired {
+		c.releaseCap(path)
+	}
 }
 
 // remoteNextN is the round-trip range path: one message buys n values.

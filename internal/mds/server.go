@@ -249,8 +249,6 @@ func (s *Server) handle(ctx context.Context, from wire.Addr, req any) (any, erro
 	switch r := req.(type) {
 	case OpenReq:
 		return s.handleOpen(r), nil
-	case NextReq:
-		return s.handleNext(ctx, r), nil
 	case NextNReq:
 		return s.handleNextN(ctx, r), nil
 	case ReadReq:
@@ -329,43 +327,9 @@ func (s *Server) resolve(path string) (ino *inode, fwd int, redir int) {
 	return nil, -1, -1
 }
 
-func (s *Server) handleNext(ctx context.Context, r NextReq) NextResp {
-	s.countOp()
-	ino, fwd, redir := s.resolve(r.Path)
-	switch {
-	case redir >= 0:
-		// Client-mode redirect: cheap, no service work.
-		return NextResp{Status: StRedirect, Redirect: redir}
-	case fwd >= 0 && !r.Proxied:
-		// Proxy mode: this rank pays request handling, the authority
-		// pays the service cost (the pipeline split of Section 6.2.1).
-		s.work(s.cfg.HandleTime)
-		resp, err := s.net.Call(ctx, s.Addr(), MDSAddr(fwd), NextReq{Path: r.Path, Proxied: true})
-		if err != nil {
-			return NextResp{Status: StAgain}
-		}
-		return resp.(NextResp)
-	case ino == nil:
-		return NextResp{Status: StNotFound}
-	}
-
-	if r.Proxied {
-		s.work(s.cfg.ServiceTime)
-	} else {
-		s.work(s.cfg.HandleTime + s.cfg.ServiceTime)
-	}
-	s.coherence(ctx, ino)
-
-	v, ok := s.advance(ino)
-	if !ok {
-		return NextResp{Status: StAgain}
-	}
-	return NextResp{Status: StOK, Value: v}
-}
-
 // handleNextN allocates a contiguous range of r.N sequencer values in
-// one request. One range grant pays the same handle/service cost as one
-// Next — that amortization is the whole point of the batched path.
+// one request. A range pays the handle/service cost of a single value —
+// that amortization is the whole point of the batched path.
 func (s *Server) handleNextN(ctx context.Context, r NextNReq) NextNResp {
 	s.countOp()
 	if r.N <= 0 {
@@ -374,8 +338,11 @@ func (s *Server) handleNextN(ctx context.Context, r NextNReq) NextNResp {
 	ino, fwd, redir := s.resolve(r.Path)
 	switch {
 	case redir >= 0:
+		// Client-mode redirect: cheap, no service work.
 		return NextNResp{Status: StRedirect, Redirect: redir}
 	case fwd >= 0 && !r.Proxied:
+		// Proxy mode: this rank pays request handling, the authority
+		// pays the service cost (the pipeline split of Section 6.2.1).
 		s.work(s.cfg.HandleTime)
 		resp, err := s.net.Call(ctx, s.Addr(), MDSAddr(fwd), NextNReq{Path: r.Path, N: r.N, Proxied: true})
 		if err != nil {
@@ -463,12 +430,6 @@ func (s *Server) coherence(ctx context.Context, ino *inode) {
 	defer cancel()
 	//lint:ignore errdrop the coherence round-trip exists to burn simulated time; a lost one only undercounts the tax
 	_, _ = s.net.Call(cctx, s.Addr(), MDSAddr(origin), CoherenceMsg{Path: ino.Path, Terminal: true})
-}
-
-// advance increments the sequencer value server-side, first reclaiming
-// any outstanding cached capability.
-func (s *Server) advance(ino *inode) (uint64, bool) {
-	return s.advanceN(ino, 1)
 }
 
 // advanceN advances the sequencer by n server-side and returns the

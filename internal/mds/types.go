@@ -130,24 +130,9 @@ type OpenResp struct {
 	Redirect int // valid when Status == StRedirect
 }
 
-// NextReq asks the authoritative server for the next sequencer value —
-// the round-trip (shared resource) access path.
-type NextReq struct {
-	Path string
-	// Proxied marks an MDS-to-MDS forward (proxy mode); it is served
-	// without further forwarding.
-	Proxied bool
-}
-
-// NextResp answers NextReq.
-type NextResp struct {
-	Status   Status
-	Value    uint64
-	Redirect int
-}
-
 // NextNReq asks the authoritative server for a contiguous range of N
-// sequencer values in one round-trip — the batched allocation that
+// sequencer values in one round-trip: with N = 1 the round-trip (shared
+// resource) access path, with more the batched allocation that
 // amortizes the sequencer over many log appends (§5.2.1, Figures 5–7).
 type NextNReq struct {
 	Path string

@@ -415,13 +415,16 @@ func (c *Client) ReadDeduped(ctx context.Context, pool, object string) ([]byte, 
 		return nil, fmt.Errorf("rados: %s: %w", object, err)
 	}
 
-	out := make([]byte, 0, man.TotalLen)
+	// The manifest's lengths are only claims: check each extent against
+	// the block fetched for it before TotalLen sizes the output.
 	for i := range man.Chunks {
-		b := &blocks[extent[i]]
-		if len(b.data) != man.Chunks[i].Len {
+		if b := &blocks[extent[i]]; len(b.data) != man.Chunks[i].Len {
 			return nil, fmt.Errorf("rados: %s: block %s is %d bytes, manifest says %d", object, b.name, len(b.data), man.Chunks[i].Len)
 		}
-		out = append(out, b.data...)
+	}
+	out := make([]byte, 0, man.TotalLen)
+	for _, at := range extent {
+		out = append(out, blocks[at].data...)
 	}
 	return out, nil
 }

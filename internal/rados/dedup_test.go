@@ -3,10 +3,12 @@ package rados
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -246,6 +248,33 @@ func TestReadDedupedPassthroughOnFlatObject(t *testing.T) {
 	}
 	if string(got) != "not a manifest" {
 		t.Fatalf("passthrough read = %q", got)
+	}
+}
+
+// TestReadDedupedChecksLengthsBeforeAllocating reads a 58-byte manifest
+// that claims 1 GiB on a 10-byte block: the read must fail on the
+// length mismatch before the claimed size sizes its output buffer.
+func TestReadDedupedChecksLengthsBeforeAllocating(t *testing.T) {
+	tc := bootCluster(t, 2, 2)
+	ctx := ctxT(t, 10*time.Second)
+	block := []byte("ten bytes!")
+	if _, err := tc.client.WriteDeduped(ctx, "data", "real", block, nil); err != nil {
+		t.Fatal(err)
+	}
+	const claim = 1 << 30
+	forged := EncodeManifest(&Manifest{TotalLen: claim, Chunks: []ManifestChunk{{Hash: sha256.Sum256(block), Len: claim}}})
+	if err := tc.client.WriteFull(ctx, "data", "forged", forged); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := tc.client.ReadDeduped(ctx, "data", "forged")
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a manifest claiming 1 GiB on a 10-byte block read back")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
+		t.Fatalf("the failed read allocated %d bytes, want < 1 MiB", grown)
 	}
 }
 

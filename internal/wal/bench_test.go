@@ -10,9 +10,8 @@ import (
 // BenchmarkWALAppend measures durable appends/sec at increasing commit
 // concurrency. Every append is individually committed (Append+Sync),
 // so batch1 pays one fsync per record while batch64 lets the group
-// commit amortize one fsync over many waiters — the ≥3× speedup at
-// batch 64 is an acceptance criterion pinned by bench-compare
-// (wal_group_commit_speedup in BENCH_pr10.json).
+// commit amortize one fsync over many waiters. TestGroupCommitConcurrent
+// pins the batching as a count of fsyncs.
 func BenchmarkWALAppend(b *testing.B) {
 	for _, batch := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
@@ -49,8 +48,8 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkWALReplay measures recovery throughput: open a prebuilt log
-// and replay every record. The MB/s metric is pinned as wal_replay_mbps
-// in BENCH_pr10.json.
+// and replay every record. TestReplayThroughputFloor holds its MB/s at
+// 100 or more.
 func BenchmarkWALReplay(b *testing.B) {
 	const records = 4096
 	const recSize = 1024

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -229,11 +230,17 @@ func TestGroupCommitBatchesSyncs(t *testing.T) {
 	}
 }
 
+// TestGroupCommitConcurrent runs 64 writers that each commit their own
+// records (Append, then Sync) and counts fsync batches: a leader's fsync
+// must cover the records appended while the previous one ran, so the
+// log syncs at most once per three appends. Every record replays.
+// The count needs a second P: with GOMAXPROCS=1 no writer runs while a
+// short fsync is in the kernel, so there is nothing to batch.
 func TestGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{})
-	const writers = 8
-	const per = 50
+	const writers = 64
+	const per = 32
 	var wg sync.WaitGroup
 	wg.Add(writers)
 	for w := 0; w < writers; w++ {
@@ -256,8 +263,12 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if l.Appended() != total {
 		t.Fatalf("Appended = %d, want %d", l.Appended(), total)
 	}
-	if n := l.Syncs(); n > total {
-		t.Fatalf("fsync batches (%d) exceed appends (%d): group commit broken", n, total)
+	if n := l.Syncs(); runtime.GOMAXPROCS(0) < 2 {
+		t.Logf("GOMAXPROCS=1: %d appends ran %d fsync batches, not checked", total, n)
+	} else if 3*n > total {
+		t.Fatalf("%d appends ran %d fsync batches, want at most a third as many: group commit broken", total, n)
+	} else {
+		t.Logf("%d appends ran %d fsync batches (%.2f per append)", total, n, float64(n)/float64(total))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
