@@ -5,11 +5,7 @@ GO ?= go
 SCENARIO ?= all
 SEED ?= 1
 
-# lint-diff baseline: `make lint-diff BASE=origin/main` reports only
-# findings in packages with .go files changed since BASE.
-BASE ?= HEAD~1
-
-.PHONY: build test race vet lint lint-json lint-sarif lint-diff lint-fixtures \
+.PHONY: build test race vet lint lint-json lint-sarif lint-fixtures \
 	bench bench-smoke bench-module chaos chaos-race cover ci loc \
 	profile fuzz-smoke
 
@@ -50,12 +46,6 @@ lint-json:
 lint-sarif:
 	$(GO) run ./cmd/malacolint -json -sarif malacolint.sarif -timebudget $(LINT_BUDGET) ./... > malacolint-report.json; \
 	status=$$?; cat malacolint-report.json; exit $$status
-
-# Fast pre-gate: the whole program is still loaded (cross-package facts
-# stay global), but only findings in packages changed since $(BASE) are
-# reported.
-lint-diff:
-	$(GO) run ./cmd/malacolint -diff $(BASE) ./...
 
 # The analyzers' own golden-fixture tests plus the waiver budget. CI runs
 # this target, so this regex is the one list.

@@ -101,7 +101,7 @@ func table2(context.Context) error {
 	fmt.Println("Table 2: common internal abstractions exposed as interfaces")
 	rows := [][3]string{
 		{"interface", "provides (paper)", "realized here as"},
-		{"Service Metadata", "consensus/consistency", "mon.Client.SetService + validators + map pushes (internal/mon)"},
+		{"Service Metadata", "consensus/consistency", "mon.Client.SetService + map pushes (internal/mon)"},
 		{"Data I/O", "transaction/atomicity", "script object classes in the OSDMap, atomic undo-log exec (internal/rados)"},
 		{"Shared Resource", "serialization/batching", "recallable capabilities: best-effort/delay/quota (internal/mds)"},
 		{"File Type", "data/metadata access", "typed inodes (sequencer counter embedded in the inode) (internal/mds)"},

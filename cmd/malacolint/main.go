@@ -6,21 +6,17 @@
 // Usage:
 //
 //	malacolint [-passes epochguard,errdrop] [-list] [-json] [-waivers]
-//	           [-sarif out.sarif] [-diff ref] [-timebudget 3m] [packages]
+//	           [-sarif out.sarif] [-timebudget 3m] [packages]
 //
 // -json prints the findings (or, with -waivers, the waiver list) as a
 // machine-readable report on stdout; CI archives it as a build
 // artifact. -waivers lists every //lint:ignore marker instead of
 // running the analyzers, so the audited-exception budget is one
 // command away. -sarif additionally writes the findings as a SARIF
-// 2.1.0 log for code-scanning upload. -diff restricts *reported*
-// findings to packages with files changed since the given git ref —
-// the whole program is still loaded, so cross-package passes keep
-// their global facts — which makes a fast pre-gate for large trees.
-// -timebudget fails the run (exit 1) when load + analysis exceed the
-// given duration: a smoke check that keeps the pass suite fast enough
-// to stay in the edit loop. The JSON report records the measured
-// suite runtime as elapsed_ms either way.
+// 2.1.0 log for code-scanning upload. -timebudget fails the run (exit
+// 1) when load + analysis exceed the given duration: a smoke check that
+// keeps the pass suite fast enough to stay in the edit loop. The JSON
+// report records the measured suite runtime as elapsed_ms either way.
 //
 // The package patterns default to ./... and are resolved by `go list`
 // relative to the current directory.
@@ -31,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"time"
@@ -63,7 +58,6 @@ func main() {
 		jsonFlag    = flag.Bool("json", false, "emit a machine-readable JSON report on stdout")
 		waiversFlag = flag.Bool("waivers", false, "list //lint:ignore waivers instead of running the analyzers")
 		sarifFlag   = flag.String("sarif", "", "also write findings as a SARIF 2.1.0 log to this path")
-		diffFlag    = flag.String("diff", "", "report only findings in packages changed since this git ref")
 		budgetFlag  = flag.Duration("timebudget", 0, "fail if load + analysis exceed this wall-clock duration (0 disables)")
 	)
 	flag.Parse()
@@ -158,21 +152,6 @@ func main() {
 	diags = analysis.Dedupe(analysis.ApplySuppressions(pkgs, diags, selected...))
 	elapsed := time.Since(start)
 
-	if *diffFlag != "" {
-		dirs, err := changedDirs(cwd, *diffFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "malacolint: -diff %s: %v\n", *diffFlag, err)
-			os.Exit(2)
-		}
-		kept := diags[:0]
-		for _, d := range diags {
-			if dirs[filepath.Dir(relPath(d.Pos.Filename))] {
-				kept = append(kept, d)
-			}
-		}
-		diags = kept
-	}
-
 	if *sarifFlag != "" {
 		out, err := analysis.SARIF(diags, relPath)
 		if err == nil {
@@ -221,24 +200,4 @@ func main() {
 	if fail {
 		os.Exit(1)
 	}
-}
-
-// changedDirs lists the repo-relative directories containing .go files
-// changed since ref, per git.
-func changedDirs(cwd, ref string) (map[string]bool, error) {
-	out, err := exec.Command("git", "-C", cwd, "diff", "--name-only", ref, "--", "*.go").Output()
-	if err != nil {
-		if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
-			return nil, fmt.Errorf("%v: %s", err, strings.TrimSpace(string(ee.Stderr)))
-		}
-		return nil, err
-	}
-	dirs := make(map[string]bool)
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		if line == "" {
-			continue
-		}
-		dirs[filepath.Dir(filepath.FromSlash(line))] = true
-	}
-	return dirs, nil
 }

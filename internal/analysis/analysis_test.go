@@ -314,6 +314,206 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
+// TestEveryOptionHasACaller requires every exported field of every
+// non-test struct type named *Config or *Options, in the module and in
+// bench/, to be set by non-test code other than its own defaults: a
+// knob nothing sets is dead surface whose zero value has only ever
+// meant the default. A set is a composite-literal key (a positional
+// literal sets every field) or an assignment to the field; an
+// assignment in the body of an if whose condition reads the same field
+// (`if c.X <= 0 { c.X = d }`) is a default and does not count. A knob
+// only tests set is allowlisted with the test that sets it.
+func TestEveryOptionHasACaller(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-repo load is not short")
+	}
+	testOnly := map[string]string{ // field -> a test that sets it
+		"repro/internal/chaos.Options.SkipRemoteCensus":     "TestBrokenCensusIsCaught",
+		"repro/internal/chaos.Options.SkipSealOnRecovery":   "TestBrokenRecoveryIsCaught",
+		"repro/internal/core.Options.NetJitter":             "TestAppendsUnderNetworkJitter",
+		"repro/internal/mon.Config.BeaconTimeout":           "TestBeaconTimeoutMarksDown",
+		"repro/internal/rados.OSDConfig.BeaconInterval":     "TestBeaconTimeoutMarksDown",
+		"repro/internal/rados.OSDConfig.ReplicaWaitTimeout": "TestTxnForwardsApplyInVersionOrder",
+		"repro/internal/wal.Options.SegmentSize":            "TestSegmentRotation",
+	}
+	root := moduleRoot(t)
+	var pkgs []*Package
+	for _, dir := range []string{root, filepath.Join(root, "bench")} {
+		loaded, err := Load(dir, []string{"./..."})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, loaded...)
+	}
+	knobs := make(map[string]string) // field key -> declaration position
+	set := make(map[string]bool)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for key, pos := range optionFields(pkg, f) {
+				knobs[key] = pos
+			}
+			for _, key := range fieldSets(pkg.Info, f) {
+				set[key] = true
+			}
+		}
+	}
+	keys := make([]string, 0, len(knobs))
+	for key := range knobs {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if !set[key] && testOnly[key] == "" {
+			t.Errorf("%s: %s is set by no caller but its defaults: delete it or make it a constant", knobs[key], key)
+		}
+	}
+	for key, test := range testOnly {
+		switch {
+		case knobs[key] == "":
+			t.Errorf("allowlisted %s (%s) no longer exists", key, test)
+		case set[key]:
+			t.Errorf("allowlisted %s is now set outside tests: drop it from the allowlist", key)
+		}
+	}
+}
+
+// optionFields maps "pkgpath.Type.Field" to its position for every
+// exported field of every struct type in f named *Config or *Options.
+func optionFields(pkg *Package, f *ast.File) map[string]string {
+	out := make(map[string]string)
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			ts, ok := spec.(*ast.TypeSpec)
+			if !ok || !(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")) {
+				continue
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				continue
+			}
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					if name.IsExported() {
+						key := pkg.Path + "." + ts.Name.Name + "." + name.Name
+						out[key] = pkg.Fset.Position(name.Pos()).String()
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// fieldSets lists the key of every struct field f sets outside a
+// default (see TestEveryOptionHasACaller).
+func fieldSets(info *types.Info, f *ast.File) []string {
+	defaults := make(map[ast.Expr]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		is, ok := n.(*ast.IfStmt)
+		if !ok {
+			return true
+		}
+		tested := make(map[string]bool)
+		ast.Inspect(is.Cond, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if key, ok := selectedField(info, sel); ok {
+					tested[key] = true
+				}
+			}
+			return true
+		})
+		for _, stmt := range is.Body.List {
+			if as, ok := stmt.(*ast.AssignStmt); ok {
+				for _, lhs := range as.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						if key, ok := selectedField(info, sel); ok && tested[key] {
+							defaults[lhs] = true
+						}
+					}
+				}
+			}
+		}
+		return true
+	})
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok && !defaults[lhs] {
+					if key, ok := selectedField(info, sel); ok {
+						out = append(out, key)
+					}
+				}
+			}
+		case *ast.CompositeLit:
+			named, st := namedStruct(info.TypeOf(n))
+			if st == nil {
+				return true
+			}
+			prefix := named.Obj().Pkg().Path() + "." + named.Obj().Name() + "."
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						out = append(out, prefix+id.Name)
+					}
+				} else if i < st.NumFields() {
+					out = append(out, prefix+st.Field(i).Name())
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// selectedField names the field sel selects as "pkgpath.Type.Field",
+// resolving a promoted field to the struct that declares it.
+func selectedField(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal {
+		return "", false
+	}
+	t := s.Recv()
+	path := s.Index()
+	for _, i := range path[:len(path)-1] {
+		st, ok := derefType(t).Underlying().(*types.Struct)
+		if !ok {
+			return "", false
+		}
+		t = st.Field(i).Type()
+	}
+	named, _ := namedStruct(t)
+	if named == nil {
+		return "", false
+	}
+	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + s.Obj().Name(), true
+}
+
+// namedStruct returns t (or what it points to) as a named struct type.
+func namedStruct(t types.Type) (*types.Named, *types.Struct) {
+	named, ok := derefType(t).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return nil, nil
+	}
+	st, ok := named.Underlying().(*types.Struct)
+	if !ok {
+		return nil, nil
+	}
+	return named.Origin(), st
+}
+
+func derefType(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
 // TestWaiverBudget pins the repository-wide waiver count: adding a
 // //lint:ignore marker anywhere means deliberately updating these
 // numbers in the same change, so the audited-exception budget can only

@@ -238,9 +238,8 @@ func runSequencerFailover(ctx context.Context, r *run) error {
 		ProposalInterval: 5 * time.Millisecond,
 		OSD:              fastOSD(),
 		MDS: mds.Config{
-			RecallTimeout:  150 * time.Millisecond,
-			JournalEvery:   8,
-			BeaconInterval: 25 * time.Millisecond,
+			RecallTimeout: 150 * time.Millisecond,
+			JournalEvery:  8,
 		},
 	}); err != nil {
 		return err

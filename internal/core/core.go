@@ -47,8 +47,6 @@ type Options struct {
 	// GossipFanout limits direct monitor pushes of OSDMap updates; the
 	// remainder propagate OSD-to-OSD (Figure 8's pipeline). 0 = all.
 	GossipFanout int
-	// BeaconTimeout enables the failure detector; zero disables.
-	BeaconTimeout time.Duration
 
 	// NetLatency/NetJitter configure the simulated network.
 	NetLatency time.Duration
@@ -56,7 +54,7 @@ type Options struct {
 	Seed       int64
 
 	// MDS carries the metadata-server cost model and balancer settings;
-	// Rank/Mons/Pool are filled per rank at boot.
+	// Rank/Mons are filled per rank at boot.
 	MDS mds.Config
 	// MDSBalancer, when set, builds a per-rank balancer (overriding
 	// MDS.Balancer); each rank needs its own instance because policy
@@ -162,7 +160,6 @@ func (c *Cluster) start(ctx context.Context) (err error) {
 			Peers:            c.monIDs,
 			ProposalInterval: opts.ProposalInterval,
 			GossipFanout:     opts.GossipFanout,
-			BeaconTimeout:    opts.BeaconTimeout,
 			Paxos:            pxCfg,
 		})
 		m.Start()
@@ -228,9 +225,6 @@ func (c *Cluster) startMDS(ctx context.Context, r int) (*mds.Server, error) {
 	cfg := c.opts.MDS
 	cfg.Rank = r
 	cfg.Mons = c.monIDs
-	if cfg.Pool == "" {
-		cfg.Pool = "metadata"
-	}
 	if c.opts.MDSBalancer != nil {
 		cfg.Balancer = c.opts.MDSBalancer(r)
 	}

@@ -42,6 +42,10 @@ type journalEntry struct {
 	Target int       `json:"target,omitempty"`
 }
 
+// journalPool is the RADOS pool holding every rank's journal; core.Boot
+// always creates it.
+const journalPool = "metadata"
+
 func journalObject(rank int) string { return fmt.Sprintf("mds.journal.%d", rank) }
 
 // journal appends one namespace record to this rank's journal object
@@ -59,7 +63,7 @@ func (s *Server) journal(e journalEntry) {
 func (s *Server) appendJournal(lines []byte) error {
 	ctx, cancel := stopctx.WithTimeout(s.stopCh, 2*time.Second)
 	defer cancel()
-	return s.rc.Append(ctx, s.cfg.Pool, journalObject(s.cfg.Rank), lines)
+	return s.rc.Append(ctx, journalPool, journalObject(s.cfg.Rank), lines)
 }
 
 func (s *Server) logJournalErr(err error) {
@@ -146,7 +150,7 @@ func (s *Server) flushCheckpoints() {
 
 // replayJournal folds a rank's journal into an inode table.
 func (s *Server) replayJournal(ctx context.Context, rank int) (map[string]*inode, error) {
-	raw, err := s.rc.Read(ctx, s.cfg.Pool, journalObject(rank))
+	raw, err := s.rc.Read(ctx, journalPool, journalObject(rank))
 	if err != nil {
 		if errors.Is(err, rados.ErrNotFound) {
 			return map[string]*inode{}, nil

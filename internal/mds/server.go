@@ -19,9 +19,6 @@ import (
 type Config struct {
 	Rank int
 	Mons []int
-	// Pool is the RADOS pool holding the rank's journal and (for
-	// Mantle) balancer policy objects.
-	Pool string
 
 	// HandleTime models the CPU cost of receiving/parsing/responding to
 	// one client request. ServiceTime models the cost of the actual
@@ -40,8 +37,6 @@ type Config struct {
 	BalanceInterval time.Duration
 	// Balancer decides migrations each tick; nil disables balancing.
 	Balancer Balancer
-	// BeaconInterval reports liveness to the monitors; zero disables.
-	BeaconInterval time.Duration
 	// RecallTimeout force-reclaims a capability from an unresponsive
 	// client (Section 5.2.2: "a timeout is used to determine when a
 	// client should be considered unavailable").
@@ -53,9 +48,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.Pool == "" {
-		c.Pool = "metadata"
-	}
 	if c.RecallTimeout <= 0 {
 		c.RecallTimeout = 2 * time.Second
 	}
@@ -153,7 +145,7 @@ func (s *Server) Rank() int { return s.cfg.Rank }
 
 // Start registers the rank, joins the cluster (mon.Client.Join: boot
 // into the MDS map while subscribing to its pushes, starting on the map
-// the join was answered with), and launches the balance/beacon loops.
+// the join was answered with), and launches the balance loop.
 // A rank of a fresh cluster has no down peer to take over, so it reads
 // nothing from RADOS here and may start before the OSDs are up.
 func (s *Server) Start(ctx context.Context) error {
@@ -167,10 +159,6 @@ func (s *Server) Start(ctx context.Context) error {
 	if s.cfg.BalanceInterval > 0 {
 		s.wg.Add(1)
 		go s.balanceLoop()
-	}
-	if s.cfg.BeaconInterval > 0 {
-		s.wg.Add(1)
-		go s.beaconLoop()
 	}
 	return nil
 }
@@ -564,27 +552,6 @@ func (s *Server) handleSetValue(r SetValueReq) SetValueResp {
 // crashed recovery releases the inode promptly.
 func (s *Server) fenceWindow() time.Duration {
 	return 300 * time.Millisecond
-}
-
-// ---- beacons ----
-
-func (s *Server) beaconLoop() {
-	defer s.wg.Done()
-	ctx0, cancel0 := context.WithTimeout(context.Background(), s.cfg.BeaconInterval*2)
-	s.monc.Beacon(ctx0, types.EntityMDS, s.cfg.Rank)
-	cancel0()
-	ticker := time.NewTicker(s.cfg.BeaconInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-ticker.C:
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.BeaconInterval*2)
-		s.monc.Beacon(ctx, types.EntityMDS, s.cfg.Rank)
-		cancel()
-	}
 }
 
 // ---- helpers ----

@@ -5,8 +5,7 @@
 // engine it exposes:
 //
 //   - the Service Metadata interface: a strongly consistent key-value
-//     bucket on each cluster map, with optional host-registered
-//     validators (authorization / sanitization hooks);
+//     bucket on each cluster map;
 //   - dynamic object-interface installation: script classes embedded in
 //     the OSDMap and propagated cluster-wide (Section 4.2, Figure 8);
 //   - Mantle balancer-version management (Section 5.1.1);
@@ -64,12 +63,6 @@ type LogEntry struct {
 	Source string    `json:"source"`
 	Msg    string    `json:"msg"`
 }
-
-// Validator inspects an op before it is admitted to the proposal queue.
-// Returning an error rejects the whole update. This is the hook the paper
-// describes for service-specific logic on the Service Metadata interface
-// (authorization control, value sanitization).
-type Validator func(op types.Op) error
 
 // ---- RPC message types ----
 
@@ -174,7 +167,6 @@ type Monitor struct {
 	logSeq      int                           // guarded by mu
 	pending     []pendingUpdate               // guarded by mu
 	subscribers map[wire.Addr]map[string]bool // guarded by mu
-	validators  []Validator                   // guarded by mu
 	lastBeacon  map[string]time.Time          // guarded by mu; "kind.id" -> last report
 	// published holds the maps as of the last applied Paxos slot: the
 	// clones applyCommitted pushes, and what commits and subscriptions
@@ -279,14 +271,6 @@ func (m *Monitor) IsLeader() bool { return m.px.IsLeader() }
 // code and tests that cannot wait for timeout-driven elections.
 func (m *Monitor) Lead(ctx context.Context) error { return m.px.BecomeLeader(ctx) }
 
-// RegisterValidator installs a pre-commit hook on this monitor. Only the
-// leader consults validators, so install the same hooks on every monitor.
-func (m *Monitor) RegisterValidator(v Validator) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.validators = append(m.validators, v)
-}
-
 // handle is the single fabric endpoint: Paxos traffic and client RPCs.
 func (m *Monitor) handle(ctx context.Context, from wire.Addr, req any) (any, error) {
 	switch r := req.(type) {
@@ -361,16 +345,8 @@ func (m *Monitor) handleSubmit(ctx context.Context, r SubmitReq) (any, error) {
 		}
 		return SubmitResp{OK: false, Err: "not leader", Leader: hint}, nil
 	}
-	m.mu.Lock()
-	for _, v := range m.validators {
-		for _, op := range r.Update.Ops {
-			if err := v(op); err != nil {
-				m.mu.Unlock()
-				return SubmitResp{OK: false, Err: err.Error(), Leader: m.cfg.ID}, nil
-			}
-		}
-	}
 	done := make(chan committed, 1)
+	m.mu.Lock()
 	m.pending = append(m.pending, pendingUpdate{u: r.Update, done: done})
 	m.mu.Unlock()
 

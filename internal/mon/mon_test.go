@@ -171,26 +171,53 @@ func TestSubmitViaFollowerForwards(t *testing.T) {
 	}
 }
 
-func TestValidatorRejects(t *testing.T) {
+func TestBeaconSilenceMarksDaemonsDown(t *testing.T) {
+	// The failure detector: an OSD and an MDS rank that beaconed once
+	// and then went silent are both proposed down once BeaconTimeout
+	// passes.
 	net := wire.NewNetwork()
-	mons := testQuorum(t, net, 3)
-	for _, m := range mons {
-		m.RegisterValidator(func(op types.Op) error {
-			if op.Code == types.OpServiceSet && strings.HasPrefix(op.Key, "restricted.") {
-				return fmt.Errorf("key %q requires authorization", op.Key)
-			}
-			return nil
-		})
-	}
-	c := NewClient(net, "client.0", []int{0, 1, 2})
+	m := New(net, Config{
+		ID: 0, Peers: []int{0},
+		ProposalInterval: 5 * time.Millisecond,
+		BeaconTimeout:    60 * time.Millisecond,
+		Paxos: paxos.Config{
+			HeartbeatInterval: 10 * time.Millisecond,
+			ElectionTimeout:   100 * time.Millisecond,
+		},
+	})
+	m.Start()
+	t.Cleanup(m.Stop)
 	ctx := ctxT(t, 5*time.Second)
-	err := c.SetService(ctx, types.MapOSD, "restricted.secret", "x")
-	if err == nil || !strings.Contains(err.Error(), "authorization") {
-		t.Fatalf("err = %v, want authorization rejection", err)
-	}
-	// Unrestricted keys still work.
-	if err := c.SetService(ctx, types.MapOSD, "open.key", "y"); err != nil {
+	if err := m.Lead(ctx); err != nil {
 		t.Fatal(err)
+	}
+	c := NewClient(net, "client.0", []int{0})
+	if _, err := c.Submit(ctx, types.Update{Ops: []types.Op{
+		OSDBootOp(0, "osd.0"), MDSBootOp(0, "mds.0"),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	c.Beacon(ctx, types.EntityOSD, 0)
+	c.Beacon(ctx, types.EntityMDS, 0)
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		osdMap, err := c.GetOSDMap(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mdsMap, err := c.GetMDSMap(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if osdMap.OSDs[0].State == types.StateDown && mdsMap.Ranks[0].State == types.StateDown {
+			return
+		}
+		select {
+		case <-ctx.Done():
+			t.Fatalf("silent daemons not marked down: osd.0 %v, mds.0 %v", osdMap.OSDs[0].State, mdsMap.Ranks[0].State)
+		case <-tick.C:
+		}
 	}
 }
 

@@ -33,16 +33,13 @@ type Client struct {
 
 	// acks tallies the replica answers of this client's mutations
 	// (acks.go); they arrive at its endpoint, which listens from the
-	// first mutation or watch until Close. listening and closed change
+	// first mutation until Close. listening and closed change
 	// under mu, which orders a first listen against Close.
 	acks      ackTable
 	listening atomic.Bool
 	closed    atomic.Bool
 
 	mu sync.Mutex
-	// watch/notify state (see watch.go).
-	watches  map[uint64]*WatchHandle // guarded by mu
-	watchSeq uint64                  // guarded by mu
 }
 
 // clientIncarnation separates the OpID streams of successive Client
@@ -98,8 +95,8 @@ func (c *Client) MapEpoch() types.Epoch { return c.view.Load().m.Epoch }
 // read-only).
 func (c *Client) CachedMap() *types.OSDMap { return c.view.Load().m }
 
-// listen registers the client's endpoint, where replica acks, relays
-// and watch notifications arrive; false once the client is closed.
+// listen registers the client's endpoint, where replica acks and relays
+// arrive; false once the client is closed.
 func (c *Client) listen() bool {
 	if c.listening.Load() {
 		return true
@@ -133,7 +130,7 @@ func (c *Client) Close() {
 }
 
 // handle is the client's fabric endpoint: the answers for its
-// mutations' replicas and watch notifications.
+// mutations' replicas.
 func (c *Client) handle(_ context.Context, from wire.Addr, req any) (any, error) {
 	switch m := req.(type) {
 	case *replicaAck:
@@ -142,8 +139,6 @@ func (c *Client) handle(_ context.Context, from wire.Addr, req any) (any, error)
 	case *relayAck:
 		c.acks.note(m.OpID, m.Peer)
 		return nil, nil
-	case notifyPush:
-		return c.handlePush(m)
 	}
 	return nil, fmt.Errorf("rados: client %s: unexpected %T", c.self, req)
 }

@@ -24,19 +24,13 @@ type OSDConfig struct {
 	// random peers (the peer-to-peer propagation of Section 4.4 that
 	// Figure 8 measures).
 	GossipInterval time.Duration
-	// GossipFanout is how many peers each gossip round contacts, and the
-	// arity of the tree a newly installed map is flooded along (floodMap).
-	GossipFanout int
 	// BeaconInterval is how often the OSD reports liveness to the
 	// monitors; zero disables beacons.
 	BeaconInterval time.Duration
-	// ScrubInterval is how often primaries compare replica digests and
-	// repair divergence; zero disables background scrub.
-	ScrubInterval time.Duration
 	// ReplicaWaitTimeout bounds how long a replica buffers an
 	// out-of-order forward waiting for the preceding mutation of the
-	// same object; on expiry it applies anyway and scrub repairs any
-	// residual divergence. Zero means the default.
+	// same object; on expiry it applies anyway and a scrub (ScrubNow)
+	// repairs any residual divergence. Zero means the default.
 	ReplicaWaitTimeout time.Duration
 	// GCInterval is how often the dedup GC sweeper reclaims the blocks
 	// no manifest cites (osd_gc.go); zero disables the background loop
@@ -60,6 +54,10 @@ type OSDConfig struct {
 	SkipRemoteCensus bool
 }
 
+// gossipFanout is how many peers each gossip round contacts, and the
+// arity of the tree a newly installed map is flooded along (floodMap).
+const gossipFanout = 2
+
 // defaultReplicaWaitTimeout is ReplicaWaitTimeout's default, and the
 // sender's silence bound on replica acks (ackWait).
 const defaultReplicaWaitTimeout = 250 * time.Millisecond
@@ -67,9 +65,6 @@ const defaultReplicaWaitTimeout = 250 * time.Millisecond
 func (c *OSDConfig) defaults() {
 	if c.GossipInterval <= 0 {
 		c.GossipInterval = 50 * time.Millisecond
-	}
-	if c.GossipFanout <= 0 {
-		c.GossipFanout = 2
 	}
 	if c.ReplicaWaitTimeout <= 0 {
 		c.ReplicaWaitTimeout = defaultReplicaWaitTimeout
@@ -82,16 +77,15 @@ func (c *OSDConfig) defaults() {
 // OSD is one object storage daemon: it owns replicas of placement
 // groups, serves object operations, executes class methods next to the
 // data, replicates writes to its peers, gossips cluster maps, and
-// scrubs in the background.
+// scrubs on demand (ScrubNow).
 type OSD struct {
-	cfg      OSDConfig
-	addr     wire.Addr // OSDAddr(cfg.ID)
-	net      *wire.Network
-	monc     *mon.Client
-	rt       *classRuntime
-	rng      *rand.Rand // guarded by rngMu alone, so gossip never contends with o.mu
-	rngMu    sync.Mutex
-	watchers *watcherTable
+	cfg   OSDConfig
+	addr  wire.Addr // OSDAddr(cfg.ID)
+	net   *wire.Network
+	monc  *mon.Client
+	rt    *classRuntime
+	rng   *rand.Rand // guarded by rngMu alone, so gossip never contends with o.mu
+	rngMu sync.Mutex
 
 	// backend is the persistence seam, fixed at construction; durable
 	// caches backend.Durable() so the record hooks on the op path can
@@ -194,7 +188,6 @@ func NewOSD(net *wire.Network, cfg OSDConfig) *OSD {
 		monc:      mon.NewClient(net, addr, cfg.Mons),
 		rt:        newClassRuntime(),
 		rng:       rand.New(rand.NewSource(int64(cfg.ID)*7919 + 17)),
-		watchers:  newWatcherTable(),
 		fwdWake:   make(chan struct{}),
 		replay:    make(map[replayKey]OpReply, replayCacheSize),
 		wits:      make(map[witKey]*witnessRecord),
@@ -234,8 +227,8 @@ func (o *OSD) ScrubRepairs() int {
 
 // ScrubNow runs one synchronous scrub pass over the placement groups
 // this daemon leads and reports how many divergent replicas it repaired
-// during the pass. Harnesses use it to drive convergence checks without
-// waiting for the background scrub interval.
+// during the pass. Scrub runs only on demand: harnesses call it to drive
+// convergence checks.
 func (o *OSD) ScrubNow() int {
 	before := o.ScrubRepairs()
 	o.scrubOnce()
@@ -244,7 +237,7 @@ func (o *OSD) ScrubNow() int {
 
 // Start registers the daemon, joins the cluster (mon.Client.Join: boot
 // into the OSD map while subscribing to its pushes), reads the map
-// once, and launches gossip/beacon/scrub loops. Starting after a Stop
+// once, and launches its background loops. Starting after a Stop
 // restarts the daemon: booting marks it up again (bumping the map
 // epoch), it refetches the current map, and peers backfill it the data
 // it missed while down.
@@ -296,10 +289,6 @@ func (o *OSD) Start(ctx context.Context) error {
 	if o.cfg.BeaconInterval > 0 {
 		o.wg.Add(1)
 		go o.beaconLoop(stop)
-	}
-	if o.cfg.ScrubInterval > 0 {
-		o.wg.Add(1)
-		go o.scrubLoop(stop)
 	}
 	if o.cfg.GCInterval > 0 {
 		o.wg.Add(1)
@@ -374,12 +363,6 @@ func (o *OSD) handle(ctx context.Context, from wire.Addr, req any) (any, error) 
 		return true, nil
 	case scrubMsg:
 		return o.handleScrub(r), nil
-	case watchReq:
-		return o.handleWatch(r), nil
-	case watchCheckReq:
-		return o.watchers.has(r.Pool, r.Object, r.ID, r.Watcher), nil
-	case notifyReq:
-		return o.handleNotify(ctx, r), nil
 	}
 	return nil, fmt.Errorf("osd.%d: unknown request %T from %s", o.cfg.ID, req, from)
 }
@@ -441,7 +424,7 @@ func (o *OSD) updateMap(m *types.OSDMap, from int) {
 const noPeer = -1
 
 // floodMap forwards a map this daemon has just installed to its
-// neighbours in the dissemination tree of that map: the GossipFanout-ary
+// neighbours in the dissemination tree of that map: the gossipFanout-ary
 // tree laid over the map's own up set (ascending ids), rotated by epoch
 // so the interior load moves — position pos has parent (pos-1)/k and
 // children k·pos+1 .. k·pos+k. Every daemon installing epoch e derives
@@ -461,7 +444,7 @@ func (o *OSD) floodMap(v *mapView, from int) {
 	defer o.wg.Done()
 	root := int(uint64(v.m.Epoch) % uint64(n))
 	pos := (idx - root + n) % n
-	k := o.cfg.GossipFanout
+	k := gossipFanout
 	msg := gossipMsg{From: o.cfg.ID, Epoch: v.m.Epoch, Map: v.m}
 	sendTo := func(p int) {
 		if peer := v.up[(p+root)%n]; peer != from {
@@ -754,7 +737,7 @@ func (o *OSD) gossipOnce(stop chan struct{}) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
 	o.rngMu.Unlock()
-	n := o.cfg.GossipFanout
+	n := gossipFanout
 	if n > len(candidates) {
 		n = len(candidates)
 	}
@@ -820,20 +803,6 @@ func (o *OSD) beaconLoop(stop chan struct{}) {
 }
 
 // ---- scrub ----
-
-func (o *OSD) scrubLoop(stop chan struct{}) {
-	defer o.wg.Done()
-	ticker := time.NewTicker(o.cfg.ScrubInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
-		o.scrubOnce()
-	}
-}
 
 // scrubOnce compares replica digests for each PG this daemon leads and
 // repairs divergent replicas by pushing its authoritative copy.

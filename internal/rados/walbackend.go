@@ -12,16 +12,14 @@ import (
 	"repro/internal/wire"
 )
 
-// WALBackendOptions tune a WALBackend.
-type WALBackendOptions struct {
-	// SegmentSize is the WAL rotation threshold (default 4 MiB).
-	SegmentSize int64
-	// CompactBytes is the journal-tail size past which NeedCheckpoint
-	// reports true (default 1 MiB).
-	CompactBytes int64
-	// NoSync skips fsyncs (benchmarks only; crashes lose everything).
-	NoSync bool
-}
+// WALBackendOptions is OpenWALBackend's options argument. It has no
+// fields: the WAL rotates at wal's default segment size and every
+// commit is synced.
+type WALBackendOptions struct{}
+
+// compactBytes is the journal-tail size past which NeedCheckpoint
+// reports true.
+const compactBytes = 1 << 20
 
 // WALBackend journals mutations to a segmented write-ahead log
 // (internal/wal) and rebuilds OSD state by replaying it. Mutations are
@@ -29,8 +27,7 @@ type WALBackendOptions struct {
 // alias live COW state, so capture must happen before Record returns)
 // and made durable in batches by Commit's group commit.
 type WALBackend struct {
-	log  *wal.Log
-	opts WALBackendOptions
+	log *wal.Log
 
 	mu     sync.Mutex
 	recErr error // guarded by mu; first Record-side failure, surfaced by Commit
@@ -39,15 +36,12 @@ type WALBackend struct {
 // OpenWALBackend opens (creating or recovering) a WAL backend rooted at
 // dir. A torn tail left by a crash is truncated here; the stats surface
 // via Replay.
-func OpenWALBackend(dir string, opts WALBackendOptions) (*WALBackend, error) {
-	if opts.CompactBytes <= 0 {
-		opts.CompactBytes = 1 << 20
-	}
-	l, err := wal.Open(dir, wal.Options{SegmentSize: opts.SegmentSize, NoSync: opts.NoSync})
+func OpenWALBackend(dir string, _ WALBackendOptions) (*WALBackend, error) {
+	l, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return &WALBackend{log: l, opts: opts}, nil
+	return &WALBackend{log: l}, nil
 }
 
 // Durable reports true.
@@ -134,7 +128,7 @@ func (b *WALBackend) Checkpoint(collect func() []Mutation) error {
 // NeedCheckpoint reports whether the journal tail has outgrown the
 // compaction threshold.
 func (b *WALBackend) NeedCheckpoint() bool {
-	return b.log.TailBytes() >= b.opts.CompactBytes
+	return b.log.TailBytes() >= compactBytes
 }
 
 // Abandon simulates kill -9: unflushed appends are dropped and the log

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -161,9 +160,6 @@ func (ts *TimeSeries) Record(t time.Time, weight float64) {
 	ts.counts[idx] += weight
 }
 
-// Tick records one event now.
-func (ts *TimeSeries) Tick() { ts.Record(time.Now(), 1) }
-
 // Rates converts bucket counts to per-second rates.
 func (ts *TimeSeries) Rates() []float64 {
 	ts.mu.Lock()
@@ -179,61 +175,4 @@ func (ts *TimeSeries) Rates() []float64 {
 // BucketWidth returns the configured width.
 func (ts *TimeSeries) BucketWidth() time.Duration {
 	return ts.width
-}
-
-// Render prints the series as "t=<sec> rate=<ops/s>" rows.
-func (ts *TimeSeries) Render(label string) string {
-	rates := ts.Rates()
-	var b strings.Builder
-	for i, r := range rates {
-		sec := float64(i) * ts.width.Seconds()
-		fmt.Fprintf(&b, "%s t=%6.2fs rate=%9.1f ops/s\n", label, sec, r)
-	}
-	return b.String()
-}
-
-// Counter is a concurrency-safe event counter with rate computation.
-type Counter struct {
-	mu    sync.Mutex
-	n     int64
-	since time.Time
-}
-
-// NewCounter starts a counter at zero.
-func NewCounter() *Counter { return &Counter{since: time.Now()} }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds delta.
-func (c *Counter) Add(delta int64) {
-	c.mu.Lock()
-	c.n += delta
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// Rate returns events/second since creation or the last Reset.
-func (c *Counter) Rate() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el := time.Since(c.since).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(c.n) / el
-}
-
-// Reset zeroes the counter and restarts its clock.
-func (c *Counter) Reset() {
-	c.mu.Lock()
-	c.n = 0
-	c.since = time.Now()
-	c.mu.Unlock()
 }

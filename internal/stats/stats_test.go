@@ -118,19 +118,6 @@ func TestTimeSeriesIgnoresPreStart(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("value = %d", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestPropPercentileWithinRange(t *testing.T) {
 	f := func(vals []float64, p uint8) bool {
 		clean := vals[:0]

@@ -40,9 +40,6 @@ var ErrClosed = errors.New("wal: log closed")
 type Options struct {
 	// SegmentSize is the rotation threshold in bytes (default 4 MiB).
 	SegmentSize int64
-	// NoSync skips fsync on Sync/rotation/checkpoint. For benchmarks
-	// and tests that measure framing cost, not disk latency.
-	NoSync bool
 }
 
 func (o Options) withDefaults() Options {
@@ -306,10 +303,8 @@ func (l *Log) rotateLocked() error {
 		if err := l.curBuf.Flush(); err != nil {
 			return fmt.Errorf("wal: rotate flush: %w", err)
 		}
-		if !l.opts.NoSync {
-			if err := l.cur.Sync(); err != nil {
-				return fmt.Errorf("wal: rotate sync: %w", err)
-			}
+		if err := l.cur.Sync(); err != nil {
+			return fmt.Errorf("wal: rotate sync: %w", err)
 		}
 		if err := l.cur.Close(); err != nil {
 			return fmt.Errorf("wal: rotate close: %w", err)
@@ -377,7 +372,7 @@ func (l *Log) Sync() error {
 	if err != nil {
 		return err
 	}
-	if f != nil && !l.opts.NoSync {
+	if f != nil {
 		if serr := f.Sync(); serr != nil {
 			l.mu.Lock()
 			l.recErr = fmt.Errorf("wal: fsync: %w", serr)
@@ -448,11 +443,9 @@ func (l *Log) Checkpoint(state []byte, upTo uint64) error {
 		f.Close() //nolint:errcheck
 		return fmt.Errorf("wal: checkpoint write: %w", err)
 	}
-	if !l.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close() //nolint:errcheck
-			return fmt.Errorf("wal: checkpoint sync: %w", err)
-		}
+	if err := f.Sync(); err != nil {
+		f.Close() //nolint:errcheck
+		return fmt.Errorf("wal: checkpoint sync: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("wal: checkpoint close: %w", err)
@@ -460,10 +453,8 @@ func (l *Log) Checkpoint(state []byte, upTo uint64) error {
 	if err := os.Rename(tmp, filepath.Join(l.dir, checkpointName)); err != nil {
 		return fmt.Errorf("wal: checkpoint rename: %w", err)
 	}
-	if !l.opts.NoSync {
-		if err := syncDir(l.dir); err != nil {
-			return err
-		}
+	if err := syncDir(l.dir); err != nil {
+		return err
 	}
 
 	l.mu.Lock()

@@ -18,10 +18,11 @@ type AppendSweepConfig struct {
 	Batches  []int         // batch sizes to sweep; 1 means serial Append
 	Duration time.Duration // measurement window per batch size
 	Policy   mds.CapPolicy // sequencer capability policy
-	// NetLatency is the simulated fabric latency; the default (200 us)
-	// is what makes the pipelining visible, as in the paper's cluster.
-	NetLatency time.Duration
 }
+
+// appendSweepLatency is the sweep's simulated fabric latency: it is what
+// makes the pipelining visible, as in the paper's cluster.
+const appendSweepLatency = 200 * time.Microsecond
 
 // AppendSweepPoint is one batch-size measurement: entry throughput and
 // per-entry latency (a batch's dispatch latency amortized over its
@@ -45,9 +46,6 @@ func RunAppendSweep(ctx context.Context, cfg AppendSweepConfig) ([]AppendSweepPo
 	if cfg.Duration <= 0 {
 		cfg.Duration = time.Second
 	}
-	if cfg.NetLatency <= 0 {
-		cfg.NetLatency = 200 * time.Microsecond
-	}
 	var out []AppendSweepPoint
 	for _, batch := range cfg.Batches {
 		p, err := runAppendPoint(ctx, cfg, batch)
@@ -62,7 +60,7 @@ func RunAppendSweep(ctx context.Context, cfg AppendSweepConfig) ([]AppendSweepPo
 func runAppendPoint(ctx context.Context, cfg AppendSweepConfig, batch int) (AppendSweepPoint, error) {
 	cluster, err := core.Boot(ctx, core.Options{
 		MDSs: 1, OSDs: 3, Pools: []string{"zlog"}, Replicas: 2,
-		NetLatency: cfg.NetLatency,
+		NetLatency: appendSweepLatency,
 	})
 	if err != nil {
 		return AppendSweepPoint{}, err

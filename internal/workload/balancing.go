@@ -33,7 +33,6 @@ type BalanceConfig struct {
 	ClientsPerSeq   int           // paper: 4
 	Duration        time.Duration // total run
 	Tick            time.Duration // balance tick (paper: 10 s, compressed here)
-	Bucket          time.Duration // time-series resolution
 	MantlePolicy    string        // policy body for BalMantle (default PolicySequencer)
 	ManualMode      *mds.MigrationMode
 	ManualMigrateAt time.Duration // when set with ManualMode, export at this offset
@@ -56,13 +55,13 @@ func (c *BalanceConfig) defaults() {
 	if c.Tick <= 0 {
 		c.Tick = 500 * time.Millisecond
 	}
-	if c.Bucket <= 0 {
-		c.Bucket = 250 * time.Millisecond
-	}
 	if c.MantlePolicy == "" {
 		c.MantlePolicy = mantle.PolicySequencer
 	}
 }
+
+// balanceBucket is the time-series resolution of a balancing run.
+const balanceBucket = 250 * time.Millisecond
 
 // BalanceResult carries throughput-over-time per sequencer and overall.
 type BalanceResult struct {
@@ -166,10 +165,10 @@ func RunBalanceExperiment(ctx context.Context, cfg BalanceConfig) (*BalanceResul
 	}
 
 	res := &BalanceResult{
-		Cluster: stats.NewTimeSeries(cfg.Bucket),
+		Cluster: stats.NewTimeSeries(balanceBucket),
 	}
 	for i := 0; i < cfg.Sequencers; i++ {
-		res.PerSeq = append(res.PerSeq, stats.NewTimeSeries(cfg.Bucket))
+		res.PerSeq = append(res.PerSeq, stats.NewTimeSeries(balanceBucket))
 	}
 
 	var total int64

@@ -21,12 +21,12 @@ type CapConfig struct {
 	Clients  int           // contending clients (paper: 2)
 	Duration time.Duration // measurement window per configuration
 	Policy   mds.CapPolicy // capability hand-off policy under test
-	// ThinkTime is the per-operation client-side work (obtaining a log
-	// position is followed by the actual log I/O in CORFU); it bounds a
-	// client's local op rate the way real append work does. Default
-	// 20 us.
-	ThinkTime time.Duration
 }
+
+// capThinkTime is the per-operation client-side work (obtaining a log
+// position is followed by the actual log I/O in CORFU); it bounds a
+// client's local op rate the way real append work does.
+const capThinkTime = 20 * time.Microsecond
 
 // pacer charges virtual per-op client time, amortized over the sleep
 // granularity the same way the MDS CPU model does.
@@ -66,9 +66,6 @@ func RunCapExperiment(ctx context.Context, cfg CapConfig) (*CapResult, error) {
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 2 * time.Second
-	}
-	if cfg.ThinkTime <= 0 {
-		cfg.ThinkTime = 20 * time.Microsecond
 	}
 	cluster, err := core.Boot(ctx, core.Options{
 		MDSs: 1, OSDs: 2,
@@ -122,7 +119,7 @@ func RunCapExperiment(ctx context.Context, cfg CapConfig) (*CapResult, error) {
 					continue
 				}
 				lat := time.Since(t0)
-				pace.pay(cfg.ThinkTime)
+				pace.pay(capThinkTime)
 				hist.AddDuration(lat)
 				res.Latency.AddDuration(lat)
 				mu.Lock()

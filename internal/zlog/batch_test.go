@@ -113,46 +113,6 @@ func TestAppendBatchMessageComplexity(t *testing.T) {
 	}
 }
 
-func TestAsyncAppendPipeline(t *testing.T) {
-	c := boot(t, core.Options{MDSs: 1, OSDs: 3})
-	ctx := ctxT(t, 30*time.Second)
-	l, err := zlog.Open(ctx, c.Net, "client.1", c.MonIDs(), zlog.Options{
-		Name: "log0", Pool: "zlog", Width: 4,
-		SeqPolicy: mds.CapPolicy{},
-		MaxBatch:  16, Window: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(l.Close)
-
-	const n = 100
-	chans := make([]<-chan zlog.AppendResult, n)
-	for i := 0; i < n; i++ {
-		chans[i] = l.AsyncAppend(ctx, []byte(fmt.Sprintf("async-%d", i)))
-	}
-	l.Flush()
-
-	seen := make(map[uint64]int)
-	for i, ch := range chans {
-		r := <-ch
-		if r.Err != nil {
-			t.Fatalf("async append %d: %v", i, r.Err)
-		}
-		if prev, dup := seen[r.Pos]; dup {
-			t.Fatalf("position %d assigned to entries %d and %d", r.Pos, prev, i)
-		}
-		seen[r.Pos] = i
-		data, err := l.Read(ctx, r.Pos)
-		if err != nil || string(data) != fmt.Sprintf("async-%d", i) {
-			t.Fatalf("entry %d at %d = %q, %v", i, r.Pos, data, err)
-		}
-	}
-	if len(seen) != n {
-		t.Fatalf("unique positions = %d, want %d", len(seen), n)
-	}
-}
-
 func TestAppendBatchCollisionReassigns(t *testing.T) {
 	// A position inside the batch's range is already taken (as recovery
 	// fills do): the stripe degrades to per-entry writes, the contested

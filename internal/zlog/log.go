@@ -42,25 +42,6 @@ type Options struct {
 	// §6.2); Cacheable with Delay/Quota enables the batching modes of
 	// Figures 5-7.
 	SeqPolicy mds.CapPolicy
-	// MaxBatch bounds how many queued AsyncAppend entries coalesce into
-	// one AppendBatch dispatch; default 64.
-	MaxBatch int
-	// Window bounds how many coalesced batches may be in flight at once
-	// on the async pipeline; default 4.
-	Window int
-}
-
-// AppendResult is the outcome of one AsyncAppend.
-type AppendResult struct {
-	Pos uint64
-	Err error
-}
-
-// pendingAppend is one queued asynchronous append.
-type pendingAppend struct {
-	ctx  context.Context
-	data []byte
-	ch   chan AppendResult
 }
 
 // Log is a client handle to one shared log.
@@ -75,14 +56,6 @@ type Log struct {
 
 	mu    sync.Mutex
 	epoch uint64
-
-	// Async pipeline state: queued entries, the lazily started drainer,
-	// and the bounded in-flight window.
-	plMu      sync.Mutex
-	plQueue   []*pendingAppend
-	plRunning bool
-	plSlots   chan struct{}
-	plWG      sync.WaitGroup
 }
 
 // SeqPath returns the sequencer inode path for log name.
@@ -101,18 +74,11 @@ func Open(ctx context.Context, net *wire.Network, self wire.Addr, mons []int, op
 	if opts.Width <= 0 {
 		opts.Width = 4
 	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 64
-	}
-	if opts.Window <= 0 {
-		opts.Window = 4
-	}
 	l := &Log{
-		opts:    opts,
-		rc:      rados.NewClient(net, self+".rados", mons),
-		mc:      mds.NewClient(net, self, mons),
-		monc:    mon.NewClient(net, self+".mon", mons),
-		plSlots: make(chan struct{}, opts.Window),
+		opts: opts,
+		rc:   rados.NewClient(net, self+".rados", mons),
+		mc:   mds.NewClient(net, self, mons),
+		monc: mon.NewClient(net, self+".mon", mons),
 	}
 	l.objNames = make([]string, opts.Width)
 	for i := range l.objNames {
@@ -158,10 +124,9 @@ func (l *Log) startSequencer(ctx context.Context) error {
 	return nil
 }
 
-// Close drains the async pipeline and releases client resources: the
-// sequencer session and the storage client's endpoint.
+// Close releases client resources: the sequencer session and the
+// storage client's endpoint.
 func (l *Log) Close() {
-	l.Flush()
 	l.mc.Stop()
 	l.rc.Close()
 }
@@ -398,82 +363,6 @@ func (l *Log) writeStripe(ctx context.Context, obj string, idxs []int, entries [
 		}
 	}
 	return nil
-}
-
-// AsyncAppend queues data for appending and returns a channel that
-// receives its assigned position (buffered; safe to read late). Queued
-// entries coalesce into AppendBatch dispatches of up to MaxBatch, with
-// at most Window batches in flight — the pipelined append path.
-// Ordering is preserved within one dispatch but not across concurrent
-// dispatches; use Flush to drain everything queued so far.
-func (l *Log) AsyncAppend(ctx context.Context, data []byte) <-chan AppendResult {
-	p := &pendingAppend{ctx: ctx, data: data, ch: make(chan AppendResult, 1)}
-	l.plMu.Lock()
-	l.plQueue = append(l.plQueue, p)
-	l.plWG.Add(1)
-	if !l.plRunning {
-		l.plRunning = true
-		go l.drainPipeline()
-	}
-	l.plMu.Unlock()
-	return p.ch
-}
-
-// Flush blocks until every AsyncAppend queued so far has completed.
-func (l *Log) Flush() { l.plWG.Wait() }
-
-// drainPipeline coalesces queued appends into bounded-window batch
-// dispatches; it exits once the queue empties.
-func (l *Log) drainPipeline() {
-	for {
-		l.plMu.Lock()
-		if len(l.plQueue) == 0 {
-			l.plRunning = false
-			l.plMu.Unlock()
-			return
-		}
-		take := l.opts.MaxBatch
-		if len(l.plQueue) < take {
-			take = len(l.plQueue)
-		}
-		batch := l.plQueue[:take:take]
-		l.plQueue = l.plQueue[take:]
-		l.plMu.Unlock()
-
-		// Wait for a window slot; the batch's own context bounds the wait
-		// so a cancelled producer cannot wedge the drainer.
-		ctx := batch[0].ctx
-		select {
-		case l.plSlots <- struct{}{}:
-		case <-ctx.Done():
-			for _, p := range batch {
-				p.ch <- AppendResult{Err: ctx.Err()}
-				l.plWG.Done()
-			}
-			continue
-		}
-		go l.dispatchBatch(batch)
-	}
-}
-
-// dispatchBatch runs one coalesced AppendBatch and fans results back to
-// the producers.
-func (l *Log) dispatchBatch(batch []*pendingAppend) {
-	defer func() { <-l.plSlots }()
-	ctx := batch[0].ctx
-	entries := make([][]byte, len(batch))
-	for i, p := range batch {
-		entries[i] = p.data
-	}
-	positions, err := l.AppendBatch(ctx, entries)
-	for i, p := range batch {
-		if err != nil {
-			p.ch <- AppendResult{Err: err}
-		} else {
-			p.ch <- AppendResult{Pos: positions[i]}
-		}
-		l.plWG.Done()
-	}
 }
 
 // Read returns the entry at pos. Reads never block on the sequencer, so
