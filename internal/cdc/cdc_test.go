@@ -2,6 +2,7 @@ package cdc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -201,37 +202,54 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		mustConfig(t, Config{MinSize: 64, AvgSize: 256, MaxSize: 1024, NormLevel: 2}),
 		mustConfig(t, Config{MinSize: 64, AvgSize: 256, MaxSize: 1024, NormLevel: -1}), // normalization disabled
 		mustConfig(t, Config{MinSize: 512, AvgSize: 4096, MaxSize: 8192, NormLevel: 3}),
+		mustConfig(t, Config{MinSize: 1 << 10, AvgSize: 4 << 10, MaxSize: 16 << 10, NormLevel: 2}), // the benchmark's dedup workload
 	}
 	for ci, cfg := range configs {
-		for trial := 0; trial < 20; trial++ {
-			n := rng.Intn(256 * 1024)
-			var data []byte
-			switch trial % 3 {
-			case 0:
-				data = randBytes(rng, n)
-			case 1: // low-entropy: long runs defeat naive hash mixing
-				data = bytes.Repeat([]byte{byte(trial)}, n)
-			case 2: // periodic data
-				data = make([]byte, n)
-				for i := range data {
-					data[i] = byte(i % 7)
-				}
-			}
+		check := func(what string, data []byte) {
+			t.Helper()
 			got, err := Split(data, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := refSplit(data, cfg)
 			if len(got) != len(want) {
-				t.Fatalf("cfg %d trial %d n=%d: %d chunks vs reference %d", ci, trial, n, len(got), len(want))
+				t.Fatalf("cfg %d %s n=%d: %d chunks vs reference %d", ci, what, len(data), len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("cfg %d trial %d: chunk %d = %+v, reference %+v", ci, trial, i, got[i], want[i])
+					t.Fatalf("cfg %d %s n=%d: chunk %d = %+v, reference %+v", ci, what, len(data), i, got[i], want[i])
+				}
+			}
+		}
+		for trial := 0; trial < 20; trial++ {
+			check(fmt.Sprintf("trial %d", trial), shapedInput(rng, trial%3, rng.Intn(256*1024)))
+		}
+		// Inputs ending on a size bound or one byte either side of it,
+		// where the end of the input, not the hash, may cut the last chunk.
+		for _, bound := range []int{cfg.MinSize, cfg.AvgSize, cfg.MaxSize} {
+			for n := bound - 1; n <= bound+1; n++ {
+				for shape := 0; shape < 3; shape++ {
+					check(fmt.Sprintf("shape %d", shape), shapedInput(rng, shape, n))
 				}
 			}
 		}
 	}
+}
+
+// shapedInput returns n bytes of one of three shapes: random (0), one
+// repeated byte (1; long runs defeat naive hash mixing) or periodic (2).
+func shapedInput(rng *rand.Rand, shape, n int) []byte {
+	switch shape {
+	case 0:
+		return randBytes(rng, n)
+	case 1:
+		return bytes.Repeat([]byte{byte(n)}, n)
+	}
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i % 7)
+	}
+	return data
 }
 
 func TestDeterminism(t *testing.T) {

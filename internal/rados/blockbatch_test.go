@@ -506,6 +506,32 @@ func TestReadDedupedMissingBlock(t *testing.T) {
 	}
 }
 
+// When the fabric delays a send, a batch's per-primary requests are in
+// flight together: the caller sends one group and the goroutines it
+// offered the others to take them meanwhile (caller-runs never turns
+// the groups into a sequence).
+func TestBlockBatchGroupsOverlapWhenSendsBlock(t *testing.T) {
+	tc := bootClusterOpts(t, clusterOpts{osds: 3, replicas: 1, osd: OSDConfig{GossipInterval: time.Hour}})
+	ctx := ctxT(t, 15*time.Second)
+	data := dupCorpus(15, 64*1024)
+	if _, err := tc.client.WriteDeduped(ctx, "data", "doc", data, smallChunks()); err != nil {
+		t.Fatal(err)
+	}
+	reader := NewClient(tc.net, "client.reader", []int{0})
+	if err := reader.RefreshMap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tc.net.SetLatency(5*time.Millisecond, 0)
+	got, err := reader.ReadDeduped(ctx, "data", "doc")
+	tc.net.SetLatency(0, 0)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read at 5 ms: %d bytes, %v", len(got), err)
+	}
+	if n := tc.net.Stats().Outbound["client.reader"].MaxInflight; n < 2 {
+		t.Errorf("reader MaxInflight = %d across 3 primaries, want >= 2 (the groups overlap)", n)
+	}
+}
+
 // The call-count guard: a cold deduped write costs the client one stat
 // and one put per primary plus the manifest, a deduped read one get
 // per primary plus the manifest — whatever the number of blocks.

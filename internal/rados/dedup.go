@@ -8,7 +8,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cdc"
@@ -50,17 +52,23 @@ func BlockName(content []byte) string {
 	return hashBlockName(&sum)
 }
 
+// blockNameLen is the length of every block object name.
+const blockNameLen = len(blockPrefix) + 2*HashSize
+
 // hashBlockName returns the block object name for a content hash.
 func hashBlockName(sum *[HashSize]byte) string {
-	var name [len(blockPrefix) + 2*HashSize]byte
-	copy(name[:], blockPrefix)
-	hex.Encode(name[len(blockPrefix):], sum[:])
-	return string(name[:])
+	var name [blockNameLen]byte
+	return string(appendBlockName(name[:0], sum))
+}
+
+// appendBlockName appends the block object name for a content hash.
+func appendBlockName(dst []byte, sum *[HashSize]byte) []byte {
+	return hex.AppendEncode(append(dst, blockPrefix...), sum[:])
 }
 
 // IsBlockName reports whether an object name addresses a dedup block.
 func IsBlockName(name string) bool {
-	return len(name) == len(blockPrefix)+2*HashSize && name[:len(blockPrefix)] == blockPrefix
+	return len(name) == blockNameLen && name[:len(blockPrefix)] == blockPrefix
 }
 
 // ManifestChunk is one logical extent of a deduped object.
@@ -260,8 +268,9 @@ func (c *Client) WriteDeduped(ctx context.Context, pool, object string, data []b
 // blockBatch sends the block op req describes (its Pool and Op) for
 // blocks[i], i in idx: one request per primary the cached map names,
 // carrying everything that primary gets — block names, plus contents
-// for OpBlockWrite — with the groups in flight together and the last on
-// the caller's goroutine. Every primary answers with the names it
+// for OpBlockWrite — with the groups in flight together, and the
+// caller's goroutine sending any group no other goroutine has taken
+// (caller-runs). Every primary answers with the names it
 // handled, in request order; handled (if not nil, never concurrently)
 // is called for each with the reply and the name's position in it. The
 // indices no primary reported are returned: blocks the cached map
@@ -330,18 +339,40 @@ func (c *Client) blockBatch(ctx context.Context, req OpRequest, blocks []dedupBl
 			group = group[n:]
 		}
 	}
-	var wg sync.WaitGroup
-	left := len(groups)
+	// Caller-runs: every group but one is offered to a goroutine, which
+	// sends whichever group is still open when it is scheduled, and the
+	// caller sends groups until none is left, then waits only for the
+	// ones a goroutine took. When the sends block (a fabric delay), the
+	// goroutines take the rest and the groups overlap; when they do not,
+	// the caller is done before any goroutine ran and sends every group
+	// itself, warm, with no hand-off and no fresh stack grown through the
+	// daemon's handler. A goroutine that finds nothing open just exits.
+	open := make([][]int, 0, len(groups))
 	for _, group := range groups {
-		if left--; left == 0 {
-			send(ctx, group)
-			break
+		open = append(open, group)
+	}
+	var (
+		next atomic.Int32
+		wg   sync.WaitGroup
+	)
+	claim := func() ([]int, bool) {
+		if n := int(next.Add(1)); n <= len(open) {
+			return open[n-1], true
 		}
-		wg.Add(1)
+		return nil, false
+	}
+	wg.Add(len(open))
+	for range len(open) - 1 {
 		go func() {
-			defer wg.Done()
-			send(ctx, group)
+			if group, ok := claim(); ok {
+				send(ctx, group)
+				wg.Done()
+			}
 		}()
+	}
+	for group, ok := claim(); ok; group, ok = claim() {
+		send(ctx, group)
+		wg.Done()
 	}
 	wg.Wait()
 	return unreported, err
@@ -376,7 +407,7 @@ func (c *Client) blockBatchAll(ctx context.Context, req OpRequest, blocks []dedu
 // An object that is not a manifest is returned as-is, so ReadDeduped is
 // safe on any object. The block reads alias the OSD's stored slices end
 // to end on the in-process fabric; the single copy is the reassembly
-// into the contiguous result.
+// into the contiguous result, which is the one allocation of its size.
 func (c *Client) ReadDeduped(ctx context.Context, pool, object string) ([]byte, error) {
 	raw, err := c.Read(ctx, pool, object)
 	if err != nil {
@@ -394,6 +425,10 @@ func (c *Client) ReadDeduped(ctx context.Context, pool, object string) ([]byte, 
 	blocks := make([]dedupBlock, 0, len(man.Chunks))
 	all := make([]int, 0, len(man.Chunks))
 	extent := make([]int, len(man.Chunks)) // chunk -> position in blocks
+	// The block names are cut from one string, one allocation where a
+	// string per block was one each; only this read's requests hold them.
+	var names strings.Builder
+	names.Grow(len(man.Chunks) * blockNameLen)
 	for i := range man.Chunks {
 		ch := &man.Chunks[i]
 		at, dup := index[ch.Hash]
@@ -401,9 +436,15 @@ func (c *Client) ReadDeduped(ctx context.Context, pool, object string) ([]byte, 
 			at = len(blocks)
 			index[ch.Hash] = at
 			all = append(all, at)
-			blocks = append(blocks, dedupBlock{name: hashBlockName(&ch.Hash), size: ch.Len})
+			var name [blockNameLen]byte
+			names.Write(appendBlockName(name[:0], &ch.Hash))
+			blocks = append(blocks, dedupBlock{size: ch.Len})
 		}
 		extent[i] = at
+	}
+	joined := names.String()
+	for i := range blocks {
+		blocks[i].name = joined[i*blockNameLen : (i+1)*blockNameLen]
 	}
 	err = c.blockBatchAll(ctx, OpRequest{Pool: pool, Op: OpBlockRead}, blocks, all,
 		func(i int, rep *OpReply, at int) {
@@ -416,17 +457,19 @@ func (c *Client) ReadDeduped(ctx context.Context, pool, object string) ([]byte, 
 	}
 
 	// The manifest's lengths are only claims: check each extent against
-	// the block fetched for it before TotalLen sizes the output.
+	// the block fetched for it before anything is sized from them.
+	parts := make([][]byte, len(man.Chunks))
 	for i := range man.Chunks {
-		if b := &blocks[extent[i]]; len(b.data) != man.Chunks[i].Len {
+		b := &blocks[extent[i]]
+		if len(b.data) != man.Chunks[i].Len {
 			return nil, fmt.Errorf("rados: %s: block %s is %d bytes, manifest says %d", object, b.name, len(b.data), man.Chunks[i].Len)
 		}
+		parts[i] = b.data
 	}
-	out := make([]byte, 0, man.TotalLen)
-	for _, at := range extent {
-		out = append(out, blocks[at].data...)
-	}
-	return out, nil
+	// Join allocates the result without clearing it first — every byte is
+	// about to be copied over — and the result is the caller's own copy,
+	// never an alias of stored blocks.
+	return bytes.Join(parts, nil), nil
 }
 
 // ---- cluster-wide audit (scrub-integrated leak check) ----

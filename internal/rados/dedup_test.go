@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/metrics"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -276,6 +277,95 @@ func TestReadDedupedChecksLengthsBeforeAllocating(t *testing.T) {
 	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
 		t.Fatalf("the failed read allocated %d bytes, want < 1 MiB", grown)
 	}
+}
+
+// TestReadDedupedAllocations pins a deduplicated read at one copy: a
+// 256 KiB object of ~55 blocks, chunked as the benchmark chunks it,
+// allocates exactly one object larger than 32 KiB per read — the
+// result, of TotalLen bytes — and beside it only small objects: 61 of
+// them, about 25 KiB, at 3 OSDs (the block names, cut from one string;
+// the block table and its index; the manifest's decode; the per-primary
+// requests and replies). The blocks alias the OSDs' stored slices, so a
+// second buffer of the object's size or a copy per block (57 here)
+// would show, and so would a name string per block.
+// The result must be the caller's own: writing into it leaves the next
+// read unchanged.
+func TestReadDedupedAllocations(t *testing.T) {
+	tc := bootClusterOpts(t, clusterOpts{osds: 3, replicas: 2, osd: OSDConfig{GossipInterval: time.Hour}})
+	ctx := ctxT(t, 30*time.Second)
+	data := dupCorpus(21, 256<<10)
+	cfg := &cdc.Config{MinSize: 1 << 10, AvgSize: 4 << 10, MaxSize: 16 << 10, NormLevel: 2}
+	stats, err := tc.client.WriteDeduped(ctx, "data", "doc", data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.UniqueBlocks < 40 {
+		t.Fatalf("only %d blocks; the guard needs a many-block object", stats.UniqueBlocks)
+	}
+	read := func() {
+		got, err := tc.client.ReadDeduped(ctx, "data", "doc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(data) {
+			t.Fatalf("read %d bytes, want %d", len(got), len(data))
+		}
+	}
+	read() // settle the client's epoch
+
+	const maxAllocs, maxSmallBytes = 70, 32 << 10
+	allocs := testing.AllocsPerRun(100, read)
+	large := largeAllocsPerRun(100, read)
+	perRun := bytesPerRun(100, read)
+	t.Logf("ReadDeduped of %d B in %d blocks: %.1f allocs, %.2f of them > 32 KiB, %.0f B/op",
+		len(data), stats.UniqueBlocks, allocs, large, perRun)
+	if allocs > maxAllocs {
+		t.Errorf("ReadDeduped: %.1f allocs/op, want <= %d", allocs, maxAllocs)
+	}
+	if large != 1 {
+		t.Errorf("ReadDeduped: %.2f allocations > 32 KiB per read, want exactly 1 (the result)", large)
+	}
+	if small := perRun - float64(len(data)); small < 0 || small > maxSmallBytes {
+		t.Errorf("ReadDeduped of %d B: %.0f B/op allocated, want the result plus at most %d B", len(data), perRun, maxSmallBytes)
+	}
+
+	got, err := tc.client.ReadDeduped(ctx, "data", "doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		got[i] ^= 0xff
+	}
+	again, err := tc.client.ReadDeduped(ctx, "data", "doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatal("writing into a read's result changed what the next read returns")
+	}
+}
+
+// largeAllocsPerRun is the number of heap objects larger than 32 KiB —
+// the runtime's large-object class, past its last size class —
+// allocated per call of fn over runs calls.
+func largeAllocsPerRun(runs int, fn func()) float64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs-by-size:bytes"}}
+	large := func() uint64 {
+		metrics.Read(sample)
+		h := sample[0].Value.Float64Histogram()
+		var n uint64
+		for i, c := range h.Counts {
+			if h.Buckets[i] > 32<<10 {
+				n += c
+			}
+		}
+		return n
+	}
+	before := large()
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	return float64(large()-before) / float64(runs)
 }
 
 // TestDedupRefcountLifecycle walks the whole block lifetime: a manifest

@@ -223,6 +223,16 @@ func (p *pg) entry(name string) *objEntry {
 	return e
 }
 
+// lookup returns the slot for name, or nil when it has none. Unlike
+// entry it never creates one, so a read of an absent name leaves the PG
+// as it found it.
+func (p *pg) lookup(name string) *objEntry {
+	p.mu.Lock()
+	e := p.objects[name]
+	p.mu.Unlock()
+	return e
+}
+
 // entries returns the current slots in sorted name order.
 func (p *pg) entries() []*objEntry {
 	p.mu.Lock()

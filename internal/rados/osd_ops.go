@@ -276,9 +276,18 @@ func (o *OSD) ackClient(ctx context.Context, fwd *OpRequest) bool {
 // witnesses counts a witnessed mutation among those awaiting it
 // (witness.go, rule 2).
 func (o *OSD) applyPrimary(p *pg, req *OpRequest, m *types.OSDMap, witnesses bool) (reply OpReply, prev uint64, mutated bool) {
-	e := p.entry(req.Object)
-	e.mu.Lock()
 	spec := &opSpecs[req.Op]
+	var e *objEntry
+	if spec.class == classRead {
+		// A read of a name with no slot answers as a tombstone's would,
+		// and leaves no slot behind.
+		if e = p.lookup(req.Object); e == nil {
+			return OpReply{Result: ENOENT, Epoch: m.Epoch}, 0, false
+		}
+	} else {
+		e = p.entry(req.Object)
+	}
+	e.mu.Lock()
 	sync := !req.Witnessed && !spec.call && spec.class != classRead
 	var txn []TxnOp
 	for {
@@ -337,19 +346,25 @@ func (o *OSD) ledPG(pv *poolView, name string) (*pg, []int) {
 // blockStatBatch answers which of req.Keys exist on this daemon,
 // touching each found block's reclaim clock so the caller's grace
 // window opens from "you told me it exists", not from the block's last
-// write. A name this daemon does not lead is simply not reported; the
-// client writes it, and OpBlockWrite on an existing block is an ack.
+// write; the whole batch takes one clock reading, made before any block
+// is reported. A name this daemon does not lead is simply not reported;
+// the client writes it, and OpBlockWrite on an existing block is an ack.
+// Like every read, the stat creates no slot for a name that has none.
 func (o *OSD) blockStatBatch(req OpRequest, pv *poolView, epoch types.Epoch) OpReply {
-	var present []string
+	present := make([]string, 0, len(req.Keys))
+	now := time.Now()
 	for _, name := range req.Keys {
 		p, _ := o.ledPG(pv, name)
 		if p == nil {
 			continue
 		}
-		e := p.entry(name)
+		e := p.lookup(name)
+		if e == nil {
+			continue
+		}
 		e.mu.Lock()
 		if e.obj != nil {
-			e.touch = time.Now()
+			e.touch = now
 			present = append(present, name)
 		}
 		e.mu.Unlock()
@@ -371,14 +386,15 @@ func (o *OSD) blockReadBatch(req OpRequest, pv *poolView, epoch types.Epoch) OpR
 		if p == nil {
 			continue
 		}
-		e := p.entry(name)
-		e.mu.Lock()
-		found := e.obj != nil
 		var data []byte
-		if found {
-			data = e.obj.Data // under the lock, as OpRead: the name need not be a block's
+		found := false
+		if e := p.lookup(name); e != nil {
+			e.mu.Lock()
+			if found = e.obj != nil; found {
+				data = e.obj.Data // under the lock, as OpRead: the name need not be a block's
+			}
+			e.mu.Unlock()
 		}
-		e.mu.Unlock()
 		if !found {
 			return OpReply{Result: ENOENT, Detail: "block " + name, Epoch: epoch}
 		}

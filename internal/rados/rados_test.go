@@ -93,6 +93,71 @@ func TestReadMissing(t *testing.T) {
 	}
 }
 
+// TestReadsOfAbsentNamesCreateNoSlots: a read-class op on a name with
+// no slot answers ENOENT and leaves none behind. Nothing deletes a slot
+// but a PG split, so one slot per probe of an absent name would grow
+// every primary without bound.
+func TestReadsOfAbsentNamesCreateNoSlots(t *testing.T) {
+	tc := bootCluster(t, 2, 2)
+	ctx := ctxT(t, 60*time.Second)
+	if err := tc.client.WriteFull(ctx, "data", "present", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	before := slotCount(tc.osds)
+	const n = 10000
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("absent-%d", i)
+		if _, err := tc.client.Read(ctx, "data", name); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("read %s: %v, want ErrNotFound", name, err)
+		}
+		if _, _, err := tc.client.Stat(ctx, "data", name); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("stat %s: %v, want ErrNotFound", name, err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		name := fmt.Sprintf("absent-%d", i)
+		if _, err := tc.client.OmapGet(ctx, "data", name, "k"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("omap-get %s: %v, want ErrNotFound", name, err)
+		}
+		if _, err := tc.client.OmapList(ctx, "data", name, ""); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("omap-list %s: %v, want ErrNotFound", name, err)
+		}
+		if _, err := tc.client.GetXattr(ctx, "data", name, "a"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("getxattr %s: %v, want ErrNotFound", name, err)
+		}
+	}
+
+	blocks := make([]dedupBlock, n)
+	idx := make([]int, n)
+	for i := range blocks {
+		blocks[i] = dedupBlock{name: BlockName([]byte(fmt.Sprint(i)))}
+		idx[i] = i
+	}
+	reported := 0
+	if _, err := tc.client.blockBatch(ctx, OpRequest{Pool: "data", Op: OpBlockStat}, blocks, idx,
+		func(int, *OpReply, int) { reported++ }); err != nil || reported != 0 {
+		t.Fatalf("block stat of %d absent blocks: %d reported, err %v", n, reported, err)
+	}
+	if _, err := tc.client.blockBatch(ctx, OpRequest{Pool: "data", Op: OpBlockRead}, blocks, idx, nil); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("block read of absent blocks: %v, want ErrNotFound", err)
+	}
+	if after := slotCount(tc.osds); after != before {
+		t.Fatalf("reads of absent names grew the slots from %d to %d", before, after)
+	}
+}
+
+// slotCount is the number of object slots the daemons hold, tombstones
+// included.
+func slotCount(osds []*OSD) int {
+	n := 0
+	for _, o := range osds {
+		for _, p := range *o.pgs.Load() {
+			n += len(p.slots())
+		}
+	}
+	return n
+}
+
 func TestRemove(t *testing.T) {
 	tc := bootCluster(t, 3, 2)
 	ctx := ctxT(t, 10*time.Second)
