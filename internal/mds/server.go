@@ -178,8 +178,9 @@ func (s *Server) Stop() {
 
 // work simulates CPU time on this rank's single execution resource.
 // Sub-millisecond costs are accumulated as debt and paid in batches,
-// because time.Sleep's granularity (~1 ms on many kernels) would
-// otherwise inflate every operation to the granularity floor. Sleep
+// because an idle Go runtime waits for its next timer in whole
+// milliseconds (the netpoller rounds a wait under 1 ms up to 1 ms), which
+// would otherwise inflate every operation to that floor. Sleep
 // overshoot is credited back, so the long-run capacity is exactly
 // 1/cost operations per second.
 func (s *Server) work(d time.Duration) {

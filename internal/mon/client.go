@@ -192,7 +192,10 @@ func (c *Client) Log(ctx context.Context, level, msg string) error {
 	return ErrNoMonitor
 }
 
-// GetLog returns cluster-log entries with Seq greater than last.
+// GetLog returns cluster-log entries with Seq greater than last, oldest
+// first. A monitor keeps only its newest logCap entries, so when last is
+// older than those the entries start later than last+1: the caller sees
+// the entries it missed as a jump in Seq.
 func (c *Client) GetLog(ctx context.Context, last int) ([]LogEntry, error) {
 	for _, id := range c.mons {
 		resp, err := c.net.Call(ctx, c.self, Addr(id), GetLogReq{Last: last})

@@ -163,8 +163,8 @@ type Monitor struct {
 	mu          sync.Mutex
 	osdMap      *types.OSDMap                 // guarded by mu
 	mdsMap      *types.MDSMap                 // guarded by mu
-	log         []LogEntry                    // guarded by mu
-	logSeq      int                           // guarded by mu
+	log         []LogEntry                    // guarded by mu; a ring: Seq s at (s-1) % logCap
+	logSeq      int                           // guarded by mu; the last Seq appended
 	pending     []pendingUpdate               // guarded by mu
 	subscribers map[wire.Addr]map[string]bool // guarded by mu
 	lastBeacon  map[string]time.Time          // guarded by mu; "kind.id" -> last report
@@ -303,11 +303,10 @@ func (m *Monitor) handle(ctx context.Context, from wire.Addr, req any) (any, err
 	case GetLogReq:
 		m.mu.Lock()
 		defer m.mu.Unlock()
+		first := max(r.Last+1, m.logSeq-len(m.log)+1)
 		var out []LogEntry
-		for _, e := range m.log {
-			if e.Seq > r.Last {
-				out = append(out, e)
-			}
+		for seq := first; seq <= m.logSeq; seq++ {
+			out = append(out, m.log[(seq-1)%logCap])
 		}
 		return GetLogResp{Entries: out}, nil
 	}
@@ -740,13 +739,22 @@ func (m *Monitor) appendLog(level, source, msg string) {
 	m.appendLogLocked(level, source, msg)
 }
 
+// logCap is how many cluster-log entries a monitor keeps: the log is a
+// ring, so its size does not grow with the cluster's history.
+const logCap = 1024
+
 func (m *Monitor) appendLogLocked(level, source, msg string) {
 	m.logSeq++
-	m.log = append(m.log, LogEntry{
+	e := LogEntry{
 		Seq:    m.logSeq,
 		Time:   time.Now(),
 		Level:  level,
 		Source: source,
 		Msg:    msg,
-	})
+	}
+	if len(m.log) < logCap {
+		m.log = append(m.log, e)
+	} else {
+		m.log[(m.logSeq-1)%logCap] = e
+	}
 }

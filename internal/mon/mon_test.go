@@ -578,6 +578,50 @@ func TestGetLogSinceFilter(t *testing.T) {
 	}
 }
 
+// TestClusterLogIsBounded appends ten times the ring's capacity: the
+// monitor keeps at most logCap entries, and GetLog(0) returns the newest
+// ones with contiguous Seqs, the missed ones showing as a jump from 0.
+func TestClusterLogIsBounded(t *testing.T) {
+	net := wire.NewNetwork()
+	mons := testQuorum(t, net, 1)
+	c := NewClient(net, "client.0", []int{0})
+	ctx := ctxT(t, 30*time.Second)
+
+	for i := 0; i < 10*logCap; i++ {
+		if err := c.Log(ctx, "info", fmt.Sprintf("msg-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mons[0].mu.Lock()
+	held, last := len(mons[0].log), mons[0].logSeq
+	mons[0].mu.Unlock()
+	if held > logCap {
+		t.Fatalf("monitor holds %d log entries, want at most %d", held, logCap)
+	}
+	all, err := c.GetLog(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) == 0 || len(all) > logCap {
+		t.Fatalf("GetLog(0) = %d entries, want 1..%d", len(all), logCap)
+	}
+	for i, e := range all {
+		if want := last - len(all) + 1 + i; e.Seq != want {
+			t.Fatalf("entry %d has Seq %d, want %d (contiguous, ending at %d)", i, e.Seq, want, last)
+		}
+	}
+	if all[0].Seq == 1 {
+		t.Fatal("GetLog(0) starts at Seq 1 after 10 rings' worth of appends")
+	}
+	tail, err := c.GetLog(ctx, last-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tail) != 5 || tail[0].Seq != last-4 {
+		t.Fatalf("GetLog(last-5) = %+v, want the 5 entries from Seq %d", tail, last-4)
+	}
+}
+
 func TestServiceDelete(t *testing.T) {
 	net := wire.NewNetwork()
 	testQuorum(t, net, 3)

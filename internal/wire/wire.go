@@ -385,16 +385,26 @@ func (n *Network) route(from, to Addr) (Handler, time.Duration, error) {
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
+	if d <= 0 || !wait(ctx.Done(), d) {
 		return ctx.Err()
 	}
+	return nil
+}
+
+// wait waits out a delivery delay d > 0 on a runtime timer, or until
+// done closes (a nil done never does), and reports whether the delay
+// elapsed. The timer is set before the doorbell rings, so the doorbell
+// never wakes the runtime before the timer is due.
+func wait(done <-chan struct{}, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
+	at := ring(d)
 	select {
 	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+		woke(at)
+		return true
+	case <-done:
+		return false
 	}
 }
 
@@ -434,7 +444,7 @@ func (n *Network) Send(from, to Addr, req any) {
 	n.sends.Add(1)
 	go func() {
 		if d > 0 {
-			time.Sleep(d)
+			wait(nil, d)
 		}
 		resp, err := h(context.Background(), from, req)
 		if err == nil {

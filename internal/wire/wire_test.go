@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -349,5 +350,54 @@ func TestDeferredRunsAfterReply(t *testing.T) {
 	case <-w.started:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Send dropped the handler's after-work")
+	}
+}
+
+// TestDeliveryNeverEarly runs many concurrent deliveries, the load under
+// which the doorbell wakes the netpoller between the runtime's own
+// timer waits: a Call at delay d never returns in under 2d, and a Send
+// never runs its handler in under d. Waking on time must never mean
+// waking early. There is deliberately no upper bound.
+func TestDeliveryNeverEarly(t *testing.T) {
+	const d = 2 * time.Millisecond
+	const workers, rounds = 8, 5
+	n := NewNetwork(WithLatency(d, 0))
+	sent := make(chan time.Duration, workers*rounds) // one per Send
+	n.Listen("osd.0", func(_ context.Context, _ Addr, req any) (any, error) {
+		if at, ok := req.(time.Time); ok {
+			sent <- time.Since(at)
+		}
+		return req, nil
+	})
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*rounds)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				// Stagger the workers so deadlines interleave.
+				time.Sleep(time.Duration(w) * 100 * time.Microsecond)
+				n.Send("c", "osd.0", time.Now())
+				start := time.Now()
+				if _, err := n.Call(context.Background(), "c", "osd.0", r); err != nil {
+					errs <- err
+					return
+				}
+				if took := time.Since(start); took < 2*d {
+					errs <- fmt.Errorf("call returned after %v, under two hops of %v", took, d)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for i := 0; i < workers*rounds; i++ {
+		if took := <-sent; took < d {
+			t.Errorf("send ran its handler after %v, under one hop of %v", took, d)
+		}
 	}
 }
