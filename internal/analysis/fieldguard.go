@@ -252,7 +252,7 @@ func receiverMutexes(pkg *Package, fd *ast.FuncDecl) []string {
 	return out
 }
 
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	var out []string
 	for k := range m {
 		out = append(out, k)

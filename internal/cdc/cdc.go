@@ -24,10 +24,9 @@ import "fmt"
 // uploads) because the dedup unit here is the RADOS block object: small
 // enough that partial overwrites re-ship little, large enough that the
 // 32-byte hash plus manifest entry stays well under 1% overhead.
+// MinSize and MaxSize default to AvgSize/4 and 8*AvgSize (Normalize).
 const (
-	DefaultMinSize = 2 * 1024
 	DefaultAvgSize = 8 * 1024
-	DefaultMaxSize = 64 * 1024
 	// DefaultNormLevel is the normalized-chunking level: the hard mask
 	// carries log2(avg)+level bits, the easy mask log2(avg)-level.
 	DefaultNormLevel = 2

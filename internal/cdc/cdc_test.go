@@ -69,7 +69,7 @@ func TestNormalizeDefaults(t *testing.T) {
 	if err := c.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if c.MinSize != DefaultMinSize || c.AvgSize != DefaultAvgSize || c.MaxSize != DefaultMaxSize {
+	if c.MinSize != DefaultAvgSize/4 || c.AvgSize != DefaultAvgSize || c.MaxSize != 8*DefaultAvgSize {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 	if c.NormLevel != 0 {
@@ -94,7 +94,7 @@ func TestNormalizePartialDefaults(t *testing.T) {
 	if err := c2.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if c2.AvgSize != DefaultAvgSize || c2.MaxSize != DefaultMaxSize {
+	if c2.AvgSize != DefaultAvgSize || c2.MaxSize != 8*DefaultAvgSize {
 		t.Fatalf("size defaults wrong: %+v", c2)
 	}
 }
@@ -145,7 +145,7 @@ func TestNormalizeRejectsBadConfigs(t *testing.T) {
 func TestSplitCoversInputExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cfg := mustConfig(t, Config{})
-	for _, n := range []int{0, 1, DefaultMinSize - 1, DefaultMinSize, DefaultAvgSize, DefaultMaxSize, DefaultMaxSize + 1, 1 << 20} {
+	for _, n := range []int{0, 1, DefaultAvgSize/4 - 1, DefaultAvgSize / 4, DefaultAvgSize, 8 * DefaultAvgSize, 8*DefaultAvgSize + 1, 1 << 20} {
 		data := randBytes(rng, n)
 		chunks, err := Split(data, cfg)
 		if err != nil {

@@ -262,7 +262,7 @@ func (r *run) radosClient(addr string) *rados.Client {
 
 func describeFault(ev wire.FaultEvent) string {
 	switch ev.Kind {
-	case "partition", "heal":
+	case "partition":
 		return fmt.Sprintf("%s %s <-> %s", ev.Kind, ev.A, ev.B)
 	case "heal-all":
 		return "heal-all"

@@ -19,7 +19,6 @@ package mantle
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -31,9 +30,6 @@ import (
 	"repro/internal/types"
 	"repro/internal/wire"
 )
-
-// ErrNoPolicy is returned while no balancer version is activated.
-var ErrNoPolicy = errors.New("mantle: no policy activated")
 
 // Balancer implements mds.Balancer by evaluating the activated policy
 // script. One Balancer serves one MDS rank.
@@ -218,13 +214,6 @@ func (b *Balancer) log(ctx context.Context, level, msg string) {
 	lctx, cancel := context.WithTimeout(ctx, time.Second)
 	defer cancel()
 	b.monc.Log(lctx, level, msg) //nolint:errcheck
-}
-
-// Version reports the currently loaded policy version.
-func (b *Balancer) Version() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.version
 }
 
 // InstallPolicy writes a policy body to the pool and activates it via

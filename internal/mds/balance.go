@@ -126,9 +126,6 @@ func (s *Server) balanceTick() {
 		Inodes: stats,
 		MDSMap: fresh,
 	})
-	s.mu.Lock()
-	s.balancerErr = err
-	s.mu.Unlock()
 	if err != nil {
 		s.monc.Log(ctx, "error", fmt.Sprintf("mds.%d balancer: %v", s.cfg.Rank, err)) //nolint:errcheck
 		return
@@ -180,15 +177,8 @@ func totalPop(stats []InodeStat) float64 {
 }
 
 // Export administratively migrates one inode to the target rank — the
-// manual counterpart of a balancer decision. ExportForTest is an alias
-// kept for readability in tests.
+// manual counterpart of a balancer decision.
 func (s *Server) Export(ctx context.Context, path string, target int, mode MigrationMode) error {
-	return s.exportInode(ctx, path, target, mode)
-}
-
-// ExportForTest is Export; the name signals intent at call sites that
-// bypass the balancer.
-func (s *Server) ExportForTest(ctx context.Context, path string, target int, mode MigrationMode) error {
 	return s.exportInode(ctx, path, target, mode)
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -60,13 +59,6 @@ type Client struct {
 	// and the push can beat the grant reply over the fabric).
 	earlyRecall map[string]bool // guarded by mu
 	mdsMap      *types.MDSMap   // guarded by mu
-
-	// localOps counts operations served from a held capability,
-	// remoteOps those a round trip served itself — a plain Next, or the
-	// acquire that fetched the capability; benchmark instrumentation
-	// for Figures 5-7.
-	localOps  int64 // guarded by mu
-	remoteOps int64 // guarded by mu
 }
 
 // NewClient builds a session identified as self.
@@ -123,13 +115,6 @@ func (c *Client) Stop() {
 		c.releaseCap(p)
 	}
 	c.net.Unlisten(c.self)
-}
-
-// Stats reports (local, remote) operation counts.
-func (c *Client) Stats() (local, remote int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.localOps, c.remoteOps
 }
 
 func (c *Client) handlePush(_ context.Context, _ wire.Addr, req any) (any, error) {
@@ -307,10 +292,6 @@ func redirectOf(resp any) (redirect int, again bool) {
 		if r.Status == StAgain {
 			return -1, true
 		}
-	case StatResp:
-		if r.Status == StRedirect {
-			return r.Redirect, false
-		}
 	case SetValueResp:
 		if r.Status == StRedirect {
 			return r.Redirect, false
@@ -350,19 +331,6 @@ func (c *Client) Open(ctx context.Context, path string, typ InodeType, policy *C
 		return fmt.Errorf("mds: open %s: %s", path, r.Status)
 	}
 	return nil
-}
-
-// Stat fetches inode metadata.
-func (c *Client) Stat(ctx context.Context, path string) (Inode, error) {
-	resp, err := c.call(ctx, path, func() any { return StatReq{Path: path} })
-	if err != nil {
-		return Inode{}, err
-	}
-	r := resp.(StatResp)
-	if r.Status == StNotFound {
-		return Inode{}, ErrNotFound
-	}
-	return r.Inode, nil
 }
 
 // SetPolicy changes the capability policy on an inode. Any held cap is
@@ -448,7 +416,6 @@ func (c *Client) localNextN(path string, n int) (uint64, bool) {
 	first := cs.value + 1
 	cs.value += uint64(n)
 	cs.used += n
-	c.localOps += int64(n)
 	mustRelease := cs.expired(now)
 	c.mu.Unlock()
 	if mustRelease {
@@ -501,9 +468,6 @@ func (c *Client) acquireAndNextN(ctx context.Context, path string, n int) (first
 	first = cs.value + 1
 	cs.value += uint64(n)
 	cs.used += n
-	// The acquire round trip served this range: one remote op, like the
-	// range of remoteNextN.
-	c.remoteOps++
 	// A best-effort grant that was already recalled yields after this
 	// one operation; delay/quota grants run to their boundary.
 	mustRelease := cs.expired(time.Now()) ||
@@ -541,48 +505,7 @@ func (c *Client) remoteNextN(ctx context.Context, path string, n int) (uint64, e
 	default:
 		return 0, fmt.Errorf("mds: nextn %s: %s", path, r.Status)
 	}
-	c.mu.Lock()
-	c.remoteOps++
-	c.mu.Unlock()
 	return r.First, nil
-}
-
-// List enumerates inodes whose path starts with prefix, merged across
-// every up rank (the namespace is partitioned by migration).
-func (c *Client) List(ctx context.Context, prefix string) ([]string, error) {
-	c.mu.Lock()
-	ranks := c.mdsMap.UpRanks()
-	c.mu.Unlock()
-	if len(ranks) == 0 {
-		if m, err := c.monc.GetMDSMap(ctx); err == nil {
-			c.mu.Lock()
-			if m.Epoch >= c.mdsMap.Epoch {
-				c.mdsMap = m
-			}
-			ranks = c.mdsMap.UpRanks()
-			c.mu.Unlock()
-		}
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, r := range ranks {
-		resp, err := c.net.Call(ctx, c.self, MDSAddr(r), ListReq{Prefix: prefix})
-		if err != nil {
-			continue // a down rank contributes nothing
-		}
-		lr, ok := resp.(ListResp)
-		if !ok {
-			continue
-		}
-		for _, p := range lr.Paths {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // Read returns the current sequencer value without advancing it.

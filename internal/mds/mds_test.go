@@ -47,6 +47,13 @@ func ctxT(t *testing.T, d time.Duration) context.Context {
 
 var roundTrip = mds.CapPolicy{} // non-cacheable: every op a round-trip
 
+// calls counts the fabric Calls addr has made on c's network: a
+// session's MDS requests leave from its own address, so the difference
+// across a run of operations is how many of them crossed the fabric.
+func calls(c *core.Cluster, addr wire.Addr) uint64 {
+	return c.Net.Stats().Outbound[addr].Calls
+}
+
 func TestRoundTripSequencer(t *testing.T) {
 	c := boot(t, core.Options{MDSs: 1, OSDs: 2})
 	cl := newClient(t, c, "client.1")
@@ -55,6 +62,7 @@ func TestRoundTripSequencer(t *testing.T) {
 	if err := cl.Open(ctx, "/seq0", mds.TypeSequencer, &roundTrip); err != nil {
 		t.Fatal(err)
 	}
+	before := calls(c, "client.1")
 	for want := uint64(1); want <= 5; want++ {
 		v, err := cl.Next(ctx, "/seq0")
 		if err != nil {
@@ -64,33 +72,30 @@ func TestRoundTripSequencer(t *testing.T) {
 			t.Fatalf("next = %d, want %d", v, want)
 		}
 	}
+	// The first Next asks for the capability, which the policy denies;
+	// from then on every Next is one round trip.
+	if got := calls(c, "client.1") - before; got != 6 {
+		t.Fatalf("5 round-trip Nexts made %d calls, want 6 (one denied acquire + 5)", got)
+	}
 	v, err := cl.Read(ctx, "/seq0")
 	if err != nil || v != 5 {
 		t.Fatalf("read = %d, %v", v, err)
 	}
-	local, remote := cl.Stats()
-	if local != 0 || remote != 5 {
-		t.Fatalf("local=%d remote=%d, want 0/5", local, remote)
-	}
 }
 
-func TestStatAndNotFound(t *testing.T) {
+func TestOpenAndNotFound(t *testing.T) {
 	c := boot(t, core.Options{MDSs: 1, OSDs: 2})
 	cl := newClient(t, c, "client.1")
 	ctx := ctxT(t, 10*time.Second)
 
-	if _, err := cl.Stat(ctx, "/missing"); !errors.Is(err, mds.ErrNotFound) {
-		t.Fatalf("stat missing = %v", err)
+	if _, err := cl.Read(ctx, "/f"); !errors.Is(err, mds.ErrNotFound) {
+		t.Fatalf("read before open = %v", err)
 	}
 	if err := cl.Open(ctx, "/f", mds.TypeSequencer, &roundTrip); err != nil {
 		t.Fatal(err)
 	}
-	ino, err := cl.Stat(ctx, "/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ino.Type != mds.TypeSequencer {
-		t.Fatalf("type = %s", ino.Type)
+	if v, err := cl.Next(ctx, "/f"); err != nil || v != 1 {
+		t.Fatalf("next on the opened sequencer = %d, %v; want 1", v, err)
 	}
 	if _, err := cl.Next(ctx, "/nope"); !errors.Is(err, mds.ErrNotFound) {
 		t.Fatalf("next missing = %v", err)
@@ -106,6 +111,7 @@ func TestCachedCapLocalIncrements(t *testing.T) {
 	if err := cl.Open(ctx, "/seq", mds.TypeSequencer, &pol); err != nil {
 		t.Fatal(err)
 	}
+	before := calls(c, "client.1")
 	for want := uint64(1); want <= 100; want++ {
 		v, err := cl.Next(ctx, "/seq")
 		if err != nil {
@@ -115,9 +121,8 @@ func TestCachedCapLocalIncrements(t *testing.T) {
 			t.Fatalf("next = %d, want %d", v, want)
 		}
 	}
-	local, _ := cl.Stats()
-	if local < 99 {
-		t.Fatalf("local ops = %d, want ~100 (cap held)", local)
+	if got := calls(c, "client.1") - before; got != 1 {
+		t.Fatalf("100 Nexts made %d calls, want 1 (the acquire; the cap serves the rest)", got)
 	}
 }
 
@@ -252,32 +257,32 @@ func TestSetPolicySwitchesMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first Next fetches the capability; the second is served from it.
+	before := calls(c, "client.1")
 	for i := 0; i < 2; i++ {
 		if _, err := cl.Next(ctx, "/seq"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	local1, _ := cl.Stats()
-	if local1 == 0 {
-		t.Fatal("expected a local op under cacheable policy")
+	if got := calls(c, "client.1") - before; got != 1 {
+		t.Fatalf("2 cached Nexts made %d calls, want 1 (a local op under cacheable policy)", got)
 	}
 	// Flip to round-trip; further ops hit the server.
 	if err := cl.SetPolicy(ctx, "/seq", roundTrip); err != nil {
 		t.Fatal(err)
 	}
+	before = calls(c, "client.1")
 	if _, err := cl.Next(ctx, "/seq"); err != nil {
 		t.Fatal(err)
 	}
-	_, remote := cl.Stats()
-	if remote == 0 {
+	if calls(c, "client.1") == before {
 		t.Fatal("expected a remote op after switching to round-trip")
 	}
 }
 
-// TestStatsCountAcquireAsRemote pins the accounting of what an acquire
-// round trip serves: with grants whose quota one Next (or one NextN
-// range) exhausts, every call crosses the fabric to fetch a capability
-// it uses up at once, so no op is local and each call is one remote op.
+// TestStatsCountAcquireAsRemote pins what a grant whose quota one Next
+// (or one NextN range) exhausts costs, as the fabric's call counts see
+// it: every call crosses the fabric to fetch a capability it uses up at
+// once and hands back, so no op is served locally.
 func TestStatsCountAcquireAsRemote(t *testing.T) {
 	c := boot(t, core.Options{MDSs: 1, OSDs: 2})
 	cl := newClient(t, c, "client.1")
@@ -288,14 +293,15 @@ func TestStatsCountAcquireAsRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ops = 6
+	before := calls(c, "client.1")
 	for want := uint64(1); want <= ops; want++ {
 		v, err := cl.Next(ctx, "/seq")
 		if err != nil || v != want {
 			t.Fatalf("next = %d, %v; want %d", v, err, want)
 		}
 	}
-	if local, remote := cl.Stats(); local != 0 || remote != ops {
-		t.Fatalf("local=%d remote=%d, want 0/%d: every value came with a fresh grant", local, remote, ops)
+	if got := calls(c, "client.1") - before; got != 2*ops {
+		t.Fatalf("%d Nexts made %d calls, want %d: every value came with a fresh grant, released at once", ops, got, 2*ops)
 	}
 
 	const n, ranges = 4, 3
@@ -303,13 +309,14 @@ func TestStatsCountAcquireAsRemote(t *testing.T) {
 	if err := cl.Open(ctx, "/ranges", mds.TypeSequencer, &rangePol); err != nil {
 		t.Fatal(err)
 	}
+	before = calls(c, "client.1")
 	for i := 0; i < ranges; i++ {
 		if first, err := cl.NextN(ctx, "/ranges", n); err != nil || first != uint64(i*n+1) {
 			t.Fatalf("NextN = %d, %v; want %d", first, err, i*n+1)
 		}
 	}
-	if local, remote := cl.Stats(); local != 0 || remote != ops+ranges {
-		t.Fatalf("local=%d remote=%d, want 0/%d: every range came with a fresh grant", local, remote, ops+ranges)
+	if got := calls(c, "client.1") - before; got != 2*ranges {
+		t.Fatalf("%d NextNs made %d calls, want %d: every range came with a fresh grant, released at once", ranges, got, 2*ranges)
 	}
 }
 
@@ -383,11 +390,12 @@ func TestProxyModeMigration(t *testing.T) {
 		}
 	}
 	// Migrate to rank 1 in proxy mode.
-	if err := c.MDSs[0].ExportForTest(ctx, "/seq", 1, mds.ModeProxy); err != nil {
+	if err := c.MDSs[0].Export(ctx, "/seq", 1, mds.ModeProxy); err != nil {
 		t.Fatal(err)
 	}
-	// Client keeps talking to rank 0; values continue seamlessly.
-	before0 := c.MDSs[0].OpsSinceTick()
+	// Client keeps talking to rank 0, which forwards each request to the
+	// authority, rank 1; values continue seamlessly.
+	before0 := calls(c, mds.MDSAddr(0))
 	for want := uint64(4); want <= 8; want++ {
 		v, err := cl.Next(ctx, "/seq")
 		if err != nil {
@@ -397,11 +405,8 @@ func TestProxyModeMigration(t *testing.T) {
 			t.Fatalf("next = %d, want %d", v, want)
 		}
 	}
-	if c.MDSs[0].OpsSinceTick() == before0 {
-		t.Fatal("proxy rank 0 handled no requests — clients bypassed the proxy")
-	}
-	if c.MDSs[1].OpsSinceTick() == 0 {
-		t.Fatal("authority rank 1 served nothing")
+	if got := calls(c, mds.MDSAddr(0)) - before0; got < 5 {
+		t.Fatalf("proxy rank 0 forwarded %d of 5 requests to the authority", got)
 	}
 }
 
@@ -416,7 +421,7 @@ func TestClientModeMigrationRedirects(t *testing.T) {
 	if _, err := cl.Next(ctx, "/seq"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MDSs[0].ExportForTest(ctx, "/seq", 1, mds.ModeClient); err != nil {
+	if err := c.MDSs[0].Export(ctx, "/seq", 1, mds.ModeClient); err != nil {
 		t.Fatal(err)
 	}
 	// First call after migration gets redirected, then goes direct.
@@ -429,16 +434,13 @@ func TestClientModeMigrationRedirects(t *testing.T) {
 			t.Fatalf("next = %d, want %d", v, want)
 		}
 	}
-	// After the redirect, rank 0 sees no more sequencer traffic except
-	// coherence; run more ops and confirm rank 1 carries them.
-	ops1 := c.MDSs[1].OpsSinceTick()
+	// After the redirect the client needs rank 0 no more: cut it off and
+	// confirm rank 1 carries the traffic.
+	c.Net.Partition("client.1", mds.MDSAddr(0))
 	for i := 0; i < 5; i++ {
 		if _, err := cl.Next(ctx, "/seq"); err != nil {
-			t.Fatal(err)
+			t.Fatalf("rank 1 did not serve redirected traffic: %v", err)
 		}
-	}
-	if c.MDSs[1].OpsSinceTick()-ops1 < 5 {
-		t.Fatal("rank 1 did not serve redirected traffic")
 	}
 }
 
@@ -453,20 +455,22 @@ func TestClientModeCoherenceTaxesOrigin(t *testing.T) {
 	if err := cl.Open(ctx, "/seq", mds.TypeSequencer, &roundTrip); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MDSs[0].ExportForTest(ctx, "/seq", 1, mds.ModeClient); err != nil {
+	if err := c.MDSs[0].Export(ctx, "/seq", 1, mds.ModeClient); err != nil {
 		t.Fatal(err)
 	}
 	// Drain the redirect.
 	if _, err := cl.Next(ctx, "/seq"); err != nil {
 		t.Fatal(err)
 	}
-	origin := c.MDSs[0].OpsSinceTick()
+	// Each access at the importer consults the origin: one call from
+	// rank 1 to rank 0.
+	origin := calls(c, mds.MDSAddr(1))
 	for i := 0; i < 10; i++ {
 		if _, err := cl.Next(ctx, "/seq"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if delta := c.MDSs[0].OpsSinceTick() - origin; delta < 10 {
+	if delta := calls(c, mds.MDSAddr(1)) - origin; delta < 10 {
 		t.Fatalf("origin rank saw %d coherence ops, want >= 10", delta)
 	}
 }
@@ -715,37 +719,6 @@ func TestRecallPushReachesClient(t *testing.T) {
 	}
 }
 
-func TestListAcrossRanks(t *testing.T) {
-	c := boot(t, core.Options{MDSs: 2, OSDs: 2})
-	cl := newClient(t, c, "client.1")
-	ctx := ctxT(t, 15*time.Second)
-
-	for _, p := range []string{"/logs/a", "/logs/b", "/other/c"} {
-		if err := cl.Open(ctx, p, mds.TypeSequencer, &roundTrip); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Spread the namespace across ranks, then list.
-	if err := c.MDSs[0].Export(ctx, "/logs/b", 1, mds.ModeClient); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.List(ctx, "/logs/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "/logs/a" || got[1] != "/logs/b" {
-		t.Fatalf("list = %v", got)
-	}
-	all, err := cl.List(ctx, "/")
-	if err != nil || len(all) != 3 {
-		t.Fatalf("list all = %v, %v", all, err)
-	}
-	none, err := cl.List(ctx, "/nope")
-	if err != nil || len(none) != 0 {
-		t.Fatalf("list none = %v, %v", none, err)
-	}
-}
-
 // TestClientStartIsOneSubscribe pins a session's start to one round
 // trip: one Subscribe to each of the three monitors and no map read,
 // yet the session starts on the current MDS map and routes to its rank.
@@ -768,7 +741,7 @@ func TestClientStartFailureUnlistens(t *testing.T) {
 	if err := cl.Start(ctxT(t, 5*time.Second)); err == nil {
 		t.Fatal("start with no monitor succeeded")
 	}
-	if eps := net.Endpoints(); len(eps) != 0 {
-		t.Fatalf("endpoints left after a failed start: %v", eps)
+	if _, err := net.Call(ctxT(t, time.Second), "probe", "client.orphan", nil); !errors.Is(err, wire.ErrUnreachable) {
+		t.Fatalf("call to the session after a failed start = %v, want an unreachable endpoint", err)
 	}
 }

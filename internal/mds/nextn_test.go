@@ -46,6 +46,7 @@ func TestNextNAmortizedAllocation(t *testing.T) {
 	if err := cl.Open(ctx, "/seq", mds.TypeSequencer, &roundTrip); err != nil {
 		t.Fatal(err)
 	}
+	before := calls(c, "client.1")
 	first, err := cl.NextN(ctx, "/seq", 5)
 	if err != nil || first != 1 {
 		t.Fatalf("NextN(5) = %d, %v; want 1", first, err)
@@ -58,10 +59,10 @@ func TestNextNAmortizedAllocation(t *testing.T) {
 	if err != nil || first != 7 {
 		t.Fatalf("NextN(3) = %d, %v; want 7", first, err)
 	}
-	// Each range costs one round-trip regardless of its size.
-	_, remote := cl.Stats()
-	if remote != 3 {
-		t.Fatalf("remote ops = %d, want 3 (two ranges + one single)", remote)
+	// Each range costs one round-trip regardless of its size, after the
+	// first NextN's acquire the policy denies.
+	if got := calls(c, "client.1") - before; got != 4 {
+		t.Fatalf("calls = %d, want 4 (a denied acquire, two ranges + one single)", got)
 	}
 }
 

@@ -3,9 +3,7 @@ package mds
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -102,8 +100,6 @@ type Server struct {
 	// happens under mu), so a harness can audit that the server never
 	// had two concurrent holders on an inode.
 	capLog []CapEvent // guarded by mu
-	// balancerErr remembers the last policy failure for introspection.
-	balancerErr error // guarded by mu
 	// ckpt is the rank's pending set of sequencer-value checkpoints (path
 	// -> highest value not yet journaled); ckptFlushing is set while the
 	// one flusher that writes it runs (see journal.go).
@@ -112,8 +108,10 @@ type Server struct {
 	// stopped refuses to start a flusher once Stop has begun.
 	stopped bool // guarded by mu
 
-	cpuMu   sync.Mutex    // serializes simulated CPU work
-	cpuDebt time.Duration // guarded by cpuMu
+	// cpu is the simulated single CPU, a 1-slot semaphore: work holds
+	// the slot while it sleeps, and only the holder touches cpuDebt.
+	cpu     chan struct{}
+	cpuDebt time.Duration
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -133,6 +131,7 @@ func NewServer(net *wire.Network, cfg Config) *Server {
 		redirect: make(map[string]int),
 		ckpt:     make(map[string]uint64),
 		mdsMap:   types.NewMDSMap(),
+		cpu:      make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 	}
 }
@@ -187,36 +186,20 @@ func (s *Server) work(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	s.cpuMu.Lock()
+	s.cpu <- struct{}{}
 	s.cpuDebt += d
 	if s.cpuDebt >= time.Millisecond {
 		t0 := time.Now()
-		//lint:ignore lockblock cpuMu IS the simulated single CPU: serializing the sleep is the model, and cpuMu guards nothing else
 		time.Sleep(s.cpuDebt)
 		s.cpuDebt -= time.Since(t0)
 	}
-	s.cpuMu.Unlock()
+	<-s.cpu
 }
 
 func (s *Server) countOp() {
 	s.mu.Lock()
 	s.ops++
 	s.mu.Unlock()
-}
-
-// OpsSinceTick reports the raw request count since the last balance
-// tick (test/benchmark instrumentation).
-func (s *Server) OpsSinceTick() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ops
-}
-
-// BalancerErr reports the last balancer failure, if any.
-func (s *Server) BalancerErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.balancerErr
 }
 
 func (s *Server) updateMDSMap(m *types.MDSMap) {
@@ -246,10 +229,6 @@ func (s *Server) handle(ctx context.Context, from wire.Addr, req any) (any, erro
 		return s.handleAcquire(ctx, r), nil
 	case ReleaseReq:
 		return s.handleRelease(r), nil
-	case StatReq:
-		return s.handleStat(r), nil
-	case ListReq:
-		return s.handleList(r), nil
 	case SetPolicyReq:
 		return s.handleSetPolicy(r), nil
 	case SetValueReq:
@@ -456,38 +435,6 @@ func (s *Server) advanceN(ino *inode, n uint64) (uint64, bool) {
 	}
 	s.mu.Unlock()
 	return first, true
-}
-
-func (s *Server) handleStat(r StatReq) StatResp {
-	s.work(s.cfg.HandleTime)
-	s.countOp()
-	ino, fwd, redir := s.resolve(r.Path)
-	switch {
-	case redir >= 0:
-		return StatResp{Status: StRedirect, Redirect: redir}
-	case fwd >= 0:
-		return StatResp{Status: StRedirect, Redirect: fwd}
-	case ino == nil:
-		return StatResp{Status: StNotFound}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return StatResp{Status: StOK, Inode: ino.Inode}
-}
-
-func (s *Server) handleList(r ListReq) ListResp {
-	s.work(s.cfg.HandleTime)
-	s.countOp()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var paths []string
-	for p := range s.inodes {
-		if strings.HasPrefix(p, r.Prefix) {
-			paths = append(paths, p)
-		}
-	}
-	sort.Strings(paths)
-	return ListResp{Status: StOK, Paths: paths}
 }
 
 func (s *Server) handleSetPolicy(r SetPolicyReq) SetPolicyResp {

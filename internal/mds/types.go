@@ -52,10 +52,6 @@ type CapPolicy struct {
 	Quota int
 }
 
-// BestEffort reports whether the policy is the default CephFS behavior:
-// yield immediately when a competing client appears.
-func (p CapPolicy) BestEffort() bool { return p.Delay == 0 && p.Quota == 0 }
-
 // MigrationMode selects how clients reach a migrated inode (Section
 // 6.2.1, Figure 11).
 type MigrationMode int
@@ -203,26 +199,6 @@ type SetValueReq struct {
 // SetValueResp acknowledges.
 type SetValueResp struct {
 	Status   Status
-	Redirect int
-}
-
-// ListReq enumerates inodes under a path prefix on one rank; clients
-// merge across ranks for a namespace-wide view.
-type ListReq struct{ Prefix string }
-
-// ListResp carries the rank-local matches.
-type ListResp struct {
-	Status Status
-	Paths  []string
-}
-
-// StatReq fetches inode metadata.
-type StatReq struct{ Path string }
-
-// StatResp answers StatReq.
-type StatResp struct {
-	Status   Status
-	Inode    Inode
 	Redirect int
 }
 

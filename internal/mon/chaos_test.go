@@ -16,10 +16,10 @@ import (
 func lossyQuorum(t *testing.T, n int, drop float64, seed int64) (*wire.Network, []*Monitor) {
 	t.Helper()
 	net := wire.NewNetwork(
-		wire.WithDropRate(drop),
 		wire.WithSeed(seed),
 		wire.WithLatency(50*time.Microsecond, 200*time.Microsecond),
 	)
+	net.SetDropRate(drop)
 	peers := make([]int, n)
 	for i := range peers {
 		peers[i] = i

@@ -260,13 +260,6 @@ func (m *Monitor) MapEpochs() (osd, mds types.Epoch) {
 	return m.osdMap.Epoch, m.mdsMap.Epoch
 }
 
-// Proposals returns how many Paxos values this monitor has learned:
-// each is one proposal's batch of updates.
-func (m *Monitor) Proposals() int { return m.px.NumChosen() }
-
-// IsLeader reports whether this monitor currently leads the quorum.
-func (m *Monitor) IsLeader() bool { return m.px.IsLeader() }
-
 // Lead forces this monitor to run an election now; used by bootstrap
 // code and tests that cannot wait for timeout-driven elections.
 func (m *Monitor) Lead(ctx context.Context) error { return m.px.BecomeLeader(ctx) }

@@ -14,12 +14,12 @@ func newChaosCluster(t *testing.T, n int, dropRate float64, seed int64) *cluster
 	t.Helper()
 	c := &cluster{
 		net: wire.NewNetwork(
-			wire.WithDropRate(dropRate),
 			wire.WithSeed(seed),
 			wire.WithLatency(100*time.Microsecond, 400*time.Microsecond),
 		),
 		applied: make([][]string, n),
 	}
+	c.net.SetDropRate(dropRate)
 	peers := make([]NodeID, n)
 	for i := range peers {
 		peers[i] = NodeID(i)

@@ -97,7 +97,6 @@ type Transport interface {
 var (
 	ErrNotLeader = errors.New("paxos: not the leader")
 	ErrNoQuorum  = errors.New("paxos: no quorum")
-	ErrStopped   = errors.New("paxos: node stopped")
 )
 
 // Config tunes timing.
@@ -183,13 +182,6 @@ func (n *Node) LeaderHint() NodeID {
 		return n.t.Self()
 	}
 	return n.leaderHint
-}
-
-// NumChosen returns how many slots this node has learned; for tests.
-func (n *Node) NumChosen() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.chosen)
 }
 
 func (n *Node) quorum() int { return len(n.t.Peers())/2 + 1 }

@@ -275,7 +275,7 @@ func TestBlockBatchResendNotReapplied(t *testing.T) {
 	ctx := ctxT(t, 10*time.Second)
 	blocks := testBlocks("resend", 4)
 	req := OpRequest{
-		Pool: "data", Object: blocks[0].name, Epoch: tc.client.MapEpoch(),
+		Pool: "data", Object: blocks[0].name, Epoch: tc.client.CachedMap().Epoch,
 		Op: OpBlockWrite, Blocks: blockOps(blocks), OpID: 4242,
 	}
 	first := callOSD(t, ctx, tc, 0, req)
@@ -312,7 +312,7 @@ func TestBlockBatchSkipsUnledEntries(t *testing.T) {
 	mixed := append(append([]dedupBlock{}, led...), blocks...)
 
 	rep := callOSD(t, ctx, tc, target, OpRequest{
-		Pool: "data", Object: mixed[0].name, Epoch: tc.client.MapEpoch(),
+		Pool: "data", Object: mixed[0].name, Epoch: tc.client.CachedMap().Epoch,
 		Op: OpBlockWrite, Blocks: blockOps(mixed),
 	})
 	var want []string
@@ -336,7 +336,7 @@ func TestBlockBatchSkipsUnledEntries(t *testing.T) {
 	}
 
 	rep = callOSD(t, ctx, tc, target, OpRequest{
-		Pool: "data", Object: mixed[0].name, Epoch: tc.client.MapEpoch(),
+		Pool: "data", Object: mixed[0].name, Epoch: tc.client.CachedMap().Epoch,
 		Op: OpBlockRead, Keys: blockNamesOf(mixed),
 	})
 	if rep.Result != OK || !reflect.DeepEqual(rep.Keys, want) || len(rep.Blocks) != len(want) {
@@ -371,7 +371,7 @@ func TestDedupPrimaryMoveBetweenStatAndPut(t *testing.T) {
 
 	stale := tc.client.CachedMap()
 	fresh := addOSD(t, ctx, tc)
-	if tc.client.MapEpoch() >= fresh.Epoch {
+	if tc.client.CachedMap().Epoch >= fresh.Epoch {
 		t.Fatal("client map refreshed by itself; the put would not be grouped stale")
 	}
 	if moved := movedPrimaries(t, stale, fresh, blocks); moved == 0 {
@@ -381,7 +381,7 @@ func TestDedupPrimaryMoveBetweenStatAndPut(t *testing.T) {
 	if err := tc.client.blockBatchAll(ctx, OpRequest{Pool: "data", Op: OpBlockWrite}, blocks, allIdx(len(blocks)), nil); err != nil {
 		t.Fatal(err)
 	}
-	if tc.client.MapEpoch() < fresh.Epoch {
+	if tc.client.CachedMap().Epoch < fresh.Epoch {
 		t.Fatal("put completed without the client learning the new map")
 	}
 	for _, b := range blocks {
@@ -471,7 +471,7 @@ func TestBlockReadRefetchesMovedBlocks(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if reader.MapEpoch() >= fresh.Epoch {
+	if reader.CachedMap().Epoch >= fresh.Epoch {
 		t.Fatal("reader map refreshed by itself; the get would not be grouped stale")
 	}
 
@@ -480,7 +480,7 @@ func TestBlockReadRefetchesMovedBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reader.MapEpoch() < fresh.Epoch {
+	if reader.CachedMap().Epoch < fresh.Epoch {
 		t.Fatal("get completed without the reader learning the new map")
 	}
 	for _, b := range blocks {
@@ -749,7 +749,7 @@ func TestReplicaVersionPinSurvivesReplay(t *testing.T) {
 	if err := c.WriteFull(ctx, "data", name, []byte("missed")); err != nil {
 		t.Fatal(err)
 	}
-	net.Heal(OSDAddr(primary), OSDAddr(replica))
+	net.HealAll()
 	if err := c.Remove(ctx, "data", name); err != nil {
 		t.Fatal(err)
 	}

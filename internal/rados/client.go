@@ -88,9 +88,6 @@ func (c *Client) NoteMap(m *types.OSDMap) {
 	c.mu.Unlock()
 }
 
-// MapEpoch returns the client's cached map epoch.
-func (c *Client) MapEpoch() types.Epoch { return c.view.Load().m.Epoch }
-
 // CachedMap returns the client's cached OSD map (shared; treat as
 // read-only).
 func (c *Client) CachedMap() *types.OSDMap { return c.view.Load().m }

@@ -713,7 +713,7 @@ func TestDedupCensus(t *testing.T) {
 			if _, reclaimed := tc.osds[owner].SweepBlocks(0); reclaimed != 0 {
 				t.Fatalf("sweep reclaimed %d blocks without osd.%d's answer", reclaimed, peer)
 			}
-			tc.net.Heal(tc.osds[owner].Addr(), tc.osds[peer].Addr())
+			tc.net.HealAll()
 			if _, reclaimed := tc.osds[owner].SweepBlocks(0); reclaimed != 1 {
 				t.Fatalf("healed sweep reclaimed %d blocks, want the orphan %s", reclaimed, name)
 			}

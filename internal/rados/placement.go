@@ -40,15 +40,10 @@ func PGForObject(object string, pgNum int) int {
 	return int(hash64(object) % uint64(pgNum))
 }
 
-// OSDsForPG returns the acting set for a PG: replicas-many up OSDs
-// ranked by rendezvous hash, primary first. Returns nil when no OSD is
-// up. It computes from scratch; the op path reads a mapView instead.
-func OSDsForPG(m *types.OSDMap, pool string, pg, replicas int) []int {
-	return rankOSDs(m.UpOSDs(), pool, pg, replicas)
-}
-
-// rankOSDs picks the replicas highest-scoring members of up (ascending
-// ids) for pool/pg, ties broken toward the lower id.
+// rankOSDs returns the acting set for a PG: the replicas
+// highest-scoring members of up (ascending ids) ranked by rendezvous
+// hash, primary first, ties broken toward the lower id; nil when no OSD
+// is up. It computes from scratch; the op path reads a mapView instead.
 func rankOSDs(up []int, pool string, pg, replicas int) []int {
 	if len(up) == 0 {
 		return nil

@@ -786,7 +786,7 @@ func mapWithOSDs(ids ...int) *types.OSDMap {
 func TestOSDsForPGDistinctAndSized(t *testing.T) {
 	m := mapWithOSDs(0, 1, 2, 3, 4)
 	for pg := 0; pg < 32; pg++ {
-		set := OSDsForPG(m, "p", pg, 3)
+		set := rankOSDs(m.UpOSDs(), "p", pg, 3)
 		if len(set) != 3 {
 			t.Fatalf("pg %d: set %v", pg, set)
 		}
@@ -805,7 +805,7 @@ func TestOSDsForPGMinimalMovement(t *testing.T) {
 	// must not change that acting set.
 	full := mapWithOSDs(0, 1, 2, 3, 4, 5, 6, 7)
 	for pg := 0; pg < 64; pg++ {
-		set := OSDsForPG(full, "p", pg, 3)
+		set := rankOSDs(full.UpOSDs(), "p", pg, 3)
 		inSet := map[int]bool{}
 		for _, id := range set {
 			inSet[id] = true
@@ -820,7 +820,7 @@ func TestOSDsForPGMinimalMovement(t *testing.T) {
 					reduced.OSDs[id] = types.OSDInfo{ID: id, State: types.StateUp}
 				}
 			}
-			after := OSDsForPG(reduced, "p", pg, 3)
+			after := rankOSDs(reduced.UpOSDs(), "p", pg, 3)
 			for i := range set {
 				if set[i] != after[i] {
 					t.Fatalf("pg %d: removing uninvolved osd.%d moved set %v -> %v", pg, victim, set, after)
@@ -837,7 +837,7 @@ func TestPropPlacementBalanced(t *testing.T) {
 	counts := map[int]int{}
 	const pgs = 256
 	for pg := 0; pg < pgs; pg++ {
-		set := OSDsForPG(m, "pool", pg, 3)
+		set := rankOSDs(m.UpOSDs(), "pool", pg, 3)
 		counts[set[0]]++
 	}
 	for id, n := range counts {

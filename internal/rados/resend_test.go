@@ -21,11 +21,11 @@ func replicasAhead(t *testing.T, ctx context.Context, tc *testCluster, primary i
 	if err := tc.client.RefreshMap(ctx); err != nil {
 		t.Fatal(err)
 	}
-	waitEpoch(t, ctx, tc.osds, tc.client.MapEpoch(), noPeer)
+	waitEpoch(t, ctx, tc.osds, tc.client.CachedMap().Epoch, noPeer)
 	for _, o := range tc.osds {
 		tc.net.Partition(mon.Addr(0), o.Addr())
 	}
-	err := tc.client.Mon().SetService(ctx, types.MapOSD, "ahead", strconv.FormatUint(uint64(tc.client.MapEpoch()), 10))
+	err := tc.client.Mon().SetService(ctx, types.MapOSD, "ahead", strconv.FormatUint(uint64(tc.client.CachedMap().Epoch), 10))
 	tc.net.HealAll()
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +34,8 @@ func replicasAhead(t *testing.T, ctx context.Context, tc *testCluster, primary i
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Epoch != tc.client.MapEpoch()+1 || tc.osds[primary].Epoch() != tc.client.MapEpoch() {
-		t.Fatalf("monitor at epoch %d, client at %d, primary at %d", m.Epoch, tc.client.MapEpoch(), tc.osds[primary].Epoch())
+	if m.Epoch != tc.client.CachedMap().Epoch+1 || tc.osds[primary].Epoch() != tc.client.CachedMap().Epoch {
+		t.Fatalf("monitor at epoch %d, client at %d, primary at %d", m.Epoch, tc.client.CachedMap().Epoch, tc.osds[primary].Epoch())
 	}
 	for i, o := range tc.osds {
 		if i != primary {

@@ -85,9 +85,9 @@ func installClass(t *testing.T, c *Client, osds []*OSD, name, src string) {
 		t.Fatal(err)
 	}
 	for _, o := range osds {
-		for o.Epoch() < c.MapEpoch() {
+		for o.Epoch() < c.CachedMap().Epoch {
 			if ctx.Err() != nil {
-				t.Fatalf("osd.%d never reached epoch %d", o.cfg.ID, c.MapEpoch())
+				t.Fatalf("osd.%d never reached epoch %d", o.cfg.ID, c.CachedMap().Epoch)
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -133,7 +133,7 @@ func TestPromotedReplicaReplaysWitnessRecords(t *testing.T) {
 		t.Fatalf("new primary holds e.1 = %q, want the acked write", kv["e.1"])
 	}
 	now := actingOf(t, tc, "wp")
-	rep, err := tc.client.call(ctx, OSDAddr(now[0]), &OpRequest{Pool: "data", Object: "wp", Epoch: tc.client.MapEpoch(),
+	rep, err := tc.client.call(ctx, OSDAddr(now[0]), &OpRequest{Pool: "data", Object: "wp", Epoch: tc.client.CachedMap().Epoch,
 		Op: OpCall, OpID: id, Class: "wk", Method: "put", Input: []byte("1"), Witnessed: true})
 	if err != nil || rep.Result != OK {
 		t.Fatalf("re-send to the new primary = %v %v (%s), want the replayed OK", rep.Result, err, rep.Detail)

@@ -127,7 +127,7 @@ func TestPrimaryRewritesOnlyItsOwnRequest(t *testing.T) {
 		{Op: OpCall, Class: "counter", Method: "incr"},
 		{Op: OpWriteFull, Data: []byte("payload")},
 	} {
-		req.Pool, req.Object, req.Epoch, req.OpID = "data", "o", tc.client.MapEpoch(), uint64(i+1)
+		req.Pool, req.Object, req.Epoch, req.OpID = "data", "o", tc.client.CachedMap().Epoch, uint64(i+1)
 		sent := *req
 		resp, err := tc.net.Call(ctx, "client.sender", primary, req)
 		if err != nil {

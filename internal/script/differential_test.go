@@ -433,9 +433,10 @@ func TestDifferentialHostInterop(t *testing.T) {
 			f, _ := ToNumber(args[0])
 			return []Value{f * 2}, nil
 		}))
-		tbl := NewTable()
+		tbl, mds := NewTable(), NewTable()
 		tbl.Set("load", 12.5) //nolint:errcheck
-		ip.SetGlobal("mds", NewArray(tbl))
+		mds.Set(1.0, tbl)     //nolint:errcheck
+		ip.SetGlobal("mds", mds)
 	}
 	runBoth(t, `return host_fn(mds[1]["load"])`, 0, 0, setup)
 

@@ -7,15 +7,19 @@ import (
 	"repro/internal/script"
 )
 
-// ExampleInterp_Run shows basic chunk evaluation.
-func ExampleInterp_Run() {
-	ip := script.New(script.WithStdout(os.Stdout))
-	vals, err := ip.Run(`
+// ExampleCompile shows basic chunk evaluation: a host compiles a
+// script once and runs the chunk on an interpreter as often as it likes.
+func ExampleCompile() {
+	chunk, err := script.Compile(`
 		local total = 0
 		for i = 1, 10 do total = total + i end
 		print("total:", total)
 		return total
 	`)
+	if err != nil {
+		panic(err)
+	}
+	vals, err := chunk.Run(script.New(script.WithStdout(os.Stdout)))
 	if err != nil {
 		panic(err)
 	}
@@ -29,7 +33,11 @@ func ExampleInterp_Run() {
 // script defines a policy predicate; the host calls it per tick.
 func ExampleInterp_Call() {
 	ip := script.New()
-	if _, err := ip.Run(`function when(load, avg) return load > avg * 1.2 end`); err != nil {
+	chunk, err := script.Compile(`function when(load, avg) return load > avg * 1.2 end`)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := chunk.Run(ip); err != nil {
 		panic(err)
 	}
 	when := ip.Global("when")
@@ -54,7 +62,11 @@ func ExampleTable() {
 
 	ip := script.New()
 	ip.SetGlobal("mds", metrics)
-	vals, err := ip.Run(`return mds["load"] / 2, mds.rank + 1`)
+	chunk, err := script.Compile(`return mds["load"] / 2, mds.rank + 1`)
+	if err != nil {
+		panic(err)
+	}
+	vals, err := chunk.Run(ip)
 	if err != nil {
 		panic(err)
 	}
@@ -65,8 +77,11 @@ func ExampleTable() {
 
 // ExampleWithBudget shows the sandbox cutting off a runaway policy.
 func ExampleWithBudget() {
-	ip := script.New(script.WithBudget(1000))
-	_, err := ip.Run(`while true do end`)
+	chunk, err := script.Compile(`while true do end`)
+	if err != nil {
+		panic(err)
+	}
+	_, err = chunk.Run(script.New(script.WithBudget(1000)))
 	fmt.Println(err != nil)
 	// Output:
 	// true

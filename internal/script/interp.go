@@ -93,17 +93,6 @@ func (ip *Interp) Global(name string) Value { return ip.globals[name] }
 // behind.
 func (ip *Interp) GlobalWrites() uint64 { return ip.globalWrites }
 
-// Run compiles src and runs it as a chunk, returning its return values.
-// Hosts that run the same source repeatedly compile it once with
-// Compile and call CompiledChunk.Run instead.
-func (ip *Interp) Run(src string) ([]Value, error) {
-	chunk, err := Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	return chunk.Run(ip)
-}
-
 // Call invokes a script value (compiled closure or host function) with
 // args, refreshing the step budget. Use it for policy callbacks like
 // Mantle's when().

@@ -142,29 +142,3 @@ type CompiledClosure struct {
 	proto *proto
 	ups   []*cell
 }
-
-// Disasm renders the chunk's bytecode for debugging and docs.
-func (c *CompiledChunk) Disasm() string {
-	out := c.disasmProto(c.main, "main")
-	for i, p := range c.protos {
-		out += c.disasmProto(p, fmt.Sprintf("fn%d %s", i, p.name))
-	}
-	return out
-}
-
-func (c *CompiledChunk) disasmProto(p *proto, title string) string {
-	out := fmt.Sprintf("%s: params=%d variadic=%v slots=%d ups=%d\n",
-		title, p.params, p.variadic, p.numSlots, len(p.ups))
-	for i, in := range p.code {
-		detail := ""
-		switch in.op {
-		case opConst, opGetGlobal, opSetGlobal, opMethod:
-			detail = fmt.Sprintf(" ; %v", c.consts[in.a])
-		case opBin, opUn:
-			detail = fmt.Sprintf(" ; %s", Kind(in.a))
-		}
-		out += fmt.Sprintf("  %4d  %-10s %5d %5d %5d  (line %d)%s\n",
-			i, in.op, in.a, in.b, in.c, in.line, detail)
-	}
-	return out
-}

@@ -84,7 +84,7 @@ func TestRunGarbageNeverPanics(t *testing.T) {
 				}
 			}()
 			ip := New(WithBudget(100_000))
-			_, _ = ip.Run(src)
+			_, _ = runSrc(ip, src)
 		}()
 	}
 }
@@ -93,7 +93,7 @@ func TestRunGarbageNeverPanics(t *testing.T) {
 // doubles: division by zero is inf/NaN, not an error).
 func TestDivisionEdgeCases(t *testing.T) {
 	ip := New()
-	vals, err := ip.Run("return 1/0 > 1e308, 0/0 ~= 0/0")
+	vals, err := runSrc(ip, "return 1/0 > 1e308, 0/0 ~= 0/0")
 	if err != nil {
 		t.Fatal(err)
 	}

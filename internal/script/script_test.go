@@ -8,11 +8,21 @@ import (
 	"testing/quick"
 )
 
+// runSrc compiles src and runs it as a chunk on ip, returning its
+// return values.
+func runSrc(ip *Interp, src string) ([]Value, error) {
+	chunk, err := Compile(src)
+	if err != nil {
+		return nil, err
+	}
+	return chunk.Run(ip)
+}
+
 // run evaluates src and returns the first returned value.
 func run(t *testing.T, src string) Value {
 	t.Helper()
 	ip := New()
-	vals, err := ip.Run(src)
+	vals, err := runSrc(ip, src)
 	if err != nil {
 		t.Fatalf("Run(%q): %v", src, err)
 	}
@@ -319,7 +329,7 @@ func TestPcallAndError(t *testing.T) {
 func TestPrintGoesToStdout(t *testing.T) {
 	var buf bytes.Buffer
 	ip := New(WithStdout(&buf))
-	if _, err := ip.Run(`print("hello", 1, nil)`); err != nil {
+	if _, err := runSrc(ip, `print("hello", 1, nil)`); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != "hello\t1\tnil\n" {
@@ -335,11 +345,12 @@ func TestHostInterop(t *testing.T) {
 		f, _ := ToNumber(args[0])
 		return []Value{f * 2}, nil
 	}))
-	tbl := NewTable()
+	tbl, mds := NewTable(), NewTable()
 	tbl.Set("load", 12.5) //nolint:errcheck
-	ip.SetGlobal("mds", NewArray(tbl))
+	mds.Set(1.0, tbl)     //nolint:errcheck
+	ip.SetGlobal("mds", mds)
 
-	vals, err := ip.Run(`return host_fn(mds[1]["load"])`)
+	vals, err := runSrc(ip, `return host_fn(mds[1]["load"])`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,10 +364,10 @@ func TestHostInterop(t *testing.T) {
 
 func TestGlobalsPersistAcrossRuns(t *testing.T) {
 	ip := New()
-	if _, err := ip.Run("counter = 10"); err != nil {
+	if _, err := runSrc(ip, "counter = 10"); err != nil {
 		t.Fatal(err)
 	}
-	vals, err := ip.Run("counter = counter + 5 return counter")
+	vals, err := runSrc(ip, "counter = counter + 5 return counter")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +378,7 @@ func TestGlobalsPersistAcrossRuns(t *testing.T) {
 
 func TestCallScriptFunctionFromHost(t *testing.T) {
 	ip := New()
-	if _, err := ip.Run(`function when(load) return load > 50 end`); err != nil {
+	if _, err := runSrc(ip, `function when(load) return load > 50 end`); err != nil {
 		t.Fatal(err)
 	}
 	fn := ip.Global("when")
@@ -399,7 +410,7 @@ func TestMantlePolicySnippet(t *testing.T) {
 	ip.SetGlobal("whoami", 0.0)
 	ip.SetGlobal("targets", NewTable())
 
-	if _, err := ip.Run(`targets[whoami+1] = mds[whoami]["load"]/2`); err != nil {
+	if _, err := runSrc(ip, `targets[whoami+1] = mds[whoami]["load"]/2`); err != nil {
 		t.Fatal(err)
 	}
 	targets := ip.Global("targets").(*Table)
@@ -410,7 +421,7 @@ func TestMantlePolicySnippet(t *testing.T) {
 
 func TestBudgetKillsInfiniteLoop(t *testing.T) {
 	ip := New(WithBudget(10_000))
-	_, err := ip.Run("while true do end")
+	_, err := runSrc(ip, "while true do end")
 	if err == nil || !strings.Contains(err.Error(), ErrBudget) {
 		t.Fatalf("expected budget error, got %v", err)
 	}
@@ -424,18 +435,18 @@ func TestBudgetRefreshedPerRun(t *testing.T) {
 	const src = "local s = 0 for i = 1, 1000 do s = s + i end return s"
 	ip := New(WithBudget(7_010))
 	for i := 0; i < 3; i++ {
-		if _, err := ip.Run(src); err != nil {
+		if _, err := runSrc(ip, src); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	if _, err := New(WithBudget(7_009)).Run(src); err == nil || !strings.Contains(err.Error(), ErrBudget) {
+	if _, err := runSrc(New(WithBudget(7_009)), src); err == nil || !strings.Contains(err.Error(), ErrBudget) {
 		t.Fatalf("one step short of the loop's cost: err = %v, want budget error", err)
 	}
 }
 
 func TestDepthLimit(t *testing.T) {
 	ip := New(WithMaxDepth(50))
-	_, err := ip.Run(`
+	_, err := runSrc(ip, `
 		local function rec(n) return rec(n + 1) end
 		return rec(0)`)
 	if err == nil || !strings.Contains(err.Error(), "call stack too deep") {
@@ -457,7 +468,7 @@ func TestRuntimeErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		ip := New()
-		_, err := ip.Run(tc.src)
+		_, err := runSrc(ip, tc.src)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Run(%q) error = %v, want mention of %q", tc.src, err, tc.want)
 		}
@@ -558,7 +569,7 @@ func TestPropArithmeticMatchesGo(t *testing.T) {
 	f := func(a, b int16) bool {
 		ip.SetGlobal("a", float64(a))
 		ip.SetGlobal("b", float64(b))
-		vals, err := ip.Run("return a + b, a - b, a * b")
+		vals, err := runSrc(ip, "return a + b, a - b, a * b")
 		if err != nil || len(vals) != 3 {
 			return false
 		}

@@ -37,15 +37,6 @@ func NewTable() *Table {
 	return &Table{}
 }
 
-// NewArray builds a table whose array part holds the given values.
-func NewArray(vals ...Value) *Table {
-	t := NewTable()
-	for i, v := range vals {
-		t.Set(float64(i+1), v)
-	}
-	return t
-}
-
 // normKey canonicalizes table keys: integral floats stay float64, and
 // that is the only numeric key form. Returns an error value for NaN/nil.
 func normKey(k Value) (Value, error) {

@@ -15,24 +15,6 @@ func TestCompileReportsSyntaxErrors(t *testing.T) {
 	}
 }
 
-func TestDisasmSmoke(t *testing.T) {
-	chunk, err := Compile(`
-		local s = 0
-		for i = 1, 10 do s = s + i end
-		local f = function(x) return x + s end
-		return f(5)
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dis := chunk.Disasm()
-	for _, want := range []string{"FORPREP", "FORLOOP", "CLOSURE", "CALL", "RETURN"} {
-		if !strings.Contains(dis, want) {
-			t.Fatalf("disassembly missing %s:\n%s", want, dis)
-		}
-	}
-}
-
 // TestChunkReusedAcrossInterps is the caching contract: one compiled
 // chunk, many interpreters, no cross-talk through chunk state.
 func TestChunkReusedAcrossInterps(t *testing.T) {

@@ -18,19 +18,3 @@ func ExampleHistogram() {
 	// Output:
 	// P50=500.5 P99=990.0 max=1000 n=1000
 }
-
-// ExampleHistogram_CDF shows CDF extraction (Figures 7 and 8).
-func ExampleHistogram_CDF() {
-	h := stats.NewHistogram()
-	for _, v := range []float64{1, 2, 3, 4} {
-		h.Add(v)
-	}
-	for _, p := range h.CDF(4) {
-		fmt.Printf("%.0f -> %.2f\n", p.Value, p.Fraction)
-	}
-	// Output:
-	// 1 -> 0.25
-	// 2 -> 0.50
-	// 3 -> 0.75
-	// 4 -> 1.00
-}

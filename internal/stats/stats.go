@@ -90,40 +90,8 @@ func (h *Histogram) Mean() float64 {
 	return sum / float64(len(h.samples))
 }
 
-// Min returns the smallest sample; NaN when empty.
-func (h *Histogram) Min() float64 { return h.Percentile(0) }
-
 // Max returns the largest sample; NaN when empty.
 func (h *Histogram) Max() float64 { return h.Percentile(100) }
-
-// CDFPoint is one point of a cumulative distribution.
-type CDFPoint struct {
-	Value    float64 // sample value
-	Fraction float64 // cumulative fraction <= Value
-}
-
-// CDF returns up to points evenly spaced CDF points.
-func (h *Histogram) CDF(points int) []CDFPoint {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n == 0 || points <= 0 {
-		return nil
-	}
-	h.sortLocked()
-	if points > n {
-		points = n
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 1; i <= points; i++ {
-		idx := i*n/points - 1
-		out = append(out, CDFPoint{
-			Value:    h.samples[idx],
-			Fraction: float64(idx+1) / float64(n),
-		})
-	}
-	return out
-}
 
 // Summary renders count/mean/percentiles on one line.
 func (h *Histogram) Summary(unit string) string {

@@ -20,10 +20,9 @@ type Epoch uint64
 
 // Entity kinds on the fabric.
 const (
-	EntityMon    = "mon"
-	EntityOSD    = "osd"
-	EntityMDS    = "mds"
-	EntityClient = "client"
+	EntityMon = "mon"
+	EntityOSD = "osd"
+	EntityMDS = "mds"
 )
 
 // EntityName renders "kind.id", the address form used on the wire.

@@ -14,7 +14,7 @@ func TestEntityName(t *testing.T) {
 		{EntityOSD, 0, "osd.0"},
 		{EntityMDS, 12, "mds.12"},
 		{EntityMon, 2, "mon.2"},
-		{EntityClient, 99, "client.99"},
+		{"client", 99, "client.99"},
 	}
 	for _, tc := range cases {
 		if got := EntityName(tc.kind, tc.id); got != tc.want {

@@ -409,13 +409,6 @@ func (l *Log) TailBytes() int64 {
 	return l.tail
 }
 
-// CheckpointLSN returns the LSN covered by the last checkpoint.
-func (l *Log) CheckpointLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.checkpointLSN
-}
-
 // Checkpoint durably stores an application snapshot covering records up
 // to and including upTo, then prunes fully-covered segments. The
 // snapshot is written to a temp file, fsynced, renamed over the

@@ -533,17 +533,24 @@ func TestSyncFollowerSkipsCoveredRecords(t *testing.T) {
 	}
 }
 
+// checkpointLSN is the LSN the log's last checkpoint covers.
+func checkpointLSN(l *Log) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.checkpointLSN
+}
+
 func TestCheckpointLSNReported(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{})
-	if got := l.CheckpointLSN(); got != 0 {
+	if got := checkpointLSN(l); got != 0 {
 		t.Fatalf("fresh CheckpointLSN = %d, want 0", got)
 	}
 	appendN(t, l, 5, "ck")
 	if err := l.Checkpoint([]byte("snap"), 5); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	if got := l.CheckpointLSN(); got != 5 {
+	if got := checkpointLSN(l); got != 5 {
 		t.Fatalf("CheckpointLSN = %d, want 5", got)
 	}
 	if err := l.Close(); err != nil {
@@ -551,7 +558,7 @@ func TestCheckpointLSNReported(t *testing.T) {
 	}
 	l2 := mustOpen(t, dir, Options{})
 	defer l2.Close() //nolint:errcheck
-	if got := l2.CheckpointLSN(); got != 5 {
+	if got := checkpointLSN(l2); got != 5 {
 		t.Fatalf("reopened CheckpointLSN = %d, want 5", got)
 	}
 }
@@ -683,7 +690,7 @@ func TestCheckpointTmpCollisionFails(t *testing.T) {
 	if err := l.Checkpoint([]byte("state"), 2); err == nil {
 		t.Fatalf("Checkpoint wrote through a squatting directory")
 	}
-	if got := l.CheckpointLSN(); got != 0 {
+	if got := checkpointLSN(l); got != 0 {
 		t.Fatalf("failed Checkpoint advanced CheckpointLSN to %d", got)
 	}
 }

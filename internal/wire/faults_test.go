@@ -76,7 +76,7 @@ func TestHealRacingBroadcast(t *testing.T) {
 			default:
 			}
 			n.Partition("mon.0", "osd.1")
-			n.Heal("mon.0", "osd.1")
+			n.HealAll()
 			n.Partition("mon.0", "osd.2")
 			n.HealAll()
 		}
@@ -206,7 +206,7 @@ func TestFaultSnapshotSettersUnderLoad(t *testing.T) {
 		n.Partition("client.2", "osd.0")
 		probe("partition", "osd.0", ErrPartitioned)
 		probe("partition, other pair", "osd.1", nil)
-		n.Heal("client.2", "osd.0")
+		n.HealAll()
 		probe("heal", "osd.0", nil)
 		n.SetLinkDropRate("client.2", "osd.0", 1)
 		probe("link drop on", "osd.0", ErrDropped)
@@ -264,10 +264,9 @@ func TestOnFaultHookObservesChanges(t *testing.T) {
 	n.SetDropRate(0.25)
 	n.SetLinkDropRate("a", "b", 0.5)
 	n.SetLatency(time.Millisecond, 0)
-	n.Heal("a", "b")
 	n.HealAll()
 
-	want := []string{"partition", "drop-rate", "link-drop", "latency", "heal", "heal-all"}
+	want := []string{"partition", "drop-rate", "link-drop", "latency", "heal-all"}
 	if len(got) != len(want) {
 		t.Fatalf("fault events = %v, want %v", got, want)
 	}

@@ -94,7 +94,7 @@ type endpointStat struct {
 // harness subscribes to these to build its event log from the fabric's
 // own view of what was injected.
 type FaultEvent struct {
-	Kind   string // "partition", "heal", "heal-all", "drop-rate", "link-drop", "latency"
+	Kind   string // "partition", "heal-all", "drop-rate", "link-drop", "latency"
 	A, B   Addr   // the affected pair, when pairwise
 	Rate   float64
 	Base   time.Duration
@@ -179,13 +179,6 @@ func WithLatency(base, jitter time.Duration) Option {
 	}
 }
 
-// WithDropRate sets the probability in [0,1) that a message is lost.
-func WithDropRate(p float64) Option {
-	return func(n *Network) {
-		n.update(func(s *routeState) { s.dropRate = p })
-	}
-}
-
 // WithSeed seeds the fabric's random source so drop/jitter sequences are
 // reproducible.
 func WithSeed(seed int64) Option {
@@ -244,12 +237,6 @@ func (n *Network) notifyFault(ev FaultEvent) {
 func (n *Network) Partition(a, b Addr) {
 	n.update(func(s *routeState) { s.partitions = withKey(s.partitions, pairKey(a, b), true, false) })
 	n.notifyFault(FaultEvent{Kind: "partition", A: a, B: b})
-}
-
-// Heal restores connectivity between a and b.
-func (n *Network) Heal(a, b Addr) {
-	n.update(func(s *routeState) { s.partitions = withKey(s.partitions, pairKey(a, b), false, true) })
-	n.notifyFault(FaultEvent{Kind: "heal", A: a, B: b})
 }
 
 // HealAll removes every partition and per-link drop override.
@@ -459,15 +446,4 @@ func (n *Network) Broadcast(from Addr, to []Addr, req any) {
 	for _, t := range to {
 		n.Send(from, t, req)
 	}
-}
-
-// Endpoints returns the currently registered addresses (sorted order not
-// guaranteed); primarily for tests and introspection tools.
-func (n *Network) Endpoints() []Addr {
-	eps := n.routes.Load().endpoints
-	out := make([]Addr, 0, len(eps))
-	for a := range eps {
-		out = append(out, a)
-	}
-	return out
 }

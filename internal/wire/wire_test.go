@@ -63,7 +63,7 @@ func TestPartitionAndHeal(t *testing.T) {
 	if _, err := n.Call(context.Background(), "client.2", "mon.0", 1); err != nil {
 		t.Fatalf("unrelated call failed: %v", err)
 	}
-	n.Heal("mon.0", "client.1")
+	n.HealAll()
 	if _, err := n.Call(context.Background(), "client.1", "mon.0", 1); err != nil {
 		t.Fatalf("after heal: %v", err)
 	}
@@ -109,7 +109,8 @@ func TestCallHonorsContext(t *testing.T) {
 }
 
 func TestDropRate(t *testing.T) {
-	n := NewNetwork(WithDropRate(1.0), WithSeed(7))
+	n := NewNetwork(WithSeed(7))
+	n.SetDropRate(1.0)
 	n.Listen("osd.0", echoHandler)
 	if _, err := n.Call(context.Background(), "c", "osd.0", 1); !errors.Is(err, ErrDropped) {
 		t.Fatalf("err = %v, want ErrDropped", err)
@@ -245,8 +246,9 @@ func TestPropPartitionSymmetry(t *testing.T) {
 func TestPropSeededNetworksAgree(t *testing.T) {
 	// Two fabrics with the same seed drop the same message sequence.
 	f := func(seed int64, trials uint8) bool {
-		n1 := NewNetwork(WithDropRate(0.5), WithSeed(seed))
-		n2 := NewNetwork(WithDropRate(0.5), WithSeed(seed))
+		n1, n2 := NewNetwork(WithSeed(seed)), NewNetwork(WithSeed(seed))
+		n1.SetDropRate(0.5)
+		n2.SetDropRate(0.5)
 		n1.Listen("a", echoHandler)
 		n2.Listen("a", echoHandler)
 		for i := 0; i < int(trials%32); i++ {

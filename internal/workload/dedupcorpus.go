@@ -1,11 +1,6 @@
 package workload
 
-import (
-	"crypto/sha256"
-	"math/rand"
-
-	"repro/internal/cdc"
-)
+import "math/rand"
 
 // Duplicate-heavy corpus generation for the dedup data path: the bench
 // and chaos workloads need payloads whose *content-defined* duplicate
@@ -72,29 +67,4 @@ func GenerateDupCorpus(seed int64, cfg DupCorpusConfig) []byte {
 		out = append(out, seg...)
 	}
 	return out
-}
-
-// MeasureDupRatio chunks the corpus and returns the fraction of bytes
-// belonging to chunks whose content already appeared earlier in the
-// stream — exactly the fraction a content-addressed store would not
-// re-store. cfg may be nil for the default chunking parameters.
-func MeasureDupRatio(data []byte, cfg *cdc.Config) (float64, error) {
-	chunks, err := cdc.Split(data, cfg)
-	if err != nil {
-		return 0, err
-	}
-	seen := make(map[[sha256.Size]byte]bool, len(chunks))
-	dup := 0
-	for _, c := range chunks {
-		h := sha256.Sum256(data[c.Off : c.Off+c.Len])
-		if seen[h] {
-			dup += c.Len
-		} else {
-			seen[h] = true
-		}
-	}
-	if len(data) == 0 {
-		return 0, nil
-	}
-	return float64(dup) / float64(len(data)), nil
 }

@@ -365,14 +365,15 @@ func TestCachedSequencerBatchingMode(t *testing.T) {
 	l := openLog(t, c, "client.1", "log0", pol)
 	ctx := ctxT(t, 30*time.Second)
 
+	// The log's sequencer session calls from the log's own address.
+	before := c.Net.Stats().Outbound["client.1"].Calls
 	for i := 0; i < 50; i++ {
 		if _, err := l.Append(ctx, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	local, _ := l.MDS().Stats()
-	if local < 49 {
-		t.Fatalf("local sequencer ops = %d, want ~50 (capability caching)", local)
+	if got := c.Net.Stats().Outbound["client.1"].Calls - before; got > 1 {
+		t.Fatalf("50 appends made %d sequencer calls, want at most 1 (capability caching)", got)
 	}
 }
 
@@ -488,9 +489,7 @@ func TestOpenWithoutMDSFailsCleanly(t *testing.T) {
 	if !errors.Is(err, mds.ErrUnavail) {
 		t.Fatalf("open = %v, want mds.ErrUnavail", err)
 	}
-	for _, a := range c.Net.Endpoints() {
-		if a == "client.leak" {
-			t.Fatalf("client.leak still registered after a failed open: %v", c.Net.Endpoints())
-		}
+	if _, err := c.Net.Call(ctxT(t, time.Second), "probe", "client.leak", nil); !errors.Is(err, wire.ErrUnreachable) {
+		t.Fatalf("client.leak still registered after a failed open: a call to it = %v", err)
 	}
 }
