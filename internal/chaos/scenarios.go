@@ -353,13 +353,14 @@ func (r *run) brokenRecover(ctx context.Context, l *zlog.Log, monc *mon.Client, 
 
 // runZlogPrimaryCrash kills the primary OSD of one stripe of a shared
 // log while two clients append through a round-trip sequencer at a 1 ms
-// fabric delay. The appends are witnessed class calls
-// (rados.Client.CallWitnessed), and the crash lands between an append's
-// answer and its forwards: the victim is cut off from its peers, then
-// stopped as soon as a replica of the stripe holds a witness record, so
-// that append lives on only in its replicas' records. Marking the victim
-// down promotes a replica, which must replay the records before serving
-// the stripe. A sequencer
+// fabric delay, one entry by entry and one in batches. The appends are
+// witnessed class calls on their entry keys
+// (rados.Client.CallWitnessed), and the crash lands between appends'
+// answers and their forwards: the victim is cut off from its peers, then
+// stopped as soon as a replica of the stripe holds two witness records
+// there, so those appends live on only in its replicas' records. Marking
+// the victim down promotes a replica, which must replay every record,
+// in any order, before serving the stripe. A sequencer
 // recovery then seals every stripe — a mutation that is not witnessed,
 // which must not overtake a witnessed one still in flight. After heal
 // the ZLog history must check, the replicas converge, and the sealed
@@ -405,6 +406,9 @@ func runZlogPrimaryCrash(ctx context.Context, r *run) error {
 		}
 		defer l.Close()
 		a := newZlogAppender(fmt.Sprintf("a%d", i), l)
+		if i == 2 {
+			a.batch = 2 * width
+		}
 		appenders = append(appenders, a)
 		crew.go_(func(stop <-chan struct{}) { a.run(ctx, stop) })
 	}
@@ -418,12 +422,13 @@ func runZlogPrimaryCrash(ctx context.Context, r *run) error {
 			r.cl.Net.Partition(rados.OSDAddr(victim), rados.OSDAddr(id))
 		}
 	}
-	// Stop it once a replica of the stripe holds a witness record there:
-	// that append's forwards now fail, so it lives on only in the victim
-	// and in its replicas' records. Stopping at once keeps the window
-	// short in which the victim answers appends it cannot replicate.
+	// Stop it once a replica of the stripe holds two witness records
+	// there: those appends' forwards now fail, so they live on only in
+	// the victim and in its replicas' records. Stopping at once keeps the
+	// window short in which the victim answers appends it cannot
+	// replicate.
 	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
-		if r.cl.OSDs[acting[1]].HoldsWitness("data", stripe) || r.cl.OSDs[acting[2]].HoldsWitness("data", stripe) {
+		if r.cl.OSDs[acting[1]].WitnessRecords("data", stripe) >= 2 || r.cl.OSDs[acting[2]].WitnessRecords("data", stripe) >= 2 {
 			break
 		}
 	}

@@ -172,9 +172,10 @@ type readRec struct {
 // records the history the ZLog model checks (checkZlogHistory): every
 // acked append, the payload of every failed one, and every read-back.
 type zlogAppender struct {
-	name string
-	log  *zlog.Log
-	rng  *rand.Rand // the run goroutine's alone
+	name  string
+	log   *zlog.Log
+	rng   *rand.Rand // the run goroutine's alone
+	batch int        // entries per AppendBatch; 0 appends one at a time
 
 	mu     sync.Mutex
 	acked  []appendRec // guarded by mu
@@ -195,15 +196,18 @@ func (a *zlogAppender) run(ctx context.Context, stop <-chan struct{}) {
 			return
 		default:
 		}
-		payload := a.name + ":" + strconv.Itoa(i)
-		cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		pos, err := a.log.Append(cctx, []byte(payload))
-		cancel()
+		payloads := []string{a.name + ":" + strconv.Itoa(i)}
+		for j := 1; j < a.batch; j++ {
+			payloads = append(payloads, payloads[0]+"."+strconv.Itoa(j))
+		}
+		positions, err := a.append(ctx, payloads)
 		a.mu.Lock()
 		if err == nil {
-			a.acked = append(a.acked, appendRec{pos: pos, payload: payload})
+			for j, payload := range payloads {
+				a.acked = append(a.acked, appendRec{pos: positions[j], payload: payload})
+			}
 		} else {
-			a.failed = append(a.failed, payload)
+			a.failed = append(a.failed, payloads...)
 		}
 		n := len(a.acked)
 		var back appendRec
@@ -216,6 +220,21 @@ func (a *zlogAppender) run(ctx context.Context, stop <-chan struct{}) {
 		}
 		pause(ctx, 2*time.Millisecond)
 	}
+}
+
+// append appends payloads, as one AppendBatch when a.batch is set.
+func (a *zlogAppender) append(ctx context.Context, payloads []string) ([]uint64, error) {
+	cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if a.batch == 0 {
+		pos, err := a.log.Append(cctx, []byte(payloads[0]))
+		return []uint64{pos}, err
+	}
+	entries := make([][]byte, len(payloads))
+	for j, payload := range payloads {
+		entries[j] = []byte(payload)
+	}
+	return a.log.AppendBatch(cctx, entries)
 }
 
 // readBack reads the acknowledged append rec and records what it saw.

@@ -330,7 +330,20 @@ func (c *Client) Open(ctx context.Context, path string, typ InodeType, policy *C
 	if r.Status != StOK {
 		return fmt.Errorf("mds: open %s: %s", path, r.Status)
 	}
+	c.noteCacheable(path, r.Cacheable)
 	return nil
+}
+
+// noteCacheable records what the authority said of path's policy, so a
+// path whose policy denies caching goes straight to round trips.
+func (c *Client) noteCacheable(path string, cacheable bool) {
+	c.mu.Lock()
+	if cacheable {
+		delete(c.roundtrip, path)
+	} else {
+		c.roundtrip[path] = true
+	}
+	c.mu.Unlock()
 }
 
 // SetPolicy changes the capability policy on an inode. Any held cap is
@@ -348,6 +361,7 @@ func (c *Client) SetPolicy(ctx context.Context, path string, p CapPolicy) error 
 	if r.Status == StNotFound {
 		return ErrNotFound
 	}
+	c.noteCacheable(path, r.Cacheable)
 	return nil
 }
 

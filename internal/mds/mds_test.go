@@ -72,10 +72,10 @@ func TestRoundTripSequencer(t *testing.T) {
 			t.Fatalf("next = %d, want %d", v, want)
 		}
 	}
-	// The first Next asks for the capability, which the policy denies;
-	// from then on every Next is one round trip.
-	if got := calls(c, "client.1") - before; got != 6 {
-		t.Fatalf("5 round-trip Nexts made %d calls, want 6 (one denied acquire + 5)", got)
+	// Open's reply said the policy denies caching, so no Next asks for
+	// the capability: each is one round trip.
+	if got := calls(c, "client.1") - before; got != 5 {
+		t.Fatalf("5 round-trip Nexts made %d calls, want 5 (no denied acquire)", got)
 	}
 	v, err := cl.Read(ctx, "/seq0")
 	if err != nil || v != 5 {
@@ -266,16 +266,33 @@ func TestSetPolicySwitchesMode(t *testing.T) {
 	if got := calls(c, "client.1") - before; got != 1 {
 		t.Fatalf("2 cached Nexts made %d calls, want 1 (a local op under cacheable policy)", got)
 	}
-	// Flip to round-trip; further ops hit the server.
+	// Flip to round-trip; further ops hit the server, one round trip
+	// each: SetPolicy's reply said the policy denies caching, so no Next
+	// asks for the capability.
 	if err := cl.SetPolicy(ctx, "/seq", roundTrip); err != nil {
 		t.Fatal(err)
 	}
 	before = calls(c, "client.1")
-	if _, err := cl.Next(ctx, "/seq"); err != nil {
+	for i := 0; i < 3; i++ {
+		if _, err := cl.Next(ctx, "/seq"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := calls(c, "client.1") - before; got != 3 {
+		t.Fatalf("3 round-trip Nexts made %d calls, want 3 (no denied acquire)", got)
+	}
+	// And back: the capability is fetched again and serves the second.
+	if err := cl.SetPolicy(ctx, "/seq", pol); err != nil {
 		t.Fatal(err)
 	}
-	if calls(c, "client.1") == before {
-		t.Fatal("expected a remote op after switching to round-trip")
+	before = calls(c, "client.1")
+	for i := 0; i < 2; i++ {
+		if _, err := cl.Next(ctx, "/seq"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := calls(c, "client.1") - before; got != 1 {
+		t.Fatalf("2 cached Nexts after switching back made %d calls, want 1", got)
 	}
 }
 

@@ -59,10 +59,10 @@ func TestNextNAmortizedAllocation(t *testing.T) {
 	if err != nil || first != 7 {
 		t.Fatalf("NextN(3) = %d, %v; want 7", first, err)
 	}
-	// Each range costs one round-trip regardless of its size, after the
-	// first NextN's acquire the policy denies.
-	if got := calls(c, "client.1") - before; got != 4 {
-		t.Fatalf("calls = %d, want 4 (a denied acquire, two ranges + one single)", got)
+	// Each range costs one round-trip regardless of its size; Open's
+	// reply said the policy denies caching, so no acquire is asked.
+	if got := calls(c, "client.1") - before; got != 3 {
+		t.Fatalf("calls = %d, want 3 (two ranges + one single, no denied acquire)", got)
 	}
 }
 

@@ -261,8 +261,9 @@ func (s *Server) handleOpen(r OpenReq) OpenResp {
 		s.mu.Unlock()
 		return OpenResp{Status: StRedirect, Redirect: tgt}
 	}
-	if _, ok := s.inodes[r.Path]; !ok {
-		ino := &inode{Inode: Inode{Path: r.Path, Type: r.Type}}
+	ino, ok := s.inodes[r.Path]
+	if !ok {
+		ino = &inode{Inode: Inode{Path: r.Path, Type: r.Type}}
 		if ino.Type == "" {
 			ino.Type = TypeFile
 		}
@@ -273,10 +274,11 @@ func (s *Server) handleOpen(r OpenReq) OpenResp {
 		rec := journalEntry{Op: "create", Path: r.Path, Type: ino.Type, Policy: ino.Policy}
 		s.mu.Unlock()
 		s.journal(rec)
-		return OpenResp{Status: StOK}
+		return OpenResp{Status: StOK, Cacheable: rec.Policy.Cacheable}
 	}
+	cacheable := ino.Policy.Cacheable
 	s.mu.Unlock()
-	return OpenResp{Status: StOK}
+	return OpenResp{Status: StOK, Cacheable: cacheable}
 }
 
 // resolve finds the inode or the forwarding decision for a path.
@@ -447,7 +449,7 @@ func (s *Server) handleSetPolicy(r SetPolicyReq) SetPolicyResp {
 		return SetPolicyResp{Status: StNotFound}
 	}
 	ino.Policy = r.Policy
-	return SetPolicyResp{Status: StOK}
+	return SetPolicyResp{Status: StOK, Cacheable: r.Policy.Cacheable}
 }
 
 // handleSetValue raises a sequencer counter monotonically (File Type

@@ -124,6 +124,10 @@ type OpenReq struct {
 type OpenResp struct {
 	Status   Status
 	Redirect int // valid when Status == StRedirect
+	// Cacheable is the inode's policy as it stands after the open: a
+	// client told false allocates by round trip without first asking
+	// for a capability it would be denied.
+	Cacheable bool
 }
 
 // NextNReq asks the authoritative server for a contiguous range of N
@@ -209,8 +213,12 @@ type SetPolicyReq struct {
 	Policy CapPolicy
 }
 
-// SetPolicyResp acknowledges.
-type SetPolicyResp struct{ Status Status }
+// SetPolicyResp acknowledges, with the new policy's Cacheable as in
+// OpenResp.
+type SetPolicyResp struct {
+	Status    Status
+	Cacheable bool
+}
 
 // ---- MDS ↔ MDS messages ----
 

@@ -392,17 +392,22 @@ func (c *Client) Call(ctx context.Context, pool, object, class, method string, i
 }
 
 // CallWitnessed is Call for a method that commutes with every concurrent
-// op on the object's other keys, as a write-once write of one position
-// does: each replica is sent a witness copy beside the primary's call,
-// and the call returns once the primary has answered and every replica
-// has accepted its copy or installed the primary's forward — one round
-// trip when every copy is accepted (witness.go). The method must also
-// answer alike on any prefix of the primary's history, since a replica
-// that takes over replays the copy it holds.
-func (c *Client) CallWitnessed(ctx context.Context, pool, object, class, method string, input []byte) ([]byte, error) {
+// op on the object's keys other than keys, the omap keys it writes, as a
+// write-once write of one position does: each replica is sent a witness
+// copy beside the primary's call, and the call returns once the primary
+// has answered and every replica has accepted its copy or installed the
+// primary's forward — one round trip when every copy is accepted
+// (witness.go). A replica accepts the copy unless it holds another
+// witnessed op's copy on the object whose keys intersect keys; nil keys
+// conflict with every such copy, so a keyless call holds the whole
+// object. The method must answer alike on any prefix of the primary's
+// history, since a replica that takes over replays the copies it holds,
+// in any order: what it writes beyond keys, two calls with disjoint keys
+// must combine in either order to one state, as a max of positions does.
+func (c *Client) CallWitnessed(ctx context.Context, pool, object, class, method string, input []byte, keys []string) ([]byte, error) {
 	return c.callClass(ctx, OpRequest{
 		Pool: pool, Object: object, Op: OpCall,
-		Class: class, Method: method, Input: input, Witnessed: true,
+		Class: class, Method: method, Input: input, Keys: keys, Witnessed: true,
 	})
 }
 

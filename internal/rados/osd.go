@@ -137,11 +137,11 @@ type OSD struct {
 	replayNext int                        // guarded by replayMu; the slot the next put fills (the oldest key once full)
 
 	// Witness records (witness.go): the witnessed ops this daemon has
-	// accepted as a replica and not yet seen installed, at most one per
-	// object. witN counts them, so the op path reads no map while this
-	// daemon holds none.
+	// accepted as a replica and not yet seen installed, in the order
+	// accepted on each object, no two of them conflicting. witN counts
+	// them, so the op path reads no map while this daemon holds none.
 	witMu sync.Mutex
-	wits  map[witKey]*witnessRecord // guarded by witMu
+	wits  map[witKey][]*witnessRecord // guarded by witMu
 	witN  atomic.Int32
 	// gates holds the placement groups this daemon has just come to
 	// lead whose records it is still collecting and replaying; their
@@ -190,7 +190,7 @@ func NewOSD(net *wire.Network, cfg OSDConfig) *OSD {
 		rng:       rand.New(rand.NewSource(int64(cfg.ID)*7919 + 17)),
 		fwdWake:   make(chan struct{}),
 		replay:    make(map[replayKey]OpReply, replayCacheSize),
-		wits:      make(map[witKey]*witnessRecord),
+		wits:      make(map[witKey][]*witnessRecord),
 		gates:     make(map[PGID]chan struct{}),
 		classLive: make(map[string]uint64),
 		stopCh:    make(chan struct{}),

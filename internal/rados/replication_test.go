@@ -164,7 +164,7 @@ func TestWitnessedCallMessageComplexity(t *testing.T) {
 	acting := actingOf(t, tc, "wc")
 	primary := OSDAddr(acting[0])
 	before := tc.net.Stats()
-	if _, err := tc.client.CallWitnessed(ctx, "data", "wc", "wk", "put", []byte("1")); err != nil {
+	if _, err := tc.client.CallWitnessed(ctx, "data", "wc", "wk", "put", []byte("1"), nil); err != nil {
 		t.Fatal(err)
 	}
 	settleFanOut(t, tc, primary)
@@ -184,55 +184,69 @@ func TestWitnessedCallMessageComplexity(t *testing.T) {
 	checkCopiesEqual(t, tc, "wc")
 }
 
-// A replica holding another op's record on the object rejects the
-// witness copy; the call then costs that replica's ack of the install,
-// and nothing else.
+// A replica holding another op's record on the object rejects a
+// witness copy that conflicts with it — their conflict keys intersect,
+// or either names none — and the call then costs that replica's ack of
+// the install, and nothing else.
 func TestRejectedWitnessCostsTheInstallAck(t *testing.T) {
-	tc := witnessCluster(t, time.Millisecond, "wr")
-	ctx := ctxT(t, 10*time.Second)
-	acting := actingOf(t, tc, "wr")
-	primary, busy := OSDAddr(acting[0]), tc.osds[acting[1]]
-	k := witKey{"data", "wr"}
-	other := &witnessRecord{op: OpRequest{Pool: "data", Object: "wr", Client: "client.other", OpID: 1}, at: time.Now().Add(time.Hour)}
-	busy.witMu.Lock()
-	busy.wits[k] = other
-	busy.witN.Add(1)
-	busy.witMu.Unlock()
-	defer func() {
-		busy.witMu.Lock()
-		busy.deleteWitnessLocked(k, other)
-		busy.witMu.Unlock()
-	}()
+	for _, c := range []struct {
+		name       string
+		held, call []string
+	}{
+		{"keyless", nil, nil},
+		{"intersecting keys", []string{"e.0", "e.1"}, []string{"e.1"}},
+		{"keyless record", nil, []string{"e.1"}},
+		{"keyless copy", []string{"e.0"}, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tc := witnessCluster(t, time.Millisecond, "wr")
+			ctx := ctxT(t, 10*time.Second)
+			acting := actingOf(t, tc, "wr")
+			primary, busy := OSDAddr(acting[0]), tc.osds[acting[1]]
+			k := witKey{"data", "wr"}
+			other := &witnessRecord{op: OpRequest{Pool: "data", Object: "wr", Client: "client.other", OpID: 1, Keys: c.held},
+				at: time.Now().Add(time.Hour)}
+			busy.witMu.Lock()
+			busy.wits[k] = append(busy.wits[k], other)
+			busy.witN.Add(1)
+			busy.witMu.Unlock()
+			defer func() {
+				busy.witMu.Lock()
+				busy.deleteWitnessLocked(k, other)
+				busy.witMu.Unlock()
+			}()
 
-	before := tc.net.Stats()
-	if _, err := tc.client.CallWitnessed(ctx, "data", "wr", "wk", "put", []byte("1")); err != nil {
-		t.Fatal(err)
+			before := tc.net.Stats()
+			if _, err := tc.client.CallWitnessed(ctx, "data", "wr", "wk", "put", []byte("1"), c.call); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for records(tc.osds[acting[2]]) > 0 || tc.net.Stats().Outbound[primary].Inflight > 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("fan-out not settled")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			after := tc.net.Stats()
+			calls := func(a wire.Addr) uint64 { return after.Outbound[a].Calls - before.Outbound[a].Calls }
+			if got := calls(tc.client.self); got != 3 {
+				t.Errorf("client calls = %d, want 3", got)
+			}
+			if got := calls(primary); got != 2 {
+				t.Errorf("primary calls = %d, want 2 forwards and no relay", got)
+			}
+			if got := calls(busy.Addr()); got != 1 {
+				t.Errorf("rejecting osd.%d calls = %d, want 1: its install ack", busy.cfg.ID, got)
+			}
+			if got := calls(OSDAddr(acting[2])); got != 0 {
+				t.Errorf("accepting osd.%d calls = %d, want 0", acting[2], got)
+			}
+			if records(busy) != 1 {
+				t.Errorf("osd.%d lost the record it held for another op", busy.cfg.ID)
+			}
+			checkCopiesEqual(t, tc, "wr")
+		})
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for records(tc.osds[acting[2]]) > 0 || tc.net.Stats().Outbound[primary].Inflight > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("fan-out not settled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	after := tc.net.Stats()
-	calls := func(a wire.Addr) uint64 { return after.Outbound[a].Calls - before.Outbound[a].Calls }
-	if got := calls(tc.client.self); got != 3 {
-		t.Errorf("client calls = %d, want 3", got)
-	}
-	if got := calls(primary); got != 2 {
-		t.Errorf("primary calls = %d, want 2 forwards and no relay", got)
-	}
-	if got := calls(busy.Addr()); got != 1 {
-		t.Errorf("rejecting osd.%d calls = %d, want 1: its install ack", busy.cfg.ID, got)
-	}
-	if got := calls(OSDAddr(acting[2])); got != 0 {
-		t.Errorf("accepting osd.%d calls = %d, want 0", acting[2], got)
-	}
-	if records(busy) != 1 {
-		t.Errorf("osd.%d lost the record it held for another op", busy.cfg.ID)
-	}
-	checkCopiesEqual(t, tc, "wr")
 }
 
 // Rule 1: a witnessed call that fails at the primary is answered only
@@ -242,11 +256,11 @@ func TestWitnessedFailureLeavesNoRecord(t *testing.T) {
 	tc := witnessCluster(t, 2*time.Millisecond, "wf")
 	ctx := ctxT(t, 10*time.Second)
 	acting := actingOf(t, tc, "wf")
-	if _, err := tc.client.CallWitnessed(ctx, "data", "wf", "wk", "put", []byte("1")); err != nil {
+	if _, err := tc.client.CallWitnessed(ctx, "data", "wf", "wk", "put", []byte("1"), nil); err != nil {
 		t.Fatal(err)
 	}
 	settleFanOut(t, tc, OSDAddr(acting[0]))
-	_, err := tc.client.CallWitnessed(ctx, "data", "wf", "wk", "put", []byte("1"))
+	_, err := tc.client.CallWitnessed(ctx, "data", "wf", "wk", "put", []byte("1"), nil)
 	if !errors.Is(err, ErrExists) {
 		t.Fatalf("second write of one position = %v, want ErrExists", err)
 	}

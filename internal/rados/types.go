@@ -228,7 +228,7 @@ type OpRequest struct {
 
 	Data   []byte            // write-full / append payload
 	Key    string            // omap/xattr key
-	Keys   []string          // omap multi-get
+	Keys   []string          // omap multi-get; a witnessed OpCall's conflict keys
 	KV     map[string][]byte // omap-set payload
 	Class  string            // OpCall: class name
 	Method string            // OpCall: method name

@@ -221,6 +221,10 @@ func encodeMutation(buf []byte, m Mutation) []byte {
 			buf = appendString(buf, m.Op.Class)
 			buf = appendString(buf, m.Op.Method)
 			buf = appendBytes(buf, m.Op.Input)
+			buf = binary.AppendUvarint(buf, uint64(len(m.Op.Keys)))
+			for _, k := range m.Op.Keys {
+				buf = appendString(buf, k)
+			}
 		}
 	case RecCreate, RecRemove, RecPurge, RecVerPin:
 		// Header only.
@@ -264,6 +268,9 @@ func (d *mutDecoder) str() string { return string(d.bytes()) }
 
 func (d *mutDecoder) kvMap() map[string][]byte {
 	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.buf)) {
+		d.err = errors.New("rados: mutation decode: pair count overflows buffer")
+	}
 	if d.err != nil {
 		return nil
 	}
@@ -339,6 +346,17 @@ func decodeMutation(rec []byte) (Mutation, error) {
 			op.Class = d.str()
 			op.Method = d.str()
 			op.Input = d.bytes()
+			// A record journaled without conflict keys is keyless: it
+			// conflicts with every other record on its object.
+			if len(d.buf) > 0 {
+				n := d.uvarint()
+				if d.err == nil && n > uint64(len(d.buf)) {
+					d.err = errors.New("rados: mutation decode: key count overflows buffer")
+				}
+				for i := uint64(0); i < n && d.err == nil; i++ {
+					op.Keys = append(op.Keys, d.str())
+				}
+			}
 		}
 		m.Op = op
 	case RecCreate, RecRemove, RecPurge, RecVerPin:

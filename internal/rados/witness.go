@@ -11,13 +11,22 @@ import (
 
 // Witnessed mutations are CURP's fast path (Park & Ousterhout, NSDI '19)
 // on the pipeline of acks.go. A client marks an op that commutes with
-// concurrent ops on the object's other keys (Client.CallWitnessed); it
-// sends the op to the primary and, beside it, a witness copy to every
-// replica of the acting set at its epoch. A replica holding no record on
-// that object keeps the copy as a record and accepts it. The client
-// returns once the primary has answered and every replica has accepted
-// or acknowledged the primary's forward, so a call whose copies are all
-// accepted answers in one round trip instead of one and a half.
+// concurrent ops on the object's other keys (Client.CallWitnessed) and
+// names the keys it writes, its conflict keys; it sends the op to the
+// primary and, beside it, a witness copy to every replica of the acting
+// set at its epoch. A replica keeps the copy as a record and accepts it
+// unless a record it holds on the object conflicts with it: their
+// conflict keys intersect, or either op names none, so a keyless op
+// holds the whole object. The client returns once the primary has
+// answered and every replica has accepted or acknowledged the primary's
+// forward, so a call whose copies are all accepted answers in one round
+// trip instead of one and a half.
+//
+// The records a replica holds on one object therefore commute: each
+// writes keys no other writes, and what they share beyond their keys
+// (ZLog's maxpos) they must combine order-free, as a max does. A replay
+// (rule 3) may run them in any order, and lands where the primary's
+// order did.
 //
 // A record clears when the primary's forward carrying its OpID installs
 // (settleWitness). Five rules keep every acknowledged op exactly as the
@@ -63,8 +72,8 @@ type witnessDrop struct {
 // sender has just come to lead (rule 3); the answer is their ops.
 type witnessCollect struct{ PGs []PGID }
 
-// witKey names the object a record is on: a replica holds at most one
-// record per object.
+// witKey names the object a record is on; a replica holds any number of
+// records per object, no two of them conflicting.
 type witKey struct{ pool, object string }
 
 // pgOf is the placement group k's object maps to in v; PG -1 when v has
@@ -87,6 +96,25 @@ type witnessRecord struct {
 	replaying chan struct{}
 }
 
+// conflicts reports whether op may not be held beside r: their conflict
+// keys intersect, or either names none.
+func (r *witnessRecord) conflicts(op *OpRequest) bool {
+	if len(r.op.Keys) == 0 || len(op.Keys) == 0 {
+		return true
+	}
+	for _, k := range op.Keys {
+		if slices.Contains(r.op.Keys, k) {
+			return true
+		}
+	}
+	return false
+}
+
+// heldIndex is the index of op id of client among recs, or -1.
+func heldIndex(recs []*witnessRecord, client wire.Addr, id uint64) int {
+	return slices.IndexFunc(recs, func(r *witnessRecord) bool { return r.op.Client == client && r.op.OpID == id })
+}
+
 // mutation is the record's journal entry (rule 5).
 func (r *witnessRecord) mutation(kind MutKind) Mutation {
 	return Mutation{Kind: kind, Pool: r.op.Pool, PG: r.pg, Object: r.op.Object, Op: &r.op}
@@ -94,8 +122,9 @@ func (r *witnessRecord) mutation(kind MutKind) Mutation {
 
 // acceptWitness keeps the copy w from client as a record and accepts it,
 // when this daemon is a replica of w's object at w's epoch and holds no
-// other record on the object. A copy whose op is installed here already,
-// or that this daemon holds already, is accepted as it stands.
+// record on the object that conflicts with it. A copy whose op is
+// installed here already, or that this daemon holds already, is accepted
+// as it stands.
 func (o *OSD) acceptWitness(ctx context.Context, client wire.Addr, w *witnessCopy) bool {
 	if w.Epoch > o.Epoch() {
 		if m, err := o.monc.GetOSDMap(ctx); err == nil {
@@ -113,9 +142,16 @@ func (o *OSD) acceptWitness(ctx context.Context, client wire.Addr, w *witnessCop
 	}
 	k := witKey{w.Pool, w.Object}
 	o.witMu.Lock()
-	if held := o.wits[k]; held != nil {
+	held := o.wits[k]
+	if heldIndex(held, client, w.OpID) >= 0 {
 		o.witMu.Unlock()
-		return held.op.Client == client && held.op.OpID == w.OpID
+		return true
+	}
+	for _, rec := range held {
+		if rec.conflicts((*OpRequest)(w)) {
+			o.witMu.Unlock()
+			return false
+		}
 	}
 	if _, installed := o.replayGet(client, w.OpID); installed {
 		o.witMu.Unlock()
@@ -123,7 +159,7 @@ func (o *OSD) acceptWitness(ctx context.Context, client wire.Addr, w *witnessCop
 	}
 	rec := &witnessRecord{op: OpRequest(*w), pg: pgnum, at: time.Now()}
 	rec.op.Client = client
-	o.wits[k] = rec
+	o.wits[k] = append(held, rec)
 	o.witN.Add(1)
 	if o.durable {
 		o.backend.Record(rec.mutation(RecWitness))
@@ -138,26 +174,38 @@ func (o *OSD) acceptWitness(ctx context.Context, client wire.Addr, w *witnessCop
 	return true
 }
 
-// clearWitnessLocked drops the record on k if it is op id of client and
-// no replay of it is under way; true when it was held. Caller holds
+// clearWitnessLocked drops the record of op id of client on k if no
+// replay of it is under way; true when it was held. Caller holds
 // o.witMu.
 func (o *OSD) clearWitnessLocked(k witKey, client wire.Addr, id uint64) bool {
-	rec := o.wits[k]
-	if rec == nil || rec.op.Client != client || rec.op.OpID != id || rec.replaying != nil {
+	recs := o.wits[k]
+	i := heldIndex(recs, client, id)
+	if i < 0 || recs[i].replaying != nil {
 		return false
 	}
-	o.deleteWitnessLocked(k, rec)
+	o.deleteWitnessLocked(k, recs[i])
 	return true
 }
 
-// deleteWitnessLocked drops rec, the record on k, and journals the drop.
+// deleteWitnessLocked drops rec, a record on k, and journals the drop.
 // Caller holds o.witMu.
 func (o *OSD) deleteWitnessLocked(k witKey, rec *witnessRecord) {
-	delete(o.wits, k)
-	o.witN.Add(-1)
+	o.removeWitnessLocked(k, slices.Index(o.wits[k], rec))
 	if o.durable {
 		o.backend.Record(rec.mutation(RecWitnessDrop))
 	}
+}
+
+// removeWitnessLocked takes the i'th record on k out of the held ones,
+// in place: a caller ranging over them deletes from the back. Caller
+// holds o.witMu.
+func (o *OSD) removeWitnessLocked(k witKey, i int) {
+	if recs := o.wits[k]; len(recs) > 1 {
+		o.wits[k] = slices.Delete(recs, i, i+1)
+	} else {
+		delete(o.wits, k)
+	}
+	o.witN.Add(-1)
 }
 
 // settleWitness notes that the witnessed forward fwd has installed here:
@@ -233,18 +281,18 @@ func (o *OSD) leads(v *mapView, pool, object string) bool {
 	return len(acting) > 0 && acting[0] == o.cfg.ID
 }
 
-// HoldsWitness reports whether this daemon holds a witness record on
+// WitnessRecords is how many witness records this daemon holds on
 // pool/object (fault-injection harnesses time a crash by it).
-func (o *OSD) HoldsWitness(pool, object string) bool {
+func (o *OSD) WitnessRecords(pool, object string) int {
 	o.witMu.Lock()
 	defer o.witMu.Unlock()
-	return o.wits[witKey{pool, object}] != nil
+	return len(o.wits[witKey{pool, object}])
 }
 
 // awaitWitnesses holds an op on object, in placement group id, until
 // what this daemon owes the object as its new primary is done (rule 3):
 // the replay of the group's records, if it has just come to lead it,
-// and of its own record on the object. False when ctx ended first: the
+// and of its own records on the object. False when ctx ended first: the
 // op must not be served ahead of the replay.
 func (o *OSD) awaitWitnesses(ctx context.Context, id PGID, object string) bool {
 	o.witMu.Lock()
@@ -339,9 +387,11 @@ func (o *OSD) collectWitnesses(c *witnessCollect) []OpRequest {
 	o.witMu.Lock()
 	defer o.witMu.Unlock()
 	var ops []OpRequest
-	for k, rec := range o.wits {
+	for k, recs := range o.wits {
 		if slices.Contains(c.PGs, v.pgOf(k)) {
-			ops = append(ops, rec.op)
+			for _, rec := range recs {
+				ops = append(ops, rec.op)
+			}
 		}
 	}
 	return ops
@@ -369,43 +419,58 @@ func (o *OSD) replayOp(ctx context.Context, v *mapView, op OpRequest) {
 	}
 }
 
-// replayWitness replays the record on pool/object when this daemon holds
-// one and leads the object (rule 3), and waits for a replay already
-// under way; false when ctx ended before that one did. The replay is the
-// op its client sent, run as a primary op under the client's address and
-// OpID — unless the replay cache shows the op applied here already.
+// replayWitness replays every record on pool/object when this daemon
+// leads the object (rule 3), in the order it accepted them, and waits
+// for the replays already under way; false when ctx ended before those
+// did. A replay is the op its client sent, run as a primary op under the
+// client's address and OpID — unless the replay cache shows the op
+// applied here already. The records commute, so their order is free.
 func (o *OSD) replayWitness(ctx context.Context, pool, object string) bool {
 	k := witKey{pool, object}
 	o.witMu.Lock()
-	rec := o.wits[k]
-	if rec == nil {
+	recs := o.wits[k]
+	if len(recs) == 0 {
 		o.witMu.Unlock()
 		return true
 	}
-	if ch := rec.replaying; ch != nil {
+	v := o.view.Load()
+	leads := o.leads(v, pool, object)
+	var mine []*witnessRecord
+	var under []chan struct{}
+	var done chan struct{}
+	for _, rec := range recs {
+		switch {
+		case rec.replaying != nil:
+			under = append(under, rec.replaying)
+		case leads:
+			if done == nil {
+				done = make(chan struct{})
+			}
+			rec.replaying = done
+			mine = append(mine, rec)
+		}
+	}
+	o.witMu.Unlock()
+
+	if done != nil {
+		for _, rec := range mine {
+			o.replayOp(ctx, v, rec.op)
+		}
+		o.witMu.Lock()
+		for _, rec := range mine {
+			rec.replaying = nil
+			o.deleteWitnessLocked(k, rec)
+		}
 		o.witMu.Unlock()
+		close(done)
+	}
+	for _, ch := range under {
 		select {
 		case <-ch:
-			return true
 		case <-ctx.Done():
 			return false
 		}
 	}
-	v := o.view.Load()
-	if !o.leads(v, pool, object) {
-		o.witMu.Unlock()
-		return true
-	}
-	done := make(chan struct{})
-	rec.replaying = done
-	o.witMu.Unlock()
-
-	o.replayOp(ctx, v, rec.op)
-	o.witMu.Lock()
-	rec.replaying = nil
-	o.deleteWitnessLocked(k, rec)
-	o.witMu.Unlock()
-	close(done)
 	return true
 }
 
@@ -417,9 +482,14 @@ func (o *OSD) replayWitness(ctx context.Context, pool, object string) bool {
 func (o *OSD) rewitness(v *mapView, promoted []PGID) {
 	if o.witN.Load() > 0 {
 		o.witMu.Lock()
-		for k, rec := range o.wits {
-			if rec.replaying == nil && !slices.Contains(v.actingOf(k.pool, k.object), o.cfg.ID) {
-				o.deleteWitnessLocked(k, rec)
+		for k, recs := range o.wits {
+			if slices.Contains(v.actingOf(k.pool, k.object), o.cfg.ID) {
+				continue
+			}
+			for i := len(recs) - 1; i >= 0; i-- {
+				if recs[i].replaying == nil {
+					o.deleteWitnessLocked(k, recs[i])
+				}
 			}
 		}
 		o.witMu.Unlock()
@@ -473,9 +543,11 @@ func (o *OSD) witnessLoop(stop chan struct{}) {
 		}
 		o.witMu.Lock()
 		var due []*witnessRecord
-		for _, rec := range o.wits {
-			if rec.replaying == nil && time.Since(rec.at) >= ackWait {
-				due = append(due, rec)
+		for _, recs := range o.wits {
+			for _, rec := range recs {
+				if rec.replaying == nil && time.Since(rec.at) >= ackWait {
+					due = append(due, rec)
+				}
 			}
 		}
 		o.witMu.Unlock()
@@ -518,14 +590,13 @@ func (o *OSD) restoreWitness(mut Mutation) {
 	k := witKey{mut.Pool, mut.Object}
 	o.witMu.Lock()
 	defer o.witMu.Unlock()
-	held := o.wits[k]
+	i := heldIndex(o.wits[k], mut.Op.Client, mut.Op.OpID)
 	switch {
-	case mut.Kind == RecWitness && held == nil:
-		o.wits[k] = &witnessRecord{op: *mut.Op, pg: mut.PG, at: time.Now()}
+	case mut.Kind == RecWitness && i < 0:
+		o.wits[k] = append(o.wits[k], &witnessRecord{op: *mut.Op, pg: mut.PG, at: time.Now()})
 		o.witN.Add(1)
-	case mut.Kind == RecWitnessDrop && held != nil && held.op.Client == mut.Op.Client && held.op.OpID == mut.Op.OpID:
-		delete(o.wits, k)
-		o.witN.Add(-1)
+	case mut.Kind == RecWitnessDrop && i >= 0:
+		o.removeWitnessLocked(k, i)
 	}
 }
 
@@ -533,10 +604,12 @@ func (o *OSD) restoreWitness(mut Mutation) {
 func (o *OSD) witnessMutations() []Mutation {
 	o.witMu.Lock()
 	defer o.witMu.Unlock()
-	muts := make([]Mutation, 0, len(o.wits))
-	for _, rec := range o.wits {
-		op := rec.op
-		muts = append(muts, Mutation{Kind: RecWitness, Pool: op.Pool, PG: rec.pg, Object: op.Object, Op: &op})
+	muts := make([]Mutation, 0, o.witN.Load())
+	for _, recs := range o.wits {
+		for _, rec := range recs {
+			op := rec.op
+			muts = append(muts, Mutation{Kind: RecWitness, Pool: op.Pool, PG: rec.pg, Object: op.Object, Op: &op})
+		}
 	}
 	return muts
 }

@@ -2,6 +2,7 @@ package rados
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -75,7 +76,7 @@ func TestUnwitnessedMutationWaitsForWitnessSync(t *testing.T) {
 			acting := actingOf(t, tc, "ws")
 			primary, stalled := tc.osds[acting[0]], slotOf(tc.osds[acting[2]], "ws")
 			stalled.mu.Lock()
-			if _, err := tc.client.CallWitnessed(ctx, "data", "ws", "wk", "put", []byte("1")); err != nil {
+			if _, err := tc.client.CallWitnessed(ctx, "data", "ws", "wk", "put", []byte("1"), nil); err != nil {
 				stalled.mu.Unlock()
 				t.Fatal(err)
 			}
@@ -99,46 +100,71 @@ func TestUnwitnessedMutationWaitsForWitnessSync(t *testing.T) {
 
 // Rule 3: a replica promoted to primary replays the records it holds
 // before it serves their objects, under the client's OpID. The old
-// primary answered the call, and both replicas accepted it, but its
-// forwards never arrived; it then stops. The write must be readable
-// from the new primary, and a re-send of the call must find its outcome
-// in the replay cache rather than fail EEXIST.
+// primary answered the calls, and both replicas accepted them, but its
+// forwards never arrived; it then stops. The writes must be readable
+// from the new primary, and a re-send of each call must find its
+// outcome in the replay cache rather than fail EEXIST: with one keyless
+// record, and with two keyed records on the object, both replayed.
 func TestPromotedReplicaReplaysWitnessRecords(t *testing.T) {
-	tc := witnessCluster(t, time.Millisecond, "wp")
-	ctx := ctxT(t, 20*time.Second)
-	acting := actingOf(t, tc, "wp")
-	old := tc.osds[acting[0]]
-	for _, id := range acting[1:] {
-		tc.net.Partition(old.Addr(), OSDAddr(id))
+	for _, c := range []struct {
+		name  string
+		keyed bool
+		pos   []string
+	}{
+		{"one keyless record", false, []string{"1"}},
+		{"two keyed records", true, []string{"1", "2"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tc := witnessCluster(t, time.Millisecond, "wp")
+			ctx := ctxT(t, 20*time.Second)
+			acting := actingOf(t, tc, "wp")
+			old := tc.osds[acting[0]]
+			for _, id := range acting[1:] {
+				tc.net.Partition(old.Addr(), OSDAddr(id))
+			}
+			keys := func(pos string) []string {
+				if !c.keyed {
+					return nil
+				}
+				return []string{"e." + pos}
+			}
+			ids := make(map[string]uint64)
+			for _, pos := range c.pos {
+				if _, err := tc.client.CallWitnessed(ctx, "data", "wp", "wk", "put", []byte(pos), keys(pos)); err != nil {
+					t.Fatal(err)
+				}
+				ids[pos] = tc.client.opSeq.Load()
+			}
+			for _, peer := range acting[1:] {
+				if n := records(tc.osds[peer]); n != len(c.pos) {
+					t.Fatalf("osd.%d holds %d records, want the %d calls'", peer, n, len(c.pos))
+				}
+			}
+			old.Stop()
+			tc.net.HealAll()
+			if err := tc.client.Mon().MarkOSDDown(ctx, old.cfg.ID); err != nil {
+				t.Fatal(err)
+			}
+			for _, pos := range c.pos {
+				kv, err := tc.client.OmapGet(ctx, "data", "wp", "e."+pos)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(kv["e."+pos]) != pos {
+					t.Fatalf("new primary holds e.%s = %q, want the acked write", pos, kv["e."+pos])
+				}
+			}
+			now := actingOf(t, tc, "wp")
+			for _, pos := range c.pos {
+				rep, err := tc.client.call(ctx, OSDAddr(now[0]), &OpRequest{Pool: "data", Object: "wp", Epoch: tc.client.CachedMap().Epoch,
+					Op: OpCall, OpID: ids[pos], Class: "wk", Method: "put", Input: []byte(pos), Keys: keys(pos), Witnessed: true})
+				if err != nil || rep.Result != OK {
+					t.Fatalf("re-send of e.%s to the new primary = %v %v (%s), want the replayed OK", pos, rep.Result, err, rep.Detail)
+				}
+			}
+			settleFanOut(t, tc, OSDAddr(now[0]))
+		})
 	}
-	if _, err := tc.client.CallWitnessed(ctx, "data", "wp", "wk", "put", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	id := tc.client.opSeq.Load()
-	for _, peer := range acting[1:] {
-		if records(tc.osds[peer]) != 1 {
-			t.Fatalf("osd.%d holds %d records, want the call's", peer, records(tc.osds[peer]))
-		}
-	}
-	old.Stop()
-	tc.net.HealAll()
-	if err := tc.client.Mon().MarkOSDDown(ctx, old.cfg.ID); err != nil {
-		t.Fatal(err)
-	}
-	kv, err := tc.client.OmapGet(ctx, "data", "wp", "e.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(kv["e.1"]) != "1" {
-		t.Fatalf("new primary holds e.1 = %q, want the acked write", kv["e.1"])
-	}
-	now := actingOf(t, tc, "wp")
-	rep, err := tc.client.call(ctx, OSDAddr(now[0]), &OpRequest{Pool: "data", Object: "wp", Epoch: tc.client.CachedMap().Epoch,
-		Op: OpCall, OpID: id, Class: "wk", Method: "put", Input: []byte("1"), Witnessed: true})
-	if err != nil || rep.Result != OK {
-		t.Fatalf("re-send to the new primary = %v %v (%s), want the replayed OK", rep.Result, err, rep.Detail)
-	}
-	settleFanOut(t, tc, OSDAddr(now[0]))
 }
 
 // Rule 3, second half: a replica that leaves the object's acting set
@@ -149,8 +175,8 @@ func TestWitnessRecordDroppedOnLeavingActingSet(t *testing.T) {
 	acting := actingOf(t, tc, "wl")
 	leaving := tc.osds[acting[1]]
 	leaving.witMu.Lock()
-	leaving.wits[witKey{"data", "wl"}] = &witnessRecord{op: OpRequest{Pool: "data", Object: "wl", Client: "client.other", OpID: 1},
-		at: time.Now().Add(time.Hour)}
+	leaving.wits[witKey{"data", "wl"}] = []*witnessRecord{{op: OpRequest{Pool: "data", Object: "wl", Client: "client.other", OpID: 1},
+		at: time.Now().Add(time.Hour)}}
 	leaving.witN.Add(1)
 	leaving.witMu.Unlock()
 	if err := tc.client.Mon().MarkOSDDown(ctx, leaving.cfg.ID); err != nil {
@@ -173,7 +199,7 @@ func TestOverdueWitnessResolvesWithPrimary(t *testing.T) {
 	_, ver := replicaState(primary, "wo2")
 	tc.net.Partition(tc.client.self, primary.Addr())
 	short, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	_, err := tc.client.CallWitnessed(short, "data", "wo2", "wk", "put", []byte("1"))
+	_, err := tc.client.CallWitnessed(short, "data", "wo2", "wk", "put", []byte("1"), nil)
 	cancel()
 	if err == nil {
 		t.Fatal("call through a partitioned primary succeeded")
@@ -188,7 +214,8 @@ func TestOverdueWitnessResolvesWithPrimary(t *testing.T) {
 
 // Rule 5: on a durable backend the records, and their drops, are
 // journaled, and a checkpoint carries the records still held; a daemon
-// rebuilt from the journal holds exactly those.
+// rebuilt from the journal holds exactly those: here two keyed records
+// on one object, in the order accepted, with their conflict keys.
 func TestWitnessRecordsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	net := wire.NewNetwork()
@@ -200,12 +227,17 @@ func TestWitnessRecordsSurviveRestart(t *testing.T) {
 		return NewOSD(net, OSDConfig{ID: 0, Backend: b})
 	}
 	o := open()
-	held := &witnessRecord{pg: 2, op: OpRequest{Pool: "data", Object: "kept", Op: OpCall, OpID: 7, Epoch: 3,
-		Client: "client.9", Class: "wk", Method: "put", Input: []byte("in"), Witnessed: true}}
+	held := []*witnessRecord{
+		{pg: 2, op: OpRequest{Pool: "data", Object: "kept", Op: OpCall, OpID: 7, Epoch: 3,
+			Client: "client.9", Class: "wk", Method: "put", Input: []byte("in"), Keys: []string{"e.1"}, Witnessed: true}},
+		{pg: 2, op: OpRequest{Pool: "data", Object: "kept", Op: OpCall, OpID: 4, Epoch: 3,
+			Client: "client.8", Class: "wk", Method: "putv", Input: []byte("v"), Keys: []string{"e.2", "e.3"}, Witnessed: true}},
+	}
 	gone := &witnessRecord{pg: 5, op: OpRequest{Pool: "data", Object: "gone", Op: OpCall, OpID: 8, Client: "client.9", Witnessed: true}}
 	o.witMu.Lock()
-	for _, rec := range []*witnessRecord{held, gone} {
-		o.wits[witKey{"data", rec.op.Object}] = rec
+	for _, rec := range append(held[:2:2], gone) {
+		k := witKey{"data", rec.op.Object}
+		o.wits[k] = append(o.wits[k], rec)
 		o.witN.Add(1)
 		o.backend.Record(rec.mutation(RecWitness))
 	}
@@ -220,13 +252,18 @@ func TestWitnessRecordsSurviveRestart(t *testing.T) {
 		if err := o.restore(); err != nil {
 			t.Fatal(err)
 		}
-		if records(o) != 1 {
-			t.Fatalf("%s: %d records restored, want 1", stage, records(o))
+		if records(o) != 2 {
+			t.Fatalf("%s: %d records restored, want 2", stage, records(o))
 		}
 		got := o.wits[witKey{"data", "kept"}]
-		if got == nil || got.pg != held.pg || got.op.OpID != 7 || got.op.Client != "client.9" || got.op.Epoch != 3 ||
-			got.op.Class != "wk" || got.op.Method != "put" || string(got.op.Input) != "in" || got.op.Op != OpCall {
-			t.Fatalf("%s: restored record %+v, want %+v", stage, got, held)
+		if len(got) != 2 {
+			t.Fatalf("%s: %d records restored on kept, want 2", stage, len(got))
+		}
+		for i, rec := range got {
+			want := held[i].op
+			if rec.pg != held[i].pg || !reflect.DeepEqual(rec.op, want) {
+				t.Fatalf("%s: restored record %d %+v, want %+v", stage, i, rec.op, want)
+			}
 		}
 	}
 	if err := o.backend.Commit(); err != nil {
@@ -238,4 +275,58 @@ func TestWitnessRecordsSurviveRestart(t *testing.T) {
 	}
 	check("checkpoint")
 	o.backend.Close() //nolint:errcheck
+}
+
+// Two witnessed calls on one object whose conflict keys are disjoint are
+// both held: each replica accepts both copies, though neither install
+// has landed, and sends no ack for either — the acceptances answered the
+// client. Both replicas' installs are stalled on their slot locks until
+// the two calls have returned.
+func TestDisjointWitnessCopiesAreBothAccepted(t *testing.T) {
+	tc := witnessCluster(t, time.Millisecond, "wd")
+	ctx := ctxT(t, 10*time.Second)
+	acting := actingOf(t, tc, "wd")
+	primary := OSDAddr(acting[0])
+	before := tc.net.Stats()
+	var stalled []*objEntry
+	for _, id := range acting[1:] {
+		e := slotOf(tc.osds[id], "wd")
+		e.mu.Lock()
+		stalled = append(stalled, e)
+	}
+	for _, pos := range []string{"1", "2"} {
+		if _, err := tc.client.CallWitnessed(ctx, "data", "wd", "wk", "put", []byte(pos), []string{"e." + pos}); err != nil {
+			for _, e := range stalled {
+				e.mu.Unlock()
+			}
+			t.Fatal(err)
+		}
+	}
+	held := make(map[int]int)
+	for _, id := range acting[1:] {
+		held[id] = records(tc.osds[id])
+	}
+	for _, e := range stalled {
+		e.mu.Unlock()
+	}
+	for id, n := range held {
+		if n != 2 {
+			t.Errorf("osd.%d held %d records before the installs, want both calls'", id, n)
+		}
+	}
+	settleFanOut(t, tc, primary)
+	after := tc.net.Stats()
+	calls := func(a wire.Addr) uint64 { return after.Outbound[a].Calls - before.Outbound[a].Calls }
+	if got := calls(tc.client.self); got != 6 {
+		t.Errorf("client calls = %d, want 6: the primary and 2 witness copies, twice", got)
+	}
+	if got := calls(primary); got != 4 {
+		t.Errorf("primary calls = %d, want 4 forwards and no relay", got)
+	}
+	for _, id := range acting[1:] {
+		if got := calls(OSDAddr(id)); got != 0 {
+			t.Errorf("osd.%d calls = %d, want 0: its acceptances answered the client", id, got)
+		}
+	}
+	checkCopiesEqual(t, tc, "wd")
 }

@@ -198,30 +198,37 @@ func writevArgs(idxs []int, entries [][]byte, positions []uint64) []byte {
 	return buf
 }
 
+// entryKey is the omap key the class keeps position pos's entry under.
+func entryKey(pos uint64) string { return "e." + strconv.FormatUint(pos, 10) }
+
 // call invokes a storage-class method on pos's stripe object.
 func (l *Log) call(ctx context.Context, pos uint64, method string, args []byte) ([]byte, error) {
-	return l.callObj(ctx, l.objectFor(pos), method, args)
+	return l.callObj(ctx, l.objectFor(pos), method, args, nil)
 }
 
 // callObj invokes a storage-class method with the epoch prefix,
 // refreshing the epoch and retrying when sealed mid-flight. The
-// write-once writes are witnessed calls: each position comes from one
-// sequencer value, so a write commutes with every other write in flight,
-// and one that succeeds on the primary succeeds on any prefix of the
-// primary's history — so the call answers in one round trip
-// (rados.Client.CallWitnessed). Seal, fill and trim, which conflict with
-// writes, and the reads take the ordinary path.
-func (l *Log) callObj(ctx context.Context, obj, method string, args []byte) ([]byte, error) {
-	call := l.rc.Call
-	if method == "write" || method == "writev" {
-		call = l.rc.CallWitnessed
-	}
+// write-once writes pass the entry keys they write and are witnessed
+// calls on those keys: each position comes from one sequencer value, so
+// a write commutes with every other write in flight — their keys are
+// disjoint, and the maxpos they share is a max — and one that succeeds
+// on the primary succeeds on any prefix of the primary's history. So
+// the call answers in one round trip, even beside another client's
+// write to the stripe (rados.Client.CallWitnessed). Seal, fill and
+// trim, which conflict with writes, and the reads take the ordinary path.
+func (l *Log) callObj(ctx context.Context, obj, method string, args []byte, keys []string) ([]byte, error) {
 	for attempt := 0; attempt < 3; attempt++ {
 		input := make([]byte, 0, 21+len(args))
 		input = strconv.AppendUint(input, l.Epoch(), 10)
 		input = append(input, ':')
 		input = append(input, args...)
-		out, err := call(ctx, l.opts.Pool, obj, ClassName, method, input)
+		var out []byte
+		var err error
+		if keys != nil {
+			out, err = l.rc.CallWitnessed(ctx, l.opts.Pool, obj, ClassName, method, input, keys)
+		} else {
+			out, err = l.rc.Call(ctx, l.opts.Pool, obj, ClassName, method, input)
+		}
 		if err != nil && errors.Is(err, rados.ErrStale) {
 			// Sealed: a recovery bumped the epoch. Resync and retry.
 			if rerr := l.refreshEpoch(ctx); rerr != nil {
@@ -236,7 +243,7 @@ func (l *Log) callObj(ctx context.Context, obj, method string, args []byte) ([]b
 
 // writeAt writes data at pos; rados.ErrExists reports a collision.
 func (l *Log) writeAt(ctx context.Context, pos uint64, data []byte) error {
-	_, err := l.call(ctx, pos, "write", writeArgs(pos, data))
+	_, err := l.callObj(ctx, l.objectFor(pos), "write", writeArgs(pos, data), []string{entryKey(pos)})
 	return err
 }
 
@@ -338,7 +345,11 @@ func (l *Log) AppendBatch(ctx context.Context, entries [][]byte) ([]uint64, erro
 // aborts the whole vector; it then degrades to per-entry writes where
 // only the contested entries reassign positions via the serial path.
 func (l *Log) writeStripe(ctx context.Context, obj string, idxs []int, entries [][]byte, positions []uint64) error {
-	_, err := l.callObj(ctx, obj, "writev", writevArgs(idxs, entries, positions))
+	keys := make([]string, len(idxs))
+	for k, i := range idxs {
+		keys[k] = entryKey(positions[i])
+	}
+	_, err := l.callObj(ctx, obj, "writev", writevArgs(idxs, entries, positions), keys)
 	if err == nil {
 		return nil
 	}
