@@ -7,7 +7,7 @@ SEED ?= 1
 
 .PHONY: build test race vet lint lint-json lint-sarif lint-fixtures \
 	bench bench-smoke bench-module chaos chaos-race cover ci loc \
-	profile fuzz-smoke cross
+	profile fuzz-smoke cross mutants
 
 build:
 	$(GO) build ./...
@@ -102,9 +102,17 @@ chaos:
 	$(GO) run ./cmd/chaos -scenario $(SCENARIO) -seed $(SEED) -artifact chaos-report.txt -waldir chaos-wal
 
 # The same invariants exercised under the race detector (plus the
-# determinism and broken-recovery fixtures).
+# determinism fixture).
 chaos-race:
 	$(GO) test -race -count=1 -timeout 600s ./internal/chaos/
+
+# Every committed mutant (mutants/*.json: a deliberate bug in the real
+# code and the check that must catch it) is applied through the go
+# command's -overlay, and its check must fail with the expected text.
+# A mutant that survives, or whose replacement no longer matches, fails
+# the target by name. Plain `go test ./...` only validates the specs.
+mutants:
+	$(GO) test -tags mutants -count=1 -timeout 30m -v -run '^TestMutantsAreKilled$$' ./mutants/
 
 # Statement-coverage gate on the core packages. coverage.out is kept
 # for CI to upload next to malacolint-report.json.
@@ -122,7 +130,7 @@ cover:
 cross:
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/wire/
 
-ci: build vet cross lint-sarif lint-fixtures race bench-smoke bench-module fuzz-smoke chaos cover loc
+ci: build vet cross lint-sarif lint-fixtures race bench-smoke bench-module fuzz-smoke mutants chaos cover loc
 
 # Non-test, non-fixture Go lines per package, largest first, with the
 # total on top: ROADMAP aim 2's tracked number, printed at the end of ci

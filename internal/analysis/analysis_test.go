@@ -327,8 +327,6 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		t.Skip("whole-repo load is not short")
 	}
 	testOnly := map[string]string{ // field -> a test that sets it
-		"repro/internal/chaos.Options.SkipRemoteCensus":     "TestBrokenCensusIsCaught",
-		"repro/internal/chaos.Options.SkipSealOnRecovery":   "TestBrokenRecoveryIsCaught",
 		"repro/internal/core.Options.NetJitter":             "TestAppendsUnderNetworkJitter",
 		"repro/internal/mon.Config.BeaconTimeout":           "TestBeaconTimeoutMarksDown",
 		"repro/internal/rados.OSDConfig.BeaconInterval":     "TestBeaconTimeoutMarksDown",

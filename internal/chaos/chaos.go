@@ -46,19 +46,6 @@ type Options struct {
 	// Seed drives every randomized decision in the fault plan. Same
 	// (Scenario, Seed) -> same event log.
 	Seed int64
-	// SkipSealOnRecovery deliberately breaks the sequencer-recovery path:
-	// the harness bumps the log epoch and reinstalls the tail WITHOUT
-	// sealing the stripe objects. Real recoveries must never do this —
-	// the knob exists so fixture tests can prove the sealed-epoch
-	// invariant checker catches the bug.
-	SkipSealOnRecovery bool
-	// SkipRemoteCensus deliberately breaks the dedup GC: each sweeper's
-	// census counts only the manifests in the placement groups it leads
-	// itself (rados.OSDConfig.SkipRemoteCensus), so it reclaims blocks
-	// that manifests on other daemons still cite. Real sweeps must never
-	// do this — the knob exists so fixture tests can prove the
-	// dedup-refs-clean checker catches the resulting dangling blocks.
-	SkipRemoteCensus bool
 	// WALRoot, when set, is the directory under which WAL-backed
 	// scenarios place their per-run journal directories
 	// (<root>/<scenario>-seed<seed>/osd.<id>); a failing run keeps its

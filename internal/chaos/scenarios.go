@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mds"
 	"repro/internal/mon"
 	"repro/internal/rados"
-	"repro/internal/types"
 	"repro/internal/wire"
 	"repro/internal/zlog"
 )
@@ -279,7 +277,7 @@ func runSequencerFailover(ctx context.Context, r *run) error {
 	}
 	pause(ctx, 500*time.Millisecond) // rank 1 replays the journal and adopts
 
-	if err := r.recoverLog(ctx, admin, monc, width); err != nil {
+	if err := r.recoverLog(ctx, admin); err != nil {
 		return err
 	}
 	pause(ctx, 300*time.Millisecond) // stale appenders resync and continue
@@ -294,16 +292,9 @@ func runSequencerFailover(ctx context.Context, r *run) error {
 	return nil
 }
 
-// recoverLog runs sequencer recovery: the healthy protocol by default,
-// or — when the fixture knob SkipSealOnRecovery is set — a deliberately
-// broken variant that publishes the new epoch and reinstalls the tail
-// WITHOUT sealing the stripes, exactly the lost-update bug the
-// sealed-epoch checker exists to catch.
-func (r *run) recoverLog(ctx context.Context, l *zlog.Log, monc *mon.Client, width int) error {
-	if r.opts.SkipSealOnRecovery {
-		r.event("recover", "BROKEN: epoch bump without seal (fixture mode)")
-		return r.brokenRecover(ctx, l, monc, width)
-	}
+// recoverLog runs sequencer recovery: seal every stripe at a new epoch,
+// then reinstall the tail.
+func (r *run) recoverLog(ctx context.Context, l *zlog.Log) error {
 	r.event("recover", "sequencer recovery (seal + tail reinstall)")
 	var err error
 	for attempt := 0; attempt < 20; attempt++ {
@@ -313,42 +304,6 @@ func (r *run) recoverLog(ctx context.Context, l *zlog.Log, monc *mon.Client, wid
 		pause(ctx, 50*time.Millisecond)
 	}
 	return fmt.Errorf("recovery never succeeded: %w", err)
-}
-
-// brokenRecover mimics a recovery implementation that forgot the seal
-// step: it bumps the published epoch and recomputes the tail from the
-// stripes' max positions, but never installs the epoch on the stripe
-// objects — so stale clients' writes still land.
-func (r *run) brokenRecover(ctx context.Context, l *zlog.Log, monc *mon.Client, width int) error {
-	cur, err := publishedEpoch(ctx, monc, chaosLogName)
-	if err != nil {
-		return err
-	}
-	next := cur + 1
-	if err := monc.SetService(ctx, types.MapOSD, zlog.EpochKey(chaosLogName),
-		strconv.FormatUint(next, 10)); err != nil {
-		return err
-	}
-	// Read each stripe's max position under the new epoch — but never
-	// seal, so the old epoch stays valid on the storage class.
-	rc := r.radosClient("client.chaos.brokenrec")
-	epochArg := []byte(strconv.FormatUint(next, 10))
-	maxPos := int64(-1)
-	for i := 0; i < width; i++ {
-		obj := chaosLogName + "." + strconv.Itoa(i)
-		out, err := rc.Call(ctx, "data", obj, zlog.ClassName, "maxpos", epochArg)
-		if err != nil {
-			return fmt.Errorf("maxpos %s: %w", obj, err)
-		}
-		mp, perr := strconv.ParseInt(string(out), 10, 64)
-		if perr != nil {
-			return fmt.Errorf("maxpos %s returned %q", obj, out)
-		}
-		if mp > maxPos {
-			maxPos = mp
-		}
-	}
-	return l.MDS().SetValue(ctx, zlog.SeqPath(chaosLogName), uint64(maxPos+1))
 }
 
 // runZlogPrimaryCrash kills the primary OSD of one stripe of a shared
@@ -439,7 +394,7 @@ func runZlogPrimaryCrash(ctx context.Context, r *run) error {
 	r.cl.Net.HealAll()
 	pause(ctx, 400*time.Millisecond) // the promoted replica replays; appends go on
 
-	if err := r.recoverLog(ctx, admin, monc, width); err != nil {
+	if err := r.recoverLog(ctx, admin); err != nil {
 		return err
 	}
 	pause(ctx, 300*time.Millisecond)
@@ -542,7 +497,6 @@ func runProcessCrash(ctx context.Context, r *run) error {
 	}
 	defer cleanup()
 	cfg := walOSD()
-	cfg.SkipRemoteCensus = r.opts.SkipRemoteCensus
 	if err := r.boot(core.Options{
 		Mons: 1, OSDs: 4, MDSs: 0,
 		Pools: []string{"data"}, PGNum: 8, Replicas: 3,

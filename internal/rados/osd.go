@@ -48,10 +48,6 @@ type OSDConfig struct {
 	// journal compaction (NeedCheckpoint → CheckpointNow); zero
 	// disables the background loop.
 	CheckpointInterval time.Duration
-	// SkipRemoteCensus makes the GC census count only this daemon's own
-	// manifests. Broken-census fixture knob: the chaos harness proves its
-	// checkers catch the blocks it reclaims while other manifests cite them.
-	SkipRemoteCensus bool
 }
 
 // gossipFanout is how many peers each gossip round contacts, and the

@@ -146,8 +146,7 @@ func (o *OSD) reclaimCandidates(v *mapView, grace time.Duration) map[string][]re
 // names a live manifest cites, answering for its own groups in-process,
 // and returns the cited names. ok is false when some group has no
 // primary or its primary gave no answer at v's epoch: then nothing may
-// be reclaimed. With OSDConfig.SkipRemoteCensus set only this daemon's
-// own manifests are counted.
+// be reclaimed.
 func (o *OSD) census(v *mapView, pool string, names []string) (cited map[string]bool, ok bool) {
 	pv := v.pools[pool]
 	if pv == nil {
@@ -166,11 +165,9 @@ func (o *OSD) census(v *mapView, pool string, names []string) (cited map[string]
 	for id := range primaries {
 		var got []string
 		var err error
-		switch {
-		case id == o.cfg.ID:
+		if id == o.cfg.ID {
 			got, err = o.answerCensus(req)
-		case o.cfg.SkipRemoteCensus:
-		default:
+		} else {
 			got, err = o.askCensus(id, req)
 		}
 		if err != nil {

@@ -2,6 +2,7 @@ package rados
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -56,7 +57,10 @@ func settleFanOut(t *testing.T, tc *testCluster, primary wire.Addr) {
 // while a witnessed mutation of the object awaits a replica's install.
 // One replica's install is stalled on its slot lock; the witnessed call
 // still returns (both copies were accepted), and the next mutation of
-// the object must wait for that install.
+// the object must wait for that install. Each op runs twice: with
+// acting[2] stalled, the peer the primary's handler forwards to in line,
+// and with acting[1] stalled, whose forward a forwarder runs and the
+// handler must wait for before it lets the next mutation through.
 func TestUnwitnessedMutationWaitsForWitnessSync(t *testing.T) {
 	for _, op := range []struct {
 		name string
@@ -71,29 +75,31 @@ func TestUnwitnessedMutationWaitsForWitnessSync(t *testing.T) {
 		}},
 	} {
 		t.Run(op.name, func(t *testing.T) {
-			tc := witnessCluster(t, time.Millisecond, "ws")
-			ctx := ctxT(t, 10*time.Second)
-			acting := actingOf(t, tc, "ws")
-			primary, stalled := tc.osds[acting[0]], slotOf(tc.osds[acting[2]], "ws")
-			stalled.mu.Lock()
-			if _, err := tc.client.CallWitnessed(ctx, "data", "ws", "wk", "put", []byte("1"), nil); err != nil {
+			for _, at := range []int{2, 1} {
+				tc := witnessCluster(t, time.Millisecond, "ws")
+				ctx := ctxT(t, 10*time.Second)
+				acting := actingOf(t, tc, "ws")
+				primary, stalled := tc.osds[acting[0]], slotOf(tc.osds[acting[at]], "ws")
+				stalled.mu.Lock()
+				if _, err := tc.client.CallWitnessed(ctx, "data", "ws", "wk", "put", []byte("1"), nil); err != nil {
+					stalled.mu.Unlock()
+					t.Fatal(err)
+				}
+				_, ver := replicaState(primary, "ws")
+				done := make(chan error, 1)
+				go func() { done <- op.run(ctx, tc.client) }()
+				time.Sleep(30 * time.Millisecond)
+				_, during := replicaState(primary, "ws")
 				stalled.mu.Unlock()
-				t.Fatal(err)
+				if during != ver {
+					t.Errorf("primary at version %d while a replica had not installed the witnessed write (version %d, acting[%d] stalled)", during, ver, at)
+				}
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+				settleFanOut(t, tc, primary.Addr())
+				checkCopiesEqual(t, tc, "ws")
 			}
-			_, ver := replicaState(primary, "ws")
-			done := make(chan error, 1)
-			go func() { done <- op.run(ctx, tc.client) }()
-			time.Sleep(30 * time.Millisecond)
-			_, during := replicaState(primary, "ws")
-			stalled.mu.Unlock()
-			if during != ver {
-				t.Errorf("primary at version %d while a replica had not installed the witnessed write (version %d)", during, ver)
-			}
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-			settleFanOut(t, tc, primary.Addr())
-			checkCopiesEqual(t, tc, "ws")
 		})
 	}
 }
@@ -163,6 +169,62 @@ func TestPromotedReplicaReplaysWitnessRecords(t *testing.T) {
 				}
 			}
 			settleFanOut(t, tc, OSDAddr(now[0]))
+		})
+	}
+}
+
+// Rule 3, peer half: a promoted primary replays the records its peers
+// hold, not only its own. The client is cut from acting[1], so only
+// acting[2] accepts the witness copy; the old primary is cut from both
+// replicas, so its forwards fail and it relays for acting[1]. The acked
+// put then lives on only in the old primary and in acting[2]'s record.
+// Once the old primary is down, acting[1] leads, and it must answer
+// with the acked value and refuse a conflicting put. The mutant
+// mutants/promotion-gate.json (gatePromotions returning nil, so no
+// promoted primary collects its peers' records) fails this test: the
+// record would reach acting[1] only when acting[2] resolves it, after
+// ackWait (250 ms). The kill relies on the read and the put acting
+// inside that window.
+func TestPromotedPrimaryRecoversAPeerOnlyRecord(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		keys []string
+	}{
+		{"keyless", nil},
+		{"keyed", []string{"e.1"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tc := witnessCluster(t, time.Millisecond, "wq")
+			ctx := ctxT(t, 20*time.Second)
+			acting := actingOf(t, tc, "wq")
+			old := tc.osds[acting[0]]
+			tc.net.Partition(tc.client.self, OSDAddr(acting[1]))
+			for _, id := range acting[1:] {
+				tc.net.Partition(old.Addr(), OSDAddr(id))
+			}
+			if _, err := tc.client.CallWitnessed(ctx, "data", "wq", "wk", "put", []byte("1"), c.keys); err != nil {
+				t.Fatal(err)
+			}
+			if n1, n2 := records(tc.osds[acting[1]]), records(tc.osds[acting[2]]); n1 != 0 || n2 != 1 {
+				t.Fatalf("osd.%d holds %d records and osd.%d %d, want 0 and 1", acting[1], n1, acting[2], n2)
+			}
+			old.Stop()
+			tc.net.HealAll()
+			if err := tc.client.Mon().MarkOSDDown(ctx, old.cfg.ID); err != nil {
+				t.Fatal(err)
+			}
+			kv, err := tc.client.OmapGet(ctx, "data", "wq", "e.1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(kv["e.1"]) != "1" {
+				t.Fatalf("new primary holds e.1 = %q, want the acked write", kv["e.1"])
+			}
+			other := NewClient(tc.net, "client.1", []int{0})
+			defer other.Close()
+			if _, err := other.CallWitnessed(ctx, "data", "wq", "wk", "put", []byte("1"), c.keys); !errors.Is(err, ErrExists) {
+				t.Fatalf("a second client's put of e.1 = %v, want ErrExists", err)
+			}
 		})
 	}
 }
