@@ -366,6 +366,76 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	}
 }
 
+// TestEveryRecordKindHasAWriter requires every journal record kind (a
+// rados.MutKind constant) to be written by non-test code of the module.
+// A writer is any reference to the constant but its declaration, a case
+// of a switch and an operand of a comparison: those are how the codec
+// and replay read a record's kind, so a kind only they name is one no
+// journal holds, and its arms are dead code.
+func TestEveryRecordKindHasAWriter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-repo load is not short")
+	}
+	kinds := make(map[string]string) // constant key -> declaration position
+	written := make(map[string]bool)
+	for _, pkg := range rootPackages(t) {
+		for id, obj := range pkg.Info.Defs {
+			if isMutKind(obj) {
+				kinds[objectKey(obj)] = pkg.Fset.Position(id.Pos()).String()
+			}
+		}
+		reads := make(map[*ast.Ident]bool)
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CaseClause:
+					for _, e := range n.List {
+						reads[kindIdent(e)] = true
+					}
+				case *ast.BinaryExpr:
+					switch n.Op {
+					case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+						reads[kindIdent(n.X)], reads[kindIdent(n.Y)] = true, true
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range pkg.Info.Uses {
+			if isMutKind(obj) && !reads[id] {
+				written[objectKey(obj)] = true
+			}
+		}
+	}
+	if len(kinds) == 0 {
+		t.Fatal("no rados.MutKind constant found")
+	}
+	for _, key := range sortedKeys(kinds) {
+		if !written[key] {
+			t.Errorf("%s: record kind %s has no writer: delete it and its codec and replay arms", kinds[key], key)
+		}
+	}
+}
+
+// isMutKind reports whether obj is a constant of the journal's record
+// kind type.
+func isMutKind(obj types.Object) bool {
+	c, ok := obj.(*types.Const)
+	return ok && c.Type().String() == "repro/internal/rados.MutKind"
+}
+
+// kindIdent is the identifier e names a constant by, bare or qualified;
+// nil for any other expression.
+func kindIdent(e ast.Expr) *ast.Ident {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e
+	case *ast.SelectorExpr:
+		return e.Sel
+	}
+	return nil
+}
+
 // optionFields maps "pkgpath.Type.Field" to its position for every
 // exported field of every struct type in f named *Config or *Options.
 func optionFields(pkg *Package, f *ast.File) map[string]string {

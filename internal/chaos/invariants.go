@@ -237,7 +237,7 @@ func (r *run) checkDedupGC(ctx context.Context, pool string) {
 // skipped record means the journal held an undecodable entry — silent
 // data loss the frame CRCs exist to surface, never acceptable on a
 // journal this process wrote itself.
-func (r *run) checkWALReplay(rep rados.ReplayReport) {
+func (r *run) checkWALReplay(rep rados.ReplayStats) {
 	const check = "wal-replayed"
 	switch {
 	case rep.Records == 0 && rep.CheckpointRecords == 0:

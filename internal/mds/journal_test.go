@@ -3,7 +3,10 @@ package mds_test
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,11 +128,58 @@ func TestRepliesDoNotWaitForJournal(t *testing.T) {
 	}, "journal never converged to the highest values")
 }
 
-// TestCheckpointsCoalesceBehindOneAppend pins the single-flight flusher:
-// checkpoints recorded while an append is in flight are max-merged into
-// the next one, so K checkpoints of one path cost at most two records.
+// commitGate is one MemBackend for every OSD of a cluster whose journal
+// commits, while the gate is shut, wait for it to open: an op then stays
+// in its primary's handler, and so in its sender's fabric call, until
+// the test opens the gate.
+type commitGate struct {
+	rados.MemBackend
+	shut    atomic.Bool
+	entered chan struct{} // a token once a commit waits at the gate
+	opened  chan struct{}
+	once    sync.Once
+}
+
+// gatedCluster boots one MDS rank over two OSDs sharing a commitGate,
+// and opens the gate at cleanup, before the cluster stops.
+func gatedCluster(t *testing.T) (*core.Cluster, *commitGate) {
+	g := &commitGate{entered: make(chan struct{}, 1), opened: make(chan struct{})}
+	c := boot(t, core.Options{MDSs: 1, OSDs: 2, OSDBackend: func(int) (rados.Backend, error) { return g, nil }})
+	t.Cleanup(g.open)
+	return c, g
+}
+
+func (g *commitGate) Commit() error {
+	if g.shut.Load() {
+		select {
+		case g.entered <- struct{}{}:
+		default:
+		}
+		<-g.opened
+	}
+	return nil
+}
+
+func (g *commitGate) open() { g.once.Do(func() { close(g.opened) }) }
+
+// waitEntered fails t unless a commit reaches the shut gate within d.
+func (g *commitGate) waitEntered(t *testing.T, d time.Duration) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(d):
+		t.Fatalf("no journal commit reached the gate within %v", d)
+	}
+}
+
+// Checkpoints recorded while an append is in flight coalesce behind it:
+// at most one more record follows, carrying the highest value, not one
+// record per checkpoint. The first append is held at its primary's
+// journal commit until every checkpoint is recorded, and each record is
+// followed by a pause in which a flusher started for it would take it
+// alone.
 func TestCheckpointsCoalesceBehindOneAppend(t *testing.T) {
-	c := boot(t, core.Options{MDSs: 1, OSDs: 2})
+	c, g := gatedCluster(t)
 	cl := newClient(t, c, "client.1")
 	ctx := ctxT(t, 20*time.Second)
 	// Open journals its create record before replying, which also warms
@@ -138,29 +188,64 @@ func TestCheckpointsCoalesceBehindOneAppend(t *testing.T) {
 	if err := cl.Open(ctx, "/seq", mds.TypeSequencer, &roundTrip); err != nil {
 		t.Fatal(err)
 	}
-	// The fabric delay keeps the first append in flight (~80 ms) while
-	// the test records the rest.
-	c.Net.SetLatency(20*time.Millisecond, 0)
 	srv := c.MDSs[0]
+	g.shut.Store(true)
 	srv.RecordCheckpoint("/seq", 1)
-	eventually(t, 5*time.Second, func() bool {
-		return c.Net.Stats().Outbound[radosAddr].Inflight > 0
-	}, "no checkpoint append went in flight")
+	g.waitEntered(t, 5*time.Second)
 
 	const k = 100
 	for v := uint64(2); v <= k; v++ {
 		srv.RecordCheckpoint("/seq", v)
+		time.Sleep(time.Millisecond)
 	}
 	srv.RecordCheckpoint("/seq", k/2) // a lower value recorded later must not win
+	g.shut.Store(false)
+	g.open()
 
 	rc := c.NewRadosClient("client.probe")
 	var vals []uint64
 	eventually(t, 5*time.Second, func() bool {
 		vals = journalValues(ctx, t, rc, "/seq")
-		return len(vals) > 0 && vals[len(vals)-1] == k
+		return slices.Contains(vals, k)
 	}, "the journal never carried the highest checkpoint")
 	if len(vals) > 2 {
 		t.Fatalf("%d checkpoints recorded behind one append became %d records %v, want at most 2", k, len(vals), vals)
+	}
+	if last := vals[len(vals)-1]; last != k {
+		t.Fatalf("the last record carries %d, want the highest checkpoint %d", last, k)
+	}
+}
+
+// Stop waits for a flusher whose append is in flight: the append is held
+// at its primary's journal commit, which no stop cuts short, and Stop
+// must not return before the gate opens and the append with it.
+func TestStopWaitsForInFlightFlusher(t *testing.T) {
+	c, g := gatedCluster(t)
+	cl := newClient(t, c, "client.1")
+	ctx := ctxT(t, 10*time.Second)
+	if err := cl.Open(ctx, "/seq", mds.TypeSequencer, &roundTrip); err != nil {
+		t.Fatal(err)
+	}
+	srv := c.MDSs[0]
+	g.shut.Store(true)
+	srv.RecordCheckpoint("/seq", 1)
+	g.waitEntered(t, 5*time.Second)
+
+	stopped := make(chan struct{})
+	go func() {
+		srv.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while the rank's flusher was still in its append")
+	case <-time.After(200 * time.Millisecond):
+	}
+	g.open()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not return after the flusher's append did")
 	}
 }
 

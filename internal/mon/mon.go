@@ -173,8 +173,6 @@ type Monitor struct {
 	// are answered with. applied counts the slots applied so far.
 	published Maps   // guarded by mu
 	applied   uint64 // guarded by mu
-	// commitWait maps a batch fingerprint to the updates awaiting it; we
-	// simply signal the pending set attached to each proposal.
 
 	stopOnce sync.Once
 	stopCh   chan struct{}

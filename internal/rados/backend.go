@@ -1,22 +1,20 @@
 package rados
 
 // Backend is the OSD's pluggable persistence seam. The OSD keeps its
-// authoritative state in memory exactly as before; a durable backend
-// additionally journals every applied mutation so a hard-killed OSD
-// can rebuild the in-memory index by replaying the log.
+// authoritative state in memory and hands every applied mutation to its
+// backend, whether or not the backend keeps it: a durable backend
+// journals it so a hard-killed OSD can rebuild the in-memory index by
+// replaying the log, and MemBackend drops it.
 //
 // Contract: Record is called synchronously under the mutated object's
 // slot lock and MUST capture (encode or copy) the mutation payload
-// before returning — the Data/KV/Obj fields alias live copy-on-write
+// before returning — the Data/Obj/Txn fields alias live copy-on-write
 // state that later operations will replace, and maps (Omap/Xattrs) are
 // mutated in place by subsequent ops. Commit makes every recorded
 // mutation durable and is called after the slot lock is released, so a
 // slow fsync never blocks other objects. Record failures are sticky
 // and surface at the next Commit.
 type Backend interface {
-	// Durable reports whether this backend persists anything. The OSD
-	// skips record/commit bookkeeping entirely when false.
-	Durable() bool
 	// Record journals one applied mutation (see contract above).
 	Record(Mutation)
 	// Commit makes all recorded mutations durable (group-committed).
@@ -37,27 +35,24 @@ type Backend interface {
 	Close() error
 }
 
-// MutKind enumerates the journaled mutation types.
+// MutKind enumerates the journaled mutation types, one per replay rule.
+// The zero kind is no record: an op whose opSpecs row leaves its kind
+// zero journals nothing, and the decoder rejects it.
 type MutKind uint8
 
 // Journal record kinds. RecData carries the object's post-state
-// bytestream (not the op's delta), making replay idempotent; RecSnapshot
-// carries a whole object (backfill merges and checkpoints, which replace
-// the copy wholesale); RecVerPin is a version-only advance (a replica
-// no-op apply that pinned the primary's stamp); RecTxn carries the
-// write-set of a class call or an overwrite — the final value of each
-// thing the op touched, the same entries its replicas were sent — so
-// its size follows the op, not the object. RecOmapSet, RecOmapDel and
-// RecXattrSet are no longer written (those ops journal RecTxn) but
-// still replay.
+// bytestream (not the op's delta), making replay idempotent; RecRemove
+// leaves a tombstone at its version (a remove, a reclaim, or the slot a
+// pool split moved away); RecSnapshot carries a whole object (backfill
+// merges and checkpoints, which replace the copy wholesale); RecVerPin
+// is a version-only advance (a replica no-op apply that pinned the
+// primary's stamp); RecTxn carries the write-set of a class call or an
+// overwrite — the final value of each thing the op touched, the same
+// entries its replicas were sent — so its size follows the op, not the
+// object; a create is an empty one.
 const (
-	RecCreate MutKind = iota
-	RecData
+	RecData MutKind = iota + 1
 	RecRemove
-	RecPurge // slot dropped by a pool resplit; replays as a tombstone
-	RecOmapSet
-	RecOmapDel
-	RecXattrSet
 	RecSnapshot
 	RecVerPin
 	RecTxn
@@ -68,9 +63,8 @@ const (
 )
 
 func (k MutKind) String() string {
-	names := [...]string{"create", "data", "remove", "purge", "omap-set",
-		"omap-del", "xattr-set", "snapshot", "ver-pin", "txn", "witness", "witness-drop"}
-	if int(k) < len(names) {
+	names := [...]string{1: "data", "remove", "snapshot", "ver-pin", "txn", "witness", "witness-drop"}
+	if k > 0 && int(k) < len(names) {
 		return names[k]
 	}
 	return "rec(?)"
@@ -78,8 +72,10 @@ func (k MutKind) String() string {
 
 // Mutation is one journaled state change of one object. Version is the
 // object's slot version after the change; replay applies a mutation
-// only when its Version is ahead of the rebuilt slot (Force snapshots
-// excepted, mirroring scrub's authoritative backfill).
+// only when its Version is ahead of the rebuilt slot, or when it is
+// Force: scrub's authoritative backfill, and the slot a pool split
+// moved out of its placement group, removed at version 0 as if never
+// written there.
 //
 // Its slices are copy-on-write, like the Object's they come from or go
 // to: a recorded Mutation aliases live stored slices (the Backend
@@ -94,13 +90,10 @@ type Mutation struct {
 	Version uint64
 	Force   bool
 
-	Data []byte            // RecData: full bytestream; RecXattrSet: value
-	Key  string            // RecXattrSet key
-	Keys []string          // RecOmapDel keys
-	KV   map[string][]byte // RecOmapSet pairs
-	Obj  *Object           // RecSnapshot payload
-	Txn  []TxnOp           // RecTxn write-set
-	Op   *OpRequest        // RecWitness: the witnessed op; RecWitnessDrop: its Client and OpID
+	Data []byte     // RecData: full bytestream
+	Obj  *Object    // RecSnapshot payload
+	Txn  []TxnOp    // RecTxn write-set
+	Op   *OpRequest // RecWitness: the witnessed op; RecWitnessDrop: its Client and OpID
 }
 
 // ReplayStats summarizes one startup replay.
@@ -111,12 +104,9 @@ type ReplayStats struct {
 	TornBytes         int64 // torn-tail bytes the log truncated on open
 }
 
-// MemBackend is the non-durable backend: the seed's pure in-memory
-// behavior. All methods are no-ops.
+// MemBackend is the non-durable backend: the OSD's state lives in
+// memory only. All methods are no-ops.
 type MemBackend struct{}
-
-// Durable reports false: nothing persists.
-func (MemBackend) Durable() bool { return false }
 
 // Record drops the mutation.
 func (MemBackend) Record(Mutation) {}

@@ -170,14 +170,12 @@ func TestForwarderLifecycle(t *testing.T) {
 	checkConverged(2*writers*opsPerWriter + 1)
 }
 
-// slowCommitBackend is a durable MemBackend whose every journal commit
-// takes d, as an fsync would.
+// slowCommitBackend is a MemBackend whose every journal commit takes d,
+// as an fsync would.
 type slowCommitBackend struct {
 	MemBackend
 	d time.Duration
 }
-
-func (slowCommitBackend) Durable() bool { return true }
 
 func (b slowCommitBackend) Commit() error {
 	time.Sleep(b.d)

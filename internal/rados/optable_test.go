@@ -27,7 +27,7 @@ func opTableProblems(specs []opSpec) []string {
 			bad = append(bad, fmt.Sprintf("op %d (%q) declares no class", i, s.name))
 			continue
 		}
-		if s.class != classRead && !s.asTxn() && !s.journals {
+		if s.class != classRead && !s.asTxn() && s.journal == 0 {
 			bad = append(bad, fmt.Sprintf("op %d (%q) mutates but has no journal kind", i, s.name))
 		}
 	}

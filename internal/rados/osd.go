@@ -42,9 +42,9 @@ type OSDConfig struct {
 	// can lose a block it was told exists. Zero means the default.
 	GCGrace time.Duration
 	// Backend is the persistence seam (backend.go). Nil means the
-	// non-durable MemBackend: the seed's pure in-memory behavior.
+	// non-durable MemBackend: the daemon's state lives in memory only.
 	Backend Backend
-	// CheckpointInterval is how often a durable backend is polled for
+	// CheckpointInterval is how often the backend is polled for
 	// journal compaction (NeedCheckpoint → CheckpointNow); zero
 	// disables the background loop.
 	CheckpointInterval time.Duration
@@ -83,11 +83,8 @@ type OSD struct {
 	rng   *rand.Rand // guarded by rngMu alone, so gossip never contends with o.mu
 	rngMu sync.Mutex
 
-	// backend is the persistence seam, fixed at construction; durable
-	// caches backend.Durable() so the record hooks on the op path can
-	// bail without an interface call.
+	// backend is the persistence seam, fixed at construction.
 	backend Backend
-	durable bool
 
 	// view is the current OSD map with its placement table (mapView).
 	// Readers load it without a lock; updateMap swaps in a newer one
@@ -117,9 +114,9 @@ type OSD struct {
 	onClassLive func(name string, version uint64) // guarded by mu
 
 	scrubRepairs int // guarded by mu
-	// replayReport summarizes the last startup replay of a durable
-	// backend (osd_restore.go).
-	replayReport ReplayReport // guarded by mu
+	// replayReport summarizes the last startup replay of the backend
+	// (osd_restore.go).
+	replayReport ReplayStats // guarded by mu
 
 	// Replay cache: the recorded reply for each recently applied
 	// client mutation, keyed by (client address, OpID). A resend of an
@@ -166,7 +163,7 @@ type OSD struct {
 	lifeMu  sync.Mutex
 	stopCh  chan struct{} // guarded by lifeMu
 	running bool          // guarded by lifeMu
-	// restored records that the durable backend's log has been replayed
+	// restored records that the backend's log has been replayed
 	// into memory; Start replays once per process, and a graceful
 	// Stop→Start keeps the in-memory state it already has.
 	restored bool // guarded by lifeMu
@@ -196,7 +193,6 @@ func NewOSD(net *wire.Network, cfg OSDConfig) *OSD {
 	} else {
 		o.backend = MemBackend{}
 	}
-	o.durable = o.backend.Durable()
 	o.pgs.Store(&map[PGID]*pg{})
 	o.view.Store(newMapView(types.NewOSDMap()))
 	o.gcSeq.Store(clientIncarnation.Add(1) << 40)
@@ -246,13 +242,12 @@ func (o *OSD) Start(ctx context.Context) error {
 	o.stopCh = make(chan struct{})
 	o.running = true
 	stop := o.stopCh
-	needRestore := o.durable && !o.restored
+	needRestore := !o.restored
 	o.restored = true
 	o.lifeMu.Unlock()
 
-	// Replay the durable backend before taking traffic: the in-memory
-	// index must be rebuilt before any op or backfill
-	// can observe it.
+	// Replay the backend before taking traffic: the in-memory index must
+	// be rebuilt before any op or backfill can observe it.
 	if needRestore {
 		if err := o.restore(); err != nil {
 			o.lifeMu.Lock()
@@ -290,7 +285,7 @@ func (o *OSD) Start(ctx context.Context) error {
 		o.wg.Add(1)
 		go o.gcLoop(stop)
 	}
-	if o.durable && o.cfg.CheckpointInterval > 0 {
+	if o.cfg.CheckpointInterval > 0 {
 		o.wg.Add(1)
 		go o.checkpointLoop(stop)
 	}
@@ -366,8 +361,9 @@ func (o *OSD) handle(ctx context.Context, from wire.Addr, req any) (any, error) 
 // updateMap installs a newer OSD map, floods it to this daemon's tree
 // neighbours (all but from, the OSD it came from; noPeer when it came
 // from a monitor), fires class-liveness hooks, performs placement-group
-// splitting for resized pools, and triggers backfill for PGs whose
-// acting sets changed. The installed map is shared, never written.
+// splitting for resized pools, and pushes every PG it held before the
+// split to that PG's acting set, on every new epoch, whether or not the
+// acting set changed. The installed map is shared, never written.
 func (o *OSD) updateMap(m *types.OSDMap, from int) {
 	o.mu.Lock()
 	oldView := o.view.Load()
@@ -489,11 +485,12 @@ func (o *OSD) splitPool(pv *poolView, epoch types.Epoch) {
 				if e.obj != nil {
 					moved[npg] = append(moved[npg], e.obj.clone())
 				}
-				if o.durable && e.ver > 0 {
+				if e.ver > 0 {
 					// The slot leaves this PG entirely; replaying its
-					// earlier records must not resurrect it here.
-					o.backend.Record(Mutation{Kind: RecPurge, Pool: pool, PG: p.id.PG,
-						Object: name, Version: e.ver})
+					// earlier records must not resurrect it here, and a
+					// later return to this PG starts from version 0.
+					o.backend.Record(Mutation{Kind: RecRemove, Pool: pool, PG: p.id.PG,
+						Object: name, Force: true})
 				}
 				e.mu.Unlock()
 				delete(p.objects, name)
@@ -551,10 +548,8 @@ func (o *OSD) applyBackfill(b backfillMsg) {
 			e.obj = obj.clone()
 			e.ver = obj.Version
 			e.obj.Version = e.ver
-			if o.durable {
-				o.backend.Record(Mutation{Kind: RecSnapshot, Pool: b.Pool, PG: b.PG,
-					Object: obj.Name, Version: e.ver, Force: b.Force, Obj: e.obj})
-			}
+			o.backend.Record(Mutation{Kind: RecSnapshot, Pool: b.Pool, PG: b.PG,
+				Object: obj.Name, Version: e.ver, Force: b.Force, Obj: e.obj})
 			e.signalLocked()
 		}
 		e.mu.Unlock()
@@ -594,10 +589,8 @@ func (o *OSD) applyBackfill(b backfillMsg) {
 			// forwards keep their PrevVersion ordering.
 			e.obj = nil
 			e.ver = tombVer
-			if o.durable {
-				o.backend.Record(Mutation{Kind: RecRemove, Pool: b.Pool, PG: b.PG,
-					Object: name, Version: tombVer})
-			}
+			o.backend.Record(Mutation{Kind: RecRemove, Pool: b.Pool, PG: b.PG,
+				Object: name, Version: tombVer})
 			e.signalLocked()
 		case known:
 			// Local state is newer than the sender's scan; the next
@@ -605,10 +598,8 @@ func (o *OSD) applyBackfill(b backfillMsg) {
 		case time.Since(e.touch) >= forcePurgeGrace:
 			e.obj = nil
 			e.bumpLocked()
-			if o.durable {
-				o.backend.Record(Mutation{Kind: RecRemove, Pool: b.Pool, PG: b.PG,
-					Object: name, Version: e.ver})
-			}
+			o.backend.Record(Mutation{Kind: RecRemove, Pool: b.Pool, PG: b.PG,
+				Object: name, Version: e.ver})
 		}
 		e.mu.Unlock()
 	}

@@ -783,7 +783,7 @@ func (o *OSD) applyReplicaOp(ctx context.Context, p *pg, req *OpRequest, m *type
 		// Journal after the pin so the record carries the primary's
 		// stamp, not the transient local one.
 		o.recordOp(p, e, req)
-	case moved && o.durable:
+	case moved:
 		// No-op apply that still pinned the version, whatever it answered
 		// (that remove is ENOENT): replaying the log must land on the same
 		// stamp or later forwards stall at their PrevVersion wait.
@@ -961,7 +961,7 @@ func (o *OSD) applyOp(e *objEntry, req *OpRequest, m *types.OSDMap) (OpReply, bo
 	return OpReply{Result: EINVAL, Detail: "unknown op"}, false
 }
 
-// recordOp journals one applied mutation to the durable backend. Caller
+// recordOp journals one applied mutation to the backend. Caller
 // holds e.mu and guarantees the op mutated with Result OK; the backend
 // encodes synchronously (Backend contract), so passing slices and maps
 // that alias the live object is safe. Records carry post-state (the
@@ -969,17 +969,18 @@ func (o *OSD) applyOp(e *objEntry, req *OpRequest, m *types.OSDMap) (OpReply, bo
 // makes replay idempotent under the version guard. The kind is the op's
 // row's: every op reaching here journals, a call or overwrite as its OpTxn.
 func (o *OSD) recordOp(p *pg, e *objEntry, req *OpRequest) {
-	spec := &opSpecs[req.Op]
-	if !o.durable || !spec.journals {
+	kind := opSpecs[req.Op].journal
+	if kind == 0 {
 		return
 	}
-	mut := Mutation{Kind: spec.journal, Pool: req.Pool, PG: p.id.PG, Object: req.Object, Version: e.ver}
-	switch spec.journal {
+	mut := Mutation{Kind: kind, Pool: req.Pool, PG: p.id.PG, Object: req.Object, Version: e.ver}
+	switch kind {
 	case RecData:
 		mut.Data = e.obj.Data // an append or a block write: the slot is live
 	case RecTxn:
 		// A class call or overwrite journals what it wrote — the entries
-		// its replicas are sent — not the object it wrote them to.
+		// its replicas are sent — not the object it wrote them to; a
+		// create, which writes nothing, an empty write-set.
 		mut.Txn = req.Txn
 	}
 	o.backend.Record(mut)
@@ -989,9 +990,6 @@ func (o *OSD) recordOp(p *pg, e *objEntry, req *OpRequest) {
 // after releasing slot locks and before acking the client — the ack
 // must imply durability.
 func (o *OSD) commitDurable() error {
-	if !o.durable {
-		return nil
-	}
 	return o.backend.Commit()
 }
 
@@ -999,9 +997,6 @@ func (o *OSD) commitDurable() error {
 // split); an error is logged and the data stays journaled-but-unsynced
 // until the next op commit covers it.
 func (o *OSD) commitBackground(what string) {
-	if !o.durable {
-		return
-	}
 	if err := o.backend.Commit(); err != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		o.monc.Log(ctx, "warn", fmt.Sprintf("osd.%d: %s wal commit: %v", o.cfg.ID, what, err)) //nolint:errcheck

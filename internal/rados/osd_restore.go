@@ -10,21 +10,9 @@ import (
 // startup replay of the journal into the in-memory index, and the
 // checkpoint writer that bounds replay time.
 
-// ReplayReport summarizes one startup replay.
-type ReplayReport struct {
-	// CheckpointRecords/Records/Skipped/TornBytes mirror
-	// Backend.ReplayStats: snapshot mutations restored, journal
-	// mutations replayed past the checkpoint, undecodable records
-	// dropped, and torn-tail bytes truncated.
-	CheckpointRecords int
-	Records           int
-	Skipped           int
-	TornBytes         int64
-}
-
 // ReplayReport returns the report of this daemon's last startup replay
 // (zero for a memory-backed or never-crashed daemon).
-func (o *OSD) ReplayReport() ReplayReport {
+func (o *OSD) ReplayReport() ReplayStats {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.replayReport
@@ -41,7 +29,7 @@ func (o *OSD) Crash() {
 	o.backend.Abandon()
 }
 
-// restore rebuilds the in-memory index from the durable backend. Called
+// restore rebuilds the in-memory index from the backend. Called
 // from Start before the daemon listens, so no op or backfill can
 // interleave with replay.
 func (o *OSD) restore() error {
@@ -50,12 +38,7 @@ func (o *OSD) restore() error {
 		return err
 	}
 	o.mu.Lock()
-	o.replayReport = ReplayReport{
-		CheckpointRecords: stats.CheckpointRecords,
-		Records:           stats.Records,
-		Skipped:           stats.Skipped,
-		TornBytes:         stats.TornBytes,
-	}
+	o.replayReport = stats
 	o.mu.Unlock()
 	return nil
 }
@@ -64,10 +47,10 @@ func (o *OSD) restore() error {
 // is version-guarded: a mutation at or behind the slot's rebuilt
 // version is a duplicate (checkpoint overlap, a record superseded by a
 // later snapshot) and is dropped, which is what makes replay idempotent
-// and order-tolerant across the checkpoint boundary. Force snapshots
-// (scrub's authoritative backfill) apply unconditionally, mirroring the
-// live path. The decoder copied every value out of its frame, so the
-// object adopts them as they are.
+// and order-tolerant across the checkpoint boundary. Force records (a
+// scrub's authoritative backfill, a split's moved slot) apply
+// unconditionally, mirroring the live path. The decoder copied every
+// value out of its frame, so the object adopts them as they are.
 func (o *OSD) applyMutation(mut Mutation) {
 	if mut.Kind == RecWitness || mut.Kind == RecWitnessDrop {
 		o.restoreWitness(mut)
@@ -77,37 +60,24 @@ func (o *OSD) applyMutation(mut Mutation) {
 	e := p.entry(mut.Object)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !(mut.Kind == RecSnapshot && mut.Force) && mut.Version <= e.ver {
+	if !mut.Force && mut.Version <= e.ver {
 		return
 	}
 	switch mut.Kind {
-	case RecCreate:
-		e.materializeLocked(mut.Object)
 	case RecData:
 		e.materializeLocked(mut.Object).Data = mut.Data
-	case RecRemove, RecPurge:
-		// A purge replays as a tombstone, not a slot delete: dropping
-		// the slot here would need p.mu under e.mu (inverting entry()'s
-		// order), and a tombstone at the purge version is just as final.
+	case RecRemove:
+		// A split's moved slot replays as a tombstone too, not a slot
+		// delete: dropping the slot here would need p.mu under e.mu
+		// (inverting entry()'s order), and a tombstone at version 0 is
+		// an absent slot.
 		e.obj = nil
-	case RecOmapSet:
-		obj := e.materializeLocked(mut.Object)
-		for k, v := range mut.KV {
-			obj.Omap[k] = v
-		}
-	case RecOmapDel:
-		if e.obj != nil {
-			for _, k := range mut.Keys {
-				delete(e.obj.Omap, k)
-			}
-		}
-	case RecXattrSet:
-		e.materializeLocked(mut.Object).Xattrs[mut.Key] = mut.Data
 	case RecSnapshot:
 		e.obj = mut.Obj
 	case RecTxn:
 		// Final values, like every other record: replaying one over a
-		// state that already holds them changes nothing.
+		// state that already holds them changes nothing. An empty one is
+		// a create.
 		e.materializeLocked(mut.Object).applyTxn(mut.Txn)
 	case RecVerPin:
 		// Version-only advance; state untouched.
@@ -130,9 +100,6 @@ func (o *OSD) applyMutation(mut Mutation) {
 // records racing the collection stay in the journal, replaying
 // idempotently over the snapshot (version guard).
 func (o *OSD) CheckpointNow() error {
-	if !o.durable {
-		return nil
-	}
 	return o.backend.Checkpoint(func() []Mutation {
 		var muts []Mutation
 		for id, p := range *o.pgs.Load() {

@@ -67,11 +67,10 @@ const (
 // opSpec is one op's row of opSpecs: all the OSD knows of the op but how
 // to apply it, which is its arm in applyOp (or applyCall, or readBatch).
 type opSpec struct {
-	name     string
-	class    opClass
-	journals bool    // recordOp journals it; RecCreate is kind 0, so journal cannot say "none"
-	journal  MutKind // its record's kind
-	call     bool    // a class call: applyCall runs it, and it forwards as its write-set
+	name    string
+	class   opClass
+	journal MutKind // its record's kind; zero journals nothing
+	call    bool    // a class call: applyCall runs it, and it forwards as its write-set
 	// writeSet, set for the overwrites, is an applied op's write-set: for
 	// each thing req replaced, the value obj now stores, shared by the
 	// journal record and every replica (asTxn). Caller holds the slot lock.
@@ -86,10 +85,10 @@ var opSpecs = [...]opSpec{
 	OpWriteFull: {name: "write-full", class: classOverwrite, writeSet: func(obj *Object, _ OpRequest) []TxnOp {
 		return []TxnOp{{Kind: TxnData, Val: obj.Data}}
 	}},
-	OpAppend:  {name: "append", class: classReplayGuarded, journals: true, journal: RecData},
+	OpAppend:  {name: "append", class: classReplayGuarded, journal: RecData},
 	OpStat:    {name: "stat", class: classRead},
-	OpRemove:  {name: "remove", class: classVersioned, journals: true, journal: RecRemove},
-	OpCreate:  {name: "create", class: classVersioned, journals: true, journal: RecCreate},
+	OpRemove:  {name: "remove", class: classVersioned, journal: RecRemove},
+	OpCreate:  {name: "create", class: classVersioned, journal: RecTxn},
 	OpOmapGet: {name: "omap-get", class: classRead},
 	OpOmapSet: {name: "omap-set", class: classOverwrite, writeSet: func(obj *Object, req OpRequest) []TxnOp {
 		txn := make([]TxnOp, 0, len(req.KV))
@@ -114,10 +113,10 @@ var opSpecs = [...]opSpec{
 	}},
 	OpCall:         {name: "call", class: classReplayGuarded, call: true}, // whether it writes is known once it ran
 	OpBlockStat:    {name: "block-stat", class: classRead, readBatch: (*OSD).blockStatBatch},
-	OpBlockWrite:   {name: "block-write", class: classOverwrite, journals: true, journal: RecData},
-	OpBlockReclaim: {name: "block-reclaim", class: classVersioned, journals: true, journal: RecRemove},
+	OpBlockWrite:   {name: "block-write", class: classOverwrite, journal: RecData},
+	OpBlockReclaim: {name: "block-reclaim", class: classVersioned, journal: RecRemove},
 	OpBlockRead:    {name: "block-read", class: classRead, readBatch: (*OSD).blockReadBatch},
-	OpTxn:          {name: "txn", class: classReplicaOnly, journals: true, journal: RecTxn},
+	OpTxn:          {name: "txn", class: classReplicaOnly, journal: RecTxn},
 }
 
 // spec returns op's row; false for an op outside opSpecs or undeclared.

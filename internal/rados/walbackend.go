@@ -44,9 +44,6 @@ func OpenWALBackend(dir string, _ WALBackendOptions) (*WALBackend, error) {
 	return &WALBackend{log: l}, nil
 }
 
-// Durable reports true.
-func (b *WALBackend) Durable() bool { return true }
-
 // Record encodes and appends one mutation. Errors are sticky and
 // surface at the next Commit, matching the contract that Record is
 // called under slot locks where there is no good error path.
@@ -188,16 +185,6 @@ func encodeMutation(buf []byte, m Mutation) []byte {
 	switch m.Kind {
 	case RecData:
 		buf = appendBytes(buf, m.Data)
-	case RecOmapSet:
-		buf = appendKVMap(buf, m.KV)
-	case RecOmapDel:
-		buf = binary.AppendUvarint(buf, uint64(len(m.Keys)))
-		for _, k := range m.Keys {
-			buf = appendString(buf, k)
-		}
-	case RecXattrSet:
-		buf = appendString(buf, m.Key)
-		buf = appendBytes(buf, m.Data)
 	case RecSnapshot:
 		// Obj aliases live state; encoding now (not at Commit) is what
 		// makes that safe.
@@ -226,7 +213,7 @@ func encodeMutation(buf []byte, m Mutation) []byte {
 				buf = appendString(buf, k)
 			}
 		}
-	case RecCreate, RecRemove, RecPurge, RecVerPin:
+	case RecRemove, RecVerPin:
 		// Header only.
 	}
 	return buf
@@ -288,7 +275,7 @@ func decodeMutation(rec []byte) (Mutation, error) {
 	}
 	var m Mutation
 	m.Kind = MutKind(rec[0])
-	if m.Kind > RecWitnessDrop {
+	if m.Kind == 0 || m.Kind > RecWitnessDrop {
 		return Mutation{}, fmt.Errorf("rados: mutation decode: unknown kind %d", rec[0])
 	}
 	m.Force = rec[1]&mutFlagForce != 0
@@ -299,19 +286,6 @@ func decodeMutation(rec []byte) (Mutation, error) {
 	m.Version = d.uvarint()
 	switch m.Kind {
 	case RecData:
-		m.Data = d.bytes()
-	case RecOmapSet:
-		m.KV = d.kvMap()
-	case RecOmapDel:
-		n := d.uvarint()
-		if d.err == nil && n > uint64(len(d.buf)) {
-			d.err = errors.New("rados: mutation decode: key count overflows buffer")
-		}
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			m.Keys = append(m.Keys, d.str())
-		}
-	case RecXattrSet:
-		m.Key = d.str()
 		m.Data = d.bytes()
 	case RecSnapshot:
 		obj := NewObject(m.Object)
@@ -346,20 +320,16 @@ func decodeMutation(rec []byte) (Mutation, error) {
 			op.Class = d.str()
 			op.Method = d.str()
 			op.Input = d.bytes()
-			// A record journaled without conflict keys is keyless: it
-			// conflicts with every other record on its object.
-			if len(d.buf) > 0 {
-				n := d.uvarint()
-				if d.err == nil && n > uint64(len(d.buf)) {
-					d.err = errors.New("rados: mutation decode: key count overflows buffer")
-				}
-				for i := uint64(0); i < n && d.err == nil; i++ {
-					op.Keys = append(op.Keys, d.str())
-				}
+			n := d.uvarint()
+			if d.err == nil && n > uint64(len(d.buf)) {
+				d.err = errors.New("rados: mutation decode: key count overflows buffer")
+			}
+			for i := uint64(0); i < n && d.err == nil; i++ {
+				op.Keys = append(op.Keys, d.str())
 			}
 		}
 		m.Op = op
-	case RecCreate, RecRemove, RecPurge, RecVerPin:
+	case RecRemove, RecVerPin:
 	}
 	if d.err != nil {
 		return Mutation{}, d.err

@@ -51,7 +51,8 @@ import (
 //  4. A record no forward or drop has cleared within ackWait is resolved
 //     with the primary (resolveWitness), which applies it at most once:
 //     a re-send of an op already applied is a replay-cache hit.
-//  5. On a durable backend a record is journaled before it is accepted.
+//  5. A record is journaled, and the journal committed, before it is
+//     accepted.
 
 // witnessCopy is a witnessed op as its client sends it to a replica.
 type witnessCopy OpRequest
@@ -161,9 +162,7 @@ func (o *OSD) acceptWitness(ctx context.Context, client wire.Addr, w *witnessCop
 	rec.op.Client = client
 	o.wits[k] = append(held, rec)
 	o.witN.Add(1)
-	if o.durable {
-		o.backend.Record(rec.mutation(RecWitness))
-	}
+	o.backend.Record(rec.mutation(RecWitness))
 	o.witMu.Unlock()
 	if err := o.commitDurable(); err != nil {
 		o.witMu.Lock()
@@ -191,9 +190,7 @@ func (o *OSD) clearWitnessLocked(k witKey, client wire.Addr, id uint64) bool {
 // Caller holds o.witMu.
 func (o *OSD) deleteWitnessLocked(k witKey, rec *witnessRecord) {
 	o.removeWitnessLocked(k, slices.Index(o.wits[k], rec))
-	if o.durable {
-		o.backend.Record(rec.mutation(RecWitnessDrop))
-	}
+	o.backend.Record(rec.mutation(RecWitnessDrop))
 }
 
 // removeWitnessLocked takes the i'th record on k out of the held ones,
